@@ -219,6 +219,14 @@ func reportSolverWork(b *testing.B, reg *obs.Registry) {
 	}
 }
 
+// reportAssembly reports the level-2 FV assembly time per op, the
+// thermal_assembly_seconds sum, so benchjson -compare gates that layer
+// on its own.
+func reportAssembly(b *testing.B, reg *obs.Registry) {
+	sum := reg.Histogram("thermal_assembly_seconds", nil).Sum()
+	b.ReportMetric(sum*1e9/float64(b.N), "assemble_ns/op")
+}
+
 // The three simulation levels individually (the composite study is
 // BenchmarkE2_ThreeLevels above): level 1 is closed-form and runs no
 // iterative solver, level 2 is the finite-volume board (CG), level 3 the
@@ -243,6 +251,7 @@ func BenchmarkE2_Level2(b *testing.B) {
 		}
 	}
 	reportSolverWork(b, reg)
+	reportAssembly(b, reg)
 }
 
 func BenchmarkE2_Level3(b *testing.B) {
@@ -1282,8 +1291,7 @@ func benchTechMap(b *testing.B, workers int) {
 
 // bigSolverModel is large enough (48×48×8 = 18k cells, ≈126k nnz) that
 // the assembled operator clears linalg.MulVecParallelNNZ, so the
-// parallel twin exercises both sharded assembly and row-parallel
-// products.
+// parallel twin exercises row-parallel products.
 func bigSolverModel() *thermal.Model {
 	g, _ := mesh.Uniform(48, 48, 8, 0.16, 0.16, 0.012)
 	m, _ := thermal.NewModel(g, []materials.Material{materials.Al6061})
@@ -1304,6 +1312,7 @@ func BenchmarkPar_SolveSteadySerial(b *testing.B) {
 	// After ResetTimer, which clears previously reported metrics.
 	b.ReportMetric(1, "workers")
 	reportSolverWork(b, reg)
+	reportAssembly(b, reg)
 }
 
 func BenchmarkPar_SolveSteadyParallel(b *testing.B) {
@@ -1325,6 +1334,7 @@ func BenchmarkPar_SolveSteadyParallel(b *testing.B) {
 	// After ResetTimer, which clears previously reported metrics.
 	b.ReportMetric(float64(w), "workers")
 	reportSolverWork(b, reg)
+	reportAssembly(b, reg)
 }
 
 func BenchmarkPar_CampaignSerial(b *testing.B) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -515,6 +516,38 @@ func TestSealedBoxValidation(t *testing.T) {
 	box = DefaultSealedBox()
 	if _, err := box.Solve(-5); err == nil {
 		t.Error("negative power should error")
+	}
+}
+
+// TestLevel3Reproducible pins bitwise-reproducible junction results: a
+// seven-part level-3 network has eight fixed nodes (the air and one
+// board node per part), whose mean seeds the Picard iteration.  Summed
+// in map order that seed jittered in its last bits from solve to solve.
+func TestLevel3Reproducible(t *testing.T) {
+	b := goodBoard()
+	b.Components = append(b.Components,
+		&compact.Component{RefDes: "U4", Pkg: compact.SOIC8, Power: 0.4, X: 0.13, Y: 0.05},
+		&compact.Component{RefDes: "U5", Pkg: compact.BGA676, Power: 3, X: 0.1, Y: 0.04},
+		&compact.Component{RefDes: "Q2", Pkg: compact.DPAK, Power: 0.8, X: 0.02, Y: 0.12},
+	)
+	l2 := &Level2Result{MeanBoardC: 41.3, LocalC: map[string]float64{}}
+	for i, c := range b.Components {
+		l2.LocalC[c.RefDes] = 37.1 + 1.7*float64(i)
+	}
+	first, err := b.Level3(l2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 200; run++ {
+		got, err := b.Level3(l2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range got.Margins {
+			if math.Float64bits(m.Tj) != math.Float64bits(first.Margins[i].Tj) {
+				t.Fatalf("run %d: %s Tj %v, first run %v", run, m.RefDes, m.Tj, first.Margins[i].Tj)
+			}
+		}
 	}
 }
 

@@ -40,21 +40,6 @@ func (c *COO) Add(i, j int, v float64) {
 // NNZ returns the number of stored (pre-merge) entries.
 func (c *COO) NNZ() int { return len(c.v) }
 
-// AppendAll appends every stored triplet of o to c in o's insertion
-// order — the merge step for sharded parallel assembly, where each
-// worker accumulates into a private builder and the shards are
-// concatenated in shard order to reproduce the serial insertion
-// sequence exactly.  Dimensions must match.
-func (c *COO) AppendAll(o *COO) {
-	if o.Rows != c.Rows || o.Cols != c.Cols {
-		panic(fmt.Sprintf("linalg: COO AppendAll dimension mismatch %d×%d vs %d×%d",
-			c.Rows, c.Cols, o.Rows, o.Cols))
-	}
-	c.ri = append(c.ri, o.ri...)
-	c.ci = append(c.ci, o.ci...)
-	c.v = append(c.v, o.v...)
-}
-
 // ToCSR converts the builder to compressed-sparse-row form, merging
 // duplicates by summation and dropping exact zeros produced by
 // cancellation, so assembly can never leave explicit zeros in the

@@ -270,38 +270,3 @@ func TestIsSymmetricRowWalk(t *testing.T) {
 		t.Error("random symmetric matrix reported asymmetric")
 	}
 }
-
-func TestAppendAll(t *testing.T) {
-	a := NewCOO(3, 3)
-	a.Add(0, 0, 1)
-	a.Add(1, 1, 2)
-	b := NewCOO(3, 3)
-	b.Add(1, 1, 3)
-	b.Add(2, 0, 4)
-
-	whole := NewCOO(3, 3)
-	whole.Add(0, 0, 1)
-	whole.Add(1, 1, 2)
-	whole.Add(1, 1, 3)
-	whole.Add(2, 0, 4)
-
-	a.AppendAll(b)
-	got, want := a.ToCSR(), whole.ToCSR()
-	if got.NNZ() != want.NNZ() {
-		t.Fatalf("NNZ %d, want %d", got.NNZ(), want.NNZ())
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if got.At(i, j) != want.At(i, j) {
-				t.Errorf("At(%d,%d) = %g, want %g", i, j, got.At(i, j), want.At(i, j))
-			}
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("AppendAll dimension mismatch did not panic")
-		}
-	}()
-	a.AppendAll(NewCOO(2, 2))
-}

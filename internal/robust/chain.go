@@ -59,8 +59,9 @@ type Chain struct {
 	// OnIteration is forwarded to every attempt's IterOptions.
 	OnIteration func(it int, residual float64)
 	// Stop, if non-nil, is polled once per iteration of every attempt
-	// (composed with the attempt's wall-clock budget) — the seam
-	// FaultyStop uses to force early bailout.
+	// (composed with the attempt's wall-clock budget) — the request
+	// budget seam, and the one FaultyStop uses to force early bailout.
+	// Once it fires, Solve returns without trying the later rungs.
 	Stop func() bool
 	// Setup, if non-nil, caches preconditioner factors (and, for IC(0),
 	// the symbolic pattern) across Solve calls on matrices with repeated
@@ -135,10 +136,21 @@ func ChainFor(solver string, omega, tol float64, maxIter int) *Chain {
 // Solve runs the system A·x = b down the chain and returns the first
 // successful iterate with the Outcome describing which rung produced it.
 // When every rung fails the error wraps the last rung's cause and the
-// robust_chain_exhausted_total counter is bumped.
+// robust_chain_exhausted_total counter is bumped.  A rung stopped by the
+// caller's Stop ends the solve with that rung's error: the budget that
+// tripped it would trip every later rung.  A rung's own wall-clock
+// budget is not the caller's, so it still falls through to the next.
 func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error) {
 	if len(c.Attempts) == 0 {
 		return nil, Outcome{}, errors.New("robust: chain has no attempts")
+	}
+	stopped := false
+	stop := c.Stop
+	if stop != nil {
+		stop = func() bool {
+			stopped = c.Stop()
+			return stopped
+		}
 	}
 	var lastErr error
 	for i, att := range c.Attempts {
@@ -154,7 +166,7 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 					obs.Attr{Key: "cause", Value: lastErr.Error()})
 			}
 		}
-		x, stats, relaxed, err := c.runAttempt(att, a, b, x0)
+		x, stats, relaxed, err := c.runAttempt(att, a, b, x0, stop)
 		if sp != nil {
 			sp.AttrInt("iterations", stats.Iterations)
 			sp.AttrF("residual", stats.Residual)
@@ -171,6 +183,9 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 			}
 			return x, Outcome{AttemptUsed: i, AttemptName: att.Name, Fallbacks: i, Stats: stats, Relaxed: relaxed}, nil
 		}
+		if stopped {
+			return nil, Outcome{AttemptUsed: i, AttemptName: att.Name, Fallbacks: i, Stats: stats}, err
+		}
 		lastErr = err
 	}
 	obs.Default().Counter("robust_chain_exhausted_total").Add(1)
@@ -184,12 +199,13 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 }
 
 // runAttempt executes one rung, handling relaxed-then-refined tolerance.
-func (c *Chain) runAttempt(att Attempt, a *linalg.CSR, b, x0 []float64) ([]float64, linalg.IterStats, bool, error) {
+// stop is the caller's Stop (nil for none).
+func (c *Chain) runAttempt(att Attempt, a *linalg.CSR, b, x0 []float64, stop func() bool) ([]float64, linalg.IterStats, bool, error) {
 	tol := c.Tol
 	if att.TolScale > 1 {
 		tol *= att.TolScale
 	}
-	x, stats, err := c.solveOnce(att, a, b, x0, tol)
+	x, stats, err := c.solveOnce(att, a, b, x0, tol, stop)
 	if err != nil || att.TolScale <= 1 {
 		return x, stats, false, err
 	}
@@ -198,7 +214,7 @@ func (c *Chain) runAttempt(att Attempt, a *linalg.CSR, b, x0 []float64) ([]float
 	}
 	// Refine from the relaxed iterate back to the full tolerance; if
 	// that fails, the relaxed solution still stands.
-	xr, rstats, rerr := c.solveOnce(att, a, b, x, c.Tol)
+	xr, rstats, rerr := c.solveOnce(att, a, b, x, c.Tol, stop)
 	if rerr != nil {
 		return x, stats, true, nil
 	}
@@ -206,7 +222,7 @@ func (c *Chain) runAttempt(att Attempt, a *linalg.CSR, b, x0 []float64) ([]float
 	return xr, rstats, false, nil
 }
 
-func (c *Chain) solveOnce(att Attempt, a *linalg.CSR, b, x0 []float64, tol float64) ([]float64, linalg.IterStats, error) {
+func (c *Chain) solveOnce(att Attempt, a *linalg.CSR, b, x0 []float64, tol float64, stop func() bool) ([]float64, linalg.IterStats, error) {
 	maxIter := att.MaxIter
 	if maxIter <= 0 {
 		maxIter = c.MaxIter
@@ -216,7 +232,7 @@ func (c *Chain) solveOnce(att Attempt, a *linalg.CSR, b, x0 []float64, tol float
 		MaxIter:     maxIter,
 		Prec:        c.buildPrec(att, a),
 		OnIteration: c.OnIteration,
-		Stop:        composeStop(c.Stop, att.Budget),
+		Stop:        composeStop(stop, att.Budget),
 	}
 	switch att.Method {
 	case "cg":

@@ -232,6 +232,39 @@ func TestChainStopHook(t *testing.T) {
 	}
 }
 
+// TestChainCallerStopEndsSolve: once the caller's Stop fires, the chain
+// returns the stopped rung's error without trying later rungs or
+// counting fallbacks, while a rung's own wall-clock budget still falls
+// through to the next rung.
+func TestChainCallerStopEndsSolve(t *testing.T) {
+	reg := withRegistry(t)
+	a, b := spdSystem(500)
+	c := &Chain{Tol: 1e-14, MaxIter: 1 << 20, Stop: FaultyStop(3), Attempts: []Attempt{
+		{Name: "first", Method: "cg"},
+		{Name: "second", Method: "bicgstab", Prec: "jacobi"},
+	}}
+	_, out, err := c.Solve(a, b, nil)
+	if !errors.Is(err, linalg.ErrStopped) {
+		t.Fatalf("err = %v, want wrapped linalg.ErrStopped", err)
+	}
+	if out.AttemptName != "first" || out.Fallbacks != 0 {
+		t.Errorf("outcome = %+v, want the first rung and no fallbacks", out)
+	}
+	for _, name := range []string{"solver_fallbacks", "robust_chain_exhausted_total"} {
+		if got := reg.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+
+	starved := &Chain{Tol: 1e-8, MaxIter: 1 << 20, Stop: func() bool { return false }, Attempts: []Attempt{
+		{Name: "starved", Method: "cg", Budget: time.Nanosecond},
+		{Name: "second", Method: "cg", Prec: "jacobi"},
+	}}
+	if _, out, err := starved.Solve(a, b, nil); err != nil || out.AttemptUsed != 1 {
+		t.Errorf("rung budget: outcome %+v, err %v; want the second rung to solve", out, err)
+	}
+}
+
 func TestChainNoAttempts(t *testing.T) {
 	a, b := spdSystem(10)
 	if _, _, err := (&Chain{}).Solve(a, b, nil); err == nil {

@@ -110,6 +110,7 @@ func TestContractStudies(t *testing.T) {
 		// lookup is part of study execution), so it carries cache state.
 		{"unknown-material", 400, "miss"},
 		{"budget-exceeded", 422, "miss"},
+		{"study-budget-exceeded", 422, "miss"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

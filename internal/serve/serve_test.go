@@ -189,6 +189,32 @@ func TestBudgetedNotCached(t *testing.T) {
 	}
 }
 
+// TestStudyBudgetStopsLevel2 checks a study's budget reaches the level-2
+// FV solve through its fallback chain: with max_solver_iters 10 the
+// board CG stops at the poll after its tenth iteration instead of
+// converging first, and no fallback rung runs for a request already
+// out of budget.
+func TestStudyBudgetStopsLevel2(t *testing.T) {
+	reg := obs.NewRegistry()
+	old := obs.Default()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(old)
+	s := newTestServer(t, Options{Workers: 1, Registry: reg})
+	w := postStudy(s, readContract(t, "study-budget-exceeded.request.json"))
+	if w.Code != 422 || !bytes.Contains(w.Body.Bytes(), []byte(`"code": "budget_exceeded"`)) {
+		t.Fatalf("status = %d, want 422 budget_exceeded\nbody: %s", w.Code, w.Body.Bytes())
+	}
+	iters := reg.Counter("linalg_solver_iterations_total").Value()
+	if iters == 0 || iters > 11 {
+		t.Errorf("level-2 CG ran %d iterations under a 10-iteration budget, want 1–11", iters)
+	}
+	for _, name := range []string{"solver_fallbacks", "robust_chain_exhausted_total"} {
+		if got := reg.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+}
+
 // TestWallClockBudget checks the other budget axis: an already-expired
 // wall-clock deadline trips the first poll and surfaces as 422.
 func TestWallClockBudget(t *testing.T) {

@@ -13,6 +13,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 
 	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
@@ -87,13 +88,20 @@ type Model struct {
 func (m *Model) EnableSolverReuse() { m.setup = linalg.NewSolverSetup() }
 
 // NewModel creates a model over grid with the given material table.  Every
-// material index used in the grid must be < len(mats).
+// material index used in the grid must be < len(mats), and every
+// material's conductivities must be positive and finite, so every face
+// of the FV stencil carries a non-zero conductance.
 func NewModel(grid *mesh.Grid, mats []materials.Material) (*Model, error) {
 	if grid == nil {
 		return nil, fmt.Errorf("thermal: nil grid")
 	}
 	if len(mats) == 0 {
 		return nil, fmt.Errorf("thermal: empty material table")
+	}
+	for i, mat := range mats {
+		if kx, kz := mat.Kx(), mat.Kz(); !(kx > 0 && kz > 0) || math.IsInf(kx, 0) || math.IsInf(kz, 0) {
+			return nil, fmt.Errorf("thermal: material %d (%s) conductivities kx=%g kz=%g must be positive and finite", i, mat.Name, kx, kz)
+		}
 	}
 	for idx, m := range grid.MatIdx {
 		if m < 0 || m >= len(mats) {

@@ -203,10 +203,17 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 		rs[i] = e.r
 	}
 	T := make([]float64, num)
-	// Seed all nodes at the mean fixed temperature.
+	// Seed all nodes at the mean fixed temperature, summed in ascending
+	// node id: in map order the last bits of the seed, and so of every
+	// warm-started solve, would change from run to run.
+	fixedIDs := make([]int, 0, len(n.fixed))
+	for id := range n.fixed {
+		fixedIDs = append(fixedIDs, id)
+	}
+	sort.Ints(fixedIDs)
 	mean := 0.0
-	for _, t := range n.fixed {
-		mean += t
+	for _, id := range fixedIDs {
+		mean += n.fixed[id]
 	}
 	mean /= float64(len(n.fixed))
 	for i := range T {

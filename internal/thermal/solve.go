@@ -122,10 +122,10 @@ type SolveOptions struct {
 	// changes behaviour on systems that would otherwise error out.
 	Fallback bool
 
-	// Parallel enables slab-parallel FV assembly and row-parallel
-	// matrix-vector products.  Both paths are bitwise-identical to the
-	// serial ones (see DESIGN.md "Parallel execution"), but serial stays
-	// the default so the baseline remains trivially verifiable.
+	// Parallel enables row-parallel matrix-vector products, which are
+	// bitwise-identical to the serial ones (see DESIGN.md "Parallel
+	// execution"), but serial stays the default so the baseline remains
+	// trivially verifiable.
 	Parallel bool
 	// Workers bounds the worker count when Parallel is set; <= 0 means
 	// runtime.GOMAXPROCS.
@@ -143,10 +143,11 @@ type SolveOptions struct {
 	// capture convergence traces.
 	OnIteration func(it int, residual float64)
 	// Stop is forwarded to the linear solver (see
-	// linalg.IterOptions.Stop).  When nil, a defaultSolveBudget
-	// wall-clock guard is installed, so one near-singular operator in a
-	// sweep aborts with linalg.ErrStopped instead of wedging the
-	// campaign.
+	// linalg.IterOptions.Stop), or to the robust chain under Fallback,
+	// and polled between Picard passes.  When nil, a defaultSolveBudget
+	// wall-clock guard is installed (under Fallback, each rung's own
+	// guard), so one near-singular operator in a sweep aborts with
+	// linalg.ErrStopped instead of wedging the campaign.
 	Stop func() bool
 }
 
@@ -160,7 +161,7 @@ func defaultSolveStop() func() bool {
 	return func() bool { return time.Now().After(deadline) }
 }
 
-// workerCount resolves the assembly/kernel worker budget: 1 unless
+// workerCount resolves the matrix-vector worker budget: 1 unless
 // Parallel is set.
 func (o *SolveOptions) workerCount() int {
 	if !o.Parallel {
@@ -223,10 +224,17 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 	w := o.workerCount()
 	res := &Result{g: m.Grid}
 	setup := m.solverSetup()
+	st := &stencil{m: m}
 	var prev []float64
 	for outer := 0; outer < o.MaxOuter; outer++ {
+		// The budget is polled between passes as well as inside the
+		// linear solver, so a tripped request stops at the next pass
+		// boundary instead of running the remaining passes.
+		if o.Stop != nil && outer > 0 && o.Stop() {
+			return nil, fmt.Errorf("thermal: FV %w after %d Picard passes", linalg.ErrStopped, outer)
+		}
 		res.OuterIterations = outer + 1
-		a, b := m.assembleObs(Tsurf, w, sp)
+		a, b := st.assembleObs(Tsurf, sp)
 		a.SetWorkers(w)
 		t, stats, err := m.linSolve(a, b, prev, &o, setup, sp)
 		res.Iterations = stats.Iterations
@@ -298,17 +306,17 @@ func (m *Model) hasRadiation() bool {
 }
 
 // assembleObs wraps assemble with a child span and the assembly metrics
-// (thermal_matrix_nnz gauge, thermal_assembly_seconds histogram).  With
-// telemetry disabled it reduces to the bare assemble call plus two nil
-// checks.
-func (m *Model) assembleObs(Tsurf []float64, workers int, parent *obs.Span) (*linalg.CSR, []float64) {
+// (thermal_matrix_nnz gauge, thermal_assembly_seconds histogram); the
+// first pass's observation includes the symbolic phase.  With telemetry
+// disabled it reduces to the bare assemble call plus two nil checks.
+func (s *stencil) assembleObs(Tsurf []float64, parent *obs.Span) (*linalg.CSR, []float64) {
 	sp := parent.Start("thermal.assemble")
 	reg := obs.Default()
 	if sp == nil && reg == nil {
-		return m.assemble(Tsurf, workers)
+		return s.assemble(Tsurf)
 	}
 	start := time.Now()
-	a, b := m.assemble(Tsurf, workers)
+	a, b := s.assemble(Tsurf)
 	nnz := len(a.Val)
 	sp.AttrInt("nnz", nnz)
 	sp.End()
@@ -381,37 +389,18 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 		}
 	}
 
-	io := &linalg.IterOptions{Tol: o.Tol, MaxIter: o.MaxIter, OnIteration: o.OnIteration, Stop: o.Stop}
-	if io.Stop == nil {
-		io.Stop = defaultSolveStop()
-	}
-	if kind := precKindFor(o.Solver); kind != "" {
-		prec, perr := setup.PrecFor(kind, a, o.SSOROmega)
-		if perr != nil {
-			// Only IC(0) can fail (breakdown through the whole shift
-			// ladder); degrade to Jacobi — weaker, never failing.
-			obs.Default().Counter("thermal_ic0_degraded_total").Add(1)
-			if rec := obs.CurrentRecorder(); rec != nil {
-				rec.Record("degrade", "thermal.linSolve",
-					obs.Attr{Key: "from", Value: kind},
-					obs.Attr{Key: "to", Value: "jacobi"},
-					obs.Attr{Key: "cause", Value: perr.Error()})
-			}
-			sp.Attr("prec_degraded", "jacobi")
-			prec, _ = setup.PrecFor("jacobi", a, o.SSOROmega)
-		}
-		io.Prec = prec
-	}
-
 	var (
 		x     []float64
 		stats linalg.IterStats
 		err   error
 	)
 	if o.Fallback {
+		// The chain builds its own preconditioners and guards each rung
+		// with a wall-clock budget, so the caller's Stop is all it needs.
 		chain := robust.ChainFor(o.Solver, o.SSOROmega, o.Tol, o.MaxIter)
 		chain.Span = sp
 		chain.OnIteration = o.OnIteration
+		chain.Stop = o.Stop
 		chain.Setup = setup
 		var out robust.Outcome
 		x, out, err = chain.Solve(a, b, x0)
@@ -419,10 +408,33 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 		if out.Fallbacks > 0 {
 			sp.AttrInt("fallbacks", out.Fallbacks)
 		}
-	} else if o.Solver == "bicgstab" {
-		x, stats, err = linalg.BiCGSTABOpt(a, b, x0, io)
 	} else {
-		x, stats, err = linalg.CGOpt(a, b, x0, io)
+		io := &linalg.IterOptions{Tol: o.Tol, MaxIter: o.MaxIter, OnIteration: o.OnIteration, Stop: o.Stop}
+		if io.Stop == nil {
+			io.Stop = defaultSolveStop()
+		}
+		if kind := precKindFor(o.Solver); kind != "" {
+			prec, perr := setup.PrecFor(kind, a, o.SSOROmega)
+			if perr != nil {
+				// Only IC(0) can fail (breakdown through the whole shift
+				// ladder); degrade to Jacobi — weaker, never failing.
+				obs.Default().Counter("thermal_ic0_degraded_total").Add(1)
+				if rec := obs.CurrentRecorder(); rec != nil {
+					rec.Record("degrade", "thermal.linSolve",
+						obs.Attr{Key: "from", Value: kind},
+						obs.Attr{Key: "to", Value: "jacobi"},
+						obs.Attr{Key: "cause", Value: perr.Error()})
+				}
+				sp.Attr("prec_degraded", "jacobi")
+				prec, _ = setup.PrecFor("jacobi", a, o.SSOROmega)
+			}
+			io.Prec = prec
+		}
+		if o.Solver == "bicgstab" {
+			x, stats, err = linalg.BiCGSTABOpt(a, b, x0, io)
+		} else {
+			x, stats, err = linalg.CGOpt(a, b, x0, io)
+		}
 	}
 	sp.AttrInt("iterations", stats.Iterations)
 	sp.AttrF("residual", stats.Residual)
@@ -438,77 +450,107 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 	return x, stats, err
 }
 
-// assembleInterior accumulates the interior-face conductances for the
-// k-slab range [k0,k1): series half-cell resistances (harmonic mean),
-// per direction.  Each cell owns its +x/+y/+z faces, so distinct k
-// ranges touch disjoint faces and the slabs can be assembled into
-// private builders concurrently.
+// stencil assembles one model's FV operator in two phases.  The
+// symbolic phase (build) runs once per SolveSteady/SolveTransient call:
+// the 7-point CSR pattern, each row's diagonal slot and the interior
+// face conductances, which depend only on grid and materials.  The
+// numeric phase (assemble) runs once per Picard pass or time step: it
+// copies the interior values and adds the boundary terms, the only part
+// of the operator that moves with the surface temperature.
 //
-//lint:hot
-func (m *Model) assembleInterior(coo *linalg.COO, k0, k1 int) {
-	g := m.Grid
-	for k := k0; k < k1; k++ {
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
+// Every diagonal sums its terms in one fixed order: the −z, −y, −x,
+// +x, +y and +z faces, then the boundary faces XMin…ZMax.  That is the
+// order a cell-by-cell face loop visits them, so the operator does not
+// depend on how the pattern is traversed.
+type stencil struct {
+	m              *Model
+	rowPtr, colIdx []int     // shared, read-only, by every pass's CSR
+	diag           []int     // position of row i's diagonal in colIdx
+	interior       []float64 // interior-face operator values
+}
+
+// build runs the symbolic phase: row by row, entries in ascending
+// column order (−z, −y, −x, diagonal, +x, +y, +z).
+func (s *stencil) build() {
+	m, g := s.m, s.m.Grid
+	nx, ny, nz := g.Nx, g.Ny, g.Nz
+	n := g.NumCells()
+	nnz := n + 2*((nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
+	s.rowPtr = make([]int, n+1)
+	s.colIdx = make([]int, 0, nnz)
+	s.diag = make([]int, n)
+	s.interior = make([]float64, 0, nnz)
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
 				idx := g.Index(i, j, k)
-				// +x neighbour.
-				if i+1 < g.Nx {
-					nIdx := g.Index(i+1, j, k)
-					area := g.DY(j) * g.DZ(k)
-					k1x := kDir(m.matAt(i, j, k), 0)
-					k2x := kDir(m.matAt(i+1, j, k), 0)
-					gcond := faceConductance(area, g.DX(i), k1x, g.DX(i+1), k2x)
-					addPair(coo, idx, nIdx, gcond)
+				d := 0.0
+				if k > 0 {
+					d += s.offDiag(idx-nx*ny, m.faceG(2, i, j, k-1))
 				}
-				// +y neighbour.
-				if j+1 < g.Ny {
-					nIdx := g.Index(i, j+1, k)
-					area := g.DX(i) * g.DZ(k)
-					k1y := kDir(m.matAt(i, j, k), 1)
-					k2y := kDir(m.matAt(i, j+1, k), 1)
-					gcond := faceConductance(area, g.DY(j), k1y, g.DY(j+1), k2y)
-					addPair(coo, idx, nIdx, gcond)
+				if j > 0 {
+					d += s.offDiag(idx-nx, m.faceG(1, i, j-1, k))
 				}
-				// +z neighbour.
-				if k+1 < g.Nz {
-					nIdx := g.Index(i, j, k+1)
-					area := g.DX(i) * g.DY(j)
-					k1z := kDir(m.matAt(i, j, k), 2)
-					k2z := kDir(m.matAt(i, j, k+1), 2)
-					gcond := faceConductance(area, g.DZ(k), k1z, g.DZ(k+1), k2z)
-					addPair(coo, idx, nIdx, gcond)
+				if i > 0 {
+					d += s.offDiag(idx-1, m.faceG(0, i-1, j, k))
 				}
+				dpos := len(s.colIdx)
+				s.diag[idx] = dpos
+				s.colIdx = append(s.colIdx, idx)
+				s.interior = append(s.interior, 0)
+				if i+1 < nx {
+					d += s.offDiag(idx+1, m.faceG(0, i, j, k))
+				}
+				if j+1 < ny {
+					d += s.offDiag(idx+nx, m.faceG(1, i, j, k))
+				}
+				if k+1 < nz {
+					d += s.offDiag(idx+nx*ny, m.faceG(2, i, j, k))
+				}
+				s.interior[dpos] = d
+				s.rowPtr[idx+1] = len(s.colIdx)
 			}
 		}
 	}
 }
 
-// assemble builds the steady FV system A·T = b given the current surface
-// temperature estimate (for radiation linearisation).  With workers > 1
-// the interior-face loop is sharded by k-slab into private COO builders
-// that are concatenated in slab order, which reproduces the serial
-// triplet insertion sequence exactly — the assembled CSR is
-// bitwise-identical at any worker count.
-func (m *Model) assemble(Tsurf []float64, workers int) (*linalg.CSR, []float64) {
-	g := m.Grid
-	n := g.NumCells()
-	coo := linalg.NewCOO(n, n)
-	b := make([]float64, n)
+// offDiag appends the coupling −gf to column col of the current row and
+// returns gf for the row's diagonal sum.
+func (s *stencil) offDiag(col int, gf float64) float64 {
+	s.colIdx = append(s.colIdx, col)
+	s.interior = append(s.interior, -gf)
+	return gf
+}
 
-	if workers > 1 && g.Nz > 1 {
-		rs := parallel.Ranges(g.Nz, workers)
-		parts := make([]*linalg.COO, len(rs))
-		parallel.Blocks(g.Nz, workers, func(bi, lo, hi int) {
-			part := linalg.NewCOO(n, n)
-			m.assembleInterior(part, lo, hi)
-			parts[bi] = part
-		})
-		for _, part := range parts {
-			coo.AppendAll(part)
-		}
-	} else {
-		m.assembleInterior(coo, 0, g.Nz)
+// faceG is the series (harmonic-mean) conductance of the interior face
+// between cell (i,j,k) and its neighbour one cell further along axis
+// (0 x, 1 y, 2 z).
+func (m *Model) faceG(axis, i, j, k int) float64 {
+	g := m.Grid
+	switch axis {
+	case 0:
+		return faceConductance(g.DY(j)*g.DZ(k), g.DX(i), kDir(m.matAt(i, j, k), 0), g.DX(i+1), kDir(m.matAt(i+1, j, k), 0))
+	case 1:
+		return faceConductance(g.DX(i)*g.DZ(k), g.DY(j), kDir(m.matAt(i, j, k), 1), g.DY(j+1), kDir(m.matAt(i, j+1, k), 1))
+	default:
+		return faceConductance(g.DX(i)*g.DY(j), g.DZ(k), kDir(m.matAt(i, j, k), 2), g.DZ(k+1), kDir(m.matAt(i, j, k+1), 2))
 	}
+}
+
+// assemble runs the numeric phase, building the symbolic one on first
+// use: the steady FV system A·T = b given the current surface
+// temperature estimate (for radiation linearisation).  A owns a fresh
+// copy of the values, because cached preconditioners may hold on to an
+// earlier pass's matrix.
+func (s *stencil) assemble(Tsurf []float64) (*linalg.CSR, []float64) {
+	if s.rowPtr == nil {
+		s.build()
+	}
+	m, g := s.m, s.m.Grid
+	n := g.NumCells()
+	a := &linalg.CSR{Rows: n, Cols: n, RowPtr: s.rowPtr, ColIdx: s.colIdx,
+		Val: append([]float64(nil), s.interior...)}
+	b := make([]float64, n)
 
 	// Boundary conditions.
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
@@ -519,46 +561,20 @@ func (m *Model) assemble(Tsurf []float64, workers int) (*linalg.CSR, []float64) 
 				return
 			}
 			idx := g.Index(i, j, k)
-			area := g.FaceArea(face, i, j, k)
-			mat := m.matAt(i, j, k)
-			axis := faceAxis(face)
-			kc := kDir(mat, axis)
-			halfDist := 0.5 * cellExtent(g, face, i, j, k)
-			rCond := halfDist / (kc * area)
-
-			var gTot float64
-			switch bc.Kind {
-			case FixedT:
-				gTot = 1 / rCond
-			case Convection, ConvectionRadiation:
-				h := bc.H
-				if bc.Kind == ConvectionRadiation {
-					eps := bc.Emiss
-					if eps == 0 {
-						eps = mat.Emiss
-					}
-					Ts := Tsurf[idx]
-					Ta := bc.T
-					h += eps * units.StefanBoltzmann * (Ts*Ts + Ta*Ta) * (Ts + Ta)
-				}
-				if h <= 0 {
-					return
-				}
-				rFilm := 1 / (h * area)
-				gTot = 1 / (rCond + rFilm)
+			if gTot := m.boundaryG(face, i, j, k, bc, Tsurf[idx]); gTot != 0 {
+				a.Val[s.diag[idx]] += gTot
+				b[idx] += gTot * bc.T
 			}
-			coo.Add(idx, idx, gTot)
-			b[idx] += gTot * bc.T
 		})
 	}
 
 	// Volumetric sources.
-	for _, s := range m.sources {
+	for _, src := range m.sources {
 		// Spread power by cell volume fraction.
 		vol := 0.0
-		for k := s.box.K0; k < s.box.K1; k++ {
-			for j := s.box.J0; j < s.box.J1; j++ {
-				for i := s.box.I0; i < s.box.I1; i++ {
+		for k := src.box.K0; k < src.box.K1; k++ {
+			for j := src.box.J0; j < src.box.J1; j++ {
+				for i := src.box.I0; i < src.box.I1; i++ {
 					vol += g.CellVolume(i, j, k)
 				}
 			}
@@ -566,24 +582,52 @@ func (m *Model) assemble(Tsurf []float64, workers int) (*linalg.CSR, []float64) 
 		if vol == 0 {
 			continue
 		}
-		for k := s.box.K0; k < s.box.K1; k++ {
-			for j := s.box.J0; j < s.box.J1; j++ {
-				for i := s.box.I0; i < s.box.I1; i++ {
-					b[g.Index(i, j, k)] += s.power * g.CellVolume(i, j, k) / vol
+		for k := src.box.K0; k < src.box.K1; k++ {
+			for j := src.box.J0; j < src.box.J1; j++ {
+				for i := src.box.I0; i < src.box.I1; i++ {
+					b[g.Index(i, j, k)] += src.power * g.CellVolume(i, j, k) / vol
 				}
 			}
 		}
 	}
 
-	return coo.ToCSR(), b
+	return a, b
 }
 
-// addPair adds a symmetric conductance between cells a and b.
-func addPair(coo *linalg.COO, a, b int, g float64) {
-	coo.Add(a, a, g)
-	coo.Add(b, b, g)
-	coo.Add(a, b, -g)
-	coo.Add(b, a, -g)
+// boundaryG is the conductance (W/K) from the centre of boundary cell
+// (i,j,k) through face f to the ambient of a non-adiabatic bc, with
+// radiation linearised about surface temperature Ts.  It is 0 when the
+// film coefficient is not positive: the face then exchanges no heat.
+func (m *Model) boundaryG(f mesh.Face, i, j, k int, bc BC, Ts float64) float64 {
+	g := m.Grid
+	area := g.FaceArea(f, i, j, k)
+	mat := m.matAt(i, j, k)
+	rCond := 0.5 * cellExtent(g, f, i, j, k) / (kDir(mat, faceAxis(f)) * area)
+	if bc.Kind == FixedT {
+		return 1 / rCond
+	}
+	h := bc.H
+	if bc.Kind == ConvectionRadiation {
+		eps := bc.Emiss
+		if eps == 0 {
+			eps = mat.Emiss
+		}
+		h += eps * units.StefanBoltzmann * (Ts*Ts + bc.T*bc.T) * (Ts + bc.T)
+	}
+	if h <= 0 {
+		return 0
+	}
+	return 1 / (rCond + 1/(h*area))
+}
+
+// addCapacity turns one step's assembled system into the backward-Euler
+// one, (C/dt + A)·T^{n+1} = C/dt·T^n + b: it adds C/dt to A's diagonal
+// in place and writes the right-hand side into rhs.
+func (s *stencil) addCapacity(a *linalg.CSR, b, capDt, T, rhs []float64) {
+	for i, c := range capDt {
+		a.Val[s.diag[i]] += c
+		rhs[i] = b[i] + c*T[i]
+	}
 }
 
 // faceConductance is the series (harmonic-mean) conductance between two
@@ -629,31 +673,9 @@ func (m *Model) BoundaryHeatFlow(res *Result, f mesh.Face) float64 {
 			return
 		}
 		idx := g.Index(i, j, k)
-		area := g.FaceArea(f, i, j, k)
-		mat := m.matAt(i, j, k)
-		kc := kDir(mat, faceAxis(f))
-		halfDist := 0.5 * cellExtent(g, f, i, j, k)
-		rCond := halfDist / (kc * area)
-		var gTot float64
-		switch bc.Kind {
-		case FixedT:
-			gTot = 1 / rCond
-		case Convection, ConvectionRadiation:
-			h := bc.H
-			if bc.Kind == ConvectionRadiation {
-				eps := bc.Emiss
-				if eps == 0 {
-					eps = mat.Emiss
-				}
-				Ts := res.T[idx]
-				h += eps * units.StefanBoltzmann * (Ts*Ts + bc.T*bc.T) * (Ts + bc.T)
-			}
-			if h <= 0 {
-				return
-			}
-			gTot = 1 / (rCond + 1/(h*area))
+		if gTot := m.boundaryG(f, i, j, k, bc, res.T[idx]); gTot != 0 {
+			total += gTot * (res.T[idx] - bc.T)
 		}
-		total += gTot * (res.T[idx] - bc.T)
 	})
 	return total
 }
@@ -684,13 +706,13 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 	for i := range T {
 		T[i] = T0
 	}
-	// Per-cell heat capacity C = rho·cp·V.
-	cap := make([]float64, n)
+	// Per-cell heat capacity over the step, C/dt = rho·cp·V/dt.
+	capDt := make([]float64, n)
 	for k := 0; k < g.Nz; k++ {
 		for j := 0; j < g.Ny; j++ {
 			for i := 0; i < g.Nx; i++ {
 				mat := m.matAt(i, j, k)
-				cap[g.Index(i, j, k)] = mat.VolumetricHeatCapacity() * g.CellVolume(i, j, k)
+				capDt[g.Index(i, j, k)] = mat.VolumetricHeatCapacity() * g.CellVolume(i, j, k) / opts.Dt
 			}
 		}
 	}
@@ -703,23 +725,14 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 	w := o.workerCount()
 	res := &Result{g: g}
 	setup := m.solverSetup()
+	st := &stencil{m: m}
 	rhs := make([]float64, n)
 	t := 0.0
 	for step := 0; step < opts.Steps; step++ {
-		a, b := m.assembleObs(T, w, sp)
-		// (C/dt + A)·T^{n+1} = C/dt·T^n + b — fold capacity into a copy of
-		// the assembled operator.
-		coo := linalg.NewCOO(n, n)
-		for i := 0; i < n; i++ {
-			for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-				coo.Add(i, a.ColIdx[kk], a.Val[kk])
-			}
-			coo.Add(i, i, cap[i]/opts.Dt)
-			rhs[i] = b[i] + cap[i]/opts.Dt*T[i]
-		}
-		sys := coo.ToCSR()
-		sys.SetWorkers(w)
-		Tn, stats, err := m.linSolve(sys, rhs, T, &o, setup, sp)
+		a, b := st.assembleObs(T, sp)
+		st.addCapacity(a, b, capDt, T, rhs)
+		a.SetWorkers(w)
+		Tn, stats, err := m.linSolve(a, rhs, T, &o, setup, sp)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)

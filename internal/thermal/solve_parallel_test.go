@@ -72,38 +72,3 @@ func TestSolveTransientParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestAssembleParallelIdentical pins the stronger property the solver
-// relies on: the sharded assembly produces an operator whose CSR arrays
-// are identical element-for-element, not merely a matrix with equal
-// entries.
-func TestAssembleParallelIdentical(t *testing.T) {
-	m := parallelTestModel(t)
-	n := m.Grid.NumCells()
-	Tsurf := make([]float64, n)
-	for i := range Tsurf {
-		Tsurf[i] = 305
-	}
-	a1, b1 := m.assemble(Tsurf, 1)
-	for _, w := range []int{2, 3, 5, 16} {
-		a2, b2 := m.assemble(Tsurf, w)
-		if a1.NNZ() != a2.NNZ() {
-			t.Fatalf("workers=%d: nnz %d vs %d", w, a2.NNZ(), a1.NNZ())
-		}
-		for i := range a1.RowPtr {
-			if a1.RowPtr[i] != a2.RowPtr[i] {
-				t.Fatalf("workers=%d: RowPtr[%d] differs", w, i)
-			}
-		}
-		for i := range a1.Val {
-			if a1.Val[i] != a2.Val[i] || a1.ColIdx[i] != a2.ColIdx[i] {
-				t.Fatalf("workers=%d: entry %d differs", w, i)
-			}
-		}
-		for i := range b1 {
-			if b1[i] != b2[i] {
-				t.Fatalf("workers=%d: rhs[%d] differs", w, i)
-			}
-		}
-	}
-}

@@ -1,11 +1,13 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
 	"aeropack/internal/mesh"
 	"aeropack/internal/units"
@@ -323,6 +325,41 @@ func TestNewModelValidation(t *testing.T) {
 	g.MatIdx[0] = 5
 	if _, err := NewModel(g, []materials.Material{materials.Al6061}); err == nil {
 		t.Error("out-of-range material index should error")
+	}
+	g.MatIdx[0] = 0
+	for _, bad := range []materials.Material{
+		{Name: "zero", K: 0},
+		{Name: "negative", K: -1},
+		{Name: "nan", K: math.NaN()},
+		{Name: "inf", K: math.Inf(1)},
+		{Name: "zero-thru", K: 10, KThru: -2},
+		{Name: "inf-inplane", K: 10, KInPlane: math.Inf(1)},
+	} {
+		if _, err := NewModel(g, []materials.Material{materials.Al6061, bad}); err == nil {
+			t.Errorf("material %q: non-positive or non-finite conductivity should error", bad.Name)
+		}
+	}
+}
+
+// TestSolveSteadyPollsStopBetweenPasses checks the budget reaches the
+// Picard loop on both linear-solve paths: a Stop that fires once the
+// first pass has converged stops the solve at the pass boundary.
+func TestSolveSteadyPollsStopBetweenPasses(t *testing.T) {
+	for _, fallback := range []bool{false, true} {
+		m := parallelTestModel(t)
+		passes := 0
+		_, err := m.SolveSteady(&SolveOptions{
+			Fallback: fallback,
+			OnIteration: func(_ int, r float64) {
+				if r < 1e-9 { // the default tolerance: this pass converged
+					passes++
+				}
+			},
+			Stop: func() bool { return passes > 0 },
+		})
+		if !errors.Is(err, linalg.ErrStopped) || !strings.Contains(err.Error(), "after 1 Picard passes") {
+			t.Errorf("fallback=%t: err = %v, want a stop after 1 Picard pass", fallback, err)
+		}
 	}
 }
 

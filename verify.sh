@@ -62,6 +62,10 @@ go run ./cmd/aeropacklint -q -fix -dry-run ./...
 echo "== go build"
 go build ./...
 
+echo "== bench module build + vet (aeropackbench replays serve, core, cosee and envtest in-process)"
+go -C bench build ./...
+go -C bench vet ./...
+
 echo "== go test -race"
 go test -race ./...
 
@@ -85,8 +89,8 @@ coverage_floor ./internal/lint 85
 echo "== solver performance guard (E5 iteration budget, parallel-vs-serial)"
 AEROPACK_SOLVER_GUARD=1 go test -run TestSolverPerfGuard -v . | grep -v '^=== '
 
-echo "== solver benchmark smoke (BenchmarkE5_Fig10 + Par pair, 1 iteration)"
-go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkPar_SolveSteady' -benchtime 1x .
+echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + Par pair, 1 iteration)"
+go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkPar_SolveSteady' -benchtime 1x .
 
 echo "== lint-cache benchmark smoke (BenchmarkLintModule, 1 iteration)"
 go test -run - -bench BenchmarkLintModule -benchtime 1x ./internal/lint
