@@ -219,12 +219,18 @@ func reportSolverWork(b *testing.B, reg *obs.Registry) {
 	}
 }
 
-// reportAssembly reports the level-2 FV assembly time per op, the
-// thermal_assembly_seconds sum, so benchjson -compare gates that layer
-// on its own.
-func reportAssembly(b *testing.B, reg *obs.Registry) {
-	sum := reg.Histogram("thermal_assembly_seconds", nil).Sum()
-	b.ReportMetric(sum*1e9/float64(b.N), "assemble_ns/op")
+// reportLayers reports the level-2 FV solve's layer times per op —
+// assembly, preconditioner setup and the Krylov loop, the sums of their
+// seconds histograms — so benchjson -compare gates each layer on its
+// own.
+func reportLayers(b *testing.B, reg *obs.Registry) {
+	for _, l := range []struct{ hist, unit string }{
+		{"thermal_assembly_seconds", "assemble_ns/op"},
+		{"linalg_prec_setup_seconds", "prec_setup_ns/op"},
+		{"linalg_krylov_seconds", "krylov_ns/op"},
+	} {
+		b.ReportMetric(reg.Histogram(l.hist, nil).Sum()*1e9/float64(b.N), l.unit)
+	}
 }
 
 // The three simulation levels individually (the composite study is
@@ -251,7 +257,7 @@ func BenchmarkE2_Level2(b *testing.B) {
 		}
 	}
 	reportSolverWork(b, reg)
-	reportAssembly(b, reg)
+	reportLayers(b, reg)
 }
 
 func BenchmarkE2_Level3(b *testing.B) {
@@ -768,6 +774,7 @@ func BenchmarkAblation_SolverCG(b *testing.B)       { benchSolver(b, "cg") }
 func BenchmarkAblation_SolverJacobi(b *testing.B)   { benchSolver(b, "cg-jacobi") }
 func BenchmarkAblation_SolverSSOR(b *testing.B)     { benchSolver(b, "cg-ssor") }
 func BenchmarkAblation_SolverIC0(b *testing.B)      { benchSolver(b, "cg-ic0") }
+func BenchmarkAblation_SolverMIC0(b *testing.B)     { benchSolver(b, "cg-mic0") }
 func BenchmarkAblation_SolverBiCGSTAB(b *testing.B) { benchSolver(b, "bicgstab") }
 
 func benchSolver(b *testing.B, solver string) {
@@ -1312,7 +1319,7 @@ func BenchmarkPar_SolveSteadySerial(b *testing.B) {
 	// After ResetTimer, which clears previously reported metrics.
 	b.ReportMetric(1, "workers")
 	reportSolverWork(b, reg)
-	reportAssembly(b, reg)
+	reportLayers(b, reg)
 }
 
 func BenchmarkPar_SolveSteadyParallel(b *testing.B) {
@@ -1334,7 +1341,7 @@ func BenchmarkPar_SolveSteadyParallel(b *testing.B) {
 	// After ResetTimer, which clears previously reported metrics.
 	b.ReportMetric(float64(w), "workers")
 	reportSolverWork(b, reg)
-	reportAssembly(b, reg)
+	reportLayers(b, reg)
 }
 
 func BenchmarkPar_CampaignSerial(b *testing.B) {

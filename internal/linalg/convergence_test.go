@@ -113,6 +113,9 @@ func TestRecordSolveMetrics(t *testing.T) {
 	if n := reg.Histogram("linalg_residual", nil).Count(); n != 1 {
 		t.Errorf("linalg_residual count = %d, want 1", n)
 	}
+	if n := reg.Histogram("linalg_krylov_seconds", nil).Count(); n != 1 {
+		t.Errorf("linalg_krylov_seconds count = %d, want 1", n)
+	}
 
 	// A capped solve fails and must hit the failure counter.
 	if _, _, err := CGOpt(a, b, nil, &IterOptions{Tol: 1e-16, MaxIter: 2}); err == nil {

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -290,36 +291,248 @@ func TestICPrecIterationBudget(t *testing.T) {
 	}
 }
 
-// Refresh on same-structure matrices must reproduce a from-scratch
-// factorization bitwise, and reject a different pattern.
-func TestICPrecRefresh(t *testing.T) {
-	a, _ := randomSPD(5, 50, 0.08)
-	p, err := NewICPrec(a)
-	if err != nil {
-		t.Fatal(err)
+// lltFactor is the up-looking IC(0) factorization A ≈ L·Lᵀ on lower(A)'s
+// pattern that the root-free form replaced: row by row, each entry from
+// a two-pointer merge of two rows of L, square roots on the diagonal.
+// It is kept as the reference the root-free factor is checked against,
+// unshifted (the reference matrices never need a shift).
+func lltFactor(s *icSymbolic, a *CSR) ([]float64, error) {
+	val := make([]float64, len(s.colIdx))
+	for i := 0; i < s.n; i++ {
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			j := s.colIdx[k]
+			v := a.Val[s.src[k]]
+			pi, pj := s.rowPtr[i], s.rowPtr[j]
+			for pi < k && pj < s.rowPtr[j+1]-1 {
+				ci, cj := s.colIdx[pi], s.colIdx[pj]
+				switch {
+				case ci == cj:
+					v -= val[pi] * val[pj]
+					pi++
+					pj++
+				case ci < cj:
+					pi++
+				default:
+					pj++
+				}
+			}
+			if j < i {
+				val[k] = v / val[s.rowPtr[j+1]-1]
+				continue
+			}
+			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("reference IC(0) pivot %g at row %d", v, i)
+			}
+			val[k] = math.Sqrt(v)
+		}
 	}
-	// Same structure, scaled values.
-	coo := NewCOO(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
+	return val, nil
+}
+
+// lltApply computes z = (L·Lᵀ)⁻¹·r for an lltFactor result: a forward
+// substitution into z, then a backward one scattering up each column.
+func lltApply(s *icSymbolic, val, r, z []float64) {
+	for i := 0; i < s.n; i++ {
+		v := r[i]
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]-1; k++ {
+			v -= val[k] * z[s.colIdx[k]]
+		}
+		z[i] = v / val[s.rowPtr[i+1]-1]
+	}
+	for i := s.n - 1; i >= 0; i-- {
+		v := z[i] / val[s.rowPtr[i+1]-1]
+		z[i] = v
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]-1; k++ {
+			z[s.colIdx[k]] -= val[k] * v
+		}
+	}
+}
+
+// randomStencil assembles a 7-point FV conduction operator on a random
+// grid (any of Nx, Ny, Nz may be 1) with anisotropic, cell-to-cell
+// varying face conductances and boundary films on a random subset of
+// cells: the pattern and M-matrix sign structure of the level-2 board
+// operator, where IC(0) drops fill and MIC(0) compensates it.
+func randomStencil(seed int64) *CSR {
+	rng := rand.New(rand.NewSource(seed))
+	nx, ny, nz := 1+rng.Intn(10), 1+rng.Intn(10), 1+rng.Intn(4)
+	var axis [3]float64
+	for d := range axis {
+		axis[d] = math.Pow(10, 3*rng.Float64()-1.5)
+	}
+	n := nx * ny * nz
+	idx := func(i, j, k int) int { return (k*ny+j)*nx + i }
+	coo := NewCOO(n, n)
+	couple := func(p, q int, g float64) {
+		coo.Add(p, p, g)
+		coo.Add(q, q, g)
+		coo.Add(p, q, -g)
+		coo.Add(q, p, -g)
+	}
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				at := idx(i, j, k)
+				if i+1 < nx {
+					couple(at, idx(i+1, j, k), axis[0]*(0.5+rng.Float64()))
+				}
+				if j+1 < ny {
+					couple(at, idx(i, j+1, k), axis[1]*(0.5+rng.Float64()))
+				}
+				if k+1 < nz {
+					couple(at, idx(i, j, k+1), axis[2]*(0.5+rng.Float64()))
+				}
+				if at == 0 || rng.Float64() < 0.15 {
+					coo.Add(at, at, 1e-3+0.1*rng.Float64())
+				}
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// The root-free IC(0) is the up-looking LLᵀ factorization in another
+// form (L = (I+N)·D^½): its Apply must agree with the reference to
+// rounding on general sparse SPD matrices and on FV stencils.
+func TestICPrecMatchesLLTReference(t *testing.T) {
+	var mats []*CSR
+	for seed := int64(1); seed <= 20; seed++ {
+		a, _ := randomSPD(seed, 10+int(seed)*7, 0.08)
+		mats = append(mats, a, randomStencil(seed))
+	}
+	for m, a := range mats {
+		p, err := NewICPrec(a)
+		if err != nil {
+			t.Fatalf("matrix %d: %v", m, err)
+		}
+		if p.Shift() != 0 {
+			t.Fatalf("matrix %d needed shift %g", m, p.Shift())
+		}
+		ref, err := lltFactor(p.sym, a)
+		if err != nil {
+			t.Fatalf("matrix %d: %v", m, err)
+		}
+		rng := rand.New(rand.NewSource(int64(m)))
+		r := make([]float64, a.Rows)
+		for i := range r {
+			r[i] = 2*rng.Float64() - 1
+		}
+		z, zRef := make([]float64, a.Rows), make([]float64, a.Rows)
+		p.Apply(r, z)
+		lltApply(p.sym, ref, r, zRef)
+		diff := make([]float64, a.Rows)
+		for i := range z {
+			diff[i] = z[i] - zRef[i]
+		}
+		if rel := NormInf(diff) / NormInf(zRef); rel > 1e-12 {
+			t.Errorf("matrix %d (n=%d): Apply differs from the LLᵀ reference by %g relative", m, a.Rows, rel)
+		}
+	}
+}
+
+// micDense is a dense right-looking modified IC(0) reference: eliminate
+// column by column on a full copy of A + shift·diag(A), updating only
+// lower(A)'s pattern and moving omega times every dropped fill onto the
+// two diagonals it couples.  It returns N (strict lower) with D on the
+// diagonal.
+func micDense(a *CSR, shift, omega float64) [][]float64 {
+	n := a.Rows
+	w := a.ToDense()
+	in := make([][]bool, n)
+	for i := range in {
+		in[i] = make([]bool, n)
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			coo.Add(i, a.ColIdx[k], 2*a.Val[k])
+			in[i][a.ColIdx[k]] = true
 		}
 	}
-	a2 := coo.ToCSR()
-	if err := p.Refresh(a2); err != nil {
-		t.Fatal(err)
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := 0; j <= i; j++ {
+			m[i][j] = w.At(i, j)
+		}
+		m[i][i] *= 1 + shift
 	}
-	fresh, err := NewICPrec(a2)
+	for j := 0; j < n; j++ {
+		d := m[j][j]
+		for i := j + 1; i < n; i++ {
+			if in[i][j] {
+				m[i][j] /= d
+			}
+		}
+		for i := j + 1; i < n; i++ {
+			if !in[i][j] {
+				continue
+			}
+			for k := j + 1; k <= i; k++ {
+				if !in[k][j] {
+					continue
+				}
+				f := m[i][j] * d * m[k][j]
+				switch {
+				case in[i][k]:
+					m[i][k] -= f
+				default:
+					m[i][i] -= omega * f
+					m[k][k] -= omega * f
+				}
+			}
+		}
+	}
+	return m
+}
+
+// "mic0" must match the dense right-looking MIC reference entry by
+// entry: N in the strict-lower slots, 1/D in the diagonal ones.
+func TestMICPrecMatchesDenseReference(t *testing.T) {
+	s := NewSolverSetup()
+	for seed := int64(1); seed <= 20; seed++ {
+		a := randomStencil(seed)
+		pc, err := s.PrecFor("mic0", a, 0)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		p := pc.(*ICPrec)
+		ref := micDense(a, p.Shift(), micOmega)
+		for i := 0; i < a.Rows; i++ {
+			for k := p.sym.rowPtr[i]; k < p.sym.rowPtr[i+1]; k++ {
+				j := p.sym.colIdx[k]
+				want := ref[i][j]
+				if j == i {
+					want = 1 / want
+				}
+				if got := p.val[k]; math.Abs(got-want) > 1e-12*math.Abs(want) {
+					t.Fatalf("seed %d: slot (%d,%d) = %v, dense reference %v", seed, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Kershaw's matrix breaks IC(0) (TestICPrecShiftFallback), but the MIC
+// compensation raises the pivots it starves: MIC(0) factors it without
+// a shift, and CG still reaches the dense solution.
+func TestMICPrecKershawNoShift(t *testing.T) {
+	a := kershawCSR()
+	p, err := NewMICPrec(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range fresh.val {
-		if p.val[i] != fresh.val[i] {
-			t.Fatalf("refreshed val[%d] = %v, fresh %v", i, p.val[i], fresh.val[i])
-		}
+	if p.Shift() != 0 {
+		t.Fatalf("MIC(0) needed shift %g on the Kershaw matrix", p.Shift())
 	}
-	b, _ := randomSPD(6, 49, 0.08)
-	if err := p.Refresh(b); err == nil {
-		t.Error("refresh with different structure accepted")
+	b := []float64{1, 2, 3, 4}
+	x, stats, err := CG(a, b, nil, p, 1e-12, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := SolveDense(a.ToDense(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		if math.Abs(x[i]-ref[i]) > 1e-12*(1+math.Abs(ref[i])) {
+			t.Fatalf("x[%d] = %g, dense %g (%d iterations)", i, x[i], ref[i], stats.Iterations)
+		}
 	}
 }

@@ -227,8 +227,10 @@ func CGOpt(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error
 	if err := checkFinite("CG", b, x0); err != nil {
 		return nil, IterStats{}, err
 	}
+	t := startLayer()
 	x, stats, err := cg(a, b, x0, &opt)
-	recordSolve("cg", stats, err)
+	t.observe("linalg_krylov_seconds")
+	recordSolve(t.reg, "cg", stats, err)
 	return x, stats, err
 }
 
@@ -273,8 +275,7 @@ func cg(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
 		}
 		alpha := rz / pap
 		Axpy(alpha, p, x)
-		Axpy(-alpha, ap, r)
-		res := Norm2(r) / normB
+		res := math.Sqrt(axpyDot(-alpha, ap, r)) / normB
 		stats.Residual = res
 		if o.OnIteration != nil {
 			o.OnIteration(it, res)
@@ -297,6 +298,18 @@ func cg(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
 	return x, stats, fmt.Errorf("linalg: CG did not converge in %d iterations (residual %.3g)", maxIter, stats.Residual)
 }
 
+// axpyDot computes y ← y + alpha·x and returns y·y, bitwise-identical
+// to Axpy(alpha, x, y) followed by Dot(y, y) in one pass over y.
+func axpyDot(alpha float64, x, y []float64) float64 {
+	y = y[:len(x)]
+	s := 0.0
+	for i, v := range x {
+		y[i] += alpha * v
+		s += y[i] * y[i]
+	}
+	return s
+}
+
 // BiCGSTAB solves the general (possibly unsymmetric) system A·x = b.
 //
 //lint:allow nanguard input validation (checkFinite) lives in BiCGSTABOpt
@@ -314,8 +327,10 @@ func BiCGSTABOpt(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats,
 	if err := checkFinite("BiCGSTAB", b, x0); err != nil {
 		return nil, IterStats{}, err
 	}
+	t := startLayer()
 	x, stats, err := bicgstab(a, b, x0, &opt)
-	recordSolve("bicgstab", stats, err)
+	t.observe("linalg_krylov_seconds")
+	recordSolve(t.reg, "bicgstab", stats, err)
 	return x, stats, err
 }
 

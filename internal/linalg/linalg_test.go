@@ -341,6 +341,68 @@ func TestCGNotSPD(t *testing.T) {
 	}
 }
 
+// unfusedCG is preconditioned CG with the residual update and its norm
+// as two passes (Axpy, then Norm2), the loop cg fuses into axpyDot.  It
+// reports the same OnIteration trace and is the reference that pins the
+// fused loop bitwise.
+func unfusedCG(a *CSR, b []float64, prec Preconditioner, tol float64, maxIter int, onIter func(int, float64)) []float64 {
+	n := a.Rows
+	x, r, z, p, ap := make([]float64, n), append([]float64(nil), b...), make([]float64, n), make([]float64, n), make([]float64, n)
+	normB := Norm2(b)
+	prec.Apply(r, z)
+	copy(p, z)
+	rz := Dot(r, z)
+	for it := 0; it < maxIter; it++ {
+		a.MulVec(p, ap)
+		alpha := rz / Dot(p, ap)
+		Axpy(alpha, p, x)
+		Axpy(-alpha, ap, r)
+		res := Norm2(r) / normB
+		onIter(it, res)
+		if res < tol {
+			break
+		}
+		prec.Apply(r, z)
+		rzNew := Dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	return x
+}
+
+// On an FV operator the fused CG loop must reproduce the unfused one
+// bit for bit: every residual of the OnIteration trace and the iterate.
+func TestCGFusedMatchesUnfused(t *testing.T) {
+	a, b := anisotropicFV(30, 30)
+	prec, err := NewMICPrec(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []float64
+	x, _, err := CGOpt(a, b, nil, &IterOptions{Tol: 1e-10, MaxIter: 500, Prec: prec,
+		OnIteration: func(_ int, res float64) { got = append(got, res) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := unfusedCG(a, b, prec, 1e-10, 500, func(_ int, res float64) { want = append(want, res) })
+	if len(got) != len(want) {
+		t.Fatalf("fused CG ran %d iterations, unfused %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("iteration %d: fused residual %v, unfused %v", i, got[i], want[i])
+		}
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("x[%d]: fused %v, unfused %v", i, x[i], ref[i])
+		}
+	}
+}
+
 func TestBiCGSTABUnsymmetric(t *testing.T) {
 	// Convection-diffusion-like unsymmetric tridiagonal system.
 	n := 80

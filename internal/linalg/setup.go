@@ -141,18 +141,19 @@ func valHash(a *CSR) contentHash {
 }
 
 // PrecFor returns a preconditioner of the given kind ("jacobi", "ssor",
-// "ic0"; "" or "identity" yields nil, the identity) for matrix a,
-// reusing a cached instance when an identical-content matrix was seen
-// before and the IC(0) symbolic pattern when only the values changed.
-// omega is the SSOR relaxation factor (ignored by other kinds).  The
-// returned preconditioner must be treated as immutable — never call
-// Refresh on it.  An error (IC(0) breakdown surviving the whole shift
-// ladder) leaves the caller free to degrade to a cheaper kind.
+// "ic0", "mic0"; "" or "identity" yields nil, the identity) for matrix
+// a, reusing a cached instance when an identical-content matrix was seen
+// before and the symbolic pattern shared by IC(0) and MIC(0) when only
+// the values changed.  omega is the SSOR relaxation factor (ignored by
+// other kinds).  The returned preconditioner must be treated as
+// immutable.  An error (incomplete-factorization breakdown surviving the
+// whole shift ladder) leaves the caller free to degrade to a cheaper
+// kind.
 func (s *SolverSetup) PrecFor(kind string, a *CSR, omega float64) (Preconditioner, error) {
 	switch kind {
 	case "", "identity":
 		return nil, nil
-	case "jacobi", "ssor", "ic0":
+	case "jacobi", "ssor", "ic0", "mic0":
 	default:
 		return nil, fmt.Errorf("linalg: unknown preconditioner kind %q", kind)
 	}
@@ -171,48 +172,28 @@ func (s *SolverSetup) PrecFor(kind string, a *CSR, omega float64) (Preconditione
 		return p, nil
 	}
 	var sym *icSymbolic
-	if kind == "ic0" {
+	if kind == "ic0" || kind == "mic0" {
 		sym = s.syms[sh.a]
 	}
 	s.mu.Unlock()
 
 	// Build outside the lock: factorization may be expensive and must
 	// never serialise concurrent sweep workers behind the mutex.
-	var p Preconditioner
-	switch kind {
-	case "jacobi":
-		p = NewJacobiPrec(a)
-	case "ssor":
-		p = NewSSORPrec(a, omega)
-	case "ic0":
-		if sym == nil || !sym.matches(a) {
-			var err error
-			if sym, err = icSymbolicFromCSR(a); err != nil {
-				return nil, err
-			}
-		}
-		ic, err := sym.factor(a)
-		if err != nil {
-			return nil, err
-		}
-		if ic.shift > 0 {
-			if r := obs.Default(); r != nil {
-				r.Counter("linalg_ic0_shifted_total").Inc()
-			}
-		}
-		p = ic
-		s.mu.Lock()
-		if _, ok := s.syms[sh.a]; !ok {
-			s.symKeys = append(s.symKeys, sh.a)
-			s.syms[sh.a] = sym
-			if len(s.symKeys) > setupMaxSyms {
-				delete(s.syms, s.symKeys[0])
-				s.symKeys = s.symKeys[1:]
-			}
-		}
-		s.mu.Unlock()
+	t := startLayer()
+	p, sym, err := buildPrec(kind, a, omega, sym)
+	t.observe("linalg_prec_setup_seconds")
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
+	if _, ok := s.syms[sh.a]; sym != nil && !ok {
+		s.symKeys = append(s.symKeys, sh.a)
+		s.syms[sh.a] = sym
+		if len(s.symKeys) > setupMaxSyms {
+			delete(s.syms, s.symKeys[0])
+			s.symKeys = s.symKeys[1:]
+		}
+	}
 	if _, ok := s.precs[key]; !ok {
 		s.precOrd = append(s.precOrd, key)
 		s.precs[key] = p
@@ -228,6 +209,38 @@ func (s *SolverSetup) PrecFor(kind string, a *CSR, omega float64) (Preconditione
 	}
 	s.mu.Unlock()
 	return p, nil
+}
+
+// buildPrec constructs a preconditioner of a known kind for a.  The
+// incomplete factorizations reuse sym when a has its pattern and return
+// the symbolic phase they used, for PrecFor to cache.
+func buildPrec(kind string, a *CSR, omega float64, sym *icSymbolic) (Preconditioner, *icSymbolic, error) {
+	switch kind {
+	case "jacobi":
+		return NewJacobiPrec(a), nil, nil
+	case "ssor":
+		return NewSSORPrec(a, omega), nil, nil
+	}
+	if sym == nil || !sym.matches(a) {
+		var err error
+		if sym, err = icSymbolicFromCSR(a); err != nil {
+			return nil, nil, err
+		}
+	}
+	icOmega := 0.0
+	if kind == "mic0" {
+		icOmega = micOmega
+	}
+	ic, err := sym.factor(a, icOmega)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ic.shift > 0 {
+		if r := obs.Default(); r != nil {
+			r.Counter("linalg_ic0_shifted_total").Inc()
+		}
+	}
+	return ic, sym, nil
 }
 
 // Key digests one solve's full content: the solver/chain label (which

@@ -11,7 +11,7 @@ import (
 func TestSolverSetupPrecReuse(t *testing.T) {
 	s := NewSolverSetup()
 	a, _ := randomSPD(1, 40, 0.1)
-	for _, kind := range []string{"jacobi", "ssor", "ic0"} {
+	for _, kind := range []string{"jacobi", "ssor", "ic0", "mic0"} {
 		p1, err := s.PrecFor(kind, a, 1.2)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -40,6 +40,9 @@ func TestSolverSetupPrecReuse(t *testing.T) {
 	}
 	if p1.(*ICPrec).sym != p2.(*ICPrec).sym {
 		t.Error("same-structure matrices did not share the IC(0) symbolic pattern")
+	}
+	if m, _ := s.PrecFor("mic0", a2, 1.2); m.(*ICPrec).sym != p1.(*ICPrec).sym {
+		t.Error("MIC(0) did not share the IC(0) symbolic pattern")
 	}
 	// A different SSOR omega is a different preconditioner.
 	q1, _ := s.PrecFor("ssor", a, 1.2)
@@ -166,6 +169,9 @@ func TestSolverSetupCounters(t *testing.T) {
 	}
 	if got := reg.Counter("linalg_setup_prec_reuse_total").Value(); got != 1 {
 		t.Errorf("prec reuse counter = %v, want 1", got)
+	}
+	if n := reg.Histogram("linalg_prec_setup_seconds", nil).Count(); n != 1 {
+		t.Errorf("linalg_prec_setup_seconds count = %d, want 1 (one build, one reuse)", n)
 	}
 	key := s.Key("c", a, b, nil, 1e-9)
 	s.Cached(key)

@@ -164,9 +164,11 @@ func (m *CSR) mulVecInto(x, y []float64) {
 //lint:hot
 func (m *CSR) mulRows(x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
+		cols, vals := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]], m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
+		vals = vals[:len(cols)]
 		s := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+		for k, c := range cols {
+			s += vals[k] * x[c]
 		}
 		y[i] = s
 	}

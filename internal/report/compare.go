@@ -27,8 +27,9 @@ type CompareOptions struct {
 // DefaultCompareOptions is the verify.sh gate configuration: 10 % slack
 // on time and allocation count, 25 % on bytes (size-class effects), 5 %
 // on solver iterations (deterministic, so any growth is a real
-// algorithmic change), 25 % on the FV assembly layer (one slice of
-// ns/op, so it jitters more than the whole), and serve-latency
+// algorithmic change), 25 % on the FV solve's layers (assembly,
+// preconditioner setup, Krylov loop: each one slice of ns/op, so it
+// jitters more than the whole), and serve-latency
 // percentiles with widening slack toward the tail (p99 is sampled from
 // far fewer requests than p50, so it jitters more run-to-run).
 // throughput_rps is deliberately absent: it is higher-is-better, and
@@ -36,14 +37,16 @@ type CompareOptions struct {
 func DefaultCompareOptions() CompareOptions {
 	return CompareOptions{
 		MaxRatios: map[string]float64{
-			"ns/op":           1.10,
-			"B/op":            1.25,
-			"allocs/op":       1.10,
-			"solver_iters/op": 1.05,
-			"assemble_ns/op":  1.25,
-			"p50_ms":          1.25,
-			"p95_ms":          1.35,
-			"p99_ms":          1.50,
+			"ns/op":            1.10,
+			"B/op":             1.25,
+			"allocs/op":        1.10,
+			"solver_iters/op":  1.05,
+			"assemble_ns/op":   1.25,
+			"prec_setup_ns/op": 1.25,
+			"krylov_ns/op":     1.25,
+			"p50_ms":           1.25,
+			"p95_ms":           1.35,
+			"p99_ms":           1.50,
 		},
 		MinNs: 5,
 	}

@@ -101,16 +101,18 @@ func TestCompareMinNsFloorSkipsGuardBenches(t *testing.T) {
 }
 
 func TestCompareAssemblyLayerGated(t *testing.T) {
-	// The FV assembly layer is gated on its own, at 25 %.
-	old := benchSet(entry("E2_Level2", 1, 1e6, map[string]float64{"assemble_ns/op": 1e5}))
-	within := benchSet(entry("E2_Level2", 1, 1e6, map[string]float64{"assemble_ns/op": 1.2e5}))
-	if rep := CompareBenchSets(old, within, DefaultCompareOptions()); !rep.OK() {
-		t.Fatalf("20%% assembly drift regressed: %s", rep)
-	}
-	worse := benchSet(entry("E2_Level2", 1, 1e6, map[string]float64{"assemble_ns/op": 1.3e5}))
-	rep := CompareBenchSets(old, worse, DefaultCompareOptions())
-	if rep.OK() || rep.Regressions[0].Unit != "assemble_ns/op" {
-		t.Fatalf("30%% assembly growth not caught: %+v", rep.Regressions)
+	// Each FV solve layer is gated on its own, at 25 %.
+	for _, unit := range []string{"assemble_ns/op", "prec_setup_ns/op", "krylov_ns/op"} {
+		old := benchSet(entry("E2_Level2", 1, 1e6, map[string]float64{unit: 1e5}))
+		within := benchSet(entry("E2_Level2", 1, 1e6, map[string]float64{unit: 1.2e5}))
+		if rep := CompareBenchSets(old, within, DefaultCompareOptions()); !rep.OK() {
+			t.Fatalf("20%% %s drift regressed: %s", unit, rep)
+		}
+		worse := benchSet(entry("E2_Level2", 1, 1e6, map[string]float64{unit: 1.3e5}))
+		rep := CompareBenchSets(old, worse, DefaultCompareOptions())
+		if rep.OK() || rep.Regressions[0].Unit != unit {
+			t.Fatalf("30%% %s growth not caught: %+v", unit, rep.Regressions)
+		}
 	}
 }
 

@@ -10,12 +10,13 @@ import (
 	"aeropack/internal/obs"
 )
 
-// recordDegrade notes an IC(0)-to-Jacobi preconditioner degrade in the
-// flight recorder, carrying the breakdown cause an operator needs.
-func recordDegrade(rung string, cause error) {
+// recordDegrade notes an IC(0)- or MIC(0)-to-Jacobi preconditioner
+// degrade in the flight recorder, carrying the breakdown cause an
+// operator needs.
+func recordDegrade(rung, from string, cause error) {
 	if rec := obs.CurrentRecorder(); rec != nil {
 		rec.Record("degrade", rung,
-			obs.Attr{Key: "from", Value: "ic0"},
+			obs.Attr{Key: "from", Value: from},
 			obs.Attr{Key: "to", Value: "jacobi"},
 			obs.Attr{Key: "cause", Value: cause.Error()})
 	}
@@ -26,7 +27,7 @@ func recordDegrade(rung string, cause error) {
 type Attempt struct {
 	Name   string  // rung identity for spans and error text, e.g. "bicgstab-jacobi"
 	Method string  // "cg" or "bicgstab"
-	Prec   string  // "", "jacobi", "ssor" or "ic0"
+	Prec   string  // "", "jacobi", "ssor", "ic0" or "mic0"
 	Omega  float64 // SSOR relaxation factor; 0 means 1.2
 
 	// TolScale relaxes the chain tolerance for this rung (solve at
@@ -99,13 +100,13 @@ func defaultLadder() []Attempt {
 }
 
 // ChainFor builds a chain whose first rung mirrors a configured solver
-// name ("cg", "cg-jacobi", "cg-ssor", "cg-ic0" or "bicgstab" — the
-// thermal SolveOptions.Solver vocabulary), followed by the rungs of the
-// default ladder that differ from it.  omega is the SSOR relaxation
-// factor for "cg-ssor"; unknown names fall back to the full default
-// ladder.  An IC(0) first rung that cannot be factorized (breakdown
-// through the whole shift ladder) degrades to Jacobi within the rung
-// rather than failing — see buildPrec.
+// name ("cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0" or "bicgstab"
+// — the thermal SolveOptions.Solver vocabulary), followed by the rungs
+// of the default ladder that differ from it.  omega is the SSOR
+// relaxation factor for "cg-ssor"; unknown names fall back to the full
+// default ladder.  An IC(0) or MIC(0) first rung that cannot be
+// factorized (breakdown through the whole shift ladder) degrades to
+// Jacobi within the rung rather than failing — see buildPrec.
 func ChainFor(solver string, omega, tol float64, maxIter int) *Chain {
 	var first Attempt
 	switch solver {
@@ -117,6 +118,8 @@ func ChainFor(solver string, omega, tol float64, maxIter int) *Chain {
 		first = Attempt{Name: "cg-ssor", Method: "cg", Prec: "ssor", Omega: omega}
 	case "cg-ic0":
 		first = Attempt{Name: "cg-ic0", Method: "cg", Prec: "ic0"}
+	case "cg-mic0":
+		first = Attempt{Name: "cg-mic0", Method: "cg", Prec: "mic0"}
 	case "bicgstab":
 		first = Attempt{Name: "bicgstab", Method: "bicgstab"}
 	default:
@@ -245,11 +248,11 @@ func (c *Chain) solveOnce(att Attempt, a *linalg.CSR, b, x0 []float64, tol float
 }
 
 // buildPrec constructs the rung's preconditioner, going through the
-// chain's Setup cache when one is attached.  IC(0) factorization can
-// fail even on an SPD matrix (breakdown through the whole shift ladder);
-// the rung then degrades to Jacobi — strictly weaker but never failing —
-// instead of aborting the attempt, and robust_ic0_degraded_total counts
-// the event.
+// chain's Setup cache when one is attached.  IC(0) and MIC(0)
+// factorization can fail even on an SPD matrix (breakdown through the
+// whole shift ladder); the rung then degrades to Jacobi — strictly
+// weaker but never failing — instead of aborting the attempt, and
+// robust_ic0_degraded_total counts the event for both.
 func (c *Chain) buildPrec(att Attempt, a *linalg.CSR) linalg.Preconditioner {
 	omega := att.Omega
 	if omega == 0 {
@@ -260,9 +263,9 @@ func (c *Chain) buildPrec(att Attempt, a *linalg.CSR) linalg.Preconditioner {
 		if err == nil {
 			return p
 		}
-		if att.Prec == "ic0" {
+		if att.Prec == "ic0" || att.Prec == "mic0" {
 			obs.Default().Counter("robust_ic0_degraded_total").Add(1)
-			recordDegrade(att.Name, err)
+			recordDegrade(att.Name, att.Prec, err)
 			if pj, jerr := c.Setup.PrecFor("jacobi", a, omega); jerr == nil {
 				return pj
 			}
@@ -274,11 +277,15 @@ func (c *Chain) buildPrec(att Attempt, a *linalg.CSR) linalg.Preconditioner {
 		return linalg.NewJacobiPrec(a)
 	case "ssor":
 		return linalg.NewSSORPrec(a, omega)
-	case "ic0":
-		p, err := linalg.NewICPrec(a)
+	case "ic0", "mic0":
+		newIC := linalg.NewICPrec
+		if att.Prec == "mic0" {
+			newIC = linalg.NewMICPrec
+		}
+		p, err := newIC(a)
 		if err != nil {
 			obs.Default().Counter("robust_ic0_degraded_total").Add(1)
-			recordDegrade(att.Name, err)
+			recordDegrade(att.Name, att.Prec, err)
 			return linalg.NewJacobiPrec(a)
 		}
 		return p

@@ -293,6 +293,7 @@ func TestChainForVocabulary(t *testing.T) {
 		{"cg-jacobi", "cg-jacobi", 4},
 		{"cg-ssor", "cg-ssor", 4},
 		{"cg-ic0", "cg-ic0", 4},
+		{"cg-mic0", "cg-mic0", 4},
 		{"bicgstab", "bicgstab", 4},
 		{"gmres", "cg", 3}, // unknown name → default ladder
 	}
@@ -336,32 +337,40 @@ func indefiniteSystem() (*linalg.CSR, []float64) {
 	return coo.ToCSR(), make([]float64, 3)
 }
 
+// MIC(0) breaks down and degrades exactly like IC(0), on the same
+// counter.
 func TestChainIC0DegradesToJacobi(t *testing.T) {
 	reg := withRegistry(t)
 	a, b := indefiniteSystem()
-	// Without a Setup cache: buildPrec constructs IC(0) directly, hits
-	// the breakdown, and falls back to Jacobi within the first rung.
-	_, out, err := ChainFor("cg-ic0", 0, 1e-10, 50).Solve(a, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.AttemptUsed != 0 {
-		t.Errorf("degrade must stay within the first rung, outcome = %+v", out)
-	}
-	if got := reg.Counter("robust_ic0_degraded_total").Value(); got != 1 {
-		t.Errorf("robust_ic0_degraded_total = %d, want 1", got)
-	}
-	// With a Setup cache: the PrecFor error path degrades the same way.
-	c := ChainFor("cg-ic0", 0, 1e-10, 50)
-	c.Setup = linalg.NewSolverSetup()
-	if _, out, err = c.Solve(a, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if out.AttemptUsed != 0 {
-		t.Errorf("setup-path degrade must stay within the first rung, outcome = %+v", out)
-	}
-	if got := reg.Counter("robust_ic0_degraded_total").Value(); got != 2 {
-		t.Errorf("robust_ic0_degraded_total = %d, want 2", got)
+	var want int64
+	for _, solver := range []string{"cg-ic0", "cg-mic0"} {
+		// Without a Setup cache: buildPrec constructs the factor
+		// directly, hits the breakdown, and falls back to Jacobi within
+		// the first rung.
+		_, out, err := ChainFor(solver, 0, 1e-10, 50).Solve(a, b, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", solver, err)
+		}
+		if out.AttemptUsed != 0 {
+			t.Errorf("%s: degrade must stay within the first rung, outcome = %+v", solver, out)
+		}
+		want++
+		if got := reg.Counter("robust_ic0_degraded_total").Value(); got != want {
+			t.Errorf("%s: robust_ic0_degraded_total = %d, want %d", solver, got, want)
+		}
+		// With a Setup cache: the PrecFor error path degrades the same way.
+		c := ChainFor(solver, 0, 1e-10, 50)
+		c.Setup = linalg.NewSolverSetup()
+		if _, out, err = c.Solve(a, b, nil); err != nil {
+			t.Fatalf("%s: %v", solver, err)
+		}
+		if out.AttemptUsed != 0 {
+			t.Errorf("%s: setup-path degrade must stay within the first rung, outcome = %+v", solver, out)
+		}
+		want++
+		if got := reg.Counter("robust_ic0_degraded_total").Value(); got != want {
+			t.Errorf("%s: robust_ic0_degraded_total = %d, want %d", solver, got, want)
+		}
 	}
 }
 

@@ -112,8 +112,9 @@ func TestSolveOnIteration(t *testing.T) {
 }
 
 // TestSolveMetrics checks the registry side of a steady solve: matrix
-// nnz gauge, assembly-time histogram and the linalg solve counters all
-// land under their canonical names.
+// nnz gauge, assembly-, preconditioner-setup- and Krylov-time
+// histograms and the linalg solve counters all land under their
+// canonical names.
 func TestSolveMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	prev := obs.SetDefault(reg)
@@ -132,6 +133,11 @@ func TestSolveMetrics(t *testing.T) {
 	}
 	if n := reg.Counter("linalg_cg_solves_total").Value(); n != 1 {
 		t.Errorf("linalg_cg_solves_total = %d, want 1", n)
+	}
+	for _, name := range []string{"linalg_prec_setup_seconds", "linalg_krylov_seconds"} {
+		if n := reg.Histogram(name, nil).Count(); n != 1 {
+			t.Errorf("%s count = %d, want 1", name, n)
+		}
 	}
 	if iters := reg.Counter("linalg_solver_iterations_total").Value(); iters != int64(res.Iterations) {
 		t.Errorf("linalg_solver_iterations_total = %d, want %d", iters, res.Iterations)

@@ -110,7 +110,7 @@ type SolveOptions struct {
 	MaxOuter   int     // radiation linearisation passes (default 12)
 	RadTol     float64 // outer convergence on max |ΔT| in K (default 0.01)
 	InitialT   float64 // initial field guess, K (default: mean of BC temps or 300)
-	Solver     string  // "cg-ic0" (default), "cg", "cg-jacobi", "cg-ssor", "bicgstab"
+	Solver     string  // "cg-mic0" (default), "cg-ic0", "cg", "cg-jacobi", "cg-ssor", "bicgstab"
 	SSOROmega  float64 // relaxation for cg-ssor (default 1.2)
 	ReturnLast bool    // if true, return best-effort field on non-convergence
 
@@ -184,11 +184,12 @@ func (o *SolveOptions) defaults(n int) {
 		o.RadTol = 0.01
 	}
 	if o.Solver == "" {
-		// IC(0)-preconditioned CG is the default: on the FV conduction
-		// operators it converges in an order of magnitude fewer
-		// iterations than Jacobi or SSOR, and breakdown degrades to
-		// Jacobi inside linSolve rather than failing the solve.
-		o.Solver = "cg-ic0"
+		// MIC(0)-preconditioned CG is the default: on the FV conduction
+		// operators it converges in about half the iterations of IC(0),
+		// itself an order of magnitude fewer than Jacobi or SSOR, and
+		// breakdown degrades to Jacobi inside linSolve rather than
+		// failing the solve.
+		o.Solver = "cg-mic0"
 	}
 	if o.SSOROmega <= 0 || o.SSOROmega >= 2 {
 		o.SSOROmega = 1.2
@@ -351,6 +352,8 @@ func precKindFor(solver string) string {
 		return "ssor"
 	case "cg-ic0":
 		return "ic0"
+	case "cg-mic0":
+		return "mic0"
 	default:
 		return ""
 	}
@@ -364,7 +367,7 @@ func solveLabel(o *SolveOptions) string {
 
 func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptions, setup *linalg.SolverSetup, parent *obs.Span) ([]float64, linalg.IterStats, error) {
 	switch o.Solver {
-	case "cg", "cg-jacobi", "cg-ssor", "cg-ic0", "bicgstab":
+	case "cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "bicgstab":
 	default:
 		return nil, linalg.IterStats{}, fmt.Errorf("thermal: unknown solver %q", o.Solver)
 	}
@@ -416,8 +419,9 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 		if kind := precKindFor(o.Solver); kind != "" {
 			prec, perr := setup.PrecFor(kind, a, o.SSOROmega)
 			if perr != nil {
-				// Only IC(0) can fail (breakdown through the whole shift
-				// ladder); degrade to Jacobi — weaker, never failing.
+				// Only IC(0) and MIC(0) can fail (breakdown through the
+				// whole shift ladder); degrade to Jacobi — weaker, never
+				// failing.
 				obs.Default().Counter("thermal_ic0_degraded_total").Add(1)
 				if rec := obs.CurrentRecorder(); rec != nil {
 					rec.Record("degrade", "thermal.linSolve",

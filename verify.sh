@@ -86,6 +86,9 @@ coverage_floor ./internal/robust 85
 coverage_floor ./internal/serve 85
 coverage_floor ./internal/lint 85
 
+echo "== solver iteration budget (E5 Fig. 10; no pipe, so a blown budget fails the gate)"
+AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/E5IterationBudget' -v .
+
 echo "== solver performance guard (E5 iteration budget, parallel-vs-serial)"
 AEROPACK_SOLVER_GUARD=1 go test -run TestSolverPerfGuard -v . | grep -v '^=== '
 
