@@ -775,6 +775,7 @@ func BenchmarkAblation_SolverJacobi(b *testing.B)   { benchSolver(b, "cg-jacobi"
 func BenchmarkAblation_SolverSSOR(b *testing.B)     { benchSolver(b, "cg-ssor") }
 func BenchmarkAblation_SolverIC0(b *testing.B)      { benchSolver(b, "cg-ic0") }
 func BenchmarkAblation_SolverMIC0(b *testing.B)     { benchSolver(b, "cg-mic0") }
+func BenchmarkAblation_SolverFDM(b *testing.B)      { benchSolver(b, "cg-fdm") }
 func BenchmarkAblation_SolverBiCGSTAB(b *testing.B) { benchSolver(b, "bicgstab") }
 
 func benchSolver(b *testing.B, solver string) {

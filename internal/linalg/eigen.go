@@ -174,3 +174,94 @@ func EigenGeneral(k, m *Dense, tol float64, maxSweeps int) ([]float64, *Dense, e
 	}
 	return vals, vecs, nil
 }
+
+// tridiagMaxSweeps bounds the implicit QL sweeps spent on one eigenvalue;
+// two or three suffice in practice.
+const tridiagMaxSweeps = 60
+
+// eigenTridiag computes every eigenpair of the symmetric tridiagonal
+// matrix with diagonal d and couplings off (off[i] joins rows i and
+// i+1; len(off) = len(d), the last entry ignored) by the implicit QL
+// method with Wilkinson shifts.  On return d holds the eigenvalues in
+// ascending order and w (n×n) the orthonormal eigenvectors as rows:
+// w[q*n+i] is component i of vector q.  Storing vectors as rows keeps
+// every plane rotation on two contiguous rows.  off is overwritten.
+func eigenTridiag(d, off, w []float64) error {
+	n := len(d)
+	off[n-1] = 0
+	clear(w)
+	for i := 0; i < n; i++ {
+		w[i*n+i] = 1
+	}
+	for l := 0; l < n; l++ {
+		for sweep := 0; ; sweep++ {
+			// Split off d[l] once the coupling below it is negligible.
+			m := l
+			for ; m < n-1; m++ {
+				if math.Abs(off[m]) <= 0x1p-53*(math.Abs(d[m])+math.Abs(d[m+1])) {
+					break
+				}
+			}
+			if m == l {
+				break
+			}
+			if sweep == tridiagMaxSweeps {
+				return fmt.Errorf("linalg: tridiagonal eigensolver did not converge in %d sweeps at row %d", sweep, l)
+			}
+			// Wilkinson shift from the leading 2×2 block, then chase the
+			// bulge from row m up to row l with plane rotations.
+			g := (d[l+1] - d[l]) / (2 * off[l])
+			r := math.Hypot(g, 1)
+			g = d[m] - d[l] + off[l]/(g+math.Copysign(r, g))
+			s, c, p := 1.0, 1.0, 0.0
+			deflated := false
+			for i := m - 1; i >= l; i-- {
+				f, b := s*off[i], c*off[i]
+				r = math.Hypot(f, g)
+				off[i+1] = r
+				if r == 0 {
+					// Underflow split the block: take the shift and retry.
+					d[i+1] -= p
+					off[m] = 0
+					deflated = true
+					break
+				}
+				s, c = f/r, g/r
+				g = d[i+1] - p
+				r = (d[i]-g)*s + 2*c*b
+				p = s * r
+				d[i+1] = g + p
+				g = c*r - b
+				wi, wj := w[i*n:i*n+n], w[(i+1)*n:(i+1)*n+n]
+				for k, u := range wj {
+					v := wi[k]
+					wj[k] = s*v + c*u
+					wi[k] = c*v - s*u
+				}
+			}
+			if deflated {
+				continue
+			}
+			d[l] -= p
+			off[l] = g
+			off[m] = 0
+		}
+	}
+	// Selection-sort the pairs ascending; n is an axis length, so the
+	// O(n²) comparisons are negligible next to the O(n³) rotations.
+	for i := 0; i < n-1; i++ {
+		k := i
+		for j := i + 1; j < n; j++ {
+			if d[j] < d[k] {
+				k = j
+			}
+		}
+		if k != i {
+			d[i], d[k] = d[k], d[i]
+			for c := 0; c < n; c++ {
+				w[i*n+c], w[k*n+c] = w[k*n+c], w[i*n+c]
+			}
+		}
+	}
+	return nil
+}

@@ -27,7 +27,7 @@ func recordDegrade(rung, from string, cause error) {
 type Attempt struct {
 	Name   string  // rung identity for spans and error text, e.g. "bicgstab-jacobi"
 	Method string  // "cg" or "bicgstab"
-	Prec   string  // "", "jacobi", "ssor", "ic0" or "mic0"
+	Prec   string  // "", "jacobi", "ssor", "ic0", "mic0" or "fdm" (first rung, prebuilt: Chain.Prec)
 	Omega  float64 // SSOR relaxation factor; 0 means 1.2
 
 	// TolScale relaxes the chain tolerance for this rung (solve at
@@ -70,6 +70,11 @@ type Chain struct {
 	// through.  Preconditioners obtained from a Setup are shared and
 	// immutable; without one, each attempt builds its own.
 	Setup *linalg.SolverSetup
+	// Prec, if non-nil, is the first rung's preconditioner, built by the
+	// caller.  A rung of kind "fdm" needs it: fast-diagonalization
+	// factors come from the model behind the matrix, not from the CSR.
+	// Later rungs build their own.
+	Prec linalg.Preconditioner
 }
 
 // Outcome reports which rung of a Chain produced the returned solution.
@@ -100,13 +105,14 @@ func defaultLadder() []Attempt {
 }
 
 // ChainFor builds a chain whose first rung mirrors a configured solver
-// name ("cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0" or "bicgstab"
-// — the thermal SolveOptions.Solver vocabulary), followed by the rungs
-// of the default ladder that differ from it.  omega is the SSOR
-// relaxation factor for "cg-ssor"; unknown names fall back to the full
-// default ladder.  An IC(0) or MIC(0) first rung that cannot be
+// name ("cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "cg-fdm" or
+// "bicgstab" — the thermal SolveOptions.Solver vocabulary), followed by
+// the rungs of the default ladder that differ from it.  omega is the
+// SSOR relaxation factor for "cg-ssor"; unknown names fall back to the
+// full default ladder.  An IC(0) or MIC(0) first rung that cannot be
 // factorized (breakdown through the whole shift ladder) degrades to
-// Jacobi within the rung rather than failing — see buildPrec.
+// Jacobi within the rung rather than failing — see buildPrec.  A
+// "cg-fdm" first rung takes its preconditioner from Chain.Prec.
 func ChainFor(solver string, omega, tol float64, maxIter int) *Chain {
 	var first Attempt
 	switch solver {
@@ -120,6 +126,8 @@ func ChainFor(solver string, omega, tol float64, maxIter int) *Chain {
 		first = Attempt{Name: "cg-ic0", Method: "cg", Prec: "ic0"}
 	case "cg-mic0":
 		first = Attempt{Name: "cg-mic0", Method: "cg", Prec: "mic0"}
+	case "cg-fdm":
+		first = Attempt{Name: "cg-fdm", Method: "cg", Prec: "fdm"}
 	case "bicgstab":
 		first = Attempt{Name: "bicgstab", Method: "bicgstab"}
 	default:
@@ -169,7 +177,7 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 					obs.Attr{Key: "cause", Value: lastErr.Error()})
 			}
 		}
-		x, stats, relaxed, err := c.runAttempt(att, a, b, x0, stop)
+		x, stats, relaxed, err := c.runAttempt(i, att, a, b, x0, stop)
 		if sp != nil {
 			sp.AttrInt("iterations", stats.Iterations)
 			sp.AttrF("residual", stats.Residual)
@@ -201,14 +209,14 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 		len(c.Attempts), c.Attempts[len(c.Attempts)-1].Name, lastErr)
 }
 
-// runAttempt executes one rung, handling relaxed-then-refined tolerance.
+// runAttempt executes rung i, handling relaxed-then-refined tolerance.
 // stop is the caller's Stop (nil for none).
-func (c *Chain) runAttempt(att Attempt, a *linalg.CSR, b, x0 []float64, stop func() bool) ([]float64, linalg.IterStats, bool, error) {
+func (c *Chain) runAttempt(i int, att Attempt, a *linalg.CSR, b, x0 []float64, stop func() bool) ([]float64, linalg.IterStats, bool, error) {
 	tol := c.Tol
 	if att.TolScale > 1 {
 		tol *= att.TolScale
 	}
-	x, stats, err := c.solveOnce(att, a, b, x0, tol, stop)
+	x, stats, err := c.solveOnce(i, att, a, b, x0, tol, stop)
 	if err != nil || att.TolScale <= 1 {
 		return x, stats, false, err
 	}
@@ -217,7 +225,7 @@ func (c *Chain) runAttempt(att Attempt, a *linalg.CSR, b, x0 []float64, stop fun
 	}
 	// Refine from the relaxed iterate back to the full tolerance; if
 	// that fails, the relaxed solution still stands.
-	xr, rstats, rerr := c.solveOnce(att, a, b, x, c.Tol, stop)
+	xr, rstats, rerr := c.solveOnce(i, att, a, b, x, c.Tol, stop)
 	if rerr != nil {
 		return x, stats, true, nil
 	}
@@ -225,15 +233,22 @@ func (c *Chain) runAttempt(att Attempt, a *linalg.CSR, b, x0 []float64, stop fun
 	return xr, rstats, false, nil
 }
 
-func (c *Chain) solveOnce(att Attempt, a *linalg.CSR, b, x0 []float64, tol float64, stop func() bool) ([]float64, linalg.IterStats, error) {
+func (c *Chain) solveOnce(i int, att Attempt, a *linalg.CSR, b, x0 []float64, tol float64, stop func() bool) ([]float64, linalg.IterStats, error) {
 	maxIter := att.MaxIter
 	if maxIter <= 0 {
 		maxIter = c.MaxIter
 	}
+	prec := c.Prec
+	if i > 0 || prec == nil {
+		if att.Prec == "fdm" {
+			return nil, linalg.IterStats{}, fmt.Errorf("robust: rung %s needs a prebuilt first-rung preconditioner (Chain.Prec)", att.Name)
+		}
+		prec = c.buildPrec(att, a)
+	}
 	opts := &linalg.IterOptions{
 		Tol:         tol,
 		MaxIter:     maxIter,
-		Prec:        c.buildPrec(att, a),
+		Prec:        prec,
 		OnIteration: c.OnIteration,
 		Stop:        composeStop(stop, att.Budget),
 	}

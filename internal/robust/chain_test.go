@@ -294,6 +294,7 @@ func TestChainForVocabulary(t *testing.T) {
 		{"cg-ssor", "cg-ssor", 4},
 		{"cg-ic0", "cg-ic0", 4},
 		{"cg-mic0", "cg-mic0", 4},
+		{"cg-fdm", "cg-fdm", 4},
 		{"bicgstab", "bicgstab", 4},
 		{"gmres", "cg", 3}, // unknown name → default ladder
 	}
@@ -386,6 +387,51 @@ func TestChainSetupReusesPreconditioner(t *testing.T) {
 	}
 	if got := reg.Counter("linalg_setup_prec_reuse_total").Value(); got != 2 {
 		t.Errorf("linalg_setup_prec_reuse_total = %d, want 2 (three solves, one build)", got)
+	}
+}
+
+// TestChainFDMFirstRung checks the prebuilt first-rung seam: a "cg-fdm"
+// rung solves with Chain.Prec (here the exact inverse, so one
+// iteration), and without one it fails over to the next rung instead of
+// silently running unpreconditioned.
+func TestChainFDMFirstRung(t *testing.T) {
+	const n = 150
+	a, b := spdSystem(n)
+	x := linalg.Axis{Diag: make([]float64, n), Off: make([]float64, n-1), Mass: make([]float64, n)}
+	for i := range x.Diag {
+		x.Diag[i], x.Mass[i] = 4, 1
+	}
+	for i := range x.Off {
+		x.Off[i] = -1
+	}
+	unit := linalg.Axis{Diag: []float64{0}, Mass: []float64{1}}
+	fdm, err := linalg.NewFDMPrec([3]linalg.Axis{x, unit, unit}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ChainFor("cg-fdm", 0, 1e-10, 2000)
+	c.Prec = fdm
+	sol, out, err := c.Solve(a, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.AttemptName != "cg-fdm" || out.Stats.Iterations != 1 {
+		t.Errorf("outcome = %+v, want cg-fdm in one iteration", out)
+	}
+	if r := residual(a, sol, b); r > 1e-10 {
+		t.Errorf("residual %g too large", r)
+	}
+
+	reg := withRegistry(t)
+	sol, out, err = ChainFor("cg-fdm", 0, 1e-10, 2000).Solve(a, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.AttemptUsed != 1 || reg.Counter("solver_fallbacks").Value() != 1 {
+		t.Errorf("outcome = %+v, want one fallback past the unbuilt cg-fdm rung", out)
+	}
+	if r := residual(a, sol, b); r > 1e-10 {
+		t.Errorf("fallback residual %g too large", r)
 	}
 }
 

@@ -20,22 +20,35 @@ func requestKey(body []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// modelVersion names the engine revision whose answers the disk cache
+// holds.  Entries live under <dir>/<modelVersion>/, so a cache directory
+// written by a revision with different numbers is never replayed.  Bump
+// it whenever a contract response golden changes; TestModelVersionDigest
+// compares the goldens against goldenDigest, the sha256 of their names
+// and bytes recorded with this version, and fails until both are
+// updated.
+const (
+	modelVersion = "v2"
+	goldenDigest = "4e288a471f6e638d91995c92a7c9b3b68e7c28a5e58893610cfa17cbc8ffd99a"
+)
+
 // resultCache stores finished response bodies by request hash: an
-// in-memory map always, plus best-effort persistence under dir when one
-// is configured (survives server restarts; corrupt or missing files
-// fall back to recompute).  Only successful (HTTP 200) complete-study
-// bodies are stored — errors and partial keep-going results depend on
-// transient conditions and must re-run.
+// in-memory map always, plus best-effort persistence under
+// dir/modelVersion when a dir is configured (survives server restarts;
+// corrupt or missing files fall back to recompute).  Only successful
+// (HTTP 200) complete-study bodies are stored — errors and partial
+// keep-going results depend on transient conditions and must re-run.
 type resultCache struct {
 	mu  sync.RWMutex
 	mem map[string][]byte
-	dir string // "" = memory only
+	dir string // "" = memory only; else the versioned entry directory
 }
 
 func newResultCache(dir string) (*resultCache, error) {
-	c := &resultCache{mem: make(map[string][]byte), dir: dir}
+	c := &resultCache{mem: make(map[string][]byte)}
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		c.dir = filepath.Join(dir, modelVersion)
+		if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: creating cache dir: %w", err)
 		}
 	}

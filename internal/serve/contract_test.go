@@ -2,12 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -111,6 +115,7 @@ func TestContractStudies(t *testing.T) {
 		{"unknown-material", 400, "miss"},
 		{"budget-exceeded", 422, "miss"},
 		{"study-budget-exceeded", 422, "miss"},
+		{"qualification-budget-exceeded", 422, "miss"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -289,5 +294,31 @@ func TestOpsRoutes(t *testing.T) {
 	}
 	if w := getPath(s, "/v1/studies"); w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/studies = %d, want 405", w.Code)
+	}
+}
+
+// TestModelVersionDigest ties the disk cache's modelVersion to the
+// answers it stands for: the sha256 over every contract response
+// golden's name and bytes must equal goldenDigest.  A change that moves
+// a golden fails here until it bumps modelVersion and records the new
+// digest, so a cache directory written before the change is not
+// replayed after it.
+func TestModelVersionDigest(t *testing.T) {
+	names, err := filepath.Glob(contractPath("*.response.json"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no response goldens found: %v", err)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(name), len(b))
+		h.Write(b)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDigest {
+		t.Errorf("contract response goldens digest to %s, but goldenDigest %s was recorded with modelVersion %q: bump modelVersion in cache.go and record the new digest", got, goldenDigest, modelVersion)
 	}
 }

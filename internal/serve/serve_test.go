@@ -125,19 +125,24 @@ func TestCacheSpeedup(t *testing.T) {
 
 // TestCacheDiskPersistence checks -cache-dir: a second server over the
 // same directory serves the first server's results without recompute,
-// and an empty (torn) file falls back to recompute instead of replaying
-// garbage.
+// an entry another model version wrote is never replayed, and an empty
+// (torn) file falls back to recompute instead of replaying garbage.
 func TestCacheDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	body := readContract(t, "techmap.request.json")
 	key := requestKey(body)
+	entry := filepath.Join(dir, modelVersion, key+".json")
+	// The unversioned layout an older server wrote: must not be served.
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{\"stale\": true}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s1 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
 	w1 := postStudy(s1, body)
-	if w1.Code != http.StatusOK {
-		t.Fatalf("status %d", w1.Code)
+	if w1.Code != http.StatusOK || w1.Header().Get("X-Aeropack-Cache") != "miss" {
+		t.Fatalf("status %d cache %q, want a recompute past the stale entry", w1.Code, w1.Header().Get("X-Aeropack-Cache"))
 	}
-	onDisk, err := os.ReadFile(filepath.Join(dir, key+".json"))
+	onDisk, err := os.ReadFile(entry)
 	if err != nil {
 		t.Fatalf("cache entry not persisted: %v", err)
 	}
@@ -155,7 +160,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 
 	// Torn write: an empty file must recompute, not replay.
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), nil, 0o644); err != nil {
+	if err := os.WriteFile(entry, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s3 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
@@ -190,10 +195,10 @@ func TestBudgetedNotCached(t *testing.T) {
 }
 
 // TestStudyBudgetStopsLevel2 checks a study's budget reaches the level-2
-// FV solve through its fallback chain: with max_solver_iters 10 the
-// board CG stops at the poll after its tenth iteration instead of
-// converging first, and no fallback rung runs for a request already
-// out of budget.
+// FV solve through its fallback chain: the free-convection board needs
+// about a dozen Picard passes of one to three CG iterations each, so
+// max_solver_iters 10 trips between passes before the field converges,
+// and no fallback rung runs for a request already out of budget.
 func TestStudyBudgetStopsLevel2(t *testing.T) {
 	reg := obs.NewRegistry()
 	old := obs.Default()
@@ -205,6 +210,7 @@ func TestStudyBudgetStopsLevel2(t *testing.T) {
 		t.Fatalf("status = %d, want 422 budget_exceeded\nbody: %s", w.Code, w.Body.Bytes())
 	}
 	iters := reg.Counter("linalg_solver_iterations_total").Value()
+	t.Logf("level-2 CG ran %d iterations before the budget tripped", iters)
 	if iters == 0 || iters > 11 {
 		t.Errorf("level-2 CG ran %d iterations under a 10-iteration budget, want 1–11", iters)
 	}

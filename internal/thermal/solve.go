@@ -110,7 +110,7 @@ type SolveOptions struct {
 	MaxOuter   int     // radiation linearisation passes (default 12)
 	RadTol     float64 // outer convergence on max |ΔT| in K (default 0.01)
 	InitialT   float64 // initial field guess, K (default: mean of BC temps or 300)
-	Solver     string  // "cg-mic0" (default), "cg-ic0", "cg", "cg-jacobi", "cg-ssor", "bicgstab"
+	Solver     string  // "cg-fdm", "cg-mic0", "cg-ic0", "cg", "cg-jacobi", "cg-ssor", "bicgstab"; default: see SolveSteady
 	SSOROmega  float64 // relaxation for cg-ssor (default 1.2)
 	ReturnLast bool    // if true, return best-effort field on non-convergence
 
@@ -184,11 +184,12 @@ func (o *SolveOptions) defaults(n int) {
 		o.RadTol = 0.01
 	}
 	if o.Solver == "" {
-		// MIC(0)-preconditioned CG is the default: on the FV conduction
-		// operators it converges in about half the iterations of IC(0),
-		// itself an order of magnitude fewer than Jacobi or SSOR, and
-		// breakdown degrades to Jacobi inside linSolve rather than
-		// failing the solve.
+		// MIC(0)-preconditioned CG is the default wherever fast
+		// diagonalization does not apply: on the FV conduction operators
+		// it converges in about half the iterations of IC(0), itself an
+		// order of magnitude fewer than Jacobi or SSOR, and breakdown
+		// degrades to Jacobi inside linSolve rather than failing the
+		// solve.
 		o.Solver = "cg-mic0"
 	}
 	if o.SSOROmega <= 0 || o.SSOROmega >= 2 {
@@ -199,13 +200,25 @@ func (o *SolveOptions) defaults(n int) {
 // SolveSteady solves the steady conduction problem.  Radiative boundaries
 // make the problem mildly nonlinear; they are handled by Picard iteration
 // on a linearised radiation coefficient.
+//
+// The default solver is "cg-fdm", CG preconditioned by fast
+// diagonalization (linalg.FDMPrec), when every cell holds one material
+// and no patch overrides a face, and "cg-mic0" otherwise.  Naming
+// "cg-fdm" for any other model is an error.
 func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 	n := m.Grid.NumCells()
 	var o SolveOptions
 	if opts != nil {
 		o = *opts
 	}
+	separable := m.separable()
+	if o.Solver == "" && separable {
+		o.Solver = "cg-fdm"
+	}
 	o.defaults(n)
+	if o.Solver == "cg-fdm" && !separable {
+		return nil, fmt.Errorf("thermal: solver cg-fdm needs a single-material model without patch BCs")
+	}
 
 	sp := obs.Start(o.Span, "thermal.SolveSteady")
 	defer sp.End()
@@ -226,6 +239,20 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 	res := &Result{g: m.Grid}
 	setup := m.solverSetup()
 	st := &stencil{m: m}
+	// fdm builds a pass's fast-diagonalization preconditioner at the
+	// current surface estimate, lending the last one's
+	// eigendecompositions to the axes whose faces did not move.
+	var fdm func() (*linalg.FDMPrec, error)
+	if o.Solver == "cg-fdm" {
+		var last *linalg.FDMPrec
+		fdm = func() (*linalg.FDMPrec, error) {
+			p, err := linalg.NewFDMPrec(m.fdmAxes(Tsurf), last)
+			if err == nil {
+				last = p
+			}
+			return p, err
+		}
+	}
 	var prev []float64
 	for outer := 0; outer < o.MaxOuter; outer++ {
 		// The budget is polled between passes as well as inside the
@@ -237,7 +264,7 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 		res.OuterIterations = outer + 1
 		a, b := st.assembleObs(Tsurf, sp)
 		a.SetWorkers(w)
-		t, stats, err := m.linSolve(a, b, prev, &o, setup, sp)
+		t, stats, err := m.linSolve(a, b, prev, &o, setup, fdm, sp)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			if o.ReturnLast && t != nil {
@@ -290,6 +317,21 @@ func (m *Model) guessInitialT() float64 {
 		return 300
 	}
 	return sum / float64(cnt)
+}
+
+// separable reports whether the model's operator is a Kronecker sum of
+// three 1-D factors, so fast diagonalization inverts it: every cell
+// holds one material and no patch overrides a face.
+func (m *Model) separable() bool {
+	if len(m.patches) > 0 {
+		return false
+	}
+	for _, idx := range m.Grid.MatIdx {
+		if idx != m.Grid.MatIdx[0] {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *Model) hasRadiation() bool {
@@ -365,9 +407,16 @@ func solveLabel(o *SolveOptions) string {
 	return fmt.Sprintf("thermal:%s:omega=%g:fallback=%t:maxiter=%d", o.Solver, o.SSOROmega, o.Fallback, o.MaxIter)
 }
 
-func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptions, setup *linalg.SolverSetup, parent *obs.Span) ([]float64, linalg.IterStats, error) {
+// linSolve solves one pass's system with the configured solver.  fdm
+// builds the pass's fast-diagonalization preconditioner; SolveSteady
+// passes it exactly when the solver is "cg-fdm".
+func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptions, setup *linalg.SolverSetup, fdm func() (*linalg.FDMPrec, error), parent *obs.Span) ([]float64, linalg.IterStats, error) {
 	switch o.Solver {
 	case "cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "bicgstab":
+	case "cg-fdm":
+		if fdm == nil {
+			return nil, linalg.IterStats{}, fmt.Errorf("thermal: solver cg-fdm applies to steady solves only")
+		}
 	default:
 		return nil, linalg.IterStats{}, fmt.Errorf("thermal: unknown solver %q", o.Solver)
 	}
@@ -392,15 +441,32 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 		}
 	}
 
+	// The fast-diagonalization factors come from the model, not the
+	// CSR, so they are built here; a build that fails (a singular mode)
+	// degrades the pass to MIC(0), weaker but never failing.
+	solver := o.Solver
+	var first linalg.Preconditioner
+	if fdm != nil {
+		p, ferr := fdm()
+		if ferr != nil {
+			degrade(sp, "thermal_fdm_degraded_total", "fdm", "mic0", ferr)
+			solver = "cg-mic0"
+		} else {
+			first = p
+		}
+	}
+
 	var (
 		x     []float64
 		stats linalg.IterStats
 		err   error
 	)
 	if o.Fallback {
-		// The chain builds its own preconditioners and guards each rung
-		// with a wall-clock budget, so the caller's Stop is all it needs.
-		chain := robust.ChainFor(o.Solver, o.SSOROmega, o.Tol, o.MaxIter)
+		// The chain builds its own preconditioners, apart from a prebuilt
+		// first-rung one, and guards each rung with a wall-clock budget,
+		// so the caller's Stop is all it needs.
+		chain := robust.ChainFor(solver, o.SSOROmega, o.Tol, o.MaxIter)
+		chain.Prec = first
 		chain.Span = sp
 		chain.OnIteration = o.OnIteration
 		chain.Stop = o.Stop
@@ -412,29 +478,22 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 			sp.AttrInt("fallbacks", out.Fallbacks)
 		}
 	} else {
-		io := &linalg.IterOptions{Tol: o.Tol, MaxIter: o.MaxIter, OnIteration: o.OnIteration, Stop: o.Stop}
+		io := &linalg.IterOptions{Tol: o.Tol, MaxIter: o.MaxIter, Prec: first, OnIteration: o.OnIteration, Stop: o.Stop}
 		if io.Stop == nil {
 			io.Stop = defaultSolveStop()
 		}
-		if kind := precKindFor(o.Solver); kind != "" {
+		if kind := precKindFor(solver); kind != "" {
 			prec, perr := setup.PrecFor(kind, a, o.SSOROmega)
 			if perr != nil {
 				// Only IC(0) and MIC(0) can fail (breakdown through the
 				// whole shift ladder); degrade to Jacobi — weaker, never
 				// failing.
-				obs.Default().Counter("thermal_ic0_degraded_total").Add(1)
-				if rec := obs.CurrentRecorder(); rec != nil {
-					rec.Record("degrade", "thermal.linSolve",
-						obs.Attr{Key: "from", Value: kind},
-						obs.Attr{Key: "to", Value: "jacobi"},
-						obs.Attr{Key: "cause", Value: perr.Error()})
-				}
-				sp.Attr("prec_degraded", "jacobi")
+				degrade(sp, "thermal_ic0_degraded_total", kind, "jacobi", perr)
 				prec, _ = setup.PrecFor("jacobi", a, o.SSOROmega)
 			}
 			io.Prec = prec
 		}
-		if o.Solver == "bicgstab" {
+		if solver == "bicgstab" {
 			x, stats, err = linalg.BiCGSTABOpt(a, b, x0, io)
 		} else {
 			x, stats, err = linalg.CGOpt(a, b, x0, io)
@@ -447,11 +506,24 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 		// The wrapped linalg error already carries the iteration count
 		// and final residual; prefixing only the failing solver name
 		// keeps the figures from appearing twice in the message.
-		err = fmt.Errorf("thermal: %s solve failed: %w", o.Solver, err)
+		err = fmt.Errorf("thermal: %s solve failed: %w", solver, err)
 	} else if useCache {
 		setup.Store(key, x, stats)
 	}
 	return x, stats, err
+}
+
+// degrade counts one pass's preconditioner degrade on counter, records
+// it in the flight recorder with its cause, and marks the pass's span.
+func degrade(sp *obs.Span, counter, from, to string, cause error) {
+	obs.Default().Counter(counter).Add(1)
+	if rec := obs.CurrentRecorder(); rec != nil {
+		rec.Record("degrade", "thermal.linSolve",
+			obs.Attr{Key: "from", Value: from},
+			obs.Attr{Key: "to", Value: to},
+			obs.Attr{Key: "cause", Value: cause.Error()})
+	}
+	sp.Attr("prec_degraded", to)
 }
 
 // stencil assembles one model's FV operator in two phases.  The
@@ -634,6 +706,54 @@ func (s *stencil) addCapacity(a *linalg.CSR, b, capDt, T, rhs []float64) {
 	}
 }
 
+// fdmAxes factors a separable model's operator at surface temperature
+// Tsurf into its three axes: per unit cross-section, the interior face
+// conductances along each axis plus, at each end, the conductance of
+// that boundary face.  An adiabatic, FixedT or Convection face has the
+// same conductance per unit area at every cell, so the sum is exactly
+// the assembled operator; a ConvectionRadiation face contributes the
+// face mean of the pass's linearized film, which the stencil applies
+// cell by cell.
+func (m *Model) fdmAxes(Tsurf []float64) [3]linalg.Axis {
+	g := m.Grid
+	mat := &m.Mats[g.MatIdx[0]]
+	var axes [3]linalg.Axis
+	for d, edges := range [3][]float64{g.XEdges, g.YEdges, g.ZEdges} {
+		n := len(edges) - 1
+		k := kDir(mat, d)
+		buf := make([]float64, 3*n-1)
+		ax := linalg.Axis{Mass: buf[:n], Diag: buf[n : 2*n], Off: buf[2*n:]}
+		for i := range ax.Mass {
+			ax.Mass[i] = edges[i+1] - edges[i]
+		}
+		for i := range ax.Off {
+			gf := faceConductance(1, ax.Mass[i], k, ax.Mass[i+1], k)
+			ax.Off[i] = -gf
+			ax.Diag[i] += gf
+			ax.Diag[i+1] += gf
+		}
+		ax.Diag[0] += m.faceFilm(mesh.Face(2*d), Tsurf)
+		ax.Diag[n-1] += m.faceFilm(mesh.Face(2*d+1), Tsurf)
+		axes[d] = ax
+	}
+	return axes
+}
+
+// faceFilm is boundary face f's conductance per unit area: the total
+// over its cells divided by the face area.
+func (m *Model) faceFilm(f mesh.Face, Tsurf []float64) float64 {
+	bc := m.FaceBC[f]
+	if bc.Kind == Adiabatic {
+		return 0
+	}
+	g := m.Grid
+	total := 0.0
+	g.BoundaryCells(f, func(i, j, k int) {
+		total += m.boundaryG(f, i, j, k, bc, Tsurf[g.Index(i, j, k)])
+	})
+	return total / g.TotalFaceArea(f)
+}
+
 // faceConductance is the series (harmonic-mean) conductance between two
 // adjacent cell centres through their shared face.
 func faceConductance(area, d1, k1, d2, k2 float64) float64 {
@@ -736,7 +856,7 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 		a, b := st.assembleObs(T, sp)
 		st.addCapacity(a, b, capDt, T, rhs)
 		a.SetWorkers(w)
-		Tn, stats, err := m.linSolve(a, rhs, T, &o, setup, sp)
+		Tn, stats, err := m.linSolve(a, rhs, T, &o, setup, nil, sp)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)

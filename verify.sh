@@ -40,7 +40,7 @@ coverage_floor() {
 }
 
 echo "== gofmt"
-unformatted=$(gofmt -l cmd internal examples ./*.go)
+unformatted=$(gofmt -l cmd internal examples bench ./*.go)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -65,6 +65,9 @@ go build ./...
 echo "== bench module build + vet (aeropackbench replays serve, core, cosee and envtest in-process)"
 go -C bench build ./...
 go -C bench vet ./...
+
+echo "== bench module tests (TestBenchSmoke: every study kind through a built aeropackd, served numbers checked against direct engine results)"
+go -C bench test ./...
 
 echo "== go test -race"
 go test -race ./...
