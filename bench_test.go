@@ -26,7 +26,6 @@ import (
 	"aeropack/internal/mesh"
 	"aeropack/internal/nanopack"
 	"aeropack/internal/obs"
-	"aeropack/internal/parallel"
 	"aeropack/internal/reliability"
 	"aeropack/internal/report"
 	"aeropack/internal/thermal"
@@ -1297,9 +1296,8 @@ func benchTechMap(b *testing.B, workers int) {
 	}
 }
 
-// bigSolverModel is large enough (48×48×8 = 18k cells, ≈126k nnz) that
-// the assembled operator clears linalg.MulVecParallelNNZ, so the
-// parallel twin exercises row-parallel products.
+// bigSolverModel is the 48×48×8 = 18k-cell (≈126k nnz) conduction
+// plate BenchmarkPar_SolveSteadySerial solves.
 func bigSolverModel() *thermal.Model {
 	g, _ := mesh.Uniform(48, 48, 8, 0.16, 0.16, 0.012)
 	m, _ := thermal.NewModel(g, []materials.Material{materials.Al6061})
@@ -1319,28 +1317,6 @@ func BenchmarkPar_SolveSteadySerial(b *testing.B) {
 	}
 	// After ResetTimer, which clears previously reported metrics.
 	b.ReportMetric(1, "workers")
-	reportSolverWork(b, reg)
-	reportLayers(b, reg)
-}
-
-func BenchmarkPar_SolveSteadyParallel(b *testing.B) {
-	m := bigSolverModel()
-	reg := benchRegistry(b)
-	// Resolve and pin the effective worker count, and report it as a
-	// metric: the historical BENCH_obs.json pair was recorded at
-	// procs: 1, where Workers(0) == 1 and the "parallel" run never
-	// actually fanned out — the metric makes that visible instead of
-	// silently comparing two serial runs.  Run with -cpu=N (N > 1) for
-	// an honest parallel-vs-serial comparison.
-	w := parallel.Workers(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SolveSteady(&thermal.SolveOptions{Parallel: true, Workers: w}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// After ResetTimer, which clears previously reported metrics.
-	b.ReportMetric(float64(w), "workers")
 	reportSolverWork(b, reg)
 	reportLayers(b, reg)
 }

@@ -402,10 +402,9 @@ func (b *BoardDesign) level2(screen Screen, parent *obs.Span) (*Level2Result, er
 			}
 		}
 	}
-	// Fallback walks the robust solver ladder if the primary CG solve
-	// fails; a first-rung success stays bitwise-identical.  Stop is the
-	// per-request budget (nil for the default wall-clock guard).
-	res, err := m.SolveSteady(&thermal.SolveOptions{Span: sp, Fallback: true, Stop: b.Stop})
+	// Stop is the per-request budget (nil leaves each solver rung its own
+	// wall-clock guard).
+	res, err := m.SolveSteady(&thermal.SolveOptions{Span: sp, Stop: b.Stop})
 	if err != nil {
 		return nil, err
 	}

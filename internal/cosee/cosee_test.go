@@ -1,10 +1,12 @@
 package cosee
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
 	"aeropack/internal/units"
 )
@@ -362,6 +364,22 @@ func TestThermosyphonAlternative(t *testing.T) {
 	cLT, _ := lhpTilt.CapabilityAt(60)
 	if cLT < 0.9*cL {
 		t.Errorf("the LHP should shrug off 40°: %v vs %v", cLT, cL)
+	}
+}
+
+// TestWarmupHonoursStop: Config.Stop budgets the warm-up transient
+// like every steady solve the configuration runs.
+func TestWarmupHonoursStop(t *testing.T) {
+	polls := 0
+	cfg := Config{Stop: func() bool {
+		polls++
+		return true
+	}}
+	if _, _, err := cfg.Warmup(40, 30, 600); !errors.Is(err, linalg.ErrStopped) {
+		t.Errorf("err = %v, want an error wrapping linalg.ErrStopped", err)
+	}
+	if polls == 0 {
+		t.Error("Config.Stop was never polled")
 	}
 }
 

@@ -196,39 +196,6 @@ func TestICPrecBreakdownErrors(t *testing.T) {
 	}
 }
 
-// The preconditioned CG trajectory must be bitwise-identical at any
-// worker count — ICPrec.Apply is serial and MulVec guarantees bitwise
-// stability, so the whole solve inherits the repo's serial-vs-parallel
-// identity.
-func TestICPrecBitwiseAcrossWorkers(t *testing.T) {
-	a, b := randomSPD(11, 120, 0.05)
-	p, err := NewICPrec(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solve := func(workers int) ([]float64, IterStats) {
-		a.SetWorkers(workers)
-		defer a.SetWorkers(1)
-		x, stats, err := CG(a, b, nil, p, 1e-11, 500)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return x, stats
-	}
-	x1, s1 := solve(1)
-	for _, w := range []int{2, 4, 7} {
-		xw, sw := solve(w)
-		if sw.Iterations != s1.Iterations {
-			t.Fatalf("workers=%d: %d iterations, serial %d", w, sw.Iterations, s1.Iterations)
-		}
-		for i := range x1 {
-			if x1[i] != xw[i] {
-				t.Fatalf("workers=%d: x[%d] = %v, serial %v", w, i, xw[i], x1[i])
-			}
-		}
-	}
-}
-
 // anisotropicFV assembles a 2D five-point finite-volume conduction
 // operator with a 1000:1 conductivity anisotropy and a Dirichlet-style
 // pinned boundary row — the stiff operator family the E5 workloads

@@ -92,57 +92,3 @@ func TestPropertyIterativeAgreesWithDense(t *testing.T) {
 		}
 	}
 }
-
-// TestPropertyParallelMulVecPathBitwise drives the row-parallel MulVec
-// path through a full CG solve: a banded system large enough to cross
-// MulVecParallelNNZ must produce bitwise-identical iterates at any
-// worker count (the SetWorkers contract), so the whole solve is too.
-func TestPropertyParallelMulVecPathBitwise(t *testing.T) {
-	const n, halfBand = 2200, 4
-	rng := rand.New(rand.NewSource(11))
-	coo := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		rowSum := 0.0
-		for k := 1; k <= halfBand; k++ {
-			if i+k < n {
-				v := 2*rng.Float64() - 1
-				coo.Add(i, i+k, v)
-				coo.Add(i+k, i, v)
-			}
-		}
-		for k := -halfBand; k <= halfBand; k++ {
-			if k != 0 && i+k >= 0 && i+k < n {
-				rowSum += 1 // bound below by the worst |entry| of 1
-			}
-		}
-		coo.Add(i, i, rowSum+1)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 2*rng.Float64() - 1
-	}
-
-	serial := coo.ToCSR()
-	if serial.NNZ() < MulVecParallelNNZ {
-		t.Fatalf("system too small to exercise the parallel path: nnz %d < %d", serial.NNZ(), MulVecParallelNNZ)
-	}
-	xSerial, _, err := CG(serial, b, nil, NewJacobiPrec(serial), 1e-11, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{2, 4, 8} {
-		par := coo.ToCSR()
-		par.SetWorkers(workers)
-		xPar, _, err := CG(par, b, nil, NewJacobiPrec(par), 1e-11, 5000)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range xSerial {
-			if math.Float64bits(xPar[i]) != math.Float64bits(xSerial[i]) {
-				t.Fatalf("workers=%d: x[%d] = %x differs from serial %x",
-					workers, i, math.Float64bits(xPar[i]), math.Float64bits(xSerial[i]))
-			}
-		}
-	}
-}

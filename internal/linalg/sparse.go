@@ -3,8 +3,6 @@ package linalg
 import (
 	"fmt"
 	"sort"
-
-	"aeropack/internal/parallel"
 )
 
 // COO is a coordinate-format sparse matrix builder.  Duplicate entries are
@@ -39,6 +37,11 @@ func (c *COO) Add(i, j int, v float64) {
 
 // NNZ returns the number of stored (pre-merge) entries.
 func (c *COO) NNZ() int { return len(c.v) }
+
+// Reset empties the builder for the next assembly, keeping its storage:
+// a stepper that assembles one system per step allocates the entry
+// slices once.
+func (c *COO) Reset() { c.ri, c.ci, c.v = c.ri[:0], c.ci[:0], c.v[:0] }
 
 // ToCSR converts the builder to compressed-sparse-row form, merging
 // duplicates by summation and dropping exact zeros produced by
@@ -98,28 +101,10 @@ type CSR struct {
 	RowPtr     []int
 	ColIdx     []int
 	Val        []float64
-
-	// workers is the MulVec parallelism knob set via SetWorkers; 0 or 1
-	// keeps the serial path.
-	workers int
 }
-
-// MulVecParallelNNZ is the stored-entry count above which MulVec uses
-// the row-parallel path once SetWorkers has enabled it; below it the
-// goroutine fan-out costs more than the product.
-const MulVecParallelNNZ = 1 << 14
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
-
-// SetWorkers sets the worker budget MulVec may spend on row-parallel
-// products when the matrix holds at least MulVecParallelNNZ entries;
-// n <= 1 restores the serial path and n <= 0 disables parallelism
-// outright.  Rows are partitioned into contiguous blocks and each row's
-// accumulation order is unchanged, so the parallel product is
-// bitwise-identical to the serial one.  Set the knob before sharing the
-// matrix between goroutines — it is not synchronised.
-func (m *CSR) SetWorkers(n int) { m.workers = n }
 
 // MulVec computes y = M·x, reusing y if it has the right length.
 //
@@ -147,23 +132,12 @@ func (m *CSR) MulVec(x, y []float64) []float64 {
 }
 
 // mulVecInto computes y = M·x into a non-aliasing y of length Rows.
+// Ranging over y keeps the loop bound in a register and proves every
+// y[i] store in bounds.
 //
 //lint:hot
 func (m *CSR) mulVecInto(x, y []float64) {
-	if w := m.workers; w > 1 && m.NNZ() >= MulVecParallelNNZ {
-		parallel.Blocks(m.Rows, w, func(_, lo, hi int) {
-			m.mulRows(x, y, lo, hi)
-		})
-		return
-	}
-	m.mulRows(x, y, 0, m.Rows)
-}
-
-// mulRows computes the row range [lo,hi) of y = M·x.
-//
-//lint:hot
-func (m *CSR) mulRows(x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range y {
 		cols, vals := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]], m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
 		vals = vals[:len(cols)]
 		s := 0.0

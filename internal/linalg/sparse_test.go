@@ -1,8 +1,8 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -125,50 +125,30 @@ func TestMulVecAliasing(t *testing.T) {
 	}
 }
 
-// randomSPDCSR builds a strictly diagonally dominant (hence usable) random
-// sparse matrix with deterministic seeding.
-func randomSPDCSR(n, perRow int, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
-	c := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		rowSum := 0.0
-		for k := 0; k < perRow; k++ {
-			j := rng.Intn(n)
-			if j == i {
-				continue
-			}
-			v := rng.Float64() - 0.5
-			c.Add(i, j, v)
-			rowSum += math.Abs(v)
-		}
-		c.Add(i, i, rowSum+1)
+// TestCOOReset: a reset builder keeps no entries, and the system
+// assembled after it matches one from a fresh builder.
+func TestCOOReset(t *testing.T) {
+	fill := func(c *COO) {
+		c.Add(0, 0, 4)
+		c.Add(0, 1, -1)
+		c.Add(1, 0, -1)
+		c.Add(1, 1, 4)
+		c.Add(1, 1, 0.5)
 	}
-	return c.ToCSR()
-}
-
-func TestMulVecParallelMatchesSerial(t *testing.T) {
-	// Big enough to clear MulVecParallelNNZ so the parallel path runs.
-	n := MulVecParallelNNZ / 4
-	m := randomSPDCSR(n, 8, 42)
-	if m.NNZ() < MulVecParallelNNZ {
-		t.Fatalf("test matrix too sparse: %d nnz", m.NNZ())
+	reused := NewCOO(2, 2)
+	reused.Add(1, 0, 7)
+	reused.ToCSR()
+	reused.Reset()
+	if reused.NNZ() != 0 {
+		t.Fatalf("reset builder holds %d entries", reused.NNZ())
 	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(float64(i))
+	fill(reused)
+	fresh := NewCOO(2, 2)
+	fill(fresh)
+	got, want := reused.ToCSR(), fresh.ToCSR()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reset builder assembled %+v, fresh builder %+v", got, want)
 	}
-	want := m.MulVec(x, nil)
-	for _, w := range []int{2, 4, 7} {
-		m.SetWorkers(w)
-		got := m.MulVec(x, nil)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: row %d differs: %g vs %g (must be bitwise identical)",
-					w, i, got[i], want[i])
-			}
-		}
-	}
-	m.SetWorkers(0)
 }
 
 func TestDiagRowWalk(t *testing.T) {

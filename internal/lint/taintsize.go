@@ -1,15 +1,15 @@
 // The taintsize rule: a request- or flag-derived integer must not size
-// an allocation, bound a loop, or set a worker count without passing
-// through a proven clamp.  aeropackd turns wire payloads into solver
+// an allocation or bound a loop without passing through a proven
+// clamp.  aeropackd turns wire payloads into solver
 // work; an unclamped `make([]float64, req.N)` is a one-request
 // denial-of-service.
 //
 // Sources: json-tagged fields (integers, and the lengths of slices and
 // maps) of structs declared in packages that import net/http, plus
 // dereferences of flag.Int-family variables.  Sinks: make() sizes,
-// for-loop bound comparisons, SetWorkers calls, and — through the
-// value-flow summaries — any callee parameter that reaches one of
-// those, reported at the caller with the full chain.  Clamps are
+// for-loop bound comparisons, and — through the value-flow summaries —
+// any callee parameter that reaches one of those, reported at the
+// caller with the full chain.  Clamps are
 // ordering comparisons, min/max with a constant bound, %-arithmetic,
 // and the module-wide clamped-field fact (the field is ordering-
 // compared in its declaring package, the validate()-caps idiom).
@@ -27,7 +27,7 @@ func init() { Register(taintsizeRule{}) }
 func (taintsizeRule) Name() string { return "taintsize" }
 
 func (taintsizeRule) Doc() string {
-	return "request- or flag-derived sizes must be clamped before reaching make, loop bounds or SetWorkers"
+	return "request- or flag-derived sizes must be clamped before reaching make or loop bounds"
 }
 
 func (taintsizeRule) Check(p *Package) []Finding {

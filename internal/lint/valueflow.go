@@ -7,8 +7,8 @@
 //   - size taint (taintsize): an integer derived from a wire-level
 //     request field (a json-tagged struct field of a package that talks
 //     HTTP) or from a command-line flag reaches an allocation-sized
-//     sink — a make() size, a loop bound, a SetWorkers call — without
-//     passing through a proven clamp.  Per-function summaries record
+//     sink — a make() size or a loop bound — without passing through a
+//     proven clamp.  Per-function summaries record
 //     which parameters flow into such sinks, so the caller is flagged
 //     with the full call chain.
 //   - lock acquisition (lockorder): per-function summaries of which
@@ -56,7 +56,7 @@ const maxLockFacts = 8
 type SizeFact struct {
 	// Param is the flattened parameter index the taint enters through.
 	Param int
-	// Sink names the sink kind: "make size", "loop bound", "SetWorkers".
+	// Sink names the sink kind: "make size" or "loop bound".
 	Sink string
 	// Pos is the sink site.
 	Pos token.Position
@@ -88,7 +88,7 @@ type taintOrigin struct {
 // sizeSinkHit is one taint-reaches-sink event reported by the tracker.
 type sizeSinkHit struct {
 	origin *taintOrigin
-	// sink names the sink kind ("make size", "loop bound", "SetWorkers").
+	// sink names the sink kind ("make size" or "loop bound").
 	sink string
 	// pos is the site in the tracked function (argument or bound).
 	pos token.Pos
@@ -414,9 +414,9 @@ func (t *taintTracker) callTaint(call *ast.CallExpr) *taintOrigin {
 	return nil // other call results are trusted
 }
 
-// callSinks checks one call expression for size sinks: make() sizes,
-// SetWorkers arguments, and — interprocedurally — arguments flowing
-// into a callee whose summary says the parameter sizes an allocation.
+// callSinks checks one call expression for size sinks: make() sizes
+// and — interprocedurally — arguments flowing into a callee whose
+// summary says the parameter sizes an allocation.
 func (t *taintTracker) callSinks(call *ast.CallExpr) {
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := t.p.Info.Uses[id].(*types.Builtin); ok {
@@ -429,14 +429,6 @@ func (t *taintTracker) callSinks(call *ast.CallExpr) {
 			}
 			return
 		}
-	}
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "SetWorkers" {
-		for _, a := range call.Args {
-			if o := t.intTaintOf(a); o != nil {
-				t.hit(sizeSinkHit{origin: o, sink: "SetWorkers", pos: a.Pos()})
-			}
-		}
-		return
 	}
 	fn := calleeFunc(t.p, call)
 	if fn == nil || t.s == nil {

@@ -109,12 +109,10 @@ func TestObsGoldenSetupCacheMetrics(t *testing.T) {
 	if reuse < 1 {
 		t.Errorf("linalg_setup_prec_reuse_total = %d, want ≥1 (sweep points share the IC(0) setup)", reuse)
 	}
-	// A healthy network never degrades its preconditioner: both PR-7
-	// degradation counters stay untouched (absent ≡ zero) on this run.
+	// A healthy network never degrades its preconditioner: the
+	// degradation counter stays untouched (absent ≡ zero) on this run.
 	snap := reg.Snapshot()
-	for _, name := range []string{"robust_ic0_degraded_total", "thermal_ic0_degraded_total"} {
-		if v, ok := snap.Counters[name]; ok && v != 0 {
-			t.Errorf("%s = %d on a clean sweep, want 0", name, v)
-		}
+	if v, ok := snap.Counters["robust_ic0_degraded_total"]; ok && v != 0 {
+		t.Errorf("robust_ic0_degraded_total = %d on a clean sweep, want 0", v)
 	}
 }

@@ -10,18 +10,6 @@ import (
 	"aeropack/internal/obs"
 )
 
-// recordDegrade notes an IC(0)- or MIC(0)-to-Jacobi preconditioner
-// degrade in the flight recorder, carrying the breakdown cause an
-// operator needs.
-func recordDegrade(rung, from string, cause error) {
-	if rec := obs.CurrentRecorder(); rec != nil {
-		rec.Record("degrade", rung,
-			obs.Attr{Key: "from", Value: from},
-			obs.Attr{Key: "to", Value: "jacobi"},
-			obs.Attr{Key: "cause", Value: cause.Error()})
-	}
-}
-
 // Attempt is one rung of a fallback Chain: a solver method, an optional
 // preconditioner, and the budgets bounding the try.
 type Attempt struct {
@@ -42,33 +30,43 @@ type Attempt struct {
 	Budget  time.Duration // wall-clock budget for this rung; 0 means unbounded
 }
 
-// Chain is an ordered ladder of solver attempts for one linear system.
-// Attempt 0 must reproduce the caller's primary configuration exactly —
-// a solve that succeeds on the first rung is bitwise-identical to one
-// performed without the chain, emits no extra spans and touches no
-// fallback counters.  Later rungs run only after the previous rung
-// returned an error, each recorded as a "robust.fallback" span under
-// Span and counted on solver_fallbacks.
+// Chain is aeropack's one linear-solve entry.  Every thermal system —
+// the level-2 FV model's and the level-1/level-3 resistive networks' —
+// is solved by one Chain.Solve call, which owns everything between the
+// assembled system and its answer: the result cache, the first rung's
+// preconditioner, the IC(0)/MIC(0) → Jacobi degrade, the fallback
+// ladder and the dense last resort.
+//
+// Attempts is the ladder, usually Ladder(solver).  Attempt 0 is the
+// caller's primary configuration: a solve that succeeds on it is
+// bitwise-identical to a direct linalg call with the same
+// preconditioner, emits no extra spans and touches no fallback counters.
+// Later rungs run only after the previous rung returned an error, each
+// recorded as a "robust.fallback" span under Span and counted on
+// solver_fallbacks.
 type Chain struct {
 	Tol      float64
 	MaxIter  int
 	Attempts []Attempt
 
-	// Span, if non-nil, parents the fallback spans.  The first attempt
-	// never opens a span, keeping happy-path span trees unchanged.
+	// Span, if non-nil, parents the fallback spans and is marked on a
+	// cache hit or a preconditioner degrade.  The first attempt never
+	// opens a span, keeping happy-path span trees unchanged.
 	Span *obs.Span
 	// OnIteration is forwarded to every attempt's IterOptions.
 	OnIteration func(it int, residual float64)
-	// Stop, if non-nil, is polled once per iteration of every attempt
-	// (composed with the attempt's wall-clock budget) — the request
-	// budget seam, and the one FaultyStop uses to force early bailout.
-	// Once it fires, Solve returns without trying the later rungs.
+	// Stop, if non-nil, is the caller's budget: it is polled once per
+	// iteration of every attempt, ahead of the attempt's wall-clock
+	// budget — the request budget seam, and the one FaultyStop uses to
+	// force early bailout.  Once it fires, Solve returns without trying
+	// the later rungs or the dense last resort.
 	Stop func() bool
 	// Setup, if non-nil, caches preconditioner factors (and, for IC(0),
-	// the symbolic pattern) across Solve calls on matrices with repeated
-	// content — the reuse seam sweep loops and transient steppers thread
-	// through.  Preconditioners obtained from a Setup are shared and
-	// immutable; without one, each attempt builds its own.
+	// the symbolic pattern) and converged first-rung results across
+	// Solve calls on systems with repeated content — the reuse seam sweep
+	// loops and Picard passes thread through.  Preconditioners obtained
+	// from a Setup are shared and immutable; without one, each attempt
+	// builds its own and no result is cached.
 	Setup *linalg.SolverSetup
 	// Prec, if non-nil, is the first rung's preconditioner, built by the
 	// caller.  A rung of kind "fdm" needs it: fast-diagonalization
@@ -79,8 +77,8 @@ type Chain struct {
 
 // Outcome reports which rung of a Chain produced the returned solution.
 type Outcome struct {
-	AttemptUsed int    // index of the successful attempt
-	AttemptName string // its Name
+	AttemptUsed int    // index of the successful attempt; len(Attempts) for the dense last resort
+	AttemptName string // its Name, or "dense"
 	Fallbacks   int    // attempts retried after the primary failed
 	Stats       linalg.IterStats
 	// Relaxed is true when the solution only met the rung's relaxed
@@ -88,129 +86,198 @@ type Outcome struct {
 	Relaxed bool
 }
 
-// DefaultChain is the standard aeropack fallback ladder: plain CG, then
+// rungBudget is every ladder rung's wall-clock guard.
+const rungBudget = 10 * time.Second
+
+// denseMaxRows bounds the dense last resort: an LU factorization of 600
+// rows costs about 70 Mflop and 2.9 MB.
+const denseMaxRows = 600
+
+// defaultLadder is the standard aeropack fallback ladder: plain CG, then
 // Jacobi-preconditioned BiCGSTAB, then a Jacobi-preconditioned CG retry
 // at 1000× relaxed tolerance that is refined back to the full tolerance
 // when possible.  Every rung carries a 10 s wall-clock budget.
-func DefaultChain(tol float64, maxIter int) *Chain {
-	return &Chain{Tol: tol, MaxIter: maxIter, Attempts: defaultLadder()}
-}
-
 func defaultLadder() []Attempt {
 	return []Attempt{
-		{Name: "cg", Method: "cg", Budget: 10 * time.Second},
-		{Name: "bicgstab-jacobi", Method: "bicgstab", Prec: "jacobi", Budget: 10 * time.Second},
-		{Name: "cg-jacobi-relaxed", Method: "cg", Prec: "jacobi", TolScale: 1e3, Refine: true, Budget: 10 * time.Second},
+		{Name: "cg", Method: "cg", Budget: rungBudget},
+		{Name: "bicgstab-jacobi", Method: "bicgstab", Prec: "jacobi", Budget: rungBudget},
+		{Name: "cg-jacobi-relaxed", Method: "cg", Prec: "jacobi", TolScale: 1e3, Refine: true, Budget: rungBudget},
 	}
 }
 
-// ChainFor builds a chain whose first rung mirrors a configured solver
-// name ("cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "cg-fdm" or
-// "bicgstab" — the thermal SolveOptions.Solver vocabulary), followed by
-// the rungs of the default ladder that differ from it.  omega is the
-// SSOR relaxation factor for "cg-ssor"; unknown names fall back to the
-// full default ladder.  An IC(0) or MIC(0) first rung that cannot be
-// factorized (breakdown through the whole shift ladder) degrades to
-// Jacobi within the rung rather than failing — see buildPrec.  A
-// "cg-fdm" first rung takes its preconditioner from Chain.Prec.
-func ChainFor(solver string, omega, tol float64, maxIter int) *Chain {
-	var first Attempt
-	switch solver {
-	case "cg":
-		first = Attempt{Name: "cg", Method: "cg"}
-	case "cg-jacobi":
-		first = Attempt{Name: "cg-jacobi", Method: "cg", Prec: "jacobi"}
-	case "cg-ssor":
-		first = Attempt{Name: "cg-ssor", Method: "cg", Prec: "ssor", Omega: omega}
-	case "cg-ic0":
-		first = Attempt{Name: "cg-ic0", Method: "cg", Prec: "ic0"}
-	case "cg-mic0":
-		first = Attempt{Name: "cg-mic0", Method: "cg", Prec: "mic0"}
-	case "cg-fdm":
-		first = Attempt{Name: "cg-fdm", Method: "cg", Prec: "fdm"}
-	case "bicgstab":
-		first = Attempt{Name: "bicgstab", Method: "bicgstab"}
-	default:
-		return DefaultChain(tol, maxIter)
+// ladders holds one ladder per solver name, built once so a solve pays
+// nothing to pick its ladder.
+var ladders = func() map[string][]Attempt {
+	firsts := []Attempt{
+		{Name: "cg", Method: "cg"},
+		{Name: "cg-jacobi", Method: "cg", Prec: "jacobi"},
+		{Name: "cg-ssor", Method: "cg", Prec: "ssor"},
+		{Name: "cg-ic0", Method: "cg", Prec: "ic0"},
+		{Name: "cg-mic0", Method: "cg", Prec: "mic0"},
+		{Name: "cg-fdm", Method: "cg", Prec: "fdm"},
+		{Name: "bicgstab", Method: "bicgstab", Prec: "jacobi"},
 	}
-	first.Budget = 10 * time.Second
-	attempts := []Attempt{first}
-	for _, a := range defaultLadder() {
-		if a.Method == first.Method && a.Prec == first.Prec && a.TolScale <= 1 {
-			continue
+	out := make(map[string][]Attempt, len(firsts))
+	for _, first := range firsts {
+		first.Budget = rungBudget
+		ladder := []Attempt{first}
+		for _, a := range defaultLadder() {
+			if a.Method == first.Method && a.Prec == first.Prec && a.TolScale <= 1 {
+				continue
+			}
+			ladder = append(ladder, a)
 		}
-		attempts = append(attempts, a)
+		out[first.Name] = ladder
 	}
-	return &Chain{Tol: tol, MaxIter: maxIter, Attempts: attempts}
+	return out
+}()
+
+// Ladder returns the ladder for a name of the thermal solver vocabulary
+// ("cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "cg-fdm" or
+// "bicgstab", the last Jacobi-preconditioned): a first rung that mirrors
+// it, followed by the rungs of the default ladder that differ from it.
+// Unknown names get the default ladder.  A "cg-fdm" first rung takes its
+// preconditioner from Chain.Prec.  The ladders are shared: callers must
+// not modify them.
+func Ladder(solver string) []Attempt {
+	if l, ok := ladders[solver]; ok {
+		return l
+	}
+	return ladders["cg"]
 }
 
-// Solve runs the system A·x = b down the chain and returns the first
-// successful iterate with the Outcome describing which rung produced it.
-// When every rung fails the error wraps the last rung's cause and the
-// robust_chain_exhausted_total counter is bumped.  A rung stopped by the
-// caller's Stop ends the solve with that rung's error: the budget that
-// tripped it would trip every later rung.  A rung's own wall-clock
-// budget is not the caller's, so it still falls through to the next.
+// guard is the IterOptions.Stop every rung of one Solve polls: the
+// caller's Stop first, then the rung's own wall-clock deadline.
+// stopped records that the caller's Stop fired.
+type guard struct {
+	stop     func() bool
+	deadline time.Time
+	stopped  bool
+}
+
+func (g *guard) poll() bool {
+	if g.stop != nil && g.stop() {
+		g.stopped = true
+		return true
+	}
+	return !g.deadline.IsZero() && time.Now().After(g.deadline)
+}
+
+// arm starts a rung's wall-clock budget (0 means unbounded).
+func (g *guard) arm(budget time.Duration) {
+	g.deadline = time.Time{}
+	if budget > 0 {
+		g.deadline = time.Now().Add(budget)
+	}
+}
+
+// Solve runs the system A·x = b, warm-started from x0 (nil for zero),
+// and returns the solution with the Outcome describing which rung
+// produced it.
+//
+//   - Cache.  With a Setup, a system whose exact content was solved
+//     before returns the stored solution.  The key holds the first
+//     rung's name, the system, x0 and Tol but not MaxIter, which every
+//     caller sharing a Setup derives from the system.  Only first-rung,
+//     unrelaxed results are stored.  A caller that observes the solve
+//     (OnIteration or Stop set) bypasses the cache: a hit runs no
+//     iterations, so a trace would go missing and a budget would never
+//     be polled.
+//   - Ladder.  A failed rung hands over to the next.  A rung stopped by
+//     the caller's Stop ends the solve with that rung's error: the budget
+//     that tripped it would trip every later rung.  A rung's own
+//     wall-clock budget is not the caller's, so it falls through.
+//   - Dense last resort.  When every rung fails, the
+//     robust_chain_exhausted_total counter is bumped and a system of at
+//     most 600 rows is solved by dense LU; otherwise, or if LU fails, the
+//     error wraps the last rung's cause.
 func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error) {
 	if len(c.Attempts) == 0 {
 		return nil, Outcome{}, errors.New("robust: chain has no attempts")
 	}
-	stopped := false
-	stop := c.Stop
-	if stop != nil {
-		stop = func() bool {
-			stopped = c.Stop()
-			return stopped
+	cache := c.Setup != nil && c.OnIteration == nil && c.Stop == nil
+	var key linalg.SolveKey
+	if cache {
+		key = c.Setup.Key(c.Attempts[0].Name, a, b, x0, c.Tol)
+		if x, stats, ok := c.Setup.Cached(key); ok {
+			c.Span.Attr("cache", "hit")
+			return x, Outcome{AttemptName: c.Attempts[0].Name, Stats: stats}, nil
 		}
 	}
+	g := &guard{stop: c.Stop}
+	stop := g.poll
 	var lastErr error
 	for i, att := range c.Attempts {
 		var sp *obs.Span
 		if i > 0 {
-			obs.Default().Counter("solver_fallbacks").Add(1)
-			sp = c.Span.Start("robust.fallback")
-			sp.Attr("attempt", att.Name)
-			sp.AttrInt("rung", i)
-			if rec := obs.CurrentRecorder(); rec != nil {
-				rec.Record("fallback", att.Name,
-					obs.Attr{Key: "rung", Value: strconv.Itoa(i)},
-					obs.Attr{Key: "cause", Value: lastErr.Error()})
-			}
+			sp = c.fallbackSpan(i, att.Name, lastErr)
 		}
+		g.arm(att.Budget)
 		x, stats, relaxed, err := c.runAttempt(i, att, a, b, x0, stop)
-		if sp != nil {
-			sp.AttrInt("iterations", stats.Iterations)
-			sp.AttrF("residual", stats.Residual)
-			if err != nil {
-				sp.Attr("outcome", "failed")
-			} else {
-				sp.Attr("outcome", "ok")
-			}
-			sp.End()
-		}
+		endFallbackSpan(sp, stats, err)
 		if err == nil {
 			if relaxed {
 				obs.Default().Counter("robust_relaxed_total").Add(1)
+			} else if cache && i == 0 {
+				c.Setup.Store(key, x, stats)
 			}
 			return x, Outcome{AttemptUsed: i, AttemptName: att.Name, Fallbacks: i, Stats: stats, Relaxed: relaxed}, nil
 		}
-		if stopped {
+		if g.stopped {
 			return nil, Outcome{AttemptUsed: i, AttemptName: att.Name, Fallbacks: i, Stats: stats}, err
 		}
 		lastErr = err
 	}
+	n := len(c.Attempts)
 	obs.Default().Counter("robust_chain_exhausted_total").Add(1)
 	if rec := obs.CurrentRecorder(); rec != nil {
 		rec.Record("fallback", "chain_exhausted",
-			obs.Attr{Key: "attempts", Value: strconv.Itoa(len(c.Attempts))},
+			obs.Attr{Key: "attempts", Value: strconv.Itoa(n)},
 			obs.Attr{Key: "cause", Value: lastErr.Error()})
 	}
-	return nil, Outcome{Fallbacks: len(c.Attempts) - 1}, fmt.Errorf("robust: all %d solver attempts failed, last (%s): %w",
-		len(c.Attempts), c.Attempts[len(c.Attempts)-1].Name, lastErr)
+	err := fmt.Errorf("robust: all %d solver attempts failed, last (%s): %w", n, c.Attempts[n-1].Name, lastErr)
+	if a.Rows > denseMaxRows {
+		return nil, Outcome{Fallbacks: n - 1}, err
+	}
+	sp := c.fallbackSpan(n, "dense", lastErr)
+	x, derr := linalg.SolveDense(a.ToDense(), b)
+	out := Outcome{AttemptUsed: n, AttemptName: "dense", Fallbacks: n, Stats: linalg.IterStats{Converged: derr == nil}}
+	endFallbackSpan(sp, out.Stats, derr)
+	if derr != nil {
+		return nil, out, err
+	}
+	return x, out, nil
+}
+
+// fallbackSpan counts fallback rung i and opens its span.
+func (c *Chain) fallbackSpan(i int, name string, cause error) *obs.Span {
+	obs.Default().Counter("solver_fallbacks").Add(1)
+	sp := c.Span.Start("robust.fallback")
+	sp.Attr("attempt", name)
+	sp.AttrInt("rung", i)
+	if rec := obs.CurrentRecorder(); rec != nil {
+		rec.Record("fallback", name,
+			obs.Attr{Key: "rung", Value: strconv.Itoa(i)},
+			obs.Attr{Key: "cause", Value: cause.Error()})
+	}
+	return sp
+}
+
+func endFallbackSpan(sp *obs.Span, stats linalg.IterStats, err error) {
+	if sp == nil {
+		return
+	}
+	sp.AttrInt("iterations", stats.Iterations)
+	sp.AttrF("residual", stats.Residual)
+	if err != nil {
+		sp.Attr("outcome", "failed")
+	} else {
+		sp.Attr("outcome", "ok")
+	}
+	sp.End()
 }
 
 // runAttempt executes rung i, handling relaxed-then-refined tolerance.
-// stop is the caller's Stop (nil for none).
 func (c *Chain) runAttempt(i int, att Attempt, a *linalg.CSR, b, x0 []float64, stop func() bool) ([]float64, linalg.IterStats, bool, error) {
 	tol := c.Tol
 	if att.TolScale > 1 {
@@ -250,7 +317,7 @@ func (c *Chain) solveOnce(i int, att Attempt, a *linalg.CSR, b, x0 []float64, to
 		MaxIter:     maxIter,
 		Prec:        prec,
 		OnIteration: c.OnIteration,
-		Stop:        composeStop(stop, att.Budget),
+		Stop:        stop,
 	}
 	switch att.Method {
 	case "cg":
@@ -262,62 +329,49 @@ func (c *Chain) solveOnce(i int, att Attempt, a *linalg.CSR, b, x0 []float64, to
 	}
 }
 
-// buildPrec constructs the rung's preconditioner, going through the
-// chain's Setup cache when one is attached.  IC(0) and MIC(0)
+// buildPrec constructs the rung's preconditioner.  IC(0) and MIC(0)
 // factorization can fail even on an SPD matrix (breakdown through the
 // whole shift ladder); the rung then degrades to Jacobi — strictly
-// weaker but never failing — instead of aborting the attempt, and
-// robust_ic0_degraded_total counts the event for both.
+// weaker but never failing — instead of aborting the attempt.  This is
+// the one place that degrade happens: robust_ic0_degraded_total counts
+// it for both kinds, the flight recorder keeps its cause and Span is
+// marked.
 func (c *Chain) buildPrec(att Attempt, a *linalg.CSR) linalg.Preconditioner {
 	omega := att.Omega
 	if omega == 0 {
 		omega = 1.2
 	}
-	if c.Setup != nil {
-		p, err := c.Setup.PrecFor(att.Prec, a, omega)
-		if err == nil {
-			return p
-		}
-		if att.Prec == "ic0" || att.Prec == "mic0" {
-			obs.Default().Counter("robust_ic0_degraded_total").Add(1)
-			recordDegrade(att.Name, att.Prec, err)
-			if pj, jerr := c.Setup.PrecFor("jacobi", a, omega); jerr == nil {
-				return pj
-			}
-		}
-		return linalg.NewJacobiPrec(a)
-	}
-	switch att.Prec {
-	case "jacobi":
-		return linalg.NewJacobiPrec(a)
-	case "ssor":
-		return linalg.NewSSORPrec(a, omega)
-	case "ic0", "mic0":
-		newIC := linalg.NewICPrec
-		if att.Prec == "mic0" {
-			newIC = linalg.NewMICPrec
-		}
-		p, err := newIC(a)
-		if err != nil {
-			obs.Default().Counter("robust_ic0_degraded_total").Add(1)
-			recordDegrade(att.Name, att.Prec, err)
-			return linalg.NewJacobiPrec(a)
-		}
+	p, err := c.precOf(att.Prec, a, omega)
+	if err == nil {
 		return p
-	default:
-		return nil
 	}
+	obs.Default().Counter("robust_ic0_degraded_total").Add(1)
+	if rec := obs.CurrentRecorder(); rec != nil {
+		rec.Record("degrade", att.Name,
+			obs.Attr{Key: "from", Value: att.Prec},
+			obs.Attr{Key: "to", Value: "jacobi"},
+			obs.Attr{Key: "cause", Value: err.Error()})
+	}
+	c.Span.Attr("prec_degraded", "jacobi")
+	p, _ = c.precOf("jacobi", a, omega)
+	return p
 }
 
-// composeStop merges the chain-level stop hook with the attempt's
-// wall-clock budget into a single IterOptions.Stop callback.
-func composeStop(stop func() bool, budget time.Duration) func() bool {
-	if budget <= 0 {
-		return stop
+// precOf builds a preconditioner of kind for a, through the chain's
+// Setup cache when one is attached; "" is the identity (nil).
+func (c *Chain) precOf(kind string, a *linalg.CSR, omega float64) (linalg.Preconditioner, error) {
+	if c.Setup != nil {
+		return c.Setup.PrecFor(kind, a, omega)
 	}
-	deadline := time.Now().Add(budget)
-	if stop == nil {
-		return func() bool { return time.Now().After(deadline) }
+	switch kind {
+	case "jacobi":
+		return linalg.NewJacobiPrec(a), nil
+	case "ssor":
+		return linalg.NewSSORPrec(a, omega), nil
+	case "ic0":
+		return linalg.NewICPrec(a)
+	case "mic0":
+		return linalg.NewMICPrec(a)
 	}
-	return func() bool { return stop() || time.Now().After(deadline) }
+	return nil, nil
 }

@@ -55,6 +55,17 @@ func residual(a *linalg.CSR, x, b []float64) float64 {
 	return math.Sqrt(num / den)
 }
 
+// defaultChain returns a chain over a private copy of the default
+// ladder, which tests may modify.
+func defaultChain(tol float64, maxIter int) *Chain {
+	return &Chain{Tol: tol, MaxIter: maxIter, Attempts: defaultLadder()}
+}
+
+// ladderChain returns a chain over the shared ladder for solver.
+func ladderChain(solver string, tol float64, maxIter int) *Chain {
+	return &Chain{Tol: tol, MaxIter: maxIter, Attempts: Ladder(solver)}
+}
+
 // withRegistry installs a fresh metrics registry for the test and
 // restores the previous one afterwards.
 func withRegistry(t *testing.T) *obs.Registry {
@@ -72,7 +83,7 @@ func TestChainFirstRungBitwiseIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, out, err := DefaultChain(tol, maxIter).Solve(a, b, nil)
+	got, out, err := defaultChain(tol, maxIter).Solve(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +103,7 @@ func TestChainFirstRungBitwiseIdentical(t *testing.T) {
 func TestChainFallsBack(t *testing.T) {
 	reg := withRegistry(t)
 	a, b := spdSystem(300)
-	c := DefaultChain(1e-10, 2000)
+	c := defaultChain(1e-10, 2000)
 	// Starve the first rung so the ladder must advance.
 	c.Attempts[0].MaxIter = 2
 	x, out, err := c.Solve(a, b, nil)
@@ -116,7 +127,7 @@ func TestChainFallbackSpansRecorded(t *testing.T) {
 	defer obs.SetTracer(prev)
 	a, b := spdSystem(300)
 	root := obs.Start(nil, "test.root")
-	c := DefaultChain(1e-10, 2000)
+	c := defaultChain(1e-10, 2000)
 	c.Span = root
 	c.Attempts[0].MaxIter = 2
 	if _, _, err := c.Solve(a, b, nil); err != nil {
@@ -135,7 +146,7 @@ func TestChainHappyPathAddsNoSpans(t *testing.T) {
 	defer obs.SetTracer(prev)
 	a, b := spdSystem(100)
 	root := obs.Start(nil, "test.root")
-	c := DefaultChain(1e-10, 1000)
+	c := defaultChain(1e-10, 1000)
 	c.Span = root
 	if _, _, err := c.Solve(a, b, nil); err != nil {
 		t.Fatal(err)
@@ -187,8 +198,12 @@ func TestChainRelaxedKeptWhenRefineFails(t *testing.T) {
 	}
 }
 
+// The chain-level tests below that expect a failed solve use systems
+// above the dense last resort's 600 rows, so no LU rescue masks the
+// ladder's own outcome.
+
 func TestChainWallClockBudget(t *testing.T) {
-	a, b := spdSystem(500)
+	a, b := spdSystem(700)
 	c := &Chain{Tol: 1e-14, MaxIter: 1 << 20, Attempts: []Attempt{
 		{Name: "starved", Method: "cg", Budget: time.Nanosecond},
 	}}
@@ -200,7 +215,7 @@ func TestChainWallClockBudget(t *testing.T) {
 
 func TestChainExhausted(t *testing.T) {
 	reg := withRegistry(t)
-	a, b := spdSystem(300)
+	a, b := spdSystem(700)
 	c := &Chain{Tol: 1e-14, MaxIter: 2, Attempts: []Attempt{
 		{Name: "a", Method: "cg"},
 		{Name: "b", Method: "bicgstab", Prec: "jacobi"},
@@ -273,7 +288,7 @@ func TestChainNoAttempts(t *testing.T) {
 }
 
 func TestChainUnknownMethod(t *testing.T) {
-	a, b := spdSystem(10)
+	a, b := spdSystem(700)
 	c := &Chain{Tol: 1e-8, MaxIter: 100, Attempts: []Attempt{{Name: "x", Method: "gmres"}}}
 	_, _, err := c.Solve(a, b, nil)
 	if err == nil || !strings.Contains(err.Error(), `unknown solver method "gmres"`) {
@@ -295,27 +310,29 @@ func TestChainForVocabulary(t *testing.T) {
 		{"cg-ic0", "cg-ic0", 4},
 		{"cg-mic0", "cg-mic0", 4},
 		{"cg-fdm", "cg-fdm", 4},
-		{"bicgstab", "bicgstab", 4},
+		// Jacobi-preconditioned like the default ladder's second rung,
+		// which is skipped as a duplicate.
+		{"bicgstab", "bicgstab", 3},
 		{"gmres", "cg", 3}, // unknown name → default ladder
 	}
 	for _, tc := range cases {
-		c := ChainFor(tc.solver, 1.2, 1e-9, 100)
-		if c.Attempts[0].Name != tc.wantFirst {
-			t.Errorf("ChainFor(%q) first rung %q, want %q", tc.solver, c.Attempts[0].Name, tc.wantFirst)
+		l := Ladder(tc.solver)
+		if l[0].Name != tc.wantFirst {
+			t.Errorf("Ladder(%q) first rung %q, want %q", tc.solver, l[0].Name, tc.wantFirst)
 		}
-		if len(c.Attempts) != tc.wantLen {
-			t.Errorf("ChainFor(%q) has %d rungs, want %d", tc.solver, len(c.Attempts), tc.wantLen)
+		if len(l) != tc.wantLen {
+			t.Errorf("Ladder(%q) has %d rungs, want %d", tc.solver, len(l), tc.wantLen)
 		}
-		last := c.Attempts[len(c.Attempts)-1]
+		last := l[len(l)-1]
 		if last.TolScale <= 1 || !last.Refine {
-			t.Errorf("ChainFor(%q) last rung %+v, want the relaxed-then-refined retry", tc.solver, last)
+			t.Errorf("Ladder(%q) last rung %+v, want the relaxed-then-refined retry", tc.solver, last)
 		}
 	}
 }
 
 func TestChainForIC0Solves(t *testing.T) {
 	a, b := spdSystem(150)
-	x, out, err := ChainFor("cg-ic0", 0, 1e-10, 2000).Solve(a, b, nil)
+	x, out, err := ladderChain("cg-ic0", 1e-10, 2000).Solve(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +365,7 @@ func TestChainIC0DegradesToJacobi(t *testing.T) {
 		// Without a Setup cache: buildPrec constructs the factor
 		// directly, hits the breakdown, and falls back to Jacobi within
 		// the first rung.
-		_, out, err := ChainFor(solver, 0, 1e-10, 50).Solve(a, b, nil)
+		_, out, err := ladderChain(solver, 1e-10, 50).Solve(a, b, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", solver, err)
 		}
@@ -360,7 +377,7 @@ func TestChainIC0DegradesToJacobi(t *testing.T) {
 			t.Errorf("%s: robust_ic0_degraded_total = %d, want %d", solver, got, want)
 		}
 		// With a Setup cache: the PrecFor error path degrades the same way.
-		c := ChainFor(solver, 0, 1e-10, 50)
+		c := ladderChain(solver, 1e-10, 50)
 		c.Setup = linalg.NewSolverSetup()
 		if _, out, err = c.Solve(a, b, nil); err != nil {
 			t.Fatalf("%s: %v", solver, err)
@@ -378,9 +395,14 @@ func TestChainIC0DegradesToJacobi(t *testing.T) {
 func TestChainSetupReusesPreconditioner(t *testing.T) {
 	reg := withRegistry(t)
 	a, b := spdSystem(150)
-	c := ChainFor("cg-ic0", 0, 1e-10, 2000)
+	c := ladderChain("cg-ic0", 1e-10, 2000)
 	c.Setup = linalg.NewSolverSetup()
 	for trial := 0; trial < 3; trial++ {
+		// A new right-hand side each trial misses the result cache, so
+		// every solve asks the Setup for the one matrix's factor.
+		for i := range b {
+			b[i]++
+		}
 		if _, _, err := c.Solve(a, b, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +431,7 @@ func TestChainFDMFirstRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ChainFor("cg-fdm", 0, 1e-10, 2000)
+	c := ladderChain("cg-fdm", 1e-10, 2000)
 	c.Prec = fdm
 	sol, out, err := c.Solve(a, b, nil)
 	if err != nil {
@@ -423,7 +445,7 @@ func TestChainFDMFirstRung(t *testing.T) {
 	}
 
 	reg := withRegistry(t)
-	sol, out, err = ChainFor("cg-fdm", 0, 1e-10, 2000).Solve(a, b, nil)
+	sol, out, err = ladderChain("cg-fdm", 1e-10, 2000).Solve(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +459,7 @@ func TestChainFDMFirstRung(t *testing.T) {
 
 func TestChainForSSORSolves(t *testing.T) {
 	a, b := spdSystem(150)
-	x, out, err := ChainFor("cg-ssor", 1.2, 1e-10, 2000).Solve(a, b, nil)
+	x, out, err := ladderChain("cg-ssor", 1e-10, 2000).Solve(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,5 +468,142 @@ func TestChainForSSORSolves(t *testing.T) {
 	}
 	if r := residual(a, x, b); r > 1e-9 {
 		t.Errorf("residual %g too large", r)
+	}
+}
+
+// TestChainCachePolicy pins the entry's result-cache policy: a
+// first-rung result is stored and served on an exact repeat; a
+// fallback-rung or relaxed result is not stored; and a solve the caller
+// observes (OnIteration or Stop set) neither reads nor writes the cache.
+func TestChainCachePolicy(t *testing.T) {
+	a, b := spdSystem(200)
+	counts := func(reg *obs.Registry) (hits, misses, cg int64) {
+		return reg.Counter("linalg_setup_result_hits_total").Value(),
+			reg.Counter("linalg_setup_result_misses_total").Value(),
+			reg.Counter("linalg_cg_solves_total").Value()
+	}
+
+	t.Run("first rung stored", func(t *testing.T) {
+		reg := withRegistry(t)
+		c := ladderChain("cg-ic0", 1e-10, 2000)
+		c.Setup = linalg.NewSolverSetup()
+		first, _, err := c.Solve(a, b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, out, err := c.Solve(a, b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses, cg := counts(reg); hits != 1 || misses != 1 || cg != 1 {
+			t.Errorf("hits %d, misses %d, CG solves %d; want 1, 1, 1", hits, misses, cg)
+		}
+		if out.AttemptName != "cg-ic0" || out.Stats.Iterations == 0 {
+			t.Errorf("hit outcome = %+v, want the stored cg-ic0 solve", out)
+		}
+		for i := range first {
+			if math.Float64bits(again[i]) != math.Float64bits(first[i]) {
+				t.Fatalf("x[%d]: hit %v, solve %v", i, again[i], first[i])
+			}
+		}
+	})
+
+	t.Run("fallback rung not stored", func(t *testing.T) {
+		reg := withRegistry(t)
+		c := defaultChain(1e-10, 2000)
+		c.Attempts[0].MaxIter = 2
+		c.Setup = linalg.NewSolverSetup()
+		for trial := 0; trial < 2; trial++ {
+			if _, out, err := c.Solve(a, b, nil); err != nil || out.AttemptUsed != 1 {
+				t.Fatalf("trial %d: outcome %+v, err %v; want the second rung", trial, out, err)
+			}
+		}
+		if hits, misses, _ := counts(reg); hits != 0 || misses != 2 {
+			t.Errorf("hits %d, misses %d; want 0, 2", hits, misses)
+		}
+	})
+
+	t.Run("relaxed not stored", func(t *testing.T) {
+		reg := withRegistry(t)
+		c := &Chain{Tol: 1e-10, MaxIter: 2000, Setup: linalg.NewSolverSetup(), Attempts: []Attempt{
+			{Name: "relaxed", Method: "cg", Prec: "jacobi", TolScale: 1e4},
+		}}
+		for trial := 0; trial < 2; trial++ {
+			if _, out, err := c.Solve(a, b, nil); err != nil || !out.Relaxed {
+				t.Fatalf("trial %d: outcome %+v, err %v; want a relaxed result", trial, out, err)
+			}
+		}
+		if hits, misses, _ := counts(reg); hits != 0 || misses != 2 {
+			t.Errorf("hits %d, misses %d; want 0, 2", hits, misses)
+		}
+	})
+
+	t.Run("observed solve bypasses", func(t *testing.T) {
+		reg := withRegistry(t)
+		setup := linalg.NewSolverSetup()
+		observed := []*Chain{
+			{Tol: 1e-10, MaxIter: 2000, Attempts: Ladder("cg-ic0"), Setup: setup, OnIteration: func(int, float64) {}},
+			{Tol: 1e-10, MaxIter: 2000, Attempts: Ladder("cg-ic0"), Setup: setup, Stop: func() bool { return false }},
+		}
+		for _, c := range observed {
+			if _, _, err := c.Solve(a, b, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if hits, misses, _ := counts(reg); hits != 0 || misses != 0 {
+			t.Fatalf("observed solves read the cache: hits %d, misses %d", hits, misses)
+		}
+		// Nothing was written: the plain solve misses and stores, and the
+		// observed solves still run CG after it.
+		plain := &Chain{Tol: 1e-10, MaxIter: 2000, Attempts: Ladder("cg-ic0"), Setup: setup}
+		if _, _, err := plain.Solve(a, b, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range observed {
+			if _, _, err := c.Solve(a, b, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if hits, misses, cg := counts(reg); hits != 0 || misses != 1 || cg != 5 {
+			t.Errorf("hits %d, misses %d, CG solves %d; want 0, 1, 5", hits, misses, cg)
+		}
+	})
+}
+
+// TestChainDenseLastResort: when every rung fails, a system of at most
+// 600 rows is solved by dense LU; a larger one, or one whose caller
+// Stop fired, returns the rung error.
+func TestChainDenseLastResort(t *testing.T) {
+	reg := withRegistry(t)
+	a, b := spdSystem(600)
+	ref, err := linalg.SolveDense(a.ToDense(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, out, err := ladderChain("cg", 1e-14, 2).Solve(a, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.AttemptName != "dense" || out.AttemptUsed != 3 {
+		t.Errorf("outcome = %+v, want the dense last resort after 3 rungs", out)
+	}
+	for i := range ref {
+		if math.Float64bits(x[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("x[%d] = %v, dense LU %v", i, x[i], ref[i])
+		}
+	}
+	if got := reg.Counter("robust_chain_exhausted_total").Value(); got != 1 {
+		t.Errorf("robust_chain_exhausted_total = %d, want 1", got)
+	}
+
+	big, bb := spdSystem(601)
+	if _, _, err := ladderChain("cg", 1e-14, 2).Solve(big, bb, nil); err == nil || !strings.Contains(err.Error(), "all 3 solver attempts failed") {
+		t.Errorf("601 rows: err = %v, want ladder exhaustion", err)
+	}
+
+	stopped := ladderChain("cg", 1e-14, 1<<20)
+	stopped.Stop = FaultyStop(3)
+	if _, out, err := stopped.Solve(a, b, nil); !errors.Is(err, linalg.ErrStopped) || out.AttemptName != "cg" {
+		t.Errorf("stopped: outcome %+v, err %v; want the first rung's ErrStopped and no dense solve", out, err)
 	}
 }

@@ -9,11 +9,14 @@
 // to abort the entire run.  This package moves the stack to graceful
 // degradation instead:
 //
-//   - Chain retries a failed linear solve down a fallback ladder
-//     (CG → BiCGSTAB → diagonally preconditioned relaxed-then-refined
-//     retry), each attempt bounded by an iteration cap and a wall-clock
-//     budget, with every fallback recorded via internal/obs spans and
-//     the solver_fallbacks counter.
+//   - Chain.Solve is the one linear-solve entry every thermal system
+//     goes through: it serves repeats from the result cache, retries a
+//     failed solve down a fallback ladder (the configured solver → CG →
+//     BiCGSTAB → diagonally preconditioned relaxed-then-refined retry),
+//     each attempt bounded by an iteration cap and a wall-clock budget,
+//     and solves small systems densely as the last resort, with every
+//     fallback recorded via internal/obs spans and the solver_fallbacks
+//     counter.
 //   - MapKeepGoing runs a campaign across the internal/parallel pool and
 //     converts each failed point into a typed *PointError positioned in
 //     the result set, so the surviving points are exactly — bitwise —
@@ -27,6 +30,7 @@
 //
 //	solver_fallbacks              counter, fallback attempts after a failed primary solve
 //	robust_chain_exhausted_total  counter, solves where every rung failed
+//	robust_ic0_degraded_total     counter, IC(0) or MIC(0) → Jacobi preconditioner degrades
 //	robust_relaxed_total          counter, solves accepted at relaxed tolerance only
 //	robust_point_errors_total     counter, campaign points captured as PointError
 package robust

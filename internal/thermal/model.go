@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
 	"aeropack/internal/mesh"
 )
@@ -69,23 +68,7 @@ type Model struct {
 
 	patches []patch
 	sources []volSource
-
-	// setup, when non-nil (EnableSolverReuse), persists preconditioner
-	// factors and exact-solve results across SolveSteady/SolveTransient
-	// calls.  By default each solve gets a private setup so repeated
-	// benchmark ops and independent studies never observe each other's
-	// cache state.
-	setup *linalg.SolverSetup
 }
-
-// EnableSolverReuse makes the model keep one linalg.SolverSetup across
-// solve calls, so a caller issuing many solves on the same geometry
-// (placement optimizers, parameter sweeps driving one Model) reuses
-// preconditioner factorizations and exact-repeat solve results between
-// calls.  Without it every solve call still gets a private setup that is
-// reused across its own Picard passes and transient steps.  The shared
-// setup is safe for concurrent solves.
-func (m *Model) EnableSolverReuse() { m.setup = linalg.NewSolverSetup() }
 
 // NewModel creates a model over grid with the given material table.  Every
 // material index used in the grid must be < len(mats), and every

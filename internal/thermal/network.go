@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -43,8 +42,8 @@ type Network struct {
 	Setup *linalg.SolverSetup
 
 	// Stop, when non-nil, is the per-request budget seam: it is forwarded
-	// to every linear solve's linalg.IterOptions.Stop (through the robust
-	// chain) and polled between Picard passes.  Returning true aborts the
+	// to every linear solve (robust.Chain.Stop) and polled between Picard
+	// passes and between transient steps.  Returning true aborts the
 	// solve with an error wrapping linalg.ErrStopped.  Budgeted solves
 	// skip the exact-result cache — a cache hit would never poll the
 	// callback, hiding fault-injection stops (the same reasoning as
@@ -198,6 +197,19 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 	sp.AttrInt("resistors", len(n.resistors))
 	defer sp.End()
 
+	// A node with no resistor that is not pinned would leave the steady
+	// system singular.
+	deg := make([]int, num)
+	for _, e := range n.resistors {
+		deg[e.a]++
+		deg[e.b]++
+	}
+	for id := 0; id < num; id++ {
+		if _, fixed := n.fixed[id]; deg[id] == 0 && !fixed {
+			return nil, fmt.Errorf("thermal: node %q is floating (no resistor, not fixed)", n.labels[id])
+		}
+	}
+
 	rs := make([]float64, len(n.resistors))
 	for i, e := range n.resistors {
 		rs[i] = e.r
@@ -253,6 +265,11 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 	if setup == nil {
 		setup = linalg.NewSolverSetup()
 	}
+	// Network matrices are symmetric positive definite after Dirichlet
+	// elimination; IC(0) is near-exact on their mostly tree-like graphs,
+	// so the warm-started CG converges in a handful of iterations.
+	sys := n.newSystem(robust.Chain{Tol: 1e-12, MaxIter: 20*num + 200, Attempts: robust.Ladder("cg-ic0"),
+		Span: sp, Setup: setup, Stop: n.Stop})
 	// Variable resistances are under-relaxed for stability, but a fixed
 	// 0.5 factor makes the whole Picard iteration converge at rate ~0.5
 	// per pass (~16 passes to drive a 60 K ΔT under 1e-3 K).  theta
@@ -276,7 +293,7 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 		// T warm-starts the linear solve: on the first pass it is the
 		// seeded field, afterwards the previous Picard iterate, which is
 		// within tolK of the solution near convergence.
-		Tnew, err := n.solveLinear(sp, rs, T, setup)
+		Tnew, err := sys.solve(rs, T, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -331,94 +348,82 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 	return result, fmt.Errorf("thermal: network Picard iteration did not converge in %d passes", maxIter)
 }
 
-// solveLinear solves the network with frozen resistances.  sp parents
-// the fallback spans when the primary solve fails; x0 (may be nil) warm
-// starts the iteration and setup carries the preconditioner/result
-// caches shared across passes and sweep points.
-func (n *Network) solveLinear(sp *obs.Span, rs []float64, x0 []float64, setup *linalg.SolverSetup) ([]float64, error) {
-	num := len(n.labels)
-	coo := linalg.NewCOO(num, num)
-	b := make([]float64, num)
-	isFixed := func(id int) bool { _, ok := n.fixed[id]; return ok }
+// netSystem assembles and solves the linear systems of one network
+// solve call, a steady solve's Picard passes or a transient's steps.
+// Both assemble the same way: the resistor conductances in the order the
+// resistors were added, then the sources, then each node's own diagonal
+// term in id order — 1 on a pinned node, C/dt on a free node over a
+// transient step.  The COO builder and right-hand side are reused from
+// one system to the next.
+type netSystem struct {
+	n      *Network
+	pinned []bool
+	fixT   []float64 // pinned temperature per node (transients reschedule it)
+	coo    *linalg.COO
+	b      []float64
+	chain  robust.Chain
+	// jacobi is the transient's first-rung preconditioner: the step
+	// operator's pattern never changes, so one instance is refreshed in
+	// place every step instead of being rebuilt.
+	jacobi *linalg.JacobiPrec
+}
 
+// newSystem prepares a solve call whose linear systems chain solves.
+func (n *Network) newSystem(chain robust.Chain) *netSystem {
+	num := len(n.labels)
+	s := &netSystem{n: n, pinned: make([]bool, num), fixT: make([]float64, num),
+		coo: linalg.NewCOO(num, num), b: make([]float64, num), chain: chain}
+	for id, t := range n.fixed {
+		s.pinned[id], s.fixT[id] = true, t
+	}
+	return s
+}
+
+// solve assembles the system at resistances rs — steady when dt is 0,
+// else one backward-Euler step of dt from field T — and solves it
+// through the robust entry, warm-started from T.
+func (s *netSystem) solve(rs, T []float64, dt float64) ([]float64, error) {
+	n, coo, b := s.n, s.coo, s.b
+	coo.Reset()
+	clear(b)
 	for i, e := range n.resistors {
 		g := 1 / rs[i]
-		for _, end := range []struct{ self, other int }{{e.a, e.b}, {e.b, e.a}} {
-			if isFixed(end.self) {
+		for _, end := range [2][2]int{{e.a, e.b}, {e.b, e.a}} {
+			self, other := end[0], end[1]
+			if s.pinned[self] {
 				continue
 			}
-			coo.Add(end.self, end.self, g)
-			if isFixed(end.other) {
-				b[end.self] += g * n.fixed[end.other]
+			coo.Add(self, self, g)
+			if s.pinned[other] {
+				b[self] += g * s.fixT[other]
 			} else {
-				coo.Add(end.self, end.other, -g)
+				coo.Add(self, other, -g)
 			}
 		}
 	}
 	for id, p := range n.sources {
-		if !isFixed(id) {
+		if !s.pinned[id] {
 			b[id] += p
 		}
 	}
-	for id, t := range n.fixed {
-		coo.Add(id, id, 1)
-		b[id] = t
-	}
-	// Detect floating nodes (no resistor, not fixed): pin them to NaN-safe
-	// isolated equations so the solve doesn't go singular.
-	deg := make([]int, num)
-	for _, e := range n.resistors {
-		deg[e.a]++
-		deg[e.b]++
-	}
-	for id := 0; id < num; id++ {
-		if deg[id] == 0 && !isFixed(id) {
-			return nil, fmt.Errorf("thermal: node %q is floating (no resistor, not fixed)", n.labels[id])
+	for id, pinned := range s.pinned {
+		if pinned {
+			coo.Add(id, id, 1)
+			b[id] = s.fixT[id]
+		} else if c := n.caps[id]; dt > 0 && c > 0 {
+			coo.Add(id, id, c/dt)
+			b[id] += c / dt * T[id]
 		}
 	}
-
 	a := coo.ToCSR()
-	tol := 1e-12
-	// Budgeted solves bypass the exact-result cache: a hit would return
-	// without ever polling Stop, so a fault-injection or budget callback
-	// could never observe the solve (mirrors thermal.SolveOptions).
-	useCache := setup != nil && n.Stop == nil
-	var key linalg.SolveKey
-	if useCache {
-		key = setup.Key("network:cg-ic0", a, b, x0, tol)
-		if x, _, ok := setup.Cached(key); ok {
-			return x, nil
+	if dt > 0 {
+		if s.jacobi == nil || s.jacobi.Refresh(a) != nil {
+			s.jacobi = linalg.NewJacobiPrec(a)
 		}
+		s.chain.Prec = s.jacobi
 	}
-	// Network matrices are symmetric positive definite after Dirichlet
-	// elimination; IC(0) is near-exact on their mostly tree-like graphs,
-	// so the warm-started CG converges in a handful of iterations.  On
-	// IC(0) breakdown the rung degrades to Jacobi; on solve failure the
-	// robust chain walks the fallback ladder before the last-resort dense
-	// solve for tiny ill-conditioned nets.
-	chain := robust.ChainFor("cg-ic0", 0, tol, 20*num+200)
-	chain.Span = sp
-	chain.Setup = setup
-	chain.Stop = n.Stop
-	x, out, err := chain.Solve(a, b, x0)
-	if err != nil {
-		// A tripped budget must surface as ErrStopped, not be papered
-		// over by the dense last resort.
-		if errors.Is(err, linalg.ErrStopped) {
-			return nil, err
-		}
-		if num <= 600 {
-			xd, derr := linalg.SolveDense(a.ToDense(), b)
-			if derr == nil {
-				return xd, nil
-			}
-		}
-		return nil, err
-	}
-	if useCache && out.AttemptUsed == 0 && !out.Relaxed {
-		setup.Store(key, x, out.Stats)
-	}
-	return x, nil
+	x, _, err := s.chain.Solve(a, b, T)
+	return x, err
 }
 
 func (n *Network) labelled(T []float64) map[string]float64 {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"aeropack/internal/linalg"
+	"aeropack/internal/robust"
 )
 
 // TransientResult holds a network time history.
@@ -68,7 +69,9 @@ func (r *TransientResult) TimeToReach(node string, target float64) (float64, err
 // quasi-steady (massless).  Variable resistors are re-evaluated each step
 // from the previous step's temperatures.  Ambient (fixed) nodes may be
 // rescheduled over time via schedule, mapping node name to a temperature
-// profile T(t); nil entries keep the fixed value.
+// profile T(t); nil entries keep the fixed value.  Network.Stop is
+// polled inside every step's solve and between steps; once it fires
+// the transient ends with an error wrapping linalg.ErrStopped.
 func (n *Network) SolveTransient(T0, dt float64, steps int, schedule map[string]func(t float64) float64) (*TransientResult, error) {
 	if dt <= 0 || steps <= 0 {
 		return nil, fmt.Errorf("thermal: transient needs positive dt and steps")
@@ -102,23 +105,20 @@ func (n *Network) SolveTransient(T0, dt float64, steps int, schedule map[string]
 	}
 	record(0)
 
-	isFixed := func(id int) bool { _, ok := n.fixed[id]; return ok }
-	// The operator pattern never changes across steps (only values do, and
-	// only when variable resistors or scheduled ambients move), so the
-	// preconditioner is hoisted out of the step loop and refreshed in
-	// place instead of being rebuilt every step.  This loop owns prec
-	// exclusively, which is what Refresh requires.
-	var prec *linalg.JacobiPrec
+	// Step operators are SPD and diagonally dominant (C/dt on every
+	// massive node), so Jacobi-preconditioned CG converges quickly; the
+	// steps share no exact content, so no result cache is attached.
+	sys := n.newSystem(robust.Chain{Tol: 1e-11, MaxIter: 40*num + 400, Attempts: robust.Ladder("cg-jacobi"), Stop: n.Stop})
 	for step := 1; step <= steps; step++ {
+		if n.Stop != nil && step > 1 && n.Stop() {
+			return nil, fmt.Errorf("thermal: network transient %w after %d steps", linalg.ErrStopped, step-1)
+		}
 		tm := float64(step) * dt
 		// Update scheduled ambient temperatures.
-		fixedNow := make(map[int]float64, len(n.fixed))
 		for id, tv := range n.fixed {
-			fixedNow[id] = tv
-			if schedule != nil {
-				if fn, ok := schedule[n.labels[id]]; ok && fn != nil {
-					fixedNow[id] = fn(tm)
-				}
+			sys.fixT[id] = tv
+			if fn := schedule[n.labels[id]]; fn != nil {
+				sys.fixT[id] = fn(tm)
 			}
 		}
 		// Refresh variable resistances from the previous state.
@@ -133,60 +133,9 @@ func (n *Network) SolveTransient(T0, dt float64, steps int, schedule map[string]
 			}
 			rs[i] = rNew
 		}
-		// Assemble (C/dt + G)·T^{n+1} = C/dt·T^n + b.
-		coo := linalg.NewCOO(num, num)
-		b := make([]float64, num)
-		for i, e := range n.resistors {
-			g := 1 / rs[i]
-			for _, end := range []struct{ self, other int }{{e.a, e.b}, {e.b, e.a}} {
-				if isFixed(end.self) {
-					continue
-				}
-				coo.Add(end.self, end.self, g)
-				if isFixed(end.other) {
-					b[end.self] += g * fixedNow[end.other]
-				} else {
-					coo.Add(end.self, end.other, -g)
-				}
-			}
-		}
-		for id, p := range n.sources {
-			if !isFixed(id) {
-				b[id] += p
-			}
-		}
-		for id := 0; id < num; id++ {
-			if isFixed(id) {
-				coo.Add(id, id, 1)
-				b[id] = fixedNow[id]
-				continue
-			}
-			if c := n.caps[id]; c > 0 {
-				coo.Add(id, id, c/dt)
-				b[id] += c / dt * T[id]
-			}
-		}
-		a := coo.ToCSR()
-		if prec == nil || prec.Refresh(a) != nil {
-			prec = linalg.NewJacobiPrec(a)
-		}
-		x, _, err := linalg.CGOpt(a, b, T, &linalg.IterOptions{
-			Tol: 1e-11, MaxIter: 40*num + 400,
-			Prec: prec,
-			Stop: defaultSolveStop(),
-		})
+		x, err := sys.solve(rs, T, dt)
 		if err != nil {
-			// Transient operators with scheduled ambients can lose
-			// symmetry in corner cases; fall back to a dense solve.
-			if num <= 600 {
-				xd, derr := linalg.SolveDense(a.ToDense(), b)
-				if derr != nil {
-					return nil, err
-				}
-				x = xd
-			} else {
-				return nil, err
-			}
+			return nil, fmt.Errorf("thermal: network transient step %d: %w", step, err)
 		}
 		copy(T, x)
 		record(tm)

@@ -1,9 +1,12 @@
 package thermal
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"aeropack/internal/linalg"
 	"aeropack/internal/units"
 )
 
@@ -243,5 +246,45 @@ func TestTimeConstant(t *testing.T) {
 	lone.SetCapacitance("x", 5)
 	if _, err := lone.TimeConstant("x"); err == nil {
 		t.Error("unattached node should error")
+	}
+}
+
+// TestTransientPollsStop: Network.Stop bounds a transient like a steady
+// solve — polled between steps and inside each step's solve — and a
+// tripped budget ends it with an error wrapping linalg.ErrStopped.
+func TestTransientPollsStop(t *testing.T) {
+	n := rcNetwork(200, 2, 10, 300)
+	polls := 0
+	n.Stop = func() bool {
+		polls++
+		return true
+	}
+	res, err := n.SolveTransient(300, 1, 20, nil)
+	if !errors.Is(err, linalg.ErrStopped) || res != nil {
+		t.Errorf("result %v, err %v; want no result and an error wrapping linalg.ErrStopped", res, err)
+	}
+	if polls == 0 {
+		t.Error("Stop was never polled")
+	}
+
+	// A budget that lasts through part of a larger network's first
+	// step's solve stops inside it.
+	n = finNetwork(12)
+	n.SetCapacitance("spreader", 15)
+	for _, r := range []struct {
+		a, b string
+		r    float64
+	}{{"chip", "spreader", 0.3}, {"spreader", "plate", 0.4}} {
+		if err := n.AddResistor(r.a, r.b, r.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	polls = 0
+	n.Stop = func() bool {
+		polls++
+		return polls > 1
+	}
+	if _, err := n.SolveTransient(300, 1, 20, nil); !errors.Is(err, linalg.ErrStopped) || !strings.Contains(err.Error(), "step 1") {
+		t.Errorf("err = %v, want a stop inside step 1's solve", err)
 	}
 }

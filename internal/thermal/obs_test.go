@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -12,7 +13,14 @@ import (
 
 func obsTestModel(t *testing.T) *Model {
 	t.Helper()
-	g, err := mesh.Uniform(8, 8, 2, 0.08, 0.08, 0.004)
+	return plateModel(t, 8, 8, 2)
+}
+
+// plateModel is a convection-cooled plate of nx·ny·nz cells with a
+// central heat source.
+func plateModel(t *testing.T, nx, ny, nz int) *Model {
+	t.Helper()
+	g, err := mesh.Uniform(nx, ny, nz, 0.08, 0.08, 0.004)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,26 +34,54 @@ func obsTestModel(t *testing.T) *Model {
 }
 
 // TestSolveErrorSurfacesIterStats pins the error contract added for the
-// telemetry work: a non-converged linear solve must name the solver and
-// carry the iteration count and final residual, so a failure is
-// diagnosable from the message alone.  The thermal prefix must not
-// repeat the figures the wrapped linalg error already carries — the
-// old format printed the residual twice, once per layer.
+// telemetry work: a failed linear solve must name the solver and carry
+// the iteration count and final residual, so a failure is diagnosable
+// from the message alone.  The thermal prefix must not repeat the
+// figures the wrapped error already carries — the old format printed
+// the residual twice, once per layer.  The model has more than 600
+// cells, so no dense last resort rescues the exhausted ladder.
 func TestSolveErrorSurfacesIterStats(t *testing.T) {
-	m := obsTestModel(t)
+	m := plateModel(t, 16, 16, 3)
 	const maxIter = 3
 	_, err := m.SolveSteady(&SolveOptions{Solver: "cg", MaxIter: maxIter, Tol: 1e-14})
 	if err == nil {
 		t.Fatal("expected non-convergence with MaxIter=3")
 	}
 	msg := err.Error()
-	format := regexp.MustCompile(`^thermal: cg solve failed: linalg: CG did not converge in 3 iterations \(residual [0-9.e+-]+\)$`)
+	format := regexp.MustCompile(`^thermal: cg solve failed: robust: all 3 solver attempts failed, last \(cg-jacobi-relaxed\): linalg: CG did not converge in 3 iterations \(residual [0-9.e+-]+\)$`)
 	if !format.MatchString(msg) {
 		t.Errorf("error %q does not match the deduped format %v", msg, format)
 	}
 	for _, figure := range []string{"iterations", "residual"} {
 		if got := strings.Count(msg, figure); got != 1 {
 			t.Errorf("error %q mentions %q %d times, want exactly 1", msg, figure, got)
+		}
+	}
+}
+
+// TestSolveDenseLastResort: the options that exhaust the ladder above
+// on a model of at most 600 cells return the dense LU answer instead,
+// equal to a converged explicit solve.
+func TestSolveDenseLastResort(t *testing.T) {
+	reg := obs.NewRegistry()
+	prev := obs.SetDefault(reg)
+	defer obs.SetDefault(prev)
+
+	m := obsTestModel(t)
+	res, err := m.SolveSteady(&SolveOptions{Solver: "cg", MaxIter: 3, Tol: 1e-14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("robust_chain_exhausted_total").Value(); got != 1 {
+		t.Errorf("robust_chain_exhausted_total = %d, want 1", got)
+	}
+	ref, err := m.SolveSteady(&SolveOptions{Solver: "cg-mic0", Tol: 1e-13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.T {
+		if d := math.Abs(res.T[i]-ref.T[i]) / math.Abs(ref.T[i]); !(d <= 1e-9) {
+			t.Fatalf("cell %d: dense %v, explicit solve %v (relative %.3g)", i, res.T[i], ref.T[i], d)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"aeropack/internal/linalg"
 	"aeropack/internal/mesh"
 	"aeropack/internal/obs"
-	"aeropack/internal/parallel"
 	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
@@ -103,33 +102,15 @@ func (r *Result) MeanInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
 	return sumVT / sumV
 }
 
-// SolveOptions tunes the steady solver.
+// SolveOptions tunes the steady and transient FV solves.
 type SolveOptions struct {
-	Tol        float64 // linear relative residual target (default 1e-9)
-	MaxIter    int     // linear iteration cap (default 20·n^(2/3)+2000)
-	MaxOuter   int     // radiation linearisation passes (default 12)
-	RadTol     float64 // outer convergence on max |ΔT| in K (default 0.01)
-	InitialT   float64 // initial field guess, K (default: mean of BC temps or 300)
-	Solver     string  // "cg-fdm", "cg-mic0", "cg-ic0", "cg", "cg-jacobi", "cg-ssor", "bicgstab"; default: see SolveSteady
-	SSOROmega  float64 // relaxation for cg-ssor (default 1.2)
-	ReturnLast bool    // if true, return best-effort field on non-convergence
-
-	// Fallback routes the linear solve through the robust fallback
-	// chain (robust.ChainFor): when the configured Solver fails, the
-	// remaining rungs of the default ladder are tried before the solve
-	// is reported failed.  A solve that succeeds on the first rung is
-	// bitwise-identical to a non-Fallback solve, so enabling it only
-	// changes behaviour on systems that would otherwise error out.
-	Fallback bool
-
-	// Parallel enables row-parallel matrix-vector products, which are
-	// bitwise-identical to the serial ones (see DESIGN.md "Parallel
-	// execution"), but serial stays the default so the baseline remains
-	// trivially verifiable.
-	Parallel bool
-	// Workers bounds the worker count when Parallel is set; <= 0 means
-	// runtime.GOMAXPROCS.
-	Workers int
+	Tol     float64 // linear relative residual target (default 1e-9)
+	MaxIter int     // linear iteration cap (default 20·n^(2/3)+2000)
+	// Solver names the first rung of the robust.Ladder every linear
+	// solve walks: "cg-fdm", "cg-mic0", "cg-ic0", "cg", "cg-jacobi",
+	// "cg-ssor" or "bicgstab"; default: see SolveSteady.  A solve that
+	// succeeds on it is bitwise-identical to that solver called directly.
+	Solver string
 
 	// Span, when non-nil, is the parent under which the solver's
 	// telemetry spans (thermal.SolveSteady → thermal.assemble /
@@ -142,33 +123,19 @@ type SolveOptions struct {
 	// iteration of every outer pass; pair with linalg.ConvergenceLog to
 	// capture convergence traces.
 	OnIteration func(it int, residual float64)
-	// Stop is forwarded to the linear solver (see
-	// linalg.IterOptions.Stop), or to the robust chain under Fallback,
-	// and polled between Picard passes.  When nil, a defaultSolveBudget
-	// wall-clock guard is installed (under Fallback, each rung's own
-	// guard), so one near-singular operator in a sweep aborts with
-	// linalg.ErrStopped instead of wedging the campaign.
+	// Stop is the caller's budget: every linear solve polls it once per
+	// iteration (robust.Chain.Stop, ahead of each rung's 10 s wall-clock
+	// guard) and SolveSteady polls it between Picard passes.  Once it
+	// fires the solve ends with an error wrapping linalg.ErrStopped.
 	Stop func() bool
 }
 
-// defaultSolveBudget is the wall-clock ceiling applied to linear solves
-// whose caller supplies no Stop of its own.
-const defaultSolveBudget = 5 * time.Minute
-
-// defaultSolveStop returns a fresh wall-clock guard for one solve.
-func defaultSolveStop() func() bool {
-	deadline := time.Now().Add(defaultSolveBudget)
-	return func() bool { return time.Now().After(deadline) }
-}
-
-// workerCount resolves the matrix-vector worker budget: 1 unless
-// Parallel is set.
-func (o *SolveOptions) workerCount() int {
-	if !o.Parallel {
-		return 1
-	}
-	return parallel.Workers(o.Workers)
-}
+// The radiation linearisation runs at most maxPicardPasses passes and
+// stops once no cell moves more than picardTolK between passes.
+const (
+	maxPicardPasses = 40
+	picardTolK      = 0.01
+)
 
 func (o *SolveOptions) defaults(n int) {
 	if o.Tol <= 0 {
@@ -177,23 +144,14 @@ func (o *SolveOptions) defaults(n int) {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 20*int(math.Cbrt(float64(n))*math.Cbrt(float64(n))) + 2000
 	}
-	if o.MaxOuter <= 0 {
-		o.MaxOuter = 40
-	}
-	if o.RadTol <= 0 {
-		o.RadTol = 0.01
-	}
 	if o.Solver == "" {
 		// MIC(0)-preconditioned CG is the default wherever fast
 		// diagonalization does not apply: on the FV conduction operators
 		// it converges in about half the iterations of IC(0), itself an
 		// order of magnitude fewer than Jacobi or SSOR, and breakdown
-		// degrades to Jacobi inside linSolve rather than failing the
-		// solve.
+		// degrades to Jacobi inside the robust entry rather than failing
+		// the solve.
 		o.Solver = "cg-mic0"
-	}
-	if o.SSOROmega <= 0 || o.SSOROmega >= 2 {
-		o.SSOROmega = 1.2
 	}
 }
 
@@ -226,18 +184,14 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 	sp.Attr("solver", o.Solver)
 
 	// Initial surface-temperature estimate for radiation linearisation.
-	Tinit := o.InitialT
-	if Tinit <= 0 {
-		Tinit = m.guessInitialT()
-	}
 	Tsurf := make([]float64, n)
+	Tinit := m.guessInitialT()
 	for i := range Tsurf {
 		Tsurf[i] = Tinit
 	}
 
-	w := o.workerCount()
 	res := &Result{g: m.Grid}
-	setup := m.solverSetup()
+	setup := linalg.NewSolverSetup()
 	st := &stencil{m: m}
 	// fdm builds a pass's fast-diagonalization preconditioner at the
 	// current surface estimate, lending the last one's
@@ -254,7 +208,7 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 		}
 	}
 	var prev []float64
-	for outer := 0; outer < o.MaxOuter; outer++ {
+	for outer := 0; outer < maxPicardPasses; outer++ {
 		// The budget is polled between passes as well as inside the
 		// linear solver, so a tripped request stops at the next pass
 		// boundary instead of running the remaining passes.
@@ -263,14 +217,9 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 		}
 		res.OuterIterations = outer + 1
 		a, b := st.assembleObs(Tsurf, sp)
-		a.SetWorkers(w)
 		t, stats, err := m.linSolve(a, b, prev, &o, setup, fdm, sp)
 		res.Iterations = stats.Iterations
 		if err != nil {
-			if o.ReturnLast && t != nil {
-				res.T = t
-				return res, err
-			}
 			return nil, err
 		}
 		if !m.hasRadiation() {
@@ -287,16 +236,12 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 			Tsurf[i] = 0.5*Tsurf[i] + 0.5*t[i]
 		}
 		prev = t
-		if maxDelta < o.RadTol {
+		if maxDelta < picardTolK {
 			res.T = t
 			return res, nil
 		}
 	}
-	if o.ReturnLast {
-		res.T = Tsurf
-		return res, fmt.Errorf("thermal: radiation linearisation did not converge in %d passes", o.MaxOuter)
-	}
-	return nil, fmt.Errorf("thermal: radiation linearisation did not converge in %d passes", o.MaxOuter)
+	return nil, fmt.Errorf("thermal: radiation linearisation did not converge in %d passes", maxPicardPasses)
 }
 
 func (m *Model) guessInitialT() float64 {
@@ -373,43 +318,10 @@ func (s *stencil) assembleObs(Tsurf []float64, parent *obs.Span) (*linalg.CSR, [
 // assemblyBuckets span 1 µs to 1000 s, one decade per bucket.
 var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
-// solverSetup returns the setup one solve call should thread through its
-// inner linear solves: the persistent one when EnableSolverReuse was
-// called, otherwise a fresh private instance (still shared by all Picard
-// passes and transient steps of that call).
-func (m *Model) solverSetup() *linalg.SolverSetup {
-	if m.setup != nil {
-		return m.setup
-	}
-	return linalg.NewSolverSetup()
-}
-
-// precKindFor maps a SolveOptions.Solver name to the preconditioner kind
-// its primary attempt uses.
-func precKindFor(solver string) string {
-	switch solver {
-	case "cg-jacobi", "bicgstab":
-		return "jacobi"
-	case "cg-ssor":
-		return "ssor"
-	case "cg-ic0":
-		return "ic0"
-	case "cg-mic0":
-		return "mic0"
-	default:
-		return ""
-	}
-}
-
-// solveLabel keys the result cache with everything beyond the system
-// content that can change the outcome of a solve.
-func solveLabel(o *SolveOptions) string {
-	return fmt.Sprintf("thermal:%s:omega=%g:fallback=%t:maxiter=%d", o.Solver, o.SSOROmega, o.Fallback, o.MaxIter)
-}
-
-// linSolve solves one pass's system with the configured solver.  fdm
-// builds the pass's fast-diagonalization preconditioner; SolveSteady
-// passes it exactly when the solver is "cg-fdm".
+// linSolve solves one pass's system through the robust entry, its first
+// rung the configured solver.  fdm builds the pass's
+// fast-diagonalization preconditioner; SolveSteady passes it exactly
+// when the solver is "cg-fdm".
 func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptions, setup *linalg.SolverSetup, fdm func() (*linalg.FDMPrec, error), parent *obs.Span) ([]float64, linalg.IterStats, error) {
 	switch o.Solver {
 	case "cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "bicgstab":
@@ -423,107 +335,43 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 	sp := parent.Start("thermal.linSolve")
 	sp.Attr("solver", o.Solver)
 
-	// Exact-content repeats (a transient stepper that has reached steady
-	// state, replayed sweep points) skip the solve outright.  The cache
-	// is bypassed when the caller installed per-iteration hooks: a hit
-	// performs no iterations, so OnIteration traces would silently go
-	// missing and a fault-injection Stop would never be polled.
-	useCache := o.OnIteration == nil && o.Stop == nil
-	var key linalg.SolveKey
-	if useCache {
-		key = setup.Key(solveLabel(o), a, b, x0, o.Tol)
-		if x, stats, ok := setup.Cached(key); ok {
-			sp.Attr("cache", "hit")
-			sp.AttrInt("iterations", 0)
-			sp.AttrF("residual", stats.Residual)
-			sp.End()
-			return x, stats, nil
-		}
-	}
-
 	// The fast-diagonalization factors come from the model, not the
 	// CSR, so they are built here; a build that fails (a singular mode)
 	// degrades the pass to MIC(0), weaker but never failing.
 	solver := o.Solver
 	var first linalg.Preconditioner
 	if fdm != nil {
-		p, ferr := fdm()
-		if ferr != nil {
-			degrade(sp, "thermal_fdm_degraded_total", "fdm", "mic0", ferr)
-			solver = "cg-mic0"
-		} else {
+		if p, err := fdm(); err == nil {
 			first = p
+		} else {
+			obs.Default().Counter("thermal_fdm_degraded_total").Add(1)
+			if rec := obs.CurrentRecorder(); rec != nil {
+				rec.Record("degrade", "thermal.linSolve",
+					obs.Attr{Key: "from", Value: "fdm"},
+					obs.Attr{Key: "to", Value: "mic0"},
+					obs.Attr{Key: "cause", Value: err.Error()})
+			}
+			sp.Attr("prec_degraded", "mic0")
+			solver = "cg-mic0"
 		}
 	}
 
-	var (
-		x     []float64
-		stats linalg.IterStats
-		err   error
-	)
-	if o.Fallback {
-		// The chain builds its own preconditioners, apart from a prebuilt
-		// first-rung one, and guards each rung with a wall-clock budget,
-		// so the caller's Stop is all it needs.
-		chain := robust.ChainFor(solver, o.SSOROmega, o.Tol, o.MaxIter)
-		chain.Prec = first
-		chain.Span = sp
-		chain.OnIteration = o.OnIteration
-		chain.Stop = o.Stop
-		chain.Setup = setup
-		var out robust.Outcome
-		x, out, err = chain.Solve(a, b, x0)
-		stats = out.Stats
-		if out.Fallbacks > 0 {
-			sp.AttrInt("fallbacks", out.Fallbacks)
-		}
-	} else {
-		io := &linalg.IterOptions{Tol: o.Tol, MaxIter: o.MaxIter, Prec: first, OnIteration: o.OnIteration, Stop: o.Stop}
-		if io.Stop == nil {
-			io.Stop = defaultSolveStop()
-		}
-		if kind := precKindFor(solver); kind != "" {
-			prec, perr := setup.PrecFor(kind, a, o.SSOROmega)
-			if perr != nil {
-				// Only IC(0) and MIC(0) can fail (breakdown through the
-				// whole shift ladder); degrade to Jacobi — weaker, never
-				// failing.
-				degrade(sp, "thermal_ic0_degraded_total", kind, "jacobi", perr)
-				prec, _ = setup.PrecFor("jacobi", a, o.SSOROmega)
-			}
-			io.Prec = prec
-		}
-		if solver == "bicgstab" {
-			x, stats, err = linalg.BiCGSTABOpt(a, b, x0, io)
-		} else {
-			x, stats, err = linalg.CGOpt(a, b, x0, io)
-		}
+	chain := robust.Chain{Tol: o.Tol, MaxIter: o.MaxIter, Attempts: robust.Ladder(solver),
+		Span: sp, OnIteration: o.OnIteration, Stop: o.Stop, Setup: setup, Prec: first}
+	x, out, err := chain.Solve(a, b, x0)
+	if out.Fallbacks > 0 {
+		sp.AttrInt("fallbacks", out.Fallbacks)
 	}
-	sp.AttrInt("iterations", stats.Iterations)
-	sp.AttrF("residual", stats.Residual)
+	sp.AttrInt("iterations", out.Stats.Iterations)
+	sp.AttrF("residual", out.Stats.Residual)
 	sp.End()
 	if err != nil {
 		// The wrapped linalg error already carries the iteration count
 		// and final residual; prefixing only the failing solver name
 		// keeps the figures from appearing twice in the message.
 		err = fmt.Errorf("thermal: %s solve failed: %w", solver, err)
-	} else if useCache {
-		setup.Store(key, x, stats)
 	}
-	return x, stats, err
-}
-
-// degrade counts one pass's preconditioner degrade on counter, records
-// it in the flight recorder with its cause, and marks the pass's span.
-func degrade(sp *obs.Span, counter, from, to string, cause error) {
-	obs.Default().Counter(counter).Add(1)
-	if rec := obs.CurrentRecorder(); rec != nil {
-		rec.Record("degrade", "thermal.linSolve",
-			obs.Attr{Key: "from", Value: from},
-			obs.Attr{Key: "to", Value: to},
-			obs.Attr{Key: "cause", Value: cause.Error()})
-	}
-	sp.Attr("prec_degraded", to)
+	return x, out.Stats, err
 }
 
 // stencil assembles one model's FV operator in two phases.  The
@@ -846,16 +694,14 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 	sp.AttrInt("cells", n)
 	sp.AttrInt("steps", opts.Steps)
 
-	w := o.workerCount()
 	res := &Result{g: g}
-	setup := m.solverSetup()
+	setup := linalg.NewSolverSetup()
 	st := &stencil{m: m}
 	rhs := make([]float64, n)
 	t := 0.0
 	for step := 0; step < opts.Steps; step++ {
 		a, b := st.assembleObs(T, sp)
 		st.addCapacity(a, b, capDt, T, rhs)
-		a.SetWorkers(w)
 		Tn, stats, err := m.linSolve(a, rhs, T, &o, setup, nil, sp)
 		res.Iterations = stats.Iterations
 		if err != nil {

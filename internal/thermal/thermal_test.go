@@ -341,25 +341,43 @@ func TestNewModelValidation(t *testing.T) {
 	}
 }
 
+// picardTestModel builds a multi-slab heated plate with mixed BCs,
+// including radiation so the Picard outer loop runs more than once.
+func picardTestModel(t *testing.T) *Model {
+	t.Helper()
+	g, err := mesh.Uniform(12, 10, 6, 0.12, 0.1, 0.012)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(g, []materials.Material{materials.Al6061})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 300, H: 25})
+	m.SetFaceBC(mesh.ZMax, BC{Kind: ConvectionRadiation, T: 290, H: 8, Emiss: 0.8})
+	m.SetFaceBC(mesh.XMin, BC{Kind: FixedT, T: 310})
+	if m.AddVolumeSource(0.03, 0.08, 0.02, 0.07, 0, 0.012, 18) == 0 {
+		t.Fatal("source missed mesh")
+	}
+	return m
+}
+
 // TestSolveSteadyPollsStopBetweenPasses checks the budget reaches the
-// Picard loop on both linear-solve paths: a Stop that fires once the
-// first pass has converged stops the solve at the pass boundary.
+// Picard loop: a Stop that fires once the first pass has converged
+// stops the solve at the pass boundary.
 func TestSolveSteadyPollsStopBetweenPasses(t *testing.T) {
-	for _, fallback := range []bool{false, true} {
-		m := parallelTestModel(t)
-		passes := 0
-		_, err := m.SolveSteady(&SolveOptions{
-			Fallback: fallback,
-			OnIteration: func(_ int, r float64) {
-				if r < 1e-9 { // the default tolerance: this pass converged
-					passes++
-				}
-			},
-			Stop: func() bool { return passes > 0 },
-		})
-		if !errors.Is(err, linalg.ErrStopped) || !strings.Contains(err.Error(), "after 1 Picard passes") {
-			t.Errorf("fallback=%t: err = %v, want a stop after 1 Picard pass", fallback, err)
-		}
+	m := picardTestModel(t)
+	passes := 0
+	_, err := m.SolveSteady(&SolveOptions{
+		OnIteration: func(_ int, r float64) {
+			if r < 1e-9 { // the default tolerance: this pass converged
+				passes++
+			}
+		},
+		Stop: func() bool { return passes > 0 },
+	})
+	if !errors.Is(err, linalg.ErrStopped) || !strings.Contains(err.Error(), "after 1 Picard passes") {
+		t.Errorf("err = %v, want a stop after 1 Picard pass", err)
 	}
 }
 

@@ -92,10 +92,7 @@ coverage_floor ./internal/lint 85
 echo "== solver iteration budget (E5 Fig. 10; no pipe, so a blown budget fails the gate)"
 AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/E5IterationBudget' -v .
 
-echo "== solver performance guard (E5 iteration budget, parallel-vs-serial)"
-AEROPACK_SOLVER_GUARD=1 go test -run TestSolverPerfGuard -v . | grep -v '^=== '
-
-echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + Par pair, 1 iteration)"
+echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + Par_SolveSteadySerial, 1 iteration)"
 go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkPar_SolveSteady' -benchtime 1x .
 
 echo "== lint-cache benchmark smoke (BenchmarkLintModule, 1 iteration)"
