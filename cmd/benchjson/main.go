@@ -13,9 +13,9 @@
 // candidate aeropack-bench/v1 files.  Benchmarks are paired by name and
 // GOMAXPROCS; a metric regresses when candidate/baseline exceeds its
 // unit's threshold (ns/op and allocs/op 1.10, B/op 1.25, solver_iters/op
-// 1.05 by default).  ns/op pairs where both sides sit under -min-ns are
-// skipped — sub-nanosecond guard benches jitter by whole multiples while
-// staying inside budget.  Exit status: 0 clean, 1 usage/IO error,
+// and factorizations/op 1.05 by default).  ns/op pairs where both sides
+// sit under -min-ns are skipped — sub-nanosecond guard benches jitter by
+// whole multiples while staying inside budget.  Exit status: 0 clean, 1 usage/IO error,
 // 2 regression detected.
 package main
 

@@ -44,10 +44,11 @@ type BoardDesign struct {
 	DetailedMech bool
 
 	// Stop, when non-nil, is the per-request budget seam (aeropackd):
-	// it is forwarded to the level-2 FV solve's SolveOptions.Stop and
-	// the level-3 network's Stop, so it is polled once per solver
-	// iteration.  Returning true aborts the pass with an error wrapping
-	// linalg.ErrStopped.  Never serialized with the design.
+	// it is forwarded to the level-2 FV solve's SolveOptions.Stop,
+	// polled once per CG iteration, and to the level-3 network's Stop,
+	// polled once per factorization.  Returning true aborts the pass
+	// with an error wrapping linalg.ErrStopped.  Never serialized with
+	// the design.
 	Stop func() bool `json:"-"`
 }
 

@@ -25,7 +25,6 @@ import (
 
 	"aeropack/internal/convection"
 	"aeropack/internal/fluids"
-	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
 	"aeropack/internal/obs"
 	"aeropack/internal/parallel"
@@ -84,20 +83,12 @@ type Config struct {
 
 	// Stop is the per-request budget seam (aeropackd): when non-nil it
 	// is installed as thermal.Network.Stop on every network this
-	// configuration builds, so it is polled once per solver iteration
-	// and between Picard passes.  Returning true aborts the solve with
-	// an error wrapping linalg.ErrStopped.  Must be safe for concurrent
-	// calls — parallel sweeps share one callback across workers.
+	// configuration builds, so it is polled once per factorization, that
+	// is once per Picard pass or transient step.  Returning true aborts
+	// the solve with an error wrapping linalg.ErrStopped.  Must be safe
+	// for concurrent calls — parallel sweeps share one callback across
+	// workers.
 	Stop func() bool
-
-	// setup is the solver-setup cache shared by every network this
-	// configuration builds: a capability bisection or Fig. 10 sweep
-	// solves dozens of near-identical systems (same topology, different
-	// power), and the cache lets them share the IC(0) symbolic pattern
-	// and any value-identical preconditioner factors.  Created lazily by
-	// Defaults; copies of a defaulted Config (SweepParallel workers)
-	// share the pointer, which the cache is designed for.
-	setup *linalg.SolverSetup
 }
 
 // Defaults fills zero fields with the COSEE rig values.
@@ -142,9 +133,6 @@ func (c *Config) Defaults() {
 	}
 	if c.SpanM == 0 {
 		c.SpanM = 0.5
-	}
-	if c.setup == nil {
-		c.setup = linalg.NewSolverSetup()
 	}
 }
 
@@ -271,7 +259,6 @@ func (c *Config) BuildNetwork(power float64) (*thermal.Network, error) {
 	c.Defaults()
 	Ta := units.CToK(c.AmbientC)
 	n := thermal.NewNetwork()
-	n.Setup = c.setup
 	n.Stop = c.Stop
 	n.FixT("air", Ta)
 	n.AddSource("pcb", power)

@@ -50,33 +50,6 @@ func (p *JacobiPrec) Apply(r, z []float64) {
 	}
 }
 
-// Refresh recomputes the inverse diagonal from a matrix with new values,
-// reusing the existing storage — it allocates nothing, which is the
-// point of hoisting one instance out of a time-stepping loop.  The
-// caller must own the instance exclusively (no concurrent Apply) — shared
-// instances handed out by SolverSetup are immutable and must not be
-// refreshed.
-func (p *JacobiPrec) Refresh(a *CSR) error {
-	if a.Rows != len(p.InvDiag) {
-		return fmt.Errorf("linalg: Jacobi refresh dimension %d, want %d", a.Rows, len(p.InvDiag))
-	}
-	for i := 0; i < a.Rows; i++ {
-		v := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.ColIdx[k] == i {
-				v = a.Val[k]
-				break
-			}
-		}
-		if v == 0 {
-			p.InvDiag[i] = 1
-		} else {
-			p.InvDiag[i] = 1 / v
-		}
-	}
-	return nil
-}
-
 // SSORPrec is a symmetric successive-over-relaxation preconditioner for
 // symmetric matrices with relaxation factor omega in (0,2).
 //
@@ -109,24 +82,6 @@ func NewSSORPrec(a *CSR, omega float64) *SSORPrec {
 	tmp := make([]float64, a.Rows)
 	p.scratch.Store(&tmp)
 	return p
-}
-
-// Refresh rebinds the preconditioner to a matrix with identical sparsity
-// structure but new values.  The caller must own the instance exclusively
-// (no concurrent Apply); SolverSetup-cached instances are immutable.
-func (p *SSORPrec) Refresh(a *CSR) error {
-	if a.Rows != p.a.Rows || a.Cols != p.a.Cols {
-		return fmt.Errorf("linalg: SSOR refresh dimensions %d×%d, want %d×%d", a.Rows, a.Cols, p.a.Rows, p.a.Cols)
-	}
-	p.a = a
-	d := a.Diag()
-	for i, v := range d {
-		if v == 0 {
-			d[i] = 1
-		}
-	}
-	p.diag = d
-	return nil
 }
 
 // Apply performs one forward and one backward SOR sweep.

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -74,75 +73,8 @@ func TestSolverSetupIdentityAndUnknownKinds(t *testing.T) {
 	}
 }
 
-func TestSolverSetupResultCache(t *testing.T) {
-	s := NewSolverSetup()
-	a, b := randomSPD(3, 20, 0.15)
-	key := s.Key("test:cg", a, b, nil, 1e-10)
-	if _, _, ok := s.Cached(key); ok {
-		t.Fatal("hit on an empty cache")
-	}
-	x := []float64{1, 2, 3}
-	s.Store(key, x, IterStats{Converged: true, Iterations: 7})
-	x[0] = 99 // the cache must have taken a copy
-	got, stats, ok := s.Cached(key)
-	if !ok {
-		t.Fatal("miss after Store")
-	}
-	if got[0] != 1 || stats.Iterations != 7 {
-		t.Fatalf("cached = %v, stats %+v", got, stats)
-	}
-	got[1] = -5 // and hand out copies, never its private slice
-	again, _, _ := s.Cached(key)
-	if again[1] != 2 {
-		t.Fatal("Cached returned a mutable reference to the stored slice")
-	}
-	// Non-converged results must never be cached.
-	key2 := s.Key("test:cg", a, b, nil, 1e-14)
-	s.Store(key2, x, IterStats{Converged: false, Iterations: 500})
-	if _, _, ok := s.Cached(key2); ok {
-		t.Fatal("non-converged solve was cached")
-	}
-}
-
-func TestSolverSetupKeyDistinguishesContent(t *testing.T) {
-	s := NewSolverSetup()
-	a, b := randomSPD(4, 15, 0.2)
-	base := s.Key("lbl", a, b, nil, 1e-10)
-	zeros := make([]float64, len(b))
-	for name, k := range map[string]SolveKey{
-		"label":         s.Key("lbl2", a, b, nil, 1e-10),
-		"tolerance":     s.Key("lbl", a, b, nil, 1e-8),
-		"rhs":           s.Key("lbl", a, append([]float64{1}, b[1:]...), nil, 1e-10),
-		"nil-vs-zero-x": s.Key("lbl", a, b, zeros, 1e-10),
-	} {
-		if k == base {
-			t.Errorf("%s change did not alter the solve key", name)
-		}
-	}
-	if s.Key("lbl", a, b, nil, 1e-10) != base {
-		t.Error("identical content hashed to different keys")
-	}
-}
-
 func TestSolverSetupFIFOBounds(t *testing.T) {
 	s := NewSolverSetup()
-	a, b := randomSPD(5, 12, 0.25)
-	keys := make([]SolveKey, setupMaxResults+1)
-	for i := range keys {
-		keys[i] = s.Key(fmt.Sprintf("solve-%d", i), a, b, nil, 1e-10)
-		s.Store(keys[i], b, IterStats{Converged: true, Iterations: i})
-	}
-	if _, _, ok := s.Cached(keys[0]); ok {
-		t.Error("oldest result survived past the FIFO bound")
-	}
-	for i := 1; i < len(keys); i++ {
-		if _, _, ok := s.Cached(keys[i]); !ok {
-			t.Errorf("result %d evicted early", i)
-		}
-	}
-	if len(s.results) != setupMaxResults || len(s.resOrd) != setupMaxResults {
-		t.Errorf("result cache holds %d/%d entries, want %d", len(s.results), len(s.resOrd), setupMaxResults)
-	}
 	// Preconditioner FIFO: one more distinct matrix than the bound.
 	for i := 0; i <= setupMaxPrecs; i++ {
 		m, _ := randomSPD(int64(100+i), 10, 0.3)
@@ -160,7 +92,7 @@ func TestSolverSetupCounters(t *testing.T) {
 	prev := obs.SetDefault(reg)
 	defer obs.SetDefault(prev)
 	s := NewSolverSetup()
-	a, b := randomSPD(6, 30, 0.1)
+	a, _ := randomSPD(6, 30, 0.1)
 	if _, err := s.PrecFor("ic0", a, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -173,21 +105,10 @@ func TestSolverSetupCounters(t *testing.T) {
 	if n := reg.Histogram("linalg_prec_setup_seconds", nil).Count(); n != 1 {
 		t.Errorf("linalg_prec_setup_seconds count = %d, want 1 (one build, one reuse)", n)
 	}
-	key := s.Key("c", a, b, nil, 1e-9)
-	s.Cached(key)
-	s.Store(key, b, IterStats{Converged: true})
-	s.Cached(key)
-	if got := reg.Counter("linalg_setup_result_misses_total").Value(); got != 1 {
-		t.Errorf("miss counter = %v, want 1", got)
-	}
-	if got := reg.Counter("linalg_setup_result_hits_total").Value(); got != 1 {
-		t.Errorf("hit counter = %v, want 1", got)
-	}
 }
 
-// Concurrent mixed use must be race-free (run under -race in verify.sh)
-// and always yield working preconditioners — the SweepParallel sharing
-// pattern.
+// Concurrent use must be race-free (run under -race in verify.sh) and
+// always yield working preconditioners.
 func TestSolverSetupConcurrent(t *testing.T) {
 	s := NewSolverSetup()
 	mats := make([]*CSR, 4)
@@ -207,20 +128,15 @@ func TestSolverSetupConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				key := s.Key("conc", a, b, nil, 1e-10)
-				if x, _, ok := s.Cached(key); ok {
-					if r := relResidual(a, x, b); r > 1e-8 {
-						t.Errorf("cached residual %g", r)
-						return
-					}
-					continue
-				}
-				x, stats, err := CG(a, b, nil, p, 1e-10, 400)
+				x, _, err := CG(a, b, nil, p, 1e-10, 400)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				s.Store(key, x, stats)
+				if r := relResidual(a, x, b); r > 1e-8 {
+					t.Errorf("residual %g", r)
+					return
+				}
 			}
 		}(g)
 	}

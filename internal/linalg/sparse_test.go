@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -122,32 +121,6 @@ func TestMulVecAliasing(t *testing.T) {
 	}
 	if &got[0] != &v[0] {
 		t.Error("aliased MulVec did not reuse the caller's slice")
-	}
-}
-
-// TestCOOReset: a reset builder keeps no entries, and the system
-// assembled after it matches one from a fresh builder.
-func TestCOOReset(t *testing.T) {
-	fill := func(c *COO) {
-		c.Add(0, 0, 4)
-		c.Add(0, 1, -1)
-		c.Add(1, 0, -1)
-		c.Add(1, 1, 4)
-		c.Add(1, 1, 0.5)
-	}
-	reused := NewCOO(2, 2)
-	reused.Add(1, 0, 7)
-	reused.ToCSR()
-	reused.Reset()
-	if reused.NNZ() != 0 {
-		t.Fatalf("reset builder holds %d entries", reused.NNZ())
-	}
-	fill(reused)
-	fresh := NewCOO(2, 2)
-	fill(fresh)
-	got, want := reused.ToCSR(), fresh.ToCSR()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("reset builder assembled %+v, fresh builder %+v", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package robust
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -30,12 +31,12 @@ type Attempt struct {
 	Budget  time.Duration // wall-clock budget for this rung; 0 means unbounded
 }
 
-// Chain is aeropack's one linear-solve entry.  Every thermal system —
-// the level-2 FV model's and the level-1/level-3 resistive networks' —
-// is solved by one Chain.Solve call, which owns everything between the
-// assembled system and its answer: the result cache, the first rung's
-// preconditioner, the IC(0)/MIC(0) → Jacobi degrade, the fallback
-// ladder and the dense last resort.
+// Chain is the level-2 FV model's one linear-solve entry: every
+// thermal.Model system, steady or transient, is solved by one
+// Chain.Solve call, which owns everything between the assembled system
+// and its answer: the first rung's preconditioner, the IC(0)/MIC(0) →
+// Jacobi degrade, the fallback ladder and the dense last resort.
+// (Resistive networks solve directly, by a sparse LDLᵀ.)
 //
 // Attempts is the ladder, usually Ladder(solver).  Attempt 0 is the
 // caller's primary configuration: a solve that succeeds on it is
@@ -50,8 +51,8 @@ type Chain struct {
 	Attempts []Attempt
 
 	// Span, if non-nil, parents the fallback spans and is marked on a
-	// cache hit or a preconditioner degrade.  The first attempt never
-	// opens a span, keeping happy-path span trees unchanged.
+	// preconditioner degrade.  The first attempt never opens a span,
+	// keeping happy-path span trees unchanged.
 	Span *obs.Span
 	// OnIteration is forwarded to every attempt's IterOptions.
 	OnIteration func(it int, residual float64)
@@ -62,11 +63,10 @@ type Chain struct {
 	// the later rungs or the dense last resort.
 	Stop func() bool
 	// Setup, if non-nil, caches preconditioner factors (and, for IC(0),
-	// the symbolic pattern) and converged first-rung results across
-	// Solve calls on systems with repeated content — the reuse seam sweep
-	// loops and Picard passes thread through.  Preconditioners obtained
-	// from a Setup are shared and immutable; without one, each attempt
-	// builds its own and no result is cached.
+	// the symbolic pattern) across Solve calls on systems with repeated
+	// content — the reuse seam Picard passes thread through.
+	// Preconditioners obtained from a Setup are shared and immutable;
+	// without one, each attempt builds its own.
 	Setup *linalg.SolverSetup
 	// Prec, if non-nil, is the first rung's preconditioner, built by the
 	// caller.  A rung of kind "fdm" needs it: fast-diagonalization
@@ -175,14 +175,9 @@ func (g *guard) arm(budget time.Duration) {
 // and returns the solution with the Outcome describing which rung
 // produced it.
 //
-//   - Cache.  With a Setup, a system whose exact content was solved
-//     before returns the stored solution.  The key holds the first
-//     rung's name, the system, x0 and Tol but not MaxIter, which every
-//     caller sharing a Setup derives from the system.  Only first-rung,
-//     unrelaxed results are stored.  A caller that observes the solve
-//     (OnIteration or Stop set) bypasses the cache: a hit runs no
-//     iterations, so a trace would go missing and a budget would never
-//     be polled.
+//   - Inputs.  A non-finite entry in b or x0 is an error before the
+//     first rung: every rung would reject or propagate it, and the dense
+//     last resort would return NaN as a converged answer.
 //   - Ladder.  A failed rung hands over to the next.  A rung stopped by
 //     the caller's Stop ends the solve with that rung's error: the budget
 //     that tripped it would trip every later rung.  A rung's own
@@ -195,13 +190,11 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 	if len(c.Attempts) == 0 {
 		return nil, Outcome{}, errors.New("robust: chain has no attempts")
 	}
-	cache := c.Setup != nil && c.OnIteration == nil && c.Stop == nil
-	var key linalg.SolveKey
-	if cache {
-		key = c.Setup.Key(c.Attempts[0].Name, a, b, x0, c.Tol)
-		if x, stats, ok := c.Setup.Cached(key); ok {
-			c.Span.Attr("cache", "hit")
-			return x, Outcome{AttemptName: c.Attempts[0].Name, Stats: stats}, nil
+	for _, v := range [2][]float64{b, x0} {
+		for i, vi := range v {
+			if math.IsNaN(vi) || math.IsInf(vi, 0) {
+				return nil, Outcome{}, fmt.Errorf("robust: non-finite input %g at row %d", vi, i)
+			}
 		}
 	}
 	g := &guard{stop: c.Stop}
@@ -218,8 +211,6 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 		if err == nil {
 			if relaxed {
 				obs.Default().Counter("robust_relaxed_total").Add(1)
-			} else if cache && i == 0 {
-				c.Setup.Store(key, x, stats)
 			}
 			return x, Outcome{AttemptUsed: i, AttemptName: att.Name, Fallbacks: i, Stats: stats, Relaxed: relaxed}, nil
 		}

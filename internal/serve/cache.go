@@ -28,8 +28,8 @@ func requestKey(body []byte) string {
 // and bytes recorded with this version, and fails until both are
 // updated.
 const (
-	modelVersion = "v2"
-	goldenDigest = "4e288a471f6e638d91995c92a7c9b3b68e7c28a5e58893610cfa17cbc8ffd99a"
+	modelVersion = "v3"
+	goldenDigest = "859b878e7d391ba156dbddf13215796dd19af50b03b2ae1448d69e70f48d204b"
 )
 
 // resultCache stores finished response bodies by request hash: an

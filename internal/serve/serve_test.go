@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -221,12 +223,17 @@ func TestStudyBudgetStopsLevel2(t *testing.T) {
 	}
 }
 
-// TestWallClockBudget checks the other budget axis: an already-expired
-// wall-clock deadline trips the first poll and surfaces as 422.
+// TestWallClockBudget checks the other budget axis: a wall-clock
+// deadline trips a poll and surfaces as 422.  The deadline is taken at
+// decode, so the study must outlast it: a sweep of 2,000 points runs
+// for far longer than its 1 ms.
 func TestWallClockBudget(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
-	body := []byte(`{"kind": "fig10", "budget": {"max_wall_ms": 1}}`)
-	time.Sleep(2 * time.Millisecond) // the deadline is taken at decode; ensure expiry
+	powers := make([]string, 2000)
+	for i := range powers {
+		powers[i] = strconv.Itoa(10 + i%100)
+	}
+	body := []byte(`{"kind": "sweep", "budget": {"max_wall_ms": 1}, "sweep": {"use_lhp": true, "powers_w": [` + strings.Join(powers, ", ") + `]}}`)
 	w := postStudy(s, body)
 	if w.Code != 422 {
 		t.Fatalf("status = %d, want 422\nbody: %s", w.Code, w.Body.Bytes())

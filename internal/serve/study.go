@@ -42,9 +42,11 @@ const (
 )
 
 // Budget bounds one request's compute.  Both limits are optional; zero
-// means unlimited.  MaxSolverIters counts Stop-seam polls, which the
-// solvers issue once per inner iteration (and once per Picard pass), so
-// it is a direct cap on linear-solver work regardless of study kind.
+// means unlimited.  MaxSolverIters counts Stop-seam polls: an FV solve
+// polls once per CG iteration (and once per Picard pass), a network
+// solve once per factorization, that is per Picard pass or transient
+// step.  It caps linear-solver work in whatever unit the study's
+// solvers use.
 type Budget struct {
 	MaxSolverIters int64 `json:"max_solver_iters,omitempty"`
 	MaxWallMs      int64 `json:"max_wall_ms,omitempty"`

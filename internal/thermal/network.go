@@ -1,13 +1,16 @@
 package thermal
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"aeropack/internal/linalg"
 	"aeropack/internal/obs"
-	"aeropack/internal/robust"
 )
 
 // Network is a lumped thermal resistance network — the "resistive network
@@ -19,37 +22,30 @@ import (
 // loop heat pipe or a natural-convection film) are supported through
 // VariableResistor callbacks, resolved by Picard iteration.
 type Network struct {
-	names  map[string]int
-	labels []string
-	caps   []float64 // lumped capacitance per node, J/K (0 for massless)
-
+	names     map[string]int
+	nodes     []netNode // by node id, in creation order
 	resistors []resistor
-	sources   map[int]float64
-	fixed     map[int]float64
 
 	// Obs, when non-nil, is the parent span under which the network
 	// solver records its telemetry.  When nil, the solver span attaches
 	// to the process-global tracer.
 	Obs *obs.Span
 
-	// Setup, when non-nil, caches preconditioner factors and exact-repeat
-	// solve results across solve calls.  Sweep drivers (internal/cosee)
-	// install one shared setup on every network they build for the same
-	// configuration, so near-identical bisection and sweep points reuse
-	// the IC(0) symbolic pattern and factors instead of re-deriving them.
-	// Safe for concurrent solves; nil means each solve call builds a
-	// private one.
-	Setup *linalg.SolverSetup
-
-	// Stop, when non-nil, is the per-request budget seam: it is forwarded
-	// to every linear solve (robust.Chain.Stop) and polled between Picard
-	// passes and between transient steps.  Returning true aborts the
-	// solve with an error wrapping linalg.ErrStopped.  Budgeted solves
-	// skip the exact-result cache — a cache hit would never poll the
-	// callback, hiding fault-injection stops (the same reasoning as
-	// thermal.SolveOptions).  Must be safe for concurrent calls when the
-	// network is solved from a parallel sweep.
+	// Stop, when non-nil, is the per-request budget seam: it is polled
+	// once before each factorization, that is before every Picard pass
+	// and every transient step.  Returning true aborts the solve with an
+	// error wrapping linalg.ErrStopped.  Must be safe for concurrent
+	// calls when the network is solved from a parallel sweep.
 	Stop func() bool
+}
+
+// netNode is one node of a Network.
+type netNode struct {
+	name   string
+	c      float64 // lumped capacitance, J/K (0 for massless)
+	power  float64 // source power, W
+	fixT   float64 // pinned temperature, K, when pinned
+	pinned bool
 }
 
 type resistor struct {
@@ -63,11 +59,7 @@ type resistor struct {
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
-	return &Network{
-		names:   make(map[string]int),
-		sources: make(map[int]float64),
-		fixed:   make(map[int]float64),
-	}
+	return &Network{names: make(map[string]int)}
 }
 
 // AddNode creates (or returns) the node with the given name.
@@ -75,23 +67,25 @@ func (n *Network) AddNode(name string) int {
 	if id, ok := n.names[name]; ok {
 		return id
 	}
-	id := len(n.labels)
+	id := len(n.nodes)
 	n.names[name] = id
-	n.labels = append(n.labels, name)
-	n.caps = append(n.caps, 0)
+	n.nodes = append(n.nodes, netNode{name: name})
 	return id
 }
 
 // SetCapacitance assigns a lumped thermal capacitance (J/K) to a node for
 // transient solves.
 func (n *Network) SetCapacitance(name string, c float64) {
-	id := n.AddNode(name)
-	n.caps[id] = c
+	n.nodes[n.AddNode(name)].c = c
 }
 
 // Nodes returns the node names in creation order.
 func (n *Network) Nodes() []string {
-	return append([]string(nil), n.labels...)
+	out := make([]string, len(n.nodes))
+	for id, nd := range n.nodes {
+		out[id] = nd.name
+	}
+	return out
 }
 
 // AddResistor connects nodes a and b with resistance r (K/W).
@@ -111,8 +105,8 @@ func (n *Network) AddResistor(a, b string, r float64) error {
 // Picard pass from endpoint temperatures and previous-iteration heat flow.
 // fn must return a positive finite resistance; r0 seeds the iteration.
 func (n *Network) AddVariableResistor(a, b string, r0 float64, fn func(Ta, Tb, Q float64) float64) error {
-	if r0 <= 0 || fn == nil {
-		return fmt.Errorf("thermal: variable resistor needs positive seed and non-nil fn")
+	if !(r0 > 0) || math.IsInf(r0, 1) || fn == nil {
+		return fmt.Errorf("thermal: variable resistor needs a positive finite seed and a non-nil fn")
 	}
 	ia, ib := n.AddNode(a), n.AddNode(b)
 	if ia == ib {
@@ -125,14 +119,13 @@ func (n *Network) AddVariableResistor(a, b string, r0 float64, fn func(Ta, Tb, Q
 // AddSource injects power (W, positive heating) at a node; repeated calls
 // accumulate.
 func (n *Network) AddSource(name string, power float64) {
-	id := n.AddNode(name)
-	n.sources[id] += power
+	n.nodes[n.AddNode(name)].power += power
 }
 
 // FixT pins a node to temperature T (K).
 func (n *Network) FixT(name string, T float64) {
-	id := n.AddNode(name)
-	n.fixed[id] = T
+	nd := &n.nodes[n.AddNode(name)]
+	nd.pinned, nd.fixT = true, T
 }
 
 // SteadyResult maps node names to solved temperatures plus element flows.
@@ -178,13 +171,6 @@ func (n *Network) SolveSteadyWarm(tolK float64, maxIter int, warm *NetworkState)
 }
 
 func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
-	num := len(n.labels)
-	if num == 0 {
-		return nil, fmt.Errorf("thermal: empty network")
-	}
-	if len(n.fixed) == 0 {
-		return nil, fmt.Errorf("thermal: network has no fixed-temperature node; steady problem is singular")
-	}
 	if tolK <= 0 {
 		tolK = 1e-3
 	}
@@ -192,65 +178,42 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 		maxIter = 60
 	}
 
+	num := len(n.nodes)
 	sp := obs.Start(n.Obs, "thermal.Network.SolveSteady")
 	sp.AttrInt("nodes", num)
 	sp.AttrInt("resistors", len(n.resistors))
 	defer sp.End()
 
-	// A node with no resistor that is not pinned would leave the steady
-	// system singular.
-	deg := make([]int, num)
-	for _, e := range n.resistors {
-		deg[e.a]++
-		deg[e.b]++
+	sys, err := n.compile(false)
+	if err != nil {
+		return nil, err
 	}
-	for id := 0; id < num; id++ {
-		if _, fixed := n.fixed[id]; deg[id] == 0 && !fixed {
-			return nil, fmt.Errorf("thermal: node %q is floating (no resistor, not fixed)", n.labels[id])
-		}
-	}
-
 	rs := make([]float64, len(n.resistors))
 	for i, e := range n.resistors {
 		rs[i] = e.r
 	}
-	T := make([]float64, num)
-	// Seed all nodes at the mean fixed temperature, summed in ascending
-	// node id: in map order the last bits of the seed, and so of every
-	// warm-started solve, would change from run to run.
-	fixedIDs := make([]int, 0, len(n.fixed))
-	for id := range n.fixed {
-		fixedIDs = append(fixedIDs, id)
-	}
-	sort.Ints(fixedIDs)
+	// Seed the free nodes at the mean pinned temperature, summed in
+	// ascending node id.
 	mean := 0.0
-	for _, id := range fixedIDs {
-		mean += n.fixed[id]
-	}
-	mean /= float64(len(n.fixed))
-	for i := range T {
-		T[i] = mean
-	}
-	for id, t := range n.fixed {
-		T[id] = t
-	}
-
-	hasVariable := false
-	for _, e := range n.resistors {
-		if e.fn != nil {
-			hasVariable = true
-			break
+	for id, u := range sys.unk {
+		if u < 0 {
+			mean += sys.fixT[id]
 		}
 	}
+	mean /= float64(num - len(sys.free))
+	T := slices.Clone(sys.fixT)
+	for _, id := range sys.free {
+		T[id] = mean
+	}
+	hasVariable := slices.ContainsFunc(n.resistors, func(e resistor) bool { return e.fn != nil })
 
 	// Continue from a compatible prior state: temperatures and frozen
 	// resistances seed within a few Picard passes of the new fixed point
 	// when only sources or fixed temperatures moved.  Fixed nodes are
 	// re-pinned — this network's boundary values win over the old ones.
 	if warm != nil && len(warm.T) == num && len(warm.Rs) == len(rs) {
-		copy(T, warm.T)
-		for id, t := range n.fixed {
-			T[id] = t
+		for _, id := range sys.free {
+			T[id] = warm.T[id]
 		}
 		copy(rs, warm.Rs)
 	}
@@ -261,15 +224,11 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 		}
 	}
 
-	setup := n.Setup
-	if setup == nil {
-		setup = linalg.NewSolverSetup()
+	Tnew := make([]float64, num)
+	flows := make([]float64, len(n.resistors))
+	result := func(passes int) *SteadyResult {
+		return &SteadyResult{T: n.labelled(T), Flow: flows, Iterations: passes}
 	}
-	// Network matrices are symmetric positive definite after Dirichlet
-	// elimination; IC(0) is near-exact on their mostly tree-like graphs,
-	// so the warm-started CG converges in a handful of iterations.
-	sys := n.newSystem(robust.Chain{Tol: 1e-12, MaxIter: 20*num + 200, Attempts: robust.Ladder("cg-ic0"),
-		Span: sp, Setup: setup, Stop: n.Stop})
 	// Variable resistances are under-relaxed for stability, but a fixed
 	// 0.5 factor makes the whole Picard iteration converge at rate ~0.5
 	// per pass (~16 passes to drive a 60 K ΔT under 1e-3 K).  theta
@@ -280,21 +239,11 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 	// history, so solves stay deterministic.
 	theta := 0.5
 	prevDelta := math.Inf(1)
-	var result *SteadyResult
 	for pass := 0; pass < maxIter; pass++ {
-		// The budget callback is polled between passes as well as inside
-		// the linear solver: a tiny network's CG may finish (or fall back
-		// to the dense solve) before the budget trips, and without this
-		// check the Picard loop would burn the rest of its passes on a
-		// request that already exceeded its allowance.
-		if n.Stop != nil && pass > 0 && n.Stop() {
+		if n.Stop != nil && n.Stop() {
 			return nil, fmt.Errorf("thermal: network %w after %d Picard passes", linalg.ErrStopped, pass)
 		}
-		// T warm-starts the linear solve: on the first pass it is the
-		// seeded field, afterwards the previous Picard iterate, which is
-		// within tolK of the solution near convergence.
-		Tnew, err := sys.solve(rs, T, 0)
-		if err != nil {
+		if err := sys.solve(rs, T, 0, Tnew); err != nil {
 			return nil, err
 		}
 		maxDelta := 0.0
@@ -304,14 +253,12 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 			}
 		}
 		copy(T, Tnew)
-		flows := make([]float64, len(n.resistors))
 		for i, e := range n.resistors {
 			flows[i] = (T[e.a] - T[e.b]) / rs[i]
 		}
-		result = &SteadyResult{T: n.labelled(T), Flow: flows, Iterations: pass + 1}
 		if !hasVariable {
 			saveWarm()
-			return result, nil
+			return result(pass + 1), nil
 		}
 		// Update variable resistances.
 		changed := false
@@ -336,100 +283,199 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 			theta = math.Max(0.25, 0.5*theta)
 		}
 		prevDelta = maxDelta
-		if maxDelta < tolK && !changed {
+		if maxDelta < tolK && (!changed || pass > 2) {
 			saveWarm()
-			return result, nil
-		}
-		if maxDelta < tolK && pass > 2 {
-			saveWarm()
-			return result, nil
+			return result(pass + 1), nil
 		}
 	}
-	return result, fmt.Errorf("thermal: network Picard iteration did not converge in %d passes", maxIter)
+	return result(maxIter), fmt.Errorf("thermal: network Picard iteration did not converge in %d passes", maxIter)
 }
 
-// netSystem assembles and solves the linear systems of one network
-// solve call, a steady solve's Picard passes or a transient's steps.
-// Both assemble the same way: the resistor conductances in the order the
-// resistors were added, then the sources, then each node's own diagonal
-// term in id order — 1 on a pinned node, C/dt on a free node over a
-// transient step.  The COO builder and right-hand side are reused from
-// one system to the next.
+// netSystem is one solve call's compiled network.  Pinned nodes leave
+// the system, their conductances moving to the right-hand side, and the
+// free nodes, in node id order, are the unknowns of one sparse LDLᵀ
+// whose order and fill pattern are fixed at compile time.
 type netSystem struct {
-	n      *Network
-	pinned []bool
-	fixT   []float64 // pinned temperature per node (transients reschedule it)
-	coo    *linalg.COO
-	b      []float64
-	chain  robust.Chain
-	// jacobi is the transient's first-rung preconditioner: the step
-	// operator's pattern never changes, so one instance is refreshed in
-	// place every step instead of being rebuilt.
-	jacobi *linalg.JacobiPrec
+	n    *Network
+	f    *linalg.LDLT
+	free []int     // free[u] is unknown u's node id
+	unk  []int     // unk[id] is node id's unknown, -1 when pinned
+	slot []int     // slot[e] is resistor e's entry in f.Lower, -1 unless both ends are free
+	fixT []float64 // pinned temperature per node (transients reschedule it)
+	b    []float64 // right-hand side by unknown, then the solution
+
+	factorizations *obs.Counter
 }
 
-// newSystem prepares a solve call whose linear systems chain solves.
-func (n *Network) newSystem(chain robust.Chain) *netSystem {
-	num := len(n.labels)
-	s := &netSystem{n: n, pinned: make([]bool, num), fixT: make([]float64, num),
-		coo: linalg.NewCOO(num, num), b: make([]float64, num), chain: chain}
-	for id, t := range n.fixed {
-		s.pinned[id], s.fixT[id] = true, t
+// compile checks the network's inputs and topology and builds its
+// system.  Every source, pinned temperature and capacitance must be
+// finite (capacitances also non-negative), some node must be pinned, and
+// every connected group of free nodes must reach a pinned node through
+// resistors — or, in a transient, hold a capacitance — else the system
+// is singular and the error names the group.
+func (n *Network) compile(transient bool) (*netSystem, error) {
+	num := len(n.nodes)
+	if num == 0 {
+		return nil, errors.New("thermal: empty network")
 	}
-	return s
+	for _, nd := range n.nodes {
+		switch {
+		case math.IsNaN(nd.power) || math.IsInf(nd.power, 0):
+			return nil, fmt.Errorf("thermal: node %q has non-finite source %g W", nd.name, nd.power)
+		case nd.pinned && (math.IsNaN(nd.fixT) || math.IsInf(nd.fixT, 0)):
+			return nil, fmt.Errorf("thermal: node %q is pinned to non-finite temperature %g K", nd.name, nd.fixT)
+		case !(nd.c >= 0) || math.IsInf(nd.c, 1):
+			return nil, fmt.Errorf("thermal: node %q has invalid capacitance %g J/K (want finite, ≥ 0)", nd.name, nd.c)
+		}
+	}
+	ints := make([]int, 2*num+len(n.resistors))
+	s := &netSystem{n: n, unk: ints[:num], free: ints[num : num : 2*num], slot: ints[2*num:],
+		fixT: make([]float64, num), factorizations: obs.Default().Counter("thermal_network_factorizations_total")}
+	for id, nd := range n.nodes {
+		s.unk[id], s.fixT[id] = -1, nd.fixT
+		if !nd.pinned {
+			s.unk[id] = len(s.free)
+			s.free = append(s.free, id)
+		}
+	}
+	if len(s.free) == num {
+		if transient {
+			return nil, errors.New("thermal: transient network needs a fixed node")
+		}
+		return nil, errors.New("thermal: network has no fixed-temperature node; steady problem is singular")
+	}
+	edges := make([][2]int, 0, len(n.resistors))
+	for e, r := range n.resistors {
+		s.slot[e] = -1
+		if ua, ub := s.unk[r.a], s.unk[r.b]; ua >= 0 && ub >= 0 {
+			s.slot[e] = len(edges)
+			edges = append(edges, [2]int{ua, ub})
+		}
+	}
+	if err := s.checkIslands(edges, transient); err != nil {
+		return nil, err
+	}
+	f, slots := linalg.NewLDLT(len(s.free), edges)
+	for e, k := range s.slot {
+		if k >= 0 {
+			s.slot[e] = slots[k]
+		}
+	}
+	s.f, s.b = f, make([]float64, len(s.free))
+	return s, nil
+}
+
+// checkIslands returns an error naming the first connected group of
+// free nodes, by lowest node id, that no resistor ties to a pinned node
+// and, in a transient, that holds no capacitance.  The names are sorted
+// and capped at 8.
+func (s *netSystem) checkIslands(edges [][2]int, transient bool) error {
+	n := s.n
+	root := make([]int, len(s.free))
+	for u := range root {
+		root[u] = u
+	}
+	find := func(u int) int {
+		for root[u] != u {
+			root[u] = root[root[u]]
+			u = root[u]
+		}
+		return u
+	}
+	for _, e := range edges {
+		root[find(e[0])] = find(e[1])
+	}
+	grounded := make([]bool, len(s.free))
+	for _, r := range n.resistors {
+		if ua, ub := s.unk[r.a], s.unk[r.b]; (ua < 0) != (ub < 0) {
+			grounded[find(max(ua, ub))] = true
+		}
+	}
+	for u, id := range s.free {
+		if transient && n.nodes[id].c > 0 {
+			grounded[find(u)] = true
+		}
+	}
+	for u := range s.free {
+		island := find(u)
+		if grounded[island] {
+			continue
+		}
+		var names []string
+		for w, id := range s.free {
+			if find(w) == island {
+				names = append(names, strconv.Quote(n.nodes[id].name))
+			}
+		}
+		sort.Strings(names)
+		list := strings.Join(names[:min(8, len(names))], ", ")
+		if len(names) > 8 {
+			list += fmt.Sprintf(" and %d more", len(names)-8)
+		}
+		why := "no resistor path to a fixed-temperature node"
+		if transient {
+			why += " and no capacitance"
+		}
+		return fmt.Errorf("thermal: floating island %s: %s", list, why)
+	}
+	return nil
 }
 
 // solve assembles the system at resistances rs — steady when dt is 0,
-// else one backward-Euler step of dt from field T — and solves it
-// through the robust entry, warm-started from T.
-func (s *netSystem) solve(rs, T []float64, dt float64) ([]float64, error) {
-	n, coo, b := s.n, s.coo, s.b
-	coo.Reset()
-	clear(b)
-	for i, e := range n.resistors {
-		g := 1 / rs[i]
-		for _, end := range [2][2]int{{e.a, e.b}, {e.b, e.a}} {
-			self, other := end[0], end[1]
-			if s.pinned[self] {
-				continue
+// else one backward-Euler step of dt from field T — factors it and
+// writes every node's temperature into out, which may be T.
+func (s *netSystem) solve(rs, T []float64, dt float64, out []float64) error {
+	n, f, b := s.n, s.f, s.b
+	clear(f.Lower)
+	for u, id := range s.free {
+		f.Diag[u], b[u] = 0, n.nodes[id].power
+		if c := n.nodes[id].c; dt > 0 && c > 0 {
+			f.Diag[u] = c / dt
+			b[u] += c / dt * T[id]
+		}
+	}
+	for e, r := range n.resistors {
+		g := 1 / rs[e]
+		ua, ub := s.unk[r.a], s.unk[r.b]
+		if ua >= 0 {
+			f.Diag[ua] += g
+			if ub < 0 {
+				b[ua] += g * s.fixT[r.b]
 			}
-			coo.Add(self, self, g)
-			if s.pinned[other] {
-				b[self] += g * s.fixT[other]
-			} else {
-				coo.Add(self, other, -g)
+		}
+		if ub >= 0 {
+			f.Diag[ub] += g
+			if ua < 0 {
+				b[ub] += g * s.fixT[r.a]
 			}
 		}
-	}
-	for id, p := range n.sources {
-		if !s.pinned[id] {
-			b[id] += p
+		if k := s.slot[e]; k >= 0 {
+			f.Lower[k] -= g
 		}
 	}
-	for id, pinned := range s.pinned {
-		if pinned {
-			coo.Add(id, id, 1)
-			b[id] = s.fixT[id]
-		} else if c := n.caps[id]; dt > 0 && c > 0 {
-			coo.Add(id, id, c/dt)
-			b[id] += c / dt * T[id]
+	s.factorizations.Inc()
+	if err := f.Factor(); err != nil {
+		var pe *linalg.PivotError
+		if errors.As(err, &pe) {
+			return fmt.Errorf("thermal: network node %q: %w", n.nodes[s.free[pe.Index]].name, err)
+		}
+		return err
+	}
+	f.Solve(b)
+	for id, u := range s.unk {
+		if u >= 0 {
+			out[id] = b[u]
+		} else {
+			out[id] = s.fixT[id]
 		}
 	}
-	a := coo.ToCSR()
-	if dt > 0 {
-		if s.jacobi == nil || s.jacobi.Refresh(a) != nil {
-			s.jacobi = linalg.NewJacobiPrec(a)
-		}
-		s.chain.Prec = s.jacobi
-	}
-	x, _, err := s.chain.Solve(a, b, T)
-	return x, err
+	return nil
 }
 
 func (n *Network) labelled(T []float64) map[string]float64 {
 	out := make(map[string]float64, len(T))
-	for i, name := range n.labels {
-		out[name] = T[i]
+	for id, nd := range n.nodes {
+		out[nd.name] = T[id]
 	}
 	return out
 }
@@ -441,7 +487,7 @@ func (n *Network) NodePower(name string) float64 {
 	if !ok {
 		return 0
 	}
-	return n.sources[id]
+	return n.nodes[id].power
 }
 
 // FlowBetween returns the total heat flow a→b (W) summed over all parallel

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,7 +200,7 @@ func TestNetworkNodesListing(t *testing.T) {
 func TestNetworkCapacitance(t *testing.T) {
 	n := NewNetwork()
 	n.SetCapacitance("mass", 50)
-	if id := n.AddNode("mass"); n.caps[id] != 50 {
+	if id := n.AddNode("mass"); n.nodes[id].c != 50 {
 		t.Error("capacitance not stored")
 	}
 }
@@ -280,5 +282,143 @@ func TestNetworkParallelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNetworkRejectsNonFiniteInputs: a non-finite source, pinned
+// temperature or capacitance fails the solve with an error that names
+// the node, instead of returning NaN temperatures with a nil error.
+func TestNetworkRejectsNonFiniteInputs(t *testing.T) {
+	base := func() *Network {
+		n := NewNetwork()
+		n.SetCapacitance("chip", 10)
+		n.AddResistor("chip", "amb", 2)
+		n.AddSource("chip", 5)
+		n.FixT("amb", 300)
+		return n
+	}
+	cases := []struct {
+		name string
+		edit func(*Network)
+		want string
+	}{
+		{"NaN source", func(n *Network) { n.AddSource("chip", math.NaN()) }, `thermal: node "chip" has non-finite source NaN W`},
+		{"Inf pinned temperature", func(n *Network) { n.FixT("amb", math.Inf(1)) }, `thermal: node "amb" is pinned to non-finite temperature +Inf K`},
+		{"NaN capacitance", func(n *Network) { n.SetCapacitance("chip", math.NaN()) }, `thermal: node "chip" has invalid capacitance NaN J/K (want finite, ≥ 0)`},
+		{"negative capacitance", func(n *Network) { n.SetCapacitance("chip", -1) }, `thermal: node "chip" has invalid capacitance -1 J/K (want finite, ≥ 0)`},
+	}
+	for _, c := range cases {
+		n := base()
+		c.edit(n)
+		if _, err := n.SolveSteady(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: steady err = %v, want %q", c.name, err, c.want)
+		}
+		if _, err := n.SolveTransient(300, 1, 5, nil); err == nil || err.Error() != c.want {
+			t.Errorf("%s: transient err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	n := base()
+	inf := map[string]func(float64) float64{"amb": func(float64) float64 { return math.Inf(-1) }}
+	if _, err := n.SolveTransient(300, 1, 5, inf); err == nil || !strings.Contains(err.Error(), `node "amb" to non-finite temperature -Inf K`) {
+		t.Errorf("non-finite schedule: err = %v, want it named", err)
+	}
+	if _, err := n.SolveTransient(math.NaN(), 1, 5, nil); err == nil {
+		t.Error("NaN initial temperature accepted")
+	}
+	if err := n.AddVariableResistor("chip", "amb", math.NaN(), func(_, _, _ float64) float64 { return 1 }); err == nil {
+		t.Error("NaN variable-resistor seed accepted")
+	}
+}
+
+// TestNetworkFloatingIsland: a group of free nodes with no resistor path
+// to a pinned node makes the steady problem singular, and the error
+// names the group.  In a transient a capacitance in the group anchors
+// it.
+func TestNetworkFloatingIsland(t *testing.T) {
+	n := NewNetwork()
+	n.AddResistor("chip", "amb", 2)
+	n.FixT("amb", 300)
+	n.AddResistor("y", "x", 2)
+	n.AddSource("x", 5)
+	const steady = `thermal: floating island "x", "y": no resistor path to a fixed-temperature node`
+	if _, err := n.SolveSteady(); err == nil || err.Error() != steady {
+		t.Errorf("steady err = %v, want %q", err, steady)
+	}
+	if _, err := n.SolveTransient(300, 1, 5, nil); err == nil || err.Error() != steady+" and no capacitance" {
+		t.Errorf("transient err = %v, want %q", err, steady+" and no capacitance")
+	}
+	n.SetCapacitance("y", 50)
+	res, err := n.SolveTransient(300, 1, 5, nil)
+	if err != nil {
+		t.Fatalf("island anchored by a capacitance: %v", err)
+	}
+	// The island's 5 W heats its 50 J/K for 5 s; the massless x follows.
+	if got := res.Final()["y"]; math.Abs(got-300.5) > 1e-12 {
+		t.Errorf("island y after 5 s = %v, want 300.5", got)
+	}
+
+	big := NewNetwork()
+	big.FixT("amb", 300)
+	big.AddResistor("amb", "tied", 1)
+	for i := 0; i < 10; i++ {
+		big.AddResistor(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1), 1)
+	}
+	want := `thermal: floating island "n0", "n1", "n10", "n2", "n3", "n4", "n5", "n6" and 3 more: no resistor path to a fixed-temperature node`
+	if _, err := big.SolveSteady(); err == nil || err.Error() != want {
+		t.Errorf("11-node island err = %v, want %q", err, want)
+	}
+}
+
+// TestNetworkZeroPivotNamesNode: a network that passes the island check
+// can still be numerically singular — a 1e300 K/W tie to the pinned
+// node vanishes beside a 1 K/W resistor — and the factorization's zero
+// pivot is an error that names the node.
+func TestNetworkZeroPivotNamesNode(t *testing.T) {
+	n := NewNetwork()
+	n.FixT("amb", 300)
+	n.AddResistor("amb", "a", 1e300)
+	n.AddResistor("a", "b", 1)
+	n.AddSource("b", 1)
+	const want = `thermal: network node "b": linalg: LDLᵀ pivot 0 at unknown 1 (matrix not positive definite)`
+	if _, err := n.SolveSteady(); err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+}
+
+// TestNetworkLevel3Scale: a forced-air level-3 network of 10,000
+// components — a junction and a case node each, tied to a pinned board
+// node and the pinned air — solves with the bytes it allocates per node
+// under a constant.  A dense n×n path over its 20,000 free nodes would
+// need gigabytes.
+func TestNetworkLevel3Scale(t *testing.T) {
+	const comps = 10000
+	n := NewNetwork()
+	n.FixT("air", 320)
+	for i := 0; i < comps; i++ {
+		j, cs, board := fmt.Sprintf("U%d.j", i), fmt.Sprintf("U%d.case", i), fmt.Sprintf("board.U%d", i)
+		n.FixT(board, 330+float64(i%7))
+		n.AddResistor(j, board, 8)
+		n.AddResistor(j, board, 20)
+		n.AddResistor(j, cs, 0.5)
+		n.AddResistor(cs, "air", 40)
+		n.AddSource(j, 1+0.2*float64(i%5))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := n.SolveSteady()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(n.Nodes()))
+	t.Logf("%d nodes: %.0f bytes allocated per node", len(n.Nodes()), perNode)
+	if perNode > 1024 {
+		t.Errorf("steady solve allocated %.0f bytes per node, budget 1024 — is a dense path back?", perNode)
+	}
+	for _, i := range []int{0, 4711, comps - 1} {
+		gBoard, gAir := 1/8.0+1/20.0, 1/(0.5+40)
+		tb, p := 330+float64(i%7), 1+0.2*float64(i%5)
+		want := (p + gBoard*tb + gAir*320) / (gBoard + gAir)
+		almost(t, res.T[fmt.Sprintf("U%d.j", i)], want, 1e-9, "junction T")
 	}
 }

@@ -3,9 +3,9 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"aeropack/internal/linalg"
-	"aeropack/internal/robust"
 )
 
 // TransientResult holds a network time history.
@@ -70,55 +70,51 @@ func (r *TransientResult) TimeToReach(node string, target float64) (float64, err
 // from the previous step's temperatures.  Ambient (fixed) nodes may be
 // rescheduled over time via schedule, mapping node name to a temperature
 // profile T(t); nil entries keep the fixed value.  Network.Stop is
-// polled inside every step's solve and between steps; once it fires
-// the transient ends with an error wrapping linalg.ErrStopped.
+// polled once before every step's factorization; once it fires the
+// transient ends with an error wrapping linalg.ErrStopped.
 func (n *Network) SolveTransient(T0, dt float64, steps int, schedule map[string]func(t float64) float64) (*TransientResult, error) {
-	if dt <= 0 || steps <= 0 {
+	if !(dt > 0) || steps <= 0 {
 		return nil, fmt.Errorf("thermal: transient needs positive dt and steps")
 	}
-	num := len(n.labels)
-	if num == 0 {
-		return nil, fmt.Errorf("thermal: empty network")
+	if math.IsNaN(T0) || math.IsInf(T0, 0) {
+		return nil, fmt.Errorf("thermal: transient initial temperature %g K is not finite", T0)
 	}
-	if len(n.fixed) == 0 {
-		return nil, fmt.Errorf("thermal: transient network needs a fixed node")
+	sys, err := n.compile(true)
+	if err != nil {
+		return nil, err
 	}
 
 	rs := make([]float64, len(n.resistors))
 	for i, e := range n.resistors {
 		rs[i] = e.r
 	}
-	T := make([]float64, num)
-	for i := range T {
-		T[i] = T0
-	}
-	for id, t := range n.fixed {
-		T[id] = t
+	T := slices.Clone(sys.fixT)
+	for _, id := range sys.free {
+		T[id] = T0
 	}
 
-	res := &TransientResult{T: make(map[string][]float64, num)}
+	res := &TransientResult{T: make(map[string][]float64, len(T))}
 	record := func(tm float64) {
 		res.Times = append(res.Times, tm)
-		for i, name := range n.labels {
-			res.T[name] = append(res.T[name], T[i])
+		for id, nd := range n.nodes {
+			res.T[nd.name] = append(res.T[nd.name], T[id])
 		}
 	}
 	record(0)
 
-	// Step operators are SPD and diagonally dominant (C/dt on every
-	// massive node), so Jacobi-preconditioned CG converges quickly; the
-	// steps share no exact content, so no result cache is attached.
-	sys := n.newSystem(robust.Chain{Tol: 1e-11, MaxIter: 40*num + 400, Attempts: robust.Ladder("cg-jacobi"), Stop: n.Stop})
 	for step := 1; step <= steps; step++ {
-		if n.Stop != nil && step > 1 && n.Stop() {
+		if n.Stop != nil && n.Stop() {
 			return nil, fmt.Errorf("thermal: network transient %w after %d steps", linalg.ErrStopped, step-1)
 		}
 		tm := float64(step) * dt
 		// Update scheduled ambient temperatures.
-		for id, tv := range n.fixed {
-			sys.fixT[id] = tv
-			if fn := schedule[n.labels[id]]; fn != nil {
-				sys.fixT[id] = fn(tm)
+		for id, nd := range n.nodes {
+			if fn := schedule[nd.name]; nd.pinned && fn != nil {
+				t := fn(tm)
+				if math.IsNaN(t) || math.IsInf(t, 0) {
+					return nil, fmt.Errorf("thermal: schedule pins node %q to non-finite temperature %g K at t=%.1f s", nd.name, t, tm)
+				}
+				sys.fixT[id] = t
 			}
 		}
 		// Refresh variable resistances from the previous state.
@@ -133,11 +129,9 @@ func (n *Network) SolveTransient(T0, dt float64, steps int, schedule map[string]
 			}
 			rs[i] = rNew
 		}
-		x, err := sys.solve(rs, T, dt)
-		if err != nil {
+		if err := sys.solve(rs, T, dt, T); err != nil {
 			return nil, fmt.Errorf("thermal: network transient step %d: %w", step, err)
 		}
-		copy(T, x)
 		record(tm)
 	}
 	return res, nil
@@ -151,7 +145,7 @@ func (n *Network) TimeConstant(name string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("thermal: unknown node %q", name)
 	}
-	c := n.caps[id]
+	c := n.nodes[id].c
 	if c <= 0 {
 		return 0, fmt.Errorf("thermal: node %q has no capacitance", name)
 	}

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -249,42 +250,48 @@ func TestTimeConstant(t *testing.T) {
 	}
 }
 
-// TestTransientPollsStop: Network.Stop bounds a transient like a steady
-// solve — polled between steps and inside each step's solve — and a
-// tripped budget ends it with an error wrapping linalg.ErrStopped.
-func TestTransientPollsStop(t *testing.T) {
-	n := rcNetwork(200, 2, 10, 300)
-	polls := 0
-	n.Stop = func() bool {
-		polls++
-		return true
+// stopAfter returns a budget that fires on its k-th poll and counts its
+// polls.
+func stopAfter(k int, polls *int) func() bool {
+	return func() bool {
+		*polls++
+		return *polls >= k
 	}
-	res, err := n.SolveTransient(300, 1, 20, nil)
-	if !errors.Is(err, linalg.ErrStopped) || res != nil {
-		t.Errorf("result %v, err %v; want no result and an error wrapping linalg.ErrStopped", res, err)
-	}
-	if polls == 0 {
-		t.Error("Stop was never polled")
-	}
+}
 
-	// A budget that lasts through part of a larger network's first
-	// step's solve stops inside it.
-	n = finNetwork(12)
-	n.SetCapacitance("spreader", 15)
-	for _, r := range []struct {
-		a, b string
-		r    float64
-	}{{"chip", "spreader", 0.3}, {"spreader", "plate", 0.4}} {
-		if err := n.AddResistor(r.a, r.b, r.r); err != nil {
-			t.Fatal(err)
+// TestTransientPollsStop: Network.Stop bounds a transient once per step,
+// before the step's factorization.  A budget that fires on its k-th poll
+// ends the transient after exactly k−1 steps, with an error wrapping
+// linalg.ErrStopped.
+func TestTransientPollsStop(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		n := finNetwork(12)
+		polls := 0
+		n.Stop = stopAfter(k, &polls)
+		res, err := n.SolveTransient(300, 1, 20, nil)
+		if !errors.Is(err, linalg.ErrStopped) || res != nil {
+			t.Fatalf("k=%d: result %v, err %v; want no result and an error wrapping linalg.ErrStopped", k, res, err)
+		}
+		if want := fmt.Sprintf("after %d steps", k-1); polls != k || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("k=%d: %d polls, err %q; want %d polls and an error ending %q", k, polls, err, k, want)
 		}
 	}
-	polls = 0
-	n.Stop = func() bool {
-		polls++
-		return polls > 1
-	}
-	if _, err := n.SolveTransient(300, 1, 20, nil); !errors.Is(err, linalg.ErrStopped) || !strings.Contains(err.Error(), "step 1") {
-		t.Errorf("err = %v, want a stop inside step 1's solve", err)
+}
+
+// TestSteadyPollsStop is TestTransientPollsStop for SolveSteady: one
+// poll before each Picard pass's factorization, so a budget that fires
+// on its k-th poll ends the solve after exactly k−1 passes.
+func TestSteadyPollsStop(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		n := finNetwork(12)
+		polls := 0
+		n.Stop = stopAfter(k, &polls)
+		res, err := n.SolveSteadyTol(1e-9, 60)
+		if !errors.Is(err, linalg.ErrStopped) || res != nil {
+			t.Fatalf("k=%d: result %v, err %v; want no result and an error wrapping linalg.ErrStopped", k, res, err)
+		}
+		if want := fmt.Sprintf("after %d Picard passes", k-1); polls != k || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("k=%d: %d polls, err %q; want %d polls and an error ending %q", k, polls, err, k, want)
+		}
 	}
 }

@@ -14,14 +14,11 @@ import (
 	"aeropack/internal/units"
 )
 
-// TestSolverPerfGuard pins the headline property of the sparse solver
-// overhaul so it cannot silently regress: an E5 Fig. 10 sweep runs in a
-// bounded CG iteration budget.  The pre-overhaul baseline was ~11,260
-// iterations per sweep (unpreconditioned CG restarted cold at every
-// Picard pass and bisection probe); IC(0) + solver-setup reuse + warm
-// starts bring it to ~1,000.  The guard sits at 1,100 — a 10×
-// improvement floor.  Iteration counts are deterministic, so the check
-// is exact.
+// TestSolverPerfGuard pins the headline property of the network solve
+// so it cannot silently regress: a Fig. 10 run on Al6061 factors its
+// networks once per Picard pass, 388 times, and runs no CG iteration.
+// The budget of 425 factorizations fails a Picard regression of 10 % or
+// more.  Factorization counts are deterministic, so the check is exact.
 //
 // It only runs when AEROPACK_SOLVER_GUARD=1 (verify.sh sets it in the
 // solver-budget step).
@@ -30,20 +27,23 @@ func TestSolverPerfGuard(t *testing.T) {
 		t.Skip("set AEROPACK_SOLVER_GUARD=1 to run the solver performance guard")
 	}
 
-	t.Run("E5IterationBudget", func(t *testing.T) {
+	t.Run("E5FactorizationBudget", func(t *testing.T) {
 		reg := obs.NewRegistry()
 		prev := obs.SetDefault(reg)
 		defer obs.SetDefault(prev)
 		if _, err := cosee.RunFig10(materials.Al6061); err != nil {
 			t.Fatal(err)
 		}
-		iters := reg.Counter("linalg_solver_iterations_total").Value()
-		t.Logf("Fig. 10 sweep: %d CG iterations (pre-overhaul baseline ~11260)", iters)
-		if iters > 1100 {
-			t.Errorf("Fig. 10 sweep took %d CG iterations, budget 1100", iters)
+		f := reg.Counter("thermal_network_factorizations_total").Value()
+		t.Logf("Fig. 10 run: %d network factorizations", f)
+		if f > 425 {
+			t.Errorf("Fig. 10 run took %d factorizations, budget 425", f)
 		}
-		if iters == 0 {
-			t.Error("no solver iterations recorded — is the sweep still running the iterative solver?")
+		if f == 0 {
+			t.Error("no factorization recorded — is the run still solving its networks directly?")
+		}
+		if iters := reg.Counter("linalg_solver_iterations_total").Value(); iters != 0 {
+			t.Errorf("Fig. 10 run took %d CG iterations, want 0: networks solve directly", iters)
 		}
 	})
 }

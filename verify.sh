@@ -89,8 +89,8 @@ coverage_floor ./internal/robust 85
 coverage_floor ./internal/serve 85
 coverage_floor ./internal/lint 85
 
-echo "== solver iteration budget (E5 Fig. 10; no pipe, so a blown budget fails the gate)"
-AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/E5IterationBudget' -v .
+echo "== solver factorization budget (E5 Fig. 10; no pipe, so a blown budget fails the gate)"
+AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/E5FactorizationBudget' -v .
 
 echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + Par_SolveSteadySerial, 1 iteration)"
 go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkPar_SolveSteady' -benchtime 1x .
