@@ -9,6 +9,7 @@
 package aeropack_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -28,6 +29,7 @@ import (
 	"aeropack/internal/obs"
 	"aeropack/internal/reliability"
 	"aeropack/internal/report"
+	"aeropack/internal/robust"
 	"aeropack/internal/thermal"
 	"aeropack/internal/tim"
 	"aeropack/internal/twophase"
@@ -377,7 +379,7 @@ func BenchmarkE5_Fig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		al := materials.Al6061
 		before := factorizations.Value()
-		s, err := cosee.RunFig10(al)
+		s, _, err := cosee.RunFig10(context.Background(), cosee.Config{Structure: al}, robust.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -391,7 +393,7 @@ func BenchmarkE5_Fig10(b *testing.B) {
 				{"with LHP (horizontal)", cosee.Config{UseLHP: true, Structure: al}},
 				{"with LHP (22° tilt)", cosee.Config{UseLHP: true, TiltDeg: 22, Structure: al}},
 			} {
-				pts, err := cfg.c.Sweep(powers)
+				pts, _, err := cfg.c.Sweep(context.Background(), powers, robust.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -435,7 +437,7 @@ func BenchmarkE5_Fig10(b *testing.B) {
 
 func BenchmarkE6_CompositeSeat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cc, err := cosee.RunFig10(materials.CarbonComposite)
+		cc, _, err := cosee.RunFig10(context.Background(), cosee.Config{Structure: materials.CarbonComposite}, robust.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -484,7 +486,7 @@ func e7Article() *envtest.Article {
 
 func BenchmarkE7_Qualification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := envtest.DefaultCampaign().RunAll(e7Article())
+		results, _, err := envtest.DefaultCampaign().Run(context.Background(), e7Article(), robust.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -717,7 +719,7 @@ func BenchmarkAblation_TIMStack(b *testing.B) {
 		names := []string{"perfect", "grease-standard", "nanopack-CNT-composite", "bare-contact"}
 		for _, nm := range names {
 			cfg := cosee.Config{UseLHP: true, TIMName: nm}
-			c, err := cfg.CapabilityAt(60)
+			c, err := cfg.CapabilityAt(context.Background(), 60)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -786,7 +788,7 @@ func benchSolver(b *testing.B, solver string) {
 	m := solverModel()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		res, err := m.SolveSteady(&thermal.SolveOptions{Solver: solver})
+		res, err := m.SolveSteady(context.Background(), &thermal.SolveOptions{Solver: solver})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -810,7 +812,7 @@ func BenchmarkAblation_MeshConvergence(b *testing.B) {
 			m.SetFaceBC(mesh.YMin, thermal.BC{Kind: thermal.FixedT, T: 303.15})
 			m.SetFaceBC(mesh.YMax, thermal.BC{Kind: thermal.FixedT, T: 303.15})
 			m.AddVolumeSource(0.06, 0.10, 0.06, 0.10, 0, 0.004, 10)
-			res, err := m.SolveSteady(nil)
+			res, err := m.SolveSteady(context.Background(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -846,7 +848,7 @@ func TestBenchSmoke(t *testing.T) {
 	if _, err := cfg.Solve(60); err != nil {
 		t.Error(err)
 	}
-	if _, err := envtest.DefaultCampaign().RunAll(e7Article()); err != nil {
+	if _, _, err := envtest.DefaultCampaign().Run(context.Background(), e7Article(), robust.Options{Workers: 1}); err != nil {
 		t.Error(err)
 	}
 	if _, err := nanopack.EvaluateHNC(2e5); err != nil {
@@ -910,12 +912,12 @@ func BenchmarkExt_VaporChamber(b *testing.B) {
 func BenchmarkExt_SEBWarmup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bare := cosee.Config{}
-		_, t90bare, err := bare.Warmup(40, 30, 600)
+		_, t90bare, err := bare.Warmup(context.Background(), 40, 30, 600)
 		if err != nil {
 			b.Fatal(err)
 		}
 		kit := cosee.Config{UseLHP: true}
-		_, t90kit, err := kit.Warmup(40, 30, 600)
+		_, t90kit, err := kit.Warmup(context.Background(), 40, 30, 600)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -930,7 +932,7 @@ func BenchmarkExt_SEBWarmup(b *testing.B) {
 
 func BenchmarkExt_ExtendedQualification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := envtest.DefaultExtended().RunAll(e7Article())
+		results, _, err := envtest.DefaultExtended().Run(context.Background(), e7Article(), robust.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -972,7 +974,7 @@ func BenchmarkExt_EquipmentStudy(b *testing.B) {
 			},
 			InletAirC: 40,
 		}
-		rep, err := core.StudyEquipment(eq, screen)
+		rep, err := core.StudyEquipment(context.Background(), eq, screen)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1116,7 +1118,7 @@ func BenchmarkExt_RackFlowBalance(b *testing.B) {
 
 func BenchmarkExt_CompactBCI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := compact.BCIStudy("BGA256", 3, compact.StandardBCIEnvironments())
+		res, err := compact.BCIStudy(context.Background(), "BGA256", 3, compact.StandardBCIEnvironments())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1146,7 +1148,7 @@ func BenchmarkExt_ConjugateChannel(b *testing.B) {
 				{RefDes: "DOWN", Pkg: compact.BGA256, Power: 5, X: 0.16, Y: 0.05},
 			},
 		}
-		res, err := core.ConjugateStudy(board, 1.5e-3, 8)
+		res, err := core.ConjugateStudy(context.Background(), board, 1.5e-3, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1168,15 +1170,15 @@ func BenchmarkExt_ThermosyphonOption(b *testing.B) {
 		lhp := cosee.Config{UseLHP: true}
 		tsy := cosee.Config{UseLHP: true, UseThermosyphon: true}
 		tsyTilt := cosee.Config{UseLHP: true, UseThermosyphon: true, TiltDeg: 40}
-		cL, err := lhp.CapabilityAt(60)
+		cL, err := lhp.CapabilityAt(context.Background(), 60)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cT, err := tsy.CapabilityAt(60)
+		cT, err := tsy.CapabilityAt(context.Background(), 60)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cTT, err := tsyTilt.CapabilityAt(60)
+		cTT, err := tsyTilt.CapabilityAt(context.Background(), 60)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1193,7 +1195,7 @@ func BenchmarkExt_ThermosyphonOption(b *testing.B) {
 
 func BenchmarkExt_FleetEconomics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := cosee.FleetStudy(300, 60, 5, 40000, 4000, 45)
+		res, err := cosee.FleetStudy(context.Background(), 300, 60, 5, 40000, 4000, 45)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1212,17 +1214,17 @@ func BenchmarkExt_FleetEconomics(b *testing.B) {
 func BenchmarkExt_SealedBox(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		box := core.DefaultSealedBox()
-		res, err := box.Solve(20)
+		res, err := box.Solve(context.Background(), 20)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pMax, err := box.MaxPower(95)
+		pMax, err := box.MaxPower(context.Background(), 95)
 		if err != nil {
 			b.Fatal(err)
 		}
 		alt := core.DefaultSealedBox()
 		alt.AltitudeM = 12192
-		pAlt, err := alt.MaxPower(95)
+		pAlt, err := alt.MaxPower(context.Background(), 95)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1253,7 +1255,7 @@ func BenchmarkPar_Fig10SweepSerial(b *testing.B) {
 	powers := parallelBenchPowers()
 	for i := 0; i < b.N; i++ {
 		cfg := cosee.Config{UseLHP: true}
-		if _, err := cfg.Sweep(powers); err != nil {
+		if _, _, err := cfg.Sweep(context.Background(), powers, robust.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1271,7 +1273,7 @@ func BenchmarkPar_Fig10SweepParallel(b *testing.B) {
 
 func BenchmarkPar_Fig10SummarySerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := cosee.RunFig10(materials.Al6061); err != nil {
+		if _, _, err := cosee.RunFig10(context.Background(), cosee.Config{Structure: materials.Al6061}, robust.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1279,7 +1281,7 @@ func BenchmarkPar_Fig10SummarySerial(b *testing.B) {
 
 func BenchmarkPar_Fig10SummaryParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := cosee.RunFig10Parallel(materials.Al6061, 0); err != nil {
+		if _, _, err := cosee.RunFig10(context.Background(), cosee.Config{Structure: materials.Al6061}, robust.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1316,7 +1318,7 @@ func BenchmarkPar_SolveSteadySerial(b *testing.B) {
 	reg := benchRegistry(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.SolveSteady(nil); err != nil {
+		if _, err := m.SolveSteady(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1329,7 +1331,7 @@ func BenchmarkPar_SolveSteadySerial(b *testing.B) {
 func BenchmarkPar_CampaignSerial(b *testing.B) {
 	c := envtest.DefaultCampaign()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RunAll(e7Article()); err != nil {
+		if _, _, err := c.Run(context.Background(), e7Article(), robust.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

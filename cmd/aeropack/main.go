@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -180,18 +181,12 @@ func main() {
 	screen := core.DefaultScreen(env)
 	screen.AmbientC = *ambient
 
-	var rep *core.Report
-	var pointErrs []*robust.PointError
-	if *keepGoing {
-		rep, pointErrs = core.StudyKeepGoing(board, screen)
-		for _, pe := range pointErrs {
-			fmt.Fprintln(os.Stderr, "aeropack: keep-going:", pe)
-		}
-		if rep == nil {
-			fail(1, robust.FirstError(pointErrs))
-		}
-	} else if rep, err = core.Study(board, screen); err != nil {
+	rep, pointErrs, err := core.Run(context.Background(), board, screen, robust.Options{KeepGoing: *keepGoing})
+	if err != nil {
 		fail(1, err)
+	}
+	for _, pe := range pointErrs {
+		fmt.Fprintln(os.Stderr, "aeropack: keep-going:", pe)
 	}
 	// Document dereferences every section, so a partial report falls back
 	// to the nil-guarded summary tables.
@@ -323,7 +318,7 @@ func runEquipment(path string, ambient float64, fail func(code int, err error)) 
 	}
 	screen := core.DefaultScreen(eq.Envelope)
 	screen.AmbientC = ambient
-	rep, err := core.StudyEquipment(eq, screen)
+	rep, err := core.StudyEquipment(context.Background(), eq, screen)
 	if err != nil {
 		fail(1, err)
 	}

@@ -11,18 +11,16 @@
 //	errdrop      discarded errors and ==-compared sentinels
 //	lockheld     blocking calls while a sync mutex is held
 //	hotalloc     per-iteration allocation in //lint:hot kernels
-//	budgetstop   driver paths into iterative solvers without a Stop/budget
 //	goroleak     goroutines in library code never joined or cancelled
 //	taintsize    request/flag-derived sizes reaching make or loop bounds unclamped
-//	stopflow     handler paths into solvers without the request's stop predicate
 //	lockorder    cycles in the module-wide mutex acquisition graph
 //	atomicmix    plain access to fields touched via sync/atomic elsewhere
 //
-// spanleak, lockheld, errdrop, budgetstop, goroleak and the four
-// value-flow rules are interprocedural: they follow call-graph summaries
-// across in-module package boundaries, so a violation hidden one call
-// deep — or one package over — is reported at the caller with the full
-// call chain.
+// spanleak, lockheld, errdrop, goroleak and the three value-flow rules
+// are interprocedural: they follow call-graph summaries across
+// in-module package boundaries, so a violation hidden one call deep — or
+// one package over — is reported at the caller with the full call
+// chain.
 //
 // Usage:
 //

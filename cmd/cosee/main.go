@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -73,17 +74,19 @@ func main() {
 	// results (and output) are identical to Sweep's.  With -keep-going a
 	// failed point is reported on stderr and kept as NaN in the output
 	// instead of aborting; failures counts the points lost that way.
+	ctx := context.Background()
+	o := robust.Options{Workers: *workers, KeepGoing: *keepGoing}
 	failures := 0
-	sweep := func(cfg cosee.Config) ([]cosee.Point, error) {
-		if *keepGoing {
-			pts, errs := cfg.SweepKeepGoing(powers, *workers)
-			for _, pe := range errs {
-				fmt.Fprintln(os.Stderr, "cosee: keep-going:", pe)
-			}
-			failures += len(errs)
-			return pts, nil
+	keptGoing := func(errs []*robust.PointError) {
+		for _, pe := range errs {
+			fmt.Fprintln(os.Stderr, "cosee: keep-going:", pe)
 		}
-		return cfg.SweepParallel(powers, *workers)
+		failures += len(errs)
+	}
+	sweep := func(cfg cosee.Config) ([]cosee.Point, error) {
+		pts, errs, err := cfg.Sweep(ctx, powers, o)
+		keptGoing(errs)
+		return pts, err
 	}
 	// exit joins the ops endpoint, flushes telemetry and terminates with
 	// code 4 when -keep-going swallowed failures, 0 on a clean run.
@@ -146,17 +149,11 @@ func main() {
 		fmt.Print(s.String())
 	}
 
-	var sum *cosee.Fig10Summary
-	if *keepGoing {
-		var errs []*robust.PointError
-		sum, errs = cosee.RunFig10KeepGoing(mat, *workers, nil)
-		for _, pe := range errs {
-			fmt.Fprintln(os.Stderr, "cosee: keep-going:", pe)
-		}
-		failures += len(errs)
-	} else if sum, err = cosee.RunFig10Parallel(mat, *workers); err != nil {
+	sum, errs, err := cosee.RunFig10(ctx, cosee.Config{Structure: mat}, o)
+	if err != nil {
 		fail(err)
 	}
+	keptGoing(errs)
 	t := report.NewTable("Headline summary ("+mat.Name+")", "quantity", "value")
 	t.AddRow("capability without LHP @ΔT=60K", fmt.Sprintf("%.1f W", sum.CapabilityNoLHP))
 	t.AddRow("capability with LHP @ΔT=60K", fmt.Sprintf("%.1f W", sum.CapabilityLHP))

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -113,22 +114,11 @@ func main() {
 		fail(1, err)
 	}
 
-	var results []envtest.Result
-	var pointErrs []*robust.PointError
-	switch {
-	case *keepGoing && *extended:
-		results, pointErrs = envtest.DefaultExtended().RunAllKeepGoing(article, *workers)
-	case *keepGoing:
-		results, pointErrs = envtest.DefaultCampaign().RunAllKeepGoing(article, *workers)
-	case *extended && *workers == 1:
-		results, err = envtest.DefaultExtended().RunAll(article)
-	case *extended:
-		results, err = envtest.DefaultExtended().RunAllParallel(article, *workers)
-	case *workers == 1:
-		results, err = envtest.DefaultCampaign().RunAll(article)
-	default:
-		results, err = envtest.DefaultCampaign().RunAllParallel(article, *workers)
+	run := envtest.DefaultCampaign().Run
+	if *extended {
+		run = envtest.DefaultExtended().Run
 	}
+	results, pointErrs, err := run(context.Background(), article, robust.Options{Workers: *workers, KeepGoing: *keepGoing})
 	if err != nil {
 		fail(1, err)
 	}
@@ -213,7 +203,7 @@ func coseeHook(cfg cosee.Config) func(float64) (float64, error) {
 		// parallel campaign calls this hook concurrently, so work on a
 		// private copy.
 		c := cfg
-		pt, err := c.Solve(p)
+		pt, err := c.SolveContext(context.Background(), p)
 		if err != nil {
 			return 0, err
 		}

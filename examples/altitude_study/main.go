@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	env := core.Envelope{L: 0.4, W: 0.3, H: 0.2}
 	const needW, fluxWcm2 = 150.0, 3.0
 
@@ -47,11 +49,11 @@ func main() {
 	fmt.Println()
 	sl := cosee.Config{UseLHP: true}
 	cab := cosee.Config{UseLHP: true, CabinAltitudeM: materials.CabinAltitudeM}
-	pSL, err := sl.Solve(80)
+	pSL, err := sl.SolveContext(ctx, 80)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pCab, err := cab.Solve(80)
+	pCab, err := cab.SolveContext(ctx, 80)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -19,6 +20,7 @@ import (
 	"aeropack/internal/compact"
 	"aeropack/internal/core"
 	"aeropack/internal/optimize"
+	"aeropack/internal/robust"
 	"aeropack/internal/vibration"
 )
 
@@ -59,6 +61,7 @@ func tuneIsolators() {
 func tuneCopper() {
 	// Minimise copper coverage (cost, weight) subject to the design
 	// closing: findings-free Study run.
+	ctx := context.Background()
 	mk := func(cover float64) *core.BoardDesign {
 		return &core.BoardDesign{
 			Name: "cost-optimised", LengthM: 0.16, WidthM: 0.23, ThicknessM: 2.4e-3,
@@ -73,7 +76,7 @@ func tuneCopper() {
 	}
 	screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
 	feasibleAt := func(cover float64) bool {
-		rep, err := core.Study(mk(cover), screen)
+		rep, _, err := core.Run(ctx, mk(cover), screen, robust.Options{})
 		return err == nil && rep.Feasible
 	}
 	// Bisect the feasibility boundary in coverage.
@@ -94,7 +97,7 @@ func tuneCopper() {
 		log.Fatal(err)
 	}
 	chosen := math.Min(0.9, boundary+0.05) // 5% margin above the cliff
-	rep, err := core.Study(mk(chosen), screen)
+	rep, _, err := core.Run(ctx, mk(chosen), screen, robust.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

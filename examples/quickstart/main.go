@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 	if err := n.AddResistor("case", "coldplate", rTIM); err != nil {
 		log.Fatal(err)
 	}
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 	"aeropack/internal/convection"
 	"aeropack/internal/core"
 	"aeropack/internal/reliability"
+	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
 
@@ -43,7 +45,7 @@ func main() {
 
 	// Levels 2+3 — board and components via the co-design flow.
 	screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
-	rep, err := core.Study(board, screen)
+	rep, _, err := core.Run(context.Background(), board, screen, robust.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

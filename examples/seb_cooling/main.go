@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cabin := 25.0 // °C
 
 	fmt.Println("Seat electronic box study (cabin at 25 °C)")
@@ -23,7 +25,7 @@ func main() {
 
 	// 1. Today's box at 40 W: passive case cooling only.
 	bare := cosee.Config{AmbientC: cabin}
-	p, err := bare.Solve(40)
+	p, err := bare.SolveContext(ctx, 40)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func main() {
 		p.DeltaTK, cabin+p.DeltaTK)
 
 	// 2. Next-generation IFE needs 100 W.  Bare box?
-	p, err = bare.Solve(100)
+	p, err = bare.SolveContext(ctx, 100)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 
 	// 3. Retrofit the HP + LHP kit using the aluminium seat frame as sink.
 	kit := cosee.Config{UseLHP: true, AmbientC: cabin}
-	p, err = kit.Solve(100)
+	p, err = kit.SolveContext(ctx, 100)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,11 +50,11 @@ func main() {
 		cabin+p.DeltaTK, p.LHPPower)
 
 	// 4. Capability at the classic ΔT = 60 K design point.
-	c0, err := bare.CapabilityAt(60)
+	c0, err := bare.CapabilityAt(ctx, 60)
 	if err != nil {
 		log.Fatal(err)
 	}
-	c1, err := kit.CapabilityAt(60)
+	c1, err := kit.CapabilityAt(ctx, 60)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 
 	// 5. Does the seat tilt in cruise hurt?  (Loop heat pipes barely care.)
 	tilted := cosee.Config{UseLHP: true, TiltDeg: 22, AmbientC: cabin}
-	ct, err := tilted.CapabilityAt(60)
+	ct, err := tilted.CapabilityAt(ctx, 60)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func main() {
 	// 6. The composite-seat variant: the frame is a worse fin.
 	composite := cosee.Config{UseLHP: true, AmbientC: cabin,
 		Structure: materials.CarbonComposite}
-	cc, err := composite.CapabilityAt(60)
+	cc, err := composite.CapabilityAt(ctx, 60)
 	if err != nil {
 		log.Fatal(err)
 	}

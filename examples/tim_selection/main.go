@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,7 @@ func main() {
 		if err := n.AddResistor("sinkbase", "sink", rSinkAbs); err != nil {
 			log.Fatal(err)
 		}
-		res, err := n.SolveSteady()
+		res, err := n.SolveSteady(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package aeropack_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestMaximumPrinciple(t *testing.T) {
 	m.SetFaceBC(mesh.XMin, thermal.BC{Kind: thermal.FixedT, T: 360})
 	m.SetFaceBC(mesh.XMax, thermal.BC{Kind: thermal.FixedT, T: 310})
 	m.SetFaceBC(mesh.YMin, thermal.BC{Kind: thermal.Convection, T: 295, H: 15})
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestNetworkVsFiniteVolume(t *testing.T) {
 	m, _ := thermal.NewModel(g, []materials.Material{al})
 	m.SetFaceBC(mesh.ZMin, thermal.BC{Kind: thermal.Convection, T: Tamb, H: h})
 	m.AddVolumeSource(0, side, 0, side, 0, thk, power)
-	fv, err := m.SolveSteady(nil)
+	fv, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestNetworkVsFiniteVolume(t *testing.T) {
 	area := side * side
 	rCond := (thk / 2) / (al.K * area)
 	n.AddResistor("plate", "amb", rCond+1/(h*area))
-	lump, err := n.SolveSteady()
+	lump, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestCompactVsDetailedJunction(t *testing.T) {
 	if n := m.AddVolumeSource(4e-3, 13e-3, 4e-3, 13e-3, 0.7e-3, 1.1e-3, power); n == 0 {
 		t.Fatal("die source missed")
 	}
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"context"
 	"testing"
 
 	"aeropack/internal/thermal"
@@ -75,7 +76,7 @@ func TestAttachAndSolve(t *testing.T) {
 	if err := c.Attach(n, "board", "air", 20); err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestAttachConductionOnly(t *testing.T) {
 	}
 	// The air node is never created; add a resistor-free solve must work
 	// because no reference to it was added.
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestJunctionRiseMatchesNetwork(t *testing.T) {
 	if err := c.Attach(n, "board", "air", 15); err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestCheckMargins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

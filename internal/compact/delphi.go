@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"context"
 	"fmt"
 
 	"aeropack/internal/thermal"
@@ -141,15 +142,16 @@ type Environment struct {
 	AirC    float64 // top-side air temperature, °C
 }
 
-// JunctionDelphi solves the multi-node model in one environment.
-func (d *DelphiModel) JunctionDelphi(env Environment, power float64) (float64, error) {
+// JunctionDelphi solves the multi-node model in one environment under
+// ctx's budget.
+func (d *DelphiModel) JunctionDelphi(ctx context.Context, env Environment, power float64) (float64, error) {
 	n := thermal.NewNetwork()
 	n.FixT("board", units.CToK(env.BoardC))
 	n.FixT("air", units.CToK(env.AirC))
 	if err := d.Attach(n, "U", "board", "air", power, env.HTop, env.HBottom); err != nil {
 		return 0, err
 	}
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -172,8 +174,8 @@ type BCIResult struct {
 // BCIStudy evaluates the DELPHI and two-resistor models of a package over
 // an environment set, quantifying how far the simpler model drifts — the
 // boundary-condition-independence experiment from the DELPHI project,
-// reproduced on this library's models.
-func BCIStudy(pkgName string, power float64, envs []Environment) (*BCIResult, error) {
+// reproduced on this library's models.  ctx budgets every solve.
+func BCIStudy(ctx context.Context, pkgName string, power float64, envs []Environment) (*BCIResult, error) {
 	if power <= 0 || len(envs) == 0 {
 		return nil, fmt.Errorf("compact: BCI study needs power and environments")
 	}
@@ -187,7 +189,7 @@ func BCIStudy(pkgName string, power float64, envs []Environment) (*BCIResult, er
 	}
 	out := &BCIResult{}
 	for _, env := range envs {
-		tjD, err := d.JunctionDelphi(env, power)
+		tjD, err := d.JunctionDelphi(ctx, env, power)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +201,7 @@ func BCIStudy(pkgName string, power float64, envs []Environment) (*BCIResult, er
 		if err := c.Attach(n, "board", "air", env.HTop); err != nil {
 			return nil, err
 		}
-		res, err := n.SolveSteady()
+		res, err := n.SolveSteady(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"context"
 	"testing"
 
 	"aeropack/internal/thermal"
@@ -51,7 +52,7 @@ func TestDelphiValidate(t *testing.T) {
 func TestDelphiJunctionPhysics(t *testing.T) {
 	d, _ := GetDelphi("BGA256")
 	env := Environment{Name: "nominal", HTop: 20, HBottom: 3000, BoardC: 70, AirC: 50}
-	tj, err := d.JunctionDelphi(env, 3)
+	tj, err := d.JunctionDelphi(context.Background(), env, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestDelphiJunctionPhysics(t *testing.T) {
 		t.Errorf("junction %v above the bottom-only bound", units.KToC(tj))
 	}
 	// More power → hotter, linearly (the network is linear).
-	tj2, _ := d.JunctionDelphi(env, 6)
+	tj2, _ := d.JunctionDelphi(context.Background(), env, 6)
 	rise1 := tj - units.CToK(70)
 	if !units.ApproxEqual(tj2-units.CToK(70), 2*rise1, 0.15) {
 		t.Errorf("junction rise not ≈linear: %v vs %v", tj2-units.CToK(70), 2*rise1)
@@ -76,11 +77,11 @@ func TestDelphiTopCoolingResponds(t *testing.T) {
 	d, _ := GetDelphi("FCBGA-CPU")
 	still := Environment{Name: "still", HTop: 8, HBottom: 3000, BoardC: 70, AirC: 45}
 	sink := Environment{Name: "sink", HTop: 500, HBottom: 3000, BoardC: 70, AirC: 45}
-	tjStill, err := d.JunctionDelphi(still, 20)
+	tjStill, err := d.JunctionDelphi(context.Background(), still, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tjSink, err := d.JunctionDelphi(sink, 20)
+	tjSink, err := d.JunctionDelphi(context.Background(), sink, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestDelphiTopCoolingResponds(t *testing.T) {
 }
 
 func TestBCIStudy(t *testing.T) {
-	res, err := BCIStudy("BGA256", 3, StandardBCIEnvironments())
+	res, err := BCIStudy(context.Background(), "BGA256", 3, StandardBCIEnvironments())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +117,10 @@ func TestBCIStudy(t *testing.T) {
 	if res.MaxSpreadK > 30 {
 		t.Errorf("models diverge wildly (%v K) — fits inconsistent", res.MaxSpreadK)
 	}
-	if _, err := BCIStudy("BGA256", -1, StandardBCIEnvironments()); err == nil {
+	if _, err := BCIStudy(context.Background(), "BGA256", -1, StandardBCIEnvironments()); err == nil {
 		t.Error("bad power should error")
 	}
-	if _, err := BCIStudy("SOIC8", 1, StandardBCIEnvironments()); err == nil {
+	if _, err := BCIStudy(context.Background(), "SOIC8", 1, StandardBCIEnvironments()); err == nil {
 		t.Error("package without delphi model should error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -32,8 +33,8 @@ type ConjugateResult struct {
 // integrate the picked-up heat downstream, repeat.
 //
 // mdot is the channel air mass flow (kg/s); nSeg the streamwise segment
-// count.
-func ConjugateStudy(b *BoardDesign, mdot float64, nSeg int) (*ConjugateResult, error) {
+// count.  ctx budgets every board solve.
+func ConjugateStudy(ctx context.Context, b *BoardDesign, mdot float64, nSeg int) (*ConjugateResult, error) {
 	b.defaults()
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -98,7 +99,7 @@ func ConjugateStudy(b *BoardDesign, mdot float64, nSeg int) (*ConjugateResult, e
 		if err != nil {
 			return nil, err
 		}
-		f, err := m.SolveSteady(nil)
+		f, err := m.SolveSteady(ctx, nil)
 		if err != nil {
 			return nil, err
 		}

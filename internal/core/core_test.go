@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"aeropack/internal/compact"
+	"aeropack/internal/linalg"
+	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
 
@@ -360,7 +364,7 @@ func TestConjugateStudy(t *testing.T) {
 	b.ChannelH = 50
 	b.ChannelAirC = 40
 	const mdot = 2.5e-3 // kg/s through the channel
-	res, err := ConjugateStudy(b, mdot, 6)
+	res, err := ConjugateStudy(context.Background(), b, mdot, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +413,7 @@ func TestConjugateStreamwiseBias(t *testing.T) {
 			{RefDes: "DOWN", Pkg: compact.BGA256, Power: 5, X: 0.16, Y: 0.05},
 		},
 	}
-	res, err := ConjugateStudy(b, 1.5e-3, 8)
+	res, err := ConjugateStudy(context.Background(), b, 1.5e-3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,22 +425,22 @@ func TestConjugateStreamwiseBias(t *testing.T) {
 
 func TestConjugateValidation(t *testing.T) {
 	b := goodBoard() // conduction cooled
-	if _, err := ConjugateStudy(b, 1e-3, 6); err == nil {
+	if _, err := ConjugateStudy(context.Background(), b, 1e-3, 6); err == nil {
 		t.Error("non-forced-air board should error")
 	}
 	b2 := goodBoard()
 	b2.EdgeCooling = ForcedAir
-	if _, err := ConjugateStudy(b2, -1, 6); err == nil {
+	if _, err := ConjugateStudy(context.Background(), b2, -1, 6); err == nil {
 		t.Error("bad flow should error")
 	}
-	if _, err := ConjugateStudy(b2, 1e-3, 1); err == nil {
+	if _, err := ConjugateStudy(context.Background(), b2, 1e-3, 1); err == nil {
 		t.Error("too few segments should error")
 	}
 }
 
 func TestSealedBoxPhysics(t *testing.T) {
 	box := DefaultSealedBox()
-	res, err := box.Solve(20)
+	res, err := box.Solve(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +463,7 @@ func TestSealedBoxPhysics(t *testing.T) {
 	// Shiny internal surfaces hurt.
 	shiny := DefaultSealedBox()
 	shiny.EmissBoard, shiny.EmissCaseIn = 0.1, 0.1
-	resShiny, err := shiny.Solve(20)
+	resShiny, err := shiny.Solve(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +474,7 @@ func TestSealedBoxPhysics(t *testing.T) {
 
 func TestSealedBoxCapacity(t *testing.T) {
 	box := DefaultSealedBox()
-	pMax, err := box.MaxPower(95)
+	pMax, err := box.MaxPower(context.Background(), 95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +484,7 @@ func TestSealedBoxCapacity(t *testing.T) {
 		t.Errorf("sealed capacity = %v W, want tens", pMax)
 	}
 	// At the capacity point the board sits at the limit.
-	r, err := box.Solve(pMax)
+	r, err := box.Solve(context.Background(), pMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,14 +494,14 @@ func TestSealedBoxCapacity(t *testing.T) {
 	// Altitude shrinks the capacity.
 	alt := DefaultSealedBox()
 	alt.AltitudeM = 12192
-	pAlt, err := alt.MaxPower(95)
+	pAlt, err := alt.MaxPower(context.Background(), 95)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pAlt >= pMax {
 		t.Errorf("altitude capacity %v should trail sea level %v", pAlt, pMax)
 	}
-	if _, err := box.MaxPower(30); err == nil {
+	if _, err := box.MaxPower(context.Background(), 30); err == nil {
 		t.Error("limit below ambient should error")
 	}
 }
@@ -505,16 +509,16 @@ func TestSealedBoxCapacity(t *testing.T) {
 func TestSealedBoxValidation(t *testing.T) {
 	box := DefaultSealedBox()
 	box.GapM = 0
-	if _, err := box.Solve(10); err == nil {
+	if _, err := box.Solve(context.Background(), 10); err == nil {
 		t.Error("bad geometry should error")
 	}
 	box = DefaultSealedBox()
 	box.EmissBoard = 2
-	if _, err := box.Solve(10); err == nil {
+	if _, err := box.Solve(context.Background(), 10); err == nil {
 		t.Error("bad emissivity should error")
 	}
 	box = DefaultSealedBox()
-	if _, err := box.Solve(-5); err == nil {
+	if _, err := box.Solve(context.Background(), -5); err == nil {
 		t.Error("negative power should error")
 	}
 }
@@ -570,5 +574,56 @@ func TestStudyFreeConvectionBoard(t *testing.T) {
 	}
 	if rep.Level3.WorstC <= rep.Level2.MeanBoardC {
 		t.Error("junctions must ride above the board")
+	}
+}
+
+// freeConvectionBoard is the board of the serve contract's
+// study-budget-exceeded request: its level-2 field needs about a dozen
+// radiating Picard passes.
+func freeConvectionBoard() *BoardDesign {
+	return &BoardDesign{
+		Name: "demo-processing-module", LengthM: 0.16, WidthM: 0.23, ThicknessM: 2.4e-3,
+		CopperLayers: 12, CopperOz: 2, CopperCover: 0.7,
+		EdgeCooling: FreeConvection, RailTempC: 30, MassLoadKgM2: 3,
+		Components: []*compact.Component{
+			{RefDes: "U1", Pkg: compact.FCBGACPU, Power: 6, X: 0.08, Y: 0.115},
+			{RefDes: "U2", Pkg: compact.BGA256, Power: 2.5, X: 0.04, Y: 0.06},
+		},
+	}
+}
+
+// TestRunKeepGoingBudgetStopsLevel2: with keep-going and a poll budget
+// of 1, the level-2 solve stops with linalg.ErrStopped, level 3 is
+// recorded as skipped, and the solver-free level-1 and mechanical
+// sections are bitwise equal to the unbudgeted run's.  Without
+// keep-going the same budget fails the study.
+func TestRunKeepGoingBudgetStopsLevel2(t *testing.T) {
+	screen := DefaultScreen(Envelope{L: 0.4, W: 0.3, H: 0.2})
+	clean, errs, err := Run(context.Background(), freeConvectionBoard(), screen, robust.Options{})
+	if err != nil || errs != nil {
+		t.Fatalf("unbudgeted run: errs %v, err %v", errs, err)
+	}
+	budget := robust.WithPollBudget(context.Background(), 1)
+	if _, _, err := Run(budget, freeConvectionBoard(), screen, robust.Options{}); !errors.Is(err, linalg.ErrStopped) {
+		t.Errorf("without keep-going: err = %v, want linalg.ErrStopped", err)
+	}
+
+	budget = robust.WithPollBudget(context.Background(), 1)
+	rep, errs, err := Run(budget, freeConvectionBoard(), screen, robust.Options{KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) != 2 || errs[0].Label != "level2" || !errors.Is(errs[0], linalg.ErrStopped) ||
+		errs[1].Label != "level3" || !strings.Contains(errs[1].Error(), "skipped") {
+		t.Fatalf("point errors = %v, want level 2 stopped and level 3 skipped", errs)
+	}
+	if rep.Level2 != nil || rep.Level3 != nil || rep.Feasible {
+		t.Errorf("report keeps level 2 %v, level 3 %v, feasible %t; want neither and infeasible", rep.Level2, rep.Level3, rep.Feasible)
+	}
+	if rep.Level1 != clean.Level1 {
+		t.Errorf("level 1 = %+v, want the unbudgeted %+v", rep.Level1, clean.Level1)
+	}
+	if rep.Mech == nil || *rep.Mech != *clean.Mech {
+		t.Errorf("mech = %+v, want the unbudgeted %+v", rep.Mech, clean.Mech)
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"aeropack/internal/convection"
+	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
 
@@ -36,8 +38,8 @@ type EquipmentReport struct {
 // StudyEquipment runs the full flow on every board.  Forced-air boards
 // receive a channel air temperature of inlet + half the bulk rise
 // (parallel channels, mean-bulk approximation); other boards keep their
-// own settings.
-func StudyEquipment(eq *Equipment, screen Screen) (*EquipmentReport, error) {
+// own settings.  ctx budgets every board's study.
+func StudyEquipment(ctx context.Context, eq *Equipment, screen Screen) (*EquipmentReport, error) {
 	if eq == nil || len(eq.Boards) == 0 {
 		return nil, fmt.Errorf("core: equipment needs at least one board")
 	}
@@ -58,7 +60,7 @@ func StudyEquipment(eq *Equipment, screen Screen) (*EquipmentReport, error) {
 		if b.EdgeCooling == ForcedAir && b.ChannelAirC == 0 {
 			b.ChannelAirC = eq.InletAirC + rep.AirRiseK/2
 		}
-		r, err := Study(b, screen)
+		r, _, err := Run(ctx, b, screen, robust.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("core: board %q: %w", b.Name, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestStudyEquipmentRack(t *testing.T) {
 		},
 		InletAirC: 40,
 	}
-	rep, err := StudyEquipment(eq, DefaultScreen(eq.Envelope))
+	rep, err := StudyEquipment(context.Background(), eq, DefaultScreen(eq.Envelope))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestStudyEquipmentDeratedFlow(t *testing.T) {
 		InletAirC:  40,
 		FlowDerate: 0.4,
 	}
-	rep, err := StudyEquipment(eq, DefaultScreen(eq.Envelope))
+	rep, err := StudyEquipment(context.Background(), eq, DefaultScreen(eq.Envelope))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +90,10 @@ func TestStudyEquipmentDeratedFlow(t *testing.T) {
 }
 
 func TestStudyEquipmentValidation(t *testing.T) {
-	if _, err := StudyEquipment(nil, testScreen()); err == nil {
+	if _, err := StudyEquipment(context.Background(), nil, testScreen()); err == nil {
 		t.Error("nil equipment should error")
 	}
-	if _, err := StudyEquipment(&Equipment{Name: "empty"}, testScreen()); err == nil {
+	if _, err := StudyEquipment(context.Background(), &Equipment{Name: "empty"}, testScreen()); err == nil {
 		t.Error("empty equipment should error")
 	}
 	eq := &Equipment{
@@ -100,14 +101,14 @@ func TestStudyEquipmentValidation(t *testing.T) {
 		Boards:     []*BoardDesign{forcedAirBoard("a", 5)},
 		FlowDerate: -1,
 	}
-	if _, err := StudyEquipment(eq, testScreen()); err == nil {
+	if _, err := StudyEquipment(context.Background(), eq, testScreen()); err == nil {
 		t.Error("bad derate should error")
 	}
 	eq2 := &Equipment{
 		Name:   "bad-board",
 		Boards: []*BoardDesign{{Name: "no-geometry"}},
 	}
-	if _, err := StudyEquipment(eq2, testScreen()); err == nil {
+	if _, err := StudyEquipment(context.Background(), eq2, testScreen()); err == nil {
 		t.Error("invalid board should propagate error")
 	}
 }
@@ -155,7 +156,7 @@ func TestEquipmentDocument(t *testing.T) {
 		Boards:    []*BoardDesign{forcedAirBoard("only", 5)},
 		InletAirC: 40,
 	}
-	rep, err := StudyEquipment(eq, DefaultScreen(eq.Envelope))
+	rep, err := StudyEquipment(context.Background(), eq, DefaultScreen(eq.Envelope))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -42,14 +43,6 @@ type BoardDesign struct {
 	// as a discrete point mass at its placement — the ANSYS-grade pass
 	// for boards whose mass is dominated by a few heavy parts.
 	DetailedMech bool
-
-	// Stop, when non-nil, is the per-request budget seam (aeropackd):
-	// it is forwarded to the level-2 FV solve's SolveOptions.Stop,
-	// polled once per CG iteration, and to the level-3 network's Stop,
-	// polled once per factorization.  Returning true aborts the pass
-	// with an error wrapping linalg.ErrStopped.  Never serialized with
-	// the design.
-	Stop func() bool `json:"-"`
 }
 
 // defaults fills customary values.
@@ -145,99 +138,50 @@ type Report struct {
 	Findings []string
 }
 
-// Study runs the paper's co-design flow on one board: level-1 technology
+// Run runs the paper's co-design flow on one board: level-1 technology
 // screen, level-2 FV board model, level-3 junction temperatures, and the
-// parallel mechanical design (modal placement + random vibration).
-func Study(b *BoardDesign, screen Screen) (*Report, error) {
-	b.defaults()
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	sp := obs.Start(nil, "core.Study")
-	defer sp.End()
-	sp.Attr("board", b.Name)
-	rep := &Report{Board: b}
-
-	// ---- Level 1: technology screen on power and peak flux.
-	a1, peakFlux, err := b.level1(screen, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Level1 = a1
-	if !rep.Level1.Feasible {
-		rep.Findings = append(rep.Findings,
-			fmt.Sprintf("level 1: %v infeasible for %.0f W / %.1f W/cm²",
-				b.EdgeCooling, b.TotalPower(), peakFlux))
-	}
-
-	// ---- Level 2: finite-volume board model.
-	l2, err := b.level2(screen, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Level2 = l2
-	if l2.MaxBoardC > b.MaxJunctionC {
-		rep.Findings = append(rep.Findings,
-			fmt.Sprintf("level 2: board reaches %.0f °C before component rise", l2.MaxBoardC))
-	}
-
-	// ---- Level 3: junction temperatures on local board temperature.
-	l3, err := b.level3(l2, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Level3 = l3
-	if !l3.AllPass {
-		rep.Findings = append(rep.Findings,
-			fmt.Sprintf("level 3: junction limit exceeded (worst %.0f °C)", l3.WorstC))
-	}
-
-	// ---- Mechanical design in parallel.
-	mres, err := b.mechanical(sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Mech = mres
-	if b.TargetModeHz > 0 && !mres.ModePlaced {
-		rep.Findings = append(rep.Findings,
-			fmt.Sprintf("mech: fundamental %.0f Hz misses allocation %.0f Hz", mres.FundamentalHz, b.TargetModeHz))
-	}
-	if !mres.FatigueOK {
-		rep.Findings = append(rep.Findings, "mech: random-vibration fatigue limit exceeded")
-	}
-
-	rep.Feasible = rep.Level1.Feasible && l3.AllPass && mres.FatigueOK &&
-		(b.TargetModeHz == 0 || mres.ModePlaced)
-	return rep, nil
-}
-
-// StudyKeepGoing runs the same four passes as Study but captures each
-// pass's failure as a robust.PointError (indexed in pass order: 0
-// level1, 1 level2, 2 level3, 3 mech) instead of aborting, so a report
+// parallel mechanical design (modal placement + random vibration).  ctx
+// budgets the level-2 FV solve (one poll per CG iteration and per
+// Picard pass after the first) and the level-3 network (one poll per
+// factorization); a tripped budget fails the pass with an error wrapping
+// linalg.ErrStopped.  The passes run in sequence, so o.Workers is
+// unused.
+//
+// An invalid board is an error.  Otherwise, without o.KeepGoing the
+// first failed pass aborts the study.  With it, each pass's failure is
+// captured as a robust.PointError (indexed in pass order: 0 level1,
+// 1 level2, 2 level3, 3 mech) and appended to Findings, and a report
 // with the surviving sections is always produced.  Level 3 needs the
 // level-2 field and is recorded as skipped when level 2 failed; the
 // mechanical pass is independent and always runs.  A report with any
-// errors is never Feasible, and each error is also appended to
-// Findings.  A nil error slice means the report equals Study's.
-func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointError) {
+// errors is never Feasible.
+func Run(ctx context.Context, b *BoardDesign, screen Screen, o robust.Options) (*Report, []*robust.PointError, error) {
 	b.defaults()
 	if err := b.Validate(); err != nil {
-		return nil, []*robust.PointError{{Index: 0, Label: "validate", Err: err}}
+		return nil, nil, err
 	}
-	sp := obs.Start(nil, "core.Study")
+	ctx, sp := obs.StartContext(ctx, "core.Study")
 	defer sp.End()
 	sp.Attr("board", b.Name)
-	sp.Attr("keep_going", "true")
+	if o.KeepGoing {
+		sp.Attr("keep_going", "true")
+	}
 	rep := &Report{Board: b}
 	var errs []*robust.PointError
-	fail := func(idx int, label string, err error) {
+	// abort records pass idx's failure and reports whether it ends the
+	// study.
+	abort := func(idx int, label string, err error) bool {
 		errs = append(errs, &robust.PointError{Index: idx, Label: label, Err: err})
 		rep.Findings = append(rep.Findings, fmt.Sprintf("%s: ERROR: %v", label, err))
+		return !o.KeepGoing
 	}
 
-	a1, peakFlux, err := b.level1(screen, sp)
+	// ---- Level 1: technology screen on power and peak flux.
+	a1, peakFlux, err := b.level1(ctx, screen)
 	if err != nil {
-		fail(0, "level1", err)
+		if abort(0, "level1", err) {
+			return nil, nil, err
+		}
 	} else {
 		rep.Level1 = a1
 		if !a1.Feasible {
@@ -247,9 +191,12 @@ func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointErro
 		}
 	}
 
-	l2, err := b.level2(screen, sp)
+	// ---- Level 2: finite-volume board model.
+	l2, err := b.level2(ctx, screen)
 	if err != nil {
-		fail(1, "level2", err)
+		if abort(1, "level2", err) {
+			return nil, nil, err
+		}
 	} else {
 		rep.Level2 = l2
 		if l2.MaxBoardC > b.MaxJunctionC {
@@ -258,10 +205,13 @@ func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointErro
 		}
 	}
 
+	// ---- Level 3: junction temperatures on local board temperature.
 	if l2 == nil {
-		fail(2, "level3", fmt.Errorf("core: skipped, needs the level-2 board field"))
-	} else if l3, err := b.level3(l2, sp); err != nil {
-		fail(2, "level3", err)
+		abort(2, "level3", fmt.Errorf("core: skipped, needs the level-2 board field"))
+	} else if l3, err := b.level3(ctx, l2); err != nil {
+		if abort(2, "level3", err) {
+			return nil, nil, err
+		}
 	} else {
 		rep.Level3 = l3
 		if !l3.AllPass {
@@ -270,9 +220,12 @@ func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointErro
 		}
 	}
 
-	mres, err := b.mechanical(sp)
+	// ---- Mechanical design in parallel.
+	mres, err := b.mechanical(ctx)
 	if err != nil {
-		fail(3, "mech", err)
+		if abort(3, "mech", err) {
+			return nil, nil, err
+		}
 	} else {
 		rep.Mech = mres
 		if b.TargetModeHz > 0 && !mres.ModePlaced {
@@ -288,14 +241,20 @@ func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointErro
 		rep.Level3 != nil && rep.Level3.AllPass &&
 		rep.Mech != nil && rep.Mech.FatigueOK &&
 		(b.TargetModeHz == 0 || rep.Mech.ModePlaced)
-	return rep, errs
+	return rep, errs, nil
+}
+
+// Study is Run, unbudgeted and aborting on the first failed pass.
+func Study(b *BoardDesign, screen Screen) (*Report, error) {
+	rep, _, err := Run(context.TODO(), b, screen, robust.Options{})
+	return rep, err
 }
 
 // level1 runs the technology screen on total power and peak component
 // flux, returning the assessment for the board's chosen cooling
 // technology plus the peak flux in W/cm².
-func (b *BoardDesign) level1(screen Screen, parent *obs.Span) (Assessment, float64, error) {
-	sp := obs.Start(parent, "core.Level1")
+func (b *BoardDesign) level1(ctx context.Context, screen Screen) (Assessment, float64, error) {
+	sp := obs.Start(obs.FromContext(ctx), "core.Level1")
 	defer sp.End()
 	peakFlux := 0.0
 	for _, c := range b.Components {
@@ -321,13 +280,14 @@ func (b *BoardDesign) level1(screen Screen, parent *obs.Span) (Assessment, float
 }
 
 // Level1 runs just the level-1 technology screen — the public per-pass
-// entry point behind the level benchmarks and partial re-runs.
+// entry point behind the level benchmarks and partial re-runs.  Level1,
+// Level2 and Level3 run unbudgeted.
 func (b *BoardDesign) Level1(screen Screen) (Assessment, error) {
 	b.defaults()
 	if err := b.Validate(); err != nil {
 		return Assessment{}, err
 	}
-	a, _, err := b.level1(screen, nil)
+	a, _, err := b.level1(context.TODO(), screen)
 	return a, err
 }
 
@@ -337,7 +297,7 @@ func (b *BoardDesign) Level2(screen Screen) (*Level2Result, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	return b.level2(screen, nil)
+	return b.level2(context.TODO(), screen)
 }
 
 // Level3 runs just the level-3 junction pass on an existing level-2
@@ -347,12 +307,12 @@ func (b *BoardDesign) Level3(l2 *Level2Result) (*Level3Result, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	return b.level3(l2, nil)
+	return b.level3(context.TODO(), l2)
 }
 
 // level2 builds and solves the FV board model.
-func (b *BoardDesign) level2(screen Screen, parent *obs.Span) (*Level2Result, error) {
-	sp := obs.Start(parent, "core.Level2")
+func (b *BoardDesign) level2(ctx context.Context, screen Screen) (*Level2Result, error) {
+	ctx, sp := obs.StartContext(ctx, "core.Level2")
 	defer sp.End()
 	nx := int(math.Max(16, b.LengthM/2.5e-3))
 	ny := int(math.Max(12, b.WidthM/2.5e-3))
@@ -403,9 +363,7 @@ func (b *BoardDesign) level2(screen Screen, parent *obs.Span) (*Level2Result, er
 			}
 		}
 	}
-	// Stop is the per-request budget (nil leaves each solver rung its own
-	// wall-clock guard).
-	res, err := m.SolveSteady(&thermal.SolveOptions{Span: sp, Stop: b.Stop})
+	res, err := m.SolveSteady(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -427,12 +385,10 @@ func (b *BoardDesign) level2(screen Screen, parent *obs.Span) (*Level2Result, er
 
 // level3 computes junction temperatures by stacking each component's
 // compact model on its local board temperature.
-func (b *BoardDesign) level3(l2 *Level2Result, parent *obs.Span) (*Level3Result, error) {
-	sp := obs.Start(parent, "core.Level3")
+func (b *BoardDesign) level3(ctx context.Context, l2 *Level2Result) (*Level3Result, error) {
+	ctx, sp := obs.StartContext(ctx, "core.Level3")
 	defer sp.End()
 	n := thermal.NewNetwork()
-	n.Obs = sp
-	n.Stop = b.Stop
 	airC := b.ChannelAirC
 	if b.EdgeCooling != ForcedAir {
 		airC = l2.MeanBoardC // stagnant internal air rides near the board
@@ -452,7 +408,7 @@ func (b *BoardDesign) level3(l2 *Level2Result, parent *obs.Span) (*Level3Result,
 			return nil, err
 		}
 	}
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -472,8 +428,8 @@ func (b *BoardDesign) level3(l2 *Level2Result, parent *obs.Span) (*Level3Result,
 }
 
 // mechanical runs the modal-placement and random-vibration pass.
-func (b *BoardDesign) mechanical(parent *obs.Span) (*MechResult, error) {
-	sp := obs.Start(parent, "core.Mechanical")
+func (b *BoardDesign) mechanical(ctx context.Context) (*MechResult, error) {
+	sp := obs.Start(obs.FromContext(ctx), "core.Mechanical")
 	defer sp.End()
 	var fn float64
 	var err error

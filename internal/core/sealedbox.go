@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"aeropack/internal/convection"
@@ -75,8 +76,8 @@ type SealedBoxResult struct {
 // Solve finds the steady board and case temperatures for dissipation
 // power (W) using the nonlinear network: board → (gap enclosure
 // convection ∥ radiation) → case → (external natural convection ∥
-// radiation) → ambient.
-func (s *SealedBox) Solve(power float64) (*SealedBoxResult, error) {
+// radiation) → ambient, under ctx's budget.
+func (s *SealedBox) Solve(ctx context.Context, power float64) (*SealedBoxResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -131,7 +132,7 @@ func (s *SealedBox) Solve(power float64) (*SealedBoxResult, error) {
 	if err := n.AddVariableResistor("case", "amb", 1, caseOut); err != nil {
 		return nil, err
 	}
-	res, err := n.SolveSteadyTol(1e-3, 200)
+	res, err := n.SolveSteadyTol(ctx, 1e-3, 200)
 	if err != nil {
 		return nil, err
 	}
@@ -148,13 +149,14 @@ func (s *SealedBox) Solve(power float64) (*SealedBoxResult, error) {
 }
 
 // MaxPower returns the dissipation at which the board reaches limitC —
-// the sealed architecture's capacity line in the Fig. 5 survey.
-func (s *SealedBox) MaxPower(limitC float64) (float64, error) {
+// the sealed architecture's capacity line in the Fig. 5 survey.  ctx
+// budgets every solve of the bisection.
+func (s *SealedBox) MaxPower(ctx context.Context, limitC float64) (float64, error) {
 	if limitC <= s.AmbientC {
 		return 0, fmt.Errorf("core: limit must exceed ambient")
 	}
 	lo, hi := 0.5, 500.0
-	rHi, err := s.Solve(hi)
+	rHi, err := s.Solve(ctx, hi)
 	if err != nil {
 		return 0, err
 	}
@@ -163,7 +165,7 @@ func (s *SealedBox) MaxPower(limitC float64) (float64, error) {
 	}
 	for i := 0; i < 50; i++ {
 		mid := 0.5 * (lo + hi)
-		r, err := s.Solve(mid)
+		r, err := s.Solve(ctx, mid)
 		if err != nil {
 			return 0, err
 		}

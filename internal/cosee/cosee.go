@@ -20,6 +20,7 @@
 package cosee
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -80,15 +81,6 @@ type Config struct {
 	// dissipated power, and a non-nil return fails that point as if the
 	// solver had.  Production configurations leave it nil.
 	FaultFn func(powerW float64) error
-
-	// Stop is the per-request budget seam (aeropackd): when non-nil it
-	// is installed as thermal.Network.Stop on every network this
-	// configuration builds, so it is polled once per factorization, that
-	// is once per Picard pass or transient step.  Returning true aborts
-	// the solve with an error wrapping linalg.ErrStopped.  Must be safe
-	// for concurrent calls — parallel sweeps share one callback across
-	// workers.
-	Stop func() bool
 }
 
 // Defaults fills zero fields with the COSEE rig values.
@@ -259,7 +251,6 @@ func (c *Config) BuildNetwork(power float64) (*thermal.Network, error) {
 	c.Defaults()
 	Ta := units.CToK(c.AmbientC)
 	n := thermal.NewNetwork()
-	n.Stop = c.Stop
 	n.FixT("air", Ta)
 	n.AddSource("pcb", power)
 
@@ -338,18 +329,19 @@ func (c *Config) lumpedCapacitances(n *thermal.Network) {
 // Warmup runs the power-on transient from ambient and reports the PCB
 // history plus the time to reach 90 % of the steady temperature rise —
 // the figure of merit for how long a full-cabin IFE system takes to soak.
-func (c *Config) Warmup(power, dt float64, steps int) (*thermal.TransientResult, float64, error) {
+// ctx budgets the transient and the steady solve.
+func (c *Config) Warmup(ctx context.Context, power, dt float64, steps int) (*thermal.TransientResult, float64, error) {
 	n, err := c.BuildNetwork(power)
 	if err != nil {
 		return nil, 0, err
 	}
 	c.lumpedCapacitances(n)
 	Ta := units.CToK(c.AmbientC)
-	res, err := n.SolveTransient(Ta, dt, steps, nil)
+	res, err := n.SolveTransient(ctx, Ta, dt, steps, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	steady, err := c.Solve(power)
+	steady, err := c.SolveContext(ctx, power)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -369,23 +361,25 @@ type Point struct {
 	LHPPower float64 // heat carried by the loop heat pipes, W
 }
 
-// Solve evaluates the steady PCB-to-ambient temperature difference.
+// Solve evaluates the steady PCB-to-ambient temperature difference,
+// unbudgeted.
 func (c *Config) Solve(power float64) (Point, error) {
-	return c.solveObs(nil, power)
+	return c.SolveContext(context.TODO(), power)
 }
 
-// solveObs is Solve with an explicit telemetry parent, so sweeps and
-// campaign runners can nest their solves under one span.
-func (c *Config) solveObs(parent *obs.Span, power float64) (Point, error) {
-	return c.solveObsWarm(parent, power, nil)
+// SolveContext evaluates the steady PCB-to-ambient temperature
+// difference under ctx: its budget bounds the network's Picard passes,
+// and the span it carries parents the solve's.
+func (c *Config) SolveContext(ctx context.Context, power float64) (Point, error) {
+	return c.solve(ctx, power, nil)
 }
 
-// solveObsWarm is solveObs with a Picard warm-start state threaded
+// solve is SolveContext with a Picard warm-start state threaded
 // through.  Only sequential drivers (the capability bisection) may pass
 // a non-nil state — the parallel sweep paths keep nil so point results
 // never depend on worker scheduling.
-func (c *Config) solveObsWarm(parent *obs.Span, power float64, warm *thermal.NetworkState) (Point, error) {
-	sp := obs.Start(parent, "cosee.Solve")
+func (c *Config) solve(ctx context.Context, power float64, warm *thermal.NetworkState) (Point, error) {
+	ctx, sp := obs.StartContext(ctx, "cosee.Solve")
 	defer sp.End()
 	sp.AttrF("power_w", power)
 	if r := obs.Default(); r != nil {
@@ -400,8 +394,7 @@ func (c *Config) solveObsWarm(parent *obs.Span, power float64, warm *thermal.Net
 	if err != nil {
 		return Point{}, err
 	}
-	n.Obs = sp
-	res, err := n.SolveSteadyWarm(1e-3, 200, warm)
+	res, err := n.SolveSteadyWarm(ctx, 1e-3, 200, warm)
 	if err != nil {
 		return Point{}, err
 	}
@@ -417,92 +410,55 @@ func (c *Config) solveObsWarm(parent *obs.Span, power float64, warm *thermal.Net
 }
 
 // Sweep evaluates the ΔT(P) curve over the given powers — one Fig. 10
-// series.
-func (c *Config) Sweep(powers []float64) ([]Point, error) {
-	sp := obs.Start(nil, "cosee.Sweep")
+// series — across at most o.Workers goroutines.  Each power is solved
+// on a private copy of the configuration — Defaults mutates the
+// receiver, so sharing one Config between goroutines would race — and
+// the points land in input order, so the result is bitwise-identical at
+// any worker count.  Without o.KeepGoing the lowest-index failure aborts
+// the sweep; with it, each failed point keeps its PowerW with NaN for
+// the solved fields and is listed as a robust.PointError, while every
+// surviving point is bitwise-identical to the clean sweep's.
+func (c *Config) Sweep(ctx context.Context, powers []float64, o robust.Options) ([]Point, []*robust.PointError, error) {
+	ctx, sp := obs.StartContext(ctx, "cosee.Sweep")
 	defer sp.End()
 	sp.AttrInt("points", len(powers))
-	prog := obs.CurrentBoard().Begin("cosee.Sweep", len(powers))
-	defer prog.Finish()
-	out := make([]Point, 0, len(powers))
-	for _, p := range powers {
-		pt, err := c.solveObs(sp, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-		prog.Step(1)
+	sp.AttrInt("workers", parallel.Workers(o.Workers))
+	if o.KeepGoing {
+		sp.Attr("keep_going", "true")
 	}
-	return out, nil
-}
-
-// SweepParallel evaluates the same curve as Sweep across at most
-// workers goroutines (<= 0 means GOMAXPROCS).  Each power is solved on
-// a private copy of the configuration — Defaults mutates the receiver,
-// so sharing one Config between goroutines would race — and the points
-// land in input order, so the result is identical to Sweep's.
-func (c *Config) SweepParallel(powers []float64, workers int) ([]Point, error) {
-	sp := obs.Start(nil, "cosee.Sweep")
-	defer sp.End()
-	sp.AttrInt("points", len(powers))
-	sp.AttrInt("workers", parallel.Workers(workers))
 	prog := obs.CurrentBoard().Begin("cosee.Sweep", len(powers))
 	defer prog.Finish()
 	cc := *c
 	cc.Defaults()
-	return parallel.Map(powers, workers, func(_ int, p float64) (Point, error) {
-		cfg := cc
-		pt, err := cfg.solveObs(sp, p)
-		if err == nil {
-			prog.Step(1)
-		}
-		return pt, err
-	})
-}
-
-// SweepKeepGoing evaluates the same curve as SweepParallel but converts
-// per-point failures into robust.PointError values instead of aborting:
-// every surviving point is bitwise-identical to the one SweepParallel
-// would have produced, and each failed point keeps its PowerW with NaN
-// for the solved fields.  The second return lists the failures in input
-// order (empty on a clean sweep).
-func (c *Config) SweepKeepGoing(powers []float64, workers int) ([]Point, []*robust.PointError) {
-	sp := obs.Start(nil, "cosee.Sweep")
-	defer sp.End()
-	sp.AttrInt("points", len(powers))
-	sp.AttrInt("workers", parallel.Workers(workers))
-	sp.Attr("keep_going", "true")
-	prog := obs.CurrentBoard().Begin("cosee.Sweep", len(powers))
-	defer prog.Finish()
-	cc := *c
-	cc.Defaults()
-	out, errs := robust.MapKeepGoing(powers, workers,
+	out, errs, err := robust.Map(powers, o,
 		func(_ int, p float64) string { return fmt.Sprintf("P=%g W", p) },
 		func(_ int, p float64) (Point, error) {
 			cfg := cc
-			pt, err := cfg.solveObs(sp, p)
-			prog.Step(1) // keep-going sweeps count failed points as visited
+			pt, err := cfg.SolveContext(ctx, p)
+			prog.Step(1)
 			return pt, err
 		})
 	for _, pe := range errs {
 		out[pe.Index] = Point{PowerW: powers[pe.Index], DeltaTK: math.NaN(), LHPPower: math.NaN()}
 	}
-	return out, errs
+	return out, errs, err
+}
+
+// SweepParallel is Sweep, unbudgeted and aborting on the first failure.
+func (c *Config) SweepParallel(powers []float64, workers int) ([]Point, error) {
+	out, _, err := c.Sweep(context.TODO(), powers, robust.Options{Workers: workers})
+	return out, err
 }
 
 // CapabilityAt returns the dissipated power at which the PCB sits
 // deltaT kelvin above ambient — the paper's "heat dissipation capability
-// at constant PCB temperature" metric (ΔT ≈ 60 °C in Fig. 10).
-func (c *Config) CapabilityAt(deltaT float64) (float64, error) {
-	return c.capabilityObs(nil, deltaT)
-}
-
-// capabilityObs is CapabilityAt with an explicit telemetry parent.
-func (c *Config) capabilityObs(parent *obs.Span, deltaT float64) (float64, error) {
+// at constant PCB temperature" metric (ΔT ≈ 60 °C in Fig. 10).  ctx
+// budgets every solve of the bisection.
+func (c *Config) CapabilityAt(ctx context.Context, deltaT float64) (float64, error) {
 	if deltaT <= 0 {
 		return 0, fmt.Errorf("cosee: deltaT must be positive")
 	}
-	sp := obs.Start(parent, "cosee.CapabilityAt")
+	ctx, sp := obs.StartContext(ctx, "cosee.CapabilityAt")
 	defer sp.End()
 	sp.AttrF("deltaT_K", deltaT)
 	// The bisection is strictly sequential, so every solve continues
@@ -510,14 +466,14 @@ func (c *Config) capabilityObs(parent *obs.Span, deltaT float64) (float64, error
 	// a couple of passes apart instead of a cold start each.
 	warm := &thermal.NetworkState{}
 	lo, hi := 1.0, 400.0
-	pLo, err := c.solveObsWarm(sp, lo, warm)
+	pLo, err := c.solve(ctx, lo, warm)
 	if err != nil {
 		return 0, err
 	}
 	if pLo.DeltaTK > deltaT {
 		return 0, fmt.Errorf("cosee: ΔT target %g K unreachable even at %g W", deltaT, lo)
 	}
-	pHi, err := c.solveObsWarm(sp, hi, warm)
+	pHi, err := c.solve(ctx, hi, warm)
 	if err != nil {
 		return 0, err
 	}
@@ -530,7 +486,7 @@ func (c *Config) capabilityObs(parent *obs.Span, deltaT float64) (float64, error
 	// precision far below the model's fidelity.
 	for i := 0; hi-lo > 0.01 && i < 60; i++ {
 		mid := 0.5 * (lo + hi)
-		pm, err := c.solveObsWarm(sp, mid, warm)
+		pm, err := c.solve(ctx, mid, warm)
 		if err != nil {
 			return 0, err
 		}
@@ -555,162 +511,71 @@ type Fig10Summary struct {
 	LHPPowerAt100W  float64 // the "58 W through the loops" number
 }
 
-// RunFig10 executes the full Fig. 10 comparison for the given structural
-// material (aluminium for the headline, carbon composite for §IV.A's
-// second test).
-func RunFig10(structure materials.Material) (*Fig10Summary, error) {
-	sp := obs.Start(nil, "cosee.RunFig10")
+// RunFig10 executes the full Fig. 10 comparison: three capability
+// bisections and three point solves, each on base with UseLHP and
+// TiltDeg set for its sub-study.  base supplies everything else — the
+// structural material (aluminium for the headline, carbon composite for
+// §IV.A's second test) and, in robustness tests, the FaultFn seam.  The
+// six independent sub-studies run across at most o.Workers goroutines;
+// every task builds its configuration from scratch, so nothing is
+// shared and the summary is bitwise-identical at any worker count.
+// Without o.KeepGoing the first failure aborts with a nil summary; with
+// it, a failed sub-study yields NaN for its summary field (and any field
+// derived from it) plus a robust.PointError naming the study, while
+// every surviving field stays bitwise-identical to the clean run's.
+func RunFig10(ctx context.Context, base Config, o robust.Options) (*Fig10Summary, []*robust.PointError, error) {
+	ctx, sp := obs.StartContext(ctx, "cosee.RunFig10")
 	defer sp.End()
-	sp.Attr("structure", structure.Name)
-	prog := obs.CurrentBoard().Begin("cosee.RunFig10", 6)
-	defer prog.Finish()
-	base := Config{Structure: structure}
-	withLHP := Config{UseLHP: true, Structure: structure}
-	tilted := Config{UseLHP: true, TiltDeg: 22, Structure: structure}
-
-	var s Fig10Summary
-	var err error
-	if s.CapabilityNoLHP, err = base.capabilityObs(sp, 60); err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	if s.CapabilityLHP, err = withLHP.capabilityObs(sp, 60); err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	if s.CapabilityTilt, err = tilted.capabilityObs(sp, 60); err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	s.ImprovementPct = (s.CapabilityLHP - s.CapabilityNoLHP) / s.CapabilityNoLHP * 100
-
-	p0, err := base.solveObs(sp, 40)
-	if err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	p1, err := withLHP.solveObs(sp, 40)
-	if err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	s.DeltaTNoLHP40W = p0.DeltaTK
-	s.DeltaTLHP40W = p1.DeltaTK
-	s.CoolingAt40W = p0.DeltaTK - p1.DeltaTK
-
-	p100, err := withLHP.solveObs(sp, 100)
-	if err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	s.LHPPowerAt100W = p100.LHPPower
-	return &s, nil
-}
-
-// Fig10Options bundles the execution controls of a Fig. 10 comparison:
-// the structural material under test plus the production knobs the
-// aeropackd service threads through every study — worker count,
-// keep-going degradation, a per-request solver budget and the
-// fault-injection seam.
-type Fig10Options struct {
-	// Structure is the seat structural material (the paper's aluminium
-	// versus carbon-composite story).
-	Structure materials.Material
-	// Workers bounds the concurrent sub-studies (<= 0 means GOMAXPROCS).
-	Workers int
-	// KeepGoing converts sub-study failures into robust.PointError
-	// values with NaN summary fields instead of aborting the run.
-	KeepGoing bool
-	// Stop, when non-nil, is installed on every sub-study configuration
-	// as the per-request solver budget (see Config.Stop).
-	Stop func() bool
-	// Fault, when non-nil, is installed as every sub-study's FaultFn —
-	// the robustness-test seam; production callers leave it nil.
-	Fault func(powerW float64) error
-}
-
-// RunFig10Opts executes the full Fig. 10 comparison under the given
-// options.  The six independent sub-studies (three capability
-// bisections, three point solves) run concurrently; every task builds
-// its configurations from scratch, so nothing is shared and the summary
-// is bitwise-identical at any worker count.  Without KeepGoing the
-// first failure aborts with a nil summary; with it, failed sub-studies
-// yield NaN fields plus a robust.PointError each while surviving fields
-// stay bitwise-identical to the clean run's.
-func RunFig10Opts(o Fig10Options) (*Fig10Summary, []*robust.PointError, error) {
-	sp := obs.Start(nil, "cosee.RunFig10")
-	defer sp.End()
-	sp.Attr("structure", o.Structure.Name)
+	sp.Attr("structure", base.Structure.Name)
 	sp.AttrInt("workers", parallel.Workers(o.Workers))
 	if o.KeepGoing {
 		sp.Attr("keep_going", "true")
 	}
 	cfg := func(useLHP bool, tiltDeg float64) Config {
-		return Config{
-			UseLHP: useLHP, TiltDeg: tiltDeg, Structure: o.Structure,
-			FaultFn: o.Fault, Stop: o.Stop,
-		}
+		c := base
+		c.UseLHP, c.TiltDeg = useLHP, tiltDeg
+		return c
 	}
 	type study struct {
 		label string
 		fn    func() (float64, error)
 	}
+	point := func(useLHP bool, power float64, field func(Point) float64) func() (float64, error) {
+		return func() (float64, error) {
+			c := cfg(useLHP, 0)
+			p, err := c.SolveContext(ctx, power)
+			return field(p), err
+		}
+	}
+	capability := func(useLHP bool, tiltDeg float64) func() (float64, error) {
+		return func() (float64, error) {
+			c := cfg(useLHP, tiltDeg)
+			return c.CapabilityAt(ctx, 60)
+		}
+	}
+	deltaT := func(p Point) float64 { return p.DeltaTK }
 	tasks := []study{
-		{"capability-nolhp", func() (float64, error) {
-			c := cfg(false, 0)
-			return c.capabilityObs(sp, 60)
-		}},
-		{"capability-lhp", func() (float64, error) {
-			c := cfg(true, 0)
-			return c.capabilityObs(sp, 60)
-		}},
-		{"capability-tilt", func() (float64, error) {
-			c := cfg(true, 22)
-			return c.capabilityObs(sp, 60)
-		}},
-		{"deltaT-nolhp-40W", func() (float64, error) {
-			c := cfg(false, 0)
-			p, err := c.solveObs(sp, 40)
-			return p.DeltaTK, err
-		}},
-		{"deltaT-lhp-40W", func() (float64, error) {
-			c := cfg(true, 0)
-			p, err := c.solveObs(sp, 40)
-			return p.DeltaTK, err
-		}},
-		{"lhp-power-100W", func() (float64, error) {
-			c := cfg(true, 0)
-			p, err := c.solveObs(sp, 100)
-			return p.LHPPower, err
-		}},
+		{"capability-nolhp", capability(false, 0)},
+		{"capability-lhp", capability(true, 0)},
+		{"capability-tilt", capability(true, 22)},
+		{"deltaT-nolhp-40W", point(false, 40, deltaT)},
+		{"deltaT-lhp-40W", point(true, 40, deltaT)},
+		{"lhp-power-100W", point(true, 100, func(p Point) float64 { return p.LHPPower })},
 	}
 	prog := obs.CurrentBoard().Begin("cosee.RunFig10", len(tasks))
 	defer prog.Finish()
-	var vals []float64
-	var errs []*robust.PointError
-	if o.KeepGoing {
-		vals, errs = robust.MapKeepGoing(tasks, o.Workers,
-			func(_ int, s study) string { return s.label },
-			func(_ int, s study) (float64, error) {
-				v, err := s.fn()
-				prog.Step(1) // keep-going campaigns count failed studies as visited
-				return v, err
-			})
-		for _, pe := range errs {
-			vals[pe.Index] = math.NaN()
-		}
-	} else {
-		var err error
-		vals, err = parallel.Map(tasks, o.Workers, func(_ int, s study) (float64, error) {
+	vals, errs, err := robust.Map(tasks, o,
+		func(_ int, s study) string { return s.label },
+		func(_ int, s study) (float64, error) {
 			v, err := s.fn()
-			if err == nil {
-				prog.Step(1)
-			}
+			prog.Step(1)
 			return v, err
 		})
-		if err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, pe := range errs {
+		vals[pe.Index] = math.NaN()
 	}
 	s := Fig10Summary{
 		CapabilityNoLHP: vals[0],
@@ -725,28 +590,19 @@ func RunFig10Opts(o Fig10Options) (*Fig10Summary, []*robust.PointError, error) {
 	return &s, errs, nil
 }
 
-// RunFig10Parallel computes the same summary as RunFig10 with the six
-// independent sub-studies (three capability bisections, three point
-// solves) evaluated concurrently across at most workers goroutines.
-// Every task builds its configurations from scratch, so nothing is
-// shared and the summary is identical to the serial one.
-func RunFig10Parallel(structure materials.Material, workers int) (*Fig10Summary, error) {
-	s, _, err := RunFig10Opts(Fig10Options{Structure: structure, Workers: workers})
-	return s, err
+// Fig10Options selects an unbudgeted Fig. 10 run for RunFig10Opts.
+type Fig10Options struct {
+	// Structure is the seat structural material (the paper's aluminium
+	// versus carbon-composite story).
+	Structure materials.Material
+	// Workers bounds the concurrent sub-studies (<= 0 means GOMAXPROCS).
+	Workers int
 }
 
-// RunFig10KeepGoing computes the Fig. 10 summary like RunFig10Parallel
-// but degrades gracefully: a failed sub-study yields NaN for its summary
-// field (and any field derived from it) plus a robust.PointError naming
-// the study, while every surviving field is bitwise-identical to the
-// clean run's.  fault, when non-nil, is installed as the FaultFn of
-// every sub-study configuration — the seam the golden robustness test
-// uses to fail one study; production callers pass nil.
-func RunFig10KeepGoing(structure materials.Material, workers int, fault func(powerW float64) error) (*Fig10Summary, []*robust.PointError) {
-	s, errs, _ := RunFig10Opts(Fig10Options{
-		Structure: structure, Workers: workers, KeepGoing: true, Fault: fault,
-	})
-	return s, errs
+// RunFig10Opts is RunFig10, unbudgeted and aborting on the first
+// failure, for a base configuration of just the structural material.
+func RunFig10Opts(o Fig10Options) (*Fig10Summary, []*robust.PointError, error) {
+	return RunFig10(context.TODO(), Config{Structure: o.Structure}, robust.Options{Workers: o.Workers})
 }
 
 // FleetResult quantifies the paper's economic argument for passive
@@ -765,14 +621,14 @@ type FleetResult struct {
 // cabin of nSeats IFE boxes each dissipating sebPowerW: fan electrical
 // power fanPowerW and MTBF fanMTBFHours per unit, utilisation
 // flightHoursPerYear, and the passive option evaluated against
-// maxDeltaTK.
-func FleetStudy(nSeats int, sebPowerW, fanPowerW, fanMTBFHours, flightHoursPerYear, maxDeltaTK float64) (*FleetResult, error) {
+// maxDeltaTK under ctx's budget.
+func FleetStudy(ctx context.Context, nSeats int, sebPowerW, fanPowerW, fanMTBFHours, flightHoursPerYear, maxDeltaTK float64) (*FleetResult, error) {
 	if nSeats < 1 || sebPowerW <= 0 || fanPowerW < 0 || fanMTBFHours <= 0 ||
 		flightHoursPerYear < 0 || maxDeltaTK <= 0 {
 		return nil, fmt.Errorf("cosee: invalid fleet study inputs")
 	}
 	kit := Config{UseLHP: true}
-	pt, err := kit.Solve(sebPowerW)
+	pt, err := kit.SolveContext(ctx, sebPowerW)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package cosee
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
+	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
 
@@ -15,7 +17,7 @@ func TestNoLHPCurveShape(t *testing.T) {
 	// Fig. 10 "without LHP": monotone, sublinear-in-ΔT curve reaching
 	// ≈60 K at ≈40 W.
 	cfg := Config{}
-	pts, err := cfg.Sweep([]float64{10, 20, 30, 40, 50})
+	pts, _, err := cfg.Sweep(context.Background(), []float64{10, 20, 30, 40, 50}, robust.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestFig10HeadlineNumbers(t *testing.T) {
 	// The paper's headline: 40 W → 100 W capability at constant PCB
 	// temperature (+150%), a 32 °C PCB temperature decrease at 40 W, and
 	// 58 W carried by the loops at 100 W SEB power.
-	s, err := RunFig10(materials.Al6061)
+	s, _, err := RunFig10(context.Background(), Config{Structure: materials.Al6061}, robust.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestFig10HeadlineNumbers(t *testing.T) {
 
 func TestTiltInsensitivity(t *testing.T) {
 	// Fig. 10: the 22° tilt curve hugs the horizontal curve.
-	s, err := RunFig10(materials.Al6061)
+	s, _, err := RunFig10(context.Background(), Config{Structure: materials.Al6061}, robust.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +83,11 @@ func TestCompositeSeat(t *testing.T) {
 	// §IV.A: carbon-composite structure — "results slightly under those
 	// obtained with aluminium": ≈70 W capability (+80%) and ≈20 K cooling
 	// at 40 W.
-	al, err := RunFig10(materials.Al6061)
+	al, _, err := RunFig10(context.Background(), Config{Structure: materials.Al6061}, robust.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := RunFig10(materials.CarbonComposite)
+	cc, _, err := RunFig10(context.Background(), Config{Structure: materials.CarbonComposite}, robust.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestEnergyConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.SolveSteadyTol(1e-4, 300)
+	res, err := n.SolveSteadyTol(context.Background(), 1e-4, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,7 @@ func TestEnergyConservation(t *testing.T) {
 
 func TestCapabilityErrors(t *testing.T) {
 	cfg := Config{}
-	if _, err := cfg.CapabilityAt(-5); err == nil {
+	if _, err := cfg.CapabilityAt(context.Background(), -5); err == nil {
 		t.Error("negative ΔT should error")
 	}
 	if _, err := cfg.Solve(-1); err == nil {
@@ -194,7 +196,7 @@ func TestWarmupTransient(t *testing.T) {
 	// monotonically from ambient and hit 90% of its steady rise within a
 	// plausible soak window (minutes to a couple of hours).
 	cfg := Config{}
-	res, t90, err := cfg.Warmup(40, 30, 600) // 5 h window
+	res, t90, err := cfg.Warmup(context.Background(), 40, 30, 600) // 5 h window
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +227,11 @@ func TestWarmupLHPFasterSoak(t *testing.T) {
 	// The LHP kit drops the thermal resistance, so the PCB settles at a
 	// much lower temperature; its soak to 90% of that (smaller) rise is
 	// at least as fast as the bare box's.
-	_, t90bare, err := (&Config{}).Warmup(40, 30, 600)
+	_, t90bare, err := (&Config{}).Warmup(context.Background(), 40, 30, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, t90kit, err := (&Config{UseLHP: true}).Warmup(40, 30, 600)
+	_, t90kit, err := (&Config{UseLHP: true}).Warmup(context.Background(), 40, 30, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,15 +273,15 @@ func TestSingleLHPFailure(t *testing.T) {
 	healthy := Config{UseLHP: true}
 	degraded := Config{UseLHP: true, LHPCount: 1}
 	bare := Config{}
-	cH, err := healthy.CapabilityAt(60)
+	cH, err := healthy.CapabilityAt(context.Background(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cD, err := degraded.CapabilityAt(60)
+	cD, err := degraded.CapabilityAt(context.Background(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cB, err := bare.CapabilityAt(60)
+	cB, err := bare.CapabilityAt(context.Background(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +299,7 @@ func TestFleetStudy(t *testing.T) {
 	// A 300-seat widebody with 60 W boxes: one 5 W fan per seat costs
 	// 1.5 kW of cabin power and a steady maintenance stream; the passive
 	// kit handles 60 W inside a 45 K rise without any of it.
-	res, err := FleetStudy(300, 60, 5, 40000, 4000, 45)
+	res, err := FleetStudy(context.Background(), 300, 60, 5, 40000, 4000, 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,14 +314,14 @@ func TestFleetStudy(t *testing.T) {
 		t.Errorf("passive kit should hold 60 W under 45 K (got %v K)", res.PassiveDeltaTK)
 	}
 	// At double the power the kit cannot stay inside the same budget.
-	res2, err := FleetStudy(300, 130, 5, 40000, 4000, 45)
+	res2, err := FleetStudy(context.Background(), 300, 130, 5, 40000, 4000, 45)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.PassiveOK {
 		t.Errorf("130 W should exceed the 45 K budget (got %v K)", res2.PassiveDeltaTK)
 	}
-	if _, err := FleetStudy(0, 60, 5, 40000, 4000, 45); err == nil {
+	if _, err := FleetStudy(context.Background(), 0, 60, 5, 40000, 4000, 45); err == nil {
 		t.Error("invalid inputs should error")
 	}
 }
@@ -329,18 +331,18 @@ func TestThermosyphonAlternative(t *testing.T) {
 	// to the LHP kit when the seat is level…
 	lhp := Config{UseLHP: true}
 	tsy := Config{UseLHP: true, UseThermosyphon: true}
-	cL, err := lhp.CapabilityAt(60)
+	cL, err := lhp.CapabilityAt(context.Background(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cT, err := tsy.CapabilityAt(60)
+	cT, err := tsy.CapabilityAt(context.Background(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cT < 0.6*cL {
 		t.Errorf("thermosyphon capability %v too far below LHP %v", cT, cL)
 	}
-	bare, _ := (&Config{}).CapabilityAt(60)
+	bare, _ := (&Config{}).CapabilityAt(context.Background(), 60)
 	if cT <= bare*1.3 {
 		t.Errorf("thermosyphon %v should clearly beat the bare box %v", cT, bare)
 	}
@@ -348,7 +350,7 @@ func TestThermosyphonAlternative(t *testing.T) {
 	// tilt the condenser drops below the evaporator, gravity return
 	// inverts and the loops die — the SEB falls back to the bare box.
 	inverted := Config{UseLHP: true, UseThermosyphon: true, TiltDeg: 40}
-	cInv, err := inverted.CapabilityAt(60)
+	cInv, err := inverted.CapabilityAt(context.Background(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,33 +363,28 @@ func TestThermosyphonAlternative(t *testing.T) {
 		t.Errorf("internal HPs should retain some benefit: %v vs bare %v", cInv, bare)
 	}
 	lhpTilt := Config{UseLHP: true, TiltDeg: 40}
-	cLT, _ := lhpTilt.CapabilityAt(60)
+	cLT, _ := lhpTilt.CapabilityAt(context.Background(), 60)
 	if cLT < 0.9*cL {
 		t.Errorf("the LHP should shrug off 40°: %v vs %v", cLT, cL)
 	}
 }
 
-// TestWarmupHonoursStop: Config.Stop budgets the warm-up transient
+// TestWarmupHonoursStop: the context budgets the warm-up transient
 // like every steady solve the configuration runs.
 func TestWarmupHonoursStop(t *testing.T) {
-	polls := 0
-	cfg := Config{Stop: func() bool {
-		polls++
-		return true
-	}}
-	if _, _, err := cfg.Warmup(40, 30, 600); !errors.Is(err, linalg.ErrStopped) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Config{}
+	if _, _, err := cfg.Warmup(ctx, 40, 30, 600); !errors.Is(err, linalg.ErrStopped) {
 		t.Errorf("err = %v, want an error wrapping linalg.ErrStopped", err)
-	}
-	if polls == 0 {
-		t.Error("Config.Stop was never polled")
 	}
 }
 
 func TestWarmupBadPower(t *testing.T) {
-	if _, _, err := (&Config{}).Warmup(-5, 10, 10); err == nil {
+	if _, _, err := (&Config{}).Warmup(context.Background(), -5, 10, 10); err == nil {
 		t.Error("negative power should error")
 	}
-	if _, _, err := (&Config{}).Warmup(40, -1, 10); err == nil {
+	if _, _, err := (&Config{}).Warmup(context.Background(), 40, -1, 10); err == nil {
 		t.Error("bad dt should error")
 	}
 }

@@ -8,11 +8,11 @@
 package envtest
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"aeropack/internal/obs"
-	"aeropack/internal/parallel"
 	"aeropack/internal/reliability"
 	"aeropack/internal/robust"
 	"aeropack/internal/units"
@@ -237,145 +237,61 @@ func (c Campaign) RunThermalShock(a *Article) (Result, error) {
 	}, nil
 }
 
-// RunAll executes the full campaign in the paper's order.
-func (c Campaign) RunAll(a *Article) ([]Result, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	sp := obs.Start(nil, "envtest.RunAll")
-	defer sp.End()
-	sp.Attr("article", a.Name)
-	prog := obs.CurrentBoard().Begin("envtest.RunAll "+a.Name, 4)
-	defer prog.Finish()
-	var out []Result
-	for _, run := range []func(*Article) (Result, error){
-		c.RunAcceleration, c.RunVibration, c.RunClimatic, c.RunThermalShock,
-	} {
-		r, err := run(a)
-		if err != nil {
-			recordResults(out)
-			return out, err
-		}
-		out = append(out, r)
-		prog.Step(1)
-	}
-	recordResults(out)
-	return out, nil
+// Run executes the paper's four tests across at most o.Workers
+// goroutines, returning the results in the paper's order — identical at
+// any worker count.  An invalid article is an error.  Without
+// o.KeepGoing the lowest-index failed test aborts the campaign; with it,
+// a failed test is returned as a robust.PointError (labelled with the
+// test's short name) plus a failed placeholder Result, and the surviving
+// results are identical to a clean run's.  The tests only read the
+// article, but they may call a.DeltaTAt concurrently, so that callback
+// must be safe for concurrent use (pure functions and the cosee solvers
+// are); a budget for its solves travels in the closure.  ctx carries the
+// span the campaign's span nests under.
+func (c Campaign) Run(ctx context.Context, a *Article, o robust.Options) ([]Result, []*robust.PointError, error) {
+	return run(ctx, "envtest.RunAll", a, o,
+		c.RunAcceleration, c.RunVibration, c.RunClimatic, c.RunThermalShock)
 }
 
-// RunAllParallel executes the same four tests as RunAll across at most
-// workers goroutines (<= 0 means GOMAXPROCS), returning results in the
-// paper's order — identical to RunAll's on success, and with RunAll's
-// first error (lowest test index) on failure, though without the
-// partial-result prefix the serial driver returns.  The tests only read
-// the article, but they all call a.DeltaTAt, so that callback must be
-// safe for concurrent use (pure functions and the cosee solvers are).
+// RunAllParallel is Run, aborting on the first failed test.
 func (c Campaign) RunAllParallel(a *Article, workers int) ([]Result, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	sp := obs.Start(nil, "envtest.RunAll")
-	defer sp.End()
-	sp.Attr("article", a.Name)
-	runs := []func(*Article) (Result, error){
-		c.RunAcceleration, c.RunVibration, c.RunClimatic, c.RunThermalShock,
-	}
-	prog := obs.CurrentBoard().Begin("envtest.RunAll "+a.Name, len(runs))
-	defer prog.Finish()
-	out, err := parallel.Map(runs, workers, func(_ int, run func(*Article) (Result, error)) (Result, error) {
-		r, err := run(a)
-		if err == nil {
-			prog.Step(1)
-		}
-		return r, err
-	})
-	recordResults(out)
+	out, _, err := c.Run(context.TODO(), a, robust.Options{Workers: workers})
 	return out, err
 }
 
-// labelledRun pairs a test with a stable short name so keep-going
-// campaign runners can identify failed tests before a Result exists.
-type labelledRun struct {
-	label string
-	run   func(*Article) (Result, error)
-}
+// testNames label the campaign's tests in keep-going runs, in the
+// extended campaign's order (the paper's four first).
+var testNames = []string{"acceleration", "vibration", "climatic", "thermal-shock", "shock-pulse", "sine-sweep"}
 
-func (c Campaign) labelledRuns() []labelledRun {
-	return []labelledRun{
-		{"acceleration", c.RunAcceleration},
-		{"vibration", c.RunVibration},
-		{"climatic", c.RunClimatic},
-		{"thermal-shock", c.RunThermalShock},
-	}
-}
-
-// runKeepGoing executes labelled tests with per-test error capture: a
-// failed test yields a robust.PointError plus a failed placeholder
-// Result carrying the error detail, and every other test still runs.
-func runKeepGoing(spanName string, a *Article, runs []labelledRun, workers int) ([]Result, []*robust.PointError) {
+// run executes tests on a under one span named spanName; see
+// Campaign.Run.
+func run(ctx context.Context, spanName string, a *Article, o robust.Options, tests ...func(*Article) (Result, error)) ([]Result, []*robust.PointError, error) {
 	if err := a.Validate(); err != nil {
-		return nil, []*robust.PointError{{Index: 0, Label: "validate", Err: err}}
+		return nil, nil, err
 	}
-	sp := obs.Start(nil, spanName)
+	sp := obs.Start(obs.FromContext(ctx), spanName)
 	defer sp.End()
 	sp.Attr("article", a.Name)
-	sp.Attr("keep_going", "true")
-	prog := obs.CurrentBoard().Begin(spanName+" "+a.Name, len(runs))
-	defer prog.Finish()
-	out, errs := robust.MapKeepGoing(runs, workers,
-		func(_ int, r labelledRun) string { return r.label },
-		func(_ int, r labelledRun) (Result, error) {
-			res, err := r.run(a)
-			prog.Step(1) // keep-going campaigns count failed tests as visited
-			return res, err
-		})
-	for _, pe := range errs {
-		out[pe.Index] = Result{Test: runs[pe.Index].label, Detail: "ERROR: " + pe.Err.Error()}
+	if o.KeepGoing {
+		sp.Attr("keep_going", "true")
 	}
-	recordResults(out)
-	return out, errs
-}
-
-// RunAllKeepGoing executes the same four tests as RunAllParallel but a
-// failed test no longer aborts the campaign: it is returned as a
-// robust.PointError (labelled with the test's short name) plus a failed
-// placeholder Result, and the surviving results are identical to
-// RunAllParallel's.
-func (c Campaign) RunAllKeepGoing(a *Article, workers int) ([]Result, []*robust.PointError) {
-	return runKeepGoing("envtest.RunAll", a, c.labelledRuns(), workers)
-}
-
-// QualifyFleet runs the campaign over a batch of articles, one worker
-// per article (bounded by workers; <= 0 means GOMAXPROCS).  Each
-// article's tests execute serially in the paper's order, so per-article
-// results are exactly RunAll's; the first failing article (by slice
-// index) aborts the batch with its error.
-func (c Campaign) QualifyFleet(articles []*Article, workers int) ([][]Result, error) {
-	prog := obs.CurrentBoard().Begin("envtest.QualifyFleet", len(articles))
+	prog := obs.CurrentBoard().Begin(spanName+" "+a.Name, len(tests))
 	defer prog.Finish()
-	return parallel.Map(articles, workers, func(_ int, a *Article) ([]Result, error) {
-		r, err := c.RunAll(a)
-		if err == nil {
+	out, errs, err := robust.Map(tests, o,
+		func(i int, _ func(*Article) (Result, error)) string { return testNames[i] },
+		func(_ int, test func(*Article) (Result, error)) (Result, error) {
+			r, err := test(a)
 			prog.Step(1)
-		}
-		return r, err
-	})
-}
-
-// QualifyFleetKeepGoing runs the campaign over a batch of articles like
-// QualifyFleet, but a failing article no longer aborts the batch: its
-// row is nil and a robust.PointError labelled with the article name is
-// returned, while every other article's results are exactly RunAll's.
-func (c Campaign) QualifyFleetKeepGoing(articles []*Article, workers int) ([][]Result, []*robust.PointError) {
-	prog := obs.CurrentBoard().Begin("envtest.QualifyFleet", len(articles))
-	defer prog.Finish()
-	return robust.MapKeepGoing(articles, workers,
-		func(_ int, a *Article) string { return a.Name },
-		func(_ int, a *Article) ([]Result, error) {
-			r, err := c.RunAll(a)
-			prog.Step(1) // keep-going fleets count failed articles as visited
 			return r, err
 		})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, pe := range errs {
+		out[pe.Index] = Result{Test: pe.Label, Detail: "ERROR: " + pe.Err.Error()}
+	}
+	recordResults(out)
+	return out, errs, nil
 }
 
 // AllPass reports whether every result passed.

@@ -1,10 +1,12 @@
 package envtest
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"aeropack/internal/cosee"
+	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
 
@@ -63,7 +65,7 @@ func TestSEBPassesFullCampaign(t *testing.T) {
 	// The paper: "the seats have been submitted to all the different
 	// tests without damage".  Our virtual article must reproduce that.
 	a := sebArticle()
-	results, err := DefaultCampaign().RunAll(a)
+	results, _, err := DefaultCampaign().Run(context.Background(), a, robust.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +195,8 @@ func TestArticleValidation(t *testing.T) {
 	}
 	a = sebArticle()
 	a.MassKg = -1
-	if _, err := DefaultCampaign().RunAll(a); err == nil {
-		t.Error("RunAll on invalid article should error")
+	if _, _, err := DefaultCampaign().Run(context.Background(), a, robust.Options{KeepGoing: true}); err == nil {
+		t.Error("Run on invalid article should error, keep-going or not")
 	}
 }
 
@@ -220,7 +222,7 @@ func TestVibrationUnknownCurve(t *testing.T) {
 	if _, err := c.RunVibration(sebArticle()); err == nil {
 		t.Error("unknown DO-160 curve should error")
 	}
-	if _, err := c.RunAll(sebArticle()); err == nil {
-		t.Error("RunAll should propagate the curve error")
+	if _, _, err := c.Run(context.Background(), sebArticle(), robust.Options{Workers: 1}); err == nil {
+		t.Error("Run should propagate the curve error")
 	}
 }

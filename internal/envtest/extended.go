@@ -1,11 +1,10 @@
 package envtest
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"aeropack/internal/obs"
-	"aeropack/internal/parallel"
 	"aeropack/internal/robust"
 	"aeropack/internal/units"
 	"aeropack/internal/vibration"
@@ -91,58 +90,18 @@ func (e Extended) RunSineSweep(a *Article) (Result, error) {
 	}, nil
 }
 
-// RunAll executes the paper's four tests plus the extended pair.
-func (e Extended) RunAll(a *Article) ([]Result, error) {
-	results, err := e.Campaign.RunAll(a)
-	if err != nil {
-		return results, err
-	}
-	// The base four are already counted by Campaign.RunAll; record only
-	// the extended pair here.
-	shock, err := e.RunShockPulse(a)
-	if err != nil {
-		return results, err
-	}
-	recordResults([]Result{shock})
-	results = append(results, shock)
-	sweep, err := e.RunSineSweep(a)
-	if err != nil {
-		return results, err
-	}
-	recordResults([]Result{sweep})
-	return append(results, sweep), nil
-}
-
-// RunAllParallel executes the six-test extended campaign across at most
-// workers goroutines, with the same ordering and concurrency contract
-// as Campaign.RunAllParallel (a.DeltaTAt must tolerate concurrent
-// calls).
-func (e Extended) RunAllParallel(a *Article, workers int) ([]Result, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	sp := obs.Start(nil, "envtest.RunAllExtended")
-	defer sp.End()
-	sp.Attr("article", a.Name)
-	runs := []func(*Article) (Result, error){
+// Run executes the paper's four tests plus the extended pair, with the
+// same ordering, keep-going and concurrency contract as Campaign.Run.
+func (e Extended) Run(ctx context.Context, a *Article, o robust.Options) ([]Result, []*robust.PointError, error) {
+	return run(ctx, "envtest.RunAllExtended", a, o,
 		e.RunAcceleration, e.RunVibration, e.RunClimatic, e.RunThermalShock,
-		e.RunShockPulse, e.RunSineSweep,
-	}
-	out, err := parallel.Map(runs, workers, func(_ int, run func(*Article) (Result, error)) (Result, error) {
-		return run(a)
-	})
-	recordResults(out)
-	return out, err
+		e.RunShockPulse, e.RunSineSweep)
 }
 
-// RunAllKeepGoing executes the six-test extended campaign with per-test
-// error capture, with the same contract as Campaign.RunAllKeepGoing.
-func (e Extended) RunAllKeepGoing(a *Article, workers int) ([]Result, []*robust.PointError) {
-	runs := append(e.Campaign.labelledRuns(),
-		labelledRun{"shock-pulse", e.RunShockPulse},
-		labelledRun{"sine-sweep", e.RunSineSweep},
-	)
-	return runKeepGoing("envtest.RunAllExtended", a, runs, workers)
+// RunAllParallel is Run, aborting on the first failed test.
+func (e Extended) RunAllParallel(a *Article, workers int) ([]Result, error) {
+	out, _, err := e.Run(context.TODO(), a, robust.Options{Workers: workers})
+	return out, err
 }
 
 func mechQ(zeta float64) float64 {

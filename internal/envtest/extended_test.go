@@ -1,8 +1,11 @@
 package envtest
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"aeropack/internal/robust"
 )
 
 func TestExtendedDefaults(t *testing.T) {
@@ -20,7 +23,7 @@ func TestExtendedDefaults(t *testing.T) {
 }
 
 func TestExtendedSEBPassesAll(t *testing.T) {
-	results, err := DefaultExtended().RunAll(sebArticle())
+	results, _, err := DefaultExtended().Run(context.Background(), sebArticle(), robust.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +104,7 @@ func TestExtendedValidation(t *testing.T) {
 	if _, err := DefaultExtended().RunSineSweep(bad); err == nil {
 		t.Error("invalid article should error")
 	}
-	if _, err := DefaultExtended().RunAll(bad); err == nil {
+	if _, _, err := DefaultExtended().Run(context.Background(), bad, robust.Options{Workers: 1}); err == nil {
 		t.Error("invalid article should error")
 	}
 }

@@ -1,10 +1,12 @@
 package envtest
 
 import (
-	"fmt"
+	"context"
+	"errors"
 	"testing"
 
 	"aeropack/internal/cosee"
+	"aeropack/internal/robust"
 )
 
 // parallelArticle builds a qualification article whose thermal hook is
@@ -25,81 +27,112 @@ func parallelArticle(name string) *Article {
 	return a
 }
 
+// checkWorkerTable runs a campaign at workers 1, 2, 4 and 0, with and
+// without keep-going, and requires every run to equal want, the tests
+// called one by one in the paper's order.
+func checkWorkerTable(t *testing.T, a *Article, want []Result, run func(context.Context, *Article, robust.Options) ([]Result, []*robust.PointError, error)) {
+	t.Helper()
+	for _, keepGoing := range []bool{false, true} {
+		for _, w := range []int{1, 2, 4, 0} {
+			got, errs, err := run(context.Background(), a, robust.Options{Workers: w, KeepGoing: keepGoing})
+			if err != nil || errs != nil {
+				t.Fatalf("workers=%d keep-going=%t: errs %v, err %v", w, keepGoing, errs, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d keep-going=%t: %d results, want %d", w, keepGoing, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d keep-going=%t: result %d = %+v, want %+v", w, keepGoing, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// serially calls each test on a in order.
+func serially(t *testing.T, a *Article, tests ...func(*Article) (Result, error)) []Result {
+	t.Helper()
+	var out []Result
+	for _, test := range tests {
+		r, err := test(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	c := DefaultCampaign()
 	a := parallelArticle("seb-parallel")
-	want, err := c.RunAll(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 0} {
-		got, err := c.RunAllParallel(a, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", w, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: result %d = %+v, want %+v", w, i, got[i], want[i])
-			}
-		}
+	want := serially(t, a, c.RunAcceleration, c.RunVibration, c.RunClimatic, c.RunThermalShock)
+	checkWorkerTable(t, a, want, c.Run)
+	got, err := c.RunAllParallel(a, 2)
+	if err != nil || len(got) != len(want) || got[3] != want[3] {
+		t.Fatalf("RunAllParallel = %+v, %v; want %+v", got, err, want)
 	}
 }
 
 func TestExtendedRunAllParallelMatchesSerial(t *testing.T) {
 	e := DefaultExtended()
 	a := parallelArticle("seb-extended-parallel")
-	want, err := e.RunAll(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.RunAllParallel(a, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result %d = %+v, want %+v", i, got[i], want[i])
-		}
+	want := serially(t, a, e.RunAcceleration, e.RunVibration, e.RunClimatic, e.RunThermalShock,
+		e.RunShockPulse, e.RunSineSweep)
+	checkWorkerTable(t, a, want, e.Run)
+	got, err := e.RunAllParallel(a, 2)
+	if err != nil || len(got) != len(want) || got[5] != want[5] {
+		t.Fatalf("RunAllParallel = %+v, %v; want %+v", got, err, want)
 	}
 }
 
-func TestQualifyFleet(t *testing.T) {
-	c := DefaultCampaign()
-	articles := make([]*Article, 5)
-	for i := range articles {
-		articles[i] = parallelArticle(fmt.Sprintf("seb-%d", i))
-	}
-	batch, err := c.QualifyFleet(articles, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(articles) {
-		t.Fatalf("%d article results, want %d", len(batch), len(articles))
-	}
-	want, err := c.RunAll(articles[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ai, results := range batch {
-		if len(results) != len(want) {
-			t.Fatalf("article %d: %d results, want %d", ai, len(results), len(want))
-		}
-		for i := range want {
-			if results[i] != want[i] {
-				t.Fatalf("article %d result %d differs from serial RunAll", ai, i)
+// TestRunKeepGoingCapturesClimatic: with keep-going, an article whose
+// thermal model fails loses exactly the climatic test — the one test
+// that calls DeltaTAt — as a PointError and a failed placeholder, and
+// every other result is bitwise equal to the clean run's.  Without
+// keep-going the failure aborts the campaign.
+func TestRunKeepGoingCapturesClimatic(t *testing.T) {
+	errThermal := errors.New("thermal model unavailable")
+	for _, c := range []struct {
+		name string
+		run  func(context.Context, *Article, robust.Options) ([]Result, []*robust.PointError, error)
+	}{
+		{"campaign", DefaultCampaign().Run},
+		{"extended", DefaultExtended().Run},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clean, _, err := c.run(context.Background(), parallelArticle("clean"), robust.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-
-	bad := parallelArticle("broken")
-	bad.MassKg = 0
-	if _, err := c.QualifyFleet([]*Article{articles[0], bad}, 4); err == nil {
-		t.Error("fleet with an invalid article did not surface an error")
+			broken := parallelArticle("clean")
+			broken.DeltaTAt = func(float64) (float64, error) { return 0, errThermal }
+			if _, _, err := c.run(context.Background(), broken, robust.Options{Workers: 2}); !errors.Is(err, errThermal) {
+				t.Errorf("without keep-going: err = %v, want the thermal failure", err)
+			}
+			got, errs, err := c.run(context.Background(), broken, robust.Options{Workers: 2, KeepGoing: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const climatic = 2
+			if len(errs) != 1 || errs[0].Index != climatic || errs[0].Label != "climatic" || !errors.Is(errs[0], errThermal) {
+				t.Fatalf("point errors = %v, want exactly the climatic test's", errs)
+			}
+			if len(got) != len(clean) {
+				t.Fatalf("%d results, want %d", len(got), len(clean))
+			}
+			for i := range clean {
+				if i == climatic {
+					if got[i].Pass || got[i].Test != "climatic" {
+						t.Errorf("climatic placeholder = %+v, want a failed \"climatic\" result", got[i])
+					}
+					continue
+				}
+				if got[i] != clean[i] {
+					t.Errorf("result %d = %+v, want the clean run's %+v", i, got[i], clean[i])
+				}
+			}
+		})
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// BenchmarkLintModule measures the full fifteen-rule suite over the real
+// BenchmarkLintModule measures the full thirteen-rule suite over the real
 // module, cold (empty cache, full parse + type-check) and warm (every
 // package served from the content-hash cache, so only hashing and key
 // derivation remain).  The warm/cold ratio is the headline number for
@@ -102,9 +102,9 @@ func BenchmarkLintPhases(b *testing.B) {
 }
 
 // BenchmarkValueFlow isolates the value-flow engine: a fresh fact
-// gather (taint/lock/solver summaries included) plus the four new rules
-// over the pre-loaded module — the marginal cost v4 added on top of the
-// parse/type-check baseline.
+// gather (taint and lock summaries included) plus the three value-flow
+// rules over the pre-loaded module — the marginal cost v4 added on top
+// of the parse/type-check baseline.
 func BenchmarkValueFlow(b *testing.B) {
 	l, err := NewLoader("../..")
 	if err != nil {
@@ -118,7 +118,7 @@ func BenchmarkValueFlow(b *testing.B) {
 		b.Fatal(err)
 	}
 	loaded := l.Loaded()
-	rules := []Rule{taintsizeRule{}, stopflowRule{}, lockorderRule{}, atomicmixRule{}}
+	rules := []Rule{taintsizeRule{}, lockorderRule{}, atomicmixRule{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		facts := NewFacts()

@@ -22,12 +22,12 @@ func exportFixture() []Finding {
 		},
 	}, {
 		Pos:  token.Position{Filename: "internal/core/flow.go", Line: 166, Column: 13},
-		Rule: "budgetstop",
-		Msg:  "driver Study reaches unbudgeted linalg.CGOpt via core.level2 → thermal.linSolve",
-		Hint: "thread a linalg.IterOptions.Stop (wall-clock or iteration budget) down this path, or solve through robust.Chain",
+		Rule: "lockheld",
+		Msg:  "call to thermal.linSolve while mu is held reaches solver entry CGOpt via thermal.linSolve → robust.Chain.Solve",
+		Hint: "release the lock before the call, or move the blocking work out of the critical section",
 		Related: []Related{{
 			Pos: token.Position{Filename: "internal/thermal/solve.go", Line: 335, Column: 20},
-			Msg: "linalg.CGOpt is called without IterOptions.Stop here",
+			Msg: "solver entry CGOpt happens here",
 		}},
 	}}
 }
@@ -214,7 +214,7 @@ func TestWriteSARIFShape(t *testing.T) {
 	if int(rregion["startLine"].(float64)) != 335 {
 		t.Errorf("relatedLocation startLine = %v, want 335", rregion["startLine"])
 	}
-	if txt := rl["message"].(map[string]any)["text"].(string); !strings.Contains(txt, "IterOptions.Stop") {
+	if txt := rl["message"].(map[string]any)["text"].(string); !strings.Contains(txt, "solver entry CGOpt") {
 		t.Errorf("relatedLocation message = %q", txt)
 	}
 }

@@ -172,19 +172,6 @@ func (fs *Facts) ErrOriginOf(fn *types.Func) *ErrOrigin {
 	return s.errOriginOf(cn)
 }
 
-// SolverReach lists the unbudgeted solver sites reachable through fn.
-func (fs *Facts) SolverReach(fn *types.Func) []SolverFact {
-	s := fs.summaries()
-	if s == nil || fn == nil {
-		return nil
-	}
-	cn := s.nodes[fn]
-	if cn == nil {
-		return nil
-	}
-	return s.solverReach(cn)
-}
-
 // GoroSignals reports whether fn marks a WaitGroup done or carries a
 // cancellation path (used by goroleak for `go worker()` launches).
 func (fs *Facts) GoroSignals(fn *types.Func) (done, cancel, known bool) {
@@ -255,34 +242,6 @@ func (fs *Facts) SizeFactsOf(fn *types.Func) []SizeFact {
 		return nil
 	}
 	return s.sizeFacts(cn)
-}
-
-// SolverTouch reports whether fn (transitively) reaches any iterative-
-// solver entry, budgeted or not.
-func (fs *Facts) SolverTouch(fn *types.Func) *SolverFact {
-	s := fs.summaries()
-	if s == nil || fn == nil {
-		return nil
-	}
-	cn := s.nodes[fn]
-	if cn == nil {
-		return nil
-	}
-	return s.solverTouch(cn)
-}
-
-// CompilesStop reports whether fn (transitively) compiles a request
-// Budget into a stop predicate.
-func (fs *Facts) CompilesStop(fn *types.Func) bool {
-	s := fs.summaries()
-	if s == nil || fn == nil {
-		return false
-	}
-	cn := s.nodes[fn]
-	if cn == nil {
-		return false
-	}
-	return s.compilesStop(cn)
 }
 
 // Gather scans pkgs and records every fact they prove.  Call it with

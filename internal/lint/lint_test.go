@@ -83,11 +83,9 @@ func TestGolden(t *testing.T) {
 		{"errdrop", "errdrop", "testdata/errdrop_src.go", "aeropack/internal/cosee"},
 		{"lockheld", "lockheld", "testdata/lockheld_src.go", "aeropack/internal/cosee"},
 		{"lockheld_ipa", "lockheld", "testdata/lockheld_ipa_src.go", "aeropack/internal/cosee"},
-		{"budgetstop", "budgetstop", "testdata/budgetstop_src.go", "aeropack/internal/cosee"},
 		{"goroleak", "goroleak", "testdata/goroleak_src.go", "aeropack/internal/cosee"},
 		{"hotalloc", "hotalloc", "testdata/hotalloc_src.go", "aeropack/internal/cosee"},
 		{"taintsize", "taintsize", "testdata/taintsize_src.go", "aeropack/internal/serve"},
-		{"stopflow", "stopflow", "testdata/stopflow_src.go", "aeropack/internal/serve"},
 		{"lockorder", "lockorder", "testdata/lockorder_src.go", "aeropack/internal/cosee"},
 		{"atomicmix", "atomicmix", "testdata/atomicmix_src.go", "aeropack/internal/cosee"},
 	}
@@ -143,7 +141,7 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestRulesRegistered pins the rule set: all fifteen analyzers register
+// TestRulesRegistered pins the rule set: all thirteen analyzers register
 // themselves and come back sorted by name.
 func TestRulesRegistered(t *testing.T) {
 	var names []string
@@ -153,9 +151,9 @@ func TestRulesRegistered(t *testing.T) {
 			t.Errorf("rule %s has no doc line", r.Name())
 		}
 	}
-	want := []string{"atomicmix", "budgetstop", "detguard", "errdrop", "floatcmp",
+	want := []string{"atomicmix", "detguard", "errdrop", "floatcmp",
 		"goroleak", "hotalloc", "lockheld", "lockorder", "nanguard", "panicpolicy",
-		"spanleak", "stopflow", "taintsize", "unitsafety"}
+		"spanleak", "taintsize", "unitsafety"}
 	if strings.Join(names, " ") != strings.Join(want, " ") {
 		t.Errorf("registered rules = %v, want %v", names, want)
 	}

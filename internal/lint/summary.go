@@ -14,9 +14,6 @@
 //   - goroutine signals: does the body mark a WaitGroup done or carry a
 //     cancellation path (receive/select/range-chan)?  Consumed by
 //     goroleak to accept self-managing workers.
-//   - solver reach: which linalg iterative-solver entries does the body
-//     (transitively) call without an IterOptions.Stop/budget?  Consumed
-//     by budgetstop.
 //
 // Summaries follow call edges resolved through types.Info.Uses, so only
 // static calls are followed; calls through interfaces or function values
@@ -42,15 +39,10 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // maxChain bounds the call-chain breadcrumbs carried in summaries.
 const maxChain = 6
-
-// maxSolverFacts bounds the unbudgeted-solver sites recorded per
-// function; one is enough to flag the caller, a few keep messages useful.
-const maxSolverFacts = 4
 
 // BlockFact says a function (transitively) performs a blocking
 // operation.
@@ -62,18 +54,6 @@ type BlockFact struct {
 	Pos token.Position
 	// Chain lists the intermediate callees between the summarized
 	// function and the operation (empty for a direct operation).
-	Chain []string
-}
-
-// SolverFact says a function (transitively) calls a linalg iterative
-// solver without an IterOptions.Stop or budget.
-type SolverFact struct {
-	// Entry is the solver entry point, e.g. "linalg.CG".
-	Entry string
-	// Pos is the unbudgeted call site.
-	Pos token.Position
-	// Chain lists the intermediate callees between the summarized
-	// function and the solver call.
 	Chain []string
 }
 
@@ -121,9 +101,6 @@ type funcNode struct {
 	spanState uint8
 	spans     []spanBehavior
 
-	solverState uint8
-	solver      []SolverFact
-
 	errState  uint8
 	errOrigin *ErrOrigin
 
@@ -136,12 +113,6 @@ type funcNode struct {
 
 	lockState uint8
 	locks     []LockFact // mutexes the body (transitively) acquires
-
-	touchState uint8
-	touch      *SolverFact // reaches any iterative-solver entry at all
-
-	stopState   uint8
-	stopCompile bool // body (transitively) compiles a Budget stop predicate
 }
 
 // summaries is the call-graph fact kind stored alongside the
@@ -185,13 +156,10 @@ func (s *summaries) forceAll() {
 	for _, n := range s.orderedNodes() {
 		s.blocking(n)
 		s.spanParams(n)
-		s.solverReach(n)
 		s.errOriginOf(n)
 		s.goroSignals(n)
 		s.sizeFacts(n)
 		s.lockFacts(n)
-		s.solverTouch(n)
-		s.compilesStop(n)
 	}
 }
 
@@ -651,225 +619,4 @@ func isWaitGroupDone(p *Package, call *ast.CallExpr) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj() != nil && named.Obj().Pkg() != nil &&
 		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
-}
-
-// ---------------------------------------------------------------------
-// Solver-reach summaries (budgetstop).
-
-// solverReach lists the unbudgeted iterative-solver call sites reachable
-// from n.  linalg's own internals are exempt (the entry points wrap the
-// kernels).  A cycle resolves to "no reach" — anything only visible
-// through the back edge is already recorded on the first pass.
-func (s *summaries) solverReach(n *funcNode) []SolverFact {
-	switch n.solverState {
-	case stInProgress:
-		return nil
-	case stDone:
-		return n.solver
-	}
-	n.solverState = stInProgress
-	n.solver = s.solverScan(n)
-	n.solverState = stDone
-	return n.solver
-}
-
-func (s *summaries) solverScan(n *funcNode) []SolverFact {
-	if strings.HasSuffix(n.pkg.ImportPath, "/internal/linalg") {
-		return nil
-	}
-	p := n.pkg
-	var out []SolverFact
-	seen := make(map[token.Position]bool)
-	add := func(sf SolverFact) {
-		if len(out) < maxSolverFacts && !seen[sf.Pos] {
-			seen[sf.Pos] = true
-			out = append(out, sf)
-		}
-	}
-	// Function literals and go statements are included: sweep drivers do
-	// their solves inside closures handed to the parallel pool.
-	ast.Inspect(n.decl.Body, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if name, isEntry := solverEntryCall(p, call); isEntry {
-			if !callCarriesBudget(p, call, n.decl) {
-				add(SolverFact{Entry: "linalg." + name, Pos: p.Fset.Position(call.Pos())})
-			}
-			return true
-		}
-		fn := calleeFunc(p, call)
-		if fn == nil || fn == n.fn {
-			return true
-		}
-		cn := s.nodes[fn]
-		if cn == nil {
-			return true
-		}
-		for _, sf := range s.solverReach(cn) {
-			add(SolverFact{Entry: sf.Entry, Pos: sf.Pos, Chain: prependChain(shortFuncName(fn), sf.Chain)})
-		}
-		return true
-	})
-	return out
-}
-
-// solverEntryCall matches calls to the linalg iterative entry points.
-func solverEntryCall(p *Package, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(p, call)
-	if fn == nil || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "/internal/linalg") {
-		return "", false
-	}
-	switch fn.Name() {
-	case "CG", "CGOpt", "BiCGSTAB", "BiCGSTABOpt":
-		return fn.Name(), true
-	}
-	return "", false
-}
-
-// callCarriesBudget decides whether a solver entry call threads a
-// Stop/budget.  decl is the enclosing function declaration, scanned for
-// how the options value was built.  Unresolvable shapes err toward
-// "budgeted" (silence); the plain CG/BiCGSTAB entries — which take no
-// options at all — and a missing or nil options argument are unbudgeted.
-func callCarriesBudget(p *Package, call *ast.CallExpr, decl *ast.FuncDecl) bool {
-	fn := calleeFunc(p, call)
-	if fn == nil {
-		return true
-	}
-	if fn.Name() == "CG" || fn.Name() == "BiCGSTAB" {
-		return false
-	}
-	for _, a := range call.Args {
-		if !isIterOptionsPtr(p, a) {
-			continue
-		}
-		return iterOptionsHasStop(p, a, decl)
-	}
-	return false // *Opt entry with a nil/absent options argument
-}
-
-// isIterOptionsPtr reports whether e has type *linalg.IterOptions
-// (matched by path suffix so test stubs work).
-func isIterOptionsPtr(p *Package, e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	ptr, ok := tv.Type.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj() != nil && named.Obj().Pkg() != nil &&
-		named.Obj().Name() == "IterOptions" &&
-		strings.HasSuffix(named.Obj().Pkg().Path(), "/internal/linalg")
-}
-
-// iterOptionsHasStop decides whether the options expression carries a
-// Stop: a composite literal with a Stop key, an identifier that is a
-// parameter (the caller's budget is checked at the caller's site), an
-// identifier whose Stop field is assigned in decl, or an identifier
-// built by a helper call.  Anything unrecognizable counts as budgeted.
-func iterOptionsHasStop(p *Package, arg ast.Expr, decl *ast.FuncDecl) bool {
-	switch x := unparen(arg).(type) {
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			if cl, ok := x.X.(*ast.CompositeLit); ok {
-				return compositeHasStop(cl)
-			}
-		}
-		return true
-	case *ast.CompositeLit:
-		return compositeHasStop(x)
-	case *ast.Ident:
-		obj := p.Info.Uses[x]
-		if obj == nil {
-			return true
-		}
-		return identOptionsHasStop(p, obj, decl)
-	default:
-		return true
-	}
-}
-
-// compositeHasStop reports whether the literal sets the Stop field.
-func compositeHasStop(cl *ast.CompositeLit) bool {
-	for _, elt := range cl.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Stop" {
-			return true
-		}
-	}
-	return false
-}
-
-// identOptionsHasStop traces an options identifier through decl: is it a
-// parameter, was its Stop field ever assigned, or was it defined from a
-// Stop-carrying literal or a builder call?
-func identOptionsHasStop(p *Package, obj types.Object, decl *ast.FuncDecl) bool {
-	if decl == nil {
-		return true
-	}
-	if decl.Type.Params != nil {
-		for _, field := range decl.Type.Params.List {
-			for _, name := range field.Names {
-				if p.Info.Defs[name] == obj {
-					return true
-				}
-			}
-		}
-	}
-	definedWithStop, stopAssigned, definedPlain := false, false, false
-	ast.Inspect(decl.Body, func(m ast.Node) bool {
-		as, ok := m.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Stop" {
-				if id, ok := sel.X.(*ast.Ident); ok && p.Info.Uses[id] == obj {
-					stopAssigned = true
-				}
-				continue
-			}
-			id, ok := lhs.(*ast.Ident)
-			if !ok || (p.Info.Defs[id] != obj && p.Info.Uses[id] != obj) {
-				continue
-			}
-			if i >= len(as.Rhs) {
-				continue // multi-value assignment; opaque, leave undecided
-			}
-			switch rhs := unparen(as.Rhs[i]).(type) {
-			case *ast.UnaryExpr:
-				if cl, ok := rhs.X.(*ast.CompositeLit); ok && rhs.Op == token.AND {
-					if compositeHasStop(cl) {
-						definedWithStop = true
-					} else {
-						definedPlain = true
-					}
-				}
-			case *ast.CompositeLit:
-				if compositeHasStop(rhs) {
-					definedWithStop = true
-				} else {
-					definedPlain = true
-				}
-			case *ast.CallExpr:
-				definedWithStop = true // a builder constructed it; trust it
-			}
-		}
-		return true
-	})
-	if stopAssigned || definedWithStop {
-		return true
-	}
-	if definedPlain {
-		return false // literal without Stop and never patched
-	}
-	return true // origin unknown (package-level, closure capture, ...)
 }

@@ -40,11 +40,11 @@ func MapOrder(w map[string]float64, out []float64) {
 	})
 }
 
-// KeepGoingClock is flagged: time.Since inside a robust.MapKeepGoing
+// KeepGoingClock is flagged: time.Since inside a keep-going robust.Map
 // body.
-func KeepGoingClock(xs []float64) ([]float64, []*robust.PointError) {
+func KeepGoingClock(xs []float64) ([]float64, []*robust.PointError, error) {
 	start := time.Now()
-	return robust.MapKeepGoing(xs, 2, nil, func(i int, x float64) (float64, error) {
+	return robust.Map(xs, robust.Options{Workers: 2, KeepGoing: true}, nil, func(i int, x float64) (float64, error) {
 		return x + time.Since(start).Seconds(), nil
 	})
 }

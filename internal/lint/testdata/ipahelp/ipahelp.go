@@ -1,16 +1,15 @@
 // Package ipahelp is the cross-package helper for the interprocedural
 // golden tests: each function has a deliberately simple body whose
-// call-graph summary (span behavior, blocking, solver reach, goroutine
-// signals) the spanleak/lockheld/budgetstop/goroleak fixtures consume
-// from one call away.  Living under testdata keeps it out of go build
-// and module-wide lint runs.
+// call-graph summary (span behavior, blocking, goroutine signals) the
+// spanleak/lockheld/goroleak fixtures consume from one call away.
+// Living under testdata keeps it out of go build and module-wide lint
+// runs.
 package ipahelp
 
 import (
 	"sync"
 	"sync/atomic"
 
-	"aeropack/internal/linalg"
 	"aeropack/internal/obs"
 )
 
@@ -46,20 +45,6 @@ func RecvIndirect(c chan int) int {
 // Pure cannot block.
 func Pure() int {
 	return 1
-}
-
-// SolveLoose enters CG with no budget (summary: unbudgeted solver
-// reach).
-func SolveLoose(a *linalg.CSR, b []float64) ([]float64, error) {
-	x, _, err := linalg.CG(a, b, nil, nil, 1e-9, 500)
-	return x, err
-}
-
-// SolveBudgeted threads its caller's stop into the solve (summary: no
-// unbudgeted reach).
-func SolveBudgeted(a *linalg.CSR, b []float64, stop func() bool) ([]float64, error) {
-	x, _, err := linalg.CGOpt(a, b, nil, &linalg.IterOptions{Tol: 1e-9, MaxIter: 500, Stop: stop})
-	return x, err
 }
 
 // Worker marks the group done and drains the feed channel (summary:

@@ -2,7 +2,7 @@
 // layered on the PR 6 call-graph summaries so taint and lock facts
 // propagate across function and package boundaries.
 //
-// Three analyses share the machinery:
+// Two analyses share the machinery:
 //
 //   - size taint (taintsize): an integer derived from a wire-level
 //     request field (a json-tagged struct field of a package that talks
@@ -15,9 +15,6 @@
 //     sync.Mutex/RWMutex objects a call (transitively) acquires; the
 //     fact store combines them with lexical held-set tracking into a
 //     module-wide lock-order graph.
-//   - solver touch (stopflow): whether a function (transitively)
-//     reaches any linalg iterative-solver entry at all, budgeted or
-//     not, and whether it compiles a request Budget's stop predicate.
 //
 // Taint is deliberately narrow: it flows through assignments, +,-,*
 // arithmetic, conversions, len()/cap() of tainted slices and min/max of
@@ -649,121 +646,6 @@ func (s *summaries) sizeScan(n *funcNode) []SizeFact {
 	}
 	t.run()
 	return out
-}
-
-// ---------------------------------------------------------------------
-// Solver-touch summaries (stopflow).
-
-// solverTouch reports whether n (transitively) reaches any linalg
-// iterative-solver entry at all — budgeted or not.  stopflow uses it to
-// decide which calls on a handler path must carry the compiled stop.
-func (s *summaries) solverTouch(n *funcNode) *SolverFact {
-	switch n.touchState {
-	case stInProgress:
-		return nil
-	case stDone:
-		return n.touch
-	}
-	n.touchState = stInProgress
-	n.touch = s.touchScan(n)
-	n.touchState = stDone
-	return n.touch
-}
-
-func (s *summaries) touchScan(n *funcNode) *SolverFact {
-	if strings.HasSuffix(n.pkg.ImportPath, "/internal/linalg") {
-		return nil // the entry points wrap the kernels
-	}
-	p := n.pkg
-	var found *SolverFact
-	ast.Inspect(n.decl.Body, func(m ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if name, isEntry := solverEntryCall(p, call); isEntry {
-			found = &SolverFact{Entry: "linalg." + name, Pos: p.Fset.Position(call.Pos())}
-			return false
-		}
-		fn := calleeFunc(p, call)
-		if fn == nil || fn == n.fn {
-			return true
-		}
-		if cn := s.nodes[fn]; cn != nil {
-			if sf := s.solverTouch(cn); sf != nil {
-				found = &SolverFact{Entry: sf.Entry, Pos: sf.Pos, Chain: prependChain(shortFuncName(fn), sf.Chain)}
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// compilesStop reports whether n's body (transitively) calls the
-// Budget.stop compiler — i.e. the request budget is turned into a stop
-// predicate somewhere at or below this call.
-func (s *summaries) compilesStop(n *funcNode) bool {
-	switch n.stopState {
-	case stInProgress:
-		return false
-	case stDone:
-		return n.stopCompile
-	}
-	n.stopState = stInProgress
-	n.stopCompile = s.stopScan(n)
-	n.stopState = stDone
-	return n.stopCompile
-}
-
-func (s *summaries) stopScan(n *funcNode) bool {
-	p := n.pkg
-	found := false
-	ast.Inspect(n.decl.Body, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isBudgetStopCall(p, call) {
-			found = true
-			return false
-		}
-		fn := calleeFunc(p, call)
-		if fn == nil || fn == n.fn {
-			return true
-		}
-		if cn := s.nodes[fn]; cn != nil && s.compilesStop(cn) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// isBudgetStopCall matches b.stop() / b.Stop() on a type named Budget —
-// the request-budget-to-predicate compiler in internal/serve.
-func isBudgetStopCall(p *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "stop" && sel.Sel.Name != "Stop") {
-		return false
-	}
-	tv, ok := p.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	typ := tv.Type
-	if ptr, ok := typ.(*types.Pointer); ok {
-		typ = ptr.Elem()
-	}
-	named, ok := typ.(*types.Named)
-	return ok && named.Obj() != nil && named.Obj().Name() == "Budget"
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
 package obs_test
 
 import (
+	"context"
 	"testing"
 
 	"aeropack/internal/cosee"
 	"aeropack/internal/obs"
+	"aeropack/internal/robust"
 )
 
 // TestObsGoldenFig10SpanTree pins the span tree produced by a fixed,
@@ -21,7 +23,7 @@ func TestObsGoldenFig10SpanTree(t *testing.T) {
 		prev := obs.SetTracer(tr)
 		defer obs.SetTracer(prev)
 		cfg := cosee.Config{UseLHP: true}
-		if _, err := cfg.Sweep([]float64{20, 60}); err != nil {
+		if _, _, err := cfg.Sweep(context.Background(), []float64{20, 60}, robust.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return tr.TreeString()
@@ -52,7 +54,7 @@ func TestObsGoldenCapabilityMetrics(t *testing.T) {
 	defer obs.SetDefault(prev)
 
 	cfg := cosee.Config{UseLHP: true}
-	if _, err := cfg.CapabilityAt(60); err != nil {
+	if _, err := cfg.CapabilityAt(context.Background(), 60); err != nil {
 		t.Fatal(err)
 	}
 	solves := reg.Counter("cosee_solves_total").Value()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -73,6 +74,28 @@ func Start(parent *Span, name string) *Span {
 		return parent.tr.newSpan(parent, name)
 	}
 	return CurrentTracer().newSpan(nil, name)
+}
+
+// spanKey is the context key of the current span.
+type spanKey struct{}
+
+// FromContext returns the span ctx carries, or nil.
+func FromContext(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
+}
+
+// StartContext opens a span under the one ctx carries (a root span of
+// the process-global trace when it carries none) and returns a context
+// carrying the new span, for the callees to parent theirs.  With
+// tracing disabled the span is nil and ctx comes back unchanged, so the
+// disabled path allocates nothing.
+func StartContext(ctx context.Context, name string) (context.Context, *Span) {
+	sp := Start(FromContext(ctx), name)
+	if sp == nil {
+		return ctx, nil
+	}
+	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
 // Start opens a child span; nil-safe, so instrumented callees can accept

@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -43,25 +44,15 @@ type Attempt struct {
 // bitwise-identical to a direct linalg call with the same
 // preconditioner, emits no extra spans and touches no fallback counters.
 // Later rungs run only after the previous rung returned an error, each
-// recorded as a "robust.fallback" span under Span and counted on
-// solver_fallbacks.
+// recorded as a "robust.fallback" span under the span of Solve's
+// context and counted on solver_fallbacks.
 type Chain struct {
 	Tol      float64
 	MaxIter  int
 	Attempts []Attempt
 
-	// Span, if non-nil, parents the fallback spans and is marked on a
-	// preconditioner degrade.  The first attempt never opens a span,
-	// keeping happy-path span trees unchanged.
-	Span *obs.Span
 	// OnIteration is forwarded to every attempt's IterOptions.
 	OnIteration func(it int, residual float64)
-	// Stop, if non-nil, is the caller's budget: it is polled once per
-	// iteration of every attempt, ahead of the attempt's wall-clock
-	// budget — the request budget seam, and the one FaultyStop uses to
-	// force early bailout.  Once it fires, Solve returns without trying
-	// the later rungs or the dense last resort.
-	Stop func() bool
 	// Setup, if non-nil, caches preconditioner factors (and, for IC(0),
 	// the symbolic pattern) across Solve calls on systems with repeated
 	// content — the reuse seam Picard passes thread through.
@@ -147,8 +138,8 @@ func Ladder(solver string) []Attempt {
 }
 
 // guard is the IterOptions.Stop every rung of one Solve polls: the
-// caller's Stop first, then the rung's own wall-clock deadline.
-// stopped records that the caller's Stop fired.
+// caller's budget first (Stop of Solve's context), then the rung's own
+// wall-clock deadline.  stopped records that the caller's budget fired.
 type guard struct {
 	stop     func() bool
 	deadline time.Time
@@ -173,20 +164,23 @@ func (g *guard) arm(budget time.Duration) {
 
 // Solve runs the system A·x = b, warm-started from x0 (nil for zero),
 // and returns the solution with the Outcome describing which rung
-// produced it.
+// produced it.  ctx is the caller's budget, polled once per iteration
+// of every rung (see Stop), and carries the span that parents the
+// fallback spans and is marked on a preconditioner degrade.  The first
+// attempt never opens a span, keeping happy-path span trees unchanged.
 //
 //   - Inputs.  A non-finite entry in b or x0 is an error before the
 //     first rung: every rung would reject or propagate it, and the dense
 //     last resort would return NaN as a converged answer.
 //   - Ladder.  A failed rung hands over to the next.  A rung stopped by
-//     the caller's Stop ends the solve with that rung's error: the budget
+//     the caller's budget ends the solve with that rung's error: the budget
 //     that tripped it would trip every later rung.  A rung's own
 //     wall-clock budget is not the caller's, so it falls through.
 //   - Dense last resort.  When every rung fails, the
 //     robust_chain_exhausted_total counter is bumped and a system of at
 //     most 600 rows is solved by dense LU; otherwise, or if LU fails, the
 //     error wraps the last rung's cause.
-func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error) {
+func (c *Chain) Solve(ctx context.Context, a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error) {
 	if len(c.Attempts) == 0 {
 		return nil, Outcome{}, errors.New("robust: chain has no attempts")
 	}
@@ -197,16 +191,16 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 			}
 		}
 	}
-	g := &guard{stop: c.Stop}
+	g := &guard{stop: Stop(ctx)}
 	stop := g.poll
 	var lastErr error
 	for i, att := range c.Attempts {
 		var sp *obs.Span
 		if i > 0 {
-			sp = c.fallbackSpan(i, att.Name, lastErr)
+			sp = fallbackSpan(ctx, i, att.Name, lastErr)
 		}
 		g.arm(att.Budget)
-		x, stats, relaxed, err := c.runAttempt(i, att, a, b, x0, stop)
+		x, stats, relaxed, err := c.runAttempt(ctx, i, att, a, b, x0, stop)
 		endFallbackSpan(sp, stats, err)
 		if err == nil {
 			if relaxed {
@@ -230,7 +224,7 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 	if a.Rows > denseMaxRows {
 		return nil, Outcome{Fallbacks: n - 1}, err
 	}
-	sp := c.fallbackSpan(n, "dense", lastErr)
+	sp := fallbackSpan(ctx, n, "dense", lastErr)
 	x, derr := linalg.SolveDense(a.ToDense(), b)
 	out := Outcome{AttemptUsed: n, AttemptName: "dense", Fallbacks: n, Stats: linalg.IterStats{Converged: derr == nil}}
 	endFallbackSpan(sp, out.Stats, derr)
@@ -240,10 +234,10 @@ func (c *Chain) Solve(a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error
 	return x, out, nil
 }
 
-// fallbackSpan counts fallback rung i and opens its span.
-func (c *Chain) fallbackSpan(i int, name string, cause error) *obs.Span {
+// fallbackSpan counts fallback rung i and opens its span under ctx's.
+func fallbackSpan(ctx context.Context, i int, name string, cause error) *obs.Span {
 	obs.Default().Counter("solver_fallbacks").Add(1)
-	sp := c.Span.Start("robust.fallback")
+	sp := obs.FromContext(ctx).Start("robust.fallback")
 	sp.Attr("attempt", name)
 	sp.AttrInt("rung", i)
 	if rec := obs.CurrentRecorder(); rec != nil {
@@ -269,12 +263,12 @@ func endFallbackSpan(sp *obs.Span, stats linalg.IterStats, err error) {
 }
 
 // runAttempt executes rung i, handling relaxed-then-refined tolerance.
-func (c *Chain) runAttempt(i int, att Attempt, a *linalg.CSR, b, x0 []float64, stop func() bool) ([]float64, linalg.IterStats, bool, error) {
+func (c *Chain) runAttempt(ctx context.Context, i int, att Attempt, a *linalg.CSR, b, x0 []float64, stop func() bool) ([]float64, linalg.IterStats, bool, error) {
 	tol := c.Tol
 	if att.TolScale > 1 {
 		tol *= att.TolScale
 	}
-	x, stats, err := c.solveOnce(i, att, a, b, x0, tol, stop)
+	x, stats, err := c.solveOnce(ctx, i, att, a, b, x0, tol, stop)
 	if err != nil || att.TolScale <= 1 {
 		return x, stats, false, err
 	}
@@ -283,7 +277,7 @@ func (c *Chain) runAttempt(i int, att Attempt, a *linalg.CSR, b, x0 []float64, s
 	}
 	// Refine from the relaxed iterate back to the full tolerance; if
 	// that fails, the relaxed solution still stands.
-	xr, rstats, rerr := c.solveOnce(i, att, a, b, x, c.Tol, stop)
+	xr, rstats, rerr := c.solveOnce(ctx, i, att, a, b, x, c.Tol, stop)
 	if rerr != nil {
 		return x, stats, true, nil
 	}
@@ -291,7 +285,7 @@ func (c *Chain) runAttempt(i int, att Attempt, a *linalg.CSR, b, x0 []float64, s
 	return xr, rstats, false, nil
 }
 
-func (c *Chain) solveOnce(i int, att Attempt, a *linalg.CSR, b, x0 []float64, tol float64, stop func() bool) ([]float64, linalg.IterStats, error) {
+func (c *Chain) solveOnce(ctx context.Context, i int, att Attempt, a *linalg.CSR, b, x0 []float64, tol float64, stop func() bool) ([]float64, linalg.IterStats, error) {
 	maxIter := att.MaxIter
 	if maxIter <= 0 {
 		maxIter = c.MaxIter
@@ -301,7 +295,7 @@ func (c *Chain) solveOnce(i int, att Attempt, a *linalg.CSR, b, x0 []float64, to
 		if att.Prec == "fdm" {
 			return nil, linalg.IterStats{}, fmt.Errorf("robust: rung %s needs a prebuilt first-rung preconditioner (Chain.Prec)", att.Name)
 		}
-		prec = c.buildPrec(att, a)
+		prec = c.buildPrec(ctx, att, a)
 	}
 	opts := &linalg.IterOptions{
 		Tol:         tol,
@@ -325,9 +319,9 @@ func (c *Chain) solveOnce(i int, att Attempt, a *linalg.CSR, b, x0 []float64, to
 // whole shift ladder); the rung then degrades to Jacobi — strictly
 // weaker but never failing — instead of aborting the attempt.  This is
 // the one place that degrade happens: robust_ic0_degraded_total counts
-// it for both kinds, the flight recorder keeps its cause and Span is
-// marked.
-func (c *Chain) buildPrec(att Attempt, a *linalg.CSR) linalg.Preconditioner {
+// it for both kinds, the flight recorder keeps its cause and the
+// span of ctx is marked.
+func (c *Chain) buildPrec(ctx context.Context, att Attempt, a *linalg.CSR) linalg.Preconditioner {
 	omega := att.Omega
 	if omega == 0 {
 		omega = 1.2
@@ -343,7 +337,7 @@ func (c *Chain) buildPrec(att Attempt, a *linalg.CSR) linalg.Preconditioner {
 			obs.Attr{Key: "to", Value: "jacobi"},
 			obs.Attr{Key: "cause", Value: err.Error()})
 	}
-	c.Span.Attr("prec_degraded", "jacobi")
+	obs.FromContext(ctx).Attr("prec_degraded", "jacobi")
 	p, _ = c.precOf("jacobi", a, omega)
 	return p
 }

@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -77,7 +78,7 @@ func TestChainFirstRungBitwiseIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, out, err := defaultChain(tol, maxIter).Solve(a, b, nil)
+	got, out, err := defaultChain(tol, maxIter).Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestChainFallsBack(t *testing.T) {
 	c := defaultChain(1e-10, 2000)
 	// Starve the first rung so the ladder must advance.
 	c.Attempts[0].MaxIter = 2
-	x, out, err := c.Solve(a, b, nil)
+	x, out, err := c.Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +121,10 @@ func TestChainFallbackSpansRecorded(t *testing.T) {
 	prev := obs.SetTracer(tr)
 	defer obs.SetTracer(prev)
 	a, b := spdSystem(300)
-	root := obs.Start(nil, "test.root")
+	ctx, root := obs.StartContext(context.Background(), "test.root")
 	c := defaultChain(1e-10, 2000)
-	c.Span = root
 	c.Attempts[0].MaxIter = 2
-	if _, _, err := c.Solve(a, b, nil); err != nil {
+	if _, _, err := c.Solve(ctx, a, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -139,10 +139,9 @@ func TestChainHappyPathAddsNoSpans(t *testing.T) {
 	prev := obs.SetTracer(tr)
 	defer obs.SetTracer(prev)
 	a, b := spdSystem(100)
-	root := obs.Start(nil, "test.root")
+	ctx, root := obs.StartContext(context.Background(), "test.root")
 	c := defaultChain(1e-10, 1000)
-	c.Span = root
-	if _, _, err := c.Solve(a, b, nil); err != nil {
+	if _, _, err := c.Solve(ctx, a, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -156,7 +155,7 @@ func TestChainRelaxedThenRefined(t *testing.T) {
 	c := &Chain{Tol: 1e-10, MaxIter: 2000, Attempts: []Attempt{
 		{Name: "relaxed", Method: "cg", Prec: "jacobi", TolScale: 1e4, Refine: true},
 	}}
-	x, out, err := c.Solve(a, b, nil)
+	x, out, err := c.Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestChainRelaxedKeptWhenRefineFails(t *testing.T) {
 	c := &Chain{Tol: 1e-12, MaxIter: 160, Attempts: []Attempt{
 		{Name: "relaxed", Method: "cg", Prec: "jacobi", TolScale: 1e13, Refine: true},
 	}}
-	x, out, err := c.Solve(a, b, nil)
+	x, out, err := c.Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestChainWallClockBudget(t *testing.T) {
 	c := &Chain{Tol: 1e-14, MaxIter: 1 << 20, Attempts: []Attempt{
 		{Name: "starved", Method: "cg", Budget: time.Nanosecond},
 	}}
-	_, _, err := c.Solve(a, b, nil)
+	_, _, err := c.Solve(context.Background(), a, b, nil)
 	if !errors.Is(err, linalg.ErrStopped) {
 		t.Fatalf("err = %v, want wrapped linalg.ErrStopped", err)
 	}
@@ -214,7 +213,7 @@ func TestChainExhausted(t *testing.T) {
 		{Name: "a", Method: "cg"},
 		{Name: "b", Method: "bicgstab", Prec: "jacobi"},
 	}}
-	_, out, err := c.Solve(a, b, nil)
+	_, out, err := c.Solve(context.Background(), a, b, nil)
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -233,26 +232,25 @@ func TestChainStopHook(t *testing.T) {
 	a, b := spdSystem(500)
 	c := &Chain{Tol: 1e-14, MaxIter: 1 << 20,
 		Attempts: []Attempt{{Name: "bailed", Method: "cg"}},
-		Stop:     FaultyStop(3),
 	}
-	_, _, err := c.Solve(a, b, nil)
+	_, _, err := c.Solve(WithPollBudget(context.Background(), 3), a, b, nil)
 	if !errors.Is(err, linalg.ErrStopped) {
 		t.Fatalf("err = %v, want wrapped linalg.ErrStopped", err)
 	}
 }
 
-// TestChainCallerStopEndsSolve: once the caller's Stop fires, the chain
+// TestChainCallerStopEndsSolve: once the caller's budget fires, the chain
 // returns the stopped rung's error without trying later rungs or
 // counting fallbacks, while a rung's own wall-clock budget still falls
 // through to the next rung.
 func TestChainCallerStopEndsSolve(t *testing.T) {
 	reg := withRegistry(t)
 	a, b := spdSystem(500)
-	c := &Chain{Tol: 1e-14, MaxIter: 1 << 20, Stop: FaultyStop(3), Attempts: []Attempt{
+	c := &Chain{Tol: 1e-14, MaxIter: 1 << 20, Attempts: []Attempt{
 		{Name: "first", Method: "cg"},
 		{Name: "second", Method: "bicgstab", Prec: "jacobi"},
 	}}
-	_, out, err := c.Solve(a, b, nil)
+	_, out, err := c.Solve(WithPollBudget(context.Background(), 3), a, b, nil)
 	if !errors.Is(err, linalg.ErrStopped) {
 		t.Fatalf("err = %v, want wrapped linalg.ErrStopped", err)
 	}
@@ -265,18 +263,20 @@ func TestChainCallerStopEndsSolve(t *testing.T) {
 		}
 	}
 
-	starved := &Chain{Tol: 1e-8, MaxIter: 1 << 20, Stop: func() bool { return false }, Attempts: []Attempt{
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	starved := &Chain{Tol: 1e-8, MaxIter: 1 << 20, Attempts: []Attempt{
 		{Name: "starved", Method: "cg", Budget: time.Nanosecond},
 		{Name: "second", Method: "cg", Prec: "jacobi"},
 	}}
-	if _, out, err := starved.Solve(a, b, nil); err != nil || out.AttemptUsed != 1 {
+	if _, out, err := starved.Solve(live, a, b, nil); err != nil || out.AttemptUsed != 1 {
 		t.Errorf("rung budget: outcome %+v, err %v; want the second rung to solve", out, err)
 	}
 }
 
 func TestChainNoAttempts(t *testing.T) {
 	a, b := spdSystem(10)
-	if _, _, err := (&Chain{}).Solve(a, b, nil); err == nil {
+	if _, _, err := (&Chain{}).Solve(context.Background(), a, b, nil); err == nil {
 		t.Fatal("empty chain must error")
 	}
 }
@@ -284,7 +284,7 @@ func TestChainNoAttempts(t *testing.T) {
 func TestChainUnknownMethod(t *testing.T) {
 	a, b := spdSystem(700)
 	c := &Chain{Tol: 1e-8, MaxIter: 100, Attempts: []Attempt{{Name: "x", Method: "gmres"}}}
-	_, _, err := c.Solve(a, b, nil)
+	_, _, err := c.Solve(context.Background(), a, b, nil)
 	if err == nil || !strings.Contains(err.Error(), `unknown solver method "gmres"`) {
 		t.Fatalf("err = %v, want unknown-method failure", err)
 	}
@@ -326,7 +326,7 @@ func TestChainForVocabulary(t *testing.T) {
 
 func TestChainForIC0Solves(t *testing.T) {
 	a, b := spdSystem(150)
-	x, out, err := ladderChain("cg-ic0", 1e-10, 2000).Solve(a, b, nil)
+	x, out, err := ladderChain("cg-ic0", 1e-10, 2000).Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestChainIC0DegradesToJacobi(t *testing.T) {
 		// Without a Setup cache: buildPrec constructs the factor
 		// directly, hits the breakdown, and falls back to Jacobi within
 		// the first rung.
-		_, out, err := ladderChain(solver, 1e-10, 50).Solve(a, b, nil)
+		_, out, err := ladderChain(solver, 1e-10, 50).Solve(context.Background(), a, b, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", solver, err)
 		}
@@ -369,7 +369,7 @@ func TestChainIC0DegradesToJacobi(t *testing.T) {
 		// With a Setup cache: the PrecFor error path degrades the same way.
 		c := ladderChain(solver, 1e-10, 50)
 		c.Setup = linalg.NewSolverSetup()
-		if _, out, err = c.Solve(a, b, nil); err != nil {
+		if _, out, err = c.Solve(context.Background(), a, b, nil); err != nil {
 			t.Fatalf("%s: %v", solver, err)
 		}
 		if out.AttemptUsed != 0 {
@@ -392,7 +392,7 @@ func TestChainSetupReusesPreconditioner(t *testing.T) {
 		for i := range b {
 			b[i]++
 		}
-		if _, _, err := c.Solve(a, b, nil); err != nil {
+		if _, _, err := c.Solve(context.Background(), a, b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -422,7 +422,7 @@ func TestChainFDMFirstRung(t *testing.T) {
 	}
 	c := ladderChain("cg-fdm", 1e-10, 2000)
 	c.Prec = fdm
-	sol, out, err := c.Solve(a, b, nil)
+	sol, out, err := c.Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestChainFDMFirstRung(t *testing.T) {
 	}
 
 	reg := withRegistry(t)
-	sol, out, err = ladderChain("cg-fdm", 1e-10, 2000).Solve(a, b, nil)
+	sol, out, err = ladderChain("cg-fdm", 1e-10, 2000).Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestChainFDMFirstRung(t *testing.T) {
 
 func TestChainForSSORSolves(t *testing.T) {
 	a, b := spdSystem(150)
-	x, out, err := ladderChain("cg-ssor", 1e-10, 2000).Solve(a, b, nil)
+	x, out, err := ladderChain("cg-ssor", 1e-10, 2000).Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,8 +461,8 @@ func TestChainForSSORSolves(t *testing.T) {
 }
 
 // TestChainDenseLastResort: when every rung fails, a system of at most
-// 600 rows is solved by dense LU; a larger one, or one whose caller
-// Stop fired, returns the rung error.
+// 600 rows is solved by dense LU; a larger one, or one whose caller's
+// budget fired, returns the rung error.
 func TestChainDenseLastResort(t *testing.T) {
 	reg := withRegistry(t)
 	a, b := spdSystem(600)
@@ -470,7 +470,7 @@ func TestChainDenseLastResort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, out, err := ladderChain("cg", 1e-14, 2).Solve(a, b, nil)
+	x, out, err := ladderChain("cg", 1e-14, 2).Solve(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,13 +487,12 @@ func TestChainDenseLastResort(t *testing.T) {
 	}
 
 	big, bb := spdSystem(601)
-	if _, _, err := ladderChain("cg", 1e-14, 2).Solve(big, bb, nil); err == nil || !strings.Contains(err.Error(), "all 3 solver attempts failed") {
+	if _, _, err := ladderChain("cg", 1e-14, 2).Solve(context.Background(), big, bb, nil); err == nil || !strings.Contains(err.Error(), "all 3 solver attempts failed") {
 		t.Errorf("601 rows: err = %v, want ladder exhaustion", err)
 	}
 
 	stopped := ladderChain("cg", 1e-14, 1<<20)
-	stopped.Stop = FaultyStop(3)
-	if _, out, err := stopped.Solve(a, b, nil); !errors.Is(err, linalg.ErrStopped) || out.AttemptName != "cg" {
+	if _, out, err := stopped.Solve(WithPollBudget(context.Background(), 3), a, b, nil); !errors.Is(err, linalg.ErrStopped) || out.AttemptName != "cg" {
 		t.Errorf("stopped: outcome %+v, err %v; want the first rung's ErrStopped and no dense solve", out, err)
 	}
 }
@@ -513,7 +512,7 @@ func TestChainRejectsNonFinite(t *testing.T) {
 		{"NaN b", []float64{b[0], math.NaN(), b[2]}, nil, "robust: non-finite input NaN at row 1"},
 		{"Inf x0", b, []float64{0, 0, math.Inf(-1)}, "robust: non-finite input -Inf at row 2"},
 	} {
-		x, _, err := defaultChain(1e-10, 100).Solve(a, c.b, c.x0)
+		x, _, err := defaultChain(1e-10, 100).Solve(context.Background(), a, c.b, c.x0)
 		if err == nil || err.Error() != c.want || x != nil {
 			t.Errorf("%s: x %v, err %v; want no solution and %q", c.name, x, err, c.want)
 		}

@@ -55,8 +55,8 @@ func FaultyRHS(seed int64, b []float64, n int) []float64 {
 	return out
 }
 
-// FaultyStop returns an IterOptions.Stop (or Chain.Stop) callback that
-// forces solver bailout: it reports false for the first after polls and
+// FaultyStop returns an IterOptions.Stop callback that forces solver
+// bailout: it reports false for the first after polls and
 // true from then on, aborting the solve with linalg.ErrStopped.  The
 // returned callback is stateful and single-goroutine, like the solver
 // loop that polls it; use one per solve.

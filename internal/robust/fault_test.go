@@ -126,7 +126,7 @@ func TestFaultyStallDeterministicAcrossWorkers(t *testing.T) {
 		items[i] = i
 	}
 	run := func(workers int) []int {
-		out, errs := MapKeepGoing(items, workers, nil, func(i, v int) (int, error) {
+		out, errs, _ := Map(items, Options{Workers: workers, KeepGoing: true}, nil, func(i, v int) (int, error) {
 			stall(i)
 			return v * v, nil
 		})

@@ -8,6 +8,7 @@ package robust_test
 // it can drive the real cosee stack against the robust layer.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -15,6 +16,7 @@ import (
 
 	"aeropack/internal/cosee"
 	"aeropack/internal/materials"
+	"aeropack/internal/robust"
 )
 
 var errInjected = errors.New("injected CG failure")
@@ -36,7 +38,10 @@ func TestGoldenFig10SweepKeepGoing(t *testing.T) {
 			}
 			return nil
 		}}
-	got, errs := faulty.SweepKeepGoing(powers, 4)
+	got, errs, err := faulty.Sweep(context.Background(), powers, robust.Options{Workers: 4, KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(errs) != 1 {
 		t.Fatalf("got %d point errors, want exactly 1: %v", len(errs), errs)
@@ -74,7 +79,7 @@ func TestGoldenFig10SweepKeepGoing(t *testing.T) {
 }
 
 func TestGoldenRunFig10KeepGoing(t *testing.T) {
-	want, err := cosee.RunFig10Parallel(materials.Al6061, 4)
+	want, _, err := cosee.RunFig10Opts(cosee.Fig10Options{Structure: materials.Al6061, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +87,16 @@ func TestGoldenRunFig10KeepGoing(t *testing.T) {
 	// Only the LHP-power sub-study solves at exactly 100 W (the
 	// capability bisections probe 1, 400 and fractional midpoints), so
 	// this fault fails exactly one of the six sub-studies.
-	got, errs := cosee.RunFig10KeepGoing(materials.Al6061, 4, func(p float64) error {
+	faulty := cosee.Config{Structure: materials.Al6061, FaultFn: func(p float64) error {
 		if p == 100 {
 			return errInjected
 		}
 		return nil
-	})
+	}}
+	got, errs, err := cosee.RunFig10(context.Background(), faulty, robust.Options{Workers: 4, KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(errs) != 1 {
 		t.Fatalf("got %d study errors, want exactly 1: %v", len(errs), errs)

@@ -1,7 +1,6 @@
-// Package robust is aeropack's stdlib-only resilience layer: solver
-// fallback chains, per-point error capture for long multi-point
-// campaigns, and a deterministic fault-injection kit to prove both under
-// go test -race.
+// Package robust is aeropack's stdlib-only resilience layer: the FV
+// solver fallback chain, the run controls every study shares, and a
+// deterministic fault-injection kit to prove both under go test -race.
 //
 // The paper's headline results (the Fig. 10 ΔT-versus-power sweeps, the
 // NANOPACK TIM qualification) come out of campaigns with tens to
@@ -9,18 +8,22 @@
 // to abort the entire run.  This package moves the stack to graceful
 // degradation instead:
 //
-//   - Chain.Solve is the one linear-solve entry every thermal system
-//     goes through: it serves repeats from the result cache, retries a
-//     failed solve down a fallback ladder (the configured solver → CG →
-//     BiCGSTAB → diagonally preconditioned relaxed-then-refined retry),
-//     each attempt bounded by an iteration cap and a wall-clock budget,
-//     and solves small systems densely as the last resort, with every
-//     fallback recorded via internal/obs spans and the solver_fallbacks
-//     counter.
-//   - MapKeepGoing runs a campaign across the internal/parallel pool and
+//   - Chain.Solve is the level-2 FV model's one linear-solve entry: it
+//     retries a failed solve down a fallback ladder (the configured
+//     solver → CG → BiCGSTAB → diagonally preconditioned
+//     relaxed-then-refined retry), each attempt bounded by an iteration
+//     cap and a wall-clock budget, and solves small systems densely as
+//     the last resort, with every fallback recorded via internal/obs
+//     spans and the solver_fallbacks counter.  (Resistive networks
+//     factor directly and never reach the chain.)
+//   - Options and Map are every study's run controls: Map runs a
+//     campaign across the internal/parallel pool and, with KeepGoing,
 //     converts each failed point into a typed *PointError positioned in
 //     the result set, so the surviving points are exactly — bitwise —
 //     what an all-success run would have produced.
+//   - Stop turns a run's context.Context — its deadline, its
+//     cancellation and the poll budget WithPollBudget stores in it —
+//     into the one linalg.IterOptions.Stop predicate the solvers poll.
 //   - The Faulty* constructors build deterministic, seed-driven faults
 //     (perturbed matrices, NaN/Inf-poisoned right-hand sides, forced
 //     solver bailout, stalled pool workers) so tests can exercise every
@@ -36,7 +39,9 @@
 package robust
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 
 	"aeropack/internal/obs"
 	"aeropack/internal/parallel"
@@ -79,18 +84,35 @@ func FirstError(errs []*PointError) *PointError {
 	return first
 }
 
-// MapKeepGoing evaluates fn over items across at most workers goroutines
-// (<= 0 means GOMAXPROCS) like parallel.Map, but a failed item no longer
-// aborts the batch: its error is captured as a *PointError and every
-// other item still runs.  out[i] is fn(i, items[i]) when no PointError
-// carries Index i, and the zero value otherwise, so successful points
-// are bitwise-identical to an abort-on-error run's.  label, if non-nil,
-// names each point for reports.  Worker panics (the linalg contract
-// checks) still propagate.  Captured failures are counted on the
-// robust_point_errors_total counter.
-func MapKeepGoing[T, R any](items []T, workers int, label func(i int, item T) string, fn func(i int, item T) (R, error)) ([]R, []*PointError) {
+// Options are the run controls every study entry takes.
+type Options struct {
+	// Workers bounds the points evaluated concurrently (<= 0 means
+	// GOMAXPROCS, 1 the inline serial path).  Results do not depend on
+	// it.
+	Workers int
+	// KeepGoing captures each failed point as a *PointError and runs
+	// the rest, instead of aborting the run on the first failure.
+	KeepGoing bool
+}
+
+// Map evaluates fn over items across at most o.Workers goroutines and
+// returns the results in input order.  Without KeepGoing it is
+// parallel.Map: the lowest-index failure aborts the run and is the
+// error.  With it, a failed item no longer aborts the batch: its error
+// is captured as a *PointError and every other item still runs.  out[i]
+// is fn(i, items[i]) when no PointError carries Index i, and the zero
+// value otherwise, so successful points are bitwise-identical to an
+// abort-on-error run's.  label, if non-nil, names each point for
+// reports.  Worker panics (the linalg contract checks) still propagate.
+// Captured failures are counted on the robust_point_errors_total
+// counter.
+func Map[T, R any](items []T, o Options, label func(i int, item T) string, fn func(i int, item T) (R, error)) ([]R, []*PointError, error) {
+	if !o.KeepGoing {
+		out, err := parallel.Map(items, o.Workers, fn)
+		return out, nil, err
+	}
 	perPoint := make([]*PointError, len(items))
-	out, _ := parallel.Map(items, workers, func(i int, item T) (R, error) {
+	out, _ := parallel.Map(items, o.Workers, func(i int, item T) (R, error) {
 		r, err := fn(i, item)
 		if err != nil {
 			pe := &PointError{Index: i, Err: err}
@@ -112,5 +134,59 @@ func MapKeepGoing[T, R any](items []T, workers int, label func(i int, item T) st
 	if len(errs) > 0 {
 		obs.Default().Counter("robust_point_errors_total").Add(int64(len(errs)))
 	}
-	return out, errs
+	return out, errs, nil
+}
+
+// pollKey is the context key of a run's poll budget.
+type pollKey struct{}
+
+// pollBudget is one run's solver budget: every Stop predicate derived
+// from the run's context counts its polls on the one counter, so all
+// the run's workers share the budget.
+type pollBudget struct {
+	max   int64
+	polls atomic.Int64
+}
+
+// WithPollBudget returns a context whose solvers may poll their Stop
+// predicate n times in all; the poll after the n-th stops them.  A
+// solver polls once per CG iteration, once per FV Picard pass after the
+// first and once per network factorization.  n <= 0 means no budget:
+// ctx comes back unchanged.
+func WithPollBudget(ctx context.Context, n int64) context.Context {
+	if n <= 0 {
+		return ctx
+	}
+	return context.WithValue(ctx, pollKey{}, &pollBudget{max: n})
+}
+
+// Stop returns the linalg.IterOptions.Stop predicate for ctx: true once
+// ctx's poll budget is spent or ctx is done (its deadline passed or its
+// caller canceled it).  A solver that sees true ends with an error
+// wrapping linalg.ErrStopped.  Stop returns nil for a context that can
+// never be done and carries no poll budget, so an unbudgeted solve pays
+// nothing per poll.  The predicate is safe for concurrent calls.
+func Stop(ctx context.Context) func() bool {
+	done := ctx.Done()
+	budget, _ := ctx.Value(pollKey{}).(*pollBudget)
+	switch {
+	case budget == nil && done == nil:
+		return nil
+	case budget == nil:
+		return func() bool { return isDone(done) }
+	}
+	return func() bool {
+		return budget.polls.Add(1) > budget.max || isDone(done)
+	}
+}
+
+// isDone polls a Done channel without blocking (a nil channel is never
+// done); unlike ctx.Err it takes no lock.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }

@@ -1,16 +1,19 @@
 package robust
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestMapKeepGoingClean(t *testing.T) {
 	items := []float64{1, 2, 3, 4}
-	out, errs := MapKeepGoing(items, 2, nil, func(_ int, v float64) (float64, error) {
+	out, errs, _ := Map(items, Options{Workers: 2, KeepGoing: true}, nil, func(_ int, v float64) (float64, error) {
 		return v * 10, nil
 	})
 	if len(errs) != 0 {
@@ -26,7 +29,7 @@ func TestMapKeepGoingClean(t *testing.T) {
 func TestMapKeepGoingCapturesFailures(t *testing.T) {
 	reg := withRegistry(t)
 	items := []int{0, 1, 2, 3, 4, 5}
-	out, errs := MapKeepGoing(items, 3,
+	out, errs, _ := Map(items, Options{Workers: 3, KeepGoing: true},
 		func(i int, v int) string { return fmt.Sprintf("item-%d", v) },
 		func(_ int, v int) (int, error) {
 			if v%2 == 1 {
@@ -65,10 +68,10 @@ func TestMapKeepGoingCapturesFailures(t *testing.T) {
 func TestMapKeepGoingSurvivorsBitwiseIdentical(t *testing.T) {
 	powers := []float64{1.1, 2.2, 3.3, 4.4, 5.5}
 	solve := func(p float64) float64 { return math.Sqrt(p) * math.Exp(-p/3) }
-	clean, _ := MapKeepGoing(powers, 4, nil, func(_ int, p float64) (float64, error) {
+	clean, _, _ := Map(powers, Options{Workers: 4, KeepGoing: true}, nil, func(_ int, p float64) (float64, error) {
 		return solve(p), nil
 	})
-	faulty, errs := MapKeepGoing(powers, 4, nil, func(i int, p float64) (float64, error) {
+	faulty, errs, _ := Map(powers, Options{Workers: 4, KeepGoing: true}, nil, func(i int, p float64) (float64, error) {
 		if i == 2 {
 			return 0, errors.New("injected")
 		}
@@ -94,9 +97,91 @@ func TestMapKeepGoingPanicsPropagate(t *testing.T) {
 			t.Fatal("worker panic must propagate, not be captured as a PointError")
 		}
 	}()
-	MapKeepGoing([]int{0}, 1, nil, func(int, int) (int, error) {
+	Map([]int{0}, Options{Workers: 1, KeepGoing: true}, nil, func(int, int) (int, error) {
 		panic("contract violation")
 	})
+}
+
+// TestMapAbortsWithoutKeepGoing: without KeepGoing, Map is
+// parallel.Map — the lowest-index failure is the error, at any worker
+// count, and nothing is captured as a PointError.
+func TestMapAbortsWithoutKeepGoing(t *testing.T) {
+	reg := withRegistry(t)
+	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, w := range []int{1, 2, 4, 0} {
+		out, errs, err := Map(items, Options{Workers: w}, nil, func(_ int, v int) (int, error) {
+			if v == 3 || v == 6 {
+				return 0, fmt.Errorf("item %d failed", v)
+			}
+			return v, nil
+		})
+		if err == nil || err.Error() != "item 3 failed" || out != nil || errs != nil {
+			t.Errorf("workers=%d: out %v, errs %v, err %v; want only the item-3 error", w, out, errs, err)
+		}
+	}
+	if got := reg.Counter("robust_point_errors_total").Value(); got != 0 {
+		t.Errorf("robust_point_errors_total = %d, want 0 without KeepGoing", got)
+	}
+}
+
+// TestStopFreeWhenUnbudgeted: a context that can never be done and
+// carries no poll budget yields no predicate, so its solves poll
+// nothing.
+func TestStopFreeWhenUnbudgeted(t *testing.T) {
+	if Stop(context.Background()) != nil {
+		t.Error("Stop(Background) must be nil")
+	}
+	if ctx := WithPollBudget(context.Background(), 0); Stop(ctx) != nil {
+		t.Error("a zero poll budget is no budget: Stop must be nil")
+	}
+}
+
+// TestStopPollBudget: every predicate derived from one context draws on
+// one shared counter, concurrently, and fires on the poll after the
+// n-th.
+func TestStopPollBudget(t *testing.T) {
+	ctx := WithPollBudget(context.Background(), 100)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	passed := 0
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stop := Stop(ctx)
+			for i := 0; i < 50; i++ {
+				if !stop() {
+					mu.Lock()
+					passed++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if passed != 100 {
+		t.Errorf("%d polls passed a budget of 100 across 4 workers, want 100", passed)
+	}
+}
+
+// TestStopFollowsContext: cancellation and a deadline stop the solvers
+// as a spent budget does.
+func TestStopFollowsContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := Stop(ctx)
+	if stop == nil || stop() {
+		t.Fatal("a live cancelable context must yield a predicate that reports false")
+	}
+	cancel()
+	if !stop() {
+		t.Error("the predicate must report true once the context is canceled")
+	}
+	dl, cancelDl := context.WithTimeout(WithPollBudget(context.Background(), 1<<40), time.Millisecond)
+	defer cancelDl()
+	<-dl.Done()
+	if !Stop(dl)() {
+		t.Error("the predicate must report true once the deadline passed")
+	}
 }
 
 func TestPointErrorFormatting(t *testing.T) {

@@ -35,9 +35,13 @@ const (
 // resultCache stores finished response bodies by request hash: an
 // in-memory map always, plus best-effort persistence under
 // dir/modelVersion when a dir is configured (survives server restarts;
-// corrupt or missing files fall back to recompute).  Only successful
-// (HTTP 200) complete-study bodies are stored — errors and partial
-// keep-going results depend on transient conditions and must re-run.
+// corrupt or missing files fall back to recompute).  compute stores
+// every HTTP 200 body of an unbudgeted study that ran to the end,
+// partial keep-going bodies included: their point failures are as
+// deterministic as their points.  Error bodies, budgeted studies (their
+// outcome depends on wall clock and scheduling) and canceled
+// computations (they stopped wherever the cancellation caught them) are
+// never stored.
 type resultCache struct {
 	mu  sync.RWMutex
 	mem map[string][]byte

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,11 +40,17 @@ type Options struct {
 // call is one in-flight singleflight computation.  The leader fills
 // status/body then closes done; followers block on done and replay the
 // bytes, so N concurrent identical requests cost one computation and
-// return bitwise-identical bodies.
+// return bitwise-identical bodies.  waiters (guarded by Server.mu)
+// counts the requests still waiting for the answer; when the last one
+// leaves, the call leaves the in-flight map and cancel stops the
+// computation.
 type call struct {
 	done   chan struct{}
 	status int
 	body   []byte
+
+	waiters int
+	cancel  context.CancelFunc
 }
 
 // job is one async study.  done is closed after status/body are set
@@ -217,7 +224,10 @@ func (s *Server) handleStudies(w http.ResponseWriter, r *http.Request) {
 		s.startJob(w, key, req)
 		return
 	}
-	status, respBody, cacheState := s.compute(key, req)
+	status, respBody, cacheState := s.compute(r.Context(), key, req)
+	if status == 0 {
+		return // the client left; there is no one to answer
+	}
 	writeBody(w, status, respBody, cacheState)
 }
 
@@ -227,40 +237,65 @@ func (s *Server) handleStudies(w http.ResponseWriter, r *http.Request) {
 // occupy one slot between them (followers wait on the leader, not in
 // the admission queue).  The returned body is bitwise-identical across
 // hit/miss/dedup for the same request bytes.
-func (s *Server) compute(key string, req *StudyRequest) (status int, body []byte, cacheState string) {
+//
+// ctx is the waiting client's: once it is done the request stops
+// waiting at once and compute returns status 0.  The computation itself
+// runs under its own context, which the last waiting client to leave
+// cancels — whether it is the leader or a follower, queued for
+// admission or computing.  A canceled computation is never cached and
+// never handed to a later request.
+func (s *Server) compute(ctx context.Context, key string, req *StudyRequest) (status int, body []byte, cacheState string) {
 	if b := s.cache.get(key); b != nil {
 		s.count("serve_cache_hits_total")
 		return http.StatusOK, b, "hit"
 	}
 
+	var run context.Context
 	s.mu.Lock()
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		s.count("serve_dedup_hits_total")
-		<-c.done
-		return c.status, c.body, "dedup"
+	c, follower := s.inflight[key]
+	if !follower {
+		c = &call{done: make(chan struct{})}
+		run, c.cancel = context.WithCancel(context.WithoutCancel(ctx))
+		s.inflight[key] = c
 	}
-	c := &call{done: make(chan struct{})}
-	s.inflight[key] = c
+	c.waiters++
 	s.mu.Unlock()
+	defer context.AfterFunc(ctx, func() { s.leave(key, c) })()
+
+	if follower {
+		s.count("serve_dedup_hits_total")
+		select {
+		case <-c.done:
+			return c.status, c.body, "dedup"
+		case <-ctx.Done():
+			return 0, nil, "dedup"
+		}
+	}
 	s.count("serve_cache_misses_total")
 	defer func() {
 		s.mu.Lock()
-		delete(s.inflight, key)
+		if s.inflight[key] == c {
+			delete(s.inflight, key)
+		}
 		s.mu.Unlock()
+		c.cancel()
 		close(c.done)
 	}()
 
 	// Admission happens as the singleflight leader: followers of this
 	// key share the leader's outcome — including a queue-full 429,
 	// which is the honest answer for every caller of an overloaded key.
-	if serr := s.admit(); serr != nil {
+	admitted, serr := s.admit(run)
+	if serr != nil {
 		c.status, c.body = renderErr(serr)
 		return c.status, c.body, "miss"
 	}
+	if !admitted {
+		return 0, nil, "miss" // every waiter left while it queued
+	}
 	defer s.release()
 
-	resp, serr := executeStudy(req, s.opts.Workers)
+	resp, serr := executeStudy(run, req, s.opts.Workers)
 	if serr != nil {
 		c.status, c.body = renderErr(serr)
 		return c.status, c.body, "miss"
@@ -272,10 +307,12 @@ func (s *Server) compute(key string, req *StudyRequest) (status int, body []byte
 		return c.status, c.body, "miss"
 	}
 	c.status, c.body = http.StatusOK, b
-	// Budgeted results depend on wall clock and scheduling, so only
-	// unbudgeted studies — pure functions of the request bytes — are
-	// cached.  A failed disk write costs future recomputes only.
-	if req.Budget == nil {
+	// Budgeted results depend on wall clock and scheduling, and a
+	// canceled computation stopped wherever the cancellation caught it,
+	// so only unbudgeted studies that ran to the end — pure functions of
+	// the request bytes — are cached.  A failed disk write costs future
+	// recomputes only.
+	if req.Budget == nil && run.Err() == nil {
 		if err := s.cache.put(key, b); err != nil {
 			s.count("serve_cache_write_errors_total")
 		}
@@ -283,26 +320,48 @@ func (s *Server) compute(key string, req *StudyRequest) (status int, body []byte
 	return c.status, c.body, "miss"
 }
 
+// leave drops one waiter from c.  The last one out removes c from the
+// in-flight map, so an identical request arriving later recomputes
+// instead of joining a canceled computation, and cancels it.
+func (s *Server) leave(key string, c *call) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c.waiters--; c.waiters > 0 {
+		return
+	}
+	if s.inflight[key] == c {
+		delete(s.inflight, key)
+	}
+	c.cancel()
+}
+
 // admit acquires an inflight slot, queueing up to MaxQueue requests
 // when all slots are busy.  The state machine is ADMIT (free slot,
 // immediate), QUEUE (all slots busy, queue has room: block until a
-// slot frees) or REJECT (queue full too: 429 + Retry-After).
-func (s *Server) admit() *StudyError {
+// slot frees or ctx is done, whichever comes first) or REJECT (queue
+// full too: 429 + Retry-After).  It reports whether it took a slot: a
+// request that leaves the queue because ctx is done takes none and gets
+// no error.
+func (s *Server) admit(ctx context.Context) (bool, *StudyError) {
 	select {
 	case s.sem <- struct{}{}:
-		return nil // ADMIT
+		return true, nil // ADMIT
 	default:
 	}
 	if s.waiting.Add(1) > int64(s.opts.MaxQueue) {
 		s.waiting.Add(-1)
 		s.count("serve_rejected_total")
-		return studyErr(429, CodeQueueFull,
+		return false, studyErr(429, CodeQueueFull,
 			"serve: %d studies in flight and %d queued; retry later",
 			s.opts.MaxInflight, s.opts.MaxQueue) // REJECT
 	}
-	s.sem <- struct{}{} // QUEUE: block until a slot frees
-	s.waiting.Add(-1)
-	return nil
+	defer s.waiting.Add(-1)
+	select {
+	case s.sem <- struct{}{}: // QUEUE: block until a slot frees
+		return true, nil
+	case <-ctx.Done():
+		return false, nil
+	}
 }
 
 // release frees an admission slot.
@@ -339,7 +398,8 @@ func (s *Server) startJob(w http.ResponseWriter, key string, req *StudyRequest) 
 	s.jobsWG.Add(1)
 	go func() {
 		defer s.jobsWG.Done()
-		status, body, _ := s.compute(key, req)
+		// No connection can cancel a job: it computes until done.
+		status, body, _ := s.compute(context.Background(), key, req)
 		j.status, j.body = status, body
 		close(j.done) // publishes status/body to readers
 	}()

@@ -3,8 +3,10 @@
 // technology map, the qualification campaign and the full board study)
 // with a content-hash result cache, singleflight deduplication of
 // concurrent identical requests, admission control over the worker pool
-// and per-request solver budgets threaded down to the linear-algebra
-// Stop seam.
+// and one context.Context per computation: it carries the request's
+// solver budget (the max_wall_ms deadline and the max_solver_iters poll
+// budget) from the handler down to the solvers, which poll it through
+// robust.Stop, and it is canceled once no client waits for the answer.
 //
 // The wire contract is deliberately bitwise-deterministic: the response
 // body for a given request body is a pure function of its bytes, so the
@@ -14,11 +16,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"aeropack/internal/compact"
@@ -42,36 +44,32 @@ const (
 )
 
 // Budget bounds one request's compute.  Both limits are optional; zero
-// means unlimited.  MaxSolverIters counts Stop-seam polls: an FV solve
-// polls once per CG iteration (and once per Picard pass), a network
-// solve once per factorization, that is per Picard pass or transient
-// step.  It caps linear-solver work in whatever unit the study's
-// solvers use.
+// means unlimited.  executeStudy turns them into the computation's
+// context: MaxWallMs becomes its deadline, counted from admission, and
+// MaxSolverIters its poll budget (robust.WithPollBudget), which every
+// worker of the request draws on.  A solver polls once per CG
+// iteration, once per FV Picard pass after the first and once per
+// network factorization, that is per Picard pass or transient step, so
+// MaxSolverIters caps linear-solver work in whatever unit the study's
+// solvers use.  The study entries that take the context are core.Run,
+// cosee.Config.Sweep, cosee.RunFig10, envtest.Campaign.Run and
+// envtest.Extended.Run.
 type Budget struct {
 	MaxSolverIters int64 `json:"max_solver_iters,omitempty"`
 	MaxWallMs      int64 `json:"max_wall_ms,omitempty"`
 }
 
-// stop compiles the budget into a linalg-style Stop callback, or nil
-// when the budget is absent/unlimited.  The callback is safe for
-// concurrent calls — parallel sweeps share it across workers — so the
-// poll counter is atomic and the deadline is read-only after creation.
-func (b *Budget) stop() func() bool {
-	if b == nil || (b.MaxSolverIters <= 0 && b.MaxWallMs <= 0) {
-		return nil
+// context derives the computation's context from ctx: the deadline and
+// the poll budget.  The returned cancel releases the deadline's timer.
+func (b *Budget) context(ctx context.Context) (context.Context, context.CancelFunc) {
+	if b == nil {
+		return ctx, func() {}
 	}
-	var polls atomic.Int64
-	var deadline time.Time
+	cancel := context.CancelFunc(func() {})
 	if b.MaxWallMs > 0 {
-		deadline = time.Now().Add(time.Duration(b.MaxWallMs) * time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(b.MaxWallMs)*time.Millisecond)
 	}
-	maxIters := b.MaxSolverIters
-	return func() bool {
-		if maxIters > 0 && polls.Add(1) > maxIters {
-			return true
-		}
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
+	return robust.WithPollBudget(ctx, b.MaxSolverIters), cancel
 }
 
 // CoseeSpec selects one COSEE seat-electronics configuration — the
@@ -88,9 +86,9 @@ type CoseeSpec struct {
 	UseThermosyphon bool    `json:"use_thermosyphon,omitempty"`
 }
 
-// config converts the spec into a cosee.Config carrying the request's
-// Stop seam.  The material lookup is the only fallible part.
-func (cs *CoseeSpec) config(stop func() bool) (cosee.Config, error) {
+// config converts the spec into a cosee.Config.  The material lookup
+// is the only fallible part.
+func (cs *CoseeSpec) config() (cosee.Config, error) {
 	c := cosee.Config{
 		UseLHP:          cs.UseLHP,
 		TiltDeg:         cs.TiltDeg,
@@ -98,7 +96,6 @@ func (cs *CoseeSpec) config(stop func() bool) (cosee.Config, error) {
 		TIMName:         cs.TIM,
 		CabinAltitudeM:  cs.CabinAltitudeM,
 		UseThermosyphon: cs.UseThermosyphon,
-		Stop:            stop,
 	}
 	if cs.Structure != "" {
 		m, err := materials.Get(cs.Structure)
@@ -463,13 +460,17 @@ func pointErrsJSON(errs []*robust.PointError) []PointErrorJSON {
 	return out
 }
 
-// executeStudy runs the request's study on the engines.  workers bounds
-// the solver concurrency for this one request (the server's per-request
-// share of the pool).  The returned response is fully deterministic for
-// a given request; transport concerns (hashing, caching) are layered on
-// by the server.
-func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) {
-	stop := req.Budget.stop()
+// executeStudy runs the request's study on the engines under ctx, the
+// computation's context, with the request's budget added to it.
+// workers bounds the solver concurrency for this one request (the
+// server's per-request share of the pool).  The returned response is
+// fully deterministic for a given request that neither its budget nor
+// ctx stops; transport concerns (hashing, caching) are layered on by the
+// server.
+func executeStudy(ctx context.Context, req *StudyRequest, workers int) (*StudyResponse, *StudyError) {
+	ctx, cancel := req.Budget.context(ctx)
+	defer cancel()
+	o := robust.Options{Workers: workers, KeepGoing: req.KeepGoing}
 	resp := &StudyResponse{Schema: ResponseSchema, Kind: req.Kind}
 	switch req.Kind {
 	case "fig10":
@@ -481,12 +482,7 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 			}
 			structure = m
 		}
-		sum, perrs, err := cosee.RunFig10Opts(cosee.Fig10Options{
-			Structure: structure,
-			Workers:   workers,
-			KeepGoing: req.KeepGoing,
-			Stop:      stop,
-		})
+		sum, perrs, err := cosee.RunFig10(ctx, cosee.Config{Structure: structure}, o)
 		if err != nil {
 			return nil, engineErr(err)
 		}
@@ -502,15 +498,12 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 		}
 		resp.Errors = pointErrsJSON(perrs)
 	case "sweep":
-		cfg, err := req.Sweep.config(stop)
+		cfg, err := req.Sweep.config()
 		if err != nil {
 			return nil, studyErr(400, CodeBadRequest, "serve: %v", err)
 		}
-		var points []cosee.Point
-		var perrs []*robust.PointError
-		if req.KeepGoing {
-			points, perrs = cfg.SweepKeepGoing(req.Sweep.PowersW, workers)
-		} else if points, err = cfg.SweepParallel(req.Sweep.PowersW, workers); err != nil {
+		points, perrs, err := cfg.Sweep(ctx, req.Sweep.PowersW, o)
+		if err != nil {
 			return nil, engineErr(err)
 		}
 		resp.Sweep = make([]SweepPointJSON, len(points))
@@ -554,28 +547,15 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 		}
 		resp.TechMap = tm
 	case "qualification":
-		art, serr := req.Qualification.Article.article(stop)
+		art, serr := req.Qualification.Article.article(ctx)
 		if serr != nil {
 			return nil, serr
 		}
-		var results []envtest.Result
-		var perrs []*robust.PointError
-		var err error
+		run := envtest.DefaultCampaign().Run
 		if req.Qualification.Extended {
-			ext := envtest.DefaultExtended()
-			if req.KeepGoing {
-				results, perrs = ext.RunAllKeepGoing(art, workers)
-			} else {
-				results, err = ext.RunAllParallel(art, workers)
-			}
-		} else {
-			camp := envtest.DefaultCampaign()
-			if req.KeepGoing {
-				results, perrs = camp.RunAllKeepGoing(art, workers)
-			} else {
-				results, err = camp.RunAllParallel(art, workers)
-			}
+			run = envtest.DefaultExtended().Run
 		}
+		results, perrs, err := run(ctx, art, o)
 		if err != nil {
 			return nil, engineErr(err)
 		}
@@ -588,7 +568,7 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 		}
 		resp.Errors = pointErrsJSON(perrs)
 	case "study":
-		board, env, err := req.Study.design(stop)
+		board, env, err := req.Study.design()
 		if err != nil {
 			return nil, studyErr(400, CodeBadRequest, "serve: %v", err)
 		}
@@ -596,14 +576,8 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 		if req.Study.ScreenAmbientC != 0 {
 			screen.AmbientC = req.Study.ScreenAmbientC
 		}
-		var rep *core.Report
-		var perrs []*robust.PointError
-		if req.KeepGoing {
-			rep, perrs = core.StudyKeepGoing(board, screen)
-			if rep == nil {
-				return nil, engineErr(robust.FirstError(perrs))
-			}
-		} else if rep, err = core.Study(board, screen); err != nil {
+		rep, perrs, err := core.Run(ctx, board, screen, o)
+		if err != nil {
 			return nil, engineErr(err)
 		}
 		resp.Study = studyResultJSON(rep)
@@ -617,10 +591,10 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 }
 
 // article converts the wire article into an envtest.Article whose
-// thermal model is the spec's COSEE configuration under the request's
-// solver budget.
-func (a *ArticleSpec) article(stop func() bool) (*envtest.Article, *StudyError) {
-	cfg, err := a.Cosee.config(stop)
+// thermal model is the spec's COSEE configuration, solved under ctx, the
+// computation's context.
+func (a *ArticleSpec) article(ctx context.Context) (*envtest.Article, *StudyError) {
+	cfg, err := a.Cosee.config()
 	if err != nil {
 		return nil, studyErr(400, CodeBadRequest, "serve: %v", err)
 	}
@@ -643,7 +617,7 @@ func (a *ArticleSpec) article(stop func() bool) (*envtest.Article, *StudyError) 
 		ShockCyclesRequired: a.ShockCycles,
 		JointDTFactor:       a.JointDTFactor,
 		DeltaTAt: func(powerW float64) (float64, error) {
-			pt, err := cfg.Solve(powerW)
+			pt, err := cfg.SolveContext(ctx, powerW)
 			if err != nil {
 				return 0, err
 			}
@@ -653,9 +627,9 @@ func (a *ArticleSpec) article(stop func() bool) (*envtest.Article, *StudyError) 
 	return art, nil
 }
 
-// design converts the wire board spec into a BoardDesign carrying the
-// request's Stop seam, mirroring the aeropack CLI's buildDesign.
-func (b *BoardSpec) design(stop func() bool) (*core.BoardDesign, core.Envelope, error) {
+// design converts the wire board spec into a BoardDesign, mirroring the
+// aeropack CLI's buildDesign.
+func (b *BoardSpec) design() (*core.BoardDesign, core.Envelope, error) {
 	d := &core.BoardDesign{
 		Name:         b.Name,
 		LengthM:      b.LengthMM * 1e-3,
@@ -669,7 +643,6 @@ func (b *BoardSpec) design(stop func() bool) (*core.BoardDesign, core.Envelope, 
 		ChannelAirC:  b.ChannelAirC,
 		TargetModeHz: b.TargetModeHz,
 		MassLoadKgM2: b.MassLoad,
-		Stop:         stop,
 	}
 	switch b.Cooling {
 	case "conduction", "":

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -123,11 +124,11 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 	patched := build()
 	patched.AddPatchBC(mesh.ZMax, 0, 0.04, 0, 0.08, 0, 0.006, BC{Kind: FixedT, T: 305})
 	for name, m := range map[string]*Model{"two-material": twoMat, "patched": patched} {
-		def, err := m.SolveSteady(nil)
+		def, err := m.SolveSteady(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		mic, err := m.SolveSteady(&SolveOptions{Solver: "cg-mic0"})
+		mic, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg-mic0"})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -139,11 +140,11 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 				t.Fatalf("%s: cell %d: default %v, cg-mic0 %v (must be bitwise identical)", name, i, def.T[i], mic.T[i])
 			}
 		}
-		if _, err := m.SolveSteady(&SolveOptions{Solver: "cg-fdm"}); err == nil || !strings.Contains(err.Error(), "cg-fdm") {
+		if _, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg-fdm"}); err == nil || !strings.Contains(err.Error(), "cg-fdm") {
 			t.Errorf("%s: cg-fdm err = %v, want a refusal naming the solver", name, err)
 		}
 	}
-	if _, err := build().SolveTransient(300, &TransientOptions{SolveOptions: SolveOptions{Solver: "cg-fdm"}, Dt: 1, Steps: 1}); err == nil || !strings.Contains(err.Error(), "steady solves only") {
+	if _, err := build().SolveTransient(context.Background(), 300, &TransientOptions{SolveOptions: SolveOptions{Solver: "cg-fdm"}, Dt: 1, Steps: 1}); err == nil || !strings.Contains(err.Error(), "steady solves only") {
 		t.Errorf("transient cg-fdm err = %v, want a steady-only refusal", err)
 	}
 }
@@ -164,11 +165,11 @@ func TestFDMDegradesToMIC0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := m.SolveSteady(nil)
+	def, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mic, err := m.SolveSteady(&SolveOptions{Solver: "cg-mic0"})
+	mic, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg-mic0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 
 	"aeropack/internal/linalg"
 	"aeropack/internal/obs"
+	"aeropack/internal/robust"
 )
 
 // Network is a lumped thermal resistance network — the "resistive network
@@ -21,22 +23,16 @@ import (
 // Nonlinear elements (temperature- or power-dependent conductances, e.g. a
 // loop heat pipe or a natural-convection film) are supported through
 // VariableResistor callbacks, resolved by Picard iteration.
+//
+// Every solve takes the caller's context: its budget (robust.Stop) is
+// polled once before each factorization, that is before every Picard
+// pass and every transient step, and once it fires the solve ends with
+// an error wrapping linalg.ErrStopped.  The solver's span nests under
+// the span the context carries.
 type Network struct {
 	names     map[string]int
 	nodes     []netNode // by node id, in creation order
 	resistors []resistor
-
-	// Obs, when non-nil, is the parent span under which the network
-	// solver records its telemetry.  When nil, the solver span attaches
-	// to the process-global tracer.
-	Obs *obs.Span
-
-	// Stop, when non-nil, is the per-request budget seam: it is polled
-	// once before each factorization, that is before every Picard pass
-	// and every transient step.  Returning true aborts the solve with an
-	// error wrapping linalg.ErrStopped.  Must be safe for concurrent
-	// calls when the network is solved from a parallel sweep.
-	Stop func() bool
 }
 
 // netNode is one node of a Network.
@@ -141,8 +137,8 @@ type SteadyResult struct {
 // SolveSteady solves the network.  Purely linear networks converge in one
 // pass; networks with variable resistors iterate until the max node
 // temperature change falls below tolK (default 1e-3 K) or maxIter passes.
-func (n *Network) SolveSteady() (*SteadyResult, error) {
-	return n.SolveSteadyTol(1e-3, 60)
+func (n *Network) SolveSteady(ctx context.Context) (*SteadyResult, error) {
+	return n.SolveSteadyTol(ctx, 1e-3, 60)
 }
 
 // NetworkState carries the converged Picard state (node temperatures and
@@ -156,8 +152,8 @@ type NetworkState struct {
 }
 
 // SolveSteadyTol is SolveSteady with explicit Picard controls.
-func (n *Network) SolveSteadyTol(tolK float64, maxIter int) (*SteadyResult, error) {
-	return n.solveSteady(tolK, maxIter, nil)
+func (n *Network) SolveSteadyTol(ctx context.Context, tolK float64, maxIter int) (*SteadyResult, error) {
+	return n.solveSteady(ctx, tolK, maxIter, nil)
 }
 
 // SolveSteadyWarm is SolveSteadyTol continuing from (and updating) a
@@ -166,11 +162,11 @@ func (n *Network) SolveSteadyTol(tolK float64, maxIter int) (*SteadyResult, erro
 // must use one NetworkState sequentially — sharing it across concurrent
 // solves would make results depend on scheduling order (the parallel
 // sweep paths deliberately pass nil for exactly that reason).
-func (n *Network) SolveSteadyWarm(tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
-	return n.solveSteady(tolK, maxIter, warm)
+func (n *Network) SolveSteadyWarm(ctx context.Context, tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
+	return n.solveSteady(ctx, tolK, maxIter, warm)
 }
 
-func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
+func (n *Network) solveSteady(ctx context.Context, tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
 	if tolK <= 0 {
 		tolK = 1e-3
 	}
@@ -179,7 +175,7 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 	}
 
 	num := len(n.nodes)
-	sp := obs.Start(n.Obs, "thermal.Network.SolveSteady")
+	sp := obs.Start(obs.FromContext(ctx), "thermal.Network.SolveSteady")
 	sp.AttrInt("nodes", num)
 	sp.AttrInt("resistors", len(n.resistors))
 	defer sp.End()
@@ -239,8 +235,9 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 	// history, so solves stay deterministic.
 	theta := 0.5
 	prevDelta := math.Inf(1)
+	stop := robust.Stop(ctx)
 	for pass := 0; pass < maxIter; pass++ {
-		if n.Stop != nil && n.Stop() {
+		if stop != nil && stop() {
 			return nil, fmt.Errorf("thermal: network %w after %d Picard passes", linalg.ErrStopped, pass)
 		}
 		if err := sys.solve(rs, T, 0, Tnew); err != nil {

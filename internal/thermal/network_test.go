@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,7 +24,7 @@ func TestNetworkSeriesDivider(t *testing.T) {
 	}
 	n.AddSource("junction", 10)
 	n.FixT("ambient", 300)
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestNetworkParallelPaths(t *testing.T) {
 	n.AddResistor("chip", "sink", 4)
 	n.AddSource("chip", 8)
 	n.FixT("sink", 320)
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestNetworkFlowConservation(t *testing.T) {
 	n.AddResistor("c", "d", 4)
 	n.AddSource("a", 5)
 	n.FixT("d", 300)
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestNetworkMultipleFixed(t *testing.T) {
 	n.AddResistor("mid", "cold", 1)
 	n.FixT("hot", 400)
 	n.FixT("cold", 300)
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestNetworkVariableResistor(t *testing.T) {
 	})
 	n.AddSource("plate", 20)
 	n.FixT("air", 300)
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +111,18 @@ func TestNetworkVariableResistorInvalid(t *testing.T) {
 	n.AddVariableResistor("a", "b", 1, func(Ta, Tb, Q float64) float64 { return -1 })
 	n.AddSource("a", 1)
 	n.FixT("b", 300)
-	if _, err := n.SolveSteady(); err == nil {
+	if _, err := n.SolveSteady(context.Background()); err == nil {
 		t.Fatal("invalid variable resistance should error")
 	}
 }
 
 func TestNetworkErrors(t *testing.T) {
 	n := NewNetwork()
-	if _, err := n.SolveSteady(); err == nil {
+	if _, err := n.SolveSteady(context.Background()); err == nil {
 		t.Error("empty network should error")
 	}
 	n.AddResistor("a", "b", 1)
-	if _, err := n.SolveSteady(); err == nil {
+	if _, err := n.SolveSteady(context.Background()); err == nil {
 		t.Error("network without fixed node should error")
 	}
 	if err := n.AddResistor("a", "a", 1); err == nil {
@@ -135,7 +136,7 @@ func TestNetworkErrors(t *testing.T) {
 	}
 	n.FixT("b", 300)
 	n.AddNode("orphan")
-	if _, err := n.SolveSteady(); err == nil {
+	if _, err := n.SolveSteady(context.Background()); err == nil {
 		t.Error("floating node should error")
 	}
 }
@@ -152,7 +153,7 @@ func TestNetworkSourceAccumulation(t *testing.T) {
 	if n.NodePower("nope") != 0 {
 		t.Error("unknown node power should be 0")
 	}
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestNetworkChainProperty(t *testing.T) {
 		p := 0.5 + rng.Float64()*50
 		n.AddSource("n0", p)
 		n.FixT(prev, 300)
-		res, err := n.SolveSteady()
+		res, err := n.SolveSteady(context.Background())
 		if err != nil {
 			return false
 		}
@@ -265,7 +266,7 @@ func TestNetworkParallelProperty(t *testing.T) {
 		p := 1 + rng.Float64()*30
 		n.AddSource("hot", p)
 		n.FixT("amb", 290)
-		res, err := n.SolveSteady()
+		res, err := n.SolveSteady(context.Background())
 		if err != nil {
 			return false
 		}
@@ -310,19 +311,19 @@ func TestNetworkRejectsNonFiniteInputs(t *testing.T) {
 	for _, c := range cases {
 		n := base()
 		c.edit(n)
-		if _, err := n.SolveSteady(); err == nil || err.Error() != c.want {
+		if _, err := n.SolveSteady(context.Background()); err == nil || err.Error() != c.want {
 			t.Errorf("%s: steady err = %v, want %q", c.name, err, c.want)
 		}
-		if _, err := n.SolveTransient(300, 1, 5, nil); err == nil || err.Error() != c.want {
+		if _, err := n.SolveTransient(context.Background(), 300, 1, 5, nil); err == nil || err.Error() != c.want {
 			t.Errorf("%s: transient err = %v, want %q", c.name, err, c.want)
 		}
 	}
 	n := base()
 	inf := map[string]func(float64) float64{"amb": func(float64) float64 { return math.Inf(-1) }}
-	if _, err := n.SolveTransient(300, 1, 5, inf); err == nil || !strings.Contains(err.Error(), `node "amb" to non-finite temperature -Inf K`) {
+	if _, err := n.SolveTransient(context.Background(), 300, 1, 5, inf); err == nil || !strings.Contains(err.Error(), `node "amb" to non-finite temperature -Inf K`) {
 		t.Errorf("non-finite schedule: err = %v, want it named", err)
 	}
-	if _, err := n.SolveTransient(math.NaN(), 1, 5, nil); err == nil {
+	if _, err := n.SolveTransient(context.Background(), math.NaN(), 1, 5, nil); err == nil {
 		t.Error("NaN initial temperature accepted")
 	}
 	if err := n.AddVariableResistor("chip", "amb", math.NaN(), func(_, _, _ float64) float64 { return 1 }); err == nil {
@@ -341,14 +342,14 @@ func TestNetworkFloatingIsland(t *testing.T) {
 	n.AddResistor("y", "x", 2)
 	n.AddSource("x", 5)
 	const steady = `thermal: floating island "x", "y": no resistor path to a fixed-temperature node`
-	if _, err := n.SolveSteady(); err == nil || err.Error() != steady {
+	if _, err := n.SolveSteady(context.Background()); err == nil || err.Error() != steady {
 		t.Errorf("steady err = %v, want %q", err, steady)
 	}
-	if _, err := n.SolveTransient(300, 1, 5, nil); err == nil || err.Error() != steady+" and no capacitance" {
+	if _, err := n.SolveTransient(context.Background(), 300, 1, 5, nil); err == nil || err.Error() != steady+" and no capacitance" {
 		t.Errorf("transient err = %v, want %q", err, steady+" and no capacitance")
 	}
 	n.SetCapacitance("y", 50)
-	res, err := n.SolveTransient(300, 1, 5, nil)
+	res, err := n.SolveTransient(context.Background(), 300, 1, 5, nil)
 	if err != nil {
 		t.Fatalf("island anchored by a capacitance: %v", err)
 	}
@@ -364,7 +365,7 @@ func TestNetworkFloatingIsland(t *testing.T) {
 		big.AddResistor(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1), 1)
 	}
 	want := `thermal: floating island "n0", "n1", "n10", "n2", "n3", "n4", "n5", "n6" and 3 more: no resistor path to a fixed-temperature node`
-	if _, err := big.SolveSteady(); err == nil || err.Error() != want {
+	if _, err := big.SolveSteady(context.Background()); err == nil || err.Error() != want {
 		t.Errorf("11-node island err = %v, want %q", err, want)
 	}
 }
@@ -380,7 +381,7 @@ func TestNetworkZeroPivotNamesNode(t *testing.T) {
 	n.AddResistor("a", "b", 1)
 	n.AddSource("b", 1)
 	const want = `thermal: network node "b": linalg: LDLᵀ pivot 0 at unknown 1 (matrix not positive definite)`
-	if _, err := n.SolveSteady(); err == nil || err.Error() != want {
+	if _, err := n.SolveSteady(context.Background()); err == nil || err.Error() != want {
 		t.Errorf("err = %v, want %q", err, want)
 	}
 }
@@ -405,7 +406,7 @@ func TestNetworkLevel3Scale(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := n.SolveSteady()
+	res, err := n.SolveSteady(context.Background())
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

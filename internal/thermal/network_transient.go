@@ -1,11 +1,13 @@
 package thermal
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
 
 	"aeropack/internal/linalg"
+	"aeropack/internal/robust"
 )
 
 // TransientResult holds a network time history.
@@ -69,10 +71,10 @@ func (r *TransientResult) TimeToReach(node string, target float64) (float64, err
 // quasi-steady (massless).  Variable resistors are re-evaluated each step
 // from the previous step's temperatures.  Ambient (fixed) nodes may be
 // rescheduled over time via schedule, mapping node name to a temperature
-// profile T(t); nil entries keep the fixed value.  Network.Stop is
+// profile T(t); nil entries keep the fixed value.  ctx's budget is
 // polled once before every step's factorization; once it fires the
 // transient ends with an error wrapping linalg.ErrStopped.
-func (n *Network) SolveTransient(T0, dt float64, steps int, schedule map[string]func(t float64) float64) (*TransientResult, error) {
+func (n *Network) SolveTransient(ctx context.Context, T0, dt float64, steps int, schedule map[string]func(t float64) float64) (*TransientResult, error) {
 	if !(dt > 0) || steps <= 0 {
 		return nil, fmt.Errorf("thermal: transient needs positive dt and steps")
 	}
@@ -102,8 +104,9 @@ func (n *Network) SolveTransient(T0, dt float64, steps int, schedule map[string]
 	}
 	record(0)
 
+	stop := robust.Stop(ctx)
 	for step := 1; step <= steps; step++ {
-		if n.Stop != nil && n.Stop() {
+		if stop != nil && stop() {
 			return nil, fmt.Errorf("thermal: network transient %w after %d steps", linalg.ErrStopped, step-1)
 		}
 		tm := float64(step) * dt

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"aeropack/internal/linalg"
+	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
 
@@ -29,7 +31,7 @@ func TestTransientRCAnalytic(t *testing.T) {
 	tau := c * r
 	n := rcNetwork(c, r, p, Tamb)
 	dt := tau / 200
-	res, err := n.SolveTransient(Tamb, dt, 1200, nil)
+	res, err := n.SolveTransient(context.Background(), Tamb, dt, 1200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +58,11 @@ func TestTransientMatchesSteady(t *testing.T) {
 	n.AddResistor("b", "amb", 2.5)
 	n.AddSource("a", 6)
 	n.FixT("amb", 295)
-	steady, err := n.SolveSteady()
+	steady, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := n.SolveTransient(295, 5, 2000, nil)
+	tr, err := n.SolveTransient(context.Background(), 295, 5, 2000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestTransientMasslessNodesQuasiSteady(t *testing.T) {
 	n.AddResistor("mid", "amb", 1)
 	n.AddSource("box", 4)
 	n.FixT("amb", 300)
-	res, err := n.SolveTransient(300, 2, 300, nil)
+	res, err := n.SolveTransient(context.Background(), 300, 2, 300, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestTransientMasslessNodesQuasiSteady(t *testing.T) {
 
 func TestTransientMonotoneWarmup(t *testing.T) {
 	n := rcNetwork(100, 1, 5, 300)
-	res, err := n.SolveTransient(300, 1, 500, nil)
+	res, err := n.SolveTransient(context.Background(), 300, 1, 500, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestTransientScheduledAmbient(t *testing.T) {
 			return math.Min(T, units.CToK(55))
 		},
 	}
-	res, err := n.SolveTransient(units.CToK(-45), 5, 600, nil)
+	res, err := n.SolveTransient(context.Background(), units.CToK(-45), 5, 600, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestTransientScheduledAmbient(t *testing.T) {
 	if math.Abs(res.Final()["unit"]-units.CToK(-45)) > 1e-6 {
 		t.Error("unscheduled chamber should stay cold")
 	}
-	res, err = n.SolveTransient(units.CToK(-45), 5, 600, sched)
+	res, err = n.SolveTransient(context.Background(), units.CToK(-45), 5, 600, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestTransientVariableResistor(t *testing.T) {
 	})
 	n.AddSource("plate", 20)
 	n.FixT("air", 300)
-	res, err := n.SolveTransient(300, 2, 3000, nil)
+	res, err := n.SolveTransient(context.Background(), 300, 2, 3000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,33 +185,33 @@ func TestTransientVariableResistor(t *testing.T) {
 
 func TestTransientErrors(t *testing.T) {
 	n := rcNetwork(10, 1, 1, 300)
-	if _, err := n.SolveTransient(300, -1, 10, nil); err == nil {
+	if _, err := n.SolveTransient(context.Background(), 300, -1, 10, nil); err == nil {
 		t.Error("negative dt should error")
 	}
-	if _, err := n.SolveTransient(300, 1, 0, nil); err == nil {
+	if _, err := n.SolveTransient(context.Background(), 300, 1, 0, nil); err == nil {
 		t.Error("zero steps should error")
 	}
 	empty := NewNetwork()
-	if _, err := empty.SolveTransient(300, 1, 10, nil); err == nil {
+	if _, err := empty.SolveTransient(context.Background(), 300, 1, 10, nil); err == nil {
 		t.Error("empty network should error")
 	}
 	noFix := NewNetwork()
 	noFix.AddResistor("a", "b", 1)
-	if _, err := noFix.SolveTransient(300, 1, 10, nil); err == nil {
+	if _, err := noFix.SolveTransient(context.Background(), 300, 1, 10, nil); err == nil {
 		t.Error("network without fixed node should error")
 	}
 	bad := NewNetwork()
 	bad.SetCapacitance("x", 10)
 	bad.AddVariableResistor("x", "amb", 1, func(a, b, q float64) float64 { return -1 })
 	bad.FixT("amb", 300)
-	if _, err := bad.SolveTransient(310, 1, 5, nil); err == nil {
+	if _, err := bad.SolveTransient(context.Background(), 310, 1, 5, nil); err == nil {
 		t.Error("invalid variable resistance should error")
 	}
 }
 
 func TestTransientResultQueries(t *testing.T) {
 	n := rcNetwork(10, 1, 1, 300)
-	res, err := n.SolveTransient(300, 1, 50, nil)
+	res, err := n.SolveTransient(context.Background(), 300, 1, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,28 +254,30 @@ func TestTimeConstant(t *testing.T) {
 
 // stopAfter returns a budget that fires on its k-th poll and counts its
 // polls.
-func stopAfter(k int, polls *int) func() bool {
-	return func() bool {
-		*polls++
-		return *polls >= k
+// stopOnPoll returns a context whose budget fires on its k-th poll: a
+// poll budget of k−1, or, for k = 1, a context canceled up front.
+func stopOnPoll(k int) context.Context {
+	if k == 1 {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx
 	}
+	return robust.WithPollBudget(context.Background(), int64(k-1))
 }
 
-// TestTransientPollsStop: Network.Stop bounds a transient once per step,
-// before the step's factorization.  A budget that fires on its k-th poll
-// ends the transient after exactly k−1 steps, with an error wrapping
-// linalg.ErrStopped.
+// TestTransientPollsStop: the context's budget bounds a transient once
+// per step, before the step's factorization.  A budget that fires on
+// its k-th poll ends the transient after exactly k−1 steps, with an
+// error wrapping linalg.ErrStopped.
 func TestTransientPollsStop(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		n := finNetwork(12)
-		polls := 0
-		n.Stop = stopAfter(k, &polls)
-		res, err := n.SolveTransient(300, 1, 20, nil)
+		res, err := n.SolveTransient(stopOnPoll(k), 300, 1, 20, nil)
 		if !errors.Is(err, linalg.ErrStopped) || res != nil {
 			t.Fatalf("k=%d: result %v, err %v; want no result and an error wrapping linalg.ErrStopped", k, res, err)
 		}
-		if want := fmt.Sprintf("after %d steps", k-1); polls != k || !strings.HasSuffix(err.Error(), want) {
-			t.Errorf("k=%d: %d polls, err %q; want %d polls and an error ending %q", k, polls, err, k, want)
+		if want := fmt.Sprintf("after %d steps", k-1); !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("k=%d: err %q; want an error ending %q", k, err, want)
 		}
 	}
 }
@@ -284,14 +288,12 @@ func TestTransientPollsStop(t *testing.T) {
 func TestSteadyPollsStop(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		n := finNetwork(12)
-		polls := 0
-		n.Stop = stopAfter(k, &polls)
-		res, err := n.SolveSteadyTol(1e-9, 60)
+		res, err := n.SolveSteadyTol(stopOnPoll(k), 1e-9, 60)
 		if !errors.Is(err, linalg.ErrStopped) || res != nil {
 			t.Fatalf("k=%d: result %v, err %v; want no result and an error wrapping linalg.ErrStopped", k, res, err)
 		}
-		if want := fmt.Sprintf("after %d Picard passes", k-1); polls != k || !strings.HasSuffix(err.Error(), want) {
-			t.Errorf("k=%d: %d polls, err %q; want %d polls and an error ending %q", k, polls, err, k, want)
+		if want := fmt.Sprintf("after %d Picard passes", k-1); !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("k=%d: err %q; want an error ending %q", k, err, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"math"
 	"regexp"
 	"strings"
@@ -43,7 +44,7 @@ func plateModel(t *testing.T, nx, ny, nz int) *Model {
 func TestSolveErrorSurfacesIterStats(t *testing.T) {
 	m := plateModel(t, 16, 16, 3)
 	const maxIter = 3
-	_, err := m.SolveSteady(&SolveOptions{Solver: "cg", MaxIter: maxIter, Tol: 1e-14})
+	_, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg", MaxIter: maxIter, Tol: 1e-14})
 	if err == nil {
 		t.Fatal("expected non-convergence with MaxIter=3")
 	}
@@ -68,14 +69,14 @@ func TestSolveDenseLastResort(t *testing.T) {
 	defer obs.SetDefault(prev)
 
 	m := obsTestModel(t)
-	res, err := m.SolveSteady(&SolveOptions{Solver: "cg", MaxIter: 3, Tol: 1e-14})
+	res, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg", MaxIter: 3, Tol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("robust_chain_exhausted_total").Value(); got != 1 {
 		t.Errorf("robust_chain_exhausted_total = %d, want 1", got)
 	}
-	ref, err := m.SolveSteady(&SolveOptions{Solver: "cg-mic0", Tol: 1e-13})
+	ref, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg-mic0", Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSolveDenseLastResort(t *testing.T) {
 
 func TestSolveUnknownSolver(t *testing.T) {
 	m := obsTestModel(t)
-	_, err := m.SolveSteady(&SolveOptions{Solver: "gmres"})
+	_, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "gmres"})
 	if err == nil || !strings.Contains(err.Error(), `unknown solver "gmres"`) {
 		t.Errorf("unknown-solver error = %v", err)
 	}
@@ -103,7 +104,7 @@ func TestSolveSteadySpans(t *testing.T) {
 	defer obs.SetTracer(prev)
 
 	m := obsTestModel(t)
-	if _, err := m.SolveSteady(nil); err != nil {
+	if _, err := m.SolveSteady(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	want := "thermal.SolveSteady\n" +
@@ -121,7 +122,7 @@ func TestSolveOnIteration(t *testing.T) {
 	m := obsTestModel(t)
 	var its []int
 	var residuals []float64
-	res, err := m.SolveSteady(&SolveOptions{
+	res, err := m.SolveSteady(context.Background(), &SolveOptions{
 		Tol: 1e-9,
 		OnIteration: func(it int, r float64) {
 			its = append(its, it)
@@ -157,7 +158,7 @@ func TestSolveMetrics(t *testing.T) {
 	defer obs.SetDefault(prev)
 
 	m := obsTestModel(t)
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

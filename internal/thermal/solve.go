@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -112,22 +113,11 @@ type SolveOptions struct {
 	// succeeds on it is bitwise-identical to that solver called directly.
 	Solver string
 
-	// Span, when non-nil, is the parent under which the solver's
-	// telemetry spans (thermal.SolveSteady → thermal.assemble /
-	// thermal.linSolve) are recorded.  When nil, the solver span attaches
-	// to the process-global tracer — and costs one atomic load when
-	// tracing is disabled.
-	Span *obs.Span
 	// OnIteration is forwarded to the linear solver (see
 	// linalg.IterOptions.OnIteration).  It fires for every inner
 	// iteration of every outer pass; pair with linalg.ConvergenceLog to
 	// capture convergence traces.
 	OnIteration func(it int, residual float64)
-	// Stop is the caller's budget: every linear solve polls it once per
-	// iteration (robust.Chain.Stop, ahead of each rung's 10 s wall-clock
-	// guard) and SolveSteady polls it between Picard passes.  Once it
-	// fires the solve ends with an error wrapping linalg.ErrStopped.
-	Stop func() bool
 }
 
 // The radiation linearisation runs at most maxPicardPasses passes and
@@ -159,11 +149,18 @@ func (o *SolveOptions) defaults(n int) {
 // make the problem mildly nonlinear; they are handled by Picard iteration
 // on a linearised radiation coefficient.
 //
+// ctx is the caller's budget (robust.Stop): every linear solve polls it
+// once per iteration, ahead of each rung's 10 s wall-clock guard, and
+// SolveSteady polls it between Picard passes.  Once it fires the solve
+// ends with an error wrapping linalg.ErrStopped.  The solver's spans
+// (thermal.SolveSteady → thermal.assemble / thermal.linSolve) nest under
+// the span ctx carries.
+//
 // The default solver is "cg-fdm", CG preconditioned by fast
 // diagonalization (linalg.FDMPrec), when every cell holds one material
 // and no patch overrides a face, and "cg-mic0" otherwise.  Naming
 // "cg-fdm" for any other model is an error.
-func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
+func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, error) {
 	n := m.Grid.NumCells()
 	var o SolveOptions
 	if opts != nil {
@@ -178,10 +175,11 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 		return nil, fmt.Errorf("thermal: solver cg-fdm needs a single-material model without patch BCs")
 	}
 
-	sp := obs.Start(o.Span, "thermal.SolveSteady")
+	ctx, sp := obs.StartContext(ctx, "thermal.SolveSteady")
 	defer sp.End()
 	sp.AttrInt("cells", n)
 	sp.Attr("solver", o.Solver)
+	stop := robust.Stop(ctx)
 
 	// Initial surface-temperature estimate for radiation linearisation.
 	Tsurf := make([]float64, n)
@@ -212,12 +210,12 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 		// The budget is polled between passes as well as inside the
 		// linear solver, so a tripped request stops at the next pass
 		// boundary instead of running the remaining passes.
-		if o.Stop != nil && outer > 0 && o.Stop() {
+		if stop != nil && outer > 0 && stop() {
 			return nil, fmt.Errorf("thermal: FV %w after %d Picard passes", linalg.ErrStopped, outer)
 		}
 		res.OuterIterations = outer + 1
-		a, b := st.assembleObs(Tsurf, sp)
-		t, stats, err := m.linSolve(a, b, prev, &o, setup, fdm, sp)
+		a, b := st.assembleObs(ctx, Tsurf)
+		t, stats, err := m.linSolve(ctx, a, b, prev, &o, setup, fdm)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, err
@@ -297,8 +295,8 @@ func (m *Model) hasRadiation() bool {
 // (thermal_matrix_nnz gauge, thermal_assembly_seconds histogram); the
 // first pass's observation includes the symbolic phase.  With telemetry
 // disabled it reduces to the bare assemble call plus two nil checks.
-func (s *stencil) assembleObs(Tsurf []float64, parent *obs.Span) (*linalg.CSR, []float64) {
-	sp := parent.Start("thermal.assemble")
+func (s *stencil) assembleObs(ctx context.Context, Tsurf []float64) (*linalg.CSR, []float64) {
+	sp := obs.FromContext(ctx).Start("thermal.assemble")
 	reg := obs.Default()
 	if sp == nil && reg == nil {
 		return s.assemble(Tsurf)
@@ -322,7 +320,7 @@ var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 // rung the configured solver.  fdm builds the pass's
 // fast-diagonalization preconditioner; SolveSteady passes it exactly
 // when the solver is "cg-fdm".
-func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptions, setup *linalg.SolverSetup, fdm func() (*linalg.FDMPrec, error), parent *obs.Span) ([]float64, linalg.IterStats, error) {
+func (m *Model) linSolve(ctx context.Context, a *linalg.CSR, b []float64, x0 []float64, o *SolveOptions, setup *linalg.SolverSetup, fdm func() (*linalg.FDMPrec, error)) ([]float64, linalg.IterStats, error) {
 	switch o.Solver {
 	case "cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "bicgstab":
 	case "cg-fdm":
@@ -332,7 +330,7 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 	default:
 		return nil, linalg.IterStats{}, fmt.Errorf("thermal: unknown solver %q", o.Solver)
 	}
-	sp := parent.Start("thermal.linSolve")
+	ctx, sp := obs.StartContext(ctx, "thermal.linSolve")
 	sp.Attr("solver", o.Solver)
 
 	// The fast-diagonalization factors come from the model, not the
@@ -357,8 +355,8 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 	}
 
 	chain := robust.Chain{Tol: o.Tol, MaxIter: o.MaxIter, Attempts: robust.Ladder(solver),
-		Span: sp, OnIteration: o.OnIteration, Stop: o.Stop, Setup: setup, Prec: first}
-	x, out, err := chain.Solve(a, b, x0)
+		OnIteration: o.OnIteration, Setup: setup, Prec: first}
+	x, out, err := chain.Solve(ctx, a, b, x0)
 	if out.Fallbacks > 0 {
 		sp.AttrInt("fallbacks", out.Fallbacks)
 	}
@@ -664,8 +662,9 @@ type TransientOptions struct {
 
 // SolveTransient integrates ∂(ρc_p T)/∂t = ∇·(k∇T) + q with implicit
 // (backward) Euler from a uniform initial temperature T0.  Radiative BCs
-// are linearised about the previous step's field.
-func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, error) {
+// are linearised about the previous step's field.  ctx budgets every
+// step's linear solve and parents the solver's spans, as in SolveSteady.
+func (m *Model) SolveTransient(ctx context.Context, T0 float64, opts *TransientOptions) (*Result, error) {
 	if opts == nil || opts.Dt <= 0 || opts.Steps <= 0 {
 		return nil, fmt.Errorf("thermal: transient solve requires positive Dt and Steps")
 	}
@@ -689,7 +688,7 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 		}
 	}
 
-	sp := obs.Start(o.Span, "thermal.SolveTransient")
+	ctx, sp := obs.StartContext(ctx, "thermal.SolveTransient")
 	defer sp.End()
 	sp.AttrInt("cells", n)
 	sp.AttrInt("steps", opts.Steps)
@@ -700,9 +699,9 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 	rhs := make([]float64, n)
 	t := 0.0
 	for step := 0; step < opts.Steps; step++ {
-		a, b := st.assembleObs(T, sp)
+		a, b := st.assembleObs(ctx, T)
 		st.addCapacity(a, b, capDt, T, rhs)
-		Tn, stats, err := m.linSolve(a, rhs, T, &o, setup, nil, sp)
+		Tn, stats, err := m.linSolve(ctx, a, rhs, T, &o, setup, nil)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)

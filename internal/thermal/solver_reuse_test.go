@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestTransientPerStepAllocationsPinned(t *testing.T) {
 	n.AddResistor("fin", "amb", 1.1)
 	run := func(steps int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := n.SolveTransient(300, 1, steps, nil); err != nil {
+			if _, err := n.SolveTransient(context.Background(), 300, 1, steps, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -53,15 +54,15 @@ func TestTransientPerStepAllocationsPinned(t *testing.T) {
 // and (b) converge in fewer Picard passes when continuing from a nearby
 // operating point — the property the capability bisection leans on.
 func TestSolveSteadyWarmMatchesColdWithFewerPasses(t *testing.T) {
-	cold10, err := finNetwork(10).SolveSteadyTol(1e-4, 60)
+	cold10, err := finNetwork(10).SolveSteadyTol(context.Background(), 1e-4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := &NetworkState{}
-	if _, err := finNetwork(9.5).SolveSteadyWarm(1e-4, 60, warm); err != nil {
+	if _, err := finNetwork(9.5).SolveSteadyWarm(context.Background(), 1e-4, 60, warm); err != nil {
 		t.Fatal(err)
 	}
-	warm10, err := finNetwork(10).SolveSteadyWarm(1e-4, 60, warm)
+	warm10, err := finNetwork(10).SolveSteadyWarm(context.Background(), 1e-4, 60, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestSolveSteadyWarmMatchesColdWithFewerPasses(t *testing.T) {
 	// An incompatible state (different topology) must be ignored, not
 	// corrupt the solve.
 	stale := &NetworkState{T: []float64{1, 2}, Rs: []float64{3}}
-	res, err := finNetwork(10).SolveSteadyWarm(1e-4, 60, stale)
+	res, err := finNetwork(10).SolveSteadyWarm(context.Background(), 1e-4, 60, stale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -41,7 +42,7 @@ func TestSlabLinearProfile(t *testing.T) {
 	// Steady 1-D conduction between fixed temperatures: linear profile,
 	// flux q = k·ΔT/L.
 	m, g := slabModel(t, 20, 10, 350, 300)
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestSlabConvectionBC(t *testing.T) {
 	const Thot, Tamb, h = 373.15, 293.15, 50.0
 	m.SetFaceBC(mesh.XMin, BC{Kind: FixedT, T: Thot})
 	m.SetFaceBC(mesh.XMax, BC{Kind: Convection, T: Tamb, H: h})
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestVolumeSourceEnergyBalance(t *testing.T) {
 	if n := m.AddVolumeSource(0.02, 0.05, 0.02, 0.05, 0, 0.01, 7.5); n == 0 {
 		t.Fatal("source missed mesh")
 	}
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestEnergyBalanceProperty(t *testing.T) {
 				total += p
 			}
 		}
-		res, err := m.SolveSteady(&SolveOptions{Tol: 1e-11})
+		res, err := m.SolveSteady(context.Background(), &SolveOptions{Tol: 1e-11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestOrthotropicPCB(t *testing.T) {
 	mx, _ := NewModel(gx, []materials.Material{pcb})
 	mx.SetFaceBC(mesh.XMin, BC{Kind: FixedT, T: 350})
 	mx.SetFaceBC(mesh.XMax, BC{Kind: FixedT, T: 300})
-	rx, err := mx.SolveSteady(nil)
+	rx, err := mx.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestOrthotropicPCB(t *testing.T) {
 	mz, _ := NewModel(gz, []materials.Material{pcb})
 	mz.SetFaceBC(mesh.ZMin, BC{Kind: FixedT, T: 350})
 	mz.SetFaceBC(mesh.ZMax, BC{Kind: FixedT, T: 300})
-	rz, err := mz.SolveSteady(nil)
+	rz, err := mz.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestTwoMaterialSeriesSlab(t *testing.T) {
 	g.PaintRegion(0.01, 0.02, 0, 0.1, 0, 0.1, 1)
 	m.SetFaceBC(mesh.XMin, BC{Kind: FixedT, T: 400})
 	m.SetFaceBC(mesh.XMax, BC{Kind: FixedT, T: 300})
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestRadiationBoundary(t *testing.T) {
 	m.SetFaceBC(mesh.ZMax, BC{Kind: ConvectionRadiation, T: 300, H: 0})
 	const P = 10.0
 	m.AddVolumeSource(0, 0.1, 0, 0.1, 0, 0.005, P)
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestPatchBCOverride(t *testing.T) {
 		t.Fatal("patch missed")
 	}
 	m.AddVolumeSource(0, 0.1, 0, 0.1, 0, 0.004, 5)
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,18 +237,18 @@ func TestSolverVariantsAgree(t *testing.T) {
 		m.AddVolumeSource(0.02, 0.04, 0.02, 0.04, 0, 0.01, 3)
 		return m
 	}
-	ref, err := build().SolveSteady(&SolveOptions{Solver: "cg"})
+	ref, err := build().SolveSteady(context.Background(), &SolveOptions{Solver: "cg"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"cg-jacobi", "cg-ssor", "bicgstab"} {
-		res, err := build().SolveSteady(&SolveOptions{Solver: s})
+		res, err := build().SolveSteady(context.Background(), &SolveOptions{Solver: s})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 		almost(t, res.Max(), ref.Max(), 1e-6, "solver "+s)
 	}
-	if _, err := build().SolveSteady(&SolveOptions{Solver: "gauss"}); err == nil {
+	if _, err := build().SolveSteady(context.Background(), &SolveOptions{Solver: "gauss"}); err == nil {
 		t.Error("unknown solver should error")
 	}
 }
@@ -257,12 +258,12 @@ func TestTransientApproachesSteady(t *testing.T) {
 	m, _ := NewModel(g, []materials.Material{materials.Al6061})
 	m.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 300, H: 40})
 	m.AddVolumeSource(0, 0.05, 0, 0.05, 0, 0.003, 4)
-	steady, err := m.SolveSteady(nil)
+	steady, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var times []float64
-	tr, err := m.SolveTransient(300, &TransientOptions{
+	tr, err := m.SolveTransient(context.Background(), 300, &TransientOptions{
 		Dt: 20, Steps: 400,
 		Snapshot: func(tm float64, T []float64) { times = append(times, tm) },
 	})
@@ -281,7 +282,7 @@ func TestTransientMonotoneHeating(t *testing.T) {
 	m.SetFaceBC(mesh.XMin, BC{Kind: Convection, T: 300, H: 10})
 	m.AddVolumeSource(0, 0.02, 0, 0.02, 0, 0.002, 1)
 	var maxes []float64
-	_, err := m.SolveTransient(300, &TransientOptions{
+	_, err := m.SolveTransient(context.Background(), 300, &TransientOptions{
 		Dt: 5, Steps: 50,
 		Snapshot: func(tm float64, T []float64) {
 			mx := T[0]
@@ -306,10 +307,10 @@ func TestTransientMonotoneHeating(t *testing.T) {
 func TestTransientBadOptions(t *testing.T) {
 	g, _ := mesh.Uniform(2, 2, 1, 0.01, 0.01, 0.001)
 	m, _ := NewModel(g, []materials.Material{materials.Al6061})
-	if _, err := m.SolveTransient(300, nil); err == nil {
+	if _, err := m.SolveTransient(context.Background(), 300, nil); err == nil {
 		t.Error("nil options should error")
 	}
-	if _, err := m.SolveTransient(300, &TransientOptions{Dt: -1, Steps: 5}); err == nil {
+	if _, err := m.SolveTransient(context.Background(), 300, &TransientOptions{Dt: -1, Steps: 5}); err == nil {
 		t.Error("negative dt should error")
 	}
 }
@@ -363,18 +364,18 @@ func picardTestModel(t *testing.T) *Model {
 }
 
 // TestSolveSteadyPollsStopBetweenPasses checks the budget reaches the
-// Picard loop: a Stop that fires once the first pass has converged
+// Picard loop: a context canceled once the first pass has converged
 // stops the solve at the pass boundary.
 func TestSolveSteadyPollsStopBetweenPasses(t *testing.T) {
 	m := picardTestModel(t)
-	passes := 0
-	_, err := m.SolveSteady(&SolveOptions{
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := m.SolveSteady(ctx, &SolveOptions{
 		OnIteration: func(_ int, r float64) {
 			if r < 1e-9 { // the default tolerance: this pass converged
-				passes++
+				cancel()
 			}
 		},
-		Stop: func() bool { return passes > 0 },
 	})
 	if !errors.Is(err, linalg.ErrStopped) || !strings.Contains(err.Error(), "after 1 Picard passes") {
 		t.Errorf("err = %v, want a stop after 1 Picard pass", err)
@@ -383,7 +384,7 @@ func TestSolveSteadyPollsStopBetweenPasses(t *testing.T) {
 
 func TestResultProbes(t *testing.T) {
 	m, _ := slabModel(t, 10, 10, 350, 300)
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestMissedSourceReturnsZero(t *testing.T) {
 
 func TestWriteCSVAndSlice(t *testing.T) {
 	m, g := slabModel(t, 4, 10, 350, 300)
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +459,7 @@ func TestHotSpotLocation(t *testing.T) {
 	m.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 300, H: 15})
 	// Source in the upper-right quadrant.
 	m.AddVolumeSource(0.07, 0.09, 0.07, 0.09, 0, 0.002, 2)
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package aeropack_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"aeropack/internal/materials"
 	"aeropack/internal/mesh"
 	"aeropack/internal/obs"
+	"aeropack/internal/robust"
 	"aeropack/internal/thermal"
 	"aeropack/internal/units"
 )
@@ -31,7 +33,7 @@ func TestSolverPerfGuard(t *testing.T) {
 		reg := obs.NewRegistry()
 		prev := obs.SetDefault(reg)
 		defer obs.SetDefault(prev)
-		if _, err := cosee.RunFig10(materials.Al6061); err != nil {
+		if _, _, err := cosee.RunFig10(context.Background(), cosee.Config{Structure: materials.Al6061}, robust.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		f := reg.Counter("thermal_network_factorizations_total").Value()
@@ -114,7 +116,7 @@ func TestE2Level2MICIterations(t *testing.T) {
 	}
 
 	m := e2Level2Model(t, board, screen)
-	res, err := m.SolveSteady(nil)
+	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestE2Level2MICIterations(t *testing.T) {
 	}
 	iters := map[string]int{}
 	for _, solver := range []string{"cg-ic0", "cg-mic0"} {
-		res, err := m.SolveSteady(&thermal.SolveOptions{Solver: solver})
+		res, err := m.SolveSteady(context.Background(), &thermal.SolveOptions{Solver: solver})
 		if err != nil {
 			t.Fatalf("%s: %v", solver, err)
 		}
@@ -150,7 +152,7 @@ func TestE2FreeConvectionFDMIterations(t *testing.T) {
 
 	solve := func(solver string) (*thermal.Result, []int) {
 		var perPass []int
-		res, err := m.SolveSteady(&thermal.SolveOptions{Solver: solver, OnIteration: func(it int, _ float64) {
+		res, err := m.SolveSteady(context.Background(), &thermal.SolveOptions{Solver: solver, OnIteration: func(it int, _ float64) {
 			if it == 0 {
 				perPass = append(perPass, 0)
 			}

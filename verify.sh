@@ -50,7 +50,7 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== aeropacklint (all fifteen rules, interprocedural + value-flow)"
+echo "== aeropacklint (all thirteen rules, interprocedural + value-flow)"
 go run ./cmd/aeropacklint -q ./...
 
 echo "== aeropacklint -audit-allows (no stale suppressions)"
