@@ -14,13 +14,11 @@
 //	goroleak     goroutines in library code never joined or cancelled
 //	taintsize    request/flag-derived sizes reaching make or loop bounds unclamped
 //	lockorder    cycles in the module-wide mutex acquisition graph
-//	atomicmix    plain access to fields touched via sync/atomic elsewhere
 //
-// spanleak, lockheld, errdrop, goroleak and the three value-flow rules
-// are interprocedural: they follow call-graph summaries across
-// in-module package boundaries, so a violation hidden one call deep — or
-// one package over — is reported at the caller with the full call
-// chain.
+// spanleak, lockheld, errdrop, goroleak, taintsize and lockorder are
+// interprocedural: they follow call-graph summaries across in-module
+// package boundaries, so a violation hidden one call deep — or one
+// package over — is reported at the caller with the full call chain.
 //
 // Usage:
 //
@@ -29,22 +27,21 @@
 // Arguments are package directories; a trailing /... lints the whole
 // subtree.  With no arguments the current directory's subtree is linted.
 //
-// Findings that admit a provably-safe rewrite carry a machine-applicable
-// fix; -fix applies every pending fix in place (gofmt-ing the touched
-// files) and -fix -dry-run lists the files that would change, exiting 1
-// when any fix is pending — the CI gate against drift.
-//
 // A finding is suppressed by placing
 //
 //	//lint:allow <rule>[,<rule>] [reason]
 //
-// on the offending line or the line above it; -audit-allows reports
-// directives that have gone stale or carry no reason.
+// on the offending line or the line above it.  Every run also audits
+// the directives: one that names an unknown rule, lacks a reason, or
+// names a rule that ran but found nothing on its line or the next
+// (stale) is reported next to the findings and fails the run.
+// Results, audit included, are cached per package by content hash.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -53,8 +50,8 @@ import (
 
 // Exit codes (also shown by -h):
 //
-//	0  clean — no findings (or, with -audit-allows, no stale directives)
-//	1  findings reported (or stale/reason-less allow directives in audit mode)
+//	0  clean — no findings and no //lint:allow directive problems
+//	1  findings or directive problems reported
 //	2  usage, load or I/O error
 const (
 	exitClean    = 0
@@ -64,21 +61,17 @@ const (
 
 func main() {
 	var (
-		listRules   = flag.Bool("list", false, "list the registered rules and exit")
-		quiet       = flag.Bool("q", false, "suppress type-checker warnings")
-		ruleList    = flag.String("rules", "", "comma-separated rule names to run (default: all)")
-		jsonOut     = flag.Bool("json", false, "write findings as aeropacklint/v1 JSON to stdout")
-		sarifPath   = flag.String("sarif", "", "write findings as SARIF 2.1.0 to `file` ('-' for stdout)")
-		auditAllows = flag.Bool("audit-allows", false, "report //lint:allow directives that no longer suppress anything or lack a reason")
-		cacheDir    = flag.String("cache-dir", "", "content-hash result cache `directory` (default: per-user cache; empty string plus -nocache disables)")
-		noCache     = flag.Bool("nocache", false, "disable the result cache")
-		applyFix    = flag.Bool("fix", false, "apply machine-applicable fixes in place (gofmt included)")
-		dryRun      = flag.Bool("dry-run", false, "with -fix: list files that would change without writing; exit 1 if any fix is pending")
+		listRules = flag.Bool("list", false, "list the registered rules and exit")
+		quiet     = flag.Bool("q", false, "suppress type-checker warnings")
+		ruleList  = flag.String("rules", "", "comma-separated rule names to run (default: all)")
+		jsonOut   = flag.Bool("json", false, "write findings as aeropacklint/v1 JSON to stdout (directive problems go to stderr)")
+		cacheDir  = flag.String("cache-dir", "", "content-hash result cache `directory` (default: per-user cache)")
+		noCache   = flag.Bool("nocache", false, "disable the result cache")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: aeropacklint [flags] [package-dir | dir/...]...\n\n")
 		flag.PrintDefaults()
-		fmt.Fprintf(flag.CommandLine.Output(), "\nexit codes:\n  %d  clean\n  %d  findings (or stale //lint:allow directives with -audit-allows)\n  %d  usage, load or I/O error\n", exitClean, exitFindings, exitError)
+		fmt.Fprintf(flag.CommandLine.Output(), "\nexit codes:\n  %d  clean\n  %d  findings or //lint:allow directive problems\n  %d  usage, load or I/O error\n", exitClean, exitFindings, exitError)
 	}
 	flag.Parse()
 
@@ -95,12 +88,7 @@ func main() {
 		os.Exit(exitError)
 	}
 
-	opts := lint.ModuleOptions{
-		Dir:      ".",
-		Patterns: flag.Args(),
-		Rules:    rules,
-		Audit:    *auditAllows,
-	}
+	opts := lint.ModuleOptions{Dir: ".", Patterns: flag.Args(), Rules: rules}
 	if !*noCache {
 		dir := *cacheDir
 		if dir == "" {
@@ -124,24 +112,9 @@ func main() {
 		}
 	}
 
-	if *auditAllows {
-		for _, s := range res.Stale {
-			fmt.Println(s.String())
-		}
-		if n := len(res.Stale); n > 0 {
-			fmt.Fprintf(os.Stderr, "aeropacklint: %d allow-directive problem(s)\n", n)
-			os.Exit(exitFindings)
-		}
-		return
-	}
-
-	if *sarifPath != "" {
-		if err := writeSARIF(*sarifPath, rulesOrAll(rules), res.Findings); err != nil {
-			fmt.Fprintln(os.Stderr, "aeropacklint:", err)
-			os.Exit(exitError)
-		}
-	}
+	var staleOut io.Writer = os.Stdout
 	if *jsonOut {
+		staleOut = os.Stderr
 		if err := lint.WriteJSONFindings(os.Stdout, res.Findings); err != nil {
 			fmt.Fprintln(os.Stderr, "aeropacklint:", err)
 			os.Exit(exitError)
@@ -151,26 +124,11 @@ func main() {
 			fmt.Println(f.String())
 		}
 	}
-	if *applyFix {
-		changed, err := lint.ApplyFixes(res.Root, res.Findings, *dryRun)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aeropacklint:", err)
-			os.Exit(exitError)
-		}
-		verb := "fixed"
-		if *dryRun {
-			verb = "would fix"
-		}
-		for _, file := range changed {
-			fmt.Fprintf(os.Stderr, "aeropacklint: %s %s\n", verb, file)
-		}
-		if *dryRun && lint.PendingFixes(res.Findings) > 0 {
-			fmt.Fprintf(os.Stderr, "aeropacklint: %d fix(es) pending\n", lint.PendingFixes(res.Findings))
-			os.Exit(exitFindings)
-		}
+	for _, s := range res.Stale {
+		fmt.Fprintln(staleOut, s.String())
 	}
-	if len(res.Findings) > 0 {
-		fmt.Fprintf(os.Stderr, "aeropacklint: %d finding(s)\n", len(res.Findings))
+	if len(res.Findings) > 0 || len(res.Stale) > 0 {
+		fmt.Fprintf(os.Stderr, "aeropacklint: %d finding(s), %d allow-directive problem(s)\n", len(res.Findings), len(res.Stale))
 		os.Exit(exitFindings)
 	}
 }
@@ -200,27 +158,4 @@ func selectRules(list string) ([]lint.Rule, error) {
 		return nil, fmt.Errorf("-rules selected no rules")
 	}
 	return out, nil
-}
-
-func rulesOrAll(rules []lint.Rule) []lint.Rule {
-	if rules == nil {
-		return lint.Rules()
-	}
-	return rules
-}
-
-// writeSARIF writes the SARIF log to path, or stdout for "-".
-func writeSARIF(path string, rules []lint.Rule, findings []lint.Finding) error {
-	if path == "-" {
-		return lint.WriteSARIF(os.Stdout, rules, findings)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := lint.WriteSARIF(f, rules, findings); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
-	}
-	return f.Close()
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// BenchmarkLintModule measures the full thirteen-rule suite over the real
+// BenchmarkLintModule measures the full twelve-rule suite over the real
 // module, cold (empty cache, full parse + type-check) and warm (every
 // package served from the content-hash cache, so only hashing and key
 // derivation remain).  The warm/cold ratio is the headline number for
@@ -44,11 +44,11 @@ func BenchmarkLintModule(b *testing.B) {
 	})
 }
 
-// BenchmarkLintPhases isolates the two phases the interprocedural engine
-// touched: type-checking (serial baseline vs the layered parallel
-// loader) and fact/summary gathering over the fully loaded module.  The
-// serial/parallel pair quantifies what LoadDirsParallel buys; the
-// summaries number is the marginal cost of the call-graph engine.
+// BenchmarkLintPhases isolates the loader and the summary pass:
+// typecheck-serial is LoadDirs over every module package (one parallel
+// parse, then a serial type-check), and summaries is the fact and
+// call-graph summary gather over the fully loaded module — the marginal
+// cost of the interprocedural engine.
 func BenchmarkLintPhases(b *testing.B) {
 	probe, err := NewLoader("../..")
 	if err != nil {
@@ -65,21 +65,7 @@ func BenchmarkLintPhases(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			l.PreparseParallel(dirs)
-			for _, dir := range dirs {
-				if _, err := l.LoadDir(dir); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("typecheck-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			l, err := NewLoader("../..")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := l.LoadDirsParallel(dirs); err != nil {
+			if _, err := l.LoadDirs(dirs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,7 +75,7 @@ func BenchmarkLintPhases(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := l.LoadDirsParallel(dirs); err != nil {
+		if _, err := l.LoadDirs(dirs); err != nil {
 			b.Fatal(err)
 		}
 		loaded := l.Loaded()
@@ -102,9 +88,9 @@ func BenchmarkLintPhases(b *testing.B) {
 }
 
 // BenchmarkValueFlow isolates the value-flow engine: a fresh fact
-// gather (taint and lock summaries included) plus the three value-flow
-// rules over the pre-loaded module — the marginal cost v4 added on top
-// of the parse/type-check baseline.
+// gather (taint and lock summaries included) plus the two value-flow
+// rules over the pre-loaded module — the marginal cost the engine adds
+// on top of the parse/type-check baseline.
 func BenchmarkValueFlow(b *testing.B) {
 	l, err := NewLoader("../..")
 	if err != nil {
@@ -114,18 +100,20 @@ func BenchmarkValueFlow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := l.LoadDirsParallel(dirs); err != nil {
+	if _, err := l.LoadDirs(dirs); err != nil {
 		b.Fatal(err)
 	}
 	loaded := l.Loaded()
-	rules := []Rule{taintsizeRule{}, lockorderRule{}, atomicmixRule{}}
+	rules := []Rule{taintsizeRule{}, lockorderRule{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		facts := NewFacts()
 		facts.Gather(loaded)
 		for _, p := range loaded {
 			p.Facts = facts
-			RunRulesRaw(p, rules)
+			for _, r := range rules {
+				r.Check(p)
+			}
 		}
 	}
 }

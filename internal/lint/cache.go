@@ -1,15 +1,11 @@
-// Content-hash result cache.  Lint findings for a package are a pure
+// Content-hash result cache.  Lint results for a package are a pure
 // function of (a) the package's own non-test sources, (b) the sources
 // of its transitive module-internal dependencies — facts and type
-// information flow only along the import graph — and (c) the rule set.
-// The cache key folds all three together, so a hit can skip parsing,
-// type-checking and rule execution for the package entirely; a cached
+// information flow only along the import graph — and (c) the rule set
+// that ran and the registry it was judged against.  The cache key folds
+// all three together, so a hit can skip parsing, type-checking, rule
+// execution and the directive audit for the package entirely; a cached
 // whole-module re-run touches nothing but file bytes and import lines.
-//
-// Keys are computed concurrently: every package directory is hashed and
-// imports-scanned on its own goroutine (token.FileSet and
-// parser.ParseFile are safe for concurrent use), then the dependency
-// closure is folded over the memoized per-directory hashes.
 package lint
 
 import (
@@ -23,7 +19,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // cacheSchemaVersion invalidates every entry when the on-disk format or
@@ -31,14 +26,23 @@ import (
 // v2: findings carry related locations; interprocedural summaries feed
 // the rules (the key already covers callee sources via the dep closure).
 // v3: findings carry machine-applicable fixes; the value-flow engine
-// (taint, lock-order, atomic-mix facts) feeds four new rules.
-const cacheSchemaVersion = "aeropacklint-cache/v3"
+// feeds four new rules.
+// v4: an entry holds the findings and the //lint:allow audit; fixes
+// are gone.
+const cacheSchemaVersion = "aeropacklint-cache/v4"
 
-// Cache is a directory of per-package finding files keyed by content
+// Cache is a directory of per-package result files keyed by content
 // hash.  The zero value (empty Dir) is a disabled cache.
 type Cache struct {
 	// Dir holds one JSON file per (package, content) key.
 	Dir string
+}
+
+// CacheEntry is one package's result: the surviving findings and the
+// directive problems, positions module-root-relative.
+type CacheEntry struct {
+	Findings []Finding
+	Stale    []StaleAllow
 }
 
 // DefaultCacheDir returns the per-user cache directory for the module
@@ -53,82 +57,59 @@ func DefaultCacheDir(root string) string {
 	return filepath.Join(base, "aeropacklint", hex.EncodeToString(h[:8]))
 }
 
-// cachedFinding is the serialized form of a Finding; positions are
-// module-root-relative so entries survive checkout moves.
-type cachedFinding struct {
-	File    string          `json:"file"`
-	Line    int             `json:"line"`
-	Column  int             `json:"column"`
-	Rule    string          `json:"rule"`
-	Msg     string          `json:"msg"`
-	Hint    string          `json:"hint,omitempty"`
-	Related []cachedRelated `json:"related,omitempty"`
-	Fix     *Fix            `json:"fix,omitempty"`
+// cachedEntry is the serialized form of a CacheEntry.
+type cachedEntry struct {
+	Findings []jsonFinding `json:"findings"`
+	Stale    []cachedStale `json:"stale,omitempty"`
 }
 
-// cachedRelated is the serialized form of one Related location.
-type cachedRelated struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-	Msg    string `json:"msg"`
+type cachedStale struct {
+	jsonPos
+	Rule string `json:"rule"`
+	Why  string `json:"why"`
 }
 
-// Get returns the cached findings for key, with ok=false on any miss or
+// Get returns the cached entry for key, with ok=false on any miss or
 // decode problem (a corrupt entry behaves like a miss).
-func (c *Cache) Get(key string) ([]Finding, bool) {
+func (c *Cache) Get(key string) (CacheEntry, bool) {
+	var e CacheEntry
 	if c == nil || c.Dir == "" {
-		return nil, false
+		return e, false
 	}
 	data, err := os.ReadFile(filepath.Join(c.Dir, key+".json"))
 	if err != nil {
-		return nil, false
+		return e, false
 	}
-	var cfs []cachedFinding
-	if err := json.Unmarshal(data, &cfs); err != nil {
-		return nil, false
+	var ce cachedEntry
+	if err := json.Unmarshal(data, &ce); err != nil {
+		return e, false
 	}
-	findings := make([]Finding, len(cfs))
-	for i, cf := range cfs {
-		findings[i] = Finding{
-			Pos:  token.Position{Filename: cf.File, Line: cf.Line, Column: cf.Column},
-			Rule: cf.Rule,
-			Msg:  cf.Msg,
-			Hint: cf.Hint,
-			Fix:  cf.Fix,
-		}
-		for _, cr := range cf.Related {
-			findings[i].Related = append(findings[i].Related, Related{
-				Pos: token.Position{Filename: cr.File, Line: cr.Line, Column: cr.Column},
-				Msg: cr.Msg,
-			})
-		}
+	for _, jf := range ce.Findings {
+		e.Findings = append(e.Findings, jf.finding())
 	}
-	return findings, true
+	for _, cs := range ce.Stale {
+		e.Stale = append(e.Stale, StaleAllow{Pos: cs.position(), Rule: cs.Rule, Why: cs.Why})
+	}
+	return e, true
 }
 
-// Put stores findings (already root-relative) under key.  The write is
-// atomic-enough for a cache: a rename from a temp file in the same dir.
-func (c *Cache) Put(key string, findings []Finding) error {
+// Put stores the entry under key.  The write is atomic-enough for a
+// cache: a rename from a temp file in the same dir.
+func (c *Cache) Put(key string, e CacheEntry) error {
 	if c == nil || c.Dir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return err
 	}
-	cfs := make([]cachedFinding, len(findings))
-	for i, f := range findings {
-		cfs[i] = cachedFinding{
-			File: f.Pos.Filename, Line: f.Pos.Line, Column: f.Pos.Column,
-			Rule: f.Rule, Msg: f.Msg, Hint: f.Hint, Fix: f.Fix,
-		}
-		for _, r := range f.Related {
-			cfs[i].Related = append(cfs[i].Related, cachedRelated{
-				File: r.Pos.Filename, Line: r.Pos.Line, Column: r.Pos.Column, Msg: r.Msg,
-			})
-		}
+	var ce cachedEntry
+	for _, f := range e.Findings {
+		ce.Findings = append(ce.Findings, toJSONFinding(f))
 	}
-	data, err := json.Marshal(cfs)
+	for _, s := range e.Stale {
+		ce.Stale = append(ce.Stale, cachedStale{jsonPos: toJSONPos(s.Pos), Rule: s.Rule, Why: s.Why})
+	}
+	data, err := json.Marshal(ce)
 	if err != nil {
 		return err
 	}
@@ -147,87 +128,78 @@ func (c *Cache) Put(key string, findings []Finding) error {
 }
 
 // ruleSalt folds the active rule set (names and docs — a reworded doc
-// implies reworded hints) into every key.
+// implies reworded hints) and the registry's rule names (the audit
+// judges directives against them, so a deleted rule must rotate every
+// key) into every key.
 func ruleSalt(rules []Rule) string {
 	h := sha256.New()
 	fmt.Fprintln(h, cacheSchemaVersion)
 	for _, r := range rules {
 		fmt.Fprintln(h, r.Name(), r.Doc())
 	}
+	for _, r := range Rules() {
+		fmt.Fprintln(h, "registered", r.Name())
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// dirState is the concurrently-computed per-directory raw material for
-// key derivation.
-type dirState struct {
-	ownHash string   // hash of file names + contents
-	deps    []string // module-internal dependency directories
-	err     error
-}
-
-// keyer computes cache keys for package directories of one module.
+// keyer computes cache keys for package directories of one module,
+// hashing each directory once, on first use.
 type keyer struct {
-	l      *Loader
-	salt   string
-	states map[string]*dirState
-	keys   map[string]string
+	l    *Loader
+	salt string
+	// keys maps a directory to its key; "" marks a key in progress.
+	keys map[string]string
 }
 
-// newKeyer hashes and imports-scans every directory reachable from dirs
-// (the requested set plus the module-internal dependency closure), each
-// on its own goroutine.
-func newKeyer(l *Loader, rules []Rule, dirs []string) *keyer {
-	k := &keyer{l: l, salt: ruleSalt(rules), states: make(map[string]*dirState), keys: make(map[string]string)}
-	pending := append([]string(nil), dirs...)
-	var mu sync.Mutex
-	for len(pending) > 0 {
-		batch := pending
-		pending = nil
-		var wg sync.WaitGroup
-		for _, dir := range batch {
-			mu.Lock()
-			_, seen := k.states[dir]
-			if !seen {
-				k.states[dir] = &dirState{} // reserve
-			}
-			mu.Unlock()
-			if seen {
-				continue
-			}
-			wg.Add(1)
-			go func(dir string) {
-				defer wg.Done()
-				st := k.scanDir(dir)
-				mu.Lock()
-				k.states[dir] = st
-				mu.Unlock()
-			}(dir)
+func newKeyer(l *Loader, rules []Rule) *keyer {
+	return &keyer{l: l, salt: ruleSalt(rules), keys: make(map[string]string)}
+}
+
+// Key returns the cache key for dir: a hash over the rule salt, the
+// directory's own content hash and the keys of its dependency closure.
+// The error reports the first unreadable directory in the closure.
+func (k *keyer) Key(dir string) (string, error) {
+	if key, ok := k.keys[dir]; ok {
+		if key == "" {
+			// Go forbids import cycles, but a malformed tree should
+			// error instead of recursing forever.
+			return "", fmt.Errorf("lint: import cycle through %s", dir)
 		}
-		wg.Wait()
-		// Queue newly-discovered dependency directories.
-		for _, dir := range batch {
-			st := k.states[dir]
-			if st.err != nil {
-				continue
-			}
-			for _, dep := range st.deps {
-				if _, seen := k.states[dep]; !seen {
-					pending = append(pending, dep)
-				}
-			}
-		}
+		return key, nil
 	}
-	return k
+	k.keys[dir] = ""
+	own, deps, err := k.scanDir(dir)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	fmt.Fprintln(h, k.salt)
+	// The package's identity (its module-relative path) is part of the
+	// key: findings embed file paths, so two content-identical packages
+	// must not share an entry.
+	if rel, err := filepath.Rel(k.l.Root, dir); err == nil {
+		fmt.Fprintln(h, filepath.ToSlash(rel))
+	}
+	fmt.Fprintln(h, own)
+	for _, dep := range deps {
+		depKey, err := k.Key(dep)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintln(h, depKey)
+	}
+	key := hex.EncodeToString(h.Sum(nil))
+	k.keys[dir] = key
+	return key, nil
 }
 
 // scanDir hashes the directory's non-test sources and extracts its
 // module-internal imports with an imports-only parse.
-func (k *keyer) scanDir(dir string) *dirState {
-	st := &dirState{}
+func (k *keyer) scanDir(dir string) (own string, deps []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		st.err = err
-		return st
+		return "", nil, err
 	}
 	h := sha256.New()
 	fset := token.NewFileSet()
@@ -241,70 +213,24 @@ func (k *keyer) scanDir(dir string) *dirState {
 		path := filepath.Join(dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {
-			st.err = err
-			return st
+			return "", nil, err
 		}
 		fmt.Fprintln(h, name, len(data))
 		h.Write(data)
 		f, err := parser.ParseFile(fset, path, data, parser.ImportsOnly)
 		if err != nil {
-			st.err = err
-			return st
+			return "", nil, err
 		}
 		for _, imp := range f.Imports {
 			ipath := strings.Trim(imp.Path.Value, `"`)
-			if depDir, ok := k.l.dirFor(ipath); ok {
+			if depDir, ok := k.l.dirFor(ipath); ok && depDir != dir {
 				depSet[depDir] = true
 			}
 		}
 	}
-	st.ownHash = hex.EncodeToString(h.Sum(nil))
 	for dep := range depSet {
-		if dep != dir {
-			st.deps = append(st.deps, dep)
-		}
+		deps = append(deps, dep)
 	}
-	sort.Strings(st.deps)
-	return st
-}
-
-// Key returns the cache key for dir: a hash over the rule salt, the
-// directory's own content hash and the keys of its dependency closure.
-// The error reports the first unreadable directory in the closure.
-func (k *keyer) Key(dir string) (string, error) {
-	if key, ok := k.keys[dir]; ok {
-		return key, nil
-	}
-	st, ok := k.states[dir]
-	if !ok {
-		return "", fmt.Errorf("lint: cache key requested for unscanned dir %s", dir)
-	}
-	if st.err != nil {
-		return "", st.err
-	}
-	// Mark in progress; Go forbids import cycles so recursion terminates,
-	// but a malformed tree should error instead of recursing forever.
-	k.keys[dir] = ""
-	h := sha256.New()
-	fmt.Fprintln(h, k.salt)
-	// The package's identity (its module-relative path) is part of the
-	// key: findings embed file paths, so two content-identical packages
-	// must not share an entry.
-	if rel, err := filepath.Rel(k.l.Root, dir); err == nil {
-		fmt.Fprintln(h, filepath.ToSlash(rel))
-	}
-	fmt.Fprintln(h, st.ownHash)
-	for _, dep := range st.deps {
-		depKey, err := k.Key(dep)
-		if err != nil {
-			return "", err
-		}
-		if depKey == "" {
-			return "", fmt.Errorf("lint: import cycle through %s", dep)
-		}
-		fmt.Fprintln(h, depKey)
-	}
-	key := hex.EncodeToString(h.Sum(nil))
-	k.keys[dir] = key
-	return key, nil
+	sort.Strings(deps)
+	return hex.EncodeToString(h.Sum(nil)), deps, nil
 }

@@ -3,9 +3,9 @@
 // between a serial and a parallel run of the same workload; that
 // guarantee dies the moment a worker body reads the wall clock, draws
 // from math/rand, or iterates a map (whose order differs run to run).
-// The rule inspects every function literal passed to parallel.For,
-// parallel.Blocks, parallel.Map and robust.Map and flags those
-// three nondeterminism sources inside it, including in nested literals.
+// The rule inspects every function literal passed to parallel.Map and
+// robust.Map and flags those three nondeterminism sources inside it,
+// including in nested literals.
 package lint
 
 import (
@@ -22,8 +22,6 @@ type detguardEntry struct {
 }
 
 var detguardEntries = []detguardEntry{
-	{"/internal/parallel", "For"},
-	{"/internal/parallel", "Blocks"},
 	{"/internal/parallel", "Map"},
 	{"/internal/robust", "Map"},
 }
@@ -35,7 +33,7 @@ func init() { Register(detguardRule{}) }
 func (detguardRule) Name() string { return "detguard" }
 
 func (detguardRule) Doc() string {
-	return "no time.Now/math/rand/map-range inside closures passed to parallel.For/Blocks/Map or robust.Map (breaks the bitwise serial-vs-parallel guarantee)"
+	return "no time.Now/math/rand/map-range inside closures passed to parallel.Map or robust.Map (breaks the bitwise serial-vs-parallel guarantee)"
 }
 
 func (detguardRule) Check(p *Package) []Finding {

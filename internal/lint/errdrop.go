@@ -50,7 +50,7 @@ func (errdropRule) Check(p *Package) []Finding {
 			case *ast.DeferStmt:
 				out = append(out, p.checkDroppedError(x.Call)...)
 			case *ast.BinaryExpr:
-				out = append(out, p.checkSentinelCompare(f, x)...)
+				out = append(out, p.checkSentinelCompare(x)...)
 			}
 			return true
 		})
@@ -124,7 +124,7 @@ func (p *Package) checkDroppedError(call *ast.CallExpr) []Finding {
 	}
 	// When the callee is a pass-through wrapper, the summary names the
 	// call the dropped error actually comes from.
-	if origin := p.Facts.ErrOriginOf(calleeFunc(p, call)); origin != nil {
+	if origin := p.Facts.summary(calleeFunc(p, call)).errOriginOf(); origin != nil {
 		f.Msg += "; the error originates in " + origin.From
 		f.Related = []Related{{
 			Pos: origin.Pos,
@@ -134,9 +134,8 @@ func (p *Package) checkDroppedError(call *ast.CallExpr) []Finding {
 	return []Finding{f}
 }
 
-// checkSentinelCompare flags err ==/!= Sentinel, attaching the
-// errors.Is rewrite as a machine-applicable fix.
-func (p *Package) checkSentinelCompare(f *ast.File, be *ast.BinaryExpr) []Finding {
+// checkSentinelCompare flags err ==/!= Sentinel.
+func (p *Package) checkSentinelCompare(be *ast.BinaryExpr) []Finding {
 	if be.Op != token.EQL && be.Op != token.NEQ {
 		return nil
 	}
@@ -147,27 +146,30 @@ func (p *Package) checkSentinelCompare(f *ast.File, be *ast.BinaryExpr) []Findin
 	if isNilIdent(be.X) || isNilIdent(be.Y) {
 		return nil
 	}
-	sentinel := p.sentinelName(be.X)
-	if sentinel == "" {
-		sentinel = p.sentinelName(be.Y)
+	side := be.X
+	obj := p.packageLevelErrorVar(side)
+	if obj == nil {
+		side = be.Y
+		obj = p.packageLevelErrorVar(side)
 	}
-	if sentinel == "" {
+	if obj == nil {
 		return nil // error-typed but neither side is a package-level sentinel
+	}
+	sentinel := obj.Name()
+	if sel, ok := side.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			sentinel = id.Name + "." + sel.Sel.Name
+		}
 	}
 	fnd := Finding{
 		Pos:  p.Fset.Position(be.OpPos),
 		Rule: "errdrop",
 		Msg:  "error compared to sentinel " + sentinel + " with " + be.Op.String(),
 		Hint: "use errors.Is; wrapped errors never match ==",
-		Fix:  p.fixSentinelCompare(f, be),
 	}
-	if obj := p.sentinelObjectOf(be.X, be.Y); obj != nil {
-		if in := p.Facts.WrappedIn(obj); in != "" {
-			fnd.Msg += "; the sentinel is wrapped with %w in " + in + ", so == can never match"
-			if at, ok := p.Facts.WrappedAt(obj); ok {
-				fnd.Related = []Related{{Pos: at, Msg: sentinel + " is wrapped with %w here"}}
-			}
-		}
+	if w, ok := p.Facts.wrappedAt(obj); ok {
+		fnd.Msg += "; the sentinel is wrapped with %w in " + w.pkg + ", so == can never match"
+		fnd.Related = []Related{{Pos: w.pos, Msg: sentinel + " is wrapped with %w here"}}
 	}
 	return []Finding{fnd}
 }
@@ -183,29 +185,8 @@ func (p *Package) exprIsError(e ast.Expr) bool {
 	return types.Identical(tv.Type, errorType)
 }
 
-// sentinelName returns the printed name of e when it denotes a
-// package-level error variable, else "".
-func (p *Package) sentinelName(e ast.Expr) string {
-	if obj := p.packageLevelErrorVar(e); obj != nil {
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok {
-				return id.Name + "." + sel.Sel.Name
-			}
-		}
-		return obj.Name()
-	}
-	return ""
-}
-
-// sentinelObjectOf returns the package-level error-var object among the
-// two operands, preferring x.
-func (p *Package) sentinelObjectOf(x, y ast.Expr) types.Object {
-	if obj := p.packageLevelErrorVar(x); obj != nil {
-		return obj
-	}
-	return p.packageLevelErrorVar(y)
-}
-
+// packageLevelErrorVar resolves e to a package-level variable of type
+// error, or nil.
 func (p *Package) packageLevelErrorVar(e ast.Expr) types.Object {
 	var id *ast.Ident
 	switch x := e.(type) {

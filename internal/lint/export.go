@@ -1,11 +1,11 @@
-// Machine-readable finding exporters: a compact JSON form for scripts
-// and SARIF 2.1.0 for editor and CI integrations.  Both take findings
-// whose positions have already been made module-root-relative, so the
-// emitted URIs are stable across checkouts.
+// The machine-readable finding form, shared by the JSON export and the
+// result cache.  Positions are module-root-relative and slash-separated,
+// so the emitted paths are stable across checkouts.
 package lint
 
 import (
 	"encoding/json"
+	"go/token"
 	"io"
 	"path/filepath"
 )
@@ -17,218 +17,57 @@ type jsonReport struct {
 }
 
 type jsonFinding struct {
-	File    string        `json:"file"`
-	Line    int           `json:"line"`
-	Column  int           `json:"column"`
+	jsonPos
 	Rule    string        `json:"rule"`
 	Msg     string        `json:"msg"`
 	Hint    string        `json:"hint,omitempty"`
 	Related []jsonRelated `json:"related,omitempty"`
-	// Fix, when present, is the machine-applicable rewrite resolving the
-	// finding: byte-offset edits against the named (root-relative) files.
-	Fix *Fix `json:"fix,omitempty"`
 }
 
 // jsonRelated is one secondary location of an interprocedural finding —
 // the blocking/solver call deep in a callee, or a sentinel's wrap site.
 type jsonRelated struct {
+	jsonPos
+	Msg string `json:"msg"`
+}
+
+type jsonPos struct {
 	File   string `json:"file"`
 	Line   int    `json:"line"`
 	Column int    `json:"column"`
-	Msg    string `json:"msg"`
+}
+
+func toJSONPos(p token.Position) jsonPos {
+	return jsonPos{File: filepath.ToSlash(p.Filename), Line: p.Line, Column: p.Column}
+}
+
+func (j jsonPos) position() token.Position {
+	return token.Position{Filename: filepath.FromSlash(j.File), Line: j.Line, Column: j.Column}
+}
+
+func toJSONFinding(f Finding) jsonFinding {
+	jf := jsonFinding{jsonPos: toJSONPos(f.Pos), Rule: f.Rule, Msg: f.Msg, Hint: f.Hint}
+	for _, r := range f.Related {
+		jf.Related = append(jf.Related, jsonRelated{jsonPos: toJSONPos(r.Pos), Msg: r.Msg})
+	}
+	return jf
+}
+
+func (jf jsonFinding) finding() Finding {
+	f := Finding{Pos: jf.position(), Rule: jf.Rule, Msg: jf.Msg, Hint: jf.Hint}
+	for _, r := range jf.Related {
+		f.Related = append(f.Related, Related{Pos: r.position(), Msg: r.Msg})
+	}
+	return f
 }
 
 // WriteJSONFindings emits the aeropacklint/v1 JSON report.
 func WriteJSONFindings(w io.Writer, findings []Finding) error {
 	rep := jsonReport{Version: "aeropacklint/v1", Findings: make([]jsonFinding, len(findings))}
 	for i, f := range findings {
-		rep.Findings[i] = jsonFinding{
-			File: filepath.ToSlash(f.Pos.Filename), Line: f.Pos.Line, Column: f.Pos.Column,
-			Rule: f.Rule, Msg: f.Msg, Hint: f.Hint, Fix: f.Fix,
-		}
-		for _, r := range f.Related {
-			rep.Findings[i].Related = append(rep.Findings[i].Related, jsonRelated{
-				File: filepath.ToSlash(r.Pos.Filename), Line: r.Pos.Line, Column: r.Pos.Column,
-				Msg: r.Msg,
-			})
-		}
+		rep.Findings[i] = toJSONFinding(f)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// SARIF 2.1.0 document shape (the subset aeropacklint emits).
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	RuleIndex int             `json:"ruleIndex"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-	// RelatedLocations carries the secondary positions of
-	// interprocedural findings; SARIF viewers render them as linked
-	// sub-locations of the result.
-	RelatedLocations []sarifRelatedLocation `json:"relatedLocations,omitempty"`
-	// Fixes carries machine-applicable rewrites; SARIF viewers offer them
-	// as quick-fixes.
-	Fixes []sarifFix `json:"fixes,omitempty"`
-}
-
-type sarifFix struct {
-	Description     sarifMessage          `json:"description"`
-	ArtifactChanges []sarifArtifactChange `json:"artifactChanges"`
-}
-
-type sarifArtifactChange struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Replacements     []sarifReplacement    `json:"replacements"`
-}
-
-type sarifReplacement struct {
-	DeletedRegion   sarifCharRegion    `json:"deletedRegion"`
-	InsertedContent sarifContentToText `json:"insertedContent"`
-}
-
-// sarifCharRegion addresses a byte range with SARIF's charOffset /
-// charLength region form (offsets are what the fix engine works in).
-type sarifCharRegion struct {
-	CharOffset int `json:"charOffset"`
-	CharLength int `json:"charLength"`
-}
-
-type sarifContentToText struct {
-	Text string `json:"text"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-}
-
-type sarifRelatedLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-	Message          sarifMessage          `json:"message"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// WriteSARIF emits the findings as a SARIF 2.1.0 log.  Every registered
-// rule appears in the driver's rule table whether or not it fired, so
-// consumers can render the full policy.
-func WriteSARIF(w io.Writer, rules []Rule, findings []Finding) error {
-	driver := sarifDriver{Name: "aeropacklint"}
-	index := make(map[string]int, len(rules))
-	for i, r := range rules {
-		index[r.Name()] = i
-		driver.Rules = append(driver.Rules, sarifRule{
-			ID:               r.Name(),
-			ShortDescription: sarifMessage{Text: r.Doc()},
-		})
-	}
-	results := make([]sarifResult, len(findings))
-	for i, f := range findings {
-		msg := f.Msg
-		if f.Hint != "" {
-			msg += " (" + f.Hint + ")"
-		}
-		results[i] = sarifResult{
-			RuleID:    f.Rule,
-			RuleIndex: index[f.Rule],
-			Level:     "error",
-			Message:   sarifMessage{Text: msg},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{URI: filepath.ToSlash(f.Pos.Filename)},
-					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-				},
-			}},
-		}
-		for _, r := range f.Related {
-			results[i].RelatedLocations = append(results[i].RelatedLocations, sarifRelatedLocation{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{URI: filepath.ToSlash(r.Pos.Filename)},
-					Region:           sarifRegion{StartLine: r.Pos.Line, StartColumn: r.Pos.Column},
-				},
-				Message: sarifMessage{Text: r.Msg},
-			})
-		}
-		if f.Fix != nil {
-			results[i].Fixes = []sarifFix{sarifFixOf(f.Fix)}
-		}
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: driver}, Results: results}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}
-
-// sarifFixOf converts a Fix to the SARIF fixes shape, grouping edits by
-// file into one artifactChange each.
-func sarifFixOf(fix *Fix) sarifFix {
-	byFile := make(map[string][]sarifReplacement)
-	var order []string
-	for _, e := range fix.Edits {
-		uri := filepath.ToSlash(e.File)
-		if _, seen := byFile[uri]; !seen {
-			order = append(order, uri)
-		}
-		byFile[uri] = append(byFile[uri], sarifReplacement{
-			DeletedRegion:   sarifCharRegion{CharOffset: e.Offset, CharLength: e.End - e.Offset},
-			InsertedContent: sarifContentToText{Text: e.New},
-		})
-	}
-	out := sarifFix{Description: sarifMessage{Text: fix.Desc}}
-	for _, uri := range order {
-		out.ArtifactChanges = append(out.ArtifactChanges, sarifArtifactChange{
-			ArtifactLocation: sarifArtifactLocation{URI: uri},
-			Replacements:     byFile[uri],
-		})
-	}
-	return out
 }

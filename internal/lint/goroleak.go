@@ -137,12 +137,13 @@ func goroutineSelfManaged(p *Package, call *ast.CallExpr) bool {
 		// Function value / interface method: unresolvable, stay silent.
 		return true
 	}
-	done, cancel, known := p.Facts.GoroSignals(fn)
-	if !known {
+	sum := p.Facts.summary(fn)
+	if sum == nil {
 		// No summary (std lib or out-of-module): conservative silence.
 		return true
 	}
-	return done || cancel
+	g := sum.goroSignals()
+	return g.done || g.cancel
 }
 
 // funcLitSignals scans a goroutine literal's body for a WaitGroup.Done

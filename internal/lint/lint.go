@@ -36,12 +36,8 @@ type Finding struct {
 	Hint string
 	// Related points at secondary locations — the callee site an
 	// interprocedural finding reaches through, or a %w wrap site.  It is
-	// carried into the JSON and SARIF exports but not into String().
+	// carried into the JSON export but not into String().
 	Related []Related
-	// Fix, when non-nil, is a machine-applicable rewrite that resolves
-	// the finding.  Exported as a JSON fix object / SARIF fixes entry
-	// and applied by `aeropacklint -fix`.
-	Fix *Fix
 }
 
 // Related is one secondary location attached to a finding.
@@ -85,7 +81,7 @@ type Package struct {
 	// allow maps rule name → source line → suppressed.
 	allow map[string]map[int]bool
 	// directives lists every parsed //lint:allow directive, for the
-	// -audit-allows mode.
+	// staleness audit.
 	directives []AllowDirective
 }
 
@@ -168,45 +164,66 @@ func (p *Package) Allowed(rule string, line int) bool {
 	return p.allow[rule][line]
 }
 
-// Directives returns every //lint:allow directive in the package.
-func (p *Package) Directives() []AllowDirective {
-	if p.allow == nil {
-		p.buildAllow()
-	}
-	return p.directives
-}
-
-// Run executes every registered rule over the given packages, applies
-// //lint:allow filtering, and returns the surviving findings sorted by
-// position.
-func Run(pkgs []*Package) []Finding {
-	return RunRules(pkgs, Rules())
-}
-
-// RunRules is Run restricted to an explicit rule set (used by tests).
+// RunRules runs rules over the packages and returns the findings no
+// //lint:allow directive suppresses, sorted by position.
 func RunRules(pkgs []*Package, rules []Rule) []Finding {
 	var out []Finding
 	for _, p := range pkgs {
-		for _, f := range RunRulesRaw(p, rules) {
-			if p.Allowed(f.Rule, f.Pos.Line) {
-				continue
-			}
-			out = append(out, f)
-		}
+		findings, _ := p.check(rules)
+		out = append(out, findings...)
 	}
 	SortFindings(out)
 	return out
 }
 
-// RunRulesRaw runs rules over one package and returns every finding
-// before //lint:allow filtering — the audit mode needs the raw set to
-// decide which directives still suppress something.
-func RunRulesRaw(p *Package, rules []Rule) []Finding {
-	var out []Finding
-	for _, r := range rules {
-		out = append(out, r.Check(p)...)
+// check runs rules over p once and splits the raw findings into the
+// ones no directive suppresses and the audit of p's directives: a
+// directive naming a rule missing from the registry, one naming a rule
+// that ran without a raw finding on the directive's line or the next
+// (stale), and one without reason text.  A directive naming a
+// registered rule that did not run is not judged stale.
+func (p *Package) check(rules []Rule) ([]Finding, []StaleAllow) {
+	if p.allow == nil {
+		p.buildAllow()
 	}
-	return out
+	ran := make(map[string]bool, len(rules))
+	var raw []Finding
+	for _, r := range rules {
+		ran[r.Name()] = true
+		raw = append(raw, r.Check(p)...)
+	}
+	type site struct {
+		rule, file string
+		line       int
+	}
+	matched := make(map[site]bool, len(raw))
+	var findings []Finding
+	for _, f := range raw {
+		matched[site{f.Rule, f.Pos.Filename, f.Pos.Line}] = true
+		if !p.allow[f.Rule][f.Pos.Line] {
+			findings = append(findings, f)
+		}
+	}
+	known := make(map[string]bool, len(registry))
+	for _, r := range registry {
+		known[r.Name()] = true
+	}
+	var stale []StaleAllow
+	for _, d := range p.directives {
+		for _, rule := range d.Rules {
+			switch {
+			case !known[rule]:
+				stale = append(stale, StaleAllow{Pos: d.Pos, Rule: rule, Why: "unknown-rule"})
+			case ran[rule] && !matched[site{rule, d.Pos.Filename, d.Pos.Line}] &&
+				!matched[site{rule, d.Pos.Filename, d.Pos.Line + 1}]:
+				stale = append(stale, StaleAllow{Pos: d.Pos, Rule: rule, Why: "stale"})
+			}
+		}
+		if d.Reason == "" {
+			stale = append(stale, StaleAllow{Pos: d.Pos, Rule: strings.Join(d.Rules, ","), Why: "no-reason"})
+		}
+	}
+	return findings, stale
 }
 
 // SortFindings orders findings by file, line, column, then rule name.

@@ -17,9 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 
 	"aeropack/internal/parallel"
 )
@@ -38,18 +36,10 @@ type Loader struct {
 	TypeErrors []string
 
 	std      types.Importer
-	cache    map[string]*types.Package
 	pkgs     map[string]*Package
 	checking map[string]bool
-
-	// mu guards cache, pkgs, checking, TypeErrors and preparsed; it is
-	// held only around map/slice accesses, never across a type-check, so
-	// LoadDirsParallel can run independent packages concurrently.
-	mu        sync.Mutex
+	// preparsed holds LoadDirs' parse results for LoadDir.
 	preparsed map[string][]*ast.File
-	// stdMu serializes the source importer: srcimporter keeps an
-	// unlocked package map internally and is not safe for concurrent use.
-	stdMu sync.Mutex
 }
 
 // NewLoader locates the module root at or above dir and reads the module
@@ -91,7 +81,6 @@ func NewLoader(dir string) (*Loader, error) {
 		Root:      root,
 		ModPath:   modPath,
 		std:       importer.ForCompiler(fset, "source", nil),
-		cache:     make(map[string]*types.Package),
 		pkgs:      make(map[string]*Package),
 		checking:  make(map[string]bool),
 		preparsed: make(map[string][]*ast.File),
@@ -112,8 +101,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return p.Pkg, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.Import(path)
 }
 
@@ -158,26 +145,21 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 }
 
 func (l *Loader) load(dir, path string) (*Package, error) {
-	l.mu.Lock()
 	if p, ok := l.pkgs[path]; ok {
-		l.mu.Unlock()
 		return p, nil
 	}
 	if l.checking[path] {
-		l.mu.Unlock()
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
 	}
 	l.checking[path] = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.checking, path)
-		l.mu.Unlock()
-	}()
+	defer delete(l.checking, path)
 
-	files, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
+	files, ok := l.preparsed[dir]
+	if !ok {
+		var err error
+		if files, err = l.parseDir(dir); err != nil {
+			return nil, err
+		}
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
@@ -192,9 +174,7 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 		Importer:    l,
 		FakeImportC: true,
 		Error: func(err error) {
-			l.mu.Lock()
 			l.TypeErrors = append(l.TypeErrors, err.Error())
-			l.mu.Unlock()
 		},
 	}
 	// Check never fully fails here: the error callback above swallows
@@ -208,39 +188,41 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 		Pkg:        tpkg,
 		Info:       info,
 	}
-	l.mu.Lock()
-	l.cache[path] = tpkg
 	l.pkgs[path] = p
-	l.mu.Unlock()
 	return p, nil
 }
 
-// PreparseParallel parses the sources of every given directory
-// concurrently and memoizes the results, so the sequential type-check
-// phase finds its ASTs ready.  token.FileSet and parser.ParseFile are
-// safe for concurrent use; errors are deferred to the eventual LoadDir.
-func (l *Loader) PreparseParallel(dirs []string) {
-	var wg sync.WaitGroup
-	for _, dir := range dirs {
-		l.mu.Lock()
-		_, seen := l.preparsed[dir]
-		l.mu.Unlock()
-		if seen {
-			continue
+// LoadDirs loads the packages of dirs, in order.  The directories are
+// parsed concurrently first (token.FileSet and parser.ParseFile are safe
+// for concurrent use), then type-checked one by one; module-internal
+// dependencies outside dirs load on demand through Import.
+func (l *Loader) LoadDirs(dirs []string) ([]*Package, error) {
+	abs := make([]string, len(dirs))
+	for i, d := range dirs {
+		a, err := filepath.Abs(d)
+		if err != nil {
+			return nil, err
 		}
-		wg.Add(1)
-		go func(dir string) {
-			defer wg.Done()
-			files, err := l.parseDirUncached(dir)
-			if err != nil {
-				return // LoadDir will re-parse and surface the error
-			}
-			l.mu.Lock()
-			l.preparsed[dir] = files
-			l.mu.Unlock()
-		}(dir)
+		abs[i] = a
 	}
-	wg.Wait()
+	parsed, _ := parallel.Map(abs, 0, func(_ int, dir string) ([]*ast.File, error) {
+		files, _ := l.parseDir(dir) // on error LoadDir re-parses and reports it
+		return files, nil
+	})
+	for i, files := range parsed {
+		if files != nil {
+			l.preparsed[abs[i]] = files
+		}
+	}
+	pkgs := make([]*Package, len(abs))
+	for i, dir := range abs {
+		p, err := l.LoadDir(dir)
+		if err != nil {
+			return nil, fmt.Errorf("lint: loading %s: %w", dir, err)
+		}
+		pkgs[i] = p
+	}
+	return pkgs, nil
 }
 
 // Loaded returns every package the loader has type-checked so far —
@@ -255,22 +237,10 @@ func (l *Loader) Loaded() []*Package {
 	return out
 }
 
-// parseDir returns the directory's parsed sources, consuming a
-// PreparseParallel result when one exists.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	l.mu.Lock()
-	files, ok := l.preparsed[dir]
-	l.mu.Unlock()
-	if ok {
-		return files, nil
-	}
-	return l.parseDirUncached(dir)
-}
-
-// parseDirUncached parses the non-test .go files of one directory.  When
+// parseDir parses the non-test .go files of one directory.  When
 // a directory holds more than one package name (rare outside testdata),
 // the majority package wins and the rest are skipped.
-func (l *Loader) parseDirUncached(dir string) ([]*ast.File, error) {
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -331,142 +301,4 @@ func (l *Loader) PackageDirs(start string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
-}
-
-// moduleImports returns dir's module-internal imports as directories,
-// from an AST-level scan of its (pre)parsed sources.
-func (l *Loader) moduleImports(dir string) ([]string, error) {
-	files, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	var deps []string
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			ipath, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if depDir, ok := l.dirFor(ipath); ok && depDir != dir && !seen[depDir] {
-				seen[depDir] = true
-				deps = append(deps, depDir)
-			}
-		}
-	}
-	sort.Strings(deps)
-	return deps, nil
-}
-
-// LoadDirsParallel type-checks the packages of dirs using every core:
-// it discovers the module-internal dependency closure from import
-// lines, pre-parses it concurrently, then type-checks in topological
-// layers — every package of a layer depends only on finished layers,
-// so the layer's members check on separate goroutines (standard-library
-// imports stay serialized behind the source importer's lock).  A final
-// memoized sequential pass returns the requested packages in input
-// order and surfaces any load error exactly as LoadDir would have.
-func (l *Loader) LoadDirsParallel(dirs []string) ([]*Package, error) {
-	abs := make([]string, len(dirs))
-	for i, d := range dirs {
-		a, err := filepath.Abs(d)
-		if err != nil {
-			return nil, err
-		}
-		abs[i] = a
-	}
-
-	// Closure discovery in parse waves: each frontier is parsed
-	// concurrently, then its imports name the next frontier.
-	deps := make(map[string][]string)
-	frontier := abs
-	for len(frontier) > 0 {
-		l.PreparseParallel(frontier)
-		var next []string
-		for _, dir := range frontier {
-			if _, ok := deps[dir]; ok {
-				continue
-			}
-			ds, err := l.moduleImports(dir)
-			if err != nil {
-				deps[dir] = nil // the sequential pass reports it
-				continue
-			}
-			deps[dir] = ds
-			for _, d := range ds {
-				if _, ok := deps[d]; !ok {
-					next = append(next, d)
-				}
-			}
-		}
-		frontier = next
-	}
-
-	// Kahn layering over the discovered graph.  Directories are sorted
-	// within each layer so the work distribution — and with it the order
-	// of any type-checker diagnostics after the suite's sort — is stable.
-	all := make([]string, 0, len(deps))
-	for d := range deps {
-		all = append(all, d)
-	}
-	sort.Strings(all)
-	done := make(map[string]bool, len(all))
-	for len(done) < len(all) {
-		var layer []string
-		for _, dir := range all {
-			if done[dir] {
-				continue
-			}
-			ready := true
-			for _, d := range deps[dir] {
-				if !done[d] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				layer = append(layer, dir)
-			}
-		}
-		if len(layer) == 0 {
-			break // import cycle; the sequential pass reports it
-		}
-		for _, d := range layer {
-			done[d] = true
-		}
-		parallel.For(len(layer), 0, func(i int) {
-			_, _ = l.LoadDir(layer[i]) // errors re-surface below
-		})
-	}
-
-	// Canonical pass: all hits are memoized, all errors deterministic.
-	pkgs := make([]*Package, len(abs))
-	for i, dir := range abs {
-		p, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("lint: loading %s: %w", dir, err)
-		}
-		pkgs[i] = p
-	}
-	return pkgs, nil
-}
-
-// LoadAll loads every package under start ("" means the module root).
-func (l *Loader) LoadAll(start string) ([]*Package, error) {
-	if start == "" {
-		start = l.Root
-	}
-	dirs, err := l.PackageDirs(start)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		p, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("lint: loading %s: %w", dir, err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
 }

@@ -19,6 +19,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -37,6 +38,9 @@ func (lockheldRule) Check(p *Package) []Finding {
 		return nil
 	}
 	var out []Finding
+	w := heldWalker{p: p, stmt: func(stmt ast.Stmt, _ []heldLock) {
+		out = append(out, p.flagBlockingShallow(stmt)...)
+	}}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -49,7 +53,7 @@ func (lockheldRule) Check(p *Package) []Finding {
 				return true
 			}
 			if body != nil {
-				out = append(out, p.lockheldBlock(body, nil)...)
+				w.block(body, nil)
 			}
 			return true
 		})
@@ -57,35 +61,37 @@ func (lockheldRule) Check(p *Package) []Finding {
 	return out
 }
 
-// mutexCall classifies an expression statement as a Lock/Unlock-family
-// call on a sync mutex and returns the receiver's printed form as the
-// region key.
-func (p *Package) mutexCall(stmt ast.Stmt) (key, method string) {
-	var call *ast.CallExpr
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		call, _ = s.X.(*ast.CallExpr)
-	case *ast.DeferStmt:
-		call = s.Call
-	}
-	if call == nil {
-		return "", ""
-	}
+// heldLock is one mutex in a lexical held set.
+type heldLock struct {
+	// obj is the mutex variable or field; nil when the receiver
+	// resolves to none (lockheld still tracks it by name).
+	obj types.Object
+	// name is the receiver's printed form, the region key.
+	name string
+	// pos is the Lock call's position.
+	pos token.Position
+}
+
+// mutexCall classifies a call as a Lock, RLock, Unlock or RUnlock method
+// call on a sync.Mutex or sync.RWMutex; method is "" for any other call.
+func mutexCall(p *Package, call *ast.CallExpr) (method string, l heldLock) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", ""
+		return "", l
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return "", ""
+		return "", l
 	}
 	tv, ok := p.Info.Types[sel.X]
 	if !ok || tv.Type == nil || !isSyncMutex(tv.Type) {
-		return "", ""
+		return "", l
 	}
-	return types.ExprString(sel.X), sel.Sel.Name
+	return sel.Sel.Name, heldLock{obj: mutexObject(p, sel.X), name: types.ExprString(sel.X), pos: p.Fset.Position(call.Pos())}
 }
+
+func isAcquire(method string) bool { return method == "Lock" || method == "RLock" }
 
 // isSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly
 // behind a pointer).
@@ -104,69 +110,84 @@ func isSyncMutex(t types.Type) bool {
 	return name == "Mutex" || name == "RWMutex"
 }
 
-// lockheldBlock walks one block, tracking which mutexes are held after
-// each statement, and flags blocking operations inside held regions.
-// held maps region key → the Lock call's position line (for messages).
-func (p *Package) lockheldBlock(block *ast.BlockStmt, held map[string]bool) []Finding {
-	cur := make(map[string]bool, len(held))
-	for k := range held {
-		cur[k] = true
-	}
-	var out []Finding
-	for _, stmt := range block.List {
-		if key, method := p.mutexCall(stmt); key != "" {
-			switch method {
-			case "Lock", "RLock":
-				if _, isDefer := stmt.(*ast.DeferStmt); !isDefer {
-					cur[key] = true
-				}
-			case "Unlock", "RUnlock":
-				// A plain Unlock releases; `defer Unlock` keeps the
-				// region open to the end of the function.
-				if _, isDefer := stmt.(*ast.DeferStmt); !isDefer {
-					delete(cur, key)
-				}
-			}
-			continue
-		}
-		if len(cur) > 0 {
-			out = append(out, p.flagBlockingShallow(stmt)...)
-		}
-		out = append(out, p.lockheldNested(stmt, cur)...)
-	}
-	return out
+// heldWalker walks a function body statement by statement with the
+// lexical held-lock discipline shared by lockheld and the lock-order
+// graph: a region opens at `x.Lock()` / `x.RLock()` and closes at the
+// matching `x.Unlock()` / `x.RUnlock()` statement in the same block,
+// keyed by the receiver's printed form; `defer x.Unlock()` keeps it
+// open to the end of the function.
+type heldWalker struct {
+	p *Package
+	// acquire, when set, sees every Lock/RLock statement (deferred ones
+	// included) with the locks held before it.
+	acquire func(l heldLock, held []heldLock)
+	// stmt sees every other statement that runs with a lock held; the
+	// walker itself recurses into the statement's nested blocks.
+	stmt func(s ast.Stmt, held []heldLock)
 }
 
-// lockheldNested recurses into the block children of stmt with the
-// current held set.
-func (p *Package) lockheldNested(stmt ast.Stmt, held map[string]bool) []Finding {
-	var out []Finding
+func (w heldWalker) block(block *ast.BlockStmt, held []heldLock) {
+	cur := append([]heldLock(nil), held...)
+	for _, stmt := range block.List {
+		var call *ast.CallExpr
+		deferred := false
+		switch s := stmt.(type) {
+		case *ast.ExprStmt:
+			call, _ = s.X.(*ast.CallExpr)
+		case *ast.DeferStmt:
+			call, deferred = s.Call, true
+		}
+		if call != nil {
+			if method, l := mutexCall(w.p, call); method != "" {
+				if isAcquire(method) && w.acquire != nil {
+					w.acquire(l, cur)
+				}
+				i := slices.IndexFunc(cur, func(h heldLock) bool { return h.name == l.name })
+				switch {
+				case deferred:
+				case isAcquire(method) && i < 0:
+					cur = append(cur, l)
+				case !isAcquire(method) && i >= 0:
+					cur = slices.Delete(cur, i, i+1)
+				}
+				continue
+			}
+		}
+		if len(cur) > 0 {
+			w.stmt(stmt, cur)
+		}
+		w.nested(stmt, cur)
+	}
+}
+
+// nested recurses into the block children of stmt with the current
+// held set.
+func (w heldWalker) nested(stmt ast.Stmt, held []heldLock) {
 	switch s := stmt.(type) {
 	case *ast.BlockStmt:
-		out = append(out, p.lockheldBlock(s, held)...)
+		w.block(s, held)
 	case *ast.IfStmt:
-		out = append(out, p.lockheldBlock(s.Body, held)...)
+		w.block(s.Body, held)
 		if s.Else != nil {
-			out = append(out, p.lockheldNested(s.Else, held)...)
+			w.nested(s.Else, held)
 		}
 	case *ast.ForStmt:
-		out = append(out, p.lockheldBlock(s.Body, held)...)
+		w.block(s.Body, held)
 	case *ast.RangeStmt:
-		out = append(out, p.lockheldBlock(s.Body, held)...)
+		w.block(s.Body, held)
 	case *ast.SwitchStmt:
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				out = append(out, p.lockheldBlock(&ast.BlockStmt{List: cc.Body}, held)...)
+				w.block(&ast.BlockStmt{List: cc.Body}, held)
 			}
 		}
 	case *ast.TypeSwitchStmt:
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				out = append(out, p.lockheldBlock(&ast.BlockStmt{List: cc.Body}, held)...)
+				w.block(&ast.BlockStmt{List: cc.Body}, held)
 			}
 		}
 	}
-	return out
 }
 
 // flagBlockingShallow inspects one statement (not descending into nested
@@ -206,13 +227,16 @@ func (p *Package) flagBlockingShallow(stmt ast.Stmt) []Finding {
 		case *ast.CallExpr:
 			if what, bad := p.blockingCall(x); bad {
 				flag(x, what)
-			} else if bf := p.Facts.CallBlocks(p, x); bf != nil {
-				// Interprocedural: the callee's summary proves it (or
-				// something it calls) blocks.
+				break
+			}
+			// Interprocedural: the callee's summary proves it (or
+			// something it calls) blocks.
+			fn := calleeFunc(p, x)
+			if bf := p.Facts.summary(fn).blocking(); bf != nil {
 				out = append(out, Finding{
 					Pos:  p.Fset.Position(x.Pos()),
 					Rule: "lockheld",
-					Msg: "call to " + strings.Join(bf.Chain, " → ") +
+					Msg: "call to " + strings.Join(prependChain(shortFuncName(fn), bf.Chain), " → ") +
 						" reaches " + bf.What + " while a mutex is held",
 					Hint: "release the lock first (copy what you need out of the critical section)",
 					Related: []Related{{

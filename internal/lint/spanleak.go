@@ -96,7 +96,6 @@ func checkSpanBody(p *Package, body *ast.BlockStmt) []Finding {
 	if len(starts) == 0 {
 		return nil
 	}
-	sums := p.Facts.summaries()
 	var out []Finding
 	for _, st := range starts {
 		obj := p.Info.Defs[st.name]
@@ -106,7 +105,7 @@ func checkSpanBody(p *Package, body *ast.BlockStmt) []Finding {
 		if obj == nil {
 			continue
 		}
-		fl := sums.spanFlow(p, body, obj)
+		fl := spanFlow(p.Facts, p, body, obj)
 		if fl.escapes {
 			continue
 		}

@@ -1,7 +1,8 @@
 // The module-level pipeline behind cmd/aeropacklint: pattern expansion,
-// cache probing, layered parallel parse + type-check, fact and summary
-// gathering, parallel rule execution and the //lint:allow audit.  The
-// driver and BenchmarkLintModule share this entry point.
+// cache probing, a parallel parse and a serial type-check, fact and
+// summary gathering, and a parallel rule phase that audits the
+// //lint:allow directives alongside.  The driver and BenchmarkLintModule
+// share this entry point.
 package lint
 
 import (
@@ -26,11 +27,6 @@ type ModuleOptions struct {
 	Rules []Rule
 	// Cache enables the content-hash result cache when non-nil.
 	Cache *Cache
-	// Audit switches to the //lint:allow audit: instead of findings, the
-	// result reports directives that no longer suppress anything (or
-	// carry no reason).  The cache is bypassed — the audit needs raw,
-	// pre-suppression findings for every requested package.
-	Audit bool
 }
 
 // StaleAllow is one audit report line.
@@ -60,7 +56,8 @@ type ModuleResult struct {
 	Root string
 	// Findings are the surviving findings, positions module-root-relative.
 	Findings []Finding
-	// Stale holds the audit reports (Audit mode only).
+	// Stale holds the //lint:allow directive problems, positions
+	// module-root-relative.
 	Stale []StaleAllow
 	// TypeErrors are non-fatal type-checker diagnostics.
 	TypeErrors []string
@@ -92,33 +89,31 @@ func RunModule(opts ModuleOptions) (*ModuleResult, error) {
 	res := &ModuleResult{Root: loader.Root, Packages: len(dirs)}
 
 	// Phase 1: probe the cache.
-	var missDirs []string
-	var cached []Finding
+	missDirs := dirs
 	keyByDir := make(map[string]string)
-	if opts.Cache != nil && !opts.Audit {
-		ky := newKeyer(loader, rules, dirs)
+	if opts.Cache != nil {
+		missDirs = nil
+		ky := newKeyer(loader, rules)
 		for _, dir := range dirs {
 			key, err := ky.Key(dir)
 			if err != nil {
 				return nil, err
 			}
 			keyByDir[dir] = key
-			if fs, ok := opts.Cache.Get(key); ok {
+			if e, ok := opts.Cache.Get(key); ok {
 				res.CacheHits++
-				cached = append(cached, fs...)
+				res.Findings = append(res.Findings, e.Findings...)
+				res.Stale = append(res.Stale, e.Stale...)
 				continue
 			}
-			res.CacheMisses++
 			missDirs = append(missDirs, dir)
 		}
-	} else {
-		missDirs = dirs
-		res.CacheMisses = len(dirs)
 	}
+	res.CacheMisses = len(missDirs)
 
-	// Phase 2: parse and type-check the misses in parallel topological
-	// layers (the loader serializes shared standard-library imports).
-	pkgs, err := loader.LoadDirsParallel(missDirs)
+	// Phase 2: parse the misses in parallel, then type-check them (and
+	// their dependencies) serially.
+	pkgs, err := loader.LoadDirs(missDirs)
 	if err != nil {
 		return nil, err
 	}
@@ -133,46 +128,35 @@ func RunModule(opts ModuleOptions) (*ModuleResult, error) {
 		p.Facts = facts
 	}
 
-	// Phase 4: run rules (or the audit) per package.  The fact store is
-	// read-only after Gather, so the rule phase fans out per package; the
-	// audit stays sequential (it is the rare administrative path).
-	if opts.Audit {
-		for _, p := range pkgs {
-			res.Stale = append(res.Stale, auditPackage(p, rules)...)
-		}
-	} else {
-		perPkg, err := parallel.Map(pkgs, 0, func(_ int, p *Package) ([]Finding, error) {
-			findings := RunRules([]*Package{p}, rules)
-			for i := range findings {
-				findings[i].Pos = relPosition(loader.Root, findings[i].Pos)
-				for j := range findings[i].Related {
-					findings[i].Related[j].Pos = relPosition(loader.Root, findings[i].Related[j].Pos)
-				}
-				if fix := findings[i].Fix; fix != nil {
-					for j := range fix.Edits {
-						fix.Edits[j].File = relPath(loader.Root, fix.Edits[j].File)
-					}
-				}
+	// Phase 4: run the rules and the directive audit per package.  The
+	// fact store is read-only after Gather, so this fans out.
+	perPkg, err := parallel.Map(pkgs, 0, func(_ int, p *Package) (CacheEntry, error) {
+		findings, stale := p.check(rules)
+		for i := range findings {
+			findings[i].Pos = relPosition(loader.Root, findings[i].Pos)
+			for j := range findings[i].Related {
+				findings[i].Related[j].Pos = relPosition(loader.Root, findings[i].Related[j].Pos)
 			}
-			if key := keyByDir[p.Dir]; key != "" {
-				if err := opts.Cache.Put(key, findings); err != nil {
-					return nil, fmt.Errorf("lint: writing cache: %w", err)
-				}
+		}
+		for i := range stale {
+			stale[i].Pos = relPosition(loader.Root, stale[i].Pos)
+		}
+		e := CacheEntry{Findings: findings, Stale: stale}
+		if key := keyByDir[p.Dir]; key != "" {
+			if err := opts.Cache.Put(key, e); err != nil {
+				return e, fmt.Errorf("lint: writing cache: %w", err)
 			}
-			return findings, nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		for _, findings := range perPkg {
-			res.Findings = append(res.Findings, findings...)
-		}
+		return e, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Findings = append(res.Findings, cached...)
+	for _, e := range perPkg {
+		res.Findings = append(res.Findings, e.Findings...)
+		res.Stale = append(res.Stale, e.Stale...)
+	}
 	SortFindings(res.Findings)
-	for i := range res.Stale {
-		res.Stale[i].Pos = relPosition(loader.Root, res.Stale[i].Pos)
-	}
 	sort.Slice(res.Stale, func(i, j int) bool {
 		a, b := res.Stale[i], res.Stale[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -183,50 +167,8 @@ func RunModule(opts ModuleOptions) (*ModuleResult, error) {
 		}
 		return a.Rule < b.Rule
 	})
-	// Parallel type-checking makes the arrival order of diagnostics
-	// scheduling-dependent; sort so the surfaced warnings are stable.
-	res.TypeErrors = append([]string(nil), loader.TypeErrors...)
-	sort.Strings(res.TypeErrors)
+	res.TypeErrors = loader.TypeErrors
 	return res, nil
-}
-
-// auditPackage reports the package's //lint:allow directives that are
-// stale (no raw finding of the named rule on the directive's line or
-// the next), name an unregistered rule, or lack reason text.
-func auditPackage(p *Package, rules []Rule) []StaleAllow {
-	raw := RunRulesRaw(p, rules)
-	// matched[(rule, file, line)] — a raw finding whose position a
-	// directive at that line would cover.
-	type key struct {
-		rule, file string
-		line       int
-	}
-	matched := make(map[key]bool)
-	for _, f := range raw {
-		matched[key{f.Rule, f.Pos.Filename, f.Pos.Line}] = true
-	}
-	known := make(map[string]bool, len(rules))
-	for _, r := range rules {
-		known[r.Name()] = true
-	}
-	var out []StaleAllow
-	for _, d := range p.Directives() {
-		pos := d.Pos // absolute here; RunModule relativizes
-		for _, rule := range d.Rules {
-			if !known[rule] {
-				out = append(out, StaleAllow{Pos: pos, Rule: rule, Why: "unknown-rule"})
-				continue
-			}
-			if !matched[key{rule, d.Pos.Filename, d.Pos.Line}] &&
-				!matched[key{rule, d.Pos.Filename, d.Pos.Line + 1}] {
-				out = append(out, StaleAllow{Pos: pos, Rule: rule, Why: "stale"})
-			}
-		}
-		if d.Reason == "" {
-			out = append(out, StaleAllow{Pos: pos, Rule: strings.Join(d.Rules, ","), Why: "no-reason"})
-		}
-	}
-	return out
 }
 
 // expandPatterns resolves the CLI package arguments to directories.

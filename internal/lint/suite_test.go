@@ -255,7 +255,8 @@ func TestSummaryMutualRecursionTerminates(t *testing.T) {
 }
 
 // TestRunModuleAudit seeds one directive of each failure class plus a
-// healthy one and checks the audit classifies them exactly.
+// healthy one and checks that a default run's audit classifies them
+// exactly.
 func TestRunModuleAudit(t *testing.T) {
 	src := strings.Join([]string{
 		"package pkg",
@@ -286,7 +287,7 @@ func TestRunModuleAudit(t *testing.T) {
 	}, "\n")
 	root := writeTempModule(t, map[string]string{"pkg/pkg.go": src})
 
-	res, err := RunModule(ModuleOptions{Dir: root, Patterns: []string{"./..."}, Audit: true})
+	res, err := RunModule(ModuleOptions{Dir: root, Patterns: []string{"./..."}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,5 +311,58 @@ func TestRunModuleAudit(t *testing.T) {
 		if !strings.HasPrefix(filepath.ToSlash(s.Pos.Filename), "pkg/") {
 			t.Errorf("audit position %q not module-root-relative", s.Pos.Filename)
 		}
+	}
+	if len(res.Findings) != 0 {
+		t.Errorf("findings = %v, want both literals suppressed", res.Findings)
+	}
+}
+
+// TestStaleAllowSurvivesCache checks a stale directive is reported by a
+// default cold run and again by the warm run the cache serves, and that
+// fixing the source clears it.
+func TestStaleAllowSurvivesCache(t *testing.T) {
+	root := writeTempModule(t, map[string]string{
+		"pkg/pkg.go": "package pkg\n\n// Add has nothing to suppress.\nfunc Add(c float64) float64 {\n\treturn c + 1 //lint:allow unitsafety left behind by a refactor\n}\n",
+	})
+	opts := ModuleOptions{Dir: root, Patterns: []string{"./..."}, Cache: &Cache{Dir: filepath.Join(root, "lintcache")}}
+	for _, run := range []string{"cold", "warm"} {
+		res, err := RunModule(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == "warm" && res.CacheHits != 1 {
+			t.Errorf("warm run: hits=%d, want 1", res.CacheHits)
+		}
+		if len(res.Stale) != 1 || res.Stale[0].Why != "stale" || res.Stale[0].Pos.Line != 5 ||
+			filepath.ToSlash(res.Stale[0].Pos.Filename) != "pkg/pkg.go" {
+			t.Errorf("%s run: stale = %v, want one stale unitsafety directive at pkg/pkg.go:5", run, res.Stale)
+		}
+	}
+	src := "package pkg\n\n// Add has nothing to suppress.\nfunc Add(c float64) float64 {\n\treturn c + 1\n}\n"
+	if err := os.WriteFile(filepath.Join(root, "pkg", "pkg.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunModule(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stale) != 0 || res.CacheMisses != 1 {
+		t.Errorf("after removing the directive: stale=%v misses=%d, want none and a miss", res.Stale, res.CacheMisses)
+	}
+}
+
+// TestRestrictedRunIsClean runs only floatcmp over the module: the
+// directives naming rules that did not run are neither stale nor
+// unknown, so the run reports nothing.
+func TestRestrictedRunIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the whole module")
+	}
+	res, err := RunModule(ModuleOptions{Dir: "../..", Rules: []Rule{floatcmpRule{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Findings) != 0 || len(res.Stale) != 0 {
+		t.Errorf("-rules floatcmp over the module: findings %v, directive problems %v, want none", res.Findings, res.Stale)
 	}
 }

@@ -1,5 +1,5 @@
 // Interprocedural analysis: a module-wide call graph with per-function
-// summaries.  The fact store builds one funcNode per function
+// summaries.  The fact store holds one funcSummary per function
 // declaration across every loaded package and computes, on demand with
 // memoization, what a call to that function implies for the caller:
 //
@@ -14,14 +14,18 @@
 //   - goroutine signals: does the body mark a WaitGroup done or carry a
 //     cancellation path (receive/select/range-chan)?  Consumed by
 //     goroleak to accept self-managing workers.
+//   - size flow and lock acquisition (valueflow.go): which parameters
+//     size an allocation unclamped, and which mutexes a call acquires.
+//     Consumed by taintsize and the lock-order graph.
 //
 // Summaries follow call edges resolved through types.Info.Uses, so only
 // static calls are followed; calls through interfaces or function values
 // have no summary and every consumer treats that as "unknown" and stays
 // silent (conservative toward no false positives).  Recursion is handled
-// with an on-stack marker: a summary requested while it is being
-// computed resolves to the safe "unknown" answer, which makes mutual
-// recursion terminate and keeps the result a least fixpoint.
+// with an in-progress marker per summary kind: a summary requested while
+// it is being computed resolves to the kind's zero value, the safe
+// "unknown" answer, which makes mutual recursion terminate and keeps the
+// result a least fixpoint.
 //
 // Because rules may run concurrently, Facts.Gather forces every summary
 // eagerly (in deterministic order — the memoized cycle answers depend on
@@ -81,105 +85,99 @@ const (
 	bhEscapes
 )
 
-// summary computation states.
-const (
-	stTodo uint8 = iota
-	stInProgress
-	stDone
-)
+// goroFact says whether a function (transitively) marks a WaitGroup
+// done or receives, selects or ranges over a channel.
+type goroFact struct{ done, cancel bool }
 
-// funcNode is one function declaration in the module-wide call graph,
-// with its lazily-computed summaries.
-type funcNode struct {
-	fn   *types.Func
-	decl *ast.FuncDecl
-	pkg  *Package
-
-	blockState uint8
-	block      *BlockFact
-
-	spanState uint8
-	spans     []spanBehavior
-
-	errState  uint8
-	errOrigin *ErrOrigin
-
-	goroState  uint8
-	goroDone   bool // body (transitively) calls WaitGroup.Done
-	goroCancel bool // body (transitively) receives/selects/ranges a channel
-
-	sizeState uint8
-	sizes     []SizeFact // parameters that size allocations unclamped
-
-	lockState uint8
-	locks     []LockFact // mutexes the body (transitively) acquires
+// memo is one lazily computed summary kind of one function.
+type memo[T any] struct {
+	state uint8 // 0 todo, 1 in progress, 2 done
+	val   T
 }
 
-// summaries is the call-graph fact kind stored alongside the
-// types.Object facts.  A nil *summaries behaves like an empty store.
-type summaries struct {
-	nodes map[*types.Func]*funcNode
+// get returns the memoized value, computing it on first use.  A request
+// made while the value is being computed — recursion — gets the zero T.
+func (m *memo[T]) get(compute func() T) T {
+	switch m.state {
+	case 1:
+		var zero T
+		return zero
+	case 2:
+		return m.val
+	}
+	m.state = 1
+	m.val = compute()
+	m.state = 2
+	return m.val
 }
 
-func newSummaries() *summaries {
-	return &summaries{nodes: make(map[*types.Func]*funcNode)}
+// funcSummary is one function declaration in the module-wide call
+// graph, with its lazily computed summaries.  A nil *funcSummary (no
+// declaration in the module) answers every kind with its zero value.
+type funcSummary struct {
+	facts *Facts
+	fn    *types.Func
+	decl  *ast.FuncDecl
+	pkg   *Package
+
+	block     memo[*BlockFact]
+	spans     memo[[]spanBehavior]
+	errOrigin memo[*ErrOrigin]
+	goro      memo[goroFact]
+	sizes     memo[[]SizeFact] // parameters that size allocations unclamped
+	locks     memo[[]LockFact] // mutexes the body (transitively) acquires
 }
 
-// index registers every function declaration of p as a call-graph node.
-func (s *summaries) index(p *Package) {
-	if p == nil || p.Info == nil {
+// summary returns fn's call-graph summary, nil when fn is nil, declared
+// outside the module, or the store is nil.
+func (fs *Facts) summary(fn *types.Func) *funcSummary {
+	if fs == nil || fn == nil {
+		return nil
+	}
+	return fs.funcs[fn]
+}
+
+// index registers one function declaration of p as a call-graph node.
+func (fs *Facts) index(p *Package, fd *ast.FuncDecl) {
+	fn, ok := p.Info.Defs[fd.Name].(*types.Func)
+	if !ok || fd.Body == nil {
 		return
 	}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if _, seen := s.nodes[fn]; seen {
-				continue
-			}
-			s.nodes[fn] = &funcNode{fn: fn, decl: fd, pkg: p}
-		}
+	if _, seen := fs.funcs[fn]; !seen {
+		fs.funcs[fn] = &funcSummary{facts: fs, fn: fn, decl: fd, pkg: p}
 	}
 }
 
-// forceAll computes every summary eagerly.  Order matters: the memoized
-// answer a cycle member sees depends on which member is forced first, so
-// nodes are visited in (file, offset) order to keep runs deterministic.
-// After forceAll the store is read-only and safe for concurrent rules.
-func (s *summaries) forceAll() {
-	for _, n := range s.orderedNodes() {
-		s.blocking(n)
-		s.spanParams(n)
-		s.errOriginOf(n)
-		s.goroSignals(n)
-		s.sizeFacts(n)
-		s.lockFacts(n)
-	}
-}
-
-// orderedNodes returns every call-graph node in deterministic (file,
-// offset) order — the traversal order forceAll and the lock-edge gather
-// share.
-func (s *summaries) orderedNodes() []*funcNode {
-	ordered := make([]*funcNode, 0, len(s.nodes))
-	for _, n := range s.nodes {
+// forceAll computes every summary eagerly and returns the nodes in the
+// order it visited them.  Order matters: the memoized answer a cycle
+// member sees depends on which member is forced first, so nodes are
+// visited in (file, offset) order to keep runs deterministic.
+func (fs *Facts) forceAll() []*funcSummary {
+	ordered := make([]*funcSummary, 0, len(fs.funcs))
+	for _, n := range fs.funcs {
 		ordered = append(ordered, n)
 	}
 	sort.Slice(ordered, func(i, j int) bool {
-		a := ordered[i].pkg.Fset.Position(ordered[i].decl.Pos())
-		b := ordered[j].pkg.Fset.Position(ordered[j].decl.Pos())
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Offset < b.Offset
+		return posLess(ordered[i].pkg.Fset.Position(ordered[i].decl.Pos()),
+			ordered[j].pkg.Fset.Position(ordered[j].decl.Pos()))
 	})
+	for _, n := range ordered {
+		n.blocking()
+		n.spanParams()
+		n.errOriginOf()
+		n.goroSignals()
+		n.sizeFacts()
+		n.lockFacts()
+	}
 	return ordered
+}
+
+// posLess orders positions by (filename, offset).
+func posLess(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	return a.Offset < b.Offset
 }
 
 // unparen strips redundant parentheses.
@@ -237,20 +235,14 @@ func prependChain(head string, rest []string) []string {
 // cannot block.  A cycle resolves to "does not block": on a recursive
 // path the first iteration already exhibits any direct operation, and
 // anything only reachable through the back edge is unproven.
-func (s *summaries) blocking(n *funcNode) *BlockFact {
-	switch n.blockState {
-	case stInProgress:
+func (n *funcSummary) blocking() *BlockFact {
+	if n == nil {
 		return nil
-	case stDone:
-		return n.block
 	}
-	n.blockState = stInProgress
-	n.block = s.blockScan(n)
-	n.blockState = stDone
-	return n.block
+	return n.block.get(n.blockScan)
 }
 
-func (s *summaries) blockScan(n *funcNode) *BlockFact {
+func (n *funcSummary) blockScan() *BlockFact {
 	p := n.pkg
 	var found *BlockFact
 	ast.Inspect(n.decl.Body, func(m ast.Node) bool {
@@ -286,14 +278,7 @@ func (s *summaries) blockScan(n *funcNode) *BlockFact {
 				return false
 			}
 			fn := calleeFunc(p, x)
-			if fn == nil || fn == n.fn {
-				return true
-			}
-			cn := s.nodes[fn]
-			if cn == nil {
-				return true
-			}
-			if bf := s.blocking(cn); bf != nil {
+			if bf := n.facts.summary(fn).blocking(); bf != nil {
 				found = &BlockFact{What: bf.What, Pos: bf.Pos, Chain: prependChain(shortFuncName(fn), bf.Chain)}
 				return false
 			}
@@ -309,20 +294,14 @@ func (s *summaries) blockScan(n *funcNode) *BlockFact {
 // spanParams classifies each parameter of n (flattened, receiver
 // excluded).  nil means "unknown" — the summary is mid-computation
 // (recursion) — and callers must treat every argument as escaping.
-func (s *summaries) spanParams(n *funcNode) []spanBehavior {
-	switch n.spanState {
-	case stInProgress:
+func (n *funcSummary) spanParams() []spanBehavior {
+	if n == nil {
 		return nil
-	case stDone:
-		return n.spans
 	}
-	n.spanState = stInProgress
-	n.spans = s.spanParamScan(n)
-	n.spanState = stDone
-	return n.spans
+	return n.spans.get(n.spanParamScan)
 }
 
-func (s *summaries) spanParamScan(n *funcNode) []spanBehavior {
+func (n *funcSummary) spanParamScan() []spanBehavior {
 	if n.decl.Type.Params == nil {
 		return nil
 	}
@@ -339,16 +318,16 @@ func (s *summaries) spanParamScan(n *funcNode) []spanBehavior {
 				out = append(out, bhUnknown)
 				continue
 			}
-			out = append(out, s.spanObjBehavior(n, obj))
+			out = append(out, n.spanObjBehavior(obj))
 		}
 	}
 	return out
 }
 
 // spanObjBehavior decides what n's body does with the span parameter.
-func (s *summaries) spanObjBehavior(n *funcNode, obj types.Object) spanBehavior {
+func (n *funcSummary) spanObjBehavior(obj types.Object) spanBehavior {
 	p := n.pkg
-	fl := s.spanFlow(p, n.decl.Body, obj)
+	fl := spanFlow(n.facts, p, n.decl.Body, obj)
 	if fl.escapes {
 		return bhEscapes
 	}
@@ -383,10 +362,10 @@ type spanFlowResult struct {
 	neutrals []spanPass
 }
 
-// spanFlow classifies every use of the span object in body.  Works on a
-// nil receiver (no summaries): every hand-off is then an escape, which
-// reproduces the intraprocedural v2 behavior.
-func (s *summaries) spanFlow(p *Package, body *ast.BlockStmt, obj types.Object) spanFlowResult {
+// spanFlow classifies every use of the span object in body.  Works with
+// a nil store (no summaries): every hand-off is then an escape, which
+// reproduces the intraprocedural behavior.
+func spanFlow(fs *Facts, p *Package, body *ast.BlockStmt, obj types.Object) spanFlowResult {
 	var fl spanFlowResult
 	goCalls := make(map[*ast.CallExpr]bool)
 	deferCalls := make(map[*ast.CallExpr]bool)
@@ -436,7 +415,7 @@ func (s *summaries) spanFlow(p *Package, body *ast.BlockStmt, obj types.Object) 
 					fl.escapes = true // the goroutine owns it now
 					continue
 				}
-				switch fn, beh := s.argBehavior(p, x, i); beh {
+				switch fn, beh := argBehavior(fs, p, x, i); beh {
 				case bhEnds:
 					if deferCalls[x] {
 						fl.deferredEnd = true
@@ -456,16 +435,10 @@ func (s *summaries) spanFlow(p *Package, body *ast.BlockStmt, obj types.Object) 
 
 // argBehavior looks up what the call's callee does with its argIdx-th
 // parameter.
-func (s *summaries) argBehavior(p *Package, call *ast.CallExpr, argIdx int) (*types.Func, spanBehavior) {
-	if s == nil {
-		return nil, bhUnknown
-	}
+func argBehavior(fs *Facts, p *Package, call *ast.CallExpr, argIdx int) (*types.Func, spanBehavior) {
 	fn := calleeFunc(p, call)
-	if fn == nil {
-		return nil, bhUnknown
-	}
-	cn := s.nodes[fn]
-	if cn == nil {
+	n := fs.summary(fn)
+	if n == nil {
 		return fn, bhUnknown
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -473,7 +446,7 @@ func (s *summaries) argBehavior(p *Package, call *ast.CallExpr, argIdx int) (*ty
 		(sig.Variadic() && argIdx >= sig.Params().Len()-1) {
 		return fn, bhUnknown
 	}
-	params := s.spanParams(cn)
+	params := n.spanParams()
 	if argIdx >= len(params) {
 		return fn, bhUnknown
 	}
@@ -485,20 +458,14 @@ func (s *summaries) argBehavior(p *Package, call *ast.CallExpr, argIdx int) (*ty
 
 // errOriginOf reports where the error returned by a pass-through
 // wrapper originates, nil when n is not a wrapper.
-func (s *summaries) errOriginOf(n *funcNode) *ErrOrigin {
-	switch n.errState {
-	case stInProgress:
+func (n *funcSummary) errOriginOf() *ErrOrigin {
+	if n == nil {
 		return nil
-	case stDone:
-		return n.errOrigin
 	}
-	n.errState = stInProgress
-	n.errOrigin = s.errOriginScan(n)
-	n.errState = stDone
-	return n.errOrigin
+	return n.errOrigin.get(n.errOriginScan)
 }
 
-func (s *summaries) errOriginScan(n *funcNode) *ErrOrigin {
+func (n *funcSummary) errOriginScan() *ErrOrigin {
 	p := n.pkg
 	sig, ok := n.fn.Type().(*types.Signature)
 	if !ok {
@@ -527,26 +494,19 @@ func (s *summaries) errOriginScan(n *funcNode) *ErrOrigin {
 			if !ok || !p.resultsIncludeError(call) {
 				continue
 			}
-			origin = s.callOrigin(p, call)
+			// Chase the error through nested wrappers to the innermost
+			// producing call; an interface or function-value call has
+			// nothing nameable.
+			if fn := calleeFunc(p, call); fn != nil {
+				origin = n.facts.summary(fn).errOriginOf()
+				if origin == nil {
+					origin = &ErrOrigin{From: shortFuncName(fn), Pos: p.Fset.Position(call.Pos())}
+				}
+			}
 			return
 		}
 	})
 	return origin
-}
-
-// callOrigin chases the error through nested wrappers to the innermost
-// producing call.
-func (s *summaries) callOrigin(p *Package, call *ast.CallExpr) *ErrOrigin {
-	fn := calleeFunc(p, call)
-	if fn == nil {
-		return nil // interface/function-value call: nothing nameable
-	}
-	if cn := s.nodes[fn]; cn != nil {
-		if inner := s.errOriginOf(cn); inner != nil {
-			return inner
-		}
-	}
-	return &ErrOrigin{From: shortFuncName(fn), Pos: p.Fset.Position(call.Pos())}
 }
 
 // ---------------------------------------------------------------------
@@ -554,52 +514,41 @@ func (s *summaries) callOrigin(p *Package, call *ast.CallExpr) *ErrOrigin {
 
 // goroSignals reports whether n's body (transitively, skipping nested
 // literals) marks a WaitGroup done or has a cancellation path.
-func (s *summaries) goroSignals(n *funcNode) (done, cancel bool) {
-	switch n.goroState {
-	case stInProgress:
-		return false, false
-	case stDone:
-		return n.goroDone, n.goroCancel
+func (n *funcSummary) goroSignals() goroFact {
+	if n == nil {
+		return goroFact{}
 	}
-	n.goroState = stInProgress
-	n.goroDone, n.goroCancel = s.goroScan(n)
-	n.goroState = stDone
-	return n.goroDone, n.goroCancel
+	return n.goro.get(n.goroScan)
 }
 
-func (s *summaries) goroScan(n *funcNode) (done, cancel bool) {
+func (n *funcSummary) goroScan() goroFact {
 	p := n.pkg
+	var g goroFact
 	inspectSkipFuncLits(n.decl.Body, func(m ast.Node) {
 		switch x := m.(type) {
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				cancel = true
+				g.cancel = true
 			}
 		case *ast.SelectStmt:
-			cancel = true
+			g.cancel = true
 		case *ast.RangeStmt:
 			if tv, ok := p.Info.Types[x.X]; ok && tv.Type != nil {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					cancel = true
+					g.cancel = true
 				}
 			}
 		case *ast.CallExpr:
 			if isWaitGroupDone(p, x) {
-				done = true
+				g.done = true
 				return
 			}
-			fn := calleeFunc(p, x)
-			if fn == nil || fn == n.fn {
-				return
-			}
-			if cn := s.nodes[fn]; cn != nil {
-				d, c := s.goroSignals(cn)
-				done = done || d
-				cancel = cancel || c
-			}
+			c := n.facts.summary(calleeFunc(p, x)).goroSignals()
+			g.done = g.done || c.done
+			g.cancel = g.cancel || c.cancel
 		}
 	})
-	return done, cancel
+	return g
 }
 
 // isWaitGroupDone matches wg.Done() on a sync.WaitGroup receiver.

@@ -42,7 +42,7 @@ func (taintsizeRule) Check(p *Package) []Finding {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			t := newTaintTracker(p, p.Facts.summaries(), fd, true)
+			t := newTaintTracker(p, p.Facts, fd, true)
 			t.onSink = func(h sizeSinkHit) {
 				pos := p.Fset.Position(h.pos)
 				key := pos.String() + "|" + h.origin.desc

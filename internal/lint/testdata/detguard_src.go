@@ -20,23 +20,21 @@ func WallClock(xs []float64) ([]float64, error) {
 	})
 }
 
-// Random is flagged: math/rand inside a parallel.For body.
-func Random(out []float64) {
-	parallel.For(len(out), 2, func(i int) {
-		out[i] = rand.Float64()
+// Random is flagged: math/rand inside a robust.Map body.
+func Random(xs []float64) ([]float64, []*robust.PointError, error) {
+	return robust.Map(xs, robust.Options{Workers: 2}, nil, func(i int, x float64) (float64, error) {
+		return x * rand.Float64(), nil
 	})
 }
 
-// MapOrder is flagged: map iteration inside a parallel.Blocks body.
-func MapOrder(w map[string]float64, out []float64) {
-	parallel.Blocks(len(out), 2, func(b, lo, hi int) {
+// MapOrder is flagged: map iteration inside a parallel.Map body.
+func MapOrder(w map[string]float64, xs []float64) ([]float64, error) {
+	return parallel.Map(xs, 2, func(i int, x float64) (float64, error) {
 		s := 0.0
 		for _, v := range w {
 			s += v
 		}
-		for i := lo; i < hi; i++ {
-			out[i] = s
-		}
+		return x * s, nil
 	})
 }
 
@@ -57,16 +55,16 @@ func Deterministic(xs []float64) ([]float64, error) {
 }
 
 // Hoisted is fine: the clock is read once, outside the worker.
-func Hoisted(out []float64) {
+func Hoisted(xs []float64) ([]float64, error) {
 	now := float64(time.Now().Unix())
-	parallel.For(len(out), 2, func(i int) {
-		out[i] = now
+	return parallel.Map(xs, 2, func(i int, x float64) (float64, error) {
+		return now, nil
 	})
 }
 
 // Suppressed is tolerated by the trailing allow directive.
-func Suppressed(out []float64) {
-	parallel.For(len(out), 2, func(i int) {
-		out[i] = float64(time.Now().Unix()) //lint:allow detguard coarse timestamp tag, not part of the numeric result
+func Suppressed(xs []float64) ([]float64, error) {
+	return parallel.Map(xs, 2, func(i int, x float64) (float64, error) {
+		return float64(time.Now().Unix()), nil //lint:allow detguard coarse timestamp tag, not part of the numeric result
 	})
 }

@@ -8,7 +8,6 @@ package ipahelp
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"aeropack/internal/obs"
 )
@@ -94,13 +93,4 @@ func UnderB() int {
 	MuB.Lock()
 	defer MuB.Unlock()
 	return 1
-}
-
-// HotCounter's N is only ever bumped atomically here; any plain access
-// elsewhere in the module mixes disciplines (atomicmix's fact source).
-type HotCounter struct{ N int64 }
-
-// Bump increments the counter atomically.
-func Bump(h *HotCounter) {
-	atomic.AddInt64(&h.N, 1)
 }

@@ -33,6 +33,17 @@ var unitMagic = []magicConstant{
 	{1e4, "use units.WPerCm2"},
 }
 
+// unitHint returns the units hint for a value equal to one of the
+// unitMagic entries, or "".
+func unitHint(v float64) string {
+	for _, m := range unitMagic {
+		if v == m.val { //lint:allow floatcmp exact table lookup by value
+			return m.hint
+		}
+	}
+	return ""
+}
+
 type unitsafetyRule struct{}
 
 func init() { Register(unitsafetyRule{}) }
@@ -95,18 +106,13 @@ func (unitsafetyRule) Check(p *Package) []Finding {
 			if err != nil {
 				return true
 			}
-			for _, m := range unitMagic {
-				if v == m.val { //lint:allow floatcmp exact table lookup by value
-
-					out = append(out, Finding{
-						Pos:  p.Fset.Position(lit.Pos()),
-						Rule: "unitsafety",
-						Msg:  "inline unit-conversion literal " + lit.Value,
-						Hint: m.hint,
-						Fix:  p.fixUnitLiteral(f, lit),
-					})
-					break
-				}
+			if hint := unitHint(v); hint != "" {
+				out = append(out, Finding{
+					Pos:  p.Fset.Position(lit.Pos()),
+					Rule: "unitsafety",
+					Msg:  "inline unit-conversion literal " + lit.Value,
+					Hint: hint,
+				})
 			}
 			return true
 		})

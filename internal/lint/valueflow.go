@@ -1,6 +1,6 @@
 // The value-flow engine: def-use taint tracking over the typed AST,
-// layered on the PR 6 call-graph summaries so taint and lock facts
-// propagate across function and package boundaries.
+// layered on the call-graph summaries so taint and lock facts propagate
+// across function and package boundaries.
 //
 // Two analyses share the machinery:
 //
@@ -100,9 +100,9 @@ type sizeSinkHit struct {
 // int- and slice-taint maps plus a sanitized set, and reports every
 // taint-reaches-sink event through onSink.
 type taintTracker struct {
-	p    *Package
-	s    *summaries
-	decl *ast.FuncDecl
+	p     *Package
+	facts *Facts // callee summaries; nil disables the interprocedural sinks
+	decl  *ast.FuncDecl
 
 	// wireSource seeds json-tagged wire fields and flag derefs as taint
 	// sources (rule mode); summary mode seeds parameters instead.
@@ -122,9 +122,9 @@ type taintTracker struct {
 	onSink func(sizeSinkHit)
 }
 
-func newTaintTracker(p *Package, s *summaries, decl *ast.FuncDecl, wireSource bool) *taintTracker {
+func newTaintTracker(p *Package, facts *Facts, decl *ast.FuncDecl, wireSource bool) *taintTracker {
 	return &taintTracker{
-		p: p, s: s, decl: decl, wireSource: wireSource,
+		p: p, facts: facts, decl: decl, wireSource: wireSource,
 		intTaint:   make(map[types.Object]*taintOrigin),
 		sliceTaint: make(map[types.Object]*taintOrigin),
 		flagPtr:    make(map[types.Object]string),
@@ -428,14 +428,7 @@ func (t *taintTracker) callSinks(call *ast.CallExpr) {
 		}
 	}
 	fn := calleeFunc(t.p, call)
-	if fn == nil || t.s == nil {
-		return
-	}
-	cn := t.s.nodes[fn]
-	if cn == nil {
-		return
-	}
-	facts := t.s.sizeFacts(cn)
+	facts := t.facts.summary(fn).sizeFacts()
 	if len(facts) == 0 {
 		return
 	}
@@ -586,25 +579,19 @@ func flagIntCall(p *Package, call *ast.CallExpr) string {
 // sizeFacts reports which parameters of n flow, unclamped, into a size
 // sink.  A cycle resolves to "no flow" (anything only reachable through
 // the back edge is unproven).
-func (s *summaries) sizeFacts(n *funcNode) []SizeFact {
-	switch n.sizeState {
-	case stInProgress:
+func (n *funcSummary) sizeFacts() []SizeFact {
+	if n == nil {
 		return nil
-	case stDone:
-		return n.sizes
 	}
-	n.sizeState = stInProgress
-	n.sizes = s.sizeScan(n)
-	n.sizeState = stDone
-	return n.sizes
+	return n.sizes.get(n.sizeScan)
 }
 
-func (s *summaries) sizeScan(n *funcNode) []SizeFact {
-	if n.decl.Type.Params == nil || n.decl.Body == nil {
+func (n *funcSummary) sizeScan() []SizeFact {
+	if n.decl.Type.Params == nil {
 		return nil
 	}
 	p := n.pkg
-	t := newTaintTracker(p, s, n.decl, false)
+	t := newTaintTracker(p, n.facts, n.decl, false)
 	idx := 0
 	for _, field := range n.decl.Type.Params.List {
 		if len(field.Names) == 0 {
@@ -654,20 +641,14 @@ func (s *summaries) sizeScan(n *funcNode) []SizeFact {
 // lockFacts lists the mutexes n (transitively) acquires.  Function
 // literals, go statements and defers are skipped: they run outside the
 // caller's current acquisition order.
-func (s *summaries) lockFacts(n *funcNode) []LockFact {
-	switch n.lockState {
-	case stInProgress:
+func (n *funcSummary) lockFacts() []LockFact {
+	if n == nil {
 		return nil
-	case stDone:
-		return n.locks
 	}
-	n.lockState = stInProgress
-	n.locks = s.lockScan(n)
-	n.lockState = stDone
-	return n.locks
+	return n.locks.get(n.lockScan)
 }
 
-func (s *summaries) lockScan(n *funcNode) []LockFact {
+func (n *funcSummary) lockScan() []LockFact {
 	p := n.pkg
 	var out []LockFact
 	seen := make(map[types.Object]bool)
@@ -682,41 +663,18 @@ func (s *summaries) lockScan(n *funcNode) []LockFact {
 		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
-			if obj, name, ok := mutexAcquire(p, x); ok {
-				add(LockFact{Obj: obj, Name: name, Pos: p.Fset.Position(x.Pos())})
+			if method, l := mutexCall(p, x); isAcquire(method) && l.obj != nil {
+				add(LockFact{Obj: l.obj, Name: l.name, Pos: l.pos})
 				return true
 			}
 			fn := calleeFunc(p, x)
-			if fn == nil || fn == n.fn {
-				return true
-			}
-			if cn := s.nodes[fn]; cn != nil {
-				for _, lf := range s.lockFacts(cn) {
-					add(LockFact{Obj: lf.Obj, Name: lf.Name, Pos: lf.Pos, Chain: prependChain(shortFuncName(fn), lf.Chain)})
-				}
+			for _, lf := range n.facts.summary(fn).lockFacts() {
+				add(LockFact{Obj: lf.Obj, Name: lf.Name, Pos: lf.Pos, Chain: prependChain(shortFuncName(fn), lf.Chain)})
 			}
 		}
 		return true
 	})
 	return out
-}
-
-// mutexAcquire matches x.Lock() / x.RLock() on a sync.Mutex/RWMutex and
-// resolves the mutex's identity object (the field or variable).
-func mutexAcquire(p *Package, call *ast.CallExpr) (types.Object, string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-		return nil, "", false
-	}
-	tv, ok := p.Info.Types[sel.X]
-	if !ok || tv.Type == nil || !isSyncMutex(tv.Type) {
-		return nil, "", false
-	}
-	obj := mutexObject(p, sel.X)
-	if obj == nil {
-		return nil, "", false
-	}
-	return obj, types.ExprString(sel.X), true
 }
 
 // mutexObject resolves the mutex expression to the variable or field

@@ -39,7 +39,7 @@ func TestChromeTraceExportRacesWithParallelSpans(t *testing.T) {
 		}
 	}()
 
-	parallel.For(iterations, 8, func(i int) {
+	if _, err := parallel.Map(make([]struct{}, iterations), 8, func(i int, _ struct{}) (struct{}, error) {
 		root := obs.Start(nil, "race.worker")
 		root.AttrInt("iteration", i)
 		child := root.Start("race.child")
@@ -49,7 +49,10 @@ func TestChromeTraceExportRacesWithParallelSpans(t *testing.T) {
 		grand.End()
 		child.End()
 		root.End()
-	})
+		return struct{}{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	close(stop)
 	<-exportDone
 

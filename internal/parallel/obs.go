@@ -9,11 +9,11 @@ import (
 )
 
 // taskBuckets span 1 µs to 1000 s, one decade per bucket — wide enough
-// for both row-kernel blocks and whole qualification campaigns.
+// for both single sweep points and whole qualification campaigns.
 var taskBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
-// poolObs accumulates the telemetry of one pool invocation (one Blocks
-// or Map call).  A nil *poolObs — returned when metrics are disabled —
+// poolObs accumulates the telemetry of one pool invocation (one Map
+// call).  A nil *poolObs — returned when metrics are disabled —
 // makes every method a no-op, so the hot paths carry only nil checks.
 //
 // Metric names (see DESIGN.md "Observability"):

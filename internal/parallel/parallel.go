@@ -1,24 +1,21 @@
 // Package parallel is aeropack's stdlib-only worker-pool layer: bounded
-// fan-out over index ranges and slices, built for the embarrassingly
-// parallel sweeps the paper's evaluation consists of (power sweeps,
-// technology maps, qualification campaigns) and for the row-parallel
-// kernels underneath them.
+// fan-out over slices, built for the embarrassingly parallel sweeps the
+// paper's evaluation consists of (power sweeps, technology maps,
+// qualification campaigns).
 //
-// Every entry point takes a workers knob: values <= 0 resolve to
-// runtime.GOMAXPROCS(0), 1 selects the inline serial path (the
-// default-verifiable baseline), and larger values bound the number of
-// goroutines.  Work is distributed deterministically — contiguous
-// blocks for For/Blocks, in-order dispatch for Map — and results land
-// in exactly the positions a serial run would produce, so callers whose
-// items are independent get bitwise-identical output at any worker
-// count.
+// Map takes a workers knob: values <= 0 resolve to Workers(0), 1 selects
+// the inline serial path (the default-verifiable baseline), and larger
+// values bound the number of goroutines.  Items are dispatched in index
+// order and results land in exactly the positions a serial run would
+// produce, so callers whose items are independent get bitwise-identical
+// output at any worker count.
 //
 // A panic inside a worker is captured and re-raised in the caller's
-// goroutine once every worker has stopped; when several work items
-// panic, the one with the lowest block start (For/Blocks) or item index
-// (Map) wins, which for a deterministic body is the same panic a serial
-// loop would have surfaced.  The argument-contract panics of
-// internal/linalg therefore survive pool boundaries unchanged.
+// goroutine once every worker has stopped; when several items panic, the
+// one with the lowest item index wins, which for a deterministic body is
+// the same panic a serial loop would have surfaced.  The
+// argument-contract panics of internal/linalg therefore survive pool
+// boundaries unchanged.
 package parallel
 
 import (
@@ -31,10 +28,8 @@ import (
 // otherwise min(runtime.GOMAXPROCS(0), runtime.NumCPU()).  The cap
 // matters under `go test -cpu=N` (and any other GOMAXPROCS raised above
 // the machine's core count): spawning more workers than cores buys no
-// parallelism but pays real synchronisation, which is exactly how the
-// Par_SolveSteadyParallel benchmark came to lose to serial.  An explicit
-// positive n is honoured untouched — oversubscription on purpose stays
-// possible.
+// parallelism but pays real synchronisation.  An explicit positive n is
+// honoured untouched — oversubscription on purpose stays possible.
 func Workers(n int) int {
 	if n > 0 {
 		return n
@@ -43,32 +38,6 @@ func Workers(n int) int {
 		return ncpu
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Ranges splits [0,n) into min(Workers(workers), n) contiguous
-// near-equal [lo,hi) blocks covering every index exactly once.  The
-// partition depends only on n and workers, never on scheduling, so the
-// same knob always yields the same block boundaries.
-func Ranges(n, workers int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	out := make([][2]int, w)
-	base, rem := n/w, n%w
-	lo := 0
-	for b := 0; b < w; b++ {
-		hi := lo + base
-		if b < rem {
-			hi++
-		}
-		out[b] = [2]int{lo, hi}
-		lo = hi
-	}
-	return out
 }
 
 // capture records the panic from the lowest-indexed work item so the
@@ -93,55 +62,6 @@ func (c *capture) rethrow() {
 	if c.set {
 		panic(c.val) //lint:allow panicpolicy re-raising a captured worker panic keeps linalg contract checks observable across the pool
 	}
-}
-
-// Blocks runs fn(b, lo, hi) for each block b of Ranges(n, workers), one
-// goroutine per block (inline, without spawning, when a single block
-// suffices).  It returns only after every block has finished; a worker
-// panic is then re-raised in the caller.
-func Blocks(n, workers int, fn func(b, lo, hi int)) {
-	rs := Ranges(n, workers)
-	if len(rs) == 0 {
-		return
-	}
-	po := startPoolObs(len(rs))
-	if len(rs) == 1 {
-		t0 := po.taskStart()
-		fn(0, rs[0][0], rs[0][1])
-		po.taskEnd(t0)
-		po.finish()
-		return
-	}
-	var pc capture
-	var wg sync.WaitGroup
-	wg.Add(len(rs))
-	for b, r := range rs {
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					pc.record(lo, v)
-				}
-			}()
-			t0 := po.taskStart()
-			fn(b, lo, hi)
-			po.taskEnd(t0)
-		}(b, r[0], r[1])
-	}
-	wg.Wait()
-	po.finish()
-	pc.rethrow()
-}
-
-// For runs fn(i) for every i in [0,n) across at most Workers(workers)
-// goroutines with contiguous block assignment.  Each index is visited
-// exactly once; workers == 1 degenerates to the plain serial loop.
-func For(n, workers int, fn func(i int)) {
-	Blocks(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
 }
 
 // Map evaluates fn over items with at most Workers(workers) concurrent

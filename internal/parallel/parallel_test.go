@@ -29,44 +29,16 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestRangesCoverAndPartition(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {4, 4}, {5, 4}, {7, 3}, {100, 8}, {3, 10}, {6, 1}, {9, 0},
-	} {
-		rs := Ranges(tc.n, tc.workers)
-		seen := make([]bool, tc.n)
-		prev := 0
-		for _, r := range rs {
-			if r[0] != prev {
-				t.Fatalf("Ranges(%d,%d): block starts at %d, want %d", tc.n, tc.workers, r[0], prev)
-			}
-			if r[1] <= r[0] {
-				t.Fatalf("Ranges(%d,%d): empty block %v", tc.n, tc.workers, r)
-			}
-			for i := r[0]; i < r[1]; i++ {
-				seen[i] = true
-			}
-			prev = r[1]
-		}
-		if prev != tc.n {
-			t.Fatalf("Ranges(%d,%d): blocks end at %d", tc.n, tc.workers, prev)
-		}
-		for i, ok := range seen {
-			if !ok {
-				t.Fatalf("Ranges(%d,%d): index %d not covered", tc.n, tc.workers, i)
-			}
-		}
-		if tc.n > 0 && tc.workers > 0 && len(rs) > tc.workers {
-			t.Fatalf("Ranges(%d,%d): %d blocks exceed worker cap", tc.n, tc.workers, len(rs))
-		}
-	}
-}
-
-func TestForVisitsEachIndexOnce(t *testing.T) {
+func TestMapVisitsEachIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 13} {
 		const n = 101
 		counts := make([]int32, n)
-		For(n, workers, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		if _, err := Map(make([]int, n), workers, func(i, _ int) (int, error) {
+			atomic.AddInt32(&counts[i], 1)
+			return i, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
@@ -75,52 +47,15 @@ func TestForVisitsEachIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForSerialVsParallelEquivalence(t *testing.T) {
-	const n = 257
-	want := make([]float64, n)
-	For(n, 1, func(i int) { want[i] = float64(i) * 1.5 })
-	for _, workers := range []int{2, 4, 9} {
-		got := make([]float64, n)
-		For(n, workers, func(i int) { got[i] = float64(i) * 1.5 })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: index %d mismatch", workers, i)
-			}
-		}
-	}
-}
-
-func TestForPanicPropagation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				v := recover()
-				if v == nil {
-					t.Fatalf("workers=%d: panic did not propagate", workers)
-				}
-				if s, ok := v.(string); !ok || s != "linalg: contract violated" {
-					t.Fatalf("workers=%d: recovered %v, want original panic value", workers, v)
-				}
-			}()
-			For(64, workers, func(i int) {
-				if i == 17 {
-					panic("linalg: contract violated")
-				}
-			})
-		}()
-	}
-}
-
-func TestForPanicLowestBlockWins(t *testing.T) {
-	// Every block panics; the deterministic winner is the one from the
-	// lowest block, which is what a serial loop would surface first.
+func TestMapPanicLowestIndexWins(t *testing.T) {
+	// Every item panics; the deterministic winner is the lowest index,
+	// which is what a serial loop would surface first.
 	defer func() {
-		v := recover()
-		if v != "boom-0" {
+		if v := recover(); v != "boom-0" {
 			t.Fatalf("recovered %v, want boom-0", v)
 		}
 	}()
-	Blocks(40, 4, func(b, lo, hi int) { panic(fmt.Sprintf("boom-%d", lo)) })
+	_, _ = Map(make([]int, 40), 4, func(i, _ int) (int, error) { panic(fmt.Sprintf("boom-%d", i)) })
 }
 
 func TestMapOrderingAndEquivalence(t *testing.T) {

@@ -68,22 +68,6 @@ func (e *PointError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *PointError) Unwrap() error { return e.Err }
 
-// FirstError returns the lowest-index PointError, or nil when the
-// campaign had no failures — the value keep-going commands surface when
-// they need a single representative error.
-func FirstError(errs []*PointError) *PointError {
-	if len(errs) == 0 {
-		return nil
-	}
-	first := errs[0]
-	for _, e := range errs[1:] {
-		if e.Index < first.Index {
-			first = e
-		}
-	}
-	return first
-}
-
 // Options are the run controls every study entry takes.
 type Options struct {
 	// Workers bounds the points evaluated concurrently (<= 0 means

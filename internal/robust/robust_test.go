@@ -198,14 +198,3 @@ func TestPointErrorFormatting(t *testing.T) {
 		t.Errorf("unlabelled Error() = %q", got)
 	}
 }
-
-func TestFirstError(t *testing.T) {
-	if FirstError(nil) != nil {
-		t.Error("FirstError(nil) must be nil")
-	}
-	a := &PointError{Index: 4}
-	b := &PointError{Index: 1}
-	if got := FirstError([]*PointError{a, b}); got != b {
-		t.Errorf("FirstError = %+v, want index 1", got)
-	}
-}

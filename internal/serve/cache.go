@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 )
 
@@ -32,10 +34,15 @@ const (
 	goldenDigest = "859b878e7d391ba156dbddf13215796dd19af50b03b2ae1448d69e70f48d204b"
 )
 
+// entrySchema tags the header line of every disk entry.
+const entrySchema = "aeropack-result/v1"
+
 // resultCache stores finished response bodies by request hash: an
 // in-memory map always, plus best-effort persistence under
-// dir/modelVersion when a dir is configured (survives server restarts;
-// corrupt or missing files fall back to recompute).  compute stores
+// dir/modelVersion when a dir is configured (survives server restarts).
+// Each disk entry is a header line "<entrySchema> <sha256 of body>"
+// followed by the body; a file that is short, garbled or fails the hash
+// is a miss and recomputes.  compute stores
 // every HTTP 200 body of an unbudgeted study that ran to the end,
 // partial keep-going bodies included: their point failures are as
 // deterministic as their points.  Error bodies, budgeted studies (their
@@ -66,22 +73,47 @@ func (c *resultCache) path(key string) string {
 }
 
 // get returns the stored body for key, or nil.  A disk hit is promoted
-// into memory so the next lookup skips the filesystem.
-func (c *resultCache) get(key string) []byte {
+// into memory so the next lookup skips the filesystem.  corrupt reports
+// a disk entry that exists but fails verification; the next put for the
+// key overwrites it.
+func (c *resultCache) get(key string) (body []byte, corrupt bool) {
 	c.mu.RLock()
-	body := c.mem[key]
+	body = c.mem[key]
 	c.mu.RUnlock()
 	if body != nil || c.dir == "" {
-		return body
+		return body, false
 	}
-	body, err := os.ReadFile(c.path(key))
-	if err != nil || len(body) == 0 {
-		return nil
+	data, err := os.ReadFile(c.path(key))
+	if err != nil {
+		return nil, false
+	}
+	body, ok := decodeEntry(data)
+	if !ok {
+		return nil, true
 	}
 	c.mu.Lock()
 	c.mem[key] = body
 	c.mu.Unlock()
-	return body
+	return body, false
+}
+
+// encodeEntry frames body for disk behind its header line.
+func encodeEntry(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append([]byte(entrySchema+" "+hex.EncodeToString(sum[:])+"\n"), body...)
+}
+
+// decodeEntry returns the body of a framed disk entry, ok=false when the
+// header is missing or names another schema, the body is empty, or its
+// sha256 does not match the header.
+func decodeEntry(data []byte) (body []byte, ok bool) {
+	header, body, found := bytes.Cut(data, []byte("\n"))
+	tag, digest, _ := strings.Cut(string(header), " ")
+	sum := sha256.Sum256(body)
+	if !found || tag != entrySchema || len(body) == 0 || digest != hex.EncodeToString(sum[:]) {
+		return nil, false
+	}
+	return body, true
 }
 
 // put stores a finished body.  The disk write is best-effort: a failed
@@ -97,7 +129,7 @@ func (c *resultCache) put(key string, body []byte) error {
 	// Write-rename so a crashed server never leaves a torn file that a
 	// restart would replay as a (corrupt) cached result.
 	tmp := c.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
+	if err := os.WriteFile(tmp, encodeEntry(body), 0o644); err != nil {
 		return fmt.Errorf("serve: persisting cache entry: %w", err)
 	}
 	if err := os.Rename(tmp, c.path(key)); err != nil {

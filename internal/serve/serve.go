@@ -245,7 +245,11 @@ func (s *Server) handleStudies(w http.ResponseWriter, r *http.Request) {
 // admission or computing.  A canceled computation is never cached and
 // never handed to a later request.
 func (s *Server) compute(ctx context.Context, key string, req *StudyRequest) (status int, body []byte, cacheState string) {
-	if b := s.cache.get(key); b != nil {
+	b, corrupt := s.cache.get(key)
+	if corrupt {
+		s.count("serve_cache_corrupt_total")
+	}
+	if b != nil {
 		s.count("serve_cache_hits_total")
 		return http.StatusOK, b, "hit"
 	}

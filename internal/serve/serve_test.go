@@ -143,7 +143,8 @@ func TestCacheSpeedup(t *testing.T) {
 // TestCacheDiskPersistence checks -cache-dir: a second server over the
 // same directory serves the first server's results without recompute,
 // an entry another model version wrote is never replayed, and an empty
-// (torn) file falls back to recompute instead of replaying garbage.
+// (torn), truncated or bit-flipped entry is counted as corrupt and
+// recomputes to the original bytes instead of replaying garbage.
 func TestCacheDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	body := readContract(t, "techmap.request.json")
@@ -163,8 +164,9 @@ func TestCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cache entry not persisted: %v", err)
 	}
-	if !bytes.Equal(onDisk, w1.Body.Bytes()) {
-		t.Error("persisted entry differs from served body")
+	payload, ok := decodeEntry(onDisk)
+	if !ok || !bytes.Equal(payload, w1.Body.Bytes()) {
+		t.Error("persisted entry's payload differs from served body")
 	}
 
 	s2 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
@@ -176,17 +178,34 @@ func TestCacheDiskPersistence(t *testing.T) {
 		t.Error("disk-cached body differs from original")
 	}
 
-	// Torn write: an empty file must recompute, not replay.
-	if err := os.WriteFile(entry, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
-	w3 := postStudy(s3, body)
-	if w3.Code != http.StatusOK || w3.Header().Get("X-Aeropack-Cache") != "miss" {
-		t.Fatalf("empty entry: status %d cache %q, want recompute", w3.Code, w3.Header().Get("X-Aeropack-Cache"))
-	}
-	if !bytes.Equal(w3.Body.Bytes(), w1.Body.Bytes()) {
-		t.Error("recomputed body differs from original")
+	flipped := append([]byte(nil), onDisk...)
+	flipped[len(flipped)-2] ^= 0x01
+	for _, tc := range []struct {
+		name  string
+		entry []byte
+	}{
+		{"empty", nil},
+		{"truncated", onDisk[:len(onDisk)/2]},
+		{"flipped byte", flipped},
+	} {
+		if err := os.WriteFile(entry, tc.entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s3 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+		w3 := postStudy(s3, body)
+		if w3.Code != http.StatusOK || w3.Header().Get("X-Aeropack-Cache") != "miss" {
+			t.Fatalf("%s entry: status %d cache %q, want recompute", tc.name, w3.Code, w3.Header().Get("X-Aeropack-Cache"))
+		}
+		if !bytes.Equal(w3.Body.Bytes(), w1.Body.Bytes()) {
+			t.Errorf("%s entry: recomputed body differs from original", tc.name)
+		}
+		if got := s3.reg.Counter("serve_cache_corrupt_total").Value(); got != 1 {
+			t.Errorf("%s entry: serve_cache_corrupt_total = %d, want 1", tc.name, got)
+		}
+		// The recompute overwrote the entry with a valid one.
+		if repaired, err := os.ReadFile(entry); err != nil || !bytes.Equal(repaired, onDisk) {
+			t.Errorf("%s entry: not rewritten by the recompute (err %v)", tc.name, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the tier-1 gate: formatting, vet, aeropacklint (full rule
-# suite plus the //lint:allow audit), build, race-enabled tests, coverage
-# floors and a lint-cache benchmark smoke run.  Any failure stops the
+# suite plus the //lint:allow audit, one invocation), build, race-enabled
+# tests, coverage floors and benchmark smoke runs.  Any failure stops the
 # script with a non-zero exit.
 set -eu
 
@@ -50,14 +50,8 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== aeropacklint (all thirteen rules, interprocedural + value-flow)"
+echo "== aeropacklint (all twelve rules, interprocedural + value-flow, plus the //lint:allow audit)"
 go run ./cmd/aeropacklint -q ./...
-
-echo "== aeropacklint -audit-allows (no stale suppressions)"
-go run ./cmd/aeropacklint -q -audit-allows ./...
-
-echo "== aeropacklint -fix -dry-run (no machine-applicable fixes left unapplied)"
-go run ./cmd/aeropacklint -q -fix -dry-run ./...
 
 echo "== go build"
 go build ./...
@@ -95,14 +89,8 @@ AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/E5Factorizati
 echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + Par_SolveSteadySerial, 1 iteration)"
 go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkPar_SolveSteady' -benchtime 1x .
 
-echo "== lint-cache benchmark smoke (BenchmarkLintModule, 1 iteration)"
-go test -run - -bench BenchmarkLintModule -benchtime 1x ./internal/lint
-
-echo "== lint-phase benchmark smoke (BenchmarkLintPhases, 1 iteration)"
-go test -run - -bench BenchmarkLintPhases -benchtime 1x ./internal/lint
-
-echo "== value-flow benchmark smoke (BenchmarkValueFlow, 1 iteration)"
-go test -run - -bench BenchmarkValueFlow -benchtime 1x ./internal/lint
+echo "== lint benchmark smoke (BenchmarkLintModule + LintPhases + ValueFlow, 1 iteration)"
+go test -run - -bench 'BenchmarkLintModule|BenchmarkLintPhases|BenchmarkValueFlow' -benchtime 1x ./internal/lint
 
 echo "== flight-recorder disabled-path benchmark smoke (1 iteration)"
 go test -run - -bench 'BenchmarkRecorderDisabled|BenchmarkObsDisabledSpan' -benchtime 1x ./internal/obs
