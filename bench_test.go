@@ -768,35 +768,6 @@ func BenchmarkAblation_PCBCopper(b *testing.B) {
 	}
 }
 
-func solverModel() *thermal.Model {
-	g, _ := mesh.Uniform(24, 24, 4, 0.16, 0.16, 0.006)
-	m, _ := thermal.NewModel(g, []materials.Material{materials.Al6061})
-	m.SetFaceBC(mesh.ZMin, thermal.BC{Kind: thermal.Convection, T: 300, H: 50})
-	m.AddVolumeSource(0.06, 0.1, 0.06, 0.1, 0, 0.006, 30)
-	return m
-}
-
-func BenchmarkAblation_SolverCG(b *testing.B)       { benchSolver(b, "cg") }
-func BenchmarkAblation_SolverJacobi(b *testing.B)   { benchSolver(b, "cg-jacobi") }
-func BenchmarkAblation_SolverSSOR(b *testing.B)     { benchSolver(b, "cg-ssor") }
-func BenchmarkAblation_SolverIC0(b *testing.B)      { benchSolver(b, "cg-ic0") }
-func BenchmarkAblation_SolverMIC0(b *testing.B)     { benchSolver(b, "cg-mic0") }
-func BenchmarkAblation_SolverFDM(b *testing.B)      { benchSolver(b, "cg-fdm") }
-func BenchmarkAblation_SolverBiCGSTAB(b *testing.B) { benchSolver(b, "bicgstab") }
-
-func benchSolver(b *testing.B, solver string) {
-	m := solverModel()
-	var iters int
-	for i := 0; i < b.N; i++ {
-		res, err := m.SolveSteady(context.Background(), &thermal.SolveOptions{Solver: solver})
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters = res.Iterations
-	}
-	emit("abl-solver-"+solver, fmt.Sprintf("Ablation — solver %-10s: %d iterations to 1e-9\n", solver, iters))
-}
-
 func BenchmarkAblation_MeshConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var rows [][2]string

@@ -3,6 +3,8 @@ package linalg
 import (
 	"fmt"
 	"math"
+
+	"aeropack/internal/obs"
 )
 
 // ICPrec is an incomplete-Cholesky preconditioner in root-free form:
@@ -14,16 +16,17 @@ import (
 // so M is close to a complete factorization and preconditioned CG
 // converges in a handful of iterations where Jacobi needs dozens.
 //
-// Two variants share the code.  IC(0) (NewICPrec, kind "ic0") simply
-// discards the dropped fill.  Modified IC(0) (NewMICPrec, kind "mic0")
-// subtracts micOmega times each dropped fill from the two diagonals it
-// couples, so M nearly keeps A's row sums; on the FV board operators
-// that roughly halves the CG iterations.
+// Two variants share the code.  IC(0) (NewICPrec) simply discards the
+// dropped fill.  Modified IC(0) (NewMICPrec) subtracts micOmega times
+// each dropped fill from the two diagonals it couples, so M nearly keeps
+// A's row sums; on the FV board operators that roughly halves the CG
+// iterations.
 //
 // Incomplete factorization of an SPD matrix can still break down (a
 // pivot d ≤ 0 once fill is discarded — Kershaw's classic example).  The
 // constructor then retries on the shifted matrix A + α·diag(A) with a
-// growing ladder of shifts; Shift reports the α that succeeded.
+// growing ladder of shifts; Shift reports the α that succeeded, and
+// linalg_ic0_shifted_total counts the factors that needed one.
 //
 // Apply is self-contained — the forward solve writes into z and the
 // backward solve runs in place on z, so one ICPrec instance may be
@@ -37,12 +40,10 @@ type ICPrec struct {
 	shift float64 // diagonal shift α used (0 for a clean factorization)
 }
 
-// icSymbolic is the reusable symbolic part of an incomplete
-// factorization: the lower-triangle pattern of A, the mapping from its
-// entries back into A's value array, and a column index over the strict
-// lower part.  It is immutable after construction, so one instance can
-// back many numeric factorizations (SolverSetup shares it across sweep
-// points whose matrices have identical structure).
+// icSymbolic is the symbolic part of an incomplete factorization: the
+// lower-triangle pattern of A, the mapping from its entries back into
+// A's value array, and a column index over the strict lower part.  It
+// is immutable after construction.
 type icSymbolic struct {
 	n      int
 	rowPtr []int // row i's slots are rowPtr[i]..rowPtr[i+1]-1, the last its diagonal
@@ -67,8 +68,8 @@ var icShifts = []float64{0, 1e-3, 1e-2, 1e-1, 1, 10}
 // NewICPrec builds an IC(0) preconditioner for the symmetric positive
 // definite matrix a.  When the factorization breaks down it retries with
 // progressively larger diagonal shifts; the error reports the final
-// breakdown when even the largest shift fails (callers typically degrade
-// to Jacobi — see robust.Chain).
+// breakdown when even the largest shift fails (thermal.Model then
+// degrades to Jacobi).
 func NewICPrec(a *CSR) (*ICPrec, error) { return newIC(a, 0) }
 
 // NewMICPrec builds a modified IC(0) preconditioner for the symmetric
@@ -136,11 +137,10 @@ func icSymbolicFromCSR(a *CSR) (*icSymbolic, error) {
 	return s, nil
 }
 
-// factor runs the numeric factorization against a, walking the shift
-// ladder on breakdown; omega is the fill compensation (0 for IC(0)).
-// The matrix must have the pattern the symbolic phase was built from
-// (SolverSetup guarantees this by content hash; direct callers get it
-// from newIC).
+// factor runs the numeric factorization against a, the matrix the
+// symbolic phase was built from, walking the shift ladder on breakdown;
+// omega is the fill compensation (0 for IC(0)).  A factor that needed a
+// shift is counted on linalg_ic0_shifted_total.
 func (s *icSymbolic) factor(a *CSR, omega float64) (*ICPrec, error) {
 	val := make([]float64, len(s.colIdx))
 	var lastErr error
@@ -148,6 +148,9 @@ func (s *icSymbolic) factor(a *CSR, omega float64) (*ICPrec, error) {
 		if err := s.factorShifted(a, alpha, omega, val); err != nil {
 			lastErr = err
 			continue
+		}
+		if alpha > 0 {
+			obs.Default().Counter("linalg_ic0_shifted_total").Inc()
 		}
 		return &ICPrec{sym: s, val: val, shift: alpha}, nil
 	}
@@ -236,29 +239,4 @@ func (p *ICPrec) Apply(r, z []float64) {
 		}
 		z[i] = v
 	}
-}
-
-// matches reports whether a has exactly the lower-triangle pattern this
-// symbolic factorization was built from.
-func (s *icSymbolic) matches(a *CSR) bool {
-	if a.Rows != s.n || a.Cols != s.n {
-		return false
-	}
-	k := 0
-	for i := 0; i < s.n; i++ {
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			j := a.ColIdx[q]
-			if j > i {
-				break
-			}
-			if k >= s.rowPtr[i+1] || s.colIdx[k] != j || s.src[k] != q {
-				return false
-			}
-			k++
-		}
-		if k != s.rowPtr[i+1] {
-			return false
-		}
-	}
-	return true
 }

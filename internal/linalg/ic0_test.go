@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"aeropack/internal/obs"
 )
 
 // denseSPDCSR builds a seeded random dense SPD matrix (A = Bᵀ·B + n·I)
@@ -145,9 +147,20 @@ func kershawCSR() *CSR {
 	return coo.ToCSR()
 }
 
-// Breakdown on an SPD matrix must engage the shifted-diagonal ladder and
-// still yield a working preconditioner.
+// withRegistry installs a fresh metrics registry for the test and
+// restores the previous one afterwards.
+func withRegistry(t *testing.T) *obs.Registry {
+	t.Helper()
+	reg := obs.NewRegistry()
+	prev := obs.SetDefault(reg)
+	t.Cleanup(func() { obs.SetDefault(prev) })
+	return reg
+}
+
+// Breakdown on an SPD matrix must engage the shifted-diagonal ladder,
+// count the shifted factor and still yield a working preconditioner.
 func TestICPrecShiftFallback(t *testing.T) {
+	reg := withRegistry(t)
 	a := kershawCSR()
 	p, err := NewICPrec(a)
 	if err != nil {
@@ -155,6 +168,9 @@ func TestICPrecShiftFallback(t *testing.T) {
 	}
 	if p.Shift() == 0 {
 		t.Fatal("Kershaw matrix factored without a shift; breakdown case lost")
+	}
+	if got := reg.Counter("linalg_ic0_shifted_total").Value(); got != 1 {
+		t.Errorf("linalg_ic0_shifted_total = %d, want 1", got)
 	}
 	b := []float64{1, 2, 3, 4}
 	x, _, err := CG(a, b, nil, p, 1e-12, 100)
@@ -452,14 +468,12 @@ func micDense(a *CSR, shift, omega float64) [][]float64 {
 // "mic0" must match the dense right-looking MIC reference entry by
 // entry: N in the strict-lower slots, 1/D in the diagonal ones.
 func TestMICPrecMatchesDenseReference(t *testing.T) {
-	s := NewSolverSetup()
 	for seed := int64(1); seed <= 20; seed++ {
 		a := randomStencil(seed)
-		pc, err := s.PrecFor("mic0", a, 0)
+		p, err := NewMICPrec(a)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		p := pc.(*ICPrec)
 		ref := micDense(a, p.Shift(), micOmega)
 		for i := 0; i < a.Rows; i++ {
 			for k := p.sym.rowPtr[i]; k < p.sym.rowPtr[i+1]; k++ {
@@ -478,8 +492,9 @@ func TestMICPrecMatchesDenseReference(t *testing.T) {
 
 // Kershaw's matrix breaks IC(0) (TestICPrecShiftFallback), but the MIC
 // compensation raises the pivots it starves: MIC(0) factors it without
-// a shift, and CG still reaches the dense solution.
+// a shift, counts none, and CG still reaches the dense solution.
 func TestMICPrecKershawNoShift(t *testing.T) {
+	reg := withRegistry(t)
 	a := kershawCSR()
 	p, err := NewMICPrec(a)
 	if err != nil {
@@ -487,6 +502,9 @@ func TestMICPrecKershawNoShift(t *testing.T) {
 	}
 	if p.Shift() != 0 {
 		t.Fatalf("MIC(0) needed shift %g on the Kershaw matrix", p.Shift())
+	}
+	if got := reg.Counter("linalg_ic0_shifted_total").Value(); got != 0 {
+		t.Errorf("linalg_ic0_shifted_total = %d, want 0", got)
 	}
 	b := []float64{1, 2, 3, 4}
 	x, stats, err := CG(a, b, nil, p, 1e-12, 100)

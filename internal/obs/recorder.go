@@ -22,7 +22,7 @@ type Event struct {
 	Seq  int64     `json:"seq"`
 	Time time.Time `json:"time"`
 	// Kind classifies the event: "span_begin", "span_end", "solver",
-	// "fallback", "degrade", "cache", "pool", "study_begin", "study_end".
+	// "fallback", "degrade", "pool", "study_begin", "study_end".
 	Kind string `json:"kind"`
 	// Name identifies the subject within the kind (span name, solver
 	// method, chain rung, study label, ...).

@@ -2,7 +2,6 @@ package robust
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -15,10 +14,11 @@ import (
 // Attempt is one rung of a fallback Chain: a solver method, an optional
 // preconditioner, and the budgets bounding the try.
 type Attempt struct {
-	Name   string  // rung identity for spans and error text, e.g. "bicgstab-jacobi"
-	Method string  // "cg" or "bicgstab"
-	Prec   string  // "", "jacobi", "ssor", "ic0", "mic0" or "fdm" (first rung, prebuilt: Chain.Prec)
-	Omega  float64 // SSOR relaxation factor; 0 means 1.2
+	Name   string // rung identity for spans and error text, e.g. "bicgstab-jacobi"
+	Method string // "cg" or "bicgstab"
+	// Prec is "" (the identity) or "jacobi".  Rung 0 uses Chain.Prec
+	// instead when that is set.
+	Prec string
 
 	// TolScale relaxes the chain tolerance for this rung (solve at
 	// Tol*TolScale); 0 or 1 means solve at the chain tolerance.
@@ -35,11 +35,13 @@ type Attempt struct {
 // Chain is the level-2 FV model's one linear-solve entry: every
 // thermal.Model system, steady or transient, is solved by one
 // Chain.Solve call, which owns everything between the assembled system
-// and its answer: the first rung's preconditioner, the IC(0)/MIC(0) →
-// Jacobi degrade, the fallback ladder and the dense last resort.
-// (Resistive networks solve directly, by a sparse LDLᵀ.)
+// and its answer: the fallback ladder and the dense last resort.  The
+// caller picks the first rung's preconditioner.  (Resistive networks
+// solve directly, by a sparse LDLᵀ.)
 //
-// Attempts is the ladder, usually Ladder(solver).  Attempt 0 is the
+// Attempts is the ladder; without one a Chain runs the standard ladder:
+// CG preconditioned by Prec, then BiCGSTAB with Jacobi, then CG with
+// Jacobi at 10³× the tolerance, refined back to it.  Attempt 0 is the
 // caller's primary configuration: a solve that succeeds on it is
 // bitwise-identical to a direct linalg call with the same
 // preconditioner, emits no extra spans and touches no fallback counters.
@@ -53,16 +55,8 @@ type Chain struct {
 
 	// OnIteration is forwarded to every attempt's IterOptions.
 	OnIteration func(it int, residual float64)
-	// Setup, if non-nil, caches preconditioner factors (and, for IC(0),
-	// the symbolic pattern) across Solve calls on systems with repeated
-	// content — the reuse seam Picard passes thread through.
-	// Preconditioners obtained from a Setup are shared and immutable;
-	// without one, each attempt builds its own.
-	Setup *linalg.SolverSetup
 	// Prec, if non-nil, is the first rung's preconditioner, built by the
-	// caller.  A rung of kind "fdm" needs it: fast-diagonalization
-	// factors come from the model behind the matrix, not from the CSR.
-	// Later rungs build their own.
+	// caller.  Later rungs build their own.
 	Prec linalg.Preconditioner
 }
 
@@ -84,57 +78,12 @@ const rungBudget = 10 * time.Second
 // rows costs about 70 Mflop and 2.9 MB.
 const denseMaxRows = 600
 
-// defaultLadder is the standard aeropack fallback ladder: plain CG, then
-// Jacobi-preconditioned BiCGSTAB, then a Jacobi-preconditioned CG retry
-// at 1000× relaxed tolerance that is refined back to the full tolerance
-// when possible.  Every rung carries a 10 s wall-clock budget.
-func defaultLadder() []Attempt {
-	return []Attempt{
-		{Name: "cg", Method: "cg", Budget: rungBudget},
-		{Name: "bicgstab-jacobi", Method: "bicgstab", Prec: "jacobi", Budget: rungBudget},
-		{Name: "cg-jacobi-relaxed", Method: "cg", Prec: "jacobi", TolScale: 1e3, Refine: true, Budget: rungBudget},
-	}
-}
-
-// ladders holds one ladder per solver name, built once so a solve pays
-// nothing to pick its ladder.
-var ladders = func() map[string][]Attempt {
-	firsts := []Attempt{
-		{Name: "cg", Method: "cg"},
-		{Name: "cg-jacobi", Method: "cg", Prec: "jacobi"},
-		{Name: "cg-ssor", Method: "cg", Prec: "ssor"},
-		{Name: "cg-ic0", Method: "cg", Prec: "ic0"},
-		{Name: "cg-mic0", Method: "cg", Prec: "mic0"},
-		{Name: "cg-fdm", Method: "cg", Prec: "fdm"},
-		{Name: "bicgstab", Method: "bicgstab", Prec: "jacobi"},
-	}
-	out := make(map[string][]Attempt, len(firsts))
-	for _, first := range firsts {
-		first.Budget = rungBudget
-		ladder := []Attempt{first}
-		for _, a := range defaultLadder() {
-			if a.Method == first.Method && a.Prec == first.Prec && a.TolScale <= 1 {
-				continue
-			}
-			ladder = append(ladder, a)
-		}
-		out[first.Name] = ladder
-	}
-	return out
-}()
-
-// Ladder returns the ladder for a name of the thermal solver vocabulary
-// ("cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "cg-fdm" or
-// "bicgstab", the last Jacobi-preconditioned): a first rung that mirrors
-// it, followed by the rungs of the default ladder that differ from it.
-// Unknown names get the default ladder.  A "cg-fdm" first rung takes its
-// preconditioner from Chain.Prec.  The ladders are shared: callers must
-// not modify them.
-func Ladder(solver string) []Attempt {
-	if l, ok := ladders[solver]; ok {
-		return l
-	}
-	return ladders["cg"]
+// ladder is the standard ladder a Chain without Attempts runs, each rung
+// under the 10 s wall-clock guard.
+var ladder = []Attempt{
+	{Name: "cg", Method: "cg", Budget: rungBudget},
+	{Name: "bicgstab-jacobi", Method: "bicgstab", Prec: "jacobi", Budget: rungBudget},
+	{Name: "cg-jacobi-relaxed", Method: "cg", Prec: "jacobi", TolScale: 1e3, Refine: true, Budget: rungBudget},
 }
 
 // guard is the IterOptions.Stop every rung of one Solve polls: the
@@ -166,8 +115,8 @@ func (g *guard) arm(budget time.Duration) {
 // and returns the solution with the Outcome describing which rung
 // produced it.  ctx is the caller's budget, polled once per iteration
 // of every rung (see Stop), and carries the span that parents the
-// fallback spans and is marked on a preconditioner degrade.  The first
-// attempt never opens a span, keeping happy-path span trees unchanged.
+// fallback spans.  The first attempt never opens a span, keeping
+// happy-path span trees unchanged.
 //
 //   - Inputs.  A non-finite entry in b or x0 is an error before the
 //     first rung: every rung would reject or propagate it, and the dense
@@ -181,8 +130,9 @@ func (g *guard) arm(budget time.Duration) {
 //     most 600 rows is solved by dense LU; otherwise, or if LU fails, the
 //     error wraps the last rung's cause.
 func (c *Chain) Solve(ctx context.Context, a *linalg.CSR, b, x0 []float64) ([]float64, Outcome, error) {
-	if len(c.Attempts) == 0 {
-		return nil, Outcome{}, errors.New("robust: chain has no attempts")
+	attempts := c.Attempts
+	if len(attempts) == 0 {
+		attempts = ladder
 	}
 	for _, v := range [2][]float64{b, x0} {
 		for i, vi := range v {
@@ -194,13 +144,13 @@ func (c *Chain) Solve(ctx context.Context, a *linalg.CSR, b, x0 []float64) ([]fl
 	g := &guard{stop: Stop(ctx)}
 	stop := g.poll
 	var lastErr error
-	for i, att := range c.Attempts {
+	for i, att := range attempts {
 		var sp *obs.Span
 		if i > 0 {
 			sp = fallbackSpan(ctx, i, att.Name, lastErr)
 		}
 		g.arm(att.Budget)
-		x, stats, relaxed, err := c.runAttempt(ctx, i, att, a, b, x0, stop)
+		x, stats, relaxed, err := c.runAttempt(i, att, a, b, x0, stop)
 		endFallbackSpan(sp, stats, err)
 		if err == nil {
 			if relaxed {
@@ -213,14 +163,14 @@ func (c *Chain) Solve(ctx context.Context, a *linalg.CSR, b, x0 []float64) ([]fl
 		}
 		lastErr = err
 	}
-	n := len(c.Attempts)
+	n := len(attempts)
 	obs.Default().Counter("robust_chain_exhausted_total").Add(1)
 	if rec := obs.CurrentRecorder(); rec != nil {
 		rec.Record("fallback", "chain_exhausted",
 			obs.Attr{Key: "attempts", Value: strconv.Itoa(n)},
 			obs.Attr{Key: "cause", Value: lastErr.Error()})
 	}
-	err := fmt.Errorf("robust: all %d solver attempts failed, last (%s): %w", n, c.Attempts[n-1].Name, lastErr)
+	err := fmt.Errorf("robust: all %d solver attempts failed, last (%s): %w", n, attempts[n-1].Name, lastErr)
 	if a.Rows > denseMaxRows {
 		return nil, Outcome{Fallbacks: n - 1}, err
 	}
@@ -263,12 +213,12 @@ func endFallbackSpan(sp *obs.Span, stats linalg.IterStats, err error) {
 }
 
 // runAttempt executes rung i, handling relaxed-then-refined tolerance.
-func (c *Chain) runAttempt(ctx context.Context, i int, att Attempt, a *linalg.CSR, b, x0 []float64, stop func() bool) ([]float64, linalg.IterStats, bool, error) {
+func (c *Chain) runAttempt(i int, att Attempt, a *linalg.CSR, b, x0 []float64, stop func() bool) ([]float64, linalg.IterStats, bool, error) {
 	tol := c.Tol
 	if att.TolScale > 1 {
 		tol *= att.TolScale
 	}
-	x, stats, err := c.solveOnce(ctx, i, att, a, b, x0, tol, stop)
+	x, stats, err := c.solveOnce(i, att, a, b, x0, tol, stop)
 	if err != nil || att.TolScale <= 1 {
 		return x, stats, false, err
 	}
@@ -277,7 +227,7 @@ func (c *Chain) runAttempt(ctx context.Context, i int, att Attempt, a *linalg.CS
 	}
 	// Refine from the relaxed iterate back to the full tolerance; if
 	// that fails, the relaxed solution still stands.
-	xr, rstats, rerr := c.solveOnce(ctx, i, att, a, b, x, c.Tol, stop)
+	xr, rstats, rerr := c.solveOnce(i, att, a, b, x, c.Tol, stop)
 	if rerr != nil {
 		return x, stats, true, nil
 	}
@@ -285,24 +235,24 @@ func (c *Chain) runAttempt(ctx context.Context, i int, att Attempt, a *linalg.CS
 	return xr, rstats, false, nil
 }
 
-func (c *Chain) solveOnce(ctx context.Context, i int, att Attempt, a *linalg.CSR, b, x0 []float64, tol float64, stop func() bool) ([]float64, linalg.IterStats, error) {
+func (c *Chain) solveOnce(i int, att Attempt, a *linalg.CSR, b, x0 []float64, tol float64, stop func() bool) ([]float64, linalg.IterStats, error) {
 	maxIter := att.MaxIter
 	if maxIter <= 0 {
 		maxIter = c.MaxIter
 	}
-	prec := c.Prec
-	if i > 0 || prec == nil {
-		if att.Prec == "fdm" {
-			return nil, linalg.IterStats{}, fmt.Errorf("robust: rung %s needs a prebuilt first-rung preconditioner (Chain.Prec)", att.Name)
-		}
-		prec = c.buildPrec(ctx, att, a)
-	}
 	opts := &linalg.IterOptions{
 		Tol:         tol,
 		MaxIter:     maxIter,
-		Prec:        prec,
 		OnIteration: c.OnIteration,
 		Stop:        stop,
+	}
+	switch {
+	case i == 0 && c.Prec != nil:
+		opts.Prec = c.Prec
+	case att.Prec == "jacobi":
+		opts.Prec = linalg.NewJacobiPrec(a)
+	case att.Prec != "":
+		return nil, linalg.IterStats{}, fmt.Errorf("robust: unknown preconditioner %q", att.Prec)
 	}
 	switch att.Method {
 	case "cg":
@@ -312,51 +262,4 @@ func (c *Chain) solveOnce(ctx context.Context, i int, att Attempt, a *linalg.CSR
 	default:
 		return nil, linalg.IterStats{}, fmt.Errorf("robust: unknown solver method %q", att.Method)
 	}
-}
-
-// buildPrec constructs the rung's preconditioner.  IC(0) and MIC(0)
-// factorization can fail even on an SPD matrix (breakdown through the
-// whole shift ladder); the rung then degrades to Jacobi — strictly
-// weaker but never failing — instead of aborting the attempt.  This is
-// the one place that degrade happens: robust_ic0_degraded_total counts
-// it for both kinds, the flight recorder keeps its cause and the
-// span of ctx is marked.
-func (c *Chain) buildPrec(ctx context.Context, att Attempt, a *linalg.CSR) linalg.Preconditioner {
-	omega := att.Omega
-	if omega == 0 {
-		omega = 1.2
-	}
-	p, err := c.precOf(att.Prec, a, omega)
-	if err == nil {
-		return p
-	}
-	obs.Default().Counter("robust_ic0_degraded_total").Add(1)
-	if rec := obs.CurrentRecorder(); rec != nil {
-		rec.Record("degrade", att.Name,
-			obs.Attr{Key: "from", Value: att.Prec},
-			obs.Attr{Key: "to", Value: "jacobi"},
-			obs.Attr{Key: "cause", Value: err.Error()})
-	}
-	obs.FromContext(ctx).Attr("prec_degraded", "jacobi")
-	p, _ = c.precOf("jacobi", a, omega)
-	return p
-}
-
-// precOf builds a preconditioner of kind for a, through the chain's
-// Setup cache when one is attached; "" is the identity (nil).
-func (c *Chain) precOf(kind string, a *linalg.CSR, omega float64) (linalg.Preconditioner, error) {
-	if c.Setup != nil {
-		return c.Setup.PrecFor(kind, a, omega)
-	}
-	switch kind {
-	case "jacobi":
-		return linalg.NewJacobiPrec(a), nil
-	case "ssor":
-		return linalg.NewSSORPrec(a, omega), nil
-	case "ic0":
-		return linalg.NewICPrec(a)
-	case "mic0":
-		return linalg.NewMICPrec(a)
-	}
-	return nil, nil
 }

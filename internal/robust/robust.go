@@ -9,8 +9,8 @@
 // degradation instead:
 //
 //   - Chain.Solve is the level-2 FV model's one linear-solve entry: it
-//     retries a failed solve down a fallback ladder (the configured
-//     solver → CG → BiCGSTAB → diagonally preconditioned
+//     retries a failed solve down one fallback ladder (CG with the
+//     caller's preconditioner → BiCGSTAB with Jacobi → a Jacobi CG
 //     relaxed-then-refined retry), each attempt bounded by an iteration
 //     cap and a wall-clock budget, and solves small systems densely as
 //     the last resort, with every fallback recorded via internal/obs
@@ -33,7 +33,6 @@
 //
 //	solver_fallbacks              counter, fallback attempts after a failed primary solve
 //	robust_chain_exhausted_total  counter, solves where every rung failed
-//	robust_ic0_degraded_total     counter, IC(0) or MIC(0) → Jacobi preconditioner degrades
 //	robust_relaxed_total          counter, solves accepted at relaxed tolerance only
 //	robust_point_errors_total     counter, campaign points captured as PointError
 package robust

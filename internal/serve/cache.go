@@ -77,9 +77,7 @@ func (c *resultCache) path(key string) string {
 // a disk entry that exists but fails verification; the next put for the
 // key overwrites it.
 func (c *resultCache) get(key string) (body []byte, corrupt bool) {
-	c.mu.RLock()
-	body = c.mem[key]
-	c.mu.RUnlock()
+	body = c.memGet(key)
 	if body != nil || c.dir == "" {
 		return body, false
 	}
@@ -95,6 +93,14 @@ func (c *resultCache) get(key string) (body []byte, corrupt bool) {
 	c.mem[key] = body
 	c.mu.Unlock()
 	return body, false
+}
+
+// memGet returns the in-memory body for key, or nil, without touching
+// the disk.
+func (c *resultCache) memGet(key string) []byte {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.mem[key]
 }
 
 // encodeEntry frames body for disk behind its header line.

@@ -258,6 +258,14 @@ func (s *Server) compute(ctx context.Context, key string, req *StudyRequest) (st
 	s.mu.Lock()
 	c, follower := s.inflight[key]
 	if !follower {
+		// A leader may have stored its body and left the in-flight map
+		// between the probe above and s.mu.  It stores before it leaves,
+		// so a second probe under s.mu sees the body.
+		if b := s.cache.memGet(key); b != nil {
+			s.mu.Unlock()
+			s.count("serve_cache_hits_total")
+			return http.StatusOK, b, "hit"
+		}
 		c = &call{done: make(chan struct{})}
 		run, c.cancel = context.WithCancel(context.WithoutCancel(ctx))
 		s.inflight[key] = c

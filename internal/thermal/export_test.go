@@ -1,0 +1,21 @@
+package thermal
+
+import "aeropack/internal/linalg"
+
+// System returns m's first-pass steady system A·T = b, assembled at the
+// surface-temperature estimate SolveSteady starts from, and, for a
+// separable model, the fast-diagonalization axes at that estimate.
+// Tests compare preconditioners on it directly through linalg.
+func (m *Model) System() (*linalg.CSR, []float64, [3]linalg.Axis) {
+	Tsurf := make([]float64, m.Grid.NumCells())
+	t0 := m.guessInitialT()
+	for i := range Tsurf {
+		Tsurf[i] = t0
+	}
+	a, b := (&stencil{m: m}).assemble(Tsurf)
+	var axes [3]linalg.Axis
+	if m.separable() {
+		axes = m.fdmAxes(Tsurf)
+	}
+	return a, b, axes
+}

@@ -3,7 +3,6 @@ package thermal
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"aeropack/internal/linalg"
@@ -101,10 +100,11 @@ func TestFDMAxesMatchStencil(t *testing.T) {
 	}
 }
 
-// TestNonSeparableModelsStayOnMIC0 checks the default-solver rule: a
+// TestNonSeparableModelsStayOnMIC0 checks the preconditioner rule: a
 // two-material model and a patched model are not Kronecker sums, so
-// they resolve to "cg-mic0" — bit for bit the explicit solve — and
-// naming "cg-fdm" for them is an error.
+// every pass is preconditioned by MIC(0), bit for bit the direct
+// MIC(0)-preconditioned CG on the assembled system, and both spans
+// name it.
 func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 	build := func() *Model {
 		g, err := mesh.Uniform(10, 8, 3, 0.1, 0.08, 0.006)
@@ -124,61 +124,102 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 	patched := build()
 	patched.AddPatchBC(mesh.ZMax, 0, 0.04, 0, 0.08, 0, 0.006, BC{Kind: FixedT, T: 305})
 	for name, m := range map[string]*Model{"two-material": twoMat, "patched": patched} {
-		def, err := m.SolveSteady(context.Background(), nil)
+		tr := obs.NewTrace()
+		prev := obs.SetTracer(tr)
+		res, err := m.SolveSteady(context.Background(), nil)
+		obs.SetTracer(prev)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		mic, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg-mic0"})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if def.Iterations != mic.Iterations {
-			t.Errorf("%s: default took %d iterations, cg-mic0 %d", name, def.Iterations, mic.Iterations)
-		}
-		for i := range def.T {
-			if def.T[i] != mic.T[i] {
-				t.Fatalf("%s: cell %d: default %v, cg-mic0 %v (must be bitwise identical)", name, i, def.T[i], mic.T[i])
+		for _, span := range []string{"thermal.SolveSteady", "thermal.linSolve"} {
+			if got := spanAttrs(t, tr, span); len(got) != 1 || got[0]["prec"] != "mic0" {
+				t.Errorf("%s: %s attributes %v, want prec mic0", name, span, got)
 			}
 		}
-		if _, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg-fdm"}); err == nil || !strings.Contains(err.Error(), "cg-fdm") {
-			t.Errorf("%s: cg-fdm err = %v, want a refusal naming the solver", name, err)
+		a, b, _ := m.System()
+		p, err := linalg.NewMICPrec(a)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := build().SolveTransient(context.Background(), 300, &TransientOptions{SolveOptions: SolveOptions{Solver: "cg-fdm"}, Dt: 1, Steps: 1}); err == nil || !strings.Contains(err.Error(), "steady solves only") {
-		t.Errorf("transient cg-fdm err = %v, want a steady-only refusal", err)
+		var o SolveOptions
+		o.defaults(m.Grid.NumCells())
+		want, stats, err := linalg.CG(a, b, nil, p, o.Tol, o.MaxIter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != stats.Iterations {
+			t.Errorf("%s: solve took %d iterations, direct MIC(0) CG %d", name, res.Iterations, stats.Iterations)
+		}
+		for i := range want {
+			if res.T[i] != want[i] {
+				t.Fatalf("%s: cell %d: solve %v, direct MIC(0) CG %v (must be bitwise identical)", name, i, res.T[i], want[i])
+			}
+		}
 	}
 }
 
 // TestFDMDegradesToMIC0 checks the degrade: with no face exchanging heat
 // the fast-diagonalization build fails (the constant mode is singular),
-// and the pass runs on MIC(0) instead — bit for bit the explicit solve —
-// with the event counted.
+// and the pass runs on MIC(0) instead — bit for bit its non-separable
+// twin, the same model with one face's BC repeated as a whole-face
+// patch — with the degrade counted, recorded and marked on the span.
 func TestFDMDegradesToMIC0(t *testing.T) {
 	reg := obs.NewRegistry()
-	prev := obs.SetDefault(reg)
-	defer obs.SetDefault(prev)
-	g, err := mesh.Uniform(6, 5, 2, 0.06, 0.05, 0.004)
+	prevReg := obs.SetDefault(reg)
+	defer obs.SetDefault(prevReg)
+	rec := obs.NewRecorder(64)
+	prevRec := obs.SetRecorder(rec)
+	defer obs.SetRecorder(prevRec)
+	tr := obs.NewTrace()
+	prevTr := obs.SetTracer(tr)
+	defer obs.SetTracer(prevTr)
+
+	build := func() *Model {
+		g, err := mesh.Uniform(6, 5, 2, 0.06, 0.05, 0.004)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewModel(g, []materials.Material{materials.Al6061})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	def, err := build().SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewModel(g, []materials.Material{materials.Al6061})
-	if err != nil {
-		t.Fatal(err)
+	if got := spanAttrs(t, tr, "thermal.linSolve"); len(got) != 1 || got[0]["prec"] != "mic0" || got[0]["prec_degraded"] != "mic0" {
+		t.Errorf("thermal.linSolve attributes %v, want prec and prec_degraded mic0", got)
 	}
-	def, err := m.SolveSteady(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mic, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg-mic0"})
+	wantDegrade(t, rec, "fdm", "mic0")
+	twin := build()
+	twin.AddPatchBC(mesh.ZMin, 0, 0.06, 0, 0.05, 0, 0.004, twin.FaceBC[mesh.ZMin])
+	mic, err := twin.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range def.T {
 		if def.T[i] != mic.T[i] {
-			t.Fatalf("cell %d: degraded %v, cg-mic0 %v", i, def.T[i], mic.T[i])
+			t.Fatalf("cell %d: degraded %v, MIC(0) twin %v", i, def.T[i], mic.T[i])
 		}
 	}
 	if got := reg.Counter("thermal_fdm_degraded_total").Value(); got != 1 {
 		t.Errorf("thermal_fdm_degraded_total = %d, want 1 (one solve, one pass)", got)
+	}
+}
+
+// wantDegrade fails unless rec's only degrade event goes from one
+// preconditioner kind to the other.
+func wantDegrade(t *testing.T, rec *obs.Recorder, from, to string) {
+	t.Helper()
+	var got []obs.Event
+	for _, ev := range rec.Tail(0) {
+		if ev.Kind == "degrade" {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 || len(got[0].Attrs) != 3 || got[0].Attrs[0].Value != from || got[0].Attrs[1].Value != to {
+		t.Errorf("degrade events %+v, want one from %s to %s", got, from, to)
 	}
 }

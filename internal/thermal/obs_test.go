@@ -1,12 +1,15 @@
 package thermal
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"regexp"
 	"strings"
 	"testing"
 
+	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
 	"aeropack/internal/mesh"
 	"aeropack/internal/obs"
@@ -34,22 +37,32 @@ func plateModel(t *testing.T, nx, ny, nz int) *Model {
 	return m
 }
 
+// mic0Twin returns the non-separable twin of a plateModel: the same
+// operator with the ZMin film repeated as a whole-face patch, so every
+// pass is preconditioned by MIC(0) instead of fast diagonalization.
+func mic0Twin(t *testing.T, nx, ny, nz int) *Model {
+	t.Helper()
+	m := plateModel(t, nx, ny, nz)
+	m.AddPatchBC(mesh.ZMin, 0, 0.08, 0, 0.08, 0, 0.004, m.FaceBC[mesh.ZMin])
+	return m
+}
+
 // TestSolveErrorSurfacesIterStats pins the error contract added for the
-// telemetry work: a failed linear solve must name the solver and carry
-// the iteration count and final residual, so a failure is diagnosable
-// from the message alone.  The thermal prefix must not repeat the
-// figures the wrapped error already carries — the old format printed
-// the residual twice, once per layer.  The model has more than 600
-// cells, so no dense last resort rescues the exhausted ladder.
+// telemetry work: a failed linear solve must name the preconditioned
+// method and carry the iteration count and final residual, so a failure
+// is diagnosable from the message alone.  The thermal prefix must not
+// repeat the figures the wrapped error already carries — the old format
+// printed the residual twice, once per layer.  The model has more than
+// 600 cells, so no dense last resort rescues the exhausted ladder.
 func TestSolveErrorSurfacesIterStats(t *testing.T) {
-	m := plateModel(t, 16, 16, 3)
+	m := mic0Twin(t, 16, 16, 3)
 	const maxIter = 3
-	_, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg", MaxIter: maxIter, Tol: 1e-14})
+	_, err := m.SolveSteady(context.Background(), &SolveOptions{MaxIter: maxIter, Tol: 1e-14})
 	if err == nil {
 		t.Fatal("expected non-convergence with MaxIter=3")
 	}
 	msg := err.Error()
-	format := regexp.MustCompile(`^thermal: cg solve failed: robust: all 3 solver attempts failed, last \(cg-jacobi-relaxed\): linalg: CG did not converge in 3 iterations \(residual [0-9.e+-]+\)$`)
+	format := regexp.MustCompile(`^thermal: cg-mic0 solve failed: robust: all 3 solver attempts failed, last \(cg-jacobi-relaxed\): linalg: CG did not converge in 3 iterations \(residual [0-9.e+-]+\)$`)
 	if !format.MatchString(msg) {
 		t.Errorf("error %q does not match the deduped format %v", msg, format)
 	}
@@ -62,37 +75,112 @@ func TestSolveErrorSurfacesIterStats(t *testing.T) {
 
 // TestSolveDenseLastResort: the options that exhaust the ladder above
 // on a model of at most 600 cells return the dense LU answer instead,
-// equal to a converged explicit solve.
+// equal to a converged solve.
 func TestSolveDenseLastResort(t *testing.T) {
 	reg := obs.NewRegistry()
 	prev := obs.SetDefault(reg)
 	defer obs.SetDefault(prev)
 
-	m := obsTestModel(t)
-	res, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg", MaxIter: 3, Tol: 1e-14})
+	res, err := mic0Twin(t, 8, 8, 2).SolveSteady(context.Background(), &SolveOptions{MaxIter: 3, Tol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("robust_chain_exhausted_total").Value(); got != 1 {
 		t.Errorf("robust_chain_exhausted_total = %d, want 1", got)
 	}
-	ref, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "cg-mic0", Tol: 1e-13})
+	ref, err := obsTestModel(t).SolveSteady(context.Background(), &SolveOptions{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.T {
 		if d := math.Abs(res.T[i]-ref.T[i]) / math.Abs(ref.T[i]); !(d <= 1e-9) {
-			t.Fatalf("cell %d: dense %v, explicit solve %v (relative %.3g)", i, res.T[i], ref.T[i], d)
+			t.Fatalf("cell %d: dense %v, converged solve %v (relative %.3g)", i, res.T[i], ref.T[i], d)
 		}
 	}
 }
 
-func TestSolveUnknownSolver(t *testing.T) {
-	m := obsTestModel(t)
-	_, err := m.SolveSteady(context.Background(), &SolveOptions{Solver: "gmres"})
-	if err == nil || !strings.Contains(err.Error(), `unknown solver "gmres"`) {
-		t.Errorf("unknown-solver error = %v", err)
+// TestMIC0DegradesToJacobi: a matrix MIC(0) cannot factor even through
+// the shift ladder (a negative diagonal) degrades the first rung to
+// Jacobi, counted, recorded and marked on the span, and still solves.
+// b = 0, so CG converges at once under any preconditioner.
+func TestMIC0DegradesToJacobi(t *testing.T) {
+	reg := obs.NewRegistry()
+	prevReg := obs.SetDefault(reg)
+	defer obs.SetDefault(prevReg)
+	rec := obs.NewRecorder(64)
+	prevRec := obs.SetRecorder(rec)
+	defer obs.SetRecorder(prevRec)
+	tr := obs.NewTrace()
+	prevTr := obs.SetTracer(tr)
+	defer obs.SetTracer(prevTr)
+
+	a := &linalg.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 1, 2, 3}, ColIdx: []int{0, 1, 2}, Val: []float64{-2, 1, 1}}
+	var o SolveOptions
+	o.defaults(3)
+	if _, _, err := linSolve(context.Background(), a, make([]float64, 3), nil, &o, &firstRung{}); err != nil {
+		t.Fatal(err)
 	}
+	if got := reg.Counter("thermal_ic0_degraded_total").Value(); got != 1 {
+		t.Errorf("thermal_ic0_degraded_total = %d, want 1", got)
+	}
+	wantDegrade(t, rec, "mic0", "jacobi")
+	if got := spanAttrs(t, tr, "thermal.linSolve"); len(got) != 1 || got[0]["prec"] != "jacobi" || got[0]["prec_degraded"] != "jacobi" {
+		t.Errorf("thermal.linSolve attributes %v, want prec and prec_degraded jacobi", got)
+	}
+}
+
+// TestTransientFactorsOnce: without a radiating face the step operator
+// never changes, so a transient of N steps builds one MIC(0) factor;
+// with one, it builds one per step.  Each build is one
+// linalg_prec_setup_seconds sample.
+func TestTransientFactorsOnce(t *testing.T) {
+	const steps = 5
+	for _, radiating := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		prev := obs.SetDefault(reg)
+		m := plateModel(t, 6, 6, 2)
+		if radiating {
+			m.SetFaceBC(mesh.ZMax, BC{Kind: ConvectionRadiation, T: 300, H: 5, Emiss: 0.8})
+		}
+		_, err := m.SolveTransient(context.Background(), 300, &TransientOptions{Dt: 10, Steps: steps})
+		obs.SetDefault(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(1)
+		if radiating {
+			want = steps
+		}
+		if got := reg.Histogram("linalg_prec_setup_seconds", nil).Count(); got != want {
+			t.Errorf("radiating %v: %d preconditioner builds over %d steps, want %d", radiating, got, steps, want)
+		}
+	}
+}
+
+// spanAttrs returns the attributes of every span of tr named name, in
+// creation order.
+func spanAttrs(t *testing.T, tr *obs.Trace, name string) []map[string]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	var out []map[string]string
+	for _, ev := range file.TraceEvents {
+		if ev.Name == name {
+			out = append(out, ev.Args)
+		}
+	}
+	return out
 }
 
 // TestSolveSteadySpans checks the solver's span taxonomy: a steady solve

@@ -103,15 +103,11 @@ func (r *Result) MeanInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
 	return sumVT / sumV
 }
 
-// SolveOptions tunes the steady and transient FV solves.
+// SolveOptions tunes the steady and transient FV solves.  The model
+// picks the preconditioner itself (see SolveSteady).
 type SolveOptions struct {
 	Tol     float64 // linear relative residual target (default 1e-9)
 	MaxIter int     // linear iteration cap (default 20·n^(2/3)+2000)
-	// Solver names the first rung of the robust.Ladder every linear
-	// solve walks: "cg-fdm", "cg-mic0", "cg-ic0", "cg", "cg-jacobi",
-	// "cg-ssor" or "bicgstab"; default: see SolveSteady.  A solve that
-	// succeeds on it is bitwise-identical to that solver called directly.
-	Solver string
 
 	// OnIteration is forwarded to the linear solver (see
 	// linalg.IterOptions.OnIteration).  It fires for every inner
@@ -134,15 +130,6 @@ func (o *SolveOptions) defaults(n int) {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 20*int(math.Cbrt(float64(n))*math.Cbrt(float64(n))) + 2000
 	}
-	if o.Solver == "" {
-		// MIC(0)-preconditioned CG is the default wherever fast
-		// diagonalization does not apply: on the FV conduction operators
-		// it converges in about half the iterations of IC(0), itself an
-		// order of magnitude fewer than Jacobi or SSOR, and breakdown
-		// degrades to Jacobi inside the robust entry rather than failing
-		// the solve.
-		o.Solver = "cg-mic0"
-	}
 }
 
 // SolveSteady solves the steady conduction problem.  Radiative boundaries
@@ -156,29 +143,20 @@ func (o *SolveOptions) defaults(n int) {
 // (thermal.SolveSteady → thermal.assemble / thermal.linSolve) nest under
 // the span ctx carries.
 //
-// The default solver is "cg-fdm", CG preconditioned by fast
-// diagonalization (linalg.FDMPrec), when every cell holds one material
-// and no patch overrides a face, and "cg-mic0" otherwise.  Naming
-// "cg-fdm" for any other model is an error.
+// The model picks each pass's preconditioner: fast diagonalization
+// (linalg.FDMPrec) when every cell holds one material and no patch
+// overrides a face, as on every level-2 board, and MIC(0) otherwise.
 func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, error) {
 	n := m.Grid.NumCells()
 	var o SolveOptions
 	if opts != nil {
 		o = *opts
 	}
-	separable := m.separable()
-	if o.Solver == "" && separable {
-		o.Solver = "cg-fdm"
-	}
 	o.defaults(n)
-	if o.Solver == "cg-fdm" && !separable {
-		return nil, fmt.Errorf("thermal: solver cg-fdm needs a single-material model without patch BCs")
-	}
 
 	ctx, sp := obs.StartContext(ctx, "thermal.SolveSteady")
 	defer sp.End()
 	sp.AttrInt("cells", n)
-	sp.Attr("solver", o.Solver)
 	stop := robust.Stop(ctx)
 
 	// Initial surface-temperature estimate for radiation linearisation.
@@ -189,21 +167,23 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 	}
 
 	res := &Result{g: m.Grid}
-	setup := linalg.NewSolverSetup()
 	st := &stencil{m: m}
-	// fdm builds a pass's fast-diagonalization preconditioner at the
-	// current surface estimate, lending the last one's
-	// eigendecompositions to the axes whose faces did not move.
-	var fdm func() (*linalg.FDMPrec, error)
-	if o.Solver == "cg-fdm" {
+	rung := &firstRung{}
+	if m.separable() {
+		// Each pass builds its fast-diagonalization preconditioner at the
+		// current surface estimate, lending the last one's
+		// eigendecompositions to the axes whose faces did not move.
 		var last *linalg.FDMPrec
-		fdm = func() (*linalg.FDMPrec, error) {
+		rung.fdm = func() (*linalg.FDMPrec, error) {
 			p, err := linalg.NewFDMPrec(m.fdmAxes(Tsurf), last)
 			if err == nil {
 				last = p
 			}
 			return p, err
 		}
+		sp.Attr("prec", "fdm")
+	} else {
+		sp.Attr("prec", "mic0")
 	}
 	var prev []float64
 	for outer := 0; outer < maxPicardPasses; outer++ {
@@ -215,7 +195,7 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 		}
 		res.OuterIterations = outer + 1
 		a, b := st.assembleObs(ctx, Tsurf)
-		t, stats, err := m.linSolve(ctx, a, b, prev, &o, setup, fdm)
+		t, stats, err := linSolve(ctx, a, b, prev, &o, rung)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, err
@@ -316,46 +296,13 @@ func (s *stencil) assembleObs(ctx context.Context, Tsurf []float64) (*linalg.CSR
 // assemblyBuckets span 1 µs to 1000 s, one decade per bucket.
 var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
-// linSolve solves one pass's system through the robust entry, its first
-// rung the configured solver.  fdm builds the pass's
-// fast-diagonalization preconditioner; SolveSteady passes it exactly
-// when the solver is "cg-fdm".
-func (m *Model) linSolve(ctx context.Context, a *linalg.CSR, b []float64, x0 []float64, o *SolveOptions, setup *linalg.SolverSetup, fdm func() (*linalg.FDMPrec, error)) ([]float64, linalg.IterStats, error) {
-	switch o.Solver {
-	case "cg", "cg-jacobi", "cg-ssor", "cg-ic0", "cg-mic0", "bicgstab":
-	case "cg-fdm":
-		if fdm == nil {
-			return nil, linalg.IterStats{}, fmt.Errorf("thermal: solver cg-fdm applies to steady solves only")
-		}
-	default:
-		return nil, linalg.IterStats{}, fmt.Errorf("thermal: unknown solver %q", o.Solver)
-	}
+// linSolve solves one pass's or step's system through the robust entry,
+// its first rung preconditioned by what rung builds for a.
+func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptions, rung *firstRung) ([]float64, linalg.IterStats, error) {
 	ctx, sp := obs.StartContext(ctx, "thermal.linSolve")
-	sp.Attr("solver", o.Solver)
-
-	// The fast-diagonalization factors come from the model, not the
-	// CSR, so they are built here; a build that fails (a singular mode)
-	// degrades the pass to MIC(0), weaker but never failing.
-	solver := o.Solver
-	var first linalg.Preconditioner
-	if fdm != nil {
-		if p, err := fdm(); err == nil {
-			first = p
-		} else {
-			obs.Default().Counter("thermal_fdm_degraded_total").Add(1)
-			if rec := obs.CurrentRecorder(); rec != nil {
-				rec.Record("degrade", "thermal.linSolve",
-					obs.Attr{Key: "from", Value: "fdm"},
-					obs.Attr{Key: "to", Value: "mic0"},
-					obs.Attr{Key: "cause", Value: err.Error()})
-			}
-			sp.Attr("prec_degraded", "mic0")
-			solver = "cg-mic0"
-		}
-	}
-
-	chain := robust.Chain{Tol: o.Tol, MaxIter: o.MaxIter, Attempts: robust.Ladder(solver),
-		OnIteration: o.OnIteration, Setup: setup, Prec: first}
+	prec, kind := rung.build(sp, a)
+	sp.Attr("prec", kind)
+	chain := robust.Chain{Tol: o.Tol, MaxIter: o.MaxIter, OnIteration: o.OnIteration, Prec: prec}
 	x, out, err := chain.Solve(ctx, a, b, x0)
 	if out.Fallbacks > 0 {
 		sp.AttrInt("fallbacks", out.Fallbacks)
@@ -365,11 +312,68 @@ func (m *Model) linSolve(ctx context.Context, a *linalg.CSR, b []float64, x0 []f
 	sp.End()
 	if err != nil {
 		// The wrapped linalg error already carries the iteration count
-		// and final residual; prefixing only the failing solver name
+		// and final residual; prefixing only the preconditioned method
 		// keeps the figures from appearing twice in the message.
-		err = fmt.Errorf("thermal: %s solve failed: %w", solver, err)
+		err = fmt.Errorf("thermal: cg-%s solve failed: %w", kind, err)
 	}
 	return x, out.Stats, err
+}
+
+// firstRung builds the first-rung preconditioner of every linear solve
+// in one solve call.  The model picks its kind, not the caller: fdm,
+// set on a separable steady model, builds a pass's fast
+// diagonalization, and every other solve gets MIC(0).
+type firstRung struct {
+	fdm func() (*linalg.FDMPrec, error)
+	// once keeps the first preconditioner for every later solve: a
+	// transient step operator without a radiating face never changes.
+	once bool
+	prec linalg.Preconditioner
+	kind string
+}
+
+// build returns the preconditioner for a and its kind, "fdm", "mic0" or
+// "jacobi".
+func (r *firstRung) build(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
+	if !r.once || r.prec == nil {
+		r.prec, r.kind = r.fresh(sp, a)
+	}
+	return r.prec, r.kind
+}
+
+// fresh builds a new preconditioner for a.  It is the one place a build
+// degrades, one step at a time, to a weaker kind that never fails: a
+// fast diagonalization with a singular mode to MIC(0), counted on
+// thermal_fdm_degraded_total, and a MIC(0) factor that breaks down
+// through the whole shift ladder to Jacobi, counted on
+// thermal_ic0_degraded_total.
+func (r *firstRung) fresh(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
+	if r.fdm != nil {
+		p, err := r.fdm()
+		if err == nil {
+			return p, "fdm"
+		}
+		degrade(sp, "fdm", "mic0", "thermal_fdm_degraded_total", err)
+	}
+	p, err := linalg.NewMICPrec(a)
+	if err == nil {
+		return p, "mic0"
+	}
+	degrade(sp, "mic0", "jacobi", "thermal_ic0_degraded_total", err)
+	return linalg.NewJacobiPrec(a), "jacobi"
+}
+
+// degrade counts one preconditioner degrade on counter, records it as a
+// degrade event with its cause and marks sp with the kind it fell to.
+func degrade(sp *obs.Span, from, to, counter string, cause error) {
+	obs.Default().Counter(counter).Add(1)
+	if rec := obs.CurrentRecorder(); rec != nil {
+		rec.Record("degrade", "thermal.linSolve",
+			obs.Attr{Key: "from", Value: from},
+			obs.Attr{Key: "to", Value: to},
+			obs.Attr{Key: "cause", Value: cause.Error()})
+	}
+	sp.Attr("prec_degraded", to)
 }
 
 // stencil assembles one model's FV operator in two phases.  The
@@ -378,17 +382,21 @@ func (m *Model) linSolve(ctx context.Context, a *linalg.CSR, b []float64, x0 []f
 // face conductances, which depend only on grid and materials.  The
 // numeric phase (assemble) runs once per Picard pass or time step: it
 // copies the interior values and adds the boundary terms, the only part
-// of the operator that moves with the surface temperature.
+// of the operator that moves with the surface temperature.  Every pass
+// assembles into the same value array and right-hand side: no
+// preconditioner keeps a reference to them (MIC(0), Jacobi, fast
+// diagonalization and dense LU copy what they keep).
 //
 // Every diagonal sums its terms in one fixed order: the −z, −y, −x,
 // +x, +y and +z faces, then the boundary faces XMin…ZMax.  That is the
 // order a cell-by-cell face loop visits them, so the operator does not
 // depend on how the pattern is traversed.
 type stencil struct {
-	m              *Model
-	rowPtr, colIdx []int     // shared, read-only, by every pass's CSR
-	diag           []int     // position of row i's diagonal in colIdx
-	interior       []float64 // interior-face operator values
+	m        *Model
+	diag     []int      // position of row i's diagonal in a.ColIdx
+	interior []float64  // interior-face operator values
+	a        linalg.CSR // the assembled operator, one Val for every pass
+	b        []float64  // the assembled right-hand side
 }
 
 // build runs the symbolic phase: row by row, entries in ascending
@@ -398,8 +406,7 @@ func (s *stencil) build() {
 	nx, ny, nz := g.Nx, g.Ny, g.Nz
 	n := g.NumCells()
 	nnz := n + 2*((nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
-	s.rowPtr = make([]int, n+1)
-	s.colIdx = make([]int, 0, nnz)
+	s.a = linalg.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, 0, nnz)}
 	s.diag = make([]int, n)
 	s.interior = make([]float64, 0, nnz)
 	for k := 0; k < nz; k++ {
@@ -416,9 +423,9 @@ func (s *stencil) build() {
 				if i > 0 {
 					d += s.offDiag(idx-1, m.faceG(0, i-1, j, k))
 				}
-				dpos := len(s.colIdx)
+				dpos := len(s.a.ColIdx)
 				s.diag[idx] = dpos
-				s.colIdx = append(s.colIdx, idx)
+				s.a.ColIdx = append(s.a.ColIdx, idx)
 				s.interior = append(s.interior, 0)
 				if i+1 < nx {
 					d += s.offDiag(idx+1, m.faceG(0, i, j, k))
@@ -430,16 +437,18 @@ func (s *stencil) build() {
 					d += s.offDiag(idx+nx*ny, m.faceG(2, i, j, k))
 				}
 				s.interior[dpos] = d
-				s.rowPtr[idx+1] = len(s.colIdx)
+				s.a.RowPtr[idx+1] = len(s.a.ColIdx)
 			}
 		}
 	}
+	s.a.Val = make([]float64, len(s.interior))
+	s.b = make([]float64, n)
 }
 
 // offDiag appends the coupling −gf to column col of the current row and
 // returns gf for the row's diagonal sum.
 func (s *stencil) offDiag(col int, gf float64) float64 {
-	s.colIdx = append(s.colIdx, col)
+	s.a.ColIdx = append(s.a.ColIdx, col)
 	s.interior = append(s.interior, -gf)
 	return gf
 }
@@ -461,18 +470,16 @@ func (m *Model) faceG(axis, i, j, k int) float64 {
 
 // assemble runs the numeric phase, building the symbolic one on first
 // use: the steady FV system A·T = b given the current surface
-// temperature estimate (for radiation linearisation).  A owns a fresh
-// copy of the values, because cached preconditioners may hold on to an
-// earlier pass's matrix.
+// temperature estimate (for radiation linearisation), written over the
+// previous pass's.
 func (s *stencil) assemble(Tsurf []float64) (*linalg.CSR, []float64) {
-	if s.rowPtr == nil {
+	if s.a.RowPtr == nil {
 		s.build()
 	}
 	m, g := s.m, s.m.Grid
-	n := g.NumCells()
-	a := &linalg.CSR{Rows: n, Cols: n, RowPtr: s.rowPtr, ColIdx: s.colIdx,
-		Val: append([]float64(nil), s.interior...)}
-	b := make([]float64, n)
+	a, b := &s.a, s.b
+	copy(a.Val, s.interior)
+	clear(b)
 
 	// Boundary conditions.
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
@@ -662,8 +669,9 @@ type TransientOptions struct {
 
 // SolveTransient integrates ∂(ρc_p T)/∂t = ∇·(k∇T) + q with implicit
 // (backward) Euler from a uniform initial temperature T0.  Radiative BCs
-// are linearised about the previous step's field.  ctx budgets every
-// step's linear solve and parents the solver's spans, as in SolveSteady.
+// are linearised about the previous step's field.  Every step's linear
+// solve is preconditioned by MIC(0).  ctx budgets every step's linear
+// solve and parents the solver's spans, as in SolveSteady.
 func (m *Model) SolveTransient(ctx context.Context, T0 float64, opts *TransientOptions) (*Result, error) {
 	if opts == nil || opts.Dt <= 0 || opts.Steps <= 0 {
 		return nil, fmt.Errorf("thermal: transient solve requires positive Dt and Steps")
@@ -694,14 +702,17 @@ func (m *Model) SolveTransient(ctx context.Context, T0 float64, opts *TransientO
 	sp.AttrInt("steps", opts.Steps)
 
 	res := &Result{g: g}
-	setup := linalg.NewSolverSetup()
 	st := &stencil{m: m}
+	// Without a radiating face the step operator C/dt + A never changes,
+	// so one MIC(0) factor serves every step; with one, each step
+	// factors its own.
+	rung := &firstRung{once: !m.hasRadiation()}
 	rhs := make([]float64, n)
 	t := 0.0
 	for step := 0; step < opts.Steps; step++ {
 		a, b := st.assembleObs(ctx, T)
 		st.addCapacity(a, b, capDt, T, rhs)
-		Tn, stats, err := m.linSolve(ctx, a, rhs, T, &o, setup, nil)
+		Tn, stats, err := linSolve(ctx, a, rhs, T, &o, rung)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)

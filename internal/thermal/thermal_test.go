@@ -229,27 +229,34 @@ func TestPatchBCOverride(t *testing.T) {
 	}
 }
 
+// TestSolverVariantsAgree: plain CG, CG with Jacobi or SSOR and
+// BiCGSTAB with Jacobi, run directly on the assembled system, agree with
+// the model's own solve.
 func TestSolverVariantsAgree(t *testing.T) {
-	build := func() *Model {
-		g, _ := mesh.Uniform(6, 6, 3, 0.06, 0.06, 0.01)
-		m, _ := NewModel(g, []materials.Material{materials.Al6061})
-		m.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 300, H: 30})
-		m.AddVolumeSource(0.02, 0.04, 0.02, 0.04, 0, 0.01, 3)
-		return m
-	}
-	ref, err := build().SolveSteady(context.Background(), &SolveOptions{Solver: "cg"})
+	g, _ := mesh.Uniform(6, 6, 3, 0.06, 0.06, 0.01)
+	m, _ := NewModel(g, []materials.Material{materials.Al6061})
+	m.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 300, H: 30})
+	m.AddVolumeSource(0.02, 0.04, 0.02, 0.04, 0, 0.01, 3)
+	ref, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []string{"cg-jacobi", "cg-ssor", "bicgstab"} {
-		res, err := build().SolveSteady(context.Background(), &SolveOptions{Solver: s})
+	a, b, _ := m.System()
+	for _, v := range []struct {
+		name  string
+		solve func(*linalg.CSR, []float64, []float64, linalg.Preconditioner, float64, int) ([]float64, linalg.IterStats, error)
+		prec  linalg.Preconditioner
+	}{
+		{"cg", linalg.CG, nil},
+		{"cg-jacobi", linalg.CG, linalg.NewJacobiPrec(a)},
+		{"cg-ssor", linalg.CG, linalg.NewSSORPrec(a, 1.2)},
+		{"bicgstab", linalg.BiCGSTAB, linalg.NewJacobiPrec(a)},
+	} {
+		x, _, err := v.solve(a, b, nil, v.prec, 1e-9, 2000)
 		if err != nil {
-			t.Fatalf("%s: %v", s, err)
+			t.Fatalf("%s: %v", v.name, err)
 		}
-		almost(t, res.Max(), ref.Max(), 1e-6, "solver "+s)
-	}
-	if _, err := build().SolveSteady(context.Background(), &SolveOptions{Solver: "gauss"}); err == nil {
-		t.Error("unknown solver should error")
+		almost(t, (&Result{T: x, g: g}).Max(), ref.Max(), 1e-6, "solver "+v.name)
 	}
 }
 

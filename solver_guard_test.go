@@ -51,8 +51,8 @@ func TestSolverPerfGuard(t *testing.T) {
 }
 
 // e2Level2Model rebuilds board's level-2 FV model the way
-// core.BoardDesign.Level2 builds it, for the forced-air and
-// free-convection boards the guards below solve with explicit solvers.
+// core.BoardDesign.Level2 builds it, for the free-convection board the
+// guard below compares against its non-separable twin.
 func e2Level2Model(t *testing.T, board *core.BoardDesign, screen core.Screen) *thermal.Model {
 	t.Helper()
 	nx := int(math.Min(80, math.Max(16, board.LengthM/2.5e-3)))
@@ -66,15 +66,10 @@ func e2Level2Model(t *testing.T, board *core.BoardDesign, screen core.Screen) *t
 	if err != nil {
 		t.Fatal(err)
 	}
-	var film thermal.BC
-	switch board.EdgeCooling {
-	case core.ForcedAir:
-		film = thermal.BC{Kind: thermal.Convection, T: units.CToK(board.ChannelAirC), H: board.ChannelH}
-	case core.FreeConvection:
-		film = thermal.BC{Kind: thermal.ConvectionRadiation, T: units.CToK(screen.AmbientC), H: 4}
-	default:
+	if board.EdgeCooling != core.FreeConvection {
 		t.Fatalf("no rebuild for edge cooling %v", board.EdgeCooling)
 	}
+	film := thermal.BC{Kind: thermal.ConvectionRadiation, T: units.CToK(screen.AmbientC), H: 4}
 	m.SetFaceBC(mesh.ZMin, film)
 	m.SetFaceBC(mesh.ZMax, film)
 	for _, c := range board.Components {
@@ -99,41 +94,16 @@ func level2Iterations(t *testing.T, board *core.BoardDesign, screen core.Screen)
 }
 
 // TestE2Level2MICIterations guards the level-2 board solve.  Level 2
-// resolves to fast diagonalization ("cg-fdm"), the exact inverse of the
-// board's Kronecker-sum operator, so the E2 board converges in exactly
-// one CG iteration.  The board's model is rebuilt here the way
-// core.BoardDesign.Level2 builds it, so explicit solvers can be named;
-// matching Level2's field bit for bit under default options pins the
-// rebuild to the real model.  Explicit names keep MIC(0)'s guard: at
-// most 0.6× the CG iterations of IC(0).  Iteration counts are
-// deterministic, so the guards are exact.
+// preconditions every board by fast diagonalization, the exact inverse
+// of the board's Kronecker-sum operator, so the E2 board converges in
+// exactly one CG iteration.  MIC(0)'s guard on the same operator, at
+// most 0.6× the CG iterations of IC(0), is internal/thermal's
+// TestE2MIC0Iterations.  Iteration counts are deterministic, so the
+// guards are exact.
 func TestE2Level2MICIterations(t *testing.T) {
-	board := e2Board()
-	screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
-	maxC, level2 := level2Iterations(t, board, screen)
+	_, level2 := level2Iterations(t, e2Board(), core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26}))
 	if level2 != 1 {
-		t.Errorf("E2 level 2 took %d CG iterations, want exactly 1 under cg-fdm", level2)
-	}
-
-	m := e2Level2Model(t, board, screen)
-	res, err := m.SolveSteady(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := units.KToC(res.Max()); got != maxC || res.Iterations != level2 {
-		t.Fatalf("rebuilt board: max %v °C in %d iterations, Level2 %v °C in %d: the rebuild no longer matches core's level-2 model", got, res.Iterations, maxC, level2)
-	}
-	iters := map[string]int{}
-	for _, solver := range []string{"cg-ic0", "cg-mic0"} {
-		res, err := m.SolveSteady(context.Background(), &thermal.SolveOptions{Solver: solver})
-		if err != nil {
-			t.Fatalf("%s: %v", solver, err)
-		}
-		iters[solver] = res.Iterations
-	}
-	t.Logf("E2_Level2 board: IC(0) %d CG iterations, MIC(0) %d, FDM %d", iters["cg-ic0"], iters["cg-mic0"], level2)
-	if float64(iters["cg-mic0"]) > 0.6*float64(iters["cg-ic0"]) {
-		t.Errorf("MIC(0) took %d CG iterations, more than 0.6× IC(0)'s %d", iters["cg-mic0"], iters["cg-ic0"])
+		t.Errorf("E2 level 2 took %d CG iterations, want exactly 1 under fast diagonalization", level2)
 	}
 }
 
@@ -141,30 +111,33 @@ func TestE2Level2MICIterations(t *testing.T) {
 // radiating board: a free-convection variant of the E2 board, whose
 // faces carry a per-cell linearized radiative film that the
 // preconditioner replaces by its face mean.  Every Picard pass must
-// converge in at most 6 CG iterations, in as many passes as under
-// MIC(0), and to the same field within the solve tolerance.
+// converge in at most 6 CG iterations, in as many passes as MIC(0) takes
+// on the board's non-separable twin (the ZMin film repeated as a
+// whole-face patch), and to the same field within the solve tolerance.
 func TestE2FreeConvectionFDMIterations(t *testing.T) {
 	board := e2Board()
 	board.EdgeCooling = core.FreeConvection
 	screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
 	maxC, _ := level2Iterations(t, board, screen)
 	m := e2Level2Model(t, board, screen)
+	twin := e2Level2Model(t, board, screen)
+	twin.AddPatchBC(mesh.ZMin, 0, board.LengthM, 0, board.WidthM, 0, board.ThicknessM, twin.FaceBC[mesh.ZMin])
 
-	solve := func(solver string) (*thermal.Result, []int) {
+	solve := func(m *thermal.Model) (*thermal.Result, []int) {
 		var perPass []int
-		res, err := m.SolveSteady(context.Background(), &thermal.SolveOptions{Solver: solver, OnIteration: func(it int, _ float64) {
+		res, err := m.SolveSteady(context.Background(), &thermal.SolveOptions{OnIteration: func(it int, _ float64) {
 			if it == 0 {
 				perPass = append(perPass, 0)
 			}
 			perPass[len(perPass)-1]++
 		}})
 		if err != nil {
-			t.Fatalf("%s: %v", solver, err)
+			t.Fatal(err)
 		}
 		return res, perPass
 	}
-	fdm, fdmPasses := solve("cg-fdm")
-	mic, micPasses := solve("cg-mic0")
+	fdm, fdmPasses := solve(m)
+	mic, micPasses := solve(twin)
 	if got := units.KToC(fdm.Max()); got != maxC {
 		t.Fatalf("rebuilt free-convection board max %v °C, Level2 %v °C: the rebuild no longer matches core's level-2 model", got, maxC)
 	}
@@ -174,14 +147,14 @@ func TestE2FreeConvectionFDMIterations(t *testing.T) {
 		}
 		return n
 	}
-	t.Logf("free-convection E2 board: FDM %d CG iterations over %d passes %v, MIC(0) %d over %d",
+	t.Logf("free-convection E2 board: FDM %d CG iterations over %d passes %v, MIC(0) twin %d over %d",
 		total(fdmPasses), fdm.OuterIterations, fdmPasses, total(micPasses), mic.OuterIterations)
 	if fdm.OuterIterations != mic.OuterIterations || len(fdmPasses) != fdm.OuterIterations {
 		t.Errorf("FDM took %d Picard passes (%d solves), MIC(0) %d", fdm.OuterIterations, len(fdmPasses), mic.OuterIterations)
 	}
 	for pass, n := range fdmPasses {
 		if n > 6 {
-			t.Errorf("Picard pass %d took %d CG iterations under cg-fdm, want ≤ 6", pass+1, n)
+			t.Errorf("Picard pass %d took %d CG iterations under fast diagonalization, want ≤ 6", pass+1, n)
 		}
 	}
 	if d := math.Abs(fdm.Max() - mic.Max()); d > 1e-6 {

@@ -66,6 +66,9 @@ go -C bench test ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== dedup window stays shut (50 race-enabled runs of the concurrent-identical dedup test)"
+go test -race -count=50 -run 'TestDedupConcurrentIdentical$' ./internal/serve
+
 echo "== go test -race -cpu=1,4 (parallel kernels)"
 go test -race -cpu=1,4 ./internal/parallel ./internal/linalg ./internal/thermal
 
