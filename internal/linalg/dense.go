@@ -1,8 +1,8 @@
 // Package linalg implements the dense and sparse linear algebra needed by
 // aeropack's finite-volume thermal solver and finite-element structural
 // solver: LU and Cholesky factorisations, preconditioned conjugate-gradient
-// and BiCGSTAB iterations on CSR matrices, and symmetric (including
-// generalized) eigensolvers for modal analysis.
+// iterations on CSR matrices, and symmetric (including generalized)
+// eigensolvers for modal analysis.
 //
 // Everything is written against float64 slices with row-major dense storage;
 // there are no external dependencies.

@@ -9,8 +9,7 @@ import (
 
 // ErrStopped is wrapped into the error returned when an iterative solve
 // is aborted by IterOptions.Stop before reaching its tolerance — the
-// budget-exceeded signal fallback chains (internal/robust) test for with
-// errors.Is.
+// budget-exceeded signal callers test for with errors.Is.
 var ErrStopped = errors.New("solve stopped by budget callback")
 
 // Preconditioner applies z = M⁻¹·r for an approximate inverse M⁻¹.
@@ -151,14 +150,13 @@ type IterOptions struct {
 	Prec    Preconditioner // nil means identity
 	// OnIteration, if non-nil, is invoked once per iteration with the
 	// 0-based iteration index and the relative residual reached at its
-	// end — the hook behind convergence traces (see ConvergenceLog).
-	// It runs on the solver goroutine; keep it cheap.
+	// end — the hook behind convergence traces.  It runs on the solver
+	// goroutine; keep it cheap.
 	OnIteration func(it int, residual float64)
 	// Stop, if non-nil, is polled once per iteration after the
 	// convergence check; returning true aborts the solve with an error
 	// wrapping ErrStopped, keeping the best iterate so far.  It is the
-	// hook behind wall-clock attempt budgets and forced-bailout fault
-	// injection (internal/robust).
+	// hook behind robust.Stop, which turns a run's context into it.
 	Stop func() bool
 }
 
@@ -185,7 +183,7 @@ func CGOpt(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error
 	t := startLayer()
 	x, stats, err := cg(a, b, x0, &opt)
 	t.observe("linalg_krylov_seconds")
-	recordSolve(t.reg, "cg", stats, err)
+	recordSolve(t.reg, stats, err)
 	return x, stats, err
 }
 
@@ -263,120 +261,4 @@ func axpyDot(alpha float64, x, y []float64) float64 {
 		s += y[i] * y[i]
 	}
 	return s
-}
-
-// BiCGSTAB solves the general (possibly unsymmetric) system A·x = b.
-//
-//lint:allow nanguard input validation (checkFinite) lives in BiCGSTABOpt
-func BiCGSTAB(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int) ([]float64, IterStats, error) {
-	return BiCGSTABOpt(a, b, x0, &IterOptions{Tol: tol, MaxIter: maxIter, Prec: prec})
-}
-
-// BiCGSTABOpt is BiCGSTAB with the full option set (per-iteration
-// convergence callback included).
-func BiCGSTABOpt(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
-	var opt IterOptions
-	if o != nil {
-		opt = *o
-	}
-	if err := checkFinite("BiCGSTAB", b, x0); err != nil {
-		return nil, IterStats{}, err
-	}
-	t := startLayer()
-	x, stats, err := bicgstab(a, b, x0, &opt)
-	t.observe("linalg_krylov_seconds")
-	recordSolve(t.reg, "bicgstab", stats, err)
-	return x, stats, err
-}
-
-func bicgstab(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
-	prec, tol, maxIter := o.Prec, o.Tol, o.MaxIter
-	n := a.Rows
-	if a.Cols != n {
-		return nil, IterStats{}, fmt.Errorf("linalg: BiCGSTAB requires a square matrix")
-	}
-	if len(b) != n {
-		return nil, IterStats{}, fmt.Errorf("linalg: BiCGSTAB rhs length %d, want %d", len(b), n)
-	}
-	if prec == nil {
-		prec = IdentityPrec{}
-	}
-	x := make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	r := make([]float64, n)
-	ax := a.MulVec(x, nil)
-	for i := range r {
-		r[i] = b[i] - ax[i]
-	}
-	normB := Norm2(b)
-	if normB == 0 {
-		return x, IterStats{Converged: true}, nil
-	}
-	rhat := make([]float64, n)
-	copy(rhat, r)
-	var rho, alpha, omega float64 = 1, 1, 1
-	v := make([]float64, n)
-	p := make([]float64, n)
-	phat := make([]float64, n)
-	s := make([]float64, n)
-	shat := make([]float64, n)
-	t := make([]float64, n)
-	var stats IterStats
-	for it := 0; it < maxIter; it++ {
-		stats.Iterations = it + 1
-		rhoNew := Dot(rhat, r)
-		if math.Abs(rhoNew) < 1e-300 {
-			return x, stats, fmt.Errorf("linalg: BiCGSTAB breakdown (rho≈0) at iter %d", it)
-		}
-		beta := (rhoNew / rho) * (alpha / omega)
-		rho = rhoNew
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-		prec.Apply(p, phat)
-		a.MulVec(phat, v)
-		alpha = rho / Dot(rhat, v)
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if res := Norm2(s) / normB; res < tol {
-			Axpy(alpha, phat, x)
-			stats.Residual = res
-			stats.Converged = true
-			if o.OnIteration != nil {
-				o.OnIteration(it, res)
-			}
-			return x, stats, nil
-		}
-		prec.Apply(s, shat)
-		a.MulVec(shat, t)
-		tt := Dot(t, t)
-		if tt == 0 {
-			return x, stats, fmt.Errorf("linalg: BiCGSTAB breakdown (t=0) at iter %d", it)
-		}
-		omega = Dot(t, s) / tt
-		Axpy(alpha, phat, x)
-		Axpy(omega, shat, x)
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		res := Norm2(r) / normB
-		stats.Residual = res
-		if o.OnIteration != nil {
-			o.OnIteration(it, res)
-		}
-		if res < tol {
-			stats.Converged = true
-			return x, stats, nil
-		}
-		if math.Abs(omega) < 1e-300 {
-			return x, stats, fmt.Errorf("linalg: BiCGSTAB breakdown (omega≈0) at iter %d", it)
-		}
-		if o.Stop != nil && o.Stop() {
-			return x, stats, fmt.Errorf("linalg: BiCGSTAB %w after %d iterations (residual %.3g)", ErrStopped, stats.Iterations, stats.Residual)
-		}
-	}
-	return x, stats, fmt.Errorf("linalg: BiCGSTAB did not converge in %d iterations (residual %.3g)", maxIter, stats.Residual)
 }

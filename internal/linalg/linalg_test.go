@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -403,35 +404,44 @@ func TestCGFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
-func TestBiCGSTABUnsymmetric(t *testing.T) {
-	// Convection-diffusion-like unsymmetric tridiagonal system.
-	n := 80
-	c := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, 4)
-		if i > 0 {
-			c.Add(i, i-1, -2.5)
+// TestCGRejectsNonFinite: a NaN or Inf in b or x0 is an "input entry"
+// error before the first iteration, not a spin to MaxIter.
+func TestCGRejectsNonFinite(t *testing.T) {
+	a, b := spdSystem(3)
+	for _, c := range []struct {
+		name  string
+		b, x0 []float64
+		want  string
+	}{
+		{"NaN b", []float64{b[0], math.NaN(), b[2]}, nil, "linalg: CG input entry 1 is NaN"},
+		{"Inf b", []float64{math.Inf(1), b[1], b[2]}, nil, "linalg: CG input entry 0 is +Inf"},
+		{"NaN x0", b, []float64{math.NaN(), 0, 0}, "linalg: CG input entry 0 is NaN"},
+		{"Inf x0", b, []float64{0, 0, math.Inf(-1)}, "linalg: CG input entry 2 is -Inf"},
+	} {
+		iters := 0
+		x, stats, err := CGOpt(a, c.b, c.x0, &IterOptions{Tol: 1e-10, MaxIter: 100, OnIteration: func(int, float64) { iters++ }})
+		if err == nil || err.Error() != c.want || x != nil || stats.Iterations != 0 || iters != 0 {
+			t.Errorf("%s: x %v, %d iterations, err %v; want no solution, no iteration and %q", c.name, x, iters, err, c.want)
 		}
-		if i < n-1 {
-			c.Add(i, i+1, -0.5)
+	}
+}
+
+// TestCGStopAfterPolls: a Stop that allows k polls ends CG after k+1
+// iterations (each iteration polls once, after its convergence check)
+// with an error wrapping ErrStopped.
+func TestCGStopAfterPolls(t *testing.T) {
+	a, b := spdSystem(200)
+	for _, k := range []int{0, 2, 5} {
+		polls := 0
+		_, stats, err := CGOpt(a, b, nil, &IterOptions{Tol: 1e-14, MaxIter: 1000, Stop: func() bool {
+			polls++
+			return polls > k
+		}})
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("k=%d: err = %v, want wrapped ErrStopped", k, err)
 		}
-	}
-	a := c.ToCSR()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = math.Sin(float64(i))
-	}
-	x, stats, err := BiCGSTAB(a, b, nil, NewJacobiPrec(a), 1e-10, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Converged {
-		t.Fatal("not converged")
-	}
-	ax := a.MulVec(x, nil)
-	for i := range b {
-		if math.Abs(ax[i]-b[i]) > 1e-7 {
-			t.Fatalf("residual %v at %d", ax[i]-b[i], i)
+		if stats.Iterations != k+1 || stats.Converged {
+			t.Errorf("k=%d: stopped after %d iterations (converged %v), want %d", k, stats.Iterations, stats.Converged, k+1)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func startLayer() layerTimer {
 // observe records the time since startLayer under name:
 //
 //	linalg_prec_setup_seconds  histogram, preconditioner builds
-//	linalg_krylov_seconds      histogram, CG and BiCGSTAB loops
+//	linalg_krylov_seconds      histogram, CG loops
 func (t layerTimer) observe(name string) {
 	if t.reg != nil {
 		t.reg.Histogram(name, layerBuckets).Observe(time.Since(t.start).Seconds())
@@ -47,13 +47,13 @@ func (t layerTimer) observe(name string) {
 // disabled, the default).  Metric names are part of the observability
 // contract documented in DESIGN.md:
 //
-//	linalg_<method>_solves_total    counter, solves started
-//	linalg_solver_iterations_total  counter, iterations across methods
+//	linalg_cg_solves_total          counter, solves started
+//	linalg_solver_iterations_total  counter, iterations
 //	linalg_solver_failures_total    counter, solves that returned an error
 //	linalg_residual                 histogram, relative residual at exit
-func recordSolve(r *obs.Registry, method string, stats IterStats, err error) {
+func recordSolve(r *obs.Registry, stats IterStats, err error) {
 	if r != nil {
-		r.Counter("linalg_" + method + "_solves_total").Inc()
+		r.Counter("linalg_cg_solves_total").Inc()
 		r.Counter("linalg_solver_iterations_total").Add(int64(stats.Iterations))
 		r.Histogram("linalg_residual", residualBuckets).Observe(stats.Residual)
 		if err != nil {
@@ -70,6 +70,6 @@ func recordSolve(r *obs.Registry, method string, stats IterStats, err error) {
 		if err != nil {
 			attrs = append(attrs, obs.Attr{Key: "error", Value: err.Error()})
 		}
-		rec.Record("solver", method, attrs...)
+		rec.Record("solver", "cg", attrs...)
 	}
 }

@@ -57,8 +57,8 @@ func relDiff(x, y []float64) float64 {
 }
 
 // TestPropertyIterativeAgreesWithDense is the table-driven property
-// check: on seeded random SPD systems, CG and BiCGSTAB must agree with
-// the dense LU reference solve to solver tolerance.
+// check: on seeded random SPD systems, CG must agree with the dense LU
+// reference solve to solver tolerance.
 func TestPropertyIterativeAgreesWithDense(t *testing.T) {
 	cases := []struct {
 		seed int64
@@ -83,12 +83,6 @@ func TestPropertyIterativeAgreesWithDense(t *testing.T) {
 			t.Errorf("seed %d n %d: CG failed: %v", tc.seed, tc.n, err)
 		} else if d := relDiff(xcg, ref); d > 1e-8 {
 			t.Errorf("seed %d n %d: CG differs from dense by %.3g (stats %+v)", tc.seed, tc.n, d, stats)
-		}
-		xbi, stats, err := BiCGSTAB(a, b, nil, NewJacobiPrec(a), 1e-11, 10*tc.n+100)
-		if err != nil {
-			t.Errorf("seed %d n %d: BiCGSTAB failed: %v", tc.seed, tc.n, err)
-		} else if d := relDiff(xbi, ref); d > 1e-8 {
-			t.Errorf("seed %d n %d: BiCGSTAB differs from dense by %.3g (stats %+v)", tc.seed, tc.n, d, stats)
 		}
 	}
 }

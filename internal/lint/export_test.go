@@ -16,7 +16,7 @@ func exportFixture() []Finding {
 	}, {
 		Pos:  token.Position{Filename: "internal/core/flow.go", Line: 166, Column: 13},
 		Rule: "lockheld",
-		Msg:  "call to thermal.linSolve while mu is held reaches solver entry CGOpt via thermal.linSolve → robust.Chain.Solve",
+		Msg:  "call to thermal.linSolve while mu is held reaches solver entry CGOpt via thermal.linSolve",
 		Hint: "release the lock before the call, or move the blocking work out of the critical section",
 		Related: []Related{{
 			Pos: token.Position{Filename: "internal/thermal/solve.go", Line: 335, Column: 20},

@@ -10,7 +10,7 @@
 // statement in the same block; `defer x.Unlock()` extends the region to
 // the end of the function.  Inside a region the rule flags channel
 // sends and receives, select statements, ranging over a channel, any
-// `.Wait()` call, and calls into the linalg/robust/thermal solver entry
+// `.Wait()` call, and calls into the linalg/thermal solver entry
 // points.  Function literals are skipped: they run later, usually after
 // the lock is gone.
 package lint
@@ -252,7 +252,7 @@ func (p *Package) flagBlockingShallow(stmt ast.Stmt) []Finding {
 }
 
 // blockingCall reports whether the call is a Wait (sync.WaitGroup and
-// friends) or a solver entry point in linalg/robust/thermal.
+// friends) or a solver entry point in linalg/thermal.
 func (p *Package) blockingCall(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -266,11 +266,10 @@ func (p *Package) blockingCall(call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	path := obj.Pkg().Path()
-	for _, suffix := range []string{"/internal/linalg", "/internal/robust", "/internal/thermal"} {
+	for _, suffix := range []string{"/internal/linalg", "/internal/thermal"} {
 		if strings.HasSuffix(path, suffix) {
 			name := sel.Sel.Name
-			if strings.HasPrefix(name, "CG") || strings.HasPrefix(name, "BiCGSTAB") ||
-				strings.Contains(name, "Solve") {
+			if strings.HasPrefix(name, "CG") || strings.Contains(name, "Solve") {
 				return "solver entry " + name, true
 			}
 		}

@@ -15,7 +15,7 @@ func FuzzChromeTrace(f *testing.F) {
 	f.Add("cosee.Sweep", "power_w", "40", 3, 1)
 	f.Add("", "", "", 0, 0)
 	f.Add("solve\nnewline \"quoted\"", "k\te(y", "v\\al", 7, 0)
-	f.Add("robust.fallback", "rung", "cg-jacobi-relaxed", 1, 1)
+	f.Add("thermal.linSolve", "prec_degraded", "jacobi", 1, 1)
 	f.Add("\xff\xfe broken utf8", "\xc3(", "\xed\xa0\x80", 2, 1)
 	f.Fuzz(func(t *testing.T, name, key, val string, depth, end int) {
 		depth %= 32

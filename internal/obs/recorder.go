@@ -11,8 +11,8 @@ import (
 
 // Event is one flight-recorder entry: a structured, timestamped record
 // of something the solver stack decided or observed — a span opening or
-// closing, a solver convergence summary, a fallback or degrade decision,
-// a setup-cache hit, a saturated pool run.  Attrs follow the span
+// closing, a solver convergence summary, a preconditioner degrade, a
+// saturated pool run.  Attrs follow the span
 // convention: pre-formatted key/value strings, so export never has to
 // re-interpret values.
 type Event struct {
@@ -22,10 +22,10 @@ type Event struct {
 	Seq  int64     `json:"seq"`
 	Time time.Time `json:"time"`
 	// Kind classifies the event: "span_begin", "span_end", "solver",
-	// "fallback", "degrade", "pool", "study_begin", "study_end".
+	// "degrade", "pool", "study_begin", "study_end".
 	Kind string `json:"kind"`
 	// Name identifies the subject within the kind (span name, solver
-	// method, chain rung, study label, ...).
+	// method, study label, ...).
 	Name  string `json:"name"`
 	Attrs []Attr `json:"attrs,omitempty"`
 }

@@ -1,21 +1,13 @@
-// Package robust is aeropack's stdlib-only resilience layer: the FV
-// solver fallback chain, the run controls every study shares, and a
-// deterministic fault-injection kit to prove both under go test -race.
+// Package robust holds the run controls every study shares: how a
+// campaign's points are evaluated, how a failed point is reported, and
+// how a run's budget reaches the solvers.
 //
 // The paper's headline results (the Fig. 10 ΔT-versus-power sweeps, the
 // NANOPACK TIM qualification) come out of campaigns with tens to
-// hundreds of operating points; a single non-converged linear solve used
-// to abort the entire run.  This package moves the stack to graceful
-// degradation instead:
+// hundreds of operating points; a single failed solve used to abort the
+// entire run.  This package moves the stack to graceful degradation
+// instead:
 //
-//   - Chain.Solve is the level-2 FV model's one linear-solve entry: it
-//     retries a failed solve down one fallback ladder (CG with the
-//     caller's preconditioner → BiCGSTAB with Jacobi → a Jacobi CG
-//     relaxed-then-refined retry), each attempt bounded by an iteration
-//     cap and a wall-clock budget, and solves small systems densely as
-//     the last resort, with every fallback recorded via internal/obs
-//     spans and the solver_fallbacks counter.  (Resistive networks
-//     factor directly and never reach the chain.)
 //   - Options and Map are every study's run controls: Map runs a
 //     campaign across the internal/parallel pool and, with KeepGoing,
 //     converts each failed point into a typed *PointError positioned in
@@ -24,16 +16,9 @@
 //   - Stop turns a run's context.Context — its deadline, its
 //     cancellation and the poll budget WithPollBudget stores in it —
 //     into the one linalg.IterOptions.Stop predicate the solvers poll.
-//   - The Faulty* constructors build deterministic, seed-driven faults
-//     (perturbed matrices, NaN/Inf-poisoned right-hand sides, forced
-//     solver bailout, stalled pool workers) so tests can exercise every
-//     degraded path reproducibly.
 //
 // Metric names published here (see DESIGN.md "Robustness"):
 //
-//	solver_fallbacks              counter, fallback attempts after a failed primary solve
-//	robust_chain_exhausted_total  counter, solves where every rung failed
-//	robust_relaxed_total          counter, solves accepted at relaxed tolerance only
 //	robust_point_errors_total     counter, campaign points captured as PointError
 package robust
 

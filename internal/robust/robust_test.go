@@ -9,7 +9,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aeropack/internal/obs"
 )
+
+// withRegistry installs a fresh metrics registry for the test and
+// restores the previous one afterwards.
+func withRegistry(t *testing.T) *obs.Registry {
+	t.Helper()
+	reg := obs.NewRegistry()
+	prev := obs.SetDefault(reg)
+	t.Cleanup(func() { obs.SetDefault(prev) })
+	return reg
+}
 
 func TestMapKeepGoingClean(t *testing.T) {
 	items := []float64{1, 2, 3, 4}

@@ -231,10 +231,9 @@ func TestBudgetedNotCached(t *testing.T) {
 }
 
 // TestStudyBudgetStopsLevel2 checks a study's budget reaches the level-2
-// FV solve through its fallback chain: the free-convection board needs
-// about a dozen Picard passes of one to three CG iterations each, so
-// max_solver_iters 10 trips between passes before the field converges,
-// and no fallback rung runs for a request already out of budget.
+// FV solve: the free-convection board needs about a dozen Picard passes
+// of one to three CG iterations each, so max_solver_iters 10 trips
+// between passes before the field converges.
 func TestStudyBudgetStopsLevel2(t *testing.T) {
 	reg := obs.NewRegistry()
 	old := obs.Default()
@@ -249,11 +248,6 @@ func TestStudyBudgetStopsLevel2(t *testing.T) {
 	t.Logf("level-2 CG ran %d iterations before the budget tripped", iters)
 	if iters == 0 || iters > 11 {
 		t.Errorf("level-2 CG ran %d iterations under a 10-iteration budget, want 1–11", iters)
-	}
-	for _, name := range []string{"solver_fallbacks", "robust_chain_exhausted_total"} {
-		if got := reg.Counter(name).Value(); got != 0 {
-			t.Errorf("%s = %d, want 0", name, got)
-		}
 	}
 }
 

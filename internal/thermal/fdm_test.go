@@ -158,11 +158,12 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 	}
 }
 
-// TestFDMDegradesToMIC0 checks the degrade: with no face exchanging heat
-// the fast-diagonalization build fails (the constant mode is singular),
-// and the pass runs on MIC(0) instead — bit for bit its non-separable
-// twin, the same model with one face's BC repeated as a whole-face
-// patch — with the degrade counted, recorded and marked on the span.
+// TestFDMDegradesToMIC0 checks the degrade: with the only heat path a
+// 1e-30 W/m²K film, the fast-diagonalization build fails its pivot
+// check (the constant mode is all but singular), and the pass runs on
+// MIC(0) instead — bit for bit its non-separable twin, the same model
+// with one face's BC repeated as a whole-face patch — with the degrade
+// counted, recorded and marked on the span.
 func TestFDMDegradesToMIC0(t *testing.T) {
 	reg := obs.NewRegistry()
 	prevReg := obs.SetDefault(reg)
@@ -183,6 +184,7 @@ func TestFDMDegradesToMIC0(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 0, H: 1e-30})
 		return m
 	}
 	def, err := build().SolveSteady(context.Background(), nil)

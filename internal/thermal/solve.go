@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -111,8 +112,7 @@ type SolveOptions struct {
 
 	// OnIteration is forwarded to the linear solver (see
 	// linalg.IterOptions.OnIteration).  It fires for every inner
-	// iteration of every outer pass; pair with linalg.ConvergenceLog to
-	// capture convergence traces.
+	// iteration of every outer pass.
 	OnIteration func(it int, residual float64)
 }
 
@@ -137,15 +137,17 @@ func (o *SolveOptions) defaults(n int) {
 // on a linearised radiation coefficient.
 //
 // ctx is the caller's budget (robust.Stop): every linear solve polls it
-// once per iteration, ahead of each rung's 10 s wall-clock guard, and
-// SolveSteady polls it between Picard passes.  Once it fires the solve
-// ends with an error wrapping linalg.ErrStopped.  The solver's spans
-// (thermal.SolveSteady → thermal.assemble / thermal.linSolve) nest under
-// the span ctx carries.
+// once per CG iteration, and SolveSteady polls it between Picard passes.
+// Once it fires the solve ends with an error wrapping linalg.ErrStopped.
+// The solver's spans (thermal.SolveSteady → thermal.assemble /
+// thermal.linSolve) nest under the span ctx carries.
 //
 // The model picks each pass's preconditioner: fast diagonalization
 // (linalg.FDMPrec) when every cell holds one material and no patch
 // overrides a face, as on every level-2 board, and MIC(0) otherwise.
+// Each pass is one preconditioned CG solve; a failed one is the solve's
+// error.  A model with no face exchanging heat has no steady state, and
+// SolveSteady says so rather than solving it.
 func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, error) {
 	n := m.Grid.NumCells()
 	var o SolveOptions
@@ -168,13 +170,13 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 
 	res := &Result{g: m.Grid}
 	st := &stencil{m: m}
-	rung := &firstRung{}
+	pb := &precBuilder{}
 	if m.separable() {
 		// Each pass builds its fast-diagonalization preconditioner at the
 		// current surface estimate, lending the last one's
 		// eigendecompositions to the axes whose faces did not move.
 		var last *linalg.FDMPrec
-		rung.fdm = func() (*linalg.FDMPrec, error) {
+		pb.fdm = func() (*linalg.FDMPrec, error) {
 			p, err := linalg.NewFDMPrec(m.fdmAxes(Tsurf), last)
 			if err == nil {
 				last = p
@@ -195,7 +197,10 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 		}
 		res.OuterIterations = outer + 1
 		a, b := st.assembleObs(ctx, Tsurf)
-		t, stats, err := linSolve(ctx, a, b, prev, &o, rung)
+		if !st.grounded {
+			return nil, errors.New("thermal: no face of the FV model exchanges heat; steady problem is singular")
+		}
+		t, stats, err := linSolve(ctx, a, b, prev, &o, pb)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, err
@@ -296,19 +301,18 @@ func (s *stencil) assembleObs(ctx context.Context, Tsurf []float64) (*linalg.CSR
 // assemblyBuckets span 1 µs to 1000 s, one decade per bucket.
 var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
-// linSolve solves one pass's or step's system through the robust entry,
-// its first rung preconditioned by what rung builds for a.
-func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptions, rung *firstRung) ([]float64, linalg.IterStats, error) {
-	ctx, sp := obs.StartContext(ctx, "thermal.linSolve")
-	prec, kind := rung.build(sp, a)
+// linSolve solves one pass's or step's system by CG, preconditioned by
+// what pb builds for a and polling ctx's budget once per iteration.
+// Nothing retries a failed solve: its error is the caller's.
+func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptions, pb *precBuilder) ([]float64, linalg.IterStats, error) {
+	sp := obs.Start(obs.FromContext(ctx), "thermal.linSolve")
+	prec, kind := pb.build(sp, a)
 	sp.Attr("prec", kind)
-	chain := robust.Chain{Tol: o.Tol, MaxIter: o.MaxIter, OnIteration: o.OnIteration, Prec: prec}
-	x, out, err := chain.Solve(ctx, a, b, x0)
-	if out.Fallbacks > 0 {
-		sp.AttrInt("fallbacks", out.Fallbacks)
-	}
-	sp.AttrInt("iterations", out.Stats.Iterations)
-	sp.AttrF("residual", out.Stats.Residual)
+	x, stats, err := linalg.CGOpt(a, b, x0, &linalg.IterOptions{
+		Tol: o.Tol, MaxIter: o.MaxIter, Prec: prec, OnIteration: o.OnIteration, Stop: robust.Stop(ctx),
+	})
+	sp.AttrInt("iterations", stats.Iterations)
+	sp.AttrF("residual", stats.Residual)
 	sp.End()
 	if err != nil {
 		// The wrapped linalg error already carries the iteration count
@@ -316,14 +320,14 @@ func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptio
 		// keeps the figures from appearing twice in the message.
 		err = fmt.Errorf("thermal: cg-%s solve failed: %w", kind, err)
 	}
-	return x, out.Stats, err
+	return x, stats, err
 }
 
-// firstRung builds the first-rung preconditioner of every linear solve
-// in one solve call.  The model picks its kind, not the caller: fdm,
-// set on a separable steady model, builds a pass's fast
-// diagonalization, and every other solve gets MIC(0).
-type firstRung struct {
+// precBuilder builds the preconditioner of every linear solve in one
+// solve call.  The model picks its kind, not the caller: fdm, set on a
+// separable steady model, builds a pass's fast diagonalization, and
+// every other solve gets MIC(0).
+type precBuilder struct {
 	fdm func() (*linalg.FDMPrec, error)
 	// once keeps the first preconditioner for every later solve: a
 	// transient step operator without a radiating face never changes.
@@ -334,11 +338,11 @@ type firstRung struct {
 
 // build returns the preconditioner for a and its kind, "fdm", "mic0" or
 // "jacobi".
-func (r *firstRung) build(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
-	if !r.once || r.prec == nil {
-		r.prec, r.kind = r.fresh(sp, a)
+func (pb *precBuilder) build(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
+	if !pb.once || pb.prec == nil {
+		pb.prec, pb.kind = pb.fresh(sp, a)
 	}
-	return r.prec, r.kind
+	return pb.prec, pb.kind
 }
 
 // fresh builds a new preconditioner for a.  It is the one place a build
@@ -347,9 +351,9 @@ func (r *firstRung) build(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, s
 // thermal_fdm_degraded_total, and a MIC(0) factor that breaks down
 // through the whole shift ladder to Jacobi, counted on
 // thermal_ic0_degraded_total.
-func (r *firstRung) fresh(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
-	if r.fdm != nil {
-		p, err := r.fdm()
+func (pb *precBuilder) fresh(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
+	if pb.fdm != nil {
+		p, err := pb.fdm()
 		if err == nil {
 			return p, "fdm"
 		}
@@ -384,8 +388,8 @@ func degrade(sp *obs.Span, from, to, counter string, cause error) {
 // copies the interior values and adds the boundary terms, the only part
 // of the operator that moves with the surface temperature.  Every pass
 // assembles into the same value array and right-hand side: no
-// preconditioner keeps a reference to them (MIC(0), Jacobi, fast
-// diagonalization and dense LU copy what they keep).
+// preconditioner keeps a reference to them (MIC(0), Jacobi and fast
+// diagonalization copy what they keep).
 //
 // Every diagonal sums its terms in one fixed order: the −z, −y, −x,
 // +x, +y and +z faces, then the boundary faces XMin…ZMax.  That is the
@@ -397,6 +401,9 @@ type stencil struct {
 	interior []float64  // interior-face operator values
 	a        linalg.CSR // the assembled operator, one Val for every pass
 	b        []float64  // the assembled right-hand side
+	// grounded records whether the last assemble added a nonzero
+	// boundary conductance; without one the steady operator is singular.
+	grounded bool
 }
 
 // build runs the symbolic phase: row by row, entries in ascending
@@ -480,6 +487,7 @@ func (s *stencil) assemble(Tsurf []float64) (*linalg.CSR, []float64) {
 	a, b := &s.a, s.b
 	copy(a.Val, s.interior)
 	clear(b)
+	s.grounded = false
 
 	// Boundary conditions.
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
@@ -493,6 +501,7 @@ func (s *stencil) assemble(Tsurf []float64) (*linalg.CSR, []float64) {
 			if gTot := m.boundaryG(face, i, j, k, bc, Tsurf[idx]); gTot != 0 {
 				a.Val[s.diag[idx]] += gTot
 				b[idx] += gTot * bc.T
+				s.grounded = true
 			}
 		})
 	}
@@ -706,13 +715,13 @@ func (m *Model) SolveTransient(ctx context.Context, T0 float64, opts *TransientO
 	// Without a radiating face the step operator C/dt + A never changes,
 	// so one MIC(0) factor serves every step; with one, each step
 	// factors its own.
-	rung := &firstRung{once: !m.hasRadiation()}
+	pb := &precBuilder{once: !m.hasRadiation()}
 	rhs := make([]float64, n)
 	t := 0.0
 	for step := 0; step < opts.Steps; step++ {
 		a, b := st.assembleObs(ctx, T)
 		st.addCapacity(a, b, capDt, T, rhs)
-		Tn, stats, err := linSolve(ctx, a, rhs, T, &o, rung)
+		Tn, stats, err := linSolve(ctx, a, rhs, T, &o, pb)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)

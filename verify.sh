@@ -78,9 +78,6 @@ go test -run TestObs -count=2 ./internal/obs/...
 echo "== go test -race -cpu=1,4 (telemetry)"
 go test -race -cpu=1,4 ./internal/obs
 
-echo "== go test -race (robustness layer, fault injection)"
-go test -race ./internal/robust
-
 echo "== coverage floors"
 coverage_floor ./internal/robust 85
 coverage_floor ./internal/serve 85
