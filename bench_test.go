@@ -261,6 +261,26 @@ func BenchmarkE2_Level2(b *testing.B) {
 	reportLayers(b, reg)
 }
 
+// BenchmarkE2_Level2FreeConvection is E2_Level2 on the free-convection
+// variant of the board: both faces carry a radiating film, so level 2
+// runs Newton passes of one assembly, one fast-diagonalization build
+// and one CG solve each.  picard_passes/op counts the passes, one
+// thermal_assembly_seconds sample each.
+func BenchmarkE2_Level2FreeConvection(b *testing.B) {
+	screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
+	reg := benchRegistry(b)
+	for i := 0; i < b.N; i++ {
+		board := e2Board()
+		board.EdgeCooling = core.FreeConvection
+		if _, err := board.Level2(screen); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportSolverWork(b, reg)
+	b.ReportMetric(float64(reg.Histogram("thermal_assembly_seconds", nil).Count())/float64(b.N), "picard_passes/op")
+	reportLayers(b, reg)
+}
+
 func BenchmarkE2_Level3(b *testing.B) {
 	screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
 	board := e2Board()

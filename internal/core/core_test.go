@@ -578,8 +578,8 @@ func TestStudyFreeConvectionBoard(t *testing.T) {
 }
 
 // freeConvectionBoard is the board of the serve contract's
-// study-budget-exceeded request: its level-2 field needs about a dozen
-// radiating Picard passes.
+// study-budget-exceeded request: its level-2 field needs three
+// radiating Newton passes.
 func freeConvectionBoard() *BoardDesign {
 	return &BoardDesign{
 		Name: "demo-processing-module", LengthM: 0.16, WidthM: 0.23, ThicknessM: 2.4e-3,

@@ -30,8 +30,8 @@ func requestKey(body []byte) string {
 // and bytes recorded with this version, and fails until both are
 // updated.
 const (
-	modelVersion = "v3"
-	goldenDigest = "859b878e7d391ba156dbddf13215796dd19af50b03b2ae1448d69e70f48d204b"
+	modelVersion = "v4"
+	goldenDigest = "07f5cbb4254b3f48a104a42e2fe9cb0851f258a2764044ff4dd2c52c18c52031"
 )
 
 // entrySchema tags the header line of every disk entry.

@@ -231,9 +231,9 @@ func TestBudgetedNotCached(t *testing.T) {
 }
 
 // TestStudyBudgetStopsLevel2 checks a study's budget reaches the level-2
-// FV solve: the free-convection board needs about a dozen Picard passes
-// of one to three CG iterations each, so max_solver_iters 10 trips
-// between passes before the field converges.
+// FV solve: the free-convection board needs three Newton passes of one
+// or two CG iterations each, so max_solver_iters 2 trips between passes
+// before the field converges.
 func TestStudyBudgetStopsLevel2(t *testing.T) {
 	reg := obs.NewRegistry()
 	old := obs.Default()
@@ -246,8 +246,8 @@ func TestStudyBudgetStopsLevel2(t *testing.T) {
 	}
 	iters := reg.Counter("linalg_solver_iterations_total").Value()
 	t.Logf("level-2 CG ran %d iterations before the budget tripped", iters)
-	if iters == 0 || iters > 11 {
-		t.Errorf("level-2 CG ran %d iterations under a 10-iteration budget, want 1–11", iters)
+	if iters == 0 || iters > 3 {
+		t.Errorf("level-2 CG ran %d iterations under a 2-iteration budget, want 1–3", iters)
 	}
 }
 

@@ -8,9 +8,11 @@ import "aeropack/internal/linalg"
 // Tests compare preconditioners on it directly through linalg.
 func (m *Model) System() (*linalg.CSR, []float64, [3]linalg.Axis) {
 	Tsurf := make([]float64, m.Grid.NumCells())
-	t0 := m.guessInitialT()
-	for i := range Tsurf {
-		Tsurf[i] = t0
+	if m.hasRadiation() {
+		t0 := m.balanceT()
+		for i := range Tsurf {
+			Tsurf[i] = t0
+		}
 	}
 	a, b := (&stencil{m: m}).assemble(Tsurf)
 	var axes [3]linalg.Axis

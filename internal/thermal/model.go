@@ -45,6 +45,15 @@ type BC struct {
 	Emiss float64 // surface emissivity override; 0 → use cell material
 }
 
+// emissivity is the ε a radiating bc gives a face of material mat: its
+// own override, else the material's.
+func (bc BC) emissivity(mat *materials.Material) float64 {
+	if bc.Emiss != 0 {
+		return bc.Emiss
+	}
+	return mat.Emiss
+}
+
 // patch applies a BC to a sub-box of one boundary face.
 type patch struct {
 	face mesh.Face

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -185,21 +186,39 @@ func spanAttrs(t *testing.T, tr *obs.Trace, name string) []map[string]string {
 
 // TestSolveSteadySpans checks the solver's span taxonomy: a steady solve
 // under an enabled tracer records thermal.SolveSteady with one
-// thermal.assemble + thermal.linSolve child pair per outer pass.
+// thermal.assemble + thermal.linSolve child pair per outer pass, and
+// the span carries the passes run and, on a radiating plate, the last
+// pass's largest update delta_k, under picardTolK.
 func TestSolveSteadySpans(t *testing.T) {
-	tr := obs.NewTrace()
-	prev := obs.SetTracer(tr)
-	defer obs.SetTracer(prev)
-
-	m := obsTestModel(t)
-	if _, err := m.SolveSteady(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	want := "thermal.SolveSteady\n" +
-		"  thermal.assemble\n" +
-		"  thermal.linSolve\n"
-	if got := tr.TreeString(); got != want {
-		t.Errorf("span tree = \n%s\nwant\n%s", got, want)
+	linear := obsTestModel(t)
+	radiating := obsTestModel(t)
+	radiating.SetFaceBC(mesh.ZMax, BC{Kind: ConvectionRadiation, T: 300, H: 5, Emiss: 0.8})
+	for name, m := range map[string]*Model{"linear": linear, "radiating": radiating} {
+		tr := obs.NewTrace()
+		prev := obs.SetTracer(tr)
+		res, err := m.SolveSteady(context.Background(), nil)
+		obs.SetTracer(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "thermal.SolveSteady\n" + strings.Repeat("  thermal.assemble\n  thermal.linSolve\n", res.OuterIterations)
+		if got := tr.TreeString(); got != want {
+			t.Errorf("%s: span tree = \n%s\nwant\n%s", name, got, want)
+		}
+		attrs := spanAttrs(t, tr, "thermal.SolveSteady")
+		if len(attrs) != 1 || attrs[0]["passes"] != strconv.Itoa(res.OuterIterations) {
+			t.Fatalf("%s: thermal.SolveSteady attributes %v, want passes %d", name, attrs, res.OuterIterations)
+		}
+		delta, hasDelta := attrs[0]["delta_k"]
+		if m == linear {
+			if hasDelta || res.OuterIterations != 1 {
+				t.Errorf("linear: %d passes, delta_k %q, want 1 pass and no delta_k", res.OuterIterations, delta)
+			}
+			continue
+		}
+		if d, err := strconv.ParseFloat(delta, 64); err != nil || !(d < picardTolK) || res.OuterIterations < 2 {
+			t.Errorf("radiating: %d passes, delta_k %q, want ≥ 2 passes and a last update under %v K", res.OuterIterations, delta, picardTolK)
+		}
 	}
 }
 

@@ -133,8 +133,12 @@ func (o *SolveOptions) defaults(n int) {
 }
 
 // SolveSteady solves the steady conduction problem.  Radiative boundaries
-// make the problem mildly nonlinear; they are handled by Picard iteration
-// on a linearised radiation coefficient.
+// make the problem mildly nonlinear.  Each pass linearizes the radiating
+// film by Newton's method (see assemble), the first about the uniform
+// energy-balance temperature (balanceT) and every later one about the
+// last pass's field, and solves the linear system; the passes stop once
+// no cell moves more than picardTolK.  Its span carries the passes run
+// and, on a radiating model, the last pass's largest update (delta_k).
 //
 // ctx is the caller's budget (robust.Stop): every linear solve polls it
 // once per CG iteration, and SolveSteady polls it between Picard passes.
@@ -161,11 +165,14 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 	sp.AttrInt("cells", n)
 	stop := robust.Stop(ctx)
 
-	// Initial surface-temperature estimate for radiation linearisation.
-	Tsurf := make([]float64, n)
-	Tinit := m.guessInitialT()
-	for i := range Tsurf {
-		Tsurf[i] = Tinit
+	// The field the film is linearized about: the uniform energy-balance
+	// temperature, then each pass's solution.
+	T := make([]float64, n)
+	if m.hasRadiation() {
+		t0 := m.balanceT()
+		for i := range T {
+			T[i] = t0
+		}
 	}
 
 	res := &Result{g: m.Grid}
@@ -173,11 +180,11 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 	pb := &precBuilder{}
 	if m.separable() {
 		// Each pass builds its fast-diagonalization preconditioner at the
-		// current surface estimate, lending the last one's
+		// pass's linearization field, lending the last one's
 		// eigendecompositions to the axes whose faces did not move.
 		var last *linalg.FDMPrec
 		pb.fdm = func() (*linalg.FDMPrec, error) {
-			p, err := linalg.NewFDMPrec(m.fdmAxes(Tsurf), last)
+			p, err := linalg.NewFDMPrec(m.fdmAxes(T), last)
 			if err == nil {
 				last = p
 			}
@@ -196,7 +203,7 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 			return nil, fmt.Errorf("thermal: FV %w after %d Picard passes", linalg.ErrStopped, outer)
 		}
 		res.OuterIterations = outer + 1
-		a, b := st.assembleObs(ctx, Tsurf)
+		a, b := st.assembleObs(ctx, T)
 		if !st.grounded {
 			return nil, errors.New("thermal: no face of the FV model exchanges heat; steady problem is singular")
 		}
@@ -206,20 +213,20 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 			return nil, err
 		}
 		if !m.hasRadiation() {
+			sp.AttrInt("passes", 1)
 			res.T = t
 			return res, nil
 		}
-		// Outer convergence check on the radiating surface estimate, with
-		// under-relaxation to damp the h_rad(T⁴) oscillation.
-		maxDelta := 0.0
+		delta := 0.0
 		for i := range t {
-			if d := math.Abs(t[i] - Tsurf[i]); d > maxDelta {
-				maxDelta = d
+			if d := math.Abs(t[i] - T[i]); d > delta {
+				delta = d
 			}
-			Tsurf[i] = 0.5*Tsurf[i] + 0.5*t[i]
 		}
-		prev = t
-		if maxDelta < picardTolK {
+		T, prev = t, t
+		if delta < picardTolK {
+			sp.AttrInt("passes", res.OuterIterations)
+			sp.AttrF("delta_k", delta)
 			res.T = t
 			return res, nil
 		}
@@ -227,24 +234,56 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 	return nil, fmt.Errorf("thermal: radiation linearisation did not converge in %d passes", maxPicardPasses)
 }
 
-func (m *Model) guessInitialT() float64 {
-	sum, cnt := 0.0, 0
+// balanceT is the uniform temperature T at which the model's faces shed
+// its source power P, the field the first Newton pass linearizes about:
+//
+//	Σ g_c·(T − Ta_c) + σ·Σ ε_c·A_c·(T⁴ − Ta_c⁴) = P
+//
+// over the non-adiabatic boundary cells c, where g_c is the cell's
+// conductance without radiation and ε_c·A_c its radiating area (the
+// radiation is taken at the surface, without the half-cell conduction in
+// series).  Linearized at the ambient instead, a hot face of low ε
+// overshoots by tens of times on the first pass, and Newton then closes
+// only about a quarter of the gap per pass.  The left side is increasing
+// and convex for T > 0, so Newton's method from the highest ambient
+// steps to the right of the root and then falls to it, closing at least
+// a quarter of the gap per step: 100 steps cover any overshoot.
+func (m *Model) balanceT() float64 {
+	g := m.Grid
+	var gSum, gTa, eSum, eTa4 float64
+	t := math.Inf(-1)
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
-		if bc := m.FaceBC[f]; bc.Kind != Adiabatic {
-			sum += bc.T
-			cnt++
+		face := f
+		g.BoundaryCells(face, func(i, j, k int) {
+			bc := m.bcAt(face, i, j, k)
+			if bc.Kind == Adiabatic {
+				return
+			}
+			t = max(t, bc.T)
+			if bc.Kind == ConvectionRadiation {
+				e := bc.emissivity(m.matAt(i, j, k)) * units.StefanBoltzmann * g.FaceArea(face, i, j, k)
+				eSum += e
+				eTa4 += e * bc.T * bc.T * bc.T * bc.T
+				bc.Kind = Convection // g_c: the film's convective part
+			}
+			gc, _ := m.boundaryG(face, i, j, k, bc, bc.T)
+			gSum += gc
+			gTa += gc * bc.T
+		})
+	}
+	p := m.TotalSourcePower()
+	for it := 0; it < 100; it++ {
+		slope := gSum + 4*eSum*t*t*t
+		if !(slope > 0) {
+			break
+		}
+		step := (gSum*t - gTa + eSum*t*t*t*t - eTa4 - p) / slope
+		t -= step
+		if math.Abs(step) < 1e-9*t {
+			break
 		}
 	}
-	for _, p := range m.patches {
-		if p.bc.Kind != Adiabatic {
-			sum += p.bc.T
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 300
-	}
-	return sum / float64(cnt)
+	return t
 }
 
 // separable reports whether the model's operator is a Kronecker sum of
@@ -280,14 +319,14 @@ func (m *Model) hasRadiation() bool {
 // (thermal_matrix_nnz gauge, thermal_assembly_seconds histogram); the
 // first pass's observation includes the symbolic phase.  With telemetry
 // disabled it reduces to the bare assemble call plus two nil checks.
-func (s *stencil) assembleObs(ctx context.Context, Tsurf []float64) (*linalg.CSR, []float64) {
+func (s *stencil) assembleObs(ctx context.Context, T []float64) (*linalg.CSR, []float64) {
 	sp := obs.FromContext(ctx).Start("thermal.assemble")
 	reg := obs.Default()
 	if sp == nil && reg == nil {
-		return s.assemble(Tsurf)
+		return s.assemble(T)
 	}
 	start := time.Now()
-	a, b := s.assemble(Tsurf)
+	a, b := s.assemble(T)
 	nnz := len(a.Val)
 	sp.AttrInt("nnz", nnz)
 	sp.End()
@@ -476,10 +515,17 @@ func (m *Model) faceG(axis, i, j, k int) float64 {
 }
 
 // assemble runs the numeric phase, building the symbolic one on first
-// use: the steady FV system A·T = b given the current surface
-// temperature estimate (for radiation linearisation), written over the
-// previous pass's.
-func (s *stencil) assemble(Tsurf []float64) (*linalg.CSR, []float64) {
+// use: the steady FV system A·T = b linearized about the field T, written
+// over the previous pass's.
+//
+// A boundary cell at Ts loses G(Ts)·(Ts − Ta) through its face.  A
+// radiating film linearizes that by Newton's method: the cell adds
+// G + D to its diagonal and G·Ta + D·Ts to its right-hand side, with
+// D = max(0, dG/dTs·(Ts − Ta)).  At Ts = T the system's residual is the
+// nonlinear one, so the fixed point is the same as with D = 0; D only
+// shortens the way there.  The clamp keeps the operator an SPD
+// M-matrix, as FDM, MIC(0), Jacobi and CG require.
+func (s *stencil) assemble(T []float64) (*linalg.CSR, []float64) {
 	if s.a.RowPtr == nil {
 		s.build()
 	}
@@ -498,11 +544,14 @@ func (s *stencil) assemble(Tsurf []float64) (*linalg.CSR, []float64) {
 				return
 			}
 			idx := g.Index(i, j, k)
-			if gTot := m.boundaryG(face, i, j, k, bc, Tsurf[idx]); gTot != 0 {
-				a.Val[s.diag[idx]] += gTot
-				b[idx] += gTot * bc.T
-				s.grounded = true
+			ts := T[idx]
+			gTot, d := m.boundaryG(face, i, j, k, bc, ts)
+			if gTot == 0 {
+				return
 			}
+			a.Val[s.diag[idx]] += gTot + d
+			b[idx] += gTot*bc.T + d*ts
+			s.grounded = true
 		})
 	}
 
@@ -532,30 +581,33 @@ func (s *stencil) assemble(Tsurf []float64) (*linalg.CSR, []float64) {
 	return a, b
 }
 
-// boundaryG is the conductance (W/K) from the centre of boundary cell
-// (i,j,k) through face f to the ambient of a non-adiabatic bc, with
-// radiation linearised about surface temperature Ts.  It is 0 when the
-// film coefficient is not positive: the face then exchanges no heat.
-func (m *Model) boundaryG(f mesh.Face, i, j, k int, bc BC, Ts float64) float64 {
+// boundaryG is the conductance G (W/K) from the centre of boundary cell
+// (i,j,k) through face f to the ambient of a non-adiabatic bc, with the
+// radiative film taken at surface temperature Ts, and the Newton term
+// D (W/K) assemble adds to it.  G = 1/(rCond + 1/(h·A)) with the film
+// h = H + εσ(Ts² + Ta²)(Ts + Ta), so dG/dTs = G²·h′/(h²·A) with
+// h′ = εσ(3Ts² + 2Ts·Ta + Ta²), and D = max(0, dG/dTs·(Ts − Ta)); D is 0
+// unless the face radiates.  Both are 0 when the film coefficient is not
+// positive: the face then exchanges no heat.
+func (m *Model) boundaryG(f mesh.Face, i, j, k int, bc BC, Ts float64) (G, D float64) {
 	g := m.Grid
 	area := g.FaceArea(f, i, j, k)
 	mat := m.matAt(i, j, k)
 	rCond := 0.5 * cellExtent(g, f, i, j, k) / (kDir(mat, faceAxis(f)) * area)
 	if bc.Kind == FixedT {
-		return 1 / rCond
+		return 1 / rCond, 0
 	}
-	h := bc.H
+	h, dh := bc.H, 0.0
 	if bc.Kind == ConvectionRadiation {
-		eps := bc.Emiss
-		if eps == 0 {
-			eps = mat.Emiss
-		}
-		h += eps * units.StefanBoltzmann * (Ts*Ts + bc.T*bc.T) * (Ts + bc.T)
+		es := bc.emissivity(mat) * units.StefanBoltzmann
+		h += es * (Ts*Ts + bc.T*bc.T) * (Ts + bc.T)
+		dh = es * (3*Ts*Ts + 2*Ts*bc.T + bc.T*bc.T)
 	}
 	if h <= 0 {
-		return 0
+		return 0, 0
 	}
-	return 1 / (rCond + 1/(h*area))
+	G = 1 / (rCond + 1/(h*area))
+	return G, max(0, G*G*dh/(h*h*area)*(Ts-bc.T))
 }
 
 // addCapacity turns one step's assembled system into the backward-Euler
@@ -568,15 +620,15 @@ func (s *stencil) addCapacity(a *linalg.CSR, b, capDt, T, rhs []float64) {
 	}
 }
 
-// fdmAxes factors a separable model's operator at surface temperature
-// Tsurf into its three axes: per unit cross-section, the interior face
-// conductances along each axis plus, at each end, the conductance of
-// that boundary face.  An adiabatic, FixedT or Convection face has the
-// same conductance per unit area at every cell, so the sum is exactly
-// the assembled operator; a ConvectionRadiation face contributes the
-// face mean of the pass's linearized film, which the stencil applies
-// cell by cell.
-func (m *Model) fdmAxes(Tsurf []float64) [3]linalg.Axis {
+// fdmAxes factors a separable model's operator, linearized about the
+// field T, into its three axes: per unit cross-section, the interior
+// face conductances along each axis plus, at each end, the conductance
+// of that boundary face.  An adiabatic, FixedT or Convection face has
+// the same conductance per unit area at every cell, so the sum is
+// exactly the assembled operator; a ConvectionRadiation face contributes
+// the face mean of the film and its Newton term, which the stencil
+// applies cell by cell.
+func (m *Model) fdmAxes(T []float64) [3]linalg.Axis {
 	g := m.Grid
 	mat := &m.Mats[g.MatIdx[0]]
 	var axes [3]linalg.Axis
@@ -594,16 +646,17 @@ func (m *Model) fdmAxes(Tsurf []float64) [3]linalg.Axis {
 			ax.Diag[i] += gf
 			ax.Diag[i+1] += gf
 		}
-		ax.Diag[0] += m.faceFilm(mesh.Face(2*d), Tsurf)
-		ax.Diag[n-1] += m.faceFilm(mesh.Face(2*d+1), Tsurf)
+		ax.Diag[0] += m.faceFilm(mesh.Face(2*d), T)
+		ax.Diag[n-1] += m.faceFilm(mesh.Face(2*d+1), T)
 		axes[d] = ax
 	}
 	return axes
 }
 
-// faceFilm is boundary face f's conductance per unit area: the total
-// over its cells divided by the face area.
-func (m *Model) faceFilm(f mesh.Face, Tsurf []float64) float64 {
+// faceFilm is boundary face f's diagonal conductance per unit area at
+// the field T: the total over its cells of G plus the Newton term D that
+// assemble adds, divided by the face area.
+func (m *Model) faceFilm(f mesh.Face, T []float64) float64 {
 	bc := m.FaceBC[f]
 	if bc.Kind == Adiabatic {
 		return 0
@@ -611,7 +664,8 @@ func (m *Model) faceFilm(f mesh.Face, Tsurf []float64) float64 {
 	g := m.Grid
 	total := 0.0
 	g.BoundaryCells(f, func(i, j, k int) {
-		total += m.boundaryG(f, i, j, k, bc, Tsurf[g.Index(i, j, k)])
+		gc, d := m.boundaryG(f, i, j, k, bc, T[g.Index(i, j, k)])
+		total += gc + d
 	})
 	return total / g.TotalFaceArea(f)
 }
@@ -659,7 +713,7 @@ func (m *Model) BoundaryHeatFlow(res *Result, f mesh.Face) float64 {
 			return
 		}
 		idx := g.Index(i, j, k)
-		if gTot := m.boundaryG(f, i, j, k, bc, res.T[idx]); gTot != 0 {
+		if gTot, _ := m.boundaryG(f, i, j, k, bc, res.T[idx]); gTot != 0 {
 			total += gTot * (res.T[idx] - bc.T)
 		}
 	})
@@ -678,9 +732,10 @@ type TransientOptions struct {
 
 // SolveTransient integrates ∂(ρc_p T)/∂t = ∇·(k∇T) + q with implicit
 // (backward) Euler from a uniform initial temperature T0.  Radiative BCs
-// are linearised about the previous step's field.  Every step's linear
-// solve is preconditioned by MIC(0).  ctx budgets every step's linear
-// solve and parents the solver's spans, as in SolveSteady.
+// are Newton-linearized about the previous step's field (see assemble).
+// Every step's linear solve is preconditioned by MIC(0).  ctx budgets
+// every step's linear solve and parents the solver's spans, as in
+// SolveSteady.
 func (m *Model) SolveTransient(ctx context.Context, T0 float64, opts *TransientOptions) (*Result, error) {
 	if opts == nil || opts.Dt <= 0 || opts.Steps <= 0 {
 		return nil, fmt.Errorf("thermal: transient solve requires positive Dt and Steps")

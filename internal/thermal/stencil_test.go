@@ -21,8 +21,9 @@ type triplet struct {
 // tripletReference builds the steady FV system the way triplet (COO)
 // assembly did: a cell-by-cell loop appends each cell's +x, +y and +z
 // faces as four entries, then the boundary faces XMin…ZMax add their
-// diagonal terms.  It is the reference for the stencil's two-phase
-// assembly and lives only in this test.
+// diagonal terms, G plus a radiating cell's Newton term D.  It is the
+// reference for the stencil's two-phase assembly and lives only in
+// this test.
 func tripletReference(m *Model, Tsurf []float64) ([]triplet, []float64) {
 	g := m.Grid
 	var ts []triplet
@@ -64,9 +65,10 @@ func tripletReference(m *Model, Tsurf []float64) ([]triplet, []float64) {
 				return
 			}
 			idx := g.Index(i, j, k)
-			gTot := m.boundaryG(f, i, j, k, bc, Tsurf[idx])
-			add(idx, idx, gTot)
-			b[idx] += gTot * bc.T
+			ts := Tsurf[idx]
+			gTot, d := m.boundaryG(f, i, j, k, bc, ts)
+			add(idx, idx, gTot+d)
+			b[idx] += gTot*bc.T + d*ts
 		})
 	}
 	for _, src := range m.sources {
@@ -246,6 +248,50 @@ func TestStencilMatchesTripletReference(t *testing.T) {
 			for i := range Tsurf {
 				Tsurf[i] += 25 * rng.Float64()
 			}
+		}
+	}
+}
+
+// TestBoundaryGDerivative checks boundaryG's Newton term D against
+// max(0, dG/dTs·(Ts − Ta)), with dG/dTs a central difference of its G, to
+// 1e-6 relative, on every boundary cell of a graded plate: radiating
+// films with and without convection, the emissivity from the BC and from
+// the cell material, and the surface below, at and above ambient (where
+// D is 0 at and below it).  A face that does not radiate has D = 0.
+func TestBoundaryGDerivative(t *testing.T) {
+	g, err := mesh.FromEdges(mesh.GradedEdges(0.12, 5, 1.3), mesh.GradedEdges(0.09, 4, 0.8), mesh.GradedEdges(0.0024, 2, 1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(g, []materials.Material{materials.PCB(8, 1, 0.6, 0.0024)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ta, step = 290.0, 1e-2
+	for _, bc := range []BC{
+		{Kind: ConvectionRadiation, T: ta},
+		{Kind: ConvectionRadiation, T: ta, H: 10},
+		{Kind: ConvectionRadiation, T: ta, Emiss: 0.05},
+		{Kind: ConvectionRadiation, T: ta, H: 4, Emiss: 0.9},
+	} {
+		for f := mesh.XMin; f < mesh.NumFaces; f++ {
+			g.BoundaryCells(f, func(i, j, k int) {
+				for _, ts := range []float64{220, ta, 291, 420} {
+					_, d := m.boundaryG(f, i, j, k, bc, ts)
+					hi, _ := m.boundaryG(f, i, j, k, bc, ts+step)
+					lo, _ := m.boundaryG(f, i, j, k, bc, ts-step)
+					dG := (hi - lo) / (2 * step)
+					want := max(0, dG*(ts-bc.T))
+					if !(dG > 0) || math.Abs(d-want) > 1e-6*want {
+						t.Fatalf("%+v, face %v cell (%d,%d,%d), Ts %v K: D %v, central difference %v", bc, f, i, j, k, ts, d, want)
+					}
+				}
+			})
+		}
+	}
+	for _, bc := range []BC{{Kind: FixedT, T: ta}, {Kind: Convection, T: ta, H: 25}} {
+		if G, d := m.boundaryG(mesh.ZMax, 0, 0, 1, bc, 350); !(G > 0) || d != 0 {
+			t.Errorf("%+v: G %v, D %v, want G > 0 and D = 0", bc, G, d)
 		}
 	}
 }

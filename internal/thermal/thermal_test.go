@@ -187,13 +187,17 @@ func TestTwoMaterialSeriesSlab(t *testing.T) {
 
 func TestRadiationBoundary(t *testing.T) {
 	// A hot plate cooled only by radiation: verify Stefan–Boltzmann
-	// balance  P = εσA(Ts⁴ − Ta⁴).
+	// balance  P = εσA(Ts⁴ − Ta⁴).  The plate is nearly isothermal, so
+	// the first pass, linearized at the energy-balance temperature (the
+	// Ts of that balance), already lands within picardTolK of it:
+	// exactly one pass.
 	g, _ := mesh.Uniform(4, 4, 1, 0.1, 0.1, 0.005)
 	mat := materials.Material{Name: "blk", K: 200, Rho: 2700, Cp: 900, Emiss: 0.9}
 	m, _ := NewModel(g, []materials.Material{mat})
 	m.SetFaceBC(mesh.ZMax, BC{Kind: ConvectionRadiation, T: 300, H: 0})
 	const P = 10.0
 	m.AddVolumeSource(0, 0.1, 0, 0.1, 0, 0.005, P)
+	almost(t, m.balanceT(), math.Pow(P/(0.9*units.StefanBoltzmann*0.01)+math.Pow(300, 4), 0.25), 1e-12, "energy-balance temperature")
 	res, err := m.SolveSteady(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -201,8 +205,8 @@ func TestRadiationBoundary(t *testing.T) {
 	Ts := res.Mean() // high conductivity → nearly isothermal
 	lhs := 0.9 * units.StefanBoltzmann * 0.01 * (math.Pow(Ts, 4) - math.Pow(300, 4))
 	almost(t, lhs, P, 0.02, "radiative balance")
-	if res.OuterIterations < 2 {
-		t.Error("radiation should take >1 outer pass")
+	if res.OuterIterations != 1 {
+		t.Errorf("radiation took %d outer passes, want 1 from the energy-balance start", res.OuterIterations)
 	}
 }
 

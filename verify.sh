@@ -86,8 +86,8 @@ coverage_floor ./internal/lint 85
 echo "== solver factorization budget (E5 Fig. 10; no pipe, so a blown budget fails the gate)"
 AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/E5FactorizationBudget' -v .
 
-echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + Par_SolveSteadySerial, 1 iteration)"
-go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkPar_SolveSteady' -benchtime 1x .
+echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + E2_Level2FreeConvection + Par_SolveSteadySerial, 1 iteration)"
+go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkE2_Level2FreeConvection$|BenchmarkPar_SolveSteady' -benchtime 1x .
 
 echo "== lint benchmark smoke (BenchmarkLintModule + LintPhases + ValueFlow, 1 iteration)"
 go test -run - -bench 'BenchmarkLintModule|BenchmarkLintPhases|BenchmarkValueFlow' -benchtime 1x ./internal/lint
