@@ -29,7 +29,8 @@ func rayleigh(L, Ts, Tamb float64) (ra float64, air materials.AirProps) {
 
 // NaturalVerticalPlate returns the average natural-convection coefficient
 // for a vertical plate of height L using the Churchill–Chu correlation
-// (valid over the full laminar/turbulent Ra range).
+// (valid over the full laminar/turbulent Ra range),
+// Nu = (0.825 + 0.387·Ra^(1/6)/den)², the square taken as one product.
 //
 // Non-finite (NaN/Inf) inputs propagate to the result (nanguard: propagates).
 func NaturalVerticalPlate(L, Ts, Tamb float64) float64 {
@@ -42,7 +43,8 @@ func NaturalVerticalPlate(L, Ts, Tamb float64) float64 {
 	}
 	pr := air.Pr
 	den := math.Pow(1+math.Pow(0.492/pr, 9.0/16.0), 8.0/27.0)
-	nu := math.Pow(0.825+0.387*math.Pow(ra, 1.0/6.0)/den, 2)
+	root := 0.825 + 0.387*math.Pow(ra, 1.0/6.0)/den
+	nu := root * root
 	return nu * air.K / L
 }
 

@@ -307,3 +307,32 @@ func TestPinFinArray(t *testing.T) {
 		t.Error("zero fins should error")
 	}
 }
+
+// refNaturalVerticalPlate is NaturalVerticalPlate with its square taken
+// by math.Pow; the product form must match it bit for bit.
+func refNaturalVerticalPlate(L, Ts, Tamb float64) float64 {
+	if L <= 0 {
+		return 0
+	}
+	ra, air := rayleigh(L, Ts, Tamb)
+	if ra <= 0 {
+		return 0
+	}
+	pr := air.Pr
+	den := math.Pow(1+math.Pow(0.492/pr, 9.0/16.0), 8.0/27.0)
+	nu := math.Pow(0.825+0.387*math.Pow(ra, 1.0/6.0)/den, 2)
+	return nu * air.K / L
+}
+
+func TestNaturalVerticalPlateMatchesReference(t *testing.T) {
+	for _, L := range []float64{0, 0.005, 0.1, 0.7, 3} {
+		for _, Tamb := range []float64{230, units.CToK(25), 330} {
+			for _, dT := range []float64{-40, -0.3, 0, 1e-6, 0.5, 12, 60, 250} {
+				got, want := NaturalVerticalPlate(L, Tamb+dT, Tamb), refNaturalVerticalPlate(L, Tamb+dT, Tamb)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("L %v, Ts %v, Tamb %v: h = %v, want %v", L, Tamb+dT, Tamb, got, want)
+				}
+			}
+		}
+	}
+}

@@ -369,7 +369,8 @@ func (c *Config) Solve(power float64) (Point, error) {
 
 // SolveContext evaluates the steady PCB-to-ambient temperature
 // difference under ctx: its budget bounds the network's Picard passes,
-// and the span it carries parents the solve's.
+// and the span it carries parents the solve's.  It does not write c, so
+// concurrent calls on one Config are safe.
 func (c *Config) SolveContext(ctx context.Context, power float64) (Point, error) {
 	return c.solve(ctx, power, nil)
 }
@@ -390,7 +391,11 @@ func (c *Config) solve(ctx context.Context, power float64, warm *thermal.Network
 			return Point{}, err
 		}
 	}
-	n, err := c.BuildNetwork(power)
+	// BuildNetwork fills the defaults, and its closures hold the Config,
+	// so both get a copy: a solve never writes c, and concurrent solves
+	// of one Config share it read-only.
+	cfg := *c
+	n, err := cfg.BuildNetwork(power)
 	if err != nil {
 		return Point{}, err
 	}
@@ -398,11 +403,10 @@ func (c *Config) solve(ctx context.Context, power float64, warm *thermal.Network
 	if err != nil {
 		return Point{}, err
 	}
-	c.Defaults()
-	Ta := units.CToK(c.AmbientC)
+	Ta := units.CToK(cfg.AmbientC)
 	p := Point{PowerW: power, DeltaTK: res.T["pcb"] - Ta}
-	if c.UseLHP {
-		for i := 0; i < c.LHPCount; i++ {
+	if cfg.UseLHP {
+		for i := 0; i < cfg.LHPCount; i++ {
 			p.LHPPower += n.FlowBetween(res, fmt.Sprintf("evap%d", i), "structure")
 		}
 	}
@@ -410,11 +414,10 @@ func (c *Config) solve(ctx context.Context, power float64, warm *thermal.Network
 }
 
 // Sweep evaluates the ΔT(P) curve over the given powers — one Fig. 10
-// series — across at most o.Workers goroutines.  Each power is solved
-// on a private copy of the configuration — Defaults mutates the
-// receiver, so sharing one Config between goroutines would race — and
-// the points land in input order, so the result is bitwise-identical at
-// any worker count.  Without o.KeepGoing the lowest-index failure aborts
+// series — across at most o.Workers goroutines.  The points share one
+// defaulted copy of the configuration, which a solve only reads, and
+// land in input order, so the result is bitwise-identical at any worker
+// count.  Without o.KeepGoing the lowest-index failure aborts
 // the sweep; with it, each failed point keeps its PowerW with NaN for
 // the solved fields and is listed as a robust.PointError, while every
 // surviving point is bitwise-identical to the clean sweep's.
@@ -433,8 +436,7 @@ func (c *Config) Sweep(ctx context.Context, powers []float64, o robust.Options) 
 	out, errs, err := robust.Map(powers, o,
 		func(_ int, p float64) string { return fmt.Sprintf("P=%g W", p) },
 		func(_ int, p float64) (Point, error) {
-			cfg := cc
-			pt, err := cfg.SolveContext(ctx, p)
+			pt, err := cc.SolveContext(ctx, p)
 			prog.Step(1)
 			return pt, err
 		})

@@ -53,6 +53,10 @@ type anchor struct {
 	KL    float64
 	CpL   float64
 	Sigma float64
+
+	// lnMuL and lnMuV are ln MuL and ln MuV, taken once by byName for
+	// Sat's log-space interpolation.
+	lnMuL, lnMuV float64
 }
 
 // Fluid is a two-phase working fluid with property correlations valid over
@@ -73,7 +77,8 @@ const mmHg = 133.322 // Pa
 
 // Sat evaluates saturated properties at temperature T (K).  Temperatures
 // outside the validity range are clamped; callers that care should check
-// with InRange first.
+// with InRange first.  The viscosities interpolate between the anchors'
+// logarithms, which byName takes once per built-in fluid.
 func (f *Fluid) Sat(T float64) State {
 	Tc := T
 	if Tc < f.Tmin {
@@ -87,8 +92,8 @@ func (f *Fluid) Sat(T float64) State {
 	t := (Tc - f.lo.T) / (f.hi.T - f.lo.T)
 	lerp := func(a, b float64) float64 { return a + (b-a)*t }
 	// Viscosity varies exponentially with T; interpolate in log space.
-	loglerp := func(a, b float64) float64 {
-		return math.Exp(math.Log(a) + (math.Log(b)-math.Log(a))*t)
+	loglerp := func(lnA, lnB float64) float64 {
+		return math.Exp(lnA + (lnB-lnA)*t)
 	}
 	hfg := lerp(f.lo.Hfg, f.hi.Hfg)
 	// Ideal-gas vapour density at saturation.
@@ -99,8 +104,8 @@ func (f *Fluid) Sat(T float64) State {
 		Hfg:      hfg,
 		RhoL:     lerp(f.lo.RhoL, f.hi.RhoL),
 		RhoV:     rhoV,
-		MuL:      loglerp(f.lo.MuL, f.hi.MuL),
-		MuV:      loglerp(f.lo.MuV, f.hi.MuV),
+		MuL:      loglerp(f.lo.lnMuL, f.hi.lnMuL),
+		MuV:      loglerp(f.lo.lnMuV, f.hi.lnMuV),
 		KL:       lerp(f.lo.KL, f.hi.KL),
 		CpL:      lerp(f.lo.CpL, f.hi.CpL),
 		Sigma:    math.Max(1e-4, lerp(f.lo.Sigma, f.hi.Sigma)),
@@ -187,9 +192,14 @@ var (
 // registry is the name-keyed index over the canonical instances above.
 var registry = byName(Water, Ammonia, Methanol, R134a, Acetone)
 
+// byName indexes fs by name and takes the logs of each fluid's anchor
+// viscosities, which Sat reads.
 func byName(fs ...*Fluid) map[string]*Fluid {
 	out := make(map[string]*Fluid, len(fs))
 	for _, f := range fs {
+		for _, a := range []*anchor{&f.lo, &f.hi} {
+			a.lnMuL, a.lnMuV = math.Log(a.MuL), math.Log(a.MuV)
+		}
 		out[f.Name] = f
 	}
 	return out

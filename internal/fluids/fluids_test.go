@@ -2,6 +2,7 @@ package fluids
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -220,5 +221,61 @@ func TestR134aHandbook(t *testing.T) {
 	// fluid of choice.
 	if s25.MeritNumber() > Water.Sat(units.CToK(25)).MeritNumber()/20 {
 		t.Error("r134a merit should be ≪ water")
+	}
+}
+
+// refSat is Sat as first written, taking the logs of the anchor
+// viscosities on every call; Sat must match it bit for bit.
+func refSat(f *Fluid, T float64) State {
+	Tc := T
+	if Tc < f.Tmin {
+		Tc = f.Tmin
+	}
+	if Tc > f.Tmax {
+		Tc = f.Tmax
+	}
+	c := units.KToC(Tc)
+	psat := mmHg * math.Pow(10, f.AntA-f.AntB/(f.AntC+c))
+	t := (Tc - f.lo.T) / (f.hi.T - f.lo.T)
+	lerp := func(a, b float64) float64 { return a + (b-a)*t }
+	// Viscosity varies exponentially with T; interpolate in log space.
+	loglerp := func(a, b float64) float64 {
+		return math.Exp(math.Log(a) + (math.Log(b)-math.Log(a))*t)
+	}
+	hfg := lerp(f.lo.Hfg, f.hi.Hfg)
+	// Ideal-gas vapour density at saturation.
+	rhoV := psat * f.MolarMass / (units.GasConstant * Tc)
+	return State{
+		T:        Tc,
+		Psat:     psat,
+		Hfg:      hfg,
+		RhoL:     lerp(f.lo.RhoL, f.hi.RhoL),
+		RhoV:     rhoV,
+		MuL:      loglerp(f.lo.MuL, f.hi.MuL),
+		MuV:      loglerp(f.lo.MuV, f.hi.MuV),
+		KL:       lerp(f.lo.KL, f.hi.KL),
+		CpL:      lerp(f.lo.CpL, f.hi.CpL),
+		Sigma:    math.Max(1e-4, lerp(f.lo.Sigma, f.hi.Sigma)),
+		GammaV:   f.GammaV,
+		MolarMas: f.MolarMass,
+	}
+}
+
+// TestSatMatchesReference pins every property of all five fluids, below
+// Tmin, across the range and above Tmax, to refSat's bits.
+func TestSatMatchesReference(t *testing.T) {
+	for _, f := range All() {
+		Ts := []float64{f.Tmin - 30, f.Tmin, f.Tmax, f.Tmax + 30}
+		for i := 0; i <= 50; i++ {
+			Ts = append(Ts, f.Tmin+(f.Tmax-f.Tmin)*float64(i)/50)
+		}
+		for _, T := range Ts {
+			got, want := reflect.ValueOf(f.Sat(T)), reflect.ValueOf(refSat(f, T))
+			for k := 0; k < got.NumField(); k++ {
+				if g, w := got.Field(k).Float(), want.Field(k).Float(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("%s at %v K: %s = %v, want %v", f.Name, T, got.Type().Field(k).Name, g, w)
+				}
+			}
+		}
 	}
 }

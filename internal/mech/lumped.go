@@ -278,11 +278,15 @@ func NaturalFreqHz(k, m float64) float64 {
 
 // SDOFTransmissibility returns the classic base-excitation
 // transmissibility of a single DOF at frequency ratio r = f/f_n with
-// damping ratio zeta.
+// damping ratio zeta, √((1 + (2ζr)²) / ((1 − r²)² + (2ζr)²)).  Each
+// square is one product, which rounds as math.Pow(x, 2) does; the
+// float64 conversions keep a multiply-add architecture from fusing a
+// square into the sum after it.
 func SDOFTransmissibility(r, zeta float64) float64 {
-	num := 1 + math.Pow(2*zeta*r, 2)
-	den := math.Pow(1-r*r, 2) + math.Pow(2*zeta*r, 2)
-	return math.Sqrt(num / den)
+	c := 2 * zeta * r
+	b := 1 - r*r
+	c2 := float64(c * c)
+	return math.Sqrt((1 + c2) / (float64(b*b) + c2))
 }
 
 // IsolatorStiffness returns the spring rate (per isolator, count n) that

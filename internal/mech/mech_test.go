@@ -39,6 +39,32 @@ func TestSDOFTransmissibility(t *testing.T) {
 	}
 }
 
+// powSDOFTransmissibility is SDOFTransmissibility in its math.Pow form,
+// the reference the product form must match bit for bit.
+func powSDOFTransmissibility(r, zeta float64) float64 {
+	num := 1 + math.Pow(2*zeta*r, 2)
+	den := math.Pow(1-r*r, 2) + math.Pow(2*zeta*r, 2)
+	return math.Sqrt(num / den)
+}
+
+// TestSDOFTransmissibilityMatchesPowForm pins the product form to the
+// math.Pow form's bits: r = 0, r = 1 and 601 ratios log-spaced over
+// 1e-3…1e3, at three dampings.
+func TestSDOFTransmissibilityMatchesPowForm(t *testing.T) {
+	rs := []float64{0, 1}
+	for i := 0; i <= 600; i++ {
+		rs = append(rs, 1e-3*math.Pow(1e6, float64(i)/600))
+	}
+	for _, zeta := range []float64{0.005, 0.05, 0.5} {
+		for _, r := range rs {
+			got, want := SDOFTransmissibility(r, zeta), powSDOFTransmissibility(r, zeta)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("T(r=%v, ζ=%v) = %v, want %v", r, zeta, got, want)
+			}
+		}
+	}
+}
+
 func TestQFactor(t *testing.T) {
 	if QFactor(0.05) != 10 {
 		t.Errorf("Q = %v", QFactor(0.05))

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -325,6 +327,46 @@ func TestExtendedQualification(t *testing.T) {
 	// The extended campaign adds tests beyond the base four.
 	if n := bytes.Count(w.Body.Bytes(), []byte(`"test":`)); n <= 4 {
 		t.Errorf("extended campaign returned %d tests, want > 4", n)
+	}
+}
+
+// TestArticleDeltaTAtConcurrent calls one served article's thermal model
+// from two goroutines at once, as a campaign's climatic and
+// thermal-shock tests may: the COSEE solve behind it must only read the
+// configuration both share.  Run it under -race.
+func TestArticleDeltaTAtConcurrent(t *testing.T) {
+	var req StudyRequest
+	if err := json.Unmarshal(readContract(t, "qualification.request.json"), &req); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	art, serr := req.Qualification.Article.article(ctx)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	fresh, serr := req.Qualification.Article.article(ctx)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	want, err := fresh.DeltaTAt(art.PowerW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]float64
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = art.DeltaTAt(art.PowerW)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Errorf("goroutine %d: ΔT = %v (%v), want %v", i, got[i], errs[i], want)
+		}
 	}
 }
 

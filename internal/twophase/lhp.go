@@ -79,29 +79,33 @@ func (l *LoopHeatPipe) MaxPower(T float64) (float64, error) {
 	if err := l.Validate(); err != nil {
 		return 0, err
 	}
-	s := l.Fluid.Sat(T)
+	return l.maxPower(l.Fluid.Sat(T), math.Pow(l.LineRadius, 4)), nil
+}
+
+// maxPower is MaxPower for the saturated state s, with r4 = LineRadius⁴.
+func (l *LoopHeatPipe) maxPower(s fluids.State, r4 float64) float64 {
 	dpCap := 2 * s.Sigma / l.PoreRadius
 	dpGrav := s.RhoL * units.Gravity * l.ElevationM
 	avail := dpCap - dpGrav
 	if avail <= 0 {
-		return 0, nil
+		return 0
 	}
 	// Pressure drops per unit mass flow ṁ = Q/h_fg:
 	// wick (Darcy):      dp = μ_l·L_w/(ρ_l·K·A_w)·ṁ
 	// liquid line (HP):  dp = 8·μ_l·L/(ρ_l·π·r⁴)·ṁ
 	// vapour line (HP):  dp = 8·μ_v·L/(ρ_v·π·r⁴)·ṁ
-	r4 := math.Pow(l.LineRadius, 4)
 	perMdot := s.MuL*l.WickLength/(s.RhoL*l.Permeability*l.WickArea) +
 		8*s.MuL*l.LineLength/(s.RhoL*math.Pi*r4) +
 		8*s.MuV*l.LineLength/(s.RhoV*math.Pi*r4)
 	mdotMax := avail / perMdot
-	return mdotMax * s.Hfg, nil
+	return mdotMax * s.Hfg
 }
 
 // Resistance returns the evaporator-to-condenser-sink thermal resistance
 // (K/W) at vapour temperature T carrying power q, including the
 // variable-conductance regime at low power.  Dry-out (q above MaxPower)
-// and failure to start (q below StartupPower) are errors.
+// and failure to start (q below StartupPower) are errors.  The capillary
+// limit and the vapour-line drop share one saturated state.
 //
 // Non-finite (NaN/Inf) inputs propagate to the result (nanguard: propagates).
 func (l *LoopHeatPipe) Resistance(T, q float64) (float64, error) {
@@ -114,10 +118,9 @@ func (l *LoopHeatPipe) Resistance(T, q float64) (float64, error) {
 	if q < l.StartupPower {
 		return 0, fmt.Errorf("twophase: %g W below LHP startup power %g W", q, l.StartupPower)
 	}
-	qMax, err := l.MaxPower(T)
-	if err != nil {
-		return 0, err
-	}
+	s := l.Fluid.Sat(T)
+	r4 := math.Pow(l.LineRadius, 4)
+	qMax := l.maxPower(s, r4)
 	if q > qMax {
 		return 0, fmt.Errorf("twophase: %g W exceeds LHP capillary limit %g W at %g K", q, qMax, T)
 	}
@@ -130,8 +133,6 @@ func (l *LoopHeatPipe) Resistance(T, q float64) (float64, error) {
 	open := q / (q + qvc)
 	rCond := 1 / (l.CondH * l.CondArea * open)
 	// Vapour line saturation-temperature drop (usually negligible).
-	s := l.Fluid.Sat(T)
-	r4 := math.Pow(l.LineRadius, 4)
 	dpdq := 8 * s.MuV * l.LineLength / (s.RhoV * math.Pi * r4 * s.Hfg)
 	rLine := T * dpdq / (s.RhoV * s.Hfg)
 	return rEvap + rCond + rLine, nil

@@ -1,6 +1,7 @@
 package twophase
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -281,6 +282,92 @@ func TestLHPValidation(t *testing.T) {
 	l.CondH = 0
 	if err := l.Validate(); err == nil {
 		t.Error("zero condenser h should fail")
+	}
+}
+
+// refLHPMaxPower and refLHPResistance are MaxPower and Resistance as
+// first written, with two fluids.Sat calls and two LineRadius⁴ per
+// Resistance; the kernels must match them bit for bit, errors included.
+func refLHPMaxPower(l *LoopHeatPipe, T float64) (float64, error) {
+	if err := l.Validate(); err != nil {
+		return 0, err
+	}
+	s := l.Fluid.Sat(T)
+	dpCap := 2 * s.Sigma / l.PoreRadius
+	dpGrav := s.RhoL * units.Gravity * l.ElevationM
+	avail := dpCap - dpGrav
+	if avail <= 0 {
+		return 0, nil
+	}
+	r4 := math.Pow(l.LineRadius, 4)
+	perMdot := s.MuL*l.WickLength/(s.RhoL*l.Permeability*l.WickArea) +
+		8*s.MuL*l.LineLength/(s.RhoL*math.Pi*r4) +
+		8*s.MuV*l.LineLength/(s.RhoV*math.Pi*r4)
+	mdotMax := avail / perMdot
+	return mdotMax * s.Hfg, nil
+}
+
+func refLHPResistance(l *LoopHeatPipe, T, q float64) (float64, error) {
+	if err := l.Validate(); err != nil {
+		return 0, err
+	}
+	if q <= 0 {
+		return 0, fmt.Errorf("twophase: LHP requires positive power")
+	}
+	if q < l.StartupPower {
+		return 0, fmt.Errorf("twophase: %g W below LHP startup power %g W", q, l.StartupPower)
+	}
+	qMax, err := refLHPMaxPower(l, T)
+	if err != nil {
+		return 0, err
+	}
+	if q > qMax {
+		return 0, fmt.Errorf("twophase: %g W exceeds LHP capillary limit %g W at %g K", q, qMax, T)
+	}
+	rEvap := 1 / (l.EvapH * l.EvapArea)
+	qvc := 0.15 * qMax
+	open := q / (q + qvc)
+	rCond := 1 / (l.CondH * l.CondArea * open)
+	s := l.Fluid.Sat(T)
+	r4 := math.Pow(l.LineRadius, 4)
+	dpdq := 8 * s.MuV * l.LineLength / (s.RhoV * math.Pi * r4 * s.Hfg)
+	rLine := T * dpdq / (s.RhoV * s.Hfg)
+	return rEvap + rCond + rLine, nil
+}
+
+// TestLHPMatchesReference pins MaxPower and Resistance to the reference
+// over temperatures inside and outside ammonia's range and powers from
+// below startup to above the capillary limit, for the level loop, a
+// tilted one, one whose adverse elevation exhausts the wick, and an
+// invalid one.  The errors must match too.
+func TestLHPMatchesReference(t *testing.T) {
+	tilted, adverse, invalid := coseeLHP(), coseeLHP(), coseeLHP()
+	tilted.ElevationM = TiltedElevation(0.5, 22)
+	adverse.ElevationM = 10
+	invalid.WickArea = 0
+	if q, err := adverse.MaxPower(units.CToK(40)); err != nil || q != 0 {
+		t.Fatalf("10 m adverse elevation: MaxPower = %v, %v; want 0, the wick exhausted", q, err)
+	}
+	same := func(what string, got, want float64, gotErr, wantErr error) {
+		t.Helper()
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Errorf("%s: error %v, want %v", what, gotErr, wantErr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s = %v, want %v", what, got, want)
+		}
+	}
+	for name, l := range map[string]*LoopHeatPipe{"level": coseeLHP(), "tilted": tilted, "adverse": adverse, "invalid": invalid} {
+		for _, T := range []float64{180, 200, 260, units.CToK(25), units.CToK(40), units.CToK(85), 370, 400} {
+			q, err := l.MaxPower(T)
+			qRef, errRef := refLHPMaxPower(l, T)
+			same(fmt.Sprintf("%s MaxPower(%v K)", name, T), q, qRef, err, errRef)
+			for _, P := range []float64{-1, 0, 2, 5, 12.5, 40, 100, 0.999 * qRef, qRef, 1.001 * qRef, 1e5} {
+				r, err := l.Resistance(T, P)
+				rRef, errRef := refLHPResistance(l, T, P)
+				same(fmt.Sprintf("%s Resistance(%v K, %v W)", name, T, P), r, rRef, err, errRef)
+			}
+		}
 	}
 }
 

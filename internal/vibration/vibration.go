@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"aeropack/internal/mech"
 	"aeropack/internal/units"
@@ -18,13 +19,17 @@ import (
 
 // PSD is a one-sided acceleration power spectral density defined by
 // breakpoints (f in Hz, value in g²/Hz) interpolated log-log, the standard
-// presentation of qualification spectra.
+// presentation of qualification spectra.  Build one with NewPSD and do
+// not modify F or G afterwards: At reads the logs NewPSD took of them.
 type PSD struct {
 	F []float64 // Hz, strictly increasing
 	G []float64 // g²/Hz, positive
+
+	lnF, lnG []float64 // ln F and ln G
 }
 
-// NewPSD validates and stores a spectrum.
+// NewPSD validates and stores a spectrum, with the logs of its
+// breakpoints for At.
 func NewPSD(f, g []float64) (*PSD, error) {
 	if len(f) != len(g) || len(f) < 2 {
 		return nil, fmt.Errorf("vibration: PSD needs ≥2 matched breakpoints")
@@ -40,11 +45,17 @@ func NewPSD(f, g []float64) (*PSD, error) {
 	if f[0] <= 0 {
 		return nil, fmt.Errorf("vibration: PSD frequencies must be positive")
 	}
-	return &PSD{F: append([]float64(nil), f...), G: append([]float64(nil), g...)}, nil
+	p := &PSD{F: append([]float64(nil), f...), G: append([]float64(nil), g...),
+		lnF: make([]float64, len(f)), lnG: make([]float64, len(g))}
+	for i := range f {
+		p.lnF[i], p.lnG[i] = math.Log(f[i]), math.Log(g[i])
+	}
+	return p, nil
 }
 
 // At returns the PSD value at frequency f (g²/Hz), log-log interpolated,
-// zero outside the band.
+// zero outside the band.  It takes one logarithm and one exponential:
+// the breakpoints' logs are NewPSD's.
 func (p *PSD) At(f float64) float64 {
 	if f < p.F[0] || f > p.F[len(p.F)-1] {
 		return 0
@@ -54,8 +65,8 @@ func (p *PSD) At(f float64) float64 {
 		return p.G[i]
 	}
 	lo, hi := i-1, i
-	t := (math.Log(f) - math.Log(p.F[lo])) / (math.Log(p.F[hi]) - math.Log(p.F[lo]))
-	return math.Exp(math.Log(p.G[lo]) + t*(math.Log(p.G[hi])-math.Log(p.G[lo])))
+	t := (math.Log(f) - p.lnF[lo]) / (p.lnF[hi] - p.lnF[lo])
+	return math.Exp(p.lnG[lo] + t*(p.lnG[hi]-p.lnG[lo]))
 }
 
 // RMS returns the overall g-RMS of the spectrum (exact integration of the
@@ -125,36 +136,41 @@ func Miles(fn, q, psdAtFn float64) float64 {
 }
 
 // ResponseRMS integrates the exact SDOF base-excitation transmissibility
-// over the input PSD, returning the response g-RMS.  It refines near the
-// resonance where the integrand peaks.
+// over the input PSD, returning the response g-RMS: the trapezoid rule on
+// the log grid fMin·(fMax/fMin)^(i/600), i = 0…600, merged with a
+// resonance cluster fn·(1 + k·ζ), k = −3…3 in steps of 0.05, inside the
+// band.  The log grid is shared (see gridMemo); the cluster ascends, so it
+// merges into the grid point by point, and a point equal to the one
+// before it is skipped.
 func ResponseRMS(p *PSD, fn, zeta float64) (float64, error) {
 	if fn <= 0 || zeta <= 0 {
 		return 0, fmt.Errorf("vibration: fn and zeta must be positive")
 	}
 	fMin, fMax := p.F[0], p.F[len(p.F)-1]
-	// Log grid plus dense resonance cluster.
-	var grid []float64
-	const n = 600
-	for i := 0; i <= n; i++ {
-		grid = append(grid, fMin*math.Pow(fMax/fMin, float64(i)/n))
-	}
-	for df := -3.0; df <= 3.0; df += 0.05 {
-		f := fn * (1 + df*zeta)
-		if f > fMin && f < fMax {
-			grid = append(grid, f)
-		}
-	}
-	sort.Float64s(grid)
+	grid := responseGrid.grid(fMin, fMax)
 	area := 0.0
 	prevF := grid[0]
 	prevV := integrand(p, fn, zeta, prevF)
-	for _, f := range grid[1:] {
+	add := func(f float64) {
 		if f == prevF { //lint:allow floatcmp dedup of identical sorted grid points
-			continue
+			return
 		}
 		v := integrand(p, fn, zeta, f)
 		area += 0.5 * (v + prevV) * (f - prevF)
 		prevF, prevV = f, v
+	}
+	i := 1
+	for df := -3.0; df <= 3.0; df += 0.05 {
+		f := fn * (1 + df*zeta)
+		if f > fMin && f < fMax {
+			for ; i < len(grid) && grid[i] <= f; i++ {
+				add(grid[i])
+			}
+			add(f)
+		}
+	}
+	for ; i < len(grid); i++ {
+		add(grid[i])
 	}
 	return math.Sqrt(area), nil
 }
@@ -279,21 +295,59 @@ func HalfSineSRS(ampG, durS float64, freqs []float64, q float64) ([]float64, err
 
 // SineSweepPeak returns the worst-case response acceleration (g) of an
 // SDOF (fn, zeta) under a slow sine sweep with the given input amplitude
-// profile amp(f) in g, evaluated over [f0, f1].
+// profile amp(f) in g, evaluated on the log grid f0·(f1/f0)^(i/2000),
+// i = 0…2000, which is shared (see gridMemo).
 func SineSweepPeak(fn, zeta, f0, f1 float64, amp func(f float64) float64) (float64, error) {
 	if fn <= 0 || zeta <= 0 || f0 <= 0 || f1 <= f0 || amp == nil {
 		return 0, fmt.Errorf("vibration: invalid sweep inputs")
 	}
 	peak := 0.0
-	const n = 2000
-	for i := 0; i <= n; i++ {
-		f := f0 * math.Pow(f1/f0, float64(i)/n)
+	for _, f := range sweepGrid.grid(f0, f1) {
 		r := mech.SDOFTransmissibility(f/fn, zeta) * amp(f)
 		if r > peak {
 			peak = r
 		}
 	}
 	return peak, nil
+}
+
+// gridMemo keeps the last log-spaced grid lo·(hi/lo)^(i/n), i = 0…n, that
+// one call site built, so calls with the same band (every served one asks
+// for 10–2000 Hz) skip the n+1 math.Pow calls.  A stored grid is never
+// written again, so concurrent callers share it read-only; a call with
+// another band builds its own grid and replaces the slot, so a memo holds
+// one grid whatever it is asked for.  The band is matched by its bits.
+type gridMemo struct {
+	n    int
+	last atomic.Pointer[logGrid]
+}
+
+type logGrid struct {
+	lo, hi uint64 // math.Float64bits of the band edges
+	f      []float64
+}
+
+var (
+	responseGrid = &gridMemo{n: 600}  // ResponseRMS
+	sweepGrid    = &gridMemo{n: 2000} // SineSweepPeak
+)
+
+// grid returns the grid over [lo, hi] in ascending order.  The sort
+// guards ResponseRMS's merge (SineSweepPeak's maximum does not depend on
+// the order): math.Pow is not correctly rounded, so nothing promises
+// that its powers ascend to the last bit.
+func (m *gridMemo) grid(lo, hi float64) []float64 {
+	bl, bh := math.Float64bits(lo), math.Float64bits(hi)
+	if g := m.last.Load(); g != nil && g.lo == bl && g.hi == bh {
+		return g.f
+	}
+	f := make([]float64, m.n+1)
+	for i := range f {
+		f[i] = lo * math.Pow(hi/lo, float64(i)/float64(m.n))
+	}
+	sort.Float64s(f)
+	m.last.Store(&logGrid{lo: bl, hi: bh, f: f})
+	return f
 }
 
 // DistributedRandomRMS returns the absolute-acceleration g-RMS at each
