@@ -43,8 +43,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("junction: %.1f °C (case %.1f °C, cold plate 40 °C)\n",
-		units.KToC(res.T["junction"]), units.KToC(res.T["case"]))
+	tj, _ := res.At("junction")
+	tc, _ := res.At("case")
+	fmt.Printf("junction: %.1f °C (case %.1f °C, cold plate 40 °C)\n", units.KToC(tj), units.KToC(tc))
 
 	// 2. Could a copper/water heat pipe carry this power to a remote sink?
 	hp := &twophase.HeatPipe{

@@ -54,6 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		tj, _ := res.At("junction")
 		meas, err := tester.Measure(&m)
 		if err != nil {
 			log.Fatal(err)
@@ -62,7 +63,7 @@ func main() {
 		targets := fmt.Sprintf("k:%v R:%v BLT:%v", mark(kOK), mark(rOK), mark(bltOK))
 		t.AddRow(m.Name,
 			fmt.Sprintf("%.4f", rAbs),
-			fmt.Sprintf("%.1f", units.KToC(res.T["junction"])),
+			fmt.Sprintf("%.1f", units.KToC(tj)),
 			fmt.Sprintf("%.1f K·mm²/W", units.ToKMm2PerW(meas.RMeasured)),
 			targets)
 	}

@@ -75,8 +75,8 @@ func TestNetworkVsFiniteVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !units.ApproxEqual(fv.Mean(), lump.T["plate"], 0.002) {
-		t.Errorf("FV mean %v vs lumped %v", fv.Mean(), lump.T["plate"])
+	if plate, _ := lump.At("plate"); !units.ApproxEqual(fv.Mean(), plate, 0.002) {
+		t.Errorf("FV mean %v vs lumped %v", fv.Mean(), plate)
 	}
 }
 

@@ -224,7 +224,7 @@ type MarginReport struct {
 func CheckMargins(res *thermal.SteadyResult, comps []*Component) []MarginReport {
 	out := make([]MarginReport, 0, len(comps))
 	for _, c := range comps {
-		tj, ok := res.T[c.JunctionNode()]
+		tj, ok := res.At(c.JunctionNode())
 		if !ok {
 			continue
 		}

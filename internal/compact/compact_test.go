@@ -80,7 +80,7 @@ func TestAttachAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tj := res.T[c.JunctionNode()]
+	tj, _ := res.At(c.JunctionNode())
 	if tj <= units.CToK(70) {
 		t.Errorf("junction %v should be above board", units.KToC(tj))
 	}
@@ -88,7 +88,7 @@ func TestAttachAndSolve(t *testing.T) {
 		t.Errorf("junction %v should be below single-path bound", units.KToC(tj))
 	}
 	// Case top must sit between junction and air.
-	tc := res.T[c.CaseNode()]
+	tc, _ := res.At(c.CaseNode())
 	if !(tc < tj && tc > units.CToK(50)) {
 		t.Errorf("case temperature %v out of order", units.KToC(tc))
 	}
@@ -111,8 +111,8 @@ func TestAttachConductionOnly(t *testing.T) {
 	p := c.Pkg
 	gEff := 1/p.ThetaJB + 1/p.ThetaJL
 	want := 350 + 2/gEff
-	if !units.ApproxEqual(res.T[c.JunctionNode()], want, 1e-9) {
-		t.Errorf("Tj = %v, want %v", res.T[c.JunctionNode()], want)
+	if tj, _ := res.At(c.JunctionNode()); !units.ApproxEqual(tj, want, 1e-9) {
+		t.Errorf("Tj = %v, want %v", tj, want)
 	}
 }
 
@@ -145,8 +145,8 @@ func TestJunctionRiseMatchesNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Tref + c.JunctionRise(15)
-	if !units.ApproxEqual(res.T[c.JunctionNode()], want, 1e-6) {
-		t.Errorf("network Tj %v vs closed form %v", res.T[c.JunctionNode()], want)
+	if tj, _ := res.At(c.JunctionNode()); !units.ApproxEqual(tj, want, 1e-6) {
+		t.Errorf("network Tj %v vs closed form %v", tj, want)
 	}
 }
 

@@ -155,7 +155,8 @@ func (d *DelphiModel) JunctionDelphi(ctx context.Context, env Environment, power
 	if err != nil {
 		return 0, err
 	}
-	return res.T["U.j"], nil
+	tj, _ := res.At("U.j") // Attach made the node
+	return tj, nil
 }
 
 // BCIResult compares compact models across environments.
@@ -205,7 +206,7 @@ func BCIStudy(ctx context.Context, pkgName string, power float64, envs []Environ
 		if err != nil {
 			return nil, err
 		}
-		tj2 := res.T[c.JunctionNode()]
+		tj2, _ := res.At(c.JunctionNode()) // Attach made the node
 		spread := tjD - tj2
 		if spread < 0 {
 			spread = -spread

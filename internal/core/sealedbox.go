@@ -136,10 +136,9 @@ func (s *SealedBox) Solve(ctx context.Context, power float64) (*SealedBoxResult,
 	if err != nil {
 		return nil, err
 	}
-	out := &SealedBoxResult{
-		BoardC: units.KToC(res.T["board"]),
-		CaseC:  units.KToC(res.T["case"]),
-	}
+	boardT, _ := res.At("board")
+	caseT, _ := res.At("case")
+	out := &SealedBoxResult{BoardC: units.KToC(boardT), CaseC: units.KToC(caseT)}
 	// Flow[0] is the convective gap element, Flow[1] the radiative one.
 	qc, qr := res.Flow[0], res.Flow[1]
 	if qc+qr > 0 {

@@ -21,6 +21,7 @@ package cosee
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -243,16 +244,66 @@ func (c *Config) finResistance(Ts, Ta float64) float64 {
 	return 1 / (eta * h * area)
 }
 
+// errPower fails a point whose power is not positive.
+var errPower = errors.New("cosee: power must be positive")
+
 // BuildNetwork assembles the thermal network for dissipated power (W).
+// It does not write c: the defaults fill a copy, which the network's
+// resistor closures hold.
 func (c *Config) BuildNetwork(power float64) (*thermal.Network, error) {
 	if power <= 0 {
-		return nil, fmt.Errorf("cosee: power must be positive")
+		return nil, errPower
 	}
-	c.Defaults()
+	r := newRig(c)
+	if err := r.build(); err != nil {
+		return nil, err
+	}
+	r.n.AddSource("pcb", power)
+	return r.n, nil
+}
+
+// rig is one configuration's network, built with no power applied and
+// compiled once for any number of steady solves, which share it
+// read-only.
+type rig struct {
+	cfg Config // the defaulted copy the network's closures read
+	n   *thermal.Network
+	sys *thermal.CompiledNetwork
+	err error // the build or compile error, which every point reports
+
+	nodes, pcb int   // the node count and the PCB's id
+	lhp        []int // each loop's evap → structure resistor
+}
+
+// newRig returns an unbuilt rig on a defaulted copy of c.
+func newRig(c *Config) *rig {
+	r := &rig{cfg: *c}
+	r.cfg.Defaults()
+	return r
+}
+
+// compile builds and compiles c's network.  An error is kept in the
+// rig, and every point reports it after its own checks.
+func (c *Config) compile() *rig {
+	r := newRig(c)
+	if r.err = r.build(); r.err == nil {
+		r.sys, r.err = r.n.Compile()
+		r.nodes = len(r.n.Nodes())
+	}
+	return r
+}
+
+// build assembles the network without a source.  Node ids follow
+// creation order, air then pcb then the rest, and a solve depends on
+// it: the Picard seed sums the pinned temperatures by id, and the ids
+// number the unknowns and break the elimination order's ties.
+func (r *rig) build() error {
+	c := &r.cfg
 	Ta := units.CToK(c.AmbientC)
 	n := thermal.NewNetwork()
+	r.n = n
 	n.FixT("air", Ta)
-	n.AddSource("pcb", power)
+	r.pcb = n.AddNode("pcb")
 
 	// Internal path PCB → case.
 	rInt := c.InternalR
@@ -260,13 +311,13 @@ func (c *Config) BuildNetwork(power float64) (*thermal.Network, error) {
 		rInt = c.HPPathR
 	}
 	if err := n.AddResistor("pcb", "wall", rInt); err != nil {
-		return nil, err
+		return err
 	}
 	// Case → air buried natural convection (always present).
 	if err := n.AddVariableResistor("wall", "air", 1.0, func(Tw, Tair, Q float64) float64 {
 		return c.boxNCResistance(Tw, Tair)
 	}); err != nil {
-		return nil, err
+		return err
 	}
 
 	if c.UseLHP {
@@ -293,21 +344,24 @@ func (c *Config) BuildNetwork(power float64) (*thermal.Network, error) {
 		for i := 0; i < c.LHPCount; i++ {
 			evap := fmt.Sprintf("evap%d", i)
 			if err := n.AddResistor("wall", evap, rTIM); err != nil {
-				return nil, err
+				return err
 			}
 			// When the loop cannot run the path falls back to a weak
 			// parasitic conduction along the tubing.
 			if err := n.AddVariableResistor(evap, "structure", 0.5, deviceFn); err != nil {
-				return nil, err
+				return err
 			}
+			// After pcb → wall, wall → air and i loops of two, this
+			// is resistor 3+2i.
+			r.lhp = append(r.lhp, 3+2*i)
 		}
 		if err := n.AddVariableResistor("structure", "air", 1.0, func(Ts, Tair, Q float64) float64 {
 			return rodR(Ts, Tair)
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // lumpedCapacitances assigns the rig's thermal masses for transient
@@ -329,19 +383,22 @@ func (c *Config) lumpedCapacitances(n *thermal.Network) {
 // Warmup runs the power-on transient from ambient and reports the PCB
 // history plus the time to reach 90 % of the steady temperature rise —
 // the figure of merit for how long a full-cabin IFE system takes to soak.
-// ctx budgets the transient and the steady solve.
+// ctx budgets the transient and the steady solve.  Warmup does not
+// write c.
 func (c *Config) Warmup(ctx context.Context, power, dt float64, steps int) (*thermal.TransientResult, float64, error) {
-	n, err := c.BuildNetwork(power)
+	cfg := *c
+	cfg.Defaults()
+	n, err := cfg.BuildNetwork(power)
 	if err != nil {
 		return nil, 0, err
 	}
-	c.lumpedCapacitances(n)
-	Ta := units.CToK(c.AmbientC)
+	cfg.lumpedCapacitances(n)
+	Ta := units.CToK(cfg.AmbientC)
 	res, err := n.SolveTransient(ctx, Ta, dt, steps, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	steady, err := c.SolveContext(ctx, power)
+	steady, err := cfg.SolveContext(ctx, power)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -369,53 +426,52 @@ func (c *Config) Solve(power float64) (Point, error) {
 
 // SolveContext evaluates the steady PCB-to-ambient temperature
 // difference under ctx: its budget bounds the network's Picard passes,
-// and the span it carries parents the solve's.  It does not write c, so
-// concurrent calls on one Config are safe.
+// and the span it carries parents the solve's.  It compiles the network
+// and solves it once, by the path a sweep takes per point, and does not
+// write c, so concurrent calls on one Config are safe.
 func (c *Config) SolveContext(ctx context.Context, power float64) (Point, error) {
-	return c.solve(ctx, power, nil)
+	return c.compile().solve(ctx, power, nil)
 }
 
-// solve is SolveContext with a Picard warm-start state threaded
-// through.  Only sequential drivers (the capability bisection) may pass
-// a non-nil state — the parallel sweep paths keep nil so point results
+// solve evaluates one point on the compiled network: the fault seam,
+// then the power check, then the build's error, then the steady solve.
+// Only a sequential caller (the capability bisection) may pass a non-nil
+// warm-start state — the parallel sweep paths keep nil so point results
 // never depend on worker scheduling.
-func (c *Config) solve(ctx context.Context, power float64, warm *thermal.NetworkState) (Point, error) {
+func (r *rig) solve(ctx context.Context, power float64, warm *thermal.NetworkState) (Point, error) {
 	ctx, sp := obs.StartContext(ctx, "cosee.Solve")
 	defer sp.End()
 	sp.AttrF("power_w", power)
-	if r := obs.Default(); r != nil {
-		r.Counter("cosee_solves_total").Inc()
+	if reg := obs.Default(); reg != nil {
+		reg.Counter("cosee_solves_total").Inc()
 	}
-	if c.FaultFn != nil {
-		if err := c.FaultFn(power); err != nil {
+	if r.cfg.FaultFn != nil {
+		if err := r.cfg.FaultFn(power); err != nil {
 			return Point{}, err
 		}
 	}
-	// BuildNetwork fills the defaults, and its closures hold the Config,
-	// so both get a copy: a solve never writes c, and concurrent solves
-	// of one Config share it read-only.
-	cfg := *c
-	n, err := cfg.BuildNetwork(power)
+	if power <= 0 {
+		return Point{}, errPower
+	}
+	if r.err != nil {
+		return Point{}, r.err
+	}
+	sources := make([]float64, r.nodes)
+	sources[r.pcb] = power
+	res, err := r.sys.SolveSteady(ctx, sources, 1e-3, 200, warm)
 	if err != nil {
 		return Point{}, err
 	}
-	res, err := n.SolveSteadyWarm(ctx, 1e-3, 200, warm)
-	if err != nil {
-		return Point{}, err
-	}
-	Ta := units.CToK(cfg.AmbientC)
-	p := Point{PowerW: power, DeltaTK: res.T["pcb"] - Ta}
-	if cfg.UseLHP {
-		for i := 0; i < cfg.LHPCount; i++ {
-			p.LHPPower += n.FlowBetween(res, fmt.Sprintf("evap%d", i), "structure")
-		}
+	p := Point{PowerW: power, DeltaTK: res.T[r.pcb] - units.CToK(r.cfg.AmbientC)}
+	for _, i := range r.lhp {
+		p.LHPPower += res.Flow[i]
 	}
 	return p, nil
 }
 
 // Sweep evaluates the ΔT(P) curve over the given powers — one Fig. 10
 // series — across at most o.Workers goroutines.  The points share one
-// defaulted copy of the configuration, which a solve only reads, and
+// compiled network of the configuration, which a solve only reads, and
 // land in input order, so the result is bitwise-identical at any worker
 // count.  Without o.KeepGoing the lowest-index failure aborts
 // the sweep; with it, each failed point keeps its PowerW with NaN for
@@ -431,12 +487,11 @@ func (c *Config) Sweep(ctx context.Context, powers []float64, o robust.Options) 
 	}
 	prog := obs.CurrentBoard().Begin("cosee.Sweep", len(powers))
 	defer prog.Finish()
-	cc := *c
-	cc.Defaults()
+	r := c.compile()
 	out, errs, err := robust.Map(powers, o,
 		func(_ int, p float64) string { return fmt.Sprintf("P=%g W", p) },
 		func(_ int, p float64) (Point, error) {
-			pt, err := cc.SolveContext(ctx, p)
+			pt, err := r.solve(ctx, p, nil)
 			prog.Step(1)
 			return pt, err
 		})
@@ -465,17 +520,18 @@ func (c *Config) CapabilityAt(ctx context.Context, deltaT float64) (float64, err
 	sp.AttrF("deltaT_K", deltaT)
 	// The bisection is strictly sequential, so every solve continues
 	// from the previous one's Picard state — adjacent power levels are
-	// a couple of passes apart instead of a cold start each.
-	warm := &thermal.NetworkState{}
+	// a couple of passes apart instead of a cold start each — on the
+	// one compiled network.
+	r, warm := c.compile(), &thermal.NetworkState{}
 	lo, hi := 1.0, 400.0
-	pLo, err := c.solve(ctx, lo, warm)
+	pLo, err := r.solve(ctx, lo, warm)
 	if err != nil {
 		return 0, err
 	}
 	if pLo.DeltaTK > deltaT {
 		return 0, fmt.Errorf("cosee: ΔT target %g K unreachable even at %g W", deltaT, lo)
 	}
-	pHi, err := c.solve(ctx, hi, warm)
+	pHi, err := r.solve(ctx, hi, warm)
 	if err != nil {
 		return 0, err
 	}
@@ -488,7 +544,7 @@ func (c *Config) CapabilityAt(ctx context.Context, deltaT float64) (float64, err
 	// precision far below the model's fidelity.
 	for i := 0; hi-lo > 0.01 && i < 60; i++ {
 		mid := 0.5 * (lo + hi)
-		pm, err := c.solve(ctx, mid, warm)
+		pm, err := r.solve(ctx, mid, warm)
 		if err != nil {
 			return 0, err
 		}

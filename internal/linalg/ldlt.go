@@ -10,7 +10,8 @@ import (
 // joins them.  NewLDLT orders the unknowns and lays out L's fill pattern
 // once; each Factor is one numeric factorization of the values assembled
 // into Diag and Lower, and Solve may then run any number of times.
-// Memory is O(n + nnz(L)).  An LDLT is not safe for concurrent use.
+// Memory is O(n + nnz(L)).  An LDLT is not safe for concurrent use;
+// Clone gives each concurrent solve its own values over one pattern.
 type LDLT struct {
 	// Diag holds the diagonal by unknown, Lower the off-diagonal entries
 	// at the slots NewLDLT returned for the edges; repeated edges share a
@@ -118,10 +119,24 @@ func NewLDLT(n int, edges [][2]int) (*LDLT, []int) {
 		at, _ := slices.BinarySearch(colRow[colPtr[i]:colPtr[i+1]], j)
 		slots[e] = colPtr[i] + at
 	}
-	nnz := len(colRow)
+	return withValues(perm, colPtr, colRow), slots
+}
+
+// Clone returns a factorization over f's order and fill pattern, which
+// the two share, with zeroed values of its own.  The pattern is never
+// written after NewLDLT, so clones of one LDLT may be assembled,
+// factored and solved concurrently.
+func (f *LDLT) Clone() *LDLT {
+	return withValues(f.perm, f.colPtr, f.colRow)
+}
+
+// withValues returns a factorization over an order and fill pattern,
+// its values carved from one block.
+func withValues(perm, colPtr, colRow []int) *LDLT {
+	n, nnz := len(perm), len(colRow)
 	vals := make([]float64, 3*n+2*nnz)
 	return &LDLT{Diag: vals[:n:n], Lower: vals[n : n+nnz : n+nnz], perm: perm, colPtr: colPtr, colRow: colRow,
-		l: vals[n+nnz : n+2*nnz : n+2*nnz], d: vals[n+2*nnz : 2*n+2*nnz : 2*n+2*nnz], x: vals[2*n+2*nnz:]}, slots
+		l: vals[n+nnz : n+2*nnz : n+2*nnz], d: vals[n+2*nnz : 2*n+2*nnz : 2*n+2*nnz], x: vals[2*n+2*nnz:]}
 }
 
 // Factor computes L and D from Diag and Lower, eliminating the unknowns

@@ -97,6 +97,53 @@ func TestLDLTMatchesDense(t *testing.T) {
 	t.Logf("worst relative difference from dense LU: %.3g", worst)
 }
 
+// TestLDLTCloneFactorsApart: a clone starts with zeroed values of its
+// own over the shared order and pattern, and, assembled with the same
+// values, factors and solves to the original's solution bit for bit
+// while the original's factor stays as it was.
+func TestLDLTCloneFactorsApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	edges, g, diag, b := randomNetworkSystem(rng, 40, true, false)
+	f, slots := NewLDLT(len(diag), edges)
+	assemble := func(f *LDLT, scale float64) {
+		for i, d := range diag {
+			f.Diag[i] = scale * d
+		}
+		for e := range edges {
+			f.Lower[slots[e]] -= scale * g[e]
+		}
+	}
+	assemble(f, 1)
+	if err := f.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(b)
+	f.Solve(want)
+
+	c := f.Clone()
+	if slices.ContainsFunc(c.Diag, func(v float64) bool { return v != 0 }) ||
+		slices.ContainsFunc(c.Lower, func(v float64) bool { return v != 0 }) {
+		t.Fatal("a clone must start with zeroed values")
+	}
+	other := f.Clone()
+	assemble(other, 2) // a different system on the same pattern
+	assemble(c, 1)
+	for _, h := range []*LDLT{other, c} {
+		if err := h.Factor(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := slices.Clone(b)
+	c.Solve(got)
+	again := slices.Clone(b)
+	f.Solve(again)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(again[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("unknown %d: clone %v, original after the clones factored %v, want %v", i, got[i], again[i], want[i])
+		}
+	}
+}
+
 // TestLDLTTreeHasNoFill: minimum degree eliminates a tree leaf first, so
 // L holds exactly the tree's edges, and a chord adds a bounded fill.
 func TestLDLTTreeHasNoFill(t *testing.T) {

@@ -124,14 +124,29 @@ func (n *Network) FixT(name string, T float64) {
 	nd.pinned, nd.fixT = true, T
 }
 
-// SteadyResult maps node names to solved temperatures plus element flows.
+// SteadyResult holds a steady solve's node temperatures and element
+// flows.
 type SteadyResult struct {
-	T map[string]float64
+	// T[id] is the temperature (K) of node id, ids in creation order;
+	// At reads it by name.
+	T []float64
 	// Flow[i] is the heat flow (W) through resistor i, positive a→b, in
 	// the order resistors were added.
 	Flow []float64
 	// Iterations is the number of Picard passes used.
 	Iterations int
+
+	names map[string]int // the solved network's name index, shared
+}
+
+// At returns the named node's temperature (K) and whether the solved
+// network has that node.
+func (r *SteadyResult) At(name string) (float64, bool) {
+	id, ok := r.names[name]
+	if !ok || id >= len(r.T) {
+		return 0, false
+	}
+	return r.T[id], true
 }
 
 // SolveSteady solves the network.  Purely linear networks converge in one
@@ -144,8 +159,9 @@ func (n *Network) SolveSteady(ctx context.Context) (*SteadyResult, error) {
 // NetworkState carries the converged Picard state (node temperatures and
 // frozen resistances) of one steady solve, for warm-starting the next.
 // It is only meaningful between networks of identical topology — same
-// nodes in the same order, same resistor list — such as the ones a
-// capability bisection rebuilds at successive power levels.
+// nodes in the same order, same resistor list — such as one compiled
+// network that a capability bisection solves at successive power
+// levels.
 type NetworkState struct {
 	T  []float64
 	Rs []float64
@@ -153,7 +169,7 @@ type NetworkState struct {
 
 // SolveSteadyTol is SolveSteady with explicit Picard controls.
 func (n *Network) SolveSteadyTol(ctx context.Context, tolK float64, maxIter int) (*SteadyResult, error) {
-	return n.solveSteady(ctx, tolK, maxIter, nil)
+	return n.SolveSteadyWarm(ctx, tolK, maxIter, nil)
 }
 
 // SolveSteadyWarm is SolveSteadyTol continuing from (and updating) a
@@ -163,10 +179,19 @@ func (n *Network) SolveSteadyTol(ctx context.Context, tolK float64, maxIter int)
 // solves would make results depend on scheduling order (the parallel
 // sweep paths deliberately pass nil for exactly that reason).
 func (n *Network) SolveSteadyWarm(ctx context.Context, tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
-	return n.solveSteady(ctx, tolK, maxIter, warm)
+	c, err := n.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return c.SolveSteady(ctx, n.powers(), tolK, maxIter, warm)
 }
 
-func (n *Network) solveSteady(ctx context.Context, tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
+// SolveSteady solves the compiled network with power[id] watts injected
+// at node id, in place of the sources the network carries, by
+// SolveSteadyWarm's Picard iteration; warm may be nil.  Its numeric
+// buffers are its own, allocated in one block beside a clone of the
+// factorization's values, so concurrent solves may share s.
+func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64, tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
 	if tolK <= 0 {
 		tolK = 1e-3
 	}
@@ -174,31 +199,39 @@ func (n *Network) solveSteady(ctx context.Context, tolK float64, maxIter int, wa
 		maxIter = 60
 	}
 
-	num := len(n.nodes)
+	n := s.n
+	num, nr := len(n.nodes), len(n.resistors)
 	sp := obs.Start(obs.FromContext(ctx), "thermal.Network.SolveSteady")
 	sp.AttrInt("nodes", num)
-	sp.AttrInt("resistors", len(n.resistors))
+	sp.AttrInt("resistors", nr)
 	defer sp.End()
 
-	sys, err := n.compile(false)
-	if err != nil {
-		return nil, err
+	if len(power) != num {
+		return nil, fmt.Errorf("thermal: %d source powers for a network of %d nodes", len(power), num)
 	}
-	rs := make([]float64, len(n.resistors))
+	for id, p := range power {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("thermal: node %q has non-finite source %g W", n.nodes[id].name, p)
+		}
+	}
+	buf := make([]float64, 2*num+2*nr+len(s.free))
+	T, Tnew := buf[:num:num], buf[num:2*num:2*num]
+	rs, flows := buf[2*num:2*num+nr:2*num+nr], buf[2*num+nr:2*num+2*nr:2*num+2*nr]
+	b, f := buf[2*num+2*nr:], s.f.Clone()
 	for i, e := range n.resistors {
 		rs[i] = e.r
 	}
 	// Seed the free nodes at the mean pinned temperature, summed in
 	// ascending node id.
 	mean := 0.0
-	for id, u := range sys.unk {
+	for id, u := range s.unk {
 		if u < 0 {
-			mean += sys.fixT[id]
+			mean += s.fixT[id]
 		}
 	}
-	mean /= float64(num - len(sys.free))
-	T := slices.Clone(sys.fixT)
-	for _, id := range sys.free {
+	mean /= float64(num - len(s.free))
+	copy(T, s.fixT)
+	for _, id := range s.free {
 		T[id] = mean
 	}
 	hasVariable := slices.ContainsFunc(n.resistors, func(e resistor) bool { return e.fn != nil })
@@ -208,7 +241,7 @@ func (n *Network) solveSteady(ctx context.Context, tolK float64, maxIter int, wa
 	// when only sources or fixed temperatures moved.  Fixed nodes are
 	// re-pinned — this network's boundary values win over the old ones.
 	if warm != nil && len(warm.T) == num && len(warm.Rs) == len(rs) {
-		for _, id := range sys.free {
+		for _, id := range s.free {
 			T[id] = warm.T[id]
 		}
 		copy(rs, warm.Rs)
@@ -220,10 +253,8 @@ func (n *Network) solveSteady(ctx context.Context, tolK float64, maxIter int, wa
 		}
 	}
 
-	Tnew := make([]float64, num)
-	flows := make([]float64, len(n.resistors))
 	result := func(passes int) *SteadyResult {
-		return &SteadyResult{T: n.labelled(T), Flow: flows, Iterations: passes}
+		return &SteadyResult{T: T, Flow: flows, Iterations: passes, names: n.names}
 	}
 	// Variable resistances are under-relaxed for stability, but a fixed
 	// 0.5 factor makes the whole Picard iteration converge at rate ~0.5
@@ -240,7 +271,7 @@ func (n *Network) solveSteady(ctx context.Context, tolK float64, maxIter int, wa
 		if stop != nil && stop() {
 			return nil, fmt.Errorf("thermal: network %w after %d Picard passes", linalg.ErrStopped, pass)
 		}
-		if err := sys.solve(rs, T, 0, Tnew); err != nil {
+		if err := s.solve(f, b, power, rs, T, 0, Tnew); err != nil {
 			return nil, err
 		}
 		maxDelta := 0.0
@@ -288,20 +319,29 @@ func (n *Network) solveSteady(ctx context.Context, tolK float64, maxIter int, wa
 	return result(maxIter), fmt.Errorf("thermal: network Picard iteration did not converge in %d passes", maxIter)
 }
 
-// netSystem is one solve call's compiled network.  Pinned nodes leave
-// the system, their conductances moving to the right-hand side, and the
-// free nodes, in node id order, are the unknowns of one sparse LDLᵀ
-// whose order and fill pattern are fixed at compile time.
-type netSystem struct {
+// CompiledNetwork is a Network checked, numbered and ordered once for
+// any number of solves.  Pinned nodes leave the system, their
+// conductances moving to the right-hand side, and the free nodes, in
+// node id order, are the unknowns of one sparse LDLᵀ whose order and
+// fill pattern are fixed at compile time.  A steady solve only reads
+// it, so concurrent solves may share one; the network must not change
+// while its compiled form is in use.
+type CompiledNetwork struct {
 	n    *Network
-	f    *linalg.LDLT
-	free []int     // free[u] is unknown u's node id
-	unk  []int     // unk[id] is node id's unknown, -1 when pinned
-	slot []int     // slot[e] is resistor e's entry in f.Lower, -1 unless both ends are free
-	fixT []float64 // pinned temperature per node (transients reschedule it)
-	b    []float64 // right-hand side by unknown, then the solution
+	f    *linalg.LDLT // the order and pattern; a transient also factors in it
+	free []int        // free[u] is unknown u's node id
+	unk  []int        // unk[id] is node id's unknown, -1 when pinned
+	slot []int        // slot[e] is resistor e's entry in f.Lower, -1 unless both ends are free
+	fixT []float64    // pinned temperature per node (a transient reschedules its own)
 
 	factorizations *obs.Counter
+}
+
+// Compile checks the network — every source, pinned temperature and
+// capacitance finite, some node pinned and no floating island — and
+// lays out its system for any number of steady solves.
+func (n *Network) Compile() (*CompiledNetwork, error) {
+	return n.compile(false)
 }
 
 // compile checks the network's inputs and topology and builds its
@@ -310,7 +350,7 @@ type netSystem struct {
 // every connected group of free nodes must reach a pinned node through
 // resistors — or, in a transient, hold a capacitance — else the system
 // is singular and the error names the group.
-func (n *Network) compile(transient bool) (*netSystem, error) {
+func (n *Network) compile(transient bool) (*CompiledNetwork, error) {
 	num := len(n.nodes)
 	if num == 0 {
 		return nil, errors.New("thermal: empty network")
@@ -326,7 +366,7 @@ func (n *Network) compile(transient bool) (*netSystem, error) {
 		}
 	}
 	ints := make([]int, 2*num+len(n.resistors))
-	s := &netSystem{n: n, unk: ints[:num], free: ints[num : num : 2*num], slot: ints[2*num:],
+	s := &CompiledNetwork{n: n, unk: ints[:num], free: ints[num : num : 2*num], slot: ints[2*num:],
 		fixT: make([]float64, num), factorizations: obs.Default().Counter("thermal_network_factorizations_total")}
 	for id, nd := range n.nodes {
 		s.unk[id], s.fixT[id] = -1, nd.fixT
@@ -358,7 +398,7 @@ func (n *Network) compile(transient bool) (*netSystem, error) {
 			s.slot[e] = slots[k]
 		}
 	}
-	s.f, s.b = f, make([]float64, len(s.free))
+	s.f = f
 	return s, nil
 }
 
@@ -366,7 +406,7 @@ func (n *Network) compile(transient bool) (*netSystem, error) {
 // free nodes, by lowest node id, that no resistor ties to a pinned node
 // and, in a transient, that holds no capacitance.  The names are sorted
 // and capped at 8.
-func (s *netSystem) checkIslands(edges [][2]int, transient bool) error {
+func (s *CompiledNetwork) checkIslands(edges [][2]int, transient bool) error {
 	n := s.n
 	root := make([]int, len(s.free))
 	for u := range root {
@@ -418,14 +458,16 @@ func (s *netSystem) checkIslands(edges [][2]int, transient bool) error {
 	return nil
 }
 
-// solve assembles the system at resistances rs — steady when dt is 0,
-// else one backward-Euler step of dt from field T — factors it and
-// writes every node's temperature into out, which may be T.
-func (s *netSystem) solve(rs, T []float64, dt float64, out []float64) error {
-	n, f, b := s.n, s.f, s.b
+// solve assembles the system at source powers power (by node id) and
+// resistances rs — steady when dt is 0, else one backward-Euler step of
+// dt from field T — into f and the right-hand side b (by unknown),
+// factors it and writes every node's temperature into out, which may be
+// T.
+func (s *CompiledNetwork) solve(f *linalg.LDLT, b, power, rs, T []float64, dt float64, out []float64) error {
+	n := s.n
 	clear(f.Lower)
 	for u, id := range s.free {
-		f.Diag[u], b[u] = 0, n.nodes[id].power
+		f.Diag[u], b[u] = 0, power[id]
 		if c := n.nodes[id].c; dt > 0 && c > 0 {
 			f.Diag[u] = c / dt
 			b[u] += c / dt * T[id]
@@ -469,10 +511,11 @@ func (s *netSystem) solve(rs, T []float64, dt float64, out []float64) error {
 	return nil
 }
 
-func (n *Network) labelled(T []float64) map[string]float64 {
-	out := make(map[string]float64, len(T))
+// powers returns the nodes' source powers by node id.
+func (n *Network) powers() []float64 {
+	out := make([]float64, len(n.nodes))
 	for id, nd := range n.nodes {
-		out[nd.name] = T[id]
+		out[id] = nd.power
 	}
 	return out
 }

@@ -13,6 +13,16 @@ import (
 	"aeropack/internal/units"
 )
 
+// nodeT returns the solved temperature of the named node.
+func nodeT(t *testing.T, res *SteadyResult, name string) float64 {
+	t.Helper()
+	T, ok := res.At(name)
+	if !ok {
+		t.Fatalf("no node %q in the solved network", name)
+	}
+	return T
+}
+
 func TestNetworkSeriesDivider(t *testing.T) {
 	// junction -R1- mid -R2- ambient, source at junction.
 	n := NewNetwork()
@@ -28,8 +38,8 @@ func TestNetworkSeriesDivider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, res.T["junction"], 300+10*5, 1e-9, "junction T")
-	almost(t, res.T["mid"], 300+10*3, 1e-9, "mid T")
+	almost(t, nodeT(t, res, "junction"), 300+10*5, 1e-9, "junction T")
+	almost(t, nodeT(t, res, "mid"), 300+10*3, 1e-9, "mid T")
 	almost(t, n.FlowBetween(res, "junction", "mid"), 10, 1e-9, "series flow")
 }
 
@@ -44,7 +54,7 @@ func TestNetworkParallelPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, res.T["chip"], 320+8*2, 1e-9, "parallel chip T")
+	almost(t, nodeT(t, res, "chip"), 320+8*2, 1e-9, "parallel chip T")
 	almost(t, n.FlowBetween(res, "chip", "sink"), 8, 1e-9, "total parallel flow")
 }
 
@@ -78,7 +88,7 @@ func TestNetworkMultipleFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, res.T["mid"], 350, 1e-9, "midpoint of divider")
+	almost(t, nodeT(t, res, "mid"), 350, 1e-9, "midpoint of divider")
 	almost(t, n.FlowBetween(res, "hot", "mid"), 50, 1e-9, "divider flow")
 }
 
@@ -97,7 +107,7 @@ func TestNetworkVariableResistor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dT := res.T["plate"] - 300
+	dT := nodeT(t, res, "plate") - 300
 	// Fixed point: dT = Q·R(dT) = 20·C/dT^0.25 → dT^1.25 = 100.
 	want := math.Pow(20*C, 1/1.25)
 	almost(t, dT, want, 1e-3, "nonlinear film fixed point")
@@ -157,7 +167,7 @@ func TestNetworkSourceAccumulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, res.T["x"], 307, 1e-9, "accumulated sources")
+	almost(t, nodeT(t, res, "x"), 307, 1e-9, "accumulated sources")
 }
 
 func TestSeriesResistanceHelper(t *testing.T) {
@@ -232,7 +242,7 @@ func TestNetworkChainProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !units.ApproxEqual(res.T["n0"], 300+p*sum, 1e-6) {
+		if !units.ApproxEqual(nodeT(t, res, "n0"), 300+p*sum, 1e-6) {
 			return false
 		}
 		for _, q := range res.Flow {
@@ -270,7 +280,7 @@ func TestNetworkParallelProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dT := res.T["hot"] - 290
+		dT := nodeT(t, res, "hot") - 290
 		if !units.ApproxEqual(dT, p/gsum, 1e-6) {
 			return false
 		}
@@ -420,6 +430,6 @@ func TestNetworkLevel3Scale(t *testing.T) {
 		gBoard, gAir := 1/8.0+1/20.0, 1/(0.5+40)
 		tb, p := 330+float64(i%7), 1+0.2*float64(i%5)
 		want := (p + gBoard*tb + gAir*320) / (gBoard + gAir)
-		almost(t, res.T[fmt.Sprintf("U%d.j", i)], want, 1e-9, "junction T")
+		almost(t, nodeT(t, res, fmt.Sprintf("U%d.j", i)), want, 1e-9, "junction T")
 	}
 }

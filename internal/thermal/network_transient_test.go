@@ -67,11 +67,11 @@ func TestTransientMatchesSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	fin := tr.Final()
-	if !units.ApproxEqual(fin["a"], steady.T["a"], 1e-3) {
-		t.Errorf("node a: transient %v vs steady %v", fin["a"], steady.T["a"])
+	if !units.ApproxEqual(fin["a"], nodeT(t, steady, "a"), 1e-3) {
+		t.Errorf("node a: transient %v vs steady %v", fin["a"], nodeT(t, steady, "a"))
 	}
-	if !units.ApproxEqual(fin["b"], steady.T["b"], 1e-3) {
-		t.Errorf("node b: transient %v vs steady %v", fin["b"], steady.T["b"])
+	if !units.ApproxEqual(fin["b"], nodeT(t, steady, "b"), 1e-3) {
+		t.Errorf("node b: transient %v vs steady %v", fin["b"], nodeT(t, steady, "b"))
 	}
 }
 

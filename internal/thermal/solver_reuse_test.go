@@ -66,9 +66,9 @@ func TestSolveSteadyWarmMatchesColdWithFewerPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, Tc := range cold10.T {
-		if !units.ApproxEqual(warm10.T[name], Tc, 1e-3) {
-			t.Errorf("node %s: warm %v vs cold %v", name, warm10.T[name], Tc)
+	for id, Tc := range cold10.T {
+		if !units.ApproxEqual(warm10.T[id], Tc, 1e-3) {
+			t.Errorf("node %d: warm %v vs cold %v", id, warm10.T[id], Tc)
 		}
 	}
 	if warm10.Iterations >= cold10.Iterations {
@@ -81,9 +81,63 @@ func TestSolveSteadyWarmMatchesColdWithFewerPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, Tc := range cold10.T {
-		if !units.ApproxEqual(res.T[name], Tc, 1e-3) {
-			t.Errorf("node %s after stale warm state: %v vs %v", name, res.T[name], Tc)
+	for id, Tc := range cold10.T {
+		if !units.ApproxEqual(res.T[id], Tc, 1e-3) {
+			t.Errorf("node %d after stale warm state: %v vs %v", id, res.T[id], Tc)
+		}
+	}
+}
+
+// TestCompiledNetworkSolvesAtGivenSources: a compiled network solved at
+// given source powers is, bit for bit, the network carrying those
+// sources solved directly — its own sources are not read — its result
+// reads a node by name without allocating, and a power vector of the
+// wrong length or with a non-finite entry is an error.
+func TestCompiledNetworkSolvesAtGivenSources(t *testing.T) {
+	ctx := context.Background()
+	c, err := finNetwork(5).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{3, 10} {
+		got, err := c.SolveSteady(ctx, []float64{p, 0, 0}, 1e-4, 60, nil) // chip, plate, amb
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := finNetwork(p).SolveSteadyTol(ctx, 1e-4, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range want.T {
+			if math.Float64bits(got.T[id]) != math.Float64bits(want.T[id]) {
+				t.Errorf("%g W: node %d at %v, want %v", p, id, got.T[id], want.T[id])
+			}
+		}
+		for i := range want.Flow {
+			if math.Float64bits(got.Flow[i]) != math.Float64bits(want.Flow[i]) {
+				t.Errorf("%g W: flow %d = %v, want %v", p, i, got.Flow[i], want.Flow[i])
+			}
+		}
+		if chip, ok := got.At("chip"); !ok || chip != got.T[0] || got.Iterations != want.Iterations {
+			t.Errorf("%g W: At(chip) = %v, %t and %d passes; want %v, true and %d", p, chip, ok, got.Iterations, got.T[0], want.Iterations)
+		}
+		if _, ok := got.At("nowhere"); ok {
+			t.Error("At found a node the network does not have")
+		}
+		if a := testing.AllocsPerRun(100, func() { got.At("plate") }); a != 0 {
+			t.Errorf("At allocates %v times per call, want 0", a)
+		}
+	}
+	for _, tc := range []struct {
+		power []float64
+		want  string
+	}{
+		{[]float64{1, 0}, "thermal: 2 source powers for a network of 3 nodes"},
+		{[]float64{math.NaN(), 0, 0}, `thermal: node "chip" has non-finite source NaN W`},
+		{[]float64{1, math.Inf(-1), 0}, `thermal: node "plate" has non-finite source -Inf W`},
+	} {
+		if _, err := c.SolveSteady(ctx, tc.power, 1e-4, 60, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("power %v: err %v, want %q", tc.power, err, tc.want)
 		}
 	}
 }

@@ -118,11 +118,22 @@ func (l *LoopHeatPipe) Resistance(T, q float64) (float64, error) {
 	if q < l.StartupPower {
 		return 0, fmt.Errorf("twophase: %g W below LHP startup power %g W", q, l.StartupPower)
 	}
+	r, qMax, ok := l.resistance(T, q)
+	if !ok {
+		return 0, fmt.Errorf("twophase: %g W exceeds LHP capillary limit %g W at %g K", q, qMax, T)
+	}
+	return r, nil
+}
+
+// resistance is Resistance for a valid loop carrying q at or above its
+// startup power, without formatting an error: ok is false when q exceeds
+// the capillary limit qMax.
+func (l *LoopHeatPipe) resistance(T, q float64) (r, qMax float64, ok bool) {
 	s := l.Fluid.Sat(T)
 	r4 := math.Pow(l.LineRadius, 4)
-	qMax := l.maxPower(s, r4)
+	qMax = l.maxPower(s, r4)
 	if q > qMax {
-		return 0, fmt.Errorf("twophase: %g W exceeds LHP capillary limit %g W at %g K", q, qMax, T)
+		return 0, qMax, false
 	}
 	// Film resistances.
 	rEvap := 1 / (l.EvapH * l.EvapArea)
@@ -135,7 +146,7 @@ func (l *LoopHeatPipe) Resistance(T, q float64) (float64, error) {
 	// Vapour line saturation-temperature drop (usually negligible).
 	dpdq := 8 * s.MuV * l.LineLength / (s.RhoV * math.Pi * r4 * s.Hfg)
 	rLine := T * dpdq / (s.RhoV * s.Hfg)
-	return rEvap + rCond + rLine, nil
+	return rEvap + rCond + rLine, qMax, true
 }
 
 // VariableResistorFn adapts the LHP for thermal.Network integration: it
@@ -143,14 +154,15 @@ func (l *LoopHeatPipe) Resistance(T, q float64) (float64, error) {
 // loop resistance from the evaporator-side temperature and the current
 // element heat flow.  Below startup (or above the limit) the loop behaves
 // as the fallback resistance rOff (natural convection / parasitic path).
+// The closure tests the limits without formatting Resistance's errors,
+// so it allocates nothing.
 func (l *LoopHeatPipe) VariableResistorFn(rOff float64) func(Ta, Tb, Q float64) float64 {
 	return func(Ta, Tb, Q float64) float64 {
-		if Q <= 0 {
+		if Q <= 0 || Q < l.StartupPower || l.Validate() != nil {
 			return rOff
 		}
-		T := math.Max(Ta, units.ZeroCelsius)
-		r, err := l.Resistance(T, Q)
-		if err != nil {
+		r, _, ok := l.resistance(math.Max(Ta, units.ZeroCelsius), Q)
+		if !ok {
 			return rOff
 		}
 		return r

@@ -371,6 +371,46 @@ func TestLHPMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLHPResistorFnMatchesReference: over TestLHPMatchesReference's
+// inputs the network closure returns, bit for bit, the reference
+// resistance at the evaporator temperature clamped to 0 °C, or the
+// fallback wherever the reference fails; and it allocates nothing,
+// below startup and above the capillary limit included.
+func TestLHPResistorFnMatchesReference(t *testing.T) {
+	const rOff = 40
+	tilted, adverse, invalid := coseeLHP(), coseeLHP(), coseeLHP()
+	tilted.ElevationM = TiltedElevation(0.5, 22)
+	adverse.ElevationM = 10
+	invalid.WickArea = 0
+	for name, l := range map[string]*LoopHeatPipe{"level": coseeLHP(), "tilted": tilted, "adverse": adverse, "invalid": invalid} {
+		fn := l.VariableResistorFn(rOff)
+		for _, Ta := range []float64{180, 200, 260, units.CToK(25), units.CToK(40), units.CToK(85), 370, 400} {
+			T := math.Max(Ta, units.ZeroCelsius)
+			qMax, _ := refLHPMaxPower(l, T)
+			for _, Q := range []float64{-1, 0, 2, 5, 12.5, 40, 100, 0.999 * qMax, qMax, 1.001 * qMax, 1e5} {
+				want, err := refLHPResistance(l, T, Q)
+				if err != nil {
+					want = rOff
+				}
+				if got := fn(Ta, 300, Q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s fn(%v K, %v W) = %v, want %v", name, Ta, Q, got, want)
+				}
+			}
+		}
+	}
+	l := coseeLHP()
+	fn := l.VariableResistorFn(rOff)
+	qMax, err := l.MaxPower(units.CToK(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, Q := range []float64{0.5 * l.StartupPower, 1.5 * qMax} {
+		if a := testing.AllocsPerRun(100, func() { fn(units.CToK(40), 300, Q) }); a != 0 {
+			t.Errorf("fn at %v W allocates %v times per call, want 0", Q, a)
+		}
+	}
+}
+
 func TestLHPVariableResistorFn(t *testing.T) {
 	l := coseeLHP()
 	fn := l.VariableResistorFn(10)

@@ -69,8 +69,8 @@ go test -race ./...
 echo "== dedup window stays shut (50 race-enabled runs of the concurrent-identical dedup test)"
 go test -race -count=50 -run 'TestDedupConcurrentIdentical$' ./internal/serve
 
-echo "== go test -race -cpu=1,4 (parallel kernels, shared vibration grids)"
-go test -race -cpu=1,4 ./internal/parallel ./internal/linalg ./internal/thermal ./internal/vibration
+echo "== go test -race -cpu=1,4 (parallel kernels, shared vibration grids, shared compiled COSEE networks)"
+go test -race -cpu=1,4 ./internal/parallel ./internal/linalg ./internal/thermal ./internal/vibration ./internal/cosee
 
 echo "== telemetry determinism (span trees and metric contracts, twice)"
 go test -run TestObs -count=2 ./internal/obs/...
