@@ -6,19 +6,15 @@
 //	floatcmp     exact ==/!= between float64 expressions
 //	panicpolicy  panics in library packages
 //	nanguard     solver entry points without NaN/Inf input handling
-//	spanleak     obs spans not ended on every return path
+//	spanleak     obs spans not closed by defer sp.End() on the next statement
 //	detguard     nondeterminism inside parallel worker bodies
 //	errdrop      discarded errors and ==-compared sentinels
-//	lockheld     blocking calls while a sync mutex is held
+//	lockheld     blocking ops, second locks or calls into other module packages under a mutex
 //	hotalloc     per-iteration allocation in //lint:hot kernels
-//	goroleak     goroutines in library code never joined or cancelled
-//	taintsize    request/flag-derived sizes reaching make or loop bounds unclamped
-//	lockorder    cycles in the module-wide mutex acquisition graph
+//	goroleak     go statements in internal/ without a directive naming their join
 //
-// spanleak, lockheld, errdrop, goroleak, taintsize and lockorder are
-// interprocedural: they follow call-graph summaries across in-module
-// package boundaries, so a violation hidden one call deep — or one
-// package over — is reported at the caller with the full call chain.
+// Every rule reads one function body at a time; only the wrapped-
+// sentinel and magic-constant facts cross package boundaries.
 //
 // Usage:
 //

@@ -129,10 +129,24 @@ func (c *Config) Defaults() {
 	}
 }
 
+// CheckTIM reports whether name selects a joint material: "" (the
+// grease default), "perfect", "bare-contact" or a TIM library name.  An
+// unknown name is tim.Get's error, so a typo fails the build instead of
+// silently solving with grease.
+func CheckTIM(name string) error {
+	switch name {
+	case "", "perfect", "bare-contact":
+		return nil
+	}
+	_, err := tim.Get(name)
+	return err
+}
+
 // jointResistance returns the absolute resistance (K/W) of one TIM joint
 // of the given contact area for the configured TIMName: "perfect" removes
 // the joint, "bare-contact" is dry metal-to-metal (~50 K·mm²/W), anything
-// else resolves from the TIM library (default grease).
+// else resolves from the TIM library (default grease).  An unknown name,
+// which only Defaults can see before build rejects it, counts as grease.
 func (c *Config) jointResistance(area float64) float64 {
 	switch c.TIMName {
 	case "perfect":
@@ -299,6 +313,9 @@ func (c *Config) compile() *rig {
 // number the unknowns and break the elimination order's ties.
 func (r *rig) build() error {
 	c := &r.cfg
+	if err := CheckTIM(c.TIMName); err != nil {
+		return err
+	}
 	Ta := units.CToK(c.AmbientC)
 	n := thermal.NewNetwork()
 	r.n = n

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aeropack/internal/linalg"
@@ -389,5 +390,28 @@ func TestWarmupBadPower(t *testing.T) {
 	}
 	if _, _, err := (&Config{}).Warmup(context.Background(), 40, -1, 10); err == nil {
 		t.Error("bad dt should error")
+	}
+}
+
+// TestUnknownTIMFailsBuild checks a typoed TIMName fails every build
+// path with tim.Get's error instead of solving with grease, and that the
+// three non-library names stay valid.
+func TestUnknownTIMFailsBuild(t *testing.T) {
+	const want = `tim: unknown material "unobtainium"`
+	cfg := Config{UseLHP: true, TIMName: "unobtainium"}
+	if _, err := cfg.BuildNetwork(40); err == nil || err.Error() != want {
+		t.Errorf("BuildNetwork error = %v, want %q", err, want)
+	}
+	if _, err := cfg.Solve(40); err == nil || err.Error() != want {
+		t.Errorf("Solve error = %v, want %q", err, want)
+	}
+	if _, _, err := cfg.Sweep(context.Background(), []float64{40, 80}, robust.Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Sweep error = %v, want one naming %q", err, want)
+	}
+	for _, name := range []string{"", "perfect", "bare-contact", "grease-standard"} {
+		c := Config{UseLHP: true, TIMName: name}
+		if _, err := c.Solve(40); err != nil {
+			t.Errorf("TIMName %q: %v", name, err)
+		}
 	}
 }

@@ -8,10 +8,11 @@ import (
 // LDLT is a sparse LDLᵀ factorization of a symmetric positive definite
 // matrix whose pattern is a graph: unknowns i and j couple when an edge
 // joins them.  NewLDLT orders the unknowns and lays out L's fill pattern
-// once; each Factor is one numeric factorization of the values assembled
-// into Diag and Lower, and Solve may then run any number of times.
-// Memory is O(n + nnz(L)).  An LDLT is not safe for concurrent use;
-// Clone gives each concurrent solve its own values over one pattern.
+// once, and carries no values; Clone gives a factorization values of its
+// own over that pattern.  Each Factor is one numeric factorization of the
+// values assembled into Diag and Lower, and Solve may then run any
+// number of times.  Memory is O(n + nnz(L)).  An LDLT is not safe for
+// concurrent use; each concurrent solve factors in a clone of its own.
 type LDLT struct {
 	// Diag holds the diagonal by unknown, Lower the off-diagonal entries
 	// at the slots NewLDLT returned for the edges; repeated edges share a
@@ -36,8 +37,9 @@ func (e *PivotError) Error() string {
 }
 
 // NewLDLT orders the n unknowns coupled by edges and lays out L's fill
-// pattern.  It returns the factorization and each edge's slot in Lower.
-// Edges must join two distinct unknowns in [0, n); repeats are allowed.
+// pattern.  It returns the pattern, whose Clone is the factorization to
+// assemble into, and each edge's slot in Lower.  Edges must join two
+// distinct unknowns in [0, n); repeats are allowed.
 //
 // The order is minimum degree: the next unknown eliminated has the
 // fewest uneliminated neighbours, ties going to the lowest index, and its
@@ -119,23 +121,17 @@ func NewLDLT(n int, edges [][2]int) (*LDLT, []int) {
 		at, _ := slices.BinarySearch(colRow[colPtr[i]:colPtr[i+1]], j)
 		slots[e] = colPtr[i] + at
 	}
-	return withValues(perm, colPtr, colRow), slots
+	return &LDLT{perm: perm, colPtr: colPtr, colRow: colRow}, slots
 }
 
 // Clone returns a factorization over f's order and fill pattern, which
-// the two share, with zeroed values of its own.  The pattern is never
-// written after NewLDLT, so clones of one LDLT may be assembled,
-// factored and solved concurrently.
+// the two share, with zeroed values of its own carved from one block.
+// The pattern is never written after NewLDLT, so clones of one LDLT may
+// be assembled, factored and solved concurrently.
 func (f *LDLT) Clone() *LDLT {
-	return withValues(f.perm, f.colPtr, f.colRow)
-}
-
-// withValues returns a factorization over an order and fill pattern,
-// its values carved from one block.
-func withValues(perm, colPtr, colRow []int) *LDLT {
-	n, nnz := len(perm), len(colRow)
+	n, nnz := len(f.perm), len(f.colRow)
 	vals := make([]float64, 3*n+2*nnz)
-	return &LDLT{Diag: vals[:n:n], Lower: vals[n : n+nnz : n+nnz], perm: perm, colPtr: colPtr, colRow: colRow,
+	return &LDLT{Diag: vals[:n:n], Lower: vals[n : n+nnz : n+nnz], perm: f.perm, colPtr: f.colPtr, colRow: f.colRow,
 		l: vals[n+nnz : n+2*nnz : n+2*nnz], d: vals[n+2*nnz : 2*n+2*nnz : 2*n+2*nnz], x: vals[2*n+2*nnz:]}
 }
 

@@ -64,7 +64,8 @@ func TestLDLTMatchesDense(t *testing.T) {
 		withChords, transient := trial%2 == 1, trial%4 >= 2
 		edges, g, diag, b := randomNetworkSystem(rng, n, withChords, transient)
 
-		f, slots := NewLDLT(n, edges)
+		pat, slots := NewLDLT(n, edges)
+		f := pat.Clone()
 		copy(f.Diag, diag)
 		dense := NewDense(n, n)
 		for i, d := range diag {
@@ -104,7 +105,8 @@ func TestLDLTMatchesDense(t *testing.T) {
 func TestLDLTCloneFactorsApart(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	edges, g, diag, b := randomNetworkSystem(rng, 40, true, false)
-	f, slots := NewLDLT(len(diag), edges)
+	pat, slots := NewLDLT(len(diag), edges)
+	f := pat.Clone()
 	assemble := func(f *LDLT, scale float64) {
 		for i, d := range diag {
 			f.Diag[i] = scale * d
@@ -155,8 +157,8 @@ func TestLDLTTreeHasNoFill(t *testing.T) {
 	}
 	// Repeats are parallel resistors: one entry of L.
 	f, slots := NewLDLT(n, append(tree, tree[7]))
-	if len(f.l) != n-1 {
-		t.Errorf("tree L has %d entries, want %d (no fill)", len(f.l), n-1)
+	if len(f.colRow) != n-1 {
+		t.Errorf("tree L has %d entries, want %d (no fill)", len(f.colRow), n-1)
 	}
 	if slots[len(slots)-1] != slots[7] {
 		t.Error("a repeated edge got its own slot")
@@ -167,8 +169,8 @@ func TestLDLTTreeHasNoFill(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ring = append(ring, [2]int{i, (i + 1) % n})
 	}
-	if f, _ := NewLDLT(n, ring); len(f.l) > 2*n {
-		t.Errorf("ring L has %d entries, want at most %d", len(f.l), 2*n)
+	if f, _ := NewLDLT(n, ring); len(f.colRow) > 2*n {
+		t.Errorf("ring L has %d entries, want at most %d", len(f.colRow), 2*n)
 	}
 }
 
@@ -195,7 +197,8 @@ func TestLDLTDeterministicOrder(t *testing.T) {
 func TestLDLTPivotError(t *testing.T) {
 	// A floating pair: [[1, -1], [-1, 1]] eliminates unknown 0 first
 	// (ties go to the lowest index) and leaves a zero pivot at 1.
-	f, slots := NewLDLT(2, [][2]int{{0, 1}})
+	pat, slots := NewLDLT(2, [][2]int{{0, 1}})
+	f := pat.Clone()
 	f.Diag[0], f.Diag[1] = 1, 1
 	f.Lower[slots[0]] = -1
 	var pe *PivotError
@@ -204,7 +207,8 @@ func TestLDLTPivotError(t *testing.T) {
 	}
 	// A negative or NaN diagonal on an isolated unknown.
 	for _, d := range []float64{-2, math.NaN()} {
-		f, _ := NewLDLT(3, nil)
+		pat, _ := NewLDLT(3, nil)
+		f := pat.Clone()
 		f.Diag[0], f.Diag[1], f.Diag[2] = 1, 1, d
 		if err := f.Factor(); !errors.As(err, &pe) || pe.Index != 2 {
 			t.Errorf("diag %v: err = %v, want a pivot error at unknown 2", d, err)
@@ -217,7 +221,8 @@ func TestLDLTPivotError(t *testing.T) {
 func TestLDLTFactorSolveAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	edges, g, diag, b := randomNetworkSystem(rng, 150, true, true)
-	f, slots := NewLDLT(len(diag), edges)
+	pat, slots := NewLDLT(len(diag), edges)
+	f := pat.Clone()
 	x := make([]float64, len(b))
 	allocs := testing.AllocsPerRun(10, func() {
 		copy(f.Diag, diag)

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// BenchmarkLintModule measures the full twelve-rule suite over the real
+// BenchmarkLintModule measures the full ten-rule suite over the real
 // module, cold (empty cache, full parse + type-check) and warm (every
 // package served from the content-hash cache, so only hashing and key
 // derivation remain).  The warm/cold ratio is the headline number for
@@ -44,11 +44,10 @@ func BenchmarkLintModule(b *testing.B) {
 	})
 }
 
-// BenchmarkLintPhases isolates the loader and the summary pass:
+// BenchmarkLintPhases isolates the loader and the fact pass:
 // typecheck-serial is LoadDirs over every module package (one parallel
-// parse, then a serial type-check), and summaries is the fact and
-// call-graph summary gather over the fully loaded module — the marginal
-// cost of the interprocedural engine.
+// parse, then a serial type-check), and facts is the cross-package fact
+// gather over the fully loaded module.
 func BenchmarkLintPhases(b *testing.B) {
 	probe, err := NewLoader("../..")
 	if err != nil {
@@ -70,7 +69,7 @@ func BenchmarkLintPhases(b *testing.B) {
 			}
 		}
 	})
-	b.Run("summaries", func(b *testing.B) {
+	b.Run("facts", func(b *testing.B) {
 		l, err := NewLoader("../..")
 		if err != nil {
 			b.Fatal(err)
@@ -85,37 +84,6 @@ func BenchmarkLintPhases(b *testing.B) {
 			facts.Gather(loaded)
 		}
 	})
-}
-
-// BenchmarkValueFlow isolates the value-flow engine: a fresh fact
-// gather (taint and lock summaries included) plus the two value-flow
-// rules over the pre-loaded module — the marginal cost the engine adds
-// on top of the parse/type-check baseline.
-func BenchmarkValueFlow(b *testing.B) {
-	l, err := NewLoader("../..")
-	if err != nil {
-		b.Fatal(err)
-	}
-	dirs, err := l.PackageDirs(l.Root)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := l.LoadDirs(dirs); err != nil {
-		b.Fatal(err)
-	}
-	loaded := l.Loaded()
-	rules := []Rule{taintsizeRule{}, lockorderRule{}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		facts := NewFacts()
-		facts.Gather(loaded)
-		for _, p := range loaded {
-			p.Facts = facts
-			for _, r := range rules {
-				r.Check(p)
-			}
-		}
-	}
 }
 
 // TestWarmRunUnder50ms pins the headline cache promise: a fully warm

@@ -29,7 +29,10 @@ import (
 // feeds four new rules.
 // v4: an entry holds the findings and the //lint:allow audit; fixes
 // are gone.
-const cacheSchemaVersion = "aeropacklint-cache/v4"
+// v5: the call-graph and value-flow engines are gone; every rule reads
+// one body, and only the sentinel-wrap and magic-constant facts cross
+// packages.
+const cacheSchemaVersion = "aeropacklint-cache/v5"
 
 // Cache is a directory of per-package result files keyed by content
 // hash.  The zero value (empty Dir) is a disabled cache.

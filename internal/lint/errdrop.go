@@ -116,22 +116,12 @@ func (p *Package) checkDroppedError(call *ast.CallExpr) []Finding {
 	if !p.resultsIncludeError(call) || p.errdropExempt(call) {
 		return nil
 	}
-	f := Finding{
+	return []Finding{{
 		Pos:  p.Fset.Position(call.Pos()),
 		Rule: "errdrop",
 		Msg:  "call discards its error result",
 		Hint: "handle the error, or make the discard explicit with `_ =` plus a reason",
-	}
-	// When the callee is a pass-through wrapper, the summary names the
-	// call the dropped error actually comes from.
-	if origin := p.Facts.summary(calleeFunc(p, call)).errOriginOf(); origin != nil {
-		f.Msg += "; the error originates in " + origin.From
-		f.Related = []Related{{
-			Pos: origin.Pos,
-			Msg: "the dropped error originates here, in " + origin.From,
-		}}
-	}
-	return []Finding{f}
+	}}
 }
 
 // checkSentinelCompare flags err ==/!= Sentinel.
@@ -206,4 +196,9 @@ func (p *Package) packageLevelErrorVar(e ast.Expr) types.Object {
 		return nil
 	}
 	return obj
+}
+
+func isNilIdent(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
 }

@@ -24,8 +24,8 @@ type jsonFinding struct {
 	Related []jsonRelated `json:"related,omitempty"`
 }
 
-// jsonRelated is one secondary location of an interprocedural finding —
-// the blocking/solver call deep in a callee, or a sentinel's wrap site.
+// jsonRelated is one secondary location of a finding, e.g. the %w wrap
+// site of a sentinel compared with ==.
 type jsonRelated struct {
 	jsonPos
 	Msg string `json:"msg"`

@@ -15,12 +15,12 @@ func exportFixture() []Finding {
 		Hint: "use units.CToK/units.KToC (or units.ZeroCelsius for the constant itself)",
 	}, {
 		Pos:  token.Position{Filename: "internal/core/flow.go", Line: 166, Column: 13},
-		Rule: "lockheld",
-		Msg:  "call to thermal.linSolve while mu is held reaches solver entry CGOpt via thermal.linSolve",
-		Hint: "release the lock before the call, or move the blocking work out of the critical section",
+		Rule: "errdrop",
+		Msg:  "error compared to sentinel linalg.ErrStopped with ==; the sentinel is wrapped with %w in aeropack/internal/linalg, so == can never match",
+		Hint: "use errors.Is; wrapped errors never match ==",
 		Related: []Related{{
-			Pos: token.Position{Filename: "internal/thermal/solve.go", Line: 335, Column: 20},
-			Msg: "solver entry CGOpt happens here",
+			Pos: token.Position{Filename: "internal/linalg/iterative.go", Line: 241, Column: 21},
+			Msg: "linalg.ErrStopped is wrapped with %w here",
 		}},
 	}}
 }
@@ -65,12 +65,12 @@ func TestWriteJSONFindings(t *testing.T) {
 	if len(f.Related) != 0 {
 		t.Errorf("finding without related locations serialized %d of them", len(f.Related))
 	}
-	ipa := rep.Findings[1]
-	if len(ipa.Related) != 1 {
-		t.Fatalf("interprocedural finding related = %d, want 1", len(ipa.Related))
+	wrapped := rep.Findings[1]
+	if len(wrapped.Related) != 1 {
+		t.Fatalf("sentinel-wrap finding related = %d, want 1", len(wrapped.Related))
 	}
-	r := ipa.Related[0]
-	if r.File != "internal/thermal/solve.go" || r.Line != 335 || r.Column != 20 || r.Msg == "" {
+	r := wrapped.Related[0]
+	if r.File != "internal/linalg/iterative.go" || r.Line != 241 || r.Column != 21 || r.Msg == "" {
 		t.Errorf("related fields off: %+v", r)
 	}
 }

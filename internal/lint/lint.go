@@ -2,13 +2,16 @@
 // enforces the project-wide physical-modelling invariants that the Go
 // compiler cannot see: the strict-SI unit convention of internal/units,
 // the no-exact-float-comparison rule, the library panic policy, and the
-// NaN-propagation contract of the solver entry points.
+// NaN-propagation contract of the solver entry points, plus the lock,
+// goroutine and span disciplines of the concurrent code.
 //
 // The framework is deliberately dependency-free: it is built only on
 // go/ast, go/parser, go/token and go/types, so the lint gate runs
 // anywhere the Go toolchain runs.  Each check is a Rule; rules register
 // themselves at init time and the cmd/aeropacklint driver runs every
-// registered rule over every package of the module.
+// registered rule over every package of the module.  Every rule reads
+// one function body (or one statement list) at a time; the only state
+// shared across packages is the small object-fact store in facts.go.
 //
 // Findings can be suppressed for a single line with a directive comment:
 //
@@ -34,9 +37,9 @@ type Finding struct {
 	Rule string
 	Msg  string
 	Hint string
-	// Related points at secondary locations — the callee site an
-	// interprocedural finding reaches through, or a %w wrap site.  It is
-	// carried into the JSON export but not into String().
+	// Related points at secondary locations, e.g. the %w wrap site of
+	// a sentinel errdrop finds compared with ==.  It is carried into the
+	// JSON export but not into String().
 	Related []Related
 }
 
@@ -63,6 +66,9 @@ type Package struct {
 	// ImportPath is the package's import path, e.g.
 	// "aeropack/internal/thermal".
 	ImportPath string
+	// ModPath is the path of the module the package belongs to, e.g.
+	// "aeropack".
+	ModPath string
 	// Dir is the directory the package was loaded from.
 	Dir string
 	// Fset is the file set positions resolve against.

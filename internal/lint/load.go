@@ -182,6 +182,7 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 	tpkg, _ := conf.Check(path, l.Fset, files, info)
 	p := &Package{
 		ImportPath: path,
+		ModPath:    l.ModPath,
 		Dir:        dir,
 		Fset:       l.Fset,
 		Files:      files,

@@ -1,18 +1,26 @@
-// The lockheld rule: no blocking operation while a sync.Mutex or
-// sync.RWMutex is held.  The telemetry registry and the parallel pool
-// both take short critical sections on hot paths; a channel op, a
-// WaitGroup.Wait or a solver entry inside one turns a bounded lock into
-// an unbounded convoy (or a deadlock once the blocked goroutine is the
-// one that would release the lock).
+// The lockheld rule: a critical section does bounded, local work.  The
+// telemetry registry and the parallel pool both take short critical
+// sections on hot paths; a channel op, a WaitGroup.Wait or a solver
+// entry inside one turns a bounded lock into an unbounded convoy (or a
+// deadlock once the blocked goroutine is the one that would release the
+// lock), and a second lock taken inside one is half of a lock-order
+// cycle.
 //
-// The analysis is lexical per block: a region starts at `x.Lock()` /
-// `x.RLock()` and ends at the matching `x.Unlock()` / `x.RUnlock()`
-// statement in the same block; `defer x.Unlock()` extends the region to
-// the end of the function.  Inside a region the rule flags channel
-// sends and receives, select statements, ranging over a channel, any
-// `.Wait()` call, and calls into the linalg/thermal solver entry
-// points.  Function literals are skipped: they run later, usually after
-// the lock is gone.
+// The analysis is lexical, one function body at a time: a region starts
+// at `x.Lock()` / `x.RLock()` and ends at the matching `x.Unlock()` /
+// `x.RUnlock()` statement in the same block; `defer x.Unlock()` extends
+// the region to the end of the function.  Inside a region the rule flags
+//
+//   - channel sends and receives, select statements, ranging over a
+//     channel, and any `.Wait()` call;
+//   - a Lock or RLock of any mutex, the same one included: no body holds
+//     two locks, so no two bodies can take them in opposite orders;
+//   - a call to a function or method declared in another package of the
+//     module, whose body this check cannot see.
+//
+// Calls into the standard library, calls within the package and calls
+// through function values stay allowed.  Function literals are skipped:
+// they run later, usually after the lock is gone.
 package lint
 
 import (
@@ -30,7 +38,7 @@ func init() { Register(lockheldRule{}) }
 func (lockheldRule) Name() string { return "lockheld" }
 
 func (lockheldRule) Doc() string {
-	return "no blocking call (channel op, Wait, solver entry) while a sync.Mutex/RWMutex is held"
+	return "no blocking op, second lock or call into another module package while a sync.Mutex/RWMutex is held"
 }
 
 func (lockheldRule) Check(p *Package) []Finding {
@@ -38,22 +46,15 @@ func (lockheldRule) Check(p *Package) []Finding {
 		return nil
 	}
 	var out []Finding
-	w := heldWalker{p: p, stmt: func(stmt ast.Stmt, _ []heldLock) {
-		out = append(out, p.flagBlockingShallow(stmt)...)
-	}}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				body = fn.Body
+				if fn.Body != nil {
+					out = p.lockRegions(fn.Body, nil, out)
+				}
 			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				w.block(body, nil)
+				out = p.lockRegions(fn.Body, nil, out)
 			}
 			return true
 		})
@@ -61,37 +62,28 @@ func (lockheldRule) Check(p *Package) []Finding {
 	return out
 }
 
-// heldLock is one mutex in a lexical held set.
-type heldLock struct {
-	// obj is the mutex variable or field; nil when the receiver
-	// resolves to none (lockheld still tracks it by name).
-	obj types.Object
-	// name is the receiver's printed form, the region key.
-	name string
-	// pos is the Lock call's position.
-	pos token.Position
-}
-
 // mutexCall classifies a call as a Lock, RLock, Unlock or RUnlock method
-// call on a sync.Mutex or sync.RWMutex; method is "" for any other call.
-func mutexCall(p *Package, call *ast.CallExpr) (method string, l heldLock) {
+// call on a sync.Mutex or sync.RWMutex and returns the receiver's
+// printed form, the region key; method is "" for any other call.
+func mutexCall(p *Package, call *ast.CallExpr) (method, recv string) {
+	if call == nil {
+		return "", ""
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", l
+		return "", ""
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return "", l
+		return "", ""
 	}
 	tv, ok := p.Info.Types[sel.X]
 	if !ok || tv.Type == nil || !isSyncMutex(tv.Type) {
-		return "", l
+		return "", ""
 	}
-	return sel.Sel.Name, heldLock{obj: mutexObject(p, sel.X), name: types.ExprString(sel.X), pos: p.Fset.Position(call.Pos())}
+	return sel.Sel.Name, types.ExprString(sel.X)
 }
-
-func isAcquire(method string) bool { return method == "Lock" || method == "RLock" }
 
 // isSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly
 // behind a pointer).
@@ -110,24 +102,11 @@ func isSyncMutex(t types.Type) bool {
 	return name == "Mutex" || name == "RWMutex"
 }
 
-// heldWalker walks a function body statement by statement with the
-// lexical held-lock discipline shared by lockheld and the lock-order
-// graph: a region opens at `x.Lock()` / `x.RLock()` and closes at the
-// matching `x.Unlock()` / `x.RUnlock()` statement in the same block,
-// keyed by the receiver's printed form; `defer x.Unlock()` keeps it
-// open to the end of the function.
-type heldWalker struct {
-	p *Package
-	// acquire, when set, sees every Lock/RLock statement (deferred ones
-	// included) with the locks held before it.
-	acquire func(l heldLock, held []heldLock)
-	// stmt sees every other statement that runs with a lock held; the
-	// walker itself recurses into the statement's nested blocks.
-	stmt func(s ast.Stmt, held []heldLock)
-}
-
-func (w heldWalker) block(block *ast.BlockStmt, held []heldLock) {
-	cur := append([]heldLock(nil), held...)
+// lockRegions walks one block statement by statement, given the
+// receivers held on entry, and appends a finding for every forbidden
+// operation in a statement that runs with a lock held.
+func (p *Package) lockRegions(block *ast.BlockStmt, held []string, out []Finding) []Finding {
+	held = slices.Clone(held)
 	for _, stmt := range block.List {
 		var call *ast.CallExpr
 		deferred := false
@@ -137,113 +116,90 @@ func (w heldWalker) block(block *ast.BlockStmt, held []heldLock) {
 		case *ast.DeferStmt:
 			call, deferred = s.Call, true
 		}
-		if call != nil {
-			if method, l := mutexCall(w.p, call); method != "" {
-				if isAcquire(method) && w.acquire != nil {
-					w.acquire(l, cur)
+		if method, recv := mutexCall(p, call); method != "" {
+			i := slices.Index(held, recv)
+			switch {
+			case deferred:
+			case method == "Lock" || method == "RLock":
+				if len(held) > 0 {
+					out = append(out, lockheldFinding(p, call, method+" of "+recv))
 				}
-				i := slices.IndexFunc(cur, func(h heldLock) bool { return h.name == l.name })
-				switch {
-				case deferred:
-				case isAcquire(method) && i < 0:
-					cur = append(cur, l)
-				case !isAcquire(method) && i >= 0:
-					cur = slices.Delete(cur, i, i+1)
+				if i < 0 {
+					held = append(held, recv)
 				}
-				continue
+			case i >= 0:
+				held = slices.Delete(held, i, i+1)
 			}
+			continue
 		}
-		if len(cur) > 0 {
-			w.stmt(stmt, cur)
+		if len(held) > 0 {
+			out = p.flagHeldStmt(stmt, out)
 		}
-		w.nested(stmt, cur)
+		out = p.nestedRegions(stmt, held, out)
 	}
+	return out
 }
 
-// nested recurses into the block children of stmt with the current
-// held set.
-func (w heldWalker) nested(stmt ast.Stmt, held []heldLock) {
+// nestedRegions recurses into the block children of stmt with the
+// current held set.
+func (p *Package) nestedRegions(stmt ast.Stmt, held []string, out []Finding) []Finding {
 	switch s := stmt.(type) {
 	case *ast.BlockStmt:
-		w.block(s, held)
+		return p.lockRegions(s, held, out)
 	case *ast.IfStmt:
-		w.block(s.Body, held)
+		out = p.lockRegions(s.Body, held, out)
 		if s.Else != nil {
-			w.nested(s.Else, held)
+			out = p.nestedRegions(s.Else, held, out)
 		}
 	case *ast.ForStmt:
-		w.block(s.Body, held)
+		return p.lockRegions(s.Body, held, out)
 	case *ast.RangeStmt:
-		w.block(s.Body, held)
+		return p.lockRegions(s.Body, held, out)
 	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.block(&ast.BlockStmt{List: cc.Body}, held)
-			}
-		}
+		return p.caseRegions(s.Body, held, out)
 	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.block(&ast.BlockStmt{List: cc.Body}, held)
-			}
-		}
+		return p.caseRegions(s.Body, held, out)
 	}
+	return out
 }
 
-// flagBlockingShallow inspects one statement (not descending into nested
-// blocks or function literals — the recursion handles blocks) for
-// blocking operations.
-func (p *Package) flagBlockingShallow(stmt ast.Stmt) []Finding {
-	var out []Finding
-	flag := func(n ast.Node, what string) {
-		out = append(out, Finding{
-			Pos:  p.Fset.Position(n.Pos()),
-			Rule: "lockheld",
-			Msg:  what + " while a mutex is held",
-			Hint: "release the lock first (copy what you need out of the critical section)",
-		})
+func (p *Package) caseRegions(body *ast.BlockStmt, held []string, out []Finding) []Finding {
+	for _, c := range body.List {
+		if cc, ok := c.(*ast.CaseClause); ok {
+			out = p.lockRegions(&ast.BlockStmt{List: cc.Body}, held, out)
+		}
 	}
+	return out
+}
+
+// flagHeldStmt inspects one statement that runs with a lock held,
+// without descending into nested blocks (the region walk handles those)
+// or function literals.
+func (p *Package) flagHeldStmt(stmt ast.Stmt, out []Finding) []Finding {
 	ast.Inspect(stmt, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.BlockStmt:
-			return false // handled by the block recursion
-		case *ast.FuncLit:
+		case *ast.BlockStmt, *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
-			flag(x, "channel send")
+			out = append(out, lockheldFinding(p, x, "channel send"))
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				flag(x, "channel receive")
+				out = append(out, lockheldFinding(p, x, "channel receive"))
 			}
 		case *ast.SelectStmt:
-			flag(x, "select")
+			out = append(out, lockheldFinding(p, x, "select"))
 			return false
 		case *ast.RangeStmt:
 			if tv, ok := p.Info.Types[x.X]; ok && tv.Type != nil {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					flag(x, "range over channel")
+					out = append(out, lockheldFinding(p, x, "range over channel"))
 				}
 			}
 		case *ast.CallExpr:
-			if what, bad := p.blockingCall(x); bad {
-				flag(x, what)
-				break
-			}
-			// Interprocedural: the callee's summary proves it (or
-			// something it calls) blocks.
-			fn := calleeFunc(p, x)
-			if bf := p.Facts.summary(fn).blocking(); bf != nil {
-				out = append(out, Finding{
-					Pos:  p.Fset.Position(x.Pos()),
-					Rule: "lockheld",
-					Msg: "call to " + strings.Join(prependChain(shortFuncName(fn), bf.Chain), " → ") +
-						" reaches " + bf.What + " while a mutex is held",
-					Hint: "release the lock first (copy what you need out of the critical section)",
-					Related: []Related{{
-						Pos: bf.Pos,
-						Msg: bf.What + " happens here",
-					}},
-				})
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
+				out = append(out, lockheldFinding(p, x, "Wait()"))
+			} else if fn := p.moduleCallee(x); fn != nil {
+				out = append(out, lockheldFinding(p, x, "call to "+fn.Pkg().Name()+"."+fn.Name()+" in another module package"))
 			}
 		}
 		return true
@@ -251,28 +207,40 @@ func (p *Package) flagBlockingShallow(stmt ast.Stmt) []Finding {
 	return out
 }
 
-// blockingCall reports whether the call is a Wait (sync.WaitGroup and
-// friends) or a solver entry point in linalg/thermal.
-func (p *Package) blockingCall(call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
+func lockheldFinding(p *Package, n ast.Node, what string) Finding {
+	return Finding{
+		Pos:  p.Fset.Position(n.Pos()),
+		Rule: "lockheld",
+		Msg:  what + " while a mutex is held",
+		Hint: "release the lock first (copy what you need out of the critical section)",
 	}
-	if sel.Sel.Name == "Wait" {
-		return "Wait()", true
+}
+
+// calleeFunc resolves a call to the static *types.Func it invokes, or
+// nil for calls through function values, builtins and conversions.
+func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
 	}
-	obj := p.Info.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
-		return "", false
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	return fn
+}
+
+// moduleCallee returns the static callee of call when it is declared in
+// another package of this module, nil otherwise.
+func (p *Package) moduleCallee(call *ast.CallExpr) *types.Func {
+	fn := calleeFunc(p, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg() == p.Pkg {
+		return nil
 	}
-	path := obj.Pkg().Path()
-	for _, suffix := range []string{"/internal/linalg", "/internal/thermal"} {
-		if strings.HasSuffix(path, suffix) {
-			name := sel.Sel.Name
-			if strings.HasPrefix(name, "CG") || strings.Contains(name, "Solve") {
-				return "solver entry " + name, true
-			}
-		}
+	if path := fn.Pkg().Path(); path != p.ModPath && !strings.HasPrefix(path, p.ModPath+"/") {
+		return nil
 	}
-	return "", false
+	return fn
 }

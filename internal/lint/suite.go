@@ -1,6 +1,6 @@
 // The module-level pipeline behind cmd/aeropacklint: pattern expansion,
-// cache probing, a parallel parse and a serial type-check, fact and
-// summary gathering, and a parallel rule phase that audits the
+// cache probing, a parallel parse and a serial type-check, fact
+// gathering, and a parallel rule phase that audits the
 // //lint:allow directives alongside.  The driver and BenchmarkLintModule
 // share this entry point.
 package lint

@@ -123,32 +123,38 @@ func TestRunModuleCacheDependencyInvalidation(t *testing.T) {
 	}
 }
 
-// TestSummaryCacheInvalidation is the interprocedural twin of the
-// dependency-invalidation test: a caller is flagged because its callee's
-// summary blocks; editing only the callee's body must rotate the
-// caller's key and flip the caller's findings — a cached interprocedural
-// result may never outlive the callee body it was derived from.
-func TestSummaryCacheInvalidation(t *testing.T) {
+// TestFactCacheInvalidation is the fact-store twin of the dependency-
+// invalidation test: a sentinel comparison in app cites the %w wrap in
+// util's function body; editing only that body so it no longer wraps
+// must rotate app's key and drop the citation — a cached fact-derived
+// result may never outlive the body it was derived from.
+func TestFactCacheInvalidation(t *testing.T) {
+	util := func(wrap string) string {
+		return strings.Join([]string{
+			"package util",
+			"",
+			"import (",
+			"\t\"errors\"",
+			"\t\"fmt\"",
+			")",
+			"",
+			"// ErrBusy is the sentinel app compares against.",
+			"var ErrBusy = errors.New(\"busy\")",
+			"",
+			"// Try fails with ErrBusy.",
+			"func Try() error { return fmt.Errorf(\"util: " + wrap + "\", ErrBusy) }",
+			"",
+		}, "\n")
+	}
 	root := writeTempModule(t, map[string]string{
-		"internal/util/util.go": "package util\n\n// Ping blocks on its channel.\nfunc Ping(c chan int) int { return <-c }\n",
+		"internal/util/util.go": util("%w"),
 		"internal/app/app.go": strings.Join([]string{
 			"package app",
 			"",
-			"import (",
-			"\t\"sync\"",
+			"import \"tmpmod/internal/util\"",
 			"",
-			"\t\"tmpmod/internal/util\"",
-			")",
-			"",
-			"var mu sync.Mutex",
-			"",
-			"// Get calls the helper under the lock.",
-			"func Get(c chan int) int {",
-			"\tmu.Lock()",
-			"\tv := util.Ping(c)",
-			"\tmu.Unlock()",
-			"\treturn v",
-			"}",
+			"// Busy compares with == where errors.Is is required.",
+			"func Busy() bool { return util.Try() == util.ErrBusy }",
 			"",
 		}, "\n"),
 	})
@@ -159,13 +165,13 @@ func TestSummaryCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.Findings) != 1 || cold.Findings[0].Rule != "lockheld" ||
-		!strings.Contains(cold.Findings[0].Msg, "util.Ping") {
-		t.Fatalf("cold findings = %v, want one interprocedural lockheld hit through util.Ping", cold.Findings)
+	if len(cold.Findings) != 1 || cold.Findings[0].Rule != "errdrop" ||
+		!strings.Contains(cold.Findings[0].Msg, "wrapped with %w in tmpmod/internal/util") {
+		t.Fatalf("cold findings = %v, want one errdrop hit citing util's %%w wrap", cold.Findings)
 	}
-	if len(cold.Findings[0].Related) != 1 {
-		t.Errorf("interprocedural finding should carry the blocking site as a related location, got %v",
-			cold.Findings[0].Related)
+	if len(cold.Findings[0].Related) != 1 ||
+		filepath.ToSlash(cold.Findings[0].Related[0].Pos.Filename) != "internal/util/util.go" {
+		t.Errorf("finding should carry the wrap site as a related location, got %v", cold.Findings[0].Related)
 	}
 
 	warm, err := RunModule(opts)
@@ -179,10 +185,9 @@ func TestSummaryCacheInvalidation(t *testing.T) {
 		t.Errorf("related locations must survive the cache round-trip, got %v", warm.Findings[0].Related)
 	}
 
-	// Make the callee non-blocking.  app's own bytes are untouched, but
-	// its summary-derived finding must disappear, so the key must rotate.
-	src := "package util\n\n// Ping no longer blocks.\nfunc Ping(c chan int) int { return len(c) }\n"
-	if err := os.WriteFile(filepath.Join(root, "internal", "util", "util.go"), []byte(src), 0o644); err != nil {
+	// Stop wrapping.  app's own bytes are untouched, but its
+	// fact-derived citation must disappear, so the key must rotate.
+	if err := os.WriteFile(filepath.Join(root, "internal", "util", "util.go"), []byte(util("%v")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	edited, err := RunModule(opts)
@@ -190,67 +195,12 @@ func TestSummaryCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if edited.CacheMisses != 1 {
-		t.Errorf("callee body edit did not invalidate the caller: hits=%d misses=%d",
+		t.Errorf("dependency body edit did not invalidate the importer: hits=%d misses=%d",
 			edited.CacheHits, edited.CacheMisses)
 	}
-	if len(edited.Findings) != 0 {
-		t.Errorf("findings = %v, want none after the callee stopped blocking", edited.Findings)
-	}
-}
-
-// TestSummaryMutualRecursionTerminates feeds the summary engine a
-// mutually recursive pair; the computation must terminate (the on-stack
-// marker breaks the cycle) and still see the blocking op through the
-// recursion.
-func TestSummaryMutualRecursionTerminates(t *testing.T) {
-	root := writeTempModule(t, map[string]string{
-		"internal/rec/rec.go": strings.Join([]string{
-			"package rec",
-			"",
-			"import \"sync\"",
-			"",
-			"var mu sync.Mutex",
-			"",
-			"// Even and Odd recurse into each other; Odd blocks at the base",
-			"// case.",
-			"func Even(n int, c chan int) bool {",
-			"\tif n == 0 {",
-			"\t\treturn true",
-			"\t}",
-			"\treturn Odd(n-1, c)",
-			"}",
-			"",
-			"func Odd(n int, c chan int) bool {",
-			"\tif n == 0 {",
-			"\t\t<-c",
-			"\t\treturn false",
-			"\t}",
-			"\treturn Even(n-1, c)",
-			"}",
-			"",
-			"// Run holds the lock across the recursive descent.",
-			"func Run(c chan int) bool {",
-			"\tmu.Lock()",
-			"\tv := Even(3, c)",
-			"\tmu.Unlock()",
-			"\treturn v",
-			"}",
-			"",
-		}, "\n"),
-	})
-	res, err := RunModule(ModuleOptions{Dir: root, Patterns: []string{"./..."}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits []Finding
-	for _, f := range res.Findings {
-		if f.Rule == "lockheld" {
-			hits = append(hits, f)
-		}
-	}
-	if len(hits) != 1 || !strings.Contains(hits[0].Msg, "rec.Even") ||
-		!strings.Contains(hits[0].Msg, "channel receive") {
-		t.Errorf("lockheld findings = %v, want one reaching the receive through rec.Even", hits)
+	if len(edited.Findings) != 1 || strings.Contains(edited.Findings[0].Msg, "%w") ||
+		len(edited.Findings[0].Related) != 0 {
+		t.Errorf("findings = %v, want the bare == finding once util stopped wrapping", edited.Findings)
 	}
 }
 

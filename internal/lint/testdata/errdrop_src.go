@@ -16,8 +16,8 @@ var ErrScope = errors.New("scope failed")
 
 func mayFail() error { return nil }
 
-// errDeep seeds mayFailDeep with a non-call return, so the origin chase
-// stops at the function itself.
+// errDeep seeds mayFailDeep with a non-call return; the drop below is
+// reported at the wrapper call, not at the error's origin.
 var errDeep = errors.New("scope: deep failure")
 
 func mayFailDeep() error { return errDeep }
@@ -26,8 +26,8 @@ func mayFailDeep() error { return errDeep }
 // comes from mayFailDeep.
 func wrapDeep() error { return mayFailDeep() }
 
-// DroppedViaWrapper is flagged with the interprocedural origin: the
-// summary sees through wrapDeep to mayFailDeep.
+// DroppedViaWrapper is flagged like any other drop; the rule does not
+// follow wrapDeep to mayFailDeep.
 func DroppedViaWrapper() {
 	wrapDeep()
 }

@@ -1,8 +1,8 @@
-// Package scope exercises the goroleak rule: a goroutine started in
-// library code must be joined by its launcher (Wait/channel/select) or
-// prove via its own body — or its named callee's call-graph summary —
-// that it signals a WaitGroup or runs a cancellation path.
-// //lint:allow suppresses one launch.
+// Package scope exercises the goroleak rule: every go statement in
+// library code is flagged, whether or not a join sits next to it, so a
+// legitimate launch carries a //lint:allow goroleak directive naming
+// its join; Suppressed is the one such launch here.  The rule reads no
+// callee, so the ipahelp helpers change nothing.
 package scope
 
 import (
@@ -24,7 +24,7 @@ func HelperDrift(c chan int) {
 	go ipahelp.Drift(c)
 }
 
-// JoinedOK is fine: the launcher waits for the group.
+// JoinedOK is flagged too: the rule does not search for the Wait.
 func JoinedOK(n int) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -36,8 +36,8 @@ func JoinedOK(n int) {
 	wg.Wait()
 }
 
-// SelfManagedOK is fine: the goroutine marks the caller-owned group
-// done, so whoever Adds also Waits.
+// SelfManagedOK is flagged: the goroutine marks the caller-owned group
+// done, but only a directive can say who Waits.
 func SelfManagedOK(wg *sync.WaitGroup) {
 	wg.Add(1)
 	go func() {
@@ -45,8 +45,8 @@ func SelfManagedOK(wg *sync.WaitGroup) {
 	}()
 }
 
-// HelperWorkerOK is fine across the package boundary: ipahelp.Worker's
-// summary proves it marks the group done and drains its feed channel.
+// HelperWorkerOK is flagged: ipahelp.Worker marks the group done, but
+// the rule reads no callee.
 func HelperWorkerOK(wg *sync.WaitGroup, c chan int) {
 	wg.Add(1)
 	go ipahelp.Worker(wg, c)
@@ -54,6 +54,6 @@ func HelperWorkerOK(wg *sync.WaitGroup, c chan int) {
 
 // Suppressed is tolerated by the preceding allow directive.
 func Suppressed(work func()) {
-	//lint:allow goroleak detached telemetry flusher, bounded by process exit
+	//lint:allow goroleak joined by process exit: a detached telemetry flusher
 	go func() { work() }()
 }

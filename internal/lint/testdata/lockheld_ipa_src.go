@@ -1,7 +1,7 @@
-// Package scope exercises the interprocedural side of the lockheld
-// rule: a helper whose call-graph summary proves it (transitively)
-// blocks is flagged when called under a held mutex, with the call chain
-// in the message; a helper that cannot block stays silent.
+// Package scope exercises the cross-package side of the lockheld rule:
+// a call into another package of the module under a held mutex is
+// flagged whatever the callee does, because a check of one body cannot
+// see whether the callee blocks or takes a lock of its own.
 // //lint:allow suppresses one call.
 package scope
 
@@ -13,8 +13,8 @@ import (
 
 var mu sync.Mutex
 
-// RecvViaHelper is flagged: the helper blocks on a channel receive one
-// call away while mu is held.
+// RecvViaHelper is flagged: the helper lives in another module package
+// (it blocks on a channel receive) and mu is held.
 func RecvViaHelper(c chan int) int {
 	mu.Lock()
 	v := ipahelp.Recv(c)
@@ -22,7 +22,7 @@ func RecvViaHelper(c chan int) int {
 	return v
 }
 
-// RecvTwoDeep is flagged through two hops: RecvIndirect → Recv.
+// RecvTwoDeep is flagged at the first hop: RecvIndirect → Recv.
 func RecvTwoDeep(c chan int) int {
 	mu.Lock()
 	v := ipahelp.RecvIndirect(c)
@@ -30,7 +30,7 @@ func RecvTwoDeep(c chan int) int {
 	return v
 }
 
-// PureHelperOK is fine: the helper's summary proves it cannot block.
+// PureHelperOK is flagged too, although ipahelp.Pure cannot block.
 func PureHelperOK() int {
 	mu.Lock()
 	v := ipahelp.Pure()

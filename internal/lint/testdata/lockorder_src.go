@@ -1,6 +1,6 @@
-// Fixture for the lockorder rule: the module-wide lock-acquisition
-// graph must be acyclic.  One direction of the cycle is hidden one call
-// deep in the ipahelp package.
+// Fixture for the lock-order half of the lockheld rule: no body takes a
+// second lock, or calls into another module package, while it holds one,
+// so no two bodies can take the same two locks in opposite orders.
 package cosee
 
 import (
@@ -11,35 +11,35 @@ import (
 
 var local sync.Mutex
 
-// aThenB holds MuA while the callee acquires MuB one package over
-// (edge MuA→MuB, via ipahelp.UnderB).
+// aThenB is flagged: it calls into ipahelp, whose UnderB takes MuB,
+// while it holds MuA.
 func aThenB() int {
 	ipahelp.MuA.Lock()
 	defer ipahelp.MuA.Unlock()
-	return ipahelp.UnderB() // want: closes the cycle with bThenA
+	return ipahelp.UnderB() // want: call into another module package
 }
 
-// bThenA takes the same locks in the reverse order.
+// bThenA is flagged: it takes MuA while it holds MuB.
 func bThenA() {
 	ipahelp.MuB.Lock()
-	ipahelp.MuA.Lock() // want: closes the cycle with aThenB
+	ipahelp.MuA.Lock() // want: second lock
 	ipahelp.MuA.Unlock()
 	ipahelp.MuB.Unlock()
 }
 
-// ordered keeps a consistent local→MuB order: no reverse edge exists,
-// so the graph stays acyclic through here.
+// ordered is flagged too: its local→MuB order happens to be consistent,
+// but a body-local check cannot see what UnderB locks.
 func ordered() int {
 	local.Lock()
 	defer local.Unlock()
-	return ipahelp.UnderB() // clean: consistent order
+	return ipahelp.UnderB() // want: call into another module package
 }
 
 // reenter re-acquires a mutex it already holds — an immediate
 // self-deadlock, suppressed here as the allow-directive demo.
 func reenter() {
 	local.Lock()
-	local.Lock() //lint:allow lockorder deliberate self-deadlock demo
+	local.Lock() //lint:allow lockheld deliberate self-deadlock demo
 	local.Unlock()
 	local.Unlock()
 }

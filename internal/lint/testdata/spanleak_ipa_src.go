@@ -1,9 +1,9 @@
-// Package scope exercises the interprocedural side of the spanleak
-// rule: a span handed to another package's helper is resolved through
-// the helper's call-graph summary — a helper that merely uses the span
-// leaves the End obligation here (and is cited in the finding), a
-// helper that ends it counts as the End, and a helper that stores it
-// takes ownership.  //lint:allow suppresses one start site.
+// Package scope exercises spanleak on spans handed to another package's
+// helper.  The rule reads no callee: whether the helper merely uses the
+// span, ends it or stores it, the start is flagged unless the next
+// statement is `defer sp.End()`, so a hand-off can never decide who
+// ends the span.  DeferOK below is the one accepted shape.
+// //lint:allow suppresses one start site.
 package scope
 
 import (
@@ -13,8 +13,8 @@ import (
 	"aeropack/internal/obs"
 )
 
-// LeakViaHelper is flagged: ipahelp.Annotate uses the span but never
-// ends it, so the early return still leaks sp.
+// LeakViaHelper is flagged: ipahelp.Annotate sits between the start
+// and the End, and the early return leaks sp.
 func LeakViaHelper(fail bool) error {
 	sp := obs.Start(nil, "scope.ipa.leak")
 	ipahelp.Annotate(sp)
@@ -25,9 +25,9 @@ func LeakViaHelper(fail bool) error {
 	return nil
 }
 
-// DeferredHelperEndOK is fine: the deferred helper ends the span on
-// every path — an interprocedural defer sp.End().
-func DeferredHelperEndOK(fail bool) error {
+// DeferredHelperEnd is flagged: the deferred helper does end the span,
+// but only `defer sp.End()` is the accepted shape.
+func DeferredHelperEnd(fail bool) error {
 	sp := obs.Start(nil, "scope.ipa.deferred")
 	defer ipahelp.Finish(sp)
 	if fail {
@@ -36,16 +36,16 @@ func DeferredHelperEndOK(fail bool) error {
 	return nil
 }
 
-// ExplicitHelperEndOK is fine: the helper End covers the lone return.
-func ExplicitHelperEndOK() int {
+// ExplicitHelperEnd is flagged: the helper ends the span explicitly.
+func ExplicitHelperEnd() int {
 	sp := obs.Start(nil, "scope.ipa.explicit")
 	ipahelp.Finish(sp)
 	return 1
 }
 
-// HandoffOK is out of scope: the helper stores the span, so ownership
-// moved with the call.
-func HandoffOK() {
+// Handoff is flagged: the helper stores the span, and the rule does
+// not let ownership move with a call.
+func Handoff() {
 	sp := obs.Start(nil, "scope.ipa.handoff")
 	ipahelp.Keep(sp)
 }
@@ -55,4 +55,16 @@ func Suppressed() {
 	//lint:allow spanleak deliberate leak through a helper for the golden test
 	sp := obs.Start(nil, "scope.ipa.allowed")
 	ipahelp.Annotate(sp)
+}
+
+// DeferOK is fine: the helper runs after the defer, which ends sp on
+// every path.
+func DeferOK(fail bool) error {
+	sp := obs.Start(nil, "scope.ipa.defer")
+	defer sp.End()
+	ipahelp.Annotate(sp)
+	if fail {
+		return errors.New("early")
+	}
+	return nil
 }

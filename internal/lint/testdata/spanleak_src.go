@@ -1,9 +1,11 @@
-// Package scope exercises the spanleak rule: a span that is not ended
-// on every return path is flagged, defer/explicit-End/nil-guard/escape
-// patterns are fine, and //lint:allow suppresses one start site.
+// Package scope exercises the spanleak rule: a span start that is not
+// assigned to a local and followed by `defer <local>.End()` is flagged,
+// whether it leaks, ends explicitly, sits under a nil guard or escapes,
+// and //lint:allow suppresses one start site.
 package scope
 
 import (
+	"context"
 	"errors"
 
 	"aeropack/internal/obs"
@@ -36,9 +38,10 @@ func DeferOK(fail bool) error {
 	return nil
 }
 
-// ExplicitOK is fine: End appears before each return, and the early
-// return sits under the span-disabled nil guard.
-func ExplicitOK(n int) int {
+// Explicit is flagged: End appears before each return and the early
+// return sits under the span-disabled nil guard, but only the deferred
+// End is the accepted shape.
+func Explicit(n int) int {
 	sp := obs.Start(nil, "scope.explicit")
 	if sp == nil {
 		return n
@@ -48,20 +51,48 @@ func ExplicitOK(n int) int {
 	return n + 1
 }
 
-// EscapeOK is out of scope: the span is handed to the caller, who owns
-// ending it.
-func EscapeOK() *obs.Span {
+// Escape is flagged: the span is handed to the caller, and the rule does
+// not follow the hand-off.
+func Escape() *obs.Span {
 	sp := obs.Start(nil, "scope.escape")
 	sp.Attr("owner", "caller")
 	return sp
 }
 
-// ChildOK is fine: a child span pattern with explicit End before the
-// lone return.
-func ChildOK(parent *obs.Span) int {
+// Child is flagged: a child span with an explicit End before the lone
+// return.
+func Child(parent *obs.Span) int {
 	sp := parent.Start("scope.child")
 	sp.End()
 	return 1
+}
+
+// ChildDeferOK is fine: a child span with the canonical defer.
+func ChildDeferOK(parent *obs.Span) int {
+	sp := parent.Start("scope.child.defer")
+	defer sp.End()
+	sp.AttrInt("n", 1)
+	return 1
+}
+
+// ContextOK is fine: StartContext's span, deferred on the next line.
+func ContextOK(ctx context.Context) context.Context {
+	ctx, sp := obs.StartContext(ctx, "scope.context")
+	defer sp.End()
+	return ctx
+}
+
+// AttrBeforeDefer is flagged: attributes sit between the start and the
+// defer, so a panic in them would leak the span.
+func AttrBeforeDefer(n int) {
+	sp := obs.Start(nil, "scope.attr")
+	sp.AttrInt("n", n)
+	defer sp.End()
+}
+
+// Discarded is flagged: the span is never bound to a local.
+func Discarded() {
+	obs.Start(nil, "scope.discarded").End()
 }
 
 // Suppressed is tolerated by the preceding allow directive.

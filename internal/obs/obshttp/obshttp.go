@@ -148,6 +148,7 @@ func Start(addr string, h http.Handler) (*Server, error) {
 	}
 	s := &Server{ln: ln, srv: &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}}
 	s.wg.Add(1)
+	//lint:allow goroleak joined by wg.Wait in Server.Close
 	go func() {
 		defer s.wg.Done()
 		// Serve always exits with ErrServerClosed after Shutdown; real

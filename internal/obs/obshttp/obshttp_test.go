@@ -5,8 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"aeropack/internal/obs"
 )
@@ -276,5 +278,34 @@ func TestEnableOpsReusesExistingRegistry(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "preexisting_total 3") {
 		t.Fatalf("/metrics lost preexisting counter:\n%s", body)
+	}
+}
+
+// TestServerCloseJoins checks Close's join: after a served request and
+// Close, the goroutine count is back where it was before Start within a
+// second.
+func TestServerCloseJoins(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := Start("127.0.0.1:0", http.NotFoundHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &http.Transport{}
+	resp, err := (&http.Client{Transport: tr}).Get("http://" + s.Addr() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	tr.CloseIdleConnections()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after Close, %d before Start", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

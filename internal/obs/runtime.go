@@ -58,6 +58,7 @@ func StartSampler(reg *Registry, interval time.Duration) *Sampler {
 	}
 	s.sample()
 	s.wg.Add(1)
+	//lint:allow goroleak joined by wg.Wait in Sampler.Stop
 	go func() {
 		defer s.wg.Done()
 		t := time.NewTicker(s.interval)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -63,4 +64,20 @@ func TestSamplerStopIdempotentAndNilSafe(t *testing.T) {
 	s := StartSampler(NewRegistry(), time.Millisecond)
 	s.Stop()
 	s.Stop() // second Stop must not panic or deadlock
+}
+
+// TestSamplerStopJoins checks Stop's join: after Stop, the goroutine
+// count is back where it was before StartSampler within a second.
+func TestSamplerStopJoins(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := StartSampler(NewRegistry(), time.Millisecond)
+	time.Sleep(5 * time.Millisecond) // let the ticker fire a few times
+	s.Stop()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after Stop, %d before StartSampler", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -107,6 +107,7 @@ func Map[T, R any](items []T, workers int, fn func(i int, item T) (R, error)) ([
 	errIdx, firstErr := n, error(nil)
 	wg.Add(w)
 	for g := 0; g < w; g++ {
+		//lint:allow goroleak joined by wg.Wait below, before Map returns
 		go func() {
 			defer wg.Done()
 			for {

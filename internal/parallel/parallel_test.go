@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -126,5 +128,51 @@ func TestMapEmpty(t *testing.T) {
 	out, err := Map(nil, 4, func(i, v int) (int, error) { return v, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("Map(nil) = %v, %v", out, err)
+	}
+}
+
+// TestMapJoinsItsWorkers checks Map's join: once three concurrent Maps
+// return, one clean, one with a failing item and one with a panicking
+// item, the goroutine count is back where it started within a second.
+// Every item sleeps until a moment past that second, so a Map that
+// returned without waiting would leave its workers running through the
+// whole window.
+func TestMapJoinsItsWorkers(t *testing.T) {
+	const window = time.Second
+	base := runtime.NumGoroutine()
+	hold := time.Now().Add(window + window/5)
+	var wg sync.WaitGroup
+	for _, fault := range []string{"none", "error", "panic"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil && fault != "panic" {
+					t.Errorf("fault %s: unexpected panic %v", fault, v)
+				}
+			}()
+			_, err := Map(make([]int, 8), 4, func(i, _ int) (int, error) {
+				time.Sleep(time.Until(hold))
+				switch {
+				case i != 5:
+				case fault == "error":
+					return 0, errors.New("item 5 failed")
+				case fault == "panic":
+					panic("item 5 panicked")
+				}
+				return i, nil
+			})
+			if (err != nil) != (fault == "error") {
+				t.Errorf("fault %s: err = %v", fault, err)
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(window)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after the Maps returned, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

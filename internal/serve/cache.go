@@ -30,8 +30,8 @@ func requestKey(body []byte) string {
 // and bytes recorded with this version, and fails until both are
 // updated.
 const (
-	modelVersion = "v4"
-	goldenDigest = "07f5cbb4254b3f48a104a42e2fe9cb0851f258a2764044ff4dd2c52c18c52031"
+	modelVersion = "v5"
+	goldenDigest = "9992fa1712415b39dcab16cb9791ad849e0ca268d07d7befbf32efcdd6df0caa"
 )
 
 // entrySchema tags the header line of every disk entry.

@@ -110,9 +110,11 @@ func TestContractStudies(t *testing.T) {
 		{"bad-kind", 400, ""},
 		{"missing-section", 400, ""},
 		{"unknown-field", 400, ""},
-		// unknown-material fails inside the compute path (the material
-		// lookup is part of study execution), so it carries cache state.
+		// unknown-material and unknown-tim fail inside the compute path
+		// (the material lookups are part of study execution), so they
+		// carry cache state.
 		{"unknown-material", 400, "miss"},
+		{"unknown-tim", 400, "miss"},
 		{"budget-exceeded", 422, "miss"},
 		{"study-budget-exceeded", 422, "miss"},
 		{"qualification-budget-exceeded", 422, "miss"},

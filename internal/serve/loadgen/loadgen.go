@@ -118,6 +118,7 @@ func Run(o Options) (*Result, error) {
 	start := time.Now()
 	for w := 0; w < o.Concurrency; w++ {
 		wg.Add(1)
+		//lint:allow goroleak joined by wg.Wait below, before Run returns
 		go func() {
 			defer wg.Done()
 			for {

@@ -2,8 +2,11 @@ package loadgen
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 
 	"aeropack/internal/obs"
 	"aeropack/internal/report"
@@ -155,4 +158,36 @@ func BenchmarkServe_LoadGen(b *testing.B) {
 	b.ReportMetric(m["p99_ms"], "p99_ms")
 	b.ReportMetric(float64(completed)/elapsed, "throughput_rps")
 	b.ReportMetric(0, "allocs/op") // allocation noise is not this bench's signal
+}
+
+// TestRunJoinsItsClients checks Run's join: every response is held past
+// a one-second window, and once Run returns and its idle connections
+// close, the goroutine count is back where it started within that
+// second.  A Run that returned without waiting would leave its clients
+// blocked on the held responses through the whole window.
+func TestRunJoinsItsClients(t *testing.T) {
+	const window = time.Second
+	hold := time.Now().Add(window + window/5)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		time.Sleep(time.Until(hold))
+	}))
+	defer ts.Close()
+	tr := &http.Transport{}
+	base := runtime.NumGoroutine()
+	res, err := Run(Options{BaseURL: ts.URL, Bodies: [][]byte{[]byte(`{}`)}, Requests: 4, Concurrency: 4,
+		Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 4 {
+		t.Errorf("completed %d of 4 requests", res.Completed)
+	}
+	tr.CloseIdleConnections()
+	deadline := time.Now().Add(window)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after Run returned, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

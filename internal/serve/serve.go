@@ -408,6 +408,7 @@ func (s *Server) startJob(w http.ResponseWriter, key string, req *StudyRequest) 
 	s.mu.Unlock()
 	s.count("serve_jobs_total")
 	s.jobsWG.Add(1)
+	//lint:allow goroleak joined by jobsWG.Wait in Server.Close
 	go func() {
 		defer s.jobsWG.Done()
 		// No connection can cancel a job: it computes until done.

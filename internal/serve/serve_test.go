@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -406,5 +407,34 @@ func TestRequestTooLarge(t *testing.T) {
 	w := postStudy(s, big)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", w.Code)
+	}
+}
+
+// TestCloseJoinsAsyncJobs checks Close's join: an async job held in the
+// admission queue past a one-second window keeps Close waiting, and
+// once Close returns the goroutine count is back where it started within
+// that second.  A Close that returned without waiting would leave the
+// job running through the whole window.
+func TestCloseJoinsAsyncJobs(t *testing.T) {
+	const window = time.Second
+	s, err := NewServer(Options{Workers: 1, MaxInflight: 1, MaxQueue: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	s.sem <- struct{}{} // occupy the only slot, so the job queues
+	time.AfterFunc(window+window/5, s.release)
+	if w := postStudy(s, []byte(`{"kind": "sweep", "async": true, "sweep": {"powers_w": [40]}}`)); w.Code != http.StatusAccepted {
+		t.Fatalf("status = %d, want 202\nbody: %s", w.Code, w.Body.Bytes())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(window)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after Close, %d before the job", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

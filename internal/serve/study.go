@@ -86,8 +86,8 @@ type CoseeSpec struct {
 	UseThermosyphon bool    `json:"use_thermosyphon,omitempty"`
 }
 
-// config converts the spec into a cosee.Config.  The material lookup
-// is the only fallible part.
+// config converts the spec into a cosee.Config.  The structure and TIM
+// lookups are the only fallible parts.
 func (cs *CoseeSpec) config() (cosee.Config, error) {
 	c := cosee.Config{
 		UseLHP:          cs.UseLHP,
@@ -103,6 +103,9 @@ func (cs *CoseeSpec) config() (cosee.Config, error) {
 			return cosee.Config{}, err
 		}
 		c.Structure = m
+	}
+	if err := cosee.CheckTIM(cs.TIM); err != nil {
+		return cosee.Config{}, err
 	}
 	return c, nil
 }

@@ -202,9 +202,9 @@ func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64, tolK
 	n := s.n
 	num, nr := len(n.nodes), len(n.resistors)
 	sp := obs.Start(obs.FromContext(ctx), "thermal.Network.SolveSteady")
+	defer sp.End()
 	sp.AttrInt("nodes", num)
 	sp.AttrInt("resistors", nr)
-	defer sp.End()
 
 	if len(power) != num {
 		return nil, fmt.Errorf("thermal: %d source powers for a network of %d nodes", len(power), num)
@@ -328,7 +328,7 @@ func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64, tolK
 // while its compiled form is in use.
 type CompiledNetwork struct {
 	n    *Network
-	f    *linalg.LDLT // the order and pattern; a transient also factors in it
+	f    *linalg.LDLT // the order and pattern; every solve factors in a clone
 	free []int        // free[u] is unknown u's node id
 	unk  []int        // unk[id] is node id's unknown, -1 when pinned
 	slot []int        // slot[e] is resistor e's entry in f.Lower, -1 unless both ends are free

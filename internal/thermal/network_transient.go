@@ -94,7 +94,7 @@ func (n *Network) SolveTransient(ctx context.Context, T0, dt float64, steps int,
 	for _, id := range sys.free {
 		T[id] = T0
 	}
-	b, power := make([]float64, len(sys.free)), n.powers()
+	b, power, f := make([]float64, len(sys.free)), n.powers(), sys.f.Clone()
 
 	res := &TransientResult{T: make(map[string][]float64, len(T))}
 	record := func(tm float64) {
@@ -133,7 +133,7 @@ func (n *Network) SolveTransient(ctx context.Context, T0, dt float64, steps int,
 			}
 			rs[i] = rNew
 		}
-		if err := sys.solve(sys.f, b, power, rs, T, dt, T); err != nil {
+		if err := sys.solve(f, b, power, rs, T, dt, T); err != nil {
 			return nil, fmt.Errorf("thermal: network transient step %d: %w", step, err)
 		}
 		record(tm)

@@ -320,20 +320,26 @@ func (m *Model) hasRadiation() bool {
 // first pass's observation includes the symbolic phase.  With telemetry
 // disabled it reduces to the bare assemble call plus two nil checks.
 func (s *stencil) assembleObs(ctx context.Context, T []float64) (*linalg.CSR, []float64) {
-	sp := obs.FromContext(ctx).Start("thermal.assemble")
-	reg := obs.Default()
-	if sp == nil && reg == nil {
+	parent, reg := obs.FromContext(ctx), obs.Default()
+	if parent == nil && reg == nil {
 		return s.assemble(T)
 	}
 	start := time.Now()
-	a, b := s.assemble(T)
-	nnz := len(a.Val)
-	sp.AttrInt("nnz", nnz)
-	sp.End()
+	a, b := s.assembleSpan(parent, T)
 	if reg != nil {
-		reg.Gauge("thermal_matrix_nnz").Set(float64(nnz))
+		reg.Gauge("thermal_matrix_nnz").Set(float64(len(a.Val)))
 		reg.Histogram("thermal_assembly_seconds", assemblyBuckets).Observe(time.Since(start).Seconds())
 	}
+	return a, b
+}
+
+// assembleSpan runs assemble under a thermal.assemble child of parent,
+// annotated with the matrix's nonzero count.
+func (s *stencil) assembleSpan(parent *obs.Span, T []float64) (*linalg.CSR, []float64) {
+	sp := parent.Start("thermal.assemble")
+	defer sp.End()
+	a, b := s.assemble(T)
+	sp.AttrInt("nnz", len(a.Val))
 	return a, b
 }
 
@@ -345,6 +351,7 @@ var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 // Nothing retries a failed solve: its error is the caller's.
 func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptions, pb *precBuilder) ([]float64, linalg.IterStats, error) {
 	sp := obs.Start(obs.FromContext(ctx), "thermal.linSolve")
+	defer sp.End()
 	prec, kind := pb.build(sp, a)
 	sp.Attr("prec", kind)
 	x, stats, err := linalg.CGOpt(a, b, x0, &linalg.IterOptions{
@@ -352,7 +359,6 @@ func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptio
 	})
 	sp.AttrInt("iterations", stats.Iterations)
 	sp.AttrF("residual", stats.Residual)
-	sp.End()
 	if err != nil {
 		// The wrapped linalg error already carries the iteration count
 		// and final residual; prefixing only the preconditioned method

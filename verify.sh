@@ -50,7 +50,7 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== aeropacklint (all twelve rules, interprocedural + value-flow, plus the //lint:allow audit)"
+echo "== aeropacklint (all ten rules plus the //lint:allow audit)"
 go run ./cmd/aeropacklint -q ./...
 
 echo "== go build"
@@ -89,8 +89,8 @@ AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/E5Factorizati
 echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + E2_Level2FreeConvection + Par_SolveSteadySerial, 1 iteration)"
 go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkE2_Level2FreeConvection$|BenchmarkPar_SolveSteady' -benchtime 1x .
 
-echo "== lint benchmark smoke (BenchmarkLintModule + LintPhases + ValueFlow, 1 iteration)"
-go test -run - -bench 'BenchmarkLintModule|BenchmarkLintPhases|BenchmarkValueFlow' -benchtime 1x ./internal/lint
+echo "== lint benchmark smoke (BenchmarkLintModule + LintPhases, 1 iteration)"
+go test -run - -bench 'BenchmarkLintModule|BenchmarkLintPhases' -benchtime 1x ./internal/lint
 
 echo "== flight-recorder disabled-path benchmark smoke (1 iteration)"
 go test -run - -bench 'BenchmarkRecorderDisabled|BenchmarkObsDisabledSpan' -benchtime 1x ./internal/obs
