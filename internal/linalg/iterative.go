@@ -200,13 +200,17 @@ func cg(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
 		prec = IdentityPrec{}
 	}
 	x := make([]float64, n)
+	r := make([]float64, n)
 	if x0 != nil {
 		copy(x, x0)
-	}
-	r := make([]float64, n)
-	ax := a.MulVec(x, nil)
-	for i := range r {
-		r[i] = b[i] - ax[i]
+		ax := a.MulVec(x, nil)
+		for i := range r {
+			r[i] = b[i] - ax[i]
+		}
+	} else {
+		// Every row of A·0 sums to +0, and b[i] − (+0) is b[i], so the
+		// zero start's residual is b itself, bit for bit.
+		copy(r, b)
 	}
 	normB := Norm2(b)
 	if normB == 0 {

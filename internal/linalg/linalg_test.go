@@ -404,6 +404,43 @@ func TestCGFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
+// A nil start skips the product A·0, whose every row sums to +0, and
+// takes r = b: on random SPD systems, one right-hand side entry a
+// negative zero, it must reproduce an explicit zero start bit for bit:
+// every residual of the OnIteration trace, the IterStats and the iterate.
+func TestCGNilStartMatchesZeroStart(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		a, b := randomSPD(seed, 120, 0.05)
+		b[int(seed)] = math.Copysign(0, -1)
+		for _, prec := range []Preconditioner{nil, NewJacobiPrec(a)} {
+			run := func(x0 []float64) ([]float64, IterStats, []float64) {
+				var trace []float64
+				x, stats, err := CGOpt(a, b, x0, &IterOptions{Tol: 1e-12, MaxIter: 500, Prec: prec,
+					OnIteration: func(_ int, res float64) { trace = append(trace, res) }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return x, stats, trace
+			}
+			x, stats, trace := run(nil)
+			wantX, wantStats, wantTrace := run(make([]float64, len(b)))
+			if stats != wantStats || len(trace) != len(wantTrace) {
+				t.Fatalf("seed %d: nil start %+v over %d residuals, zero start %+v over %d", seed, stats, len(trace), wantStats, len(wantTrace))
+			}
+			for i := range trace {
+				if math.Float64bits(trace[i]) != math.Float64bits(wantTrace[i]) {
+					t.Fatalf("seed %d, iteration %d: nil start residual %v, zero start %v", seed, i, trace[i], wantTrace[i])
+				}
+			}
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(wantX[i]) {
+					t.Fatalf("seed %d: x[%d] = %v from a nil start, %v from a zero start", seed, i, x[i], wantX[i])
+				}
+			}
+		}
+	}
+}
+
 // TestCGRejectsNonFinite: a NaN or Inf in b or x0 is an "input entry"
 // error before the first iteration, not a spin to MaxIter.
 func TestCGRejectsNonFinite(t *testing.T) {

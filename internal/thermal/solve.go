@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"aeropack/internal/linalg"
@@ -104,8 +105,8 @@ func (r *Result) MeanInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
 	return sumVT / sumV
 }
 
-// SolveOptions tunes the steady and transient FV solves.  The model
-// picks the preconditioner itself (see SolveSteady).
+// SolveOptions tunes the steady FV solve.  The model picks the
+// preconditioner itself (see SolveSteady).
 type SolveOptions struct {
 	Tol     float64 // linear relative residual target (default 1e-9)
 	MaxIter int     // linear iteration cap (default 20·n^(2/3)+2000)
@@ -152,6 +153,10 @@ func (o *SolveOptions) defaults(n int) {
 // Each pass is one preconditioned CG solve; a failed one is the solve's
 // error.  A model with no face exchanging heat has no steady state, and
 // SolveSteady says so rather than solving it.
+//
+// The system is assembled in the process's spare stencil workspace, or
+// in a fresh one while another solve holds it, and the workspace goes
+// back to the slot on return: nothing SolveSteady returns refers to it.
 func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, error) {
 	n := m.Grid.NumCells()
 	var o SolveOptions
@@ -175,8 +180,14 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 		}
 	}
 
+	ws := spare.Swap(nil)
+	if ws == nil {
+		ws = new(workspace)
+	}
+	defer spare.Store(ws)
+
 	res := &Result{g: m.Grid}
-	st := &stencil{m: m}
+	st := &stencil{m: m, ws: ws}
 	pb := &precBuilder{}
 	if m.separable() {
 		// Each pass builds its fast-diagonalization preconditioner at the
@@ -346,9 +357,9 @@ func (s *stencil) assembleSpan(parent *obs.Span, T []float64) (*linalg.CSR, []fl
 // assemblyBuckets span 1 µs to 1000 s, one decade per bucket.
 var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
-// linSolve solves one pass's or step's system by CG, preconditioned by
-// what pb builds for a and polling ctx's budget once per iteration.
-// Nothing retries a failed solve: its error is the caller's.
+// linSolve solves one pass's system by CG, preconditioned by what pb
+// builds for a and polling ctx's budget once per iteration.  Nothing
+// retries a failed solve: its error is the caller's.
 func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptions, pb *precBuilder) ([]float64, linalg.IterStats, error) {
 	sp := obs.Start(obs.FromContext(ctx), "thermal.linSolve")
 	defer sp.End()
@@ -368,35 +379,21 @@ func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptio
 	return x, stats, err
 }
 
-// precBuilder builds the preconditioner of every linear solve in one
-// solve call.  The model picks its kind, not the caller: fdm, set on a
-// separable steady model, builds a pass's fast diagonalization, and
-// every other solve gets MIC(0).
+// precBuilder builds the preconditioner of every pass of one solve call.
+// The model picks its kind, not the caller: fdm, set on a separable
+// model, builds a pass's fast diagonalization, and every other model
+// gets MIC(0).
 type precBuilder struct {
 	fdm func() (*linalg.FDMPrec, error)
-	// once keeps the first preconditioner for every later solve: a
-	// transient step operator without a radiating face never changes.
-	once bool
-	prec linalg.Preconditioner
-	kind string
 }
 
-// build returns the preconditioner for a and its kind, "fdm", "mic0" or
-// "jacobi".
+// build returns a new preconditioner for a and its kind, "fdm", "mic0"
+// or "jacobi".  It is the one place a build degrades, one step at a
+// time, to a weaker kind that never fails: a fast diagonalization with a
+// singular mode to MIC(0), counted on thermal_fdm_degraded_total, and a
+// MIC(0) factor that breaks down through the whole shift ladder to
+// Jacobi, counted on thermal_ic0_degraded_total.
 func (pb *precBuilder) build(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
-	if !pb.once || pb.prec == nil {
-		pb.prec, pb.kind = pb.fresh(sp, a)
-	}
-	return pb.prec, pb.kind
-}
-
-// fresh builds a new preconditioner for a.  It is the one place a build
-// degrades, one step at a time, to a weaker kind that never fails: a
-// fast diagonalization with a singular mode to MIC(0), counted on
-// thermal_fdm_degraded_total, and a MIC(0) factor that breaks down
-// through the whole shift ladder to Jacobi, counted on
-// thermal_ic0_degraded_total.
-func (pb *precBuilder) fresh(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
 	if pb.fdm != nil {
 		p, err := pb.fdm()
 		if err == nil {
@@ -426,98 +423,137 @@ func degrade(sp *obs.Span, from, to, counter string, cause error) {
 }
 
 // stencil assembles one model's FV operator in two phases.  The
-// symbolic phase (build) runs once per SolveSteady/SolveTransient call:
-// the 7-point CSR pattern, each row's diagonal slot and the interior
-// face conductances, which depend only on grid and materials.  The
-// numeric phase (assemble) runs once per Picard pass or time step: it
-// copies the interior values and adds the boundary terms, the only part
-// of the operator that moves with the surface temperature.  Every pass
-// assembles into the same value array and right-hand side: no
-// preconditioner keeps a reference to them (MIC(0), Jacobi and fast
-// diagonalization copy what they keep).
+// symbolic phase (build) runs once per SolveSteady call: the 7-point CSR
+// pattern, each row's diagonal slot, the interior face conductances,
+// written once as the off-diagonal values, and each row's sum of them,
+// its interior diagonal; all depend only on grid and materials.  The
+// numeric phase (assemble) runs once per Picard pass: it resets the n
+// diagonal values to the interior ones and adds the boundary terms, the
+// only part of the operator that moves with the surface temperature and
+// that touches nothing but the diagonal.  Every pass assembles into the
+// same value array and right-hand side: no preconditioner keeps a
+// reference to them (MIC(0), Jacobi and fast diagonalization copy what
+// they keep).
+//
+// The arrays live in a workspace that outlives the solve: SolveSteady
+// lends the stencil the process's spare one, and build resizes every
+// array to the model and writes every entry that assemble, CG or a
+// preconditioner reads (assemble writes the diagonal values and the
+// right-hand side), so nothing of an earlier model survives.
 //
 // Every diagonal sums its terms in one fixed order: the −z, −y, −x,
 // +x, +y and +z faces, then the boundary faces XMin…ZMax.  That is the
 // order a cell-by-cell face loop visits them, so the operator does not
 // depend on how the pattern is traversed.
 type stencil struct {
-	m        *Model
-	diag     []int      // position of row i's diagonal in a.ColIdx
-	interior []float64  // interior-face operator values
-	a        linalg.CSR // the assembled operator, one Val for every pass
-	b        []float64  // the assembled right-hand side
+	m  *Model
+	ws *workspace // the system's arrays; build makes a fresh one if nil
+	a  linalg.CSR // the assembled operator over ws's arrays, one Val for every pass
 	// grounded records whether the last assemble added a nonzero
 	// boundary conductance; without one the steady operator is singular.
 	grounded bool
 }
 
+// workspace holds one stencil's arrays: the operator's rowPtr, colIdx
+// and val, and per row its diagonal's position in colIdx, its
+// interior-face diagonal sum and its right-hand side.
+type workspace struct {
+	rowPtr, colIdx, diag []int
+	val, interior, b     []float64
+}
+
+// spare is the one workspace kept between solves, nil while a solve
+// holds it.  SolveSteady swaps it out, or makes a fresh one when the
+// slot is empty, and stores its own back on return, so the memory kept
+// is one workspace sized for a recent model (about 1.6 MB for an
+// 80×80×2 level-2 board, the largest).
+var spare atomic.Pointer[workspace]
+
+// fit returns s resized to n entries, reusing its array when it holds
+// enough.  The entries are stale: the caller writes every one it reads.
+func fit[T int | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // build runs the symbolic phase: row by row, entries in ascending
-// column order (−z, −y, −x, diagonal, +x, +y, +z).
+// column order (−z, −y, −x, diagonal, +x, +y, +z).  Each face
+// conductance is faceConductance(area, Δ₁, k₁, Δ₂, k₂) of the two cells'
+// sizes along the axis and conductivities across it, the sizes taken
+// once per axis and the conductivities once per material before the
+// cell loop.
 func (s *stencil) build() {
 	m, g := s.m, s.m.Grid
 	nx, ny, nz := g.Nx, g.Ny, g.Nz
-	n := g.NumCells()
+	nxy, n := nx*ny, g.NumCells()
 	nnz := n + 2*((nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
-	s.a = linalg.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, 0, nnz)}
-	s.diag = make([]int, n)
-	s.interior = make([]float64, 0, nnz)
+	if s.ws == nil {
+		s.ws = new(workspace)
+	}
+	ws := s.ws
+	ws.rowPtr, ws.colIdx, ws.diag = fit(ws.rowPtr, n+1), fit(ws.colIdx, nnz), fit(ws.diag, n)
+	ws.val, ws.interior, ws.b = fit(ws.val, nnz), fit(ws.interior, n), fit(ws.b, n)
+	s.a = linalg.CSR{Rows: n, Cols: n, RowPtr: ws.rowPtr, ColIdx: ws.colIdx, Val: ws.val}
+
+	dx, dy, dz := cellSizes(g.XEdges), cellSizes(g.YEdges), cellSizes(g.ZEdges)
+	kxy, kz := make([]float64, len(m.Mats)), make([]float64, len(m.Mats))
+	for q := range m.Mats {
+		kxy[q], kz[q] = kDir(&m.Mats[q], 0), kDir(&m.Mats[q], 2)
+	}
+	mat, col, val := g.MatIdx, s.a.ColIdx, s.a.Val
+	p := 0
+	// off appends the coupling −gf to column c of the current row and
+	// returns gf for the row's diagonal sum.
+	off := func(c int, gf float64) float64 {
+		col[p], val[p] = c, -gf
+		p++
+		return gf
+	}
+	s.a.RowPtr[0] = 0
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
 				idx := g.Index(i, j, k)
+				c := mat[idx]
 				d := 0.0
 				if k > 0 {
-					d += s.offDiag(idx-nx*ny, m.faceG(2, i, j, k-1))
+					d += off(idx-nxy, faceConductance(dx[i]*dy[j], dz[k-1], kz[mat[idx-nxy]], dz[k], kz[c]))
 				}
 				if j > 0 {
-					d += s.offDiag(idx-nx, m.faceG(1, i, j-1, k))
+					d += off(idx-nx, faceConductance(dx[i]*dz[k], dy[j-1], kxy[mat[idx-nx]], dy[j], kxy[c]))
 				}
 				if i > 0 {
-					d += s.offDiag(idx-1, m.faceG(0, i-1, j, k))
+					d += off(idx-1, faceConductance(dy[j]*dz[k], dx[i-1], kxy[mat[idx-1]], dx[i], kxy[c]))
 				}
-				dpos := len(s.a.ColIdx)
-				s.diag[idx] = dpos
-				s.a.ColIdx = append(s.a.ColIdx, idx)
-				s.interior = append(s.interior, 0)
+				ws.diag[idx] = p
+				col[p] = idx
+				p++
 				if i+1 < nx {
-					d += s.offDiag(idx+1, m.faceG(0, i, j, k))
+					d += off(idx+1, faceConductance(dy[j]*dz[k], dx[i], kxy[c], dx[i+1], kxy[mat[idx+1]]))
 				}
 				if j+1 < ny {
-					d += s.offDiag(idx+nx, m.faceG(1, i, j, k))
+					d += off(idx+nx, faceConductance(dx[i]*dz[k], dy[j], kxy[c], dy[j+1], kxy[mat[idx+nx]]))
 				}
 				if k+1 < nz {
-					d += s.offDiag(idx+nx*ny, m.faceG(2, i, j, k))
+					d += off(idx+nxy, faceConductance(dx[i]*dy[j], dz[k], kz[c], dz[k+1], kz[mat[idx+nxy]]))
 				}
-				s.interior[dpos] = d
-				s.a.RowPtr[idx+1] = len(s.a.ColIdx)
+				ws.interior[idx] = d
+				s.a.RowPtr[idx+1] = p
 			}
 		}
 	}
-	s.a.Val = make([]float64, len(s.interior))
-	s.b = make([]float64, n)
 }
 
-// offDiag appends the coupling −gf to column col of the current row and
-// returns gf for the row's diagonal sum.
-func (s *stencil) offDiag(col int, gf float64) float64 {
-	s.a.ColIdx = append(s.a.ColIdx, col)
-	s.interior = append(s.interior, -gf)
-	return gf
-}
-
-// faceG is the series (harmonic-mean) conductance of the interior face
-// between cell (i,j,k) and its neighbour one cell further along axis
-// (0 x, 1 y, 2 z).
-func (m *Model) faceG(axis, i, j, k int) float64 {
-	g := m.Grid
-	switch axis {
-	case 0:
-		return faceConductance(g.DY(j)*g.DZ(k), g.DX(i), kDir(m.matAt(i, j, k), 0), g.DX(i+1), kDir(m.matAt(i+1, j, k), 0))
-	case 1:
-		return faceConductance(g.DX(i)*g.DZ(k), g.DY(j), kDir(m.matAt(i, j, k), 1), g.DY(j+1), kDir(m.matAt(i, j+1, k), 1))
-	default:
-		return faceConductance(g.DX(i)*g.DY(j), g.DZ(k), kDir(m.matAt(i, j, k), 2), g.DZ(k+1), kDir(m.matAt(i, j, k+1), 2))
+// cellSizes returns the cell sizes along one axis, edges[i+1] − edges[i]
+// as Grid.DX, DY and DZ compute them.
+func cellSizes(edges []float64) []float64 {
+	d := make([]float64, len(edges)-1)
+	for i := range d {
+		d[i] = edges[i+1] - edges[i]
 	}
+	return d
 }
 
 // assemble runs the numeric phase, building the symbolic one on first
@@ -536,8 +572,10 @@ func (s *stencil) assemble(T []float64) (*linalg.CSR, []float64) {
 		s.build()
 	}
 	m, g := s.m, s.m.Grid
-	a, b := &s.a, s.b
-	copy(a.Val, s.interior)
+	a, b := &s.a, s.ws.b
+	for i, p := range s.ws.diag {
+		a.Val[p] = s.ws.interior[i]
+	}
 	clear(b)
 	s.grounded = false
 
@@ -555,7 +593,7 @@ func (s *stencil) assemble(T []float64) (*linalg.CSR, []float64) {
 			if gTot == 0 {
 				return
 			}
-			a.Val[s.diag[idx]] += gTot + d
+			a.Val[s.ws.diag[idx]] += gTot + d
 			b[idx] += gTot*bc.T + d*ts
 			s.grounded = true
 		})
@@ -614,16 +652,6 @@ func (m *Model) boundaryG(f mesh.Face, i, j, k int, bc BC, Ts float64) (G, D flo
 	}
 	G = 1 / (rCond + 1/(h*area))
 	return G, max(0, G*G*dh/(h*h*area)*(Ts-bc.T))
-}
-
-// addCapacity turns one step's assembled system into the backward-Euler
-// one, (C/dt + A)·T^{n+1} = C/dt·T^n + b: it adds C/dt to A's diagonal
-// in place and writes the right-hand side into rhs.
-func (s *stencil) addCapacity(a *linalg.CSR, b, capDt, T, rhs []float64) {
-	for i, c := range capDt {
-		a.Val[s.diag[i]] += c
-		rhs[i] = b[i] + c*T[i]
-	}
 }
 
 // fdmAxes factors a separable model's operator, linearized about the
@@ -724,76 +752,4 @@ func (m *Model) BoundaryHeatFlow(res *Result, f mesh.Face) float64 {
 		}
 	})
 	return total
-}
-
-// TransientOptions tunes the transient solver.
-type TransientOptions struct {
-	SolveOptions
-	Dt    float64 // time step, s (required)
-	Steps int     // number of steps (required)
-	// Snapshot, if non-nil, is called after every step with the time and
-	// current field (aliased — copy if retained).
-	Snapshot func(t float64, T []float64)
-}
-
-// SolveTransient integrates ∂(ρc_p T)/∂t = ∇·(k∇T) + q with implicit
-// (backward) Euler from a uniform initial temperature T0.  Radiative BCs
-// are Newton-linearized about the previous step's field (see assemble).
-// Every step's linear solve is preconditioned by MIC(0).  ctx budgets
-// every step's linear solve and parents the solver's spans, as in
-// SolveSteady.
-func (m *Model) SolveTransient(ctx context.Context, T0 float64, opts *TransientOptions) (*Result, error) {
-	if opts == nil || opts.Dt <= 0 || opts.Steps <= 0 {
-		return nil, fmt.Errorf("thermal: transient solve requires positive Dt and Steps")
-	}
-	g := m.Grid
-	n := g.NumCells()
-	o := opts.SolveOptions
-	o.defaults(n)
-
-	T := make([]float64, n)
-	for i := range T {
-		T[i] = T0
-	}
-	// Per-cell heat capacity over the step, C/dt = rho·cp·V/dt.
-	capDt := make([]float64, n)
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
-				mat := m.matAt(i, j, k)
-				capDt[g.Index(i, j, k)] = mat.VolumetricHeatCapacity() * g.CellVolume(i, j, k) / opts.Dt
-			}
-		}
-	}
-
-	ctx, sp := obs.StartContext(ctx, "thermal.SolveTransient")
-	defer sp.End()
-	sp.AttrInt("cells", n)
-	sp.AttrInt("steps", opts.Steps)
-
-	res := &Result{g: g}
-	st := &stencil{m: m}
-	// Without a radiating face the step operator C/dt + A never changes,
-	// so one MIC(0) factor serves every step; with one, each step
-	// factors its own.
-	pb := &precBuilder{once: !m.hasRadiation()}
-	rhs := make([]float64, n)
-	t := 0.0
-	for step := 0; step < opts.Steps; step++ {
-		a, b := st.assembleObs(ctx, T)
-		st.addCapacity(a, b, capDt, T, rhs)
-		Tn, stats, err := linSolve(ctx, a, rhs, T, &o, pb)
-		res.Iterations = stats.Iterations
-		if err != nil {
-			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)
-		}
-		copy(T, Tn)
-		t += opts.Dt
-		if opts.Snapshot != nil {
-			opts.Snapshot(t, T)
-		}
-	}
-	res.T = T
-	res.OuterIterations = opts.Steps
-	return res, nil
 }

@@ -1,10 +1,12 @@
 package thermal
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"aeropack/internal/linalg"
@@ -209,47 +211,152 @@ func sameSystem(t *testing.T, what string, a, ref *linalg.CSR, b, refB []float64
 }
 
 // TestStencilMatchesTripletReference pins the two-phase assembly bit for
-// bit against the triplet reference on random models: the steady
-// operator of two successive passes (the second pass must not see the
-// first one's boundary terms) and the transient step operator.
+// bit against the triplet reference on random models: the operator of
+// two successive passes (the second pass must not see the first one's
+// boundary terms), each model in a fresh workspace.
 func TestStencilMatchesTripletReference(t *testing.T) {
+	matchTripletReference(t, nil)
+}
+
+// matchTripletReference runs TestStencilMatchesTripletReference's cases,
+// every model assembling in ws, or in a fresh workspace when ws is nil.
+func matchTripletReference(t *testing.T, ws *workspace) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
 		m, Tsurf := randomStencilModel(t, rng)
 		n := m.Grid.NumCells()
-		st := &stencil{m: m}
+		st := &stencil{m: m, ws: ws}
 		for pass := 0; pass < 2; pass++ {
 			a, b := st.assemble(Tsurf)
 			ts, refB := tripletReference(m, Tsurf)
 			sameSystem(t, "steady", a, csrFromTriplets(n, ts), b, refB)
-
-			// Transient: the reference appends C/dt after each row of
-			// the steady reference operator.
-			capDt := make([]float64, n)
-			T := make([]float64, n)
-			for i := range capDt {
-				capDt[i] = 1e3 * rng.Float64()
-				T[i] = 280 + 40*rng.Float64()
-			}
-			ref := csrFromTriplets(n, ts)
-			var tts []triplet
-			refRHS := make([]float64, n)
-			for i := 0; i < n; i++ {
-				for p := ref.RowPtr[i]; p < ref.RowPtr[i+1]; p++ {
-					tts = append(tts, triplet{i, ref.ColIdx[p], ref.Val[p]})
-				}
-				tts = append(tts, triplet{i, i, capDt[i]})
-				refRHS[i] = refB[i] + capDt[i]*T[i]
-			}
-			rhs := make([]float64, n)
-			st.addCapacity(a, b, capDt, T, rhs)
-			sameSystem(t, "transient", a, csrFromTriplets(n, tts), rhs, refRHS)
-
 			for i := range Tsurf {
 				Tsurf[i] += 25 * rng.Float64()
 			}
 		}
 	}
+}
+
+// reuseModels returns the two models TestStencilWorkspaceReuse solves:
+// an 80×80×2 conduction board, the largest level-2 grid, which one CG
+// iteration under fast diagonalization solves, and a small graded
+// two-material plate with a radiating face, which takes several Newton
+// passes under MIC(0).
+func reuseModels(t *testing.T) (large, small *Model) {
+	t.Helper()
+	g, err := mesh.Uniform(80, 80, 2, 0.2, 0.16, 0.0016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err = NewModel(g, []materials.Material{materials.PCB(6, 1, 0.5, 0.0016)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 300, H: 30})
+	large.AddVolumeSource(0.02, 0.06, 0.03, 0.07, 0, 0.0016, 8)
+	large.AddVolumeSource(0.12, 0.15, 0.09, 0.14, 0, 0.0016, 3)
+
+	g, err = mesh.FromEdges(mesh.GradedEdges(0.1, 7, 1.3), mesh.GradedEdges(0.08, 5, 0.8), mesh.GradedEdges(0.004, 3, 1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.MatIdx {
+		g.MatIdx[i] = i % 2
+	}
+	small, err = NewModel(g, []materials.Material{materials.Al6061, materials.PCB(8, 1, 0.6, 0.004)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.SetFaceBC(mesh.ZMax, BC{Kind: ConvectionRadiation, T: 290, H: 4, Emiss: 0.8})
+	small.SetFaceBC(mesh.XMin, BC{Kind: FixedT, T: 310})
+	small.AddVolumeSource(0.03, 0.07, 0.02, 0.06, 0, 0.004, 12)
+	return large, small
+}
+
+// sameField fails unless got equals want bit for bit.
+func sameField(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d cells, want %d", what, len(got), len(want))
+		return
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("%s: T[%d] = %v, first solve %v", what, i, got[i], want[i])
+			return
+		}
+	}
+}
+
+// TestStencilWorkspaceReuse checks that a solve in a workspace an
+// earlier model left behind, larger or smaller, gives the field a fresh
+// workspace gives, bit for bit: in sequence, where each solve must find
+// the workspace the last one put back, concurrently, where two models
+// trade the slot's workspace and a solve may find the slot empty (the
+// race detector watches the sharing), and at the assembly level, where
+// the triplet-reference cases run in a workspace an 80×80×2 model grew.
+func TestStencilWorkspaceReuse(t *testing.T) {
+	large, small := reuseModels(t)
+	solve := func(m *Model) []float64 {
+		res, err := m.SolveSteady(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.T
+	}
+	spare.Store(nil)
+	wantLarge := solve(large)
+	spare.Store(nil)
+	wantSmall := solve(small)
+
+	spare.Store(nil)
+	sameField(t, "large, fresh workspace", solve(large), wantLarge)
+	ws := spare.Load()
+	if ws == nil || cap(ws.val) < len(wantLarge) {
+		t.Fatal("the large solve put no workspace back")
+	}
+	sameField(t, "small after large", solve(small), wantSmall)
+	if spare.Load() != ws {
+		t.Fatal("the small solve did not reuse the large one's workspace")
+	}
+	sameField(t, "large after small", solve(large), wantLarge)
+	if spare.Load() != ws {
+		t.Fatal("the second large solve did not reuse the workspace")
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for _, c := range []struct {
+			name string
+			m    *Model
+			want []float64
+		}{{"large", large, wantLarge}, {"small", small, wantSmall}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					res, err := c.m.SolveSteady(context.Background(), nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sameField(t, c.name+" concurrent", res.T, c.want)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+
+	t.Run("assembly", func(t *testing.T) {
+		grown := new(workspace)
+		st := &stencil{m: large, ws: grown}
+		st.assemble(make([]float64, large.Grid.NumCells()))
+		matchTripletReference(t, grown)
+		if &grown.val[0] != &st.a.Val[0] {
+			t.Error("the reference cases grew the workspace past the 80×80×2 model's")
+		}
+	})
 }
 
 // TestBoundaryGDerivative checks boundaryG's Newton term D against

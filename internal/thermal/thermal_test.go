@@ -261,68 +261,6 @@ func TestSolverVariantsAgree(t *testing.T) {
 	}
 }
 
-func TestTransientApproachesSteady(t *testing.T) {
-	g, _ := mesh.Uniform(6, 6, 2, 0.05, 0.05, 0.003)
-	m, _ := NewModel(g, []materials.Material{materials.Al6061})
-	m.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 300, H: 40})
-	m.AddVolumeSource(0, 0.05, 0, 0.05, 0, 0.003, 4)
-	steady, err := m.SolveSteady(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var times []float64
-	tr, err := m.SolveTransient(context.Background(), 300, &TransientOptions{
-		Dt: 20, Steps: 400,
-		Snapshot: func(tm float64, T []float64) { times = append(times, tm) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, tr.Max(), steady.Max(), 0.01, "transient → steady limit")
-	if len(times) != 400 || !units.ApproxEqual(times[len(times)-1], 8000, 1e-9) {
-		t.Error("snapshot callback wrong")
-	}
-}
-
-func TestTransientMonotoneHeating(t *testing.T) {
-	g, _ := mesh.Uniform(4, 4, 1, 0.02, 0.02, 0.002)
-	m, _ := NewModel(g, []materials.Material{materials.Copper})
-	m.SetFaceBC(mesh.XMin, BC{Kind: Convection, T: 300, H: 10})
-	m.AddVolumeSource(0, 0.02, 0, 0.02, 0, 0.002, 1)
-	var maxes []float64
-	_, err := m.SolveTransient(context.Background(), 300, &TransientOptions{
-		Dt: 5, Steps: 50,
-		Snapshot: func(tm float64, T []float64) {
-			mx := T[0]
-			for _, v := range T {
-				if v > mx {
-					mx = v
-				}
-			}
-			maxes = append(maxes, mx)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(maxes); i++ {
-		if maxes[i] < maxes[i-1]-1e-9 {
-			t.Fatal("heating transient must be monotone")
-		}
-	}
-}
-
-func TestTransientBadOptions(t *testing.T) {
-	g, _ := mesh.Uniform(2, 2, 1, 0.01, 0.01, 0.001)
-	m, _ := NewModel(g, []materials.Material{materials.Al6061})
-	if _, err := m.SolveTransient(context.Background(), 300, nil); err == nil {
-		t.Error("nil options should error")
-	}
-	if _, err := m.SolveTransient(context.Background(), 300, &TransientOptions{Dt: -1, Steps: 5}); err == nil {
-		t.Error("negative dt should error")
-	}
-}
-
 func TestNewModelValidation(t *testing.T) {
 	g, _ := mesh.Uniform(2, 2, 1, 1, 1, 1)
 	if _, err := NewModel(nil, []materials.Material{{}}); err == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -17,11 +18,14 @@ import (
 	"aeropack/internal/units"
 )
 
-// TestSolverPerfGuard pins the headline property of the network solve
-// so it cannot silently regress: a Fig. 10 run on Al6061 factors its
-// networks once per Picard pass, 388 times, and runs no CG iteration.
-// The budget of 425 factorizations fails a Picard regression of 10 % or
-// more.  Factorization counts are deterministic, so the check is exact.
+// TestSolverPerfGuard pins two headline properties of the solvers so
+// they cannot silently regress.  A Fig. 10 run on Al6061 factors its
+// networks once per Picard pass, 388 times, and runs no CG iteration;
+// the budget of 425 factorizations fails a Picard regression of 10 % or
+// more, and factorization counts are deterministic, so the check is
+// exact.  A warm level-2 solve of the E2 board assembles into the
+// stencil workspace an earlier solve left, so it allocates no CSR of its
+// own; the byte budget fails one that does.
 //
 // It only runs when AEROPACK_SOLVER_GUARD=1 (verify.sh sets it in the
 // solver-budget step).
@@ -49,7 +53,35 @@ func TestSolverPerfGuard(t *testing.T) {
 			t.Errorf("Fig. 10 run took %d CG iterations, want 0: networks solve directly", iters)
 		}
 	})
+
+	t.Run("E2Level2Bytes", func(t *testing.T) {
+		screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
+		level2 := func() {
+			if _, err := e2Board().Level2(screen); err != nil {
+				t.Fatal(err)
+			}
+		}
+		level2() // leaves its stencil workspace for the solves below
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			level2()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("warm E2 level 2: %d B per solve", perRun)
+		if perRun > e2Level2Bytes {
+			t.Errorf("warm E2 level 2 allocated %d B per solve, budget %d: is the stencil assembling into fresh storage again?", perRun, e2Level2Bytes)
+		}
+	})
 }
+
+// e2Level2Bytes is the allocation budget of one warm level-2 solve of
+// the E2 board: the 896,700 B it measures on linux/amd64 (go1.24) plus
+// about 10 %.  A stencil that allocates its own CSR again adds about
+// 1.8 MB.
+const e2Level2Bytes = 986_000
 
 // e2Level2Model rebuilds board's level-2 FV model the way
 // core.BoardDesign.Level2 builds it, for the free-convection board the

@@ -83,8 +83,8 @@ coverage_floor ./internal/robust 85
 coverage_floor ./internal/serve 85
 coverage_floor ./internal/lint 85
 
-echo "== solver factorization budget (E5 Fig. 10; no pipe, so a blown budget fails the gate)"
-AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/E5FactorizationBudget' -v .
+echo "== solver budgets (E5 Fig. 10 factorizations, warm E2 level-2 bytes; no pipe, so a blown budget fails the gate)"
+AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/(E5FactorizationBudget|E2Level2Bytes)$' -v .
 
 echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + E2_Level2FreeConvection + Par_SolveSteadySerial, 1 iteration)"
 go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkE2_Level2FreeConvection$|BenchmarkPar_SolveSteady' -benchtime 1x .
