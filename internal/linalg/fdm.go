@@ -26,8 +26,9 @@ type Axis struct {
 // eigenvectors (T·V = M·V·Λ, VᵀMV = I), which turns A into one
 // tridiagonal system T_c + (λ_a+λ_b)·M_c along the third axis c per
 // mode pair; each is LDLᵀ-factored once.  Apply is then the exact A⁻¹
-// (to rounding) at 2n(n_a+n_b) multiply-adds plus two O(n) sweeps.  The
-// longest axis is kept as c, which minimizes that cost.
+// (to rounding) at 2n(n_a+n_b) multiply-adds plus two O(n) sweeps, half
+// that along an axis that splits (see newAxisEigen).  The longest axis
+// is kept as c, which minimizes that cost.
 //
 // Apply claims its one scratch vector through an atomic slot, like
 // SSORPrec, so a shared instance is safe for concurrent use.
@@ -43,18 +44,43 @@ type FDMPrec struct {
 }
 
 // axisEigen is the generalized eigendecomposition of one axis, shared
-// read-only between the FDMPrec instances that reuse it.
+// read-only between the FDMPrec instances that reuse it.  Its modes form
+// one block of n, or, on a split axis, an even block of half = ⌈n/2⌉
+// and an odd one of n − half; V is then P·Q, with P the butterfly
+// (FDMPrec.mirror) and Q block diagonal, and fwd and bwd hold Q alone.
 type axisEigen struct {
-	axis   Axis
-	lambda []float64 // ascending
-	fwd    []float64 // Vᵀ, row-major: fwd[p*n+i] = V_ip
-	bwd    []float64 // V, row-major: bwd[i*n+p] = V_ip
+	axis   Axis      // as given, for NewFDMPrec's bitwise reuse check
+	half   int       // modes in the first block: n unless the axis splits
+	lambda []float64 // per mode, ascending within each block
+	// fwd and bwd hold each block's Qᵀ and Q, row-major, the first
+	// block's half² entries, then the second's: for a block of m modes
+	// from mode r0, fwd[p*m+i] = bwd[i*m+p] = Q_{r0+i, r0+p}.
+	fwd, bwd []float64
+}
+
+// split reports whether the axis was diagonalized as two blocks.
+func (e *axisEigen) split() bool { return e.half < len(e.lambda) }
+
+// block returns block b's first mode, its size and the offset of its
+// matrices in fwd and bwd; the second block is empty unless the axis
+// splits.
+func (e *axisEigen) block(b int) (r0, m, base int) {
+	if b == 0 {
+		return 0, e.half, 0
+	}
+	return e.half, len(e.lambda) - e.half, e.half * e.half
 }
 
 // fdmPivotTol rejects a tridiagonal pivot that falls below this fraction
 // of its row's diagonal: the mode is singular to working precision, as
 // the constant mode is when no face of the box exchanges heat.
 const fdmPivotTol = 1e-12
+
+// mirrorTol is the relative distance within which an axis entry counts
+// as equal to its mirror image (Axis.Mirrored).  Uniform cells and equal
+// end conditions differ from their mirrors only by rounding, about
+// 1e-14 on a mesh.Uniform grid.
+const mirrorTol = 1e-12
 
 // NewFDMPrec builds the fast-diagonalization preconditioner for the
 // Kronecker sum of axes (x, y, z).  prev, when non-nil, lends its
@@ -112,33 +138,97 @@ func (a Axis) equal(b Axis) bool {
 	return same(a.Diag, b.Diag) && same(a.Off, b.Off) && same(a.Mass, b.Mass)
 }
 
+// Mirrored reports whether the axis equals its mirror image: every entry
+// of Diag, Off and Mass lies within 1e-12 of its mirror's, relative to
+// the larger of the two, as on uniform cells with equal conditions at
+// both ends.  NewFDMPrec splits every diagonalized axis that is
+// Mirrored (see newAxisEigen).
+func (a Axis) Mirrored() bool {
+	for _, s := range [3][]float64{a.Diag, a.Off, a.Mass} {
+		for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
+			if !(math.Abs(s[i]-s[j]) <= mirrorTol*math.Max(math.Abs(s[i]), math.Abs(s[j]))) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // newAxisEigen solves T·v = λ·M·v through the symmetric tridiagonal
 // S = M^{-1/2}·T·M^{-1/2}, whose orthonormal eigenvectors w give the
 // M-orthonormal v = M^{-1/2}·w.
+//
+// A Mirrored axis is diagonalized as its mirror average, whose S
+// commutes with the exchange of rows i and n−1−i, and splits in two
+// (Cantoni & Butler, "Eigenvalues and eigenvectors of symmetric
+// centrosymmetric matrices", Linear Algebra Appl. 13, 1976).  The
+// orthonormal butterfly P/√2 maps each row pair (i, n−1−i), i < n/2, to
+// its sum and difference and keeps an odd n's middle row, and turns S
+// into two tridiagonal blocks: the even modes on rows [0, h) and the
+// odd ones on rows [h, n), mirrored, h = ⌈n/2⌉.  The blocks are S's own
+// leading and trailing ones, uncoupled, with the middle coupling c
+// folded in: an even n adds c to row h−1 and subtracts it from row h,
+// and an odd n, whose row h−1 is the middle, scales the coupling into it
+// by √2.  Each block's vectors, scaled by M^{-1/2} and the butterfly's
+// 1/√2 on paired rows, are Q, so each block costs an eighth of the
+// whole axis's eigensolve.
 func newAxisEigen(ax Axis) (*axisEigen, error) {
 	n := len(ax.Diag)
+	e := &axisEigen{axis: ax, half: n}
+	// at reads entry i of one of the axis's arrays; a split axis reads
+	// its mirror average, which equals its mirror image bitwise.
+	at := func(s []float64, i int) float64 { return s[i] }
+	if ax.Mirrored() {
+		e.half = (n + 1) / 2
+		at = func(s []float64, i int) float64 { return (s[i] + s[len(s)-1-i]) / 2 }
+	}
 	buf := make([]float64, 3*n)
-	rs, d, e := buf[:n], buf[n:2*n], buf[2*n:] // rs = M^{-1/2}
-	for i, m := range ax.Mass {
-		rs[i] = 1 / math.Sqrt(m)
-		d[i] = ax.Diag[i] * rs[i] * rs[i]
+	rs, d, off := buf[:n], buf[n:2*n], buf[2*n:] // rs = M^{-1/2}
+	for i := range rs {
+		rs[i] = 1 / math.Sqrt(at(ax.Mass, i))
+		d[i] = at(ax.Diag, i) * rs[i] * rs[i]
 	}
-	for i, v := range ax.Off {
-		e[i] = v * rs[i] * rs[i+1]
+	for i := range ax.Off {
+		off[i] = at(ax.Off, i) * rs[i] * rs[i+1]
 	}
-	vecs := make([]float64, 2*n*n)
-	fwd, bwd := vecs[:n*n], vecs[n*n:]
-	if err := eigenTridiag(d, e, fwd); err != nil {
-		return nil, err
-	}
-	for q := 0; q < n; q++ {
-		for i := 0; i < n; i++ {
-			v := fwd[q*n+i] * rs[i]
-			fwd[q*n+i] = v
-			bwd[i*n+q] = v
+	e.lambda = d
+	if h := e.half; e.split() {
+		if n%2 == 0 {
+			d[h-1] += off[h-1]
+			d[h] -= off[h-1]
+		} else {
+			off[h-2] *= math.Sqrt2
+		}
+		for i := range rs {
+			if n%2 == 0 || i != h-1 {
+				rs[i] /= math.Sqrt2
+			}
 		}
 	}
-	return &axisEigen{axis: ax, lambda: d, fwd: fwd, bwd: bwd}, nil
+	_, m1, _ := e.block(1)
+	size := e.half*e.half + m1*m1
+	vecs := make([]float64, 2*size)
+	e.fwd, e.bwd = vecs[:size], vecs[size:]
+	for b := 0; b < 2; b++ {
+		r0, m, base := e.block(b)
+		if m == 0 {
+			continue
+		}
+		fwd, bwd := e.fwd[base:base+m*m], e.bwd[base:base+m*m]
+		// eigenTridiag ignores a block's last coupling, so the leading
+		// block drops the one that joined it to the trailing block.
+		if err := eigenTridiag(d[r0:r0+m], off[r0:r0+m], fwd); err != nil {
+			return nil, err
+		}
+		for q := 0; q < m; q++ {
+			for i := 0; i < m; i++ {
+				v := fwd[q*m+i] * rs[r0+i]
+				fwd[q*m+i] = v
+				bwd[i*m+q] = v
+			}
+		}
+	}
+	return e, nil
 }
 
 // factor LDLᵀ-factors T_c + (λ_a+λ_b)·M_c along the kept axis for every
@@ -196,7 +286,9 @@ func (p *FDMPrec) stride(d int) int {
 
 // Apply computes z = A⁻¹·r: transform r into the eigenbases of the two
 // diagonalized axes, solve every mode's tridiagonal system along the
-// kept axis, and transform back.
+// kept axis, and transform back.  Along a split axis, Vᵀ is Qᵀ after
+// the butterfly and V is Q before it; r is read-only, so the first
+// butterfly writes into z, which is free until the solve.
 func (p *FDMPrec) Apply(r, z []float64) {
 	n := len(p.dinv)
 	var buf []float64
@@ -206,8 +298,15 @@ func (p *FDMPrec) Apply(r, z []float64) {
 		buf = make([]float64, n)
 	}
 	a, b := (p.keep+1)%3, (p.keep+2)%3
-	p.modeMul(a, p.eig[a].fwd, p.eig[a].bwd, r, buf)
-	p.modeMul(b, p.eig[b].fwd, p.eig[b].bwd, buf, z)
+	ea, eb := p.eig[a], p.eig[b]
+	x := r
+	if ea.split() {
+		p.mirror(a, z, r)
+		x = z
+	}
+	p.modeMul(a, ea.fwd, ea.bwd, x, buf)
+	p.mirror(b, buf, buf)
+	p.modeMul(b, eb.fwd, eb.bwd, buf, z)
 	sc := p.stride(p.keep)
 	for q := sc; q < n; q++ {
 		z[q] -= p.l[q] * z[q-sc]
@@ -218,29 +317,67 @@ func (p *FDMPrec) Apply(r, z []float64) {
 	for q := n - sc - 1; q >= 0; q-- {
 		z[q] = z[q]*p.dinv[q] - p.l[q+sc]*z[q+sc]
 	}
-	p.modeMul(b, p.eig[b].bwd, p.eig[b].fwd, z, buf)
-	p.modeMul(a, p.eig[a].bwd, p.eig[a].fwd, buf, z)
+	p.modeMul(b, eb.bwd, eb.fwd, z, buf)
+	p.mirror(b, buf, buf)
+	p.modeMul(a, ea.bwd, ea.fwd, buf, z)
+	p.mirror(a, z, z)
 	p.scratch.Store(&buf)
 }
 
-// modeMul sets out = W applied along axis d of x, given W and its
-// transpose wt: with m cells along d and stride inner,
-// out[o,i,j] = Σ_t W[i*m+t]·x[o,t,j].  Both forms sum scaled contiguous
-// rows, so no loop carries a dependency through one accumulator; along
-// x (inner 1) the rows are wt's, scaled by x.
+// modeMul sets out = W applied along axis d of x, W block diagonal over
+// the axis's eigenblocks, given each block's matrix in w and its
+// transpose in wt (laid out as axisEigen's fwd and bwd): with m cells
+// along d, stride inner and a block of mb modes from r0,
+// out[o,r0+i,j] = Σ_t W_b[i*mb+t]·x[o,r0+t,j].  Both forms sum scaled
+// contiguous rows, so no loop carries a dependency through one
+// accumulator; along x (inner 1) the rows are wt's, scaled by x.
 func (p *FDMPrec) modeMul(d int, w, wt, x, out []float64) {
-	m, inner := p.dims[d], p.stride(d)
-	if inner == 1 {
-		for o := 0; o < len(x); o += m {
-			axpyRows(out[o:o+m], wt, x[o:o+m])
+	e, m, inner := p.eig[d], p.dims[d], p.stride(d)
+	for b := 0; b < 2; b++ {
+		r0, mb, base := e.block(b)
+		if mb == 0 {
+			continue
 		}
+		wb, wtb := w[base:base+mb*mb], wt[base:base+mb*mb]
+		if inner == 1 {
+			for o := r0; o < len(x); o += m {
+				axpyRows(out[o:o+mb], wtb, x[o:o+mb])
+			}
+			continue
+		}
+		lo, hi := r0*inner, (r0+mb)*inner
+		for o := 0; o < len(x); o += m * inner {
+			xs, os := x[o+lo:o+hi], out[o+lo:o+hi]
+			for i := 0; i < mb; i++ {
+				axpyRows(os[i*inner:i*inner+inner], xs, wb[i*mb:i*mb+mb])
+			}
+		}
+	}
+}
+
+// mirror sets dst = P·src along axis d when the axis splits, and does
+// nothing otherwise.  P, the butterfly, replaces each mirrored row pair
+// (i, m−1−i), i < m/2, with its sum and difference, and keeps an odd
+// axis's middle row, a row being the stride cells at one position along
+// d.  P is symmetric, so it serves both transforms; dst may be src.
+func (p *FDMPrec) mirror(d int, dst, src []float64) {
+	if !p.eig[d].split() {
 		return
 	}
-	block := m * inner
-	for o := 0; o < len(x); o += block {
-		xs, os := x[o:o+block], out[o:o+block]
-		for i := 0; i < m; i++ {
-			axpyRows(os[i*inner:i*inner+inner], xs, w[i*m:i*m+m])
+	m, inner := p.dims[d], p.stride(d)
+	for o := 0; o < len(src); o += m * inner {
+		for i := 0; i < m/2; i++ {
+			lo, hi := o+i*inner, o+(m-1-i)*inner
+			s0, s1 := src[lo:lo+inner], src[hi:hi+inner]
+			d0, d1 := dst[lo:lo+inner], dst[hi:hi+inner]
+			for t, u := range s0 {
+				v := s1[t]
+				d0[t], d1[t] = u+v, u-v
+			}
+		}
+		if m%2 == 1 {
+			mid := o + m/2*inner
+			copy(dst[mid:mid+inner], src[mid:mid+inner])
 		}
 	}
 }

@@ -1,11 +1,15 @@
 package linalg
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"aeropack/internal/mesh"
 )
 
 // randomAxis returns a seeded random axis: couplings and masses drawn
@@ -28,6 +32,34 @@ func randomAxis(rng *rand.Rand, n int, lowOpen, highOpen bool) Axis {
 	}
 	if highOpen {
 		ax.Diag[n-1] += 0.2 + rng.Float64()
+	}
+	return ax
+}
+
+// mirroredAxis returns a seeded random axis that equals its mirror image
+// to rounding, as uniform cells with equal end conditions do: random
+// couplings and masses copied to their mirror positions, every copy
+// perturbed by up to 1e-14 relative, and at each end the same boundary
+// conductance, zero (a Neumann end) unless robin.
+func mirroredAxis(rng *rand.Rand, n int, robin bool) Axis {
+	ax := Axis{Diag: make([]float64, n), Off: make([]float64, n-1), Mass: make([]float64, n)}
+	jitter := func(v float64) float64 { return v * (1 + 1e-14*(2*rng.Float64()-1)) }
+	for i, j := 0, n-1; i <= j; i, j = i+1, j-1 {
+		m := 0.3 + 2.7*rng.Float64()
+		ax.Mass[i], ax.Mass[j] = jitter(m), jitter(m)
+	}
+	for i, j := 0, n-2; i <= j; i, j = i+1, j-1 {
+		g := 0.5 + rng.Float64()
+		ax.Off[i], ax.Off[j] = -jitter(g), -jitter(g)
+	}
+	for i, g := range ax.Off {
+		ax.Diag[i] -= g
+		ax.Diag[i+1] -= g
+	}
+	if robin {
+		film := 0.2 + rng.Float64()
+		ax.Diag[0] += film
+		ax.Diag[n-1] += jitter(film)
 	}
 	return ax
 }
@@ -70,6 +102,46 @@ func kronSumDense(axes [3]Axis) *Dense {
 	return a
 }
 
+// kronSumLDLT factors the same Kronecker sum by sparse LDLᵀ, assembled
+// entry by entry from the axes.  It is the exact reference past a few
+// hundred cells, where a dense Cholesky factor takes half a minute
+// under -race.
+func kronSumLDLT(t *testing.T, axes [3]Axis) *LDLT {
+	t.Helper()
+	dims := [3]int{len(axes[0].Diag), len(axes[1].Diag), len(axes[2].Diag)}
+	stride := [3]int{1, dims[0], dims[0] * dims[1]}
+	n := dims[0] * dims[1] * dims[2]
+	diag := make([]float64, n)
+	var edges [][2]int
+	var lower []float64
+	for q := range diag {
+		c := [3]int{q % dims[0], q / dims[0] % dims[1], q / stride[2]}
+		for d, ax := range axes {
+			w := 1.0 // the masses of the other two axes
+			for e := range axes {
+				if e != d {
+					w *= axes[e].Mass[c[e]]
+				}
+			}
+			diag[q] += ax.Diag[c[d]] * w
+			if c[d]+1 < dims[d] {
+				edges = append(edges, [2]int{q, q + stride[d]})
+				lower = append(lower, ax.Off[c[d]]*w)
+			}
+		}
+	}
+	pattern, slots := NewLDLT(n, edges)
+	f := pattern.Clone()
+	copy(f.Diag, diag)
+	for e, slot := range slots {
+		f.Lower[slot] += lower[e]
+	}
+	if err := f.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // relErr returns ‖got − want‖/‖want‖.
 func relErr(got, want []float64) float64 {
 	d := make([]float64, len(got))
@@ -79,14 +151,19 @@ func relErr(got, want []float64) float64 {
 	return Norm2(d) / Norm2(want)
 }
 
-// TestFDMPrecMatchesDenseInverse checks Apply against a dense solve of
-// the assembled Kronecker sum on random axes: sizes of one, non-uniform
-// masses, and singular all-Neumann axes paired with SPD ones, so the
-// kept axis and the diagonalized pair each take every role.
+// TestFDMPrecMatchesDenseInverse checks Apply against a direct solve of
+// the assembled Kronecker sum: sizes of one, non-uniform masses, and
+// singular all-Neumann axes paired with SPD ones, so the kept axis and
+// the diagonalized pair each take every role.  Mirrored axes of 1–8, 40
+// and 41 cells, with Neumann or Robin ends, are diagonalized at unit
+// stride and at larger strides, where all but the single-cell ones
+// split.  Sums of up to 512 cells are solved by a dense Cholesky
+// factor, larger ones by sparse LDLᵀ.
 func TestFDMPrecMatchesDenseInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	type open struct{ lo, hi bool }
-	spd, neumann, oneSided := open{true, true}, open{false, false}, open{true, false}
+	type open struct{ lo, hi, mirror bool }
+	spd, neumann, oneSided := open{true, true, false}, open{false, false, false}, open{true, false, false}
+	mRobin, mNeumann := open{true, true, true}, open{false, false, true}
 	cases := []struct {
 		dims [3]int
 		bc   [3]open
@@ -99,21 +176,49 @@ func TestFDMPrecMatchesDenseInverse(t *testing.T) {
 		{[3]int{9, 5, 2}, [3]open{oneSided, neumann, neumann}},
 		{[3]int{4, 4, 4}, [3]open{neumann, neumann, oneSided}},
 		{[3]int{6, 6, 1}, [3]open{neumann, neumann, spd}},
+		{[3]int{2, 3, 4}, [3]open{mRobin, mNeumann, neumann}},
+		{[3]int{4, 7, 8}, [3]open{mNeumann, mRobin, oneSided}},
+		{[3]int{8, 3, 8}, [3]open{mRobin, mNeumann, neumann}},
+		{[3]int{1, 7, 7}, [3]open{mRobin, mNeumann, neumann}},
+		{[3]int{7, 2, 3}, [3]open{neumann, mNeumann, mRobin}},
+		{[3]int{8, 1, 4}, [3]open{spd, mNeumann, mRobin}},
+		{[3]int{40, 41, 1}, [3]open{mRobin, neumann, mNeumann}},
+		{[3]int{42, 41, 1}, [3]open{oneSided, mNeumann, mRobin}},
 	}
 	for _, c := range cases {
 		var axes [3]Axis
-		for d := range axes {
-			axes[d] = randomAxis(rng, c.dims[d], c.bc[d].lo, c.bc[d].hi)
+		for d, bc := range c.bc {
+			if bc.mirror {
+				axes[d] = mirroredAxis(rng, c.dims[d], bc.lo)
+			} else {
+				axes[d] = randomAxis(rng, c.dims[d], bc.lo, bc.hi)
+			}
 		}
 		p, err := NewFDMPrec(axes, nil)
 		if err != nil {
 			t.Fatalf("dims %v: %v", c.dims, err)
 		}
-		chol, err := FactorCholesky(kronSumDense(axes))
-		if err != nil {
-			t.Fatalf("dims %v: dense reference: %v", c.dims, err)
+		for d, e := range p.eig {
+			if want := c.bc[d].mirror && c.dims[d] > 1; e != nil && e.split() != want {
+				t.Errorf("dims %v: axis %d split %v, want %v", c.dims, d, e.split(), want)
+			}
 		}
 		n := c.dims[0] * c.dims[1] * c.dims[2]
+		var solve func([]float64) []float64
+		if n <= 512 {
+			chol, err := FactorCholesky(kronSumDense(axes))
+			if err != nil {
+				t.Fatalf("dims %v: dense reference: %v", c.dims, err)
+			}
+			solve = chol.Solve
+		} else {
+			f := kronSumLDLT(t, axes)
+			solve = func(r []float64) []float64 {
+				x := slices.Clone(r)
+				f.Solve(x)
+				return x
+			}
+		}
 		for trial := 0; trial < 3; trial++ {
 			r := make([]float64, n)
 			for i := range r {
@@ -121,8 +226,8 @@ func TestFDMPrecMatchesDenseInverse(t *testing.T) {
 			}
 			z := make([]float64, n)
 			p.Apply(r, z)
-			if e := relErr(z, chol.Solve(r)); e > 1e-12 {
-				t.Errorf("dims %v: Apply differs from the dense inverse by %.3g relative", c.dims, e)
+			if e := relErr(z, solve(r)); e > 1e-12 {
+				t.Errorf("dims %v: Apply differs from the direct inverse by %.3g relative", c.dims, e)
 			}
 		}
 	}
@@ -168,12 +273,87 @@ func TestFDMPrecReusesUnchangedAxes(t *testing.T) {
 	}
 }
 
+// eigenpairs expands e into its eigenvalues, ascending, and their
+// eigenvectors: each mode's column of its block's Q, mapped through the
+// butterfly (rows i and n−1−i to their sum and difference) when the
+// axis splits.  It also checks every block's fwd is its bwd transposed.
+func eigenpairs(t *testing.T, e *axisEigen) ([]float64, [][]float64) {
+	t.Helper()
+	n := len(e.lambda)
+	type pair struct {
+		lambda float64
+		v      []float64
+	}
+	var pairs []pair
+	for b := 0; b < 2; b++ {
+		r0, m, base := e.block(b)
+		for q := 0; q < m; q++ {
+			v := make([]float64, n)
+			for i := 0; i < m; i++ {
+				v[r0+i] = e.bwd[base+i*m+q]
+				if e.fwd[base+q*m+i] != v[r0+i] {
+					t.Fatalf("n=%d: block %d: Q and Qᵀ disagree at (%d,%d)", n, b, i, q)
+				}
+			}
+			if e.split() {
+				for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+					v[i], v[j] = v[i]+v[j], v[i]-v[j]
+				}
+			}
+			pairs = append(pairs, pair{e.lambda[r0+q], v})
+		}
+	}
+	slices.SortStableFunc(pairs, func(a, b pair) int { return cmp.Compare(a.lambda, b.lambda) })
+	lambda, vecs := make([]float64, n), make([][]float64, n)
+	for p, pr := range pairs {
+		lambda[p], vecs[p] = pr.lambda, pr.v
+	}
+	return lambda, vecs
+}
+
+// uniformAxis is the axis fdmAxes derives along a mesh.Uniform grid's x
+// edges for a unit conductivity, with the boundary conductance h at
+// each end whose flag is set.
+func uniformAxis(t *testing.T, n int, lo, hi bool, h float64) Axis {
+	t.Helper()
+	g, err := mesh.Uniform(n, 1, 1, 0.173, 0.1, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ax := Axis{Diag: make([]float64, n), Off: make([]float64, n-1), Mass: make([]float64, n)}
+	for i := range ax.Mass {
+		ax.Mass[i] = g.XEdges[i+1] - g.XEdges[i]
+	}
+	for i := range ax.Off {
+		gf := 1 / (ax.Mass[i]/2 + ax.Mass[i+1]/2)
+		ax.Off[i] = -gf
+		ax.Diag[i] += gf
+		ax.Diag[i+1] += gf
+	}
+	if lo {
+		ax.Diag[0] += h
+	}
+	if hi {
+		ax.Diag[n-1] += h
+	}
+	return ax
+}
+
 // TestAxisEigenMatchesEigenGeneral checks the tridiagonal eigensolver
 // against the dense Jacobi-based generalized solver on random symmetric
-// tridiagonals (indefinite ones included), and that its vectors are
-// M-orthonormal and satisfy T·v = λ·M·v.
+// tridiagonals (indefinite ones included) and on mirrored axes, whose
+// even and odd blocks are expanded and sorted first, and that its
+// vectors are M-orthonormal and satisfy T·v = λ·M·v.  It also pins the
+// routing: every mirrored axis longer than one cell splits, among them
+// one built from mesh.Uniform edges with equal films at both ends, and
+// no other axis does, among them the same one with one end open.
 func TestAxisEigenMatchesEigenGeneral(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	type axisCase struct {
+		ax    Axis
+		split bool
+	}
+	var cases []axisCase
 	for _, n := range []int{1, 2, 3, 7, 16, 40} {
 		ax := Axis{Diag: make([]float64, n), Off: make([]float64, n-1), Mass: make([]float64, n)}
 		for i := range ax.Diag {
@@ -183,10 +363,24 @@ func TestAxisEigenMatchesEigenGeneral(t *testing.T) {
 		for i := range ax.Off {
 			ax.Off[i] = 2*rng.Float64() - 1
 		}
+		cases = append(cases, axisCase{ax, false})
+	}
+	for _, n := range []int{1, 2, 3, 4, 7, 8, 40, 41} {
+		for _, robin := range []bool{false, true} {
+			cases = append(cases, axisCase{mirroredAxis(rng, n, robin), n > 1})
+		}
+	}
+	cases = append(cases, axisCase{uniformAxis(t, 40, true, true, 35), true}, axisCase{uniformAxis(t, 40, true, false, 35), false})
+	for _, c := range cases {
+		ax, n := c.ax, len(c.ax.Diag)
 		e, err := newAxisEigen(ax)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		if e.split() != c.split {
+			t.Errorf("n=%d: split %v, want %v", n, e.split(), c.split)
+		}
+		lambda, vecs := eigenpairs(t, e)
 		td, md := axisDense(ax)
 		want, _, err := EigenGeneral(td, md, 1e-14, 200)
 		if err != nil {
@@ -194,22 +388,21 @@ func TestAxisEigenMatchesEigenGeneral(t *testing.T) {
 		}
 		scale := math.Max(math.Abs(want[0]), math.Abs(want[n-1]))
 		for i := range want {
-			if math.Abs(e.lambda[i]-want[i]) > 1e-12*scale {
-				t.Errorf("n=%d: λ_%d = %.15g, EigenGeneral %.15g", n, i, e.lambda[i], want[i])
+			if math.Abs(lambda[i]-want[i]) > 1e-12*scale {
+				t.Errorf("n=%d: λ_%d = %.15g, EigenGeneral %.15g", n, i, lambda[i], want[i])
 			}
 		}
-		for p := 0; p < n; p++ {
-			vp := e.fwd[p*n : p*n+n]
+		for p, vp := range vecs {
 			tv := td.MulVec(vp)
 			for i := range tv {
-				if r := tv[i] - e.lambda[p]*ax.Mass[i]*vp[i]; math.Abs(r) > 1e-12*scale*math.Sqrt(float64(n)) {
+				if r := tv[i] - lambda[p]*ax.Mass[i]*vp[i]; math.Abs(r) > 1e-12*scale*math.Sqrt(float64(n)) {
 					t.Fatalf("n=%d: (T−λ_%dM)v residual %.3g at row %d", n, p, r, i)
 				}
 			}
-			for q := 0; q < n; q++ {
+			for q, vq := range vecs {
 				dot := 0.0
 				for i := 0; i < n; i++ {
-					dot += e.fwd[q*n+i] * ax.Mass[i] * vp[i]
+					dot += vq[i] * ax.Mass[i] * vp[i]
 				}
 				want := 0.0
 				if p == q {
@@ -218,24 +411,33 @@ func TestAxisEigenMatchesEigenGeneral(t *testing.T) {
 				if math.Abs(dot-want) > 1e-13*float64(n) {
 					t.Fatalf("n=%d: v_%dᵀ·M·v_%d = %.3g, want %g", n, q, p, dot, want)
 				}
-				if got := e.bwd[p*n+q]; got != e.fwd[q*n+p] {
-					t.Fatalf("n=%d: V and Vᵀ disagree at (%d,%d)", n, p, q)
-				}
 			}
 		}
 	}
 }
 
 // TestFDMPrecConcurrentApply shares one instance between goroutines: each
-// result must equal the serial one bitwise (run under -race).
+// result must equal the serial one bitwise (run under -race), on random
+// axes and on mirrored ones that split at unit and larger stride.
 func TestFDMPrecConcurrentApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	axes := [3]Axis{randomAxis(rng, 12, false, false), randomAxis(rng, 7, true, false), randomAxis(rng, 2, true, true)}
+	for _, axes := range [][3]Axis{
+		{randomAxis(rng, 12, false, false), randomAxis(rng, 7, true, false), randomAxis(rng, 2, true, true)},
+		{mirroredAxis(rng, 8, true), mirroredAxis(rng, 7, false), randomAxis(rng, 9, true, false)},
+	} {
+		concurrentApply(t, rng, axes)
+	}
+}
+
+// concurrentApply applies one instance over axes from eight goroutines
+// and fails on any entry that differs from the serial result.
+func concurrentApply(t *testing.T, rng *rand.Rand, axes [3]Axis) {
+	t.Helper()
 	p, err := NewFDMPrec(axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 12 * 7 * 2
+	n := len(axes[0].Diag) * len(axes[1].Diag) * len(axes[2].Diag)
 	const workers = 8
 	rs := make([][]float64, workers)
 	want := make([][]float64, workers)

@@ -30,8 +30,8 @@ func requestKey(body []byte) string {
 // and bytes recorded with this version, and fails until both are
 // updated.
 const (
-	modelVersion = "v5"
-	goldenDigest = "9992fa1712415b39dcab16cb9791ad849e0ca268d07d7befbf32efcdd6df0caa"
+	modelVersion = "v6"
+	goldenDigest = "fa0732c4bca2864582af92db7cc572fa3407a223789ae04d722833f2eb775d87"
 )
 
 // entrySchema tags the header line of every disk entry.

@@ -60,11 +60,17 @@ func radiatingPlate(t *testing.T, rng *rand.Rand) *Model {
 }
 
 // e2FreeConvectionBoard is the level-2 model core.BoardDesign.Level2
-// builds for the E2 benchmark board cooled by free convection: a
-// 160 × 230 × 2.4 mm, 12-layer 2 oz board on a 64 × 80 × 2 grid, both
-// faces radiating to the 71 °C ambient with H = 4 W/m²K, and the
-// footprints of its five parts.
+// builds for the E2 benchmark board cooled by free convection: both
+// faces radiating to the 71 °C ambient with H = 4 W/m²K.
 func e2FreeConvectionBoard(t *testing.T) *Model {
+	return e2Board(t, BC{Kind: ConvectionRadiation, T: units.CToK(71), H: 4})
+}
+
+// e2Board is the level-2 model core.BoardDesign.Level2 builds for the E2
+// benchmark board: a 160 × 230 × 2.4 mm, 12-layer 2 oz board on a
+// 64 × 80 × 2 grid, film on both faces, and the footprints of its five
+// parts.
+func e2Board(t *testing.T, film BC) *Model {
 	t.Helper()
 	const thk = 2.4e-3
 	g, err := mesh.Uniform(64, 80, 2, 0.16, 0.23, thk)
@@ -75,7 +81,6 @@ func e2FreeConvectionBoard(t *testing.T) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	film := BC{Kind: ConvectionRadiation, T: units.CToK(71), H: 4}
 	m.SetFaceBC(mesh.ZMin, film)
 	m.SetFaceBC(mesh.ZMax, film)
 	for _, c := range []struct{ x, y, l, w, power float64 }{
@@ -164,4 +169,117 @@ func TestRadiatingBoardAccuracy(t *testing.T) {
 	}
 	t.Logf("worst of %d radiating models: %d passes, energy balance %.3g, max |T − T_ref| %.3g K",
 		len(models), worstPasses, worstBalance, worstErr)
+}
+
+// linearBoard draws one board the way the board-linear workload does: a
+// 100–230 × 80–230 mm board 1.6, 2.0 or 2.4 mm thick, of 4–12 copper
+// layers of 0.5, 1 or 2 oz at 40–80 % cover, meshed as
+// core.BoardDesign.Level2 meshes it, and cooled either by conduction to
+// wedge-lock rails of 20–55 °C on its y edges (2,500 W/m²K) or by forced
+// air of 25–55 °C at 25–90 W/m²K on both faces.  2–7 parts of
+// 0.5–5.5 W, 5–35 mm a side and clear of the edges, heat it.
+func linearBoard(t *testing.T, rng *rand.Rand) *Model {
+	t.Helper()
+	lx, ly := 0.1+0.13*rng.Float64(), 0.08+0.15*rng.Float64()
+	thk := []float64{1.6e-3, 2.0e-3, 2.4e-3}[rng.Intn(3)]
+	cells := func(l float64, lo int) int { return min(80, max(lo, int(l/2.5e-3))) }
+	g, err := mesh.Uniform(cells(lx, 16), cells(ly, 12), 2, lx, ly, thk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcb := materials.PCB(4+rng.Intn(9), []float64{0.5, 1, 2}[rng.Intn(3)], 0.4+0.4*rng.Float64(), thk)
+	m, err := NewModel(g, []materials.Material{pcb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rng.Intn(2) == 0 {
+		rail := BC{Kind: Convection, T: units.CToK(20 + 35*rng.Float64()), H: 2500}
+		m.SetFaceBC(mesh.YMin, rail)
+		m.SetFaceBC(mesh.YMax, rail)
+	} else {
+		air := BC{Kind: Convection, T: units.CToK(25 + 30*rng.Float64()), H: 25 + 65*rng.Float64()}
+		m.SetFaceBC(mesh.ZMin, air)
+		m.SetFaceBC(mesh.ZMax, air)
+	}
+	for n := 2 + rng.Intn(6); n > 0; n-- {
+		side := 5e-3 + 30e-3*rng.Float64()
+		x0, y0 := 1e-3+(lx-side-2e-3)*rng.Float64(), 1e-3+(ly-side-2e-3)*rng.Float64()
+		if m.AddVolumeSource(x0, x0+side, y0, y0+side, 0, thk, 0.5+5*rng.Float64()) == 0 {
+			t.Fatalf("part of %v m missed the %v × %v m board", side, lx, ly)
+		}
+	}
+	return m
+}
+
+// TestLinearBoardAccuracy measures how far a served linear solve lies
+// from the exact field, on the forced-air E2 board and 60 random boards
+// drawn like board-linear.  Every solve takes one CG iteration and lies
+// within 1e-8 K of the reference field.  The worst distance is logged
+// (-v): it is the baseline a change to the linear solve must match or
+// beat.
+func TestLinearBoardAccuracy(t *testing.T) {
+	const maxErrK = 1e-8
+	rng := rand.New(rand.NewSource(5))
+	models := []*Model{e2Board(t, BC{Kind: Convection, T: units.CToK(46), H: 55})}
+	for len(models) <= 60 {
+		models = append(models, linearBoard(t, rng))
+	}
+	worst := 0.0
+	for i, m := range models {
+		res, err := m.SolveSteady(context.Background(), nil)
+		if err != nil {
+			t.Fatalf("model %d: %v", i, err)
+		}
+		errK := 0.0
+		for c, v := range referenceField(t, m, res.T) {
+			errK = max(errK, math.Abs(res.T[c]-v))
+		}
+		if res.Iterations != 1 || !(errK <= maxErrK) {
+			t.Errorf("model %d: %d CG iterations, max |T − T_ref| %.3g K; want 1 and ≤ %g K", i, res.Iterations, errK, maxErrK)
+		}
+		worst = max(worst, errK)
+	}
+	t.Logf("worst of %d linear boards: max |T − T_ref| %.3g K", len(models), worst)
+}
+
+// TestLevel2AxesSplit pins the split to the level-2 board shapes: on
+// grids of nx × ny × 2 cells, every nx of 16–80 and every ny of 12–80,
+// cooled by conduction rails or by forced air, the axes fdmAxes derives
+// are all linalg.Axis.Mirrored, so fast diagonalization splits each
+// in-plane axis it diagonalizes.  A change to mesh.Uniform or fdmAxes
+// that breaks the mirror symmetry fails here instead of silently
+// doubling the transform work.
+func TestLevel2AxesSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 69; i++ {
+		nx, ny := 16+i%65, 12+i
+		lx, ly := (float64(nx)+rng.Float64())*2.5e-3, (float64(ny)+rng.Float64())*2.5e-3
+		thk := 1.6e-3 + 0.8e-3*rng.Float64()
+		for _, cooling := range []string{"conduction", "forced-air"} {
+			g, err := mesh.Uniform(nx, ny, 2, lx, ly, thk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewModel(g, []materials.Material{materials.PCB(4+rng.Intn(9), 1, 0.6, thk)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cooling == "conduction" {
+				rail := BC{Kind: Convection, T: units.CToK(40), H: 2500}
+				m.SetFaceBC(mesh.YMin, rail)
+				m.SetFaceBC(mesh.YMax, rail)
+			} else {
+				air := BC{Kind: Convection, T: units.CToK(40), H: 25 + 65*rng.Float64()}
+				m.SetFaceBC(mesh.ZMin, air)
+				m.SetFaceBC(mesh.ZMax, air)
+			}
+			st := &stencil{m: m}
+			st.assemble(make([]float64, g.NumCells()))
+			for d, ax := range st.fdmAxes() {
+				if !ax.Mirrored() {
+					t.Errorf("%d × %d %s board: axis %d is not mirrored, so it would not split", nx, ny, cooling, d)
+				}
+			}
+		}
+	}
 }

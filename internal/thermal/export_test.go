@@ -14,10 +14,11 @@ func (m *Model) System() (*linalg.CSR, []float64, [3]linalg.Axis) {
 			Tsurf[i] = t0
 		}
 	}
-	a, b := (&stencil{m: m}).assemble(Tsurf)
+	st := &stencil{m: m}
+	a, b := st.assemble(Tsurf)
 	var axes [3]linalg.Axis
 	if m.separable() {
-		axes = m.fdmAxes(Tsurf)
+		axes = st.fdmAxes()
 	}
 	return a, b, axes
 }

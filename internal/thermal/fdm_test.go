@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -41,12 +42,31 @@ func kronSumMulVec(axes [3]linalg.Axis, x []float64) []float64 {
 	return y
 }
 
+// faceTotalWalk is the total G + D over boundary face f's cells at the
+// field T, summed by its own walk of the face in BoundaryCells order:
+// the reference for the totals assemble records as it adds them.
+func faceTotalWalk(m *Model, f mesh.Face, T []float64) float64 {
+	bc := m.FaceBC[f]
+	if bc.Kind == Adiabatic {
+		return 0
+	}
+	g := m.Grid
+	total := 0.0
+	g.BoundaryCells(f, func(i, j, k int) {
+		gc, d := m.boundaryG(f, i, j, k, bc, T[g.Index(i, j, k)])
+		total += gc + d
+	})
+	return total
+}
+
 // TestFDMAxesMatchStencil pins the derived axes to the assembled operator:
 // on single-material models over random graded grids (single-cell axes
 // included), with every boundary kind on every face, the Kronecker sum of
 // the axes times a random vector equals the CSR's product.  The surface
 // temperature is uniform, so a radiating face's film is the same at
-// every cell and its face mean is exact too.
+// every cell and its face mean is exact too.  The per-face totals the
+// axes read from assemble equal, bit for bit, a separate walk of each
+// face at a random field as well as at the uniform one.
 func TestFDMAxesMatchStencil(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	kinds := []BC{
@@ -79,17 +99,27 @@ func TestFDMAxesMatchStencil(t *testing.T) {
 		if !m.separable() {
 			t.Fatal("single-material model without patches is not separable")
 		}
-		Tsurf := make([]float64, g.NumCells())
+		Tsurf, Trand := make([]float64, g.NumCells()), make([]float64, g.NumCells())
 		for i := range Tsurf {
 			Tsurf[i] = 330
+			Trand[i] = 280 + 100*rng.Float64()
 		}
-		a, _ := (&stencil{m: m}).assemble(Tsurf)
+		st := &stencil{m: m}
+		for _, T := range [][]float64{Trand, Tsurf} {
+			st.assemble(T)
+			for f := mesh.XMin; f < mesh.NumFaces; f++ {
+				if got, want := st.faceG[f], faceTotalWalk(m, f, T); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("trial %d, face %d: assemble recorded G + D = %v, the face walk %v", trial, f, got, want)
+				}
+			}
+		}
+		a, _ := st.assemble(Tsurf)
 		x := make([]float64, g.NumCells())
 		for i := range x {
 			x[i] = 2*rng.Float64() - 1
 		}
 		want := a.MulVec(x, nil)
-		got := kronSumMulVec(m.fdmAxes(Tsurf), x)
+		got := kronSumMulVec(st.fdmAxes(), x)
 		diff := make([]float64, len(x))
 		for i := range diff {
 			diff[i] = got[i] - want[i]

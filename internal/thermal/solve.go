@@ -195,7 +195,7 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 		// eigendecompositions to the axes whose faces did not move.
 		var last *linalg.FDMPrec
 		pb.fdm = func() (*linalg.FDMPrec, error) {
-			p, err := linalg.NewFDMPrec(m.fdmAxes(T), last)
+			p, err := linalg.NewFDMPrec(st.fdmAxes(), last)
 			if err == nil {
 				last = p
 			}
@@ -452,6 +452,9 @@ type stencil struct {
 	// grounded records whether the last assemble added a nonzero
 	// boundary conductance; without one the steady operator is singular.
 	grounded bool
+	// faceG holds, per boundary face, the total G + D the last assemble
+	// added to its cells' diagonals, in the order it visited them.
+	faceG [mesh.NumFaces]float64
 }
 
 // workspace holds one stencil's arrays: the operator's rowPtr, colIdx
@@ -580,8 +583,10 @@ func (s *stencil) assemble(T []float64) (*linalg.CSR, []float64) {
 	s.grounded = false
 
 	// Boundary conditions.
+	val, diag := a.Val, s.ws.diag
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
 		face := f
+		total := 0.0
 		g.BoundaryCells(face, func(i, j, k int) {
 			bc := m.bcAt(face, i, j, k)
 			if bc.Kind == Adiabatic {
@@ -593,10 +598,14 @@ func (s *stencil) assemble(T []float64) (*linalg.CSR, []float64) {
 			if gTot == 0 {
 				return
 			}
-			a.Val[s.ws.diag[idx]] += gTot + d
+			gd := gTot + d
+			val[diag[idx]] += gd
 			b[idx] += gTot*bc.T + d*ts
-			s.grounded = true
+			total += gd
 		})
+		// A face that added a conductance has a nonzero total.
+		s.faceG[face] = total
+		s.grounded = s.grounded || total != 0
 	}
 
 	// Volumetric sources.
@@ -654,16 +663,16 @@ func (m *Model) boundaryG(f mesh.Face, i, j, k int, bc BC, Ts float64) (G, D flo
 	return G, max(0, G*G*dh/(h*h*area)*(Ts-bc.T))
 }
 
-// fdmAxes factors a separable model's operator, linearized about the
-// field T, into its three axes: per unit cross-section, the interior
-// face conductances along each axis plus, at each end, the conductance
-// of that boundary face.  An adiabatic, FixedT or Convection face has
-// the same conductance per unit area at every cell, so the sum is
-// exactly the assembled operator; a ConvectionRadiation face contributes
-// the face mean of the film and its Newton term, which the stencil
-// applies cell by cell.
-func (m *Model) fdmAxes(T []float64) [3]linalg.Axis {
-	g := m.Grid
+// fdmAxes factors the operator the last assemble built for a separable
+// model into its three axes: per unit cross-section, the interior face
+// conductances along each axis plus, at each end, the conductance of
+// that boundary face, its faceG over its area.  An adiabatic, FixedT or
+// Convection face has the same conductance per unit area at every cell,
+// so the sum is exactly the assembled operator; a ConvectionRadiation
+// face contributes the face mean of the film and its Newton term, which
+// the stencil applies cell by cell.
+func (s *stencil) fdmAxes() [3]linalg.Axis {
+	m, g := s.m, s.m.Grid
 	mat := &m.Mats[g.MatIdx[0]]
 	var axes [3]linalg.Axis
 	for d, edges := range [3][]float64{g.XEdges, g.YEdges, g.ZEdges} {
@@ -680,28 +689,12 @@ func (m *Model) fdmAxes(T []float64) [3]linalg.Axis {
 			ax.Diag[i] += gf
 			ax.Diag[i+1] += gf
 		}
-		ax.Diag[0] += m.faceFilm(mesh.Face(2*d), T)
-		ax.Diag[n-1] += m.faceFilm(mesh.Face(2*d+1), T)
+		lo, hi := mesh.Face(2*d), mesh.Face(2*d+1)
+		ax.Diag[0] += s.faceG[lo] / g.TotalFaceArea(lo)
+		ax.Diag[n-1] += s.faceG[hi] / g.TotalFaceArea(hi)
 		axes[d] = ax
 	}
 	return axes
-}
-
-// faceFilm is boundary face f's diagonal conductance per unit area at
-// the field T: the total over its cells of G plus the Newton term D that
-// assemble adds, divided by the face area.
-func (m *Model) faceFilm(f mesh.Face, T []float64) float64 {
-	bc := m.FaceBC[f]
-	if bc.Kind == Adiabatic {
-		return 0
-	}
-	g := m.Grid
-	total := 0.0
-	g.BoundaryCells(f, func(i, j, k int) {
-		gc, d := m.boundaryG(f, i, j, k, bc, T[g.Index(i, j, k)])
-		total += gc + d
-	})
-	return total / g.TotalFaceArea(f)
 }
 
 // faceConductance is the series (harmonic-mean) conductance between two
