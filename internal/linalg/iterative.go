@@ -12,6 +12,16 @@ import (
 // budget-exceeded signal callers test for with errors.Is.
 var ErrStopped = errors.New("solve stopped by budget callback")
 
+// Operator is a square linear map that CG solves with; *CSR and
+// *KronSum implement it.
+type Operator interface {
+	// MulVec computes y = A·x, allocating y unless it has length
+	// Order(); y may be the identical slice as x.
+	MulVec(x, y []float64) []float64
+	// Order is the operator's row and column count.
+	Order() int
+}
+
 // Preconditioner applies z = M⁻¹·r for an approximate inverse M⁻¹.
 type Preconditioner interface {
 	Apply(r, z []float64)
@@ -165,14 +175,14 @@ type IterOptions struct {
 // until the relative residual falls below tol or maxIter is reached.
 //
 //lint:allow nanguard input validation (checkFinite) lives in CGOpt
-func CG(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int) ([]float64, IterStats, error) {
+func CG(a Operator, b, x0 []float64, prec Preconditioner, tol float64, maxIter int) ([]float64, IterStats, error) {
 	return CGOpt(a, b, x0, &IterOptions{Tol: tol, MaxIter: maxIter, Prec: prec})
 }
 
 // CGOpt is CG with the full option set (per-iteration convergence
 // callback included).  A nil options value selects identity
 // preconditioning with zero tolerance and cap, like CG would.
-func CGOpt(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
+func CGOpt(a Operator, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
 	var opt IterOptions
 	if o != nil {
 		opt = *o
@@ -187,10 +197,10 @@ func CGOpt(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error
 	return x, stats, err
 }
 
-func cg(a *CSR, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
+func cg(a Operator, b, x0 []float64, o *IterOptions) ([]float64, IterStats, error) {
 	prec, tol, maxIter := o.Prec, o.Tol, o.MaxIter
-	n := a.Rows
-	if a.Cols != n {
+	n := a.Order()
+	if m, ok := a.(*CSR); ok && m.Cols != n {
 		return nil, IterStats{}, fmt.Errorf("linalg: CG requires a square matrix")
 	}
 	if len(b) != n {

@@ -41,8 +41,8 @@ func spd2() *Dense {
 	return a
 }
 
-// TestContractPanics drives every documented panic path in dense.go and
-// sparse.go through recover, checking both that the guard fires and that
+// TestContractPanics drives every documented panic path in dense.go,
+// sparse.go and kron.go through recover, checking both that the guard fires and that
 // the message identifies the violated contract.
 func TestContractPanics(t *testing.T) {
 	lu, err := FactorLU(spd2())
@@ -86,6 +86,17 @@ func TestContractPanics(t *testing.T) {
 				coo := NewCOO(2, 2)
 				coo.Add(0, 0, 1)
 				coo.ToCSR().MulVec([]float64{1}, nil)
+			}},
+		{"KronSum MulVec length", "dimension mismatch in KronSum MulVec",
+			func() {
+				ax := Axis{Diag: []float64{1}, Mass: []float64{1}}
+				(&KronSum{Axes: [3]Axis{ax, ax, ax}, Diag: []float64{1}}).MulVec([]float64{1, 2}, nil)
+			}},
+		{"KronSum malformed axis", "malformed axis in KronSum MulVec",
+			func() {
+				ax := Axis{Diag: []float64{1}, Mass: []float64{1}}
+				bad := Axis{Diag: []float64{1}, Mass: []float64{1, 1}}
+				(&KronSum{Axes: [3]Axis{ax, bad, ax}, Diag: []float64{1}}).MulVec([]float64{1}, nil)
 			}},
 	}
 	for _, tc := range cases {

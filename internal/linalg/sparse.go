@@ -11,6 +11,10 @@ type CSR struct {
 	Val        []float64
 }
 
+// Order returns the row count, the operator's order when the matrix is
+// square (CG rejects one that is not).
+func (m *CSR) Order() int { return m.Rows }
+
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 

@@ -30,8 +30,8 @@ func requestKey(body []byte) string {
 // and bytes recorded with this version, and fails until both are
 // updated.
 const (
-	modelVersion = "v6"
-	goldenDigest = "fa0732c4bca2864582af92db7cc572fa3407a223789ae04d722833f2eb775d87"
+	modelVersion = "v7"
+	goldenDigest = "875d58994c2d25fab4ede883bc8445135e25abf6260649159f8367dcff06082c"
 )
 
 // entrySchema tags the header line of every disk entry.

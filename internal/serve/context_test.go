@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,10 +78,13 @@ func receive(t *testing.T, done <-chan *httptest.ResponseRecorder) *httptest.Res
 }
 
 // TestDisconnectStopsCompute: a client that leaves during a 2,000-point
-// unbudgeted sweep stops its computation.  Once the call has left the
-// in-flight map (its context is canceled), each worker factors at most
-// the one network it was already past its poll for; the sweep never
-// finishes, nothing is cached and the admission slot is free again.
+// unbudgeted sweep stops its computation.  The sweep takes only tens of
+// milliseconds, so every point from the 20th on waits in the COSEE
+// fault seam until the client has gone: the cancel lands while the
+// sweep provably runs.  Once the call has left the in-flight map (its
+// context is canceled), each worker factors at most the one network it
+// was already past its poll for; the sweep never finishes, nothing is
+// cached and the admission slot is free again.
 func TestDisconnectStopsCompute(t *testing.T) {
 	reg := withDefaultRegistry(t)
 	const workers = 2
@@ -89,13 +94,26 @@ func TestDisconnectStopsCompute(t *testing.T) {
 	solves := reg.Counter("cosee_solves_total")
 	factorizations := reg.Counter("thermal_network_factorizations_total")
 
+	var points atomic.Int64
+	gone := make(chan struct{})
+	var release sync.Once
+	letGo := func() { release.Do(func() { close(gone) }) }
+	coseeFault = func(float64) error {
+		if points.Add(1) >= 20 {
+			<-gone
+		}
+		return nil
+	}
+	t.Cleanup(func() { letGo(); coseeFault = nil })
+
 	ctx, leave := context.WithCancel(context.Background())
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() { done <- postStudyCtx(ctx, s, body) }()
-	waitFor(t, "the sweep to start", func() bool { return solves.Value() >= 20 })
+	waitFor(t, "the sweep to reach its 20th point", func() bool { return points.Load() >= 20 })
 	leave()
 	waitFor(t, "the call to leave the in-flight map", func() bool { return !s.inflightHas(key) })
 	f0 := factorizations.Value()
+	letGo()
 	receive(t, done)
 
 	if extra := factorizations.Value() - f0; extra > workers {

@@ -86,6 +86,11 @@ type CoseeSpec struct {
 	UseThermosyphon bool    `json:"use_thermosyphon,omitempty"`
 }
 
+// coseeFault is the cosee.Config.FaultFn of every configuration config
+// makes: nil in production, set by tests that must hold a computation
+// at a known point.
+var coseeFault func(powerW float64) error
+
 // config converts the spec into a cosee.Config.  The structure and TIM
 // lookups are the only fallible parts.
 func (cs *CoseeSpec) config() (cosee.Config, error) {
@@ -96,6 +101,7 @@ func (cs *CoseeSpec) config() (cosee.Config, error) {
 		TIMName:         cs.TIM,
 		CabinAltitudeM:  cs.CabinAltitudeM,
 		UseThermosyphon: cs.UseThermosyphon,
+		FaultFn:         coseeFault,
 	}
 	if cs.Structure != "" {
 		m, err := materials.Get(cs.Structure)

@@ -14,11 +14,11 @@ func (m *Model) System() (*linalg.CSR, []float64, [3]linalg.Axis) {
 			Tsurf[i] = t0
 		}
 	}
-	st := &stencil{m: m}
-	a, b := st.assemble(Tsurf)
+	st := newStencil(m, nil)
+	_, b := st.assemble(Tsurf)
 	var axes [3]linalg.Axis
-	if m.separable() {
+	if st.kron != nil {
 		axes = st.fdmAxes()
 	}
-	return a, b, axes
+	return st.csr(), b, axes
 }

@@ -59,14 +59,16 @@ func faceTotalWalk(m *Model, f mesh.Face, T []float64) float64 {
 	return total
 }
 
-// TestFDMAxesMatchStencil pins the derived axes to the assembled operator:
-// on single-material models over random graded grids (single-cell axes
-// included), with every boundary kind on every face, the Kronecker sum of
-// the axes times a random vector equals the CSR's product.  The surface
-// temperature is uniform, so a radiating face's film is the same at
-// every cell and its face mean is exact too.  The per-face totals the
-// axes read from assemble equal, bit for bit, a separate walk of each
-// face at a random field as well as at the uniform one.
+// TestFDMAxesMatchStencil pins a separable model's two operators to its
+// assembled CSR on single-material models over random graded grids
+// (single-cell axes included), with every boundary kind on every face:
+// at a random field as well as a uniform one, the KronSum CG runs on
+// times a random vector equals the CSR's product, and at the uniform
+// one, where a radiating face's film is the same at every cell and its
+// face mean is exact too, so does the Kronecker sum of the derived
+// fast-diagonalization axes.  The per-face totals the axes read from
+// assemble equal, bit for bit, a separate walk of each face at both
+// fields.
 func TestFDMAxesMatchStencil(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	kinds := []BC{
@@ -96,7 +98,8 @@ func TestFDMAxesMatchStencil(t *testing.T) {
 		for f := mesh.XMin; f < mesh.NumFaces; f++ {
 			m.SetFaceBC(f, kinds[(trial+int(f))%len(kinds)])
 		}
-		if !m.separable() {
+		st := newStencil(m, nil)
+		if st.kron == nil {
 			t.Fatal("single-material model without patches is not separable")
 		}
 		Tsurf, Trand := make([]float64, g.NumCells()), make([]float64, g.NumCells())
@@ -104,28 +107,32 @@ func TestFDMAxesMatchStencil(t *testing.T) {
 			Tsurf[i] = 330
 			Trand[i] = 280 + 100*rng.Float64()
 		}
-		st := &stencil{m: m}
+		x := make([]float64, g.NumCells())
+		near := func(what string, got, want []float64) {
+			t.Helper()
+			diff := make([]float64, len(want))
+			for i := range diff {
+				diff[i] = got[i] - want[i]
+			}
+			if e := linalg.Norm2(diff) / linalg.Norm2(want); e > 1e-13 {
+				t.Errorf("trial %d, grid %v: %s differs from the CSR by %.3g relative", trial, n, what, e)
+			}
+		}
 		for _, T := range [][]float64{Trand, Tsurf} {
-			st.assemble(T)
+			op, _ := st.assemble(T)
 			for f := mesh.XMin; f < mesh.NumFaces; f++ {
 				if got, want := st.faceG[f], faceTotalWalk(m, f, T); math.Float64bits(got) != math.Float64bits(want) {
 					t.Errorf("trial %d, face %d: assemble recorded G + D = %v, the face walk %v", trial, f, got, want)
 				}
 			}
-		}
-		a, _ := st.assemble(Tsurf)
-		x := make([]float64, g.NumCells())
-		for i := range x {
-			x[i] = 2*rng.Float64() - 1
-		}
-		want := a.MulVec(x, nil)
-		got := kronSumMulVec(st.fdmAxes(), x)
-		diff := make([]float64, len(x))
-		for i := range diff {
-			diff[i] = got[i] - want[i]
-		}
-		if e := linalg.Norm2(diff) / linalg.Norm2(want); e > 1e-13 {
-			t.Errorf("trial %d, grid %v: Kronecker sum differs from the stencil by %.3g relative", trial, n, e)
+			for i := range x {
+				x[i] = 2*rng.Float64() - 1
+			}
+			want := st.csr().MulVec(x, nil)
+			near("the KronSum", op.MulVec(x, nil), want)
+			if &T[0] == &Tsurf[0] {
+				near("the FDM axes' Kronecker sum", kronSumMulVec(st.fdmAxes(), x), want)
+			}
 		}
 	}
 }
@@ -191,9 +198,10 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 // TestFDMDegradesToMIC0 checks the degrade: with the only heat path a
 // 1e-30 W/m²K film, the fast-diagonalization build fails its pivot
 // check (the constant mode is all but singular), and the pass runs on
-// MIC(0) instead — bit for bit its non-separable twin, the same model
-// with one face's BC repeated as a whole-face patch — with the degrade
-// counted, recorded and marked on the span.
+// MIC(0) over the CSR instead — bit for bit its non-separable twin, the
+// same model with one face's BC repeated as a whole-face patch, both
+// the CSR and the field — with the degrade counted, recorded and marked
+// on the span.
 func TestFDMDegradesToMIC0(t *testing.T) {
 	reg := obs.NewRegistry()
 	prevReg := obs.SetDefault(reg)
@@ -236,6 +244,14 @@ func TestFDMDegradesToMIC0(t *testing.T) {
 			t.Fatalf("cell %d: degraded %v, MIC(0) twin %v", i, def.T[i], mic.T[i])
 		}
 	}
+	sep, tw := newStencil(build(), nil), newStencil(twin, nil)
+	if sep.kron == nil || tw.kron != nil {
+		t.Fatal("the board must run on a KronSum and its twin on the CSR")
+	}
+	T := make([]float64, twin.Grid.NumCells())
+	_, b := sep.assemble(T)
+	_, twB := tw.assemble(T)
+	sameSystem(t, "degraded pass", sep.csr(), tw.csr(), b, twB)
 	if got := reg.Counter("thermal_fdm_degraded_total").Value(); got != 1 {
 		t.Errorf("thermal_fdm_degraded_total = %d, want 1 (one solve, one pass)", got)
 	}

@@ -108,7 +108,8 @@ func TestMIC0DegradesToJacobi(t *testing.T) {
 	a := &linalg.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 1, 2, 3}, ColIdx: []int{0, 1, 2}, Val: []float64{-2, 1, 1}}
 	var o SolveOptions
 	o.defaults(3)
-	if _, _, err := linSolve(context.Background(), a, make([]float64, 3), nil, &o, &precBuilder{}); err != nil {
+	pb := &precBuilder{st: &stencil{a: *a}}
+	if _, _, err := linSolve(context.Background(), a, make([]float64, 3), nil, &o, pb); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("thermal_ic0_degraded_total").Value(); got != 1 {
@@ -148,9 +149,10 @@ func spanAttrs(t *testing.T, tr *obs.Trace, name string) []map[string]string {
 
 // TestSolveSteadySpans checks the solver's span taxonomy: a steady solve
 // under an enabled tracer records thermal.SolveSteady with one
-// thermal.assemble + thermal.linSolve child pair per outer pass, and
-// the span carries the passes run and, on a radiating plate, the last
-// pass's largest update delta_k, under picardTolK.
+// thermal.assemble + thermal.linSolve child pair per outer pass, each
+// assemble span carrying the 7-point pattern's entry count, and the
+// SolveSteady span carries the passes run and, on a radiating plate,
+// the last pass's largest update delta_k, under picardTolK.
 func TestSolveSteadySpans(t *testing.T) {
 	linear := obsTestModel(t)
 	radiating := obsTestModel(t)
@@ -166,6 +168,12 @@ func TestSolveSteadySpans(t *testing.T) {
 		want := "thermal.SolveSteady\n" + strings.Repeat("  thermal.assemble\n  thermal.linSolve\n", res.OuterIterations)
 		if got := tr.TreeString(); got != want {
 			t.Errorf("%s: span tree = \n%s\nwant\n%s", name, got, want)
+		}
+		a, _, _ := m.System()
+		for _, at := range spanAttrs(t, tr, "thermal.assemble") {
+			if at["nnz"] != strconv.Itoa(a.NNZ()) {
+				t.Errorf("%s: thermal.assemble nnz %q, want the CSR's %d", name, at["nnz"], a.NNZ())
+			}
 		}
 		attrs := spanAttrs(t, tr, "thermal.SolveSteady")
 		if len(attrs) != 1 || attrs[0]["passes"] != strconv.Itoa(res.OuterIterations) {
@@ -220,7 +228,8 @@ func TestSolveOnIteration(t *testing.T) {
 // TestSolveMetrics checks the registry side of a steady solve: matrix
 // nnz gauge, assembly-, preconditioner-setup- and Krylov-time
 // histograms and the linalg solve counters all land under their
-// canonical names.
+// canonical names.  The plate is separable, so it builds no CSR, and
+// the gauge still reports its 7-point pattern's entry count.
 func TestSolveMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	prev := obs.SetDefault(reg)
@@ -231,8 +240,9 @@ func TestSolveMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nnz := reg.Gauge("thermal_matrix_nnz").Value(); nnz <= 0 {
-		t.Errorf("thermal_matrix_nnz = %g, want > 0", nnz)
+	a, _, _ := m.System()
+	if nnz := reg.Gauge("thermal_matrix_nnz").Value(); nnz != float64(a.NNZ()) {
+		t.Errorf("thermal_matrix_nnz = %g, want the CSR's %d", nnz, a.NNZ())
 	}
 	if n := reg.Histogram("thermal_assembly_seconds", nil).Count(); n != 1 {
 		t.Errorf("thermal_assembly_seconds count = %d, want 1", n)

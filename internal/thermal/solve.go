@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -147,12 +148,14 @@ func (o *SolveOptions) defaults(n int) {
 // The solver's spans (thermal.SolveSteady → thermal.assemble /
 // thermal.linSolve) nest under the span ctx carries.
 //
-// The model picks each pass's preconditioner: fast diagonalization
-// (linalg.FDMPrec) when every cell holds one material and no patch
-// overrides a face, as on every level-2 board, and MIC(0) otherwise.
-// Each pass is one preconditioned CG solve; a failed one is the solve's
-// error.  A model with no face exchanging heat has no steady state, and
-// SolveSteady says so rather than solving it.
+// The model picks each pass's operator and preconditioner: when every
+// cell holds one material and no patch overrides a face, as on every
+// level-2 board, CG runs on the operator's Kronecker-sum form
+// (linalg.KronSum) preconditioned by fast diagonalization
+// (linalg.FDMPrec), and otherwise on the assembled CSR preconditioned
+// by MIC(0).  Each pass is one preconditioned CG solve; a failed one is
+// the solve's error.  A model with no face exchanging heat has no
+// steady state, and SolveSteady says so rather than solving it.
 //
 // The system is assembled in the process's spare stencil workspace, or
 // in a fresh one while another solve holds it, and the workspace goes
@@ -187,20 +190,9 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 	defer spare.Store(ws)
 
 	res := &Result{g: m.Grid}
-	st := &stencil{m: m, ws: ws}
-	pb := &precBuilder{}
-	if m.separable() {
-		// Each pass builds its fast-diagonalization preconditioner at the
-		// pass's linearization field, lending the last one's
-		// eigendecompositions to the axes whose faces did not move.
-		var last *linalg.FDMPrec
-		pb.fdm = func() (*linalg.FDMPrec, error) {
-			p, err := linalg.NewFDMPrec(st.fdmAxes(), last)
-			if err == nil {
-				last = p
-			}
-			return p, err
-		}
+	st := newStencil(m, ws)
+	pb := &precBuilder{st: st}
+	if st.kron != nil {
 		sp.Attr("prec", "fdm")
 	} else {
 		sp.Attr("prec", "mic0")
@@ -214,11 +206,11 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 			return nil, fmt.Errorf("thermal: FV %w after %d Picard passes", linalg.ErrStopped, outer)
 		}
 		res.OuterIterations = outer + 1
-		a, b := st.assembleObs(ctx, T)
+		op, b := st.assembleObs(ctx, T)
 		if !st.grounded {
 			return nil, errors.New("thermal: no face of the FV model exchanges heat; steady problem is singular")
 		}
-		t, stats, err := linSolve(ctx, a, b, prev, &o, pb)
+		t, stats, err := linSolve(ctx, op, b, prev, &o, pb)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, err
@@ -330,7 +322,7 @@ func (m *Model) hasRadiation() bool {
 // (thermal_matrix_nnz gauge, thermal_assembly_seconds histogram); the
 // first pass's observation includes the symbolic phase.  With telemetry
 // disabled it reduces to the bare assemble call plus two nil checks.
-func (s *stencil) assembleObs(ctx context.Context, T []float64) (*linalg.CSR, []float64) {
+func (s *stencil) assembleObs(ctx context.Context, T []float64) (linalg.Operator, []float64) {
 	parent, reg := obs.FromContext(ctx), obs.Default()
 	if parent == nil && reg == nil {
 		return s.assemble(T)
@@ -338,34 +330,36 @@ func (s *stencil) assembleObs(ctx context.Context, T []float64) (*linalg.CSR, []
 	start := time.Now()
 	a, b := s.assembleSpan(parent, T)
 	if reg != nil {
-		reg.Gauge("thermal_matrix_nnz").Set(float64(len(a.Val)))
+		reg.Gauge("thermal_matrix_nnz").Set(float64(s.nnz()))
 		reg.Histogram("thermal_assembly_seconds", assemblyBuckets).Observe(time.Since(start).Seconds())
 	}
 	return a, b
 }
 
 // assembleSpan runs assemble under a thermal.assemble child of parent,
-// annotated with the matrix's nonzero count.
-func (s *stencil) assembleSpan(parent *obs.Span, T []float64) (*linalg.CSR, []float64) {
+// annotated with the 7-point pattern's entry count, which a separable
+// pass never lays out.
+func (s *stencil) assembleSpan(parent *obs.Span, T []float64) (linalg.Operator, []float64) {
 	sp := parent.Start("thermal.assemble")
 	defer sp.End()
 	a, b := s.assemble(T)
-	sp.AttrInt("nnz", len(a.Val))
+	sp.AttrInt("nnz", s.nnz())
 	return a, b
 }
 
 // assemblyBuckets span 1 µs to 1000 s, one decade per bucket.
 var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
-// linSolve solves one pass's system by CG, preconditioned by what pb
-// builds for a and polling ctx's budget once per iteration.  Nothing
-// retries a failed solve: its error is the caller's.
-func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptions, pb *precBuilder) ([]float64, linalg.IterStats, error) {
+// linSolve solves one pass's system by CG on op, or on what pb puts in
+// its place, preconditioned by what pb builds and polling ctx's budget
+// once per iteration.  Nothing retries a failed solve: its error is the
+// caller's.
+func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, o *SolveOptions, pb *precBuilder) ([]float64, linalg.IterStats, error) {
 	sp := obs.Start(obs.FromContext(ctx), "thermal.linSolve")
 	defer sp.End()
-	prec, kind := pb.build(sp, a)
+	prec, op, kind := pb.build(sp, op)
 	sp.Attr("prec", kind)
-	x, stats, err := linalg.CGOpt(a, b, x0, &linalg.IterOptions{
+	x, stats, err := linalg.CGOpt(op, b, x0, &linalg.IterOptions{
 		Tol: o.Tol, MaxIter: o.MaxIter, Prec: prec, OnIteration: o.OnIteration, Stop: robust.Stop(ctx),
 	})
 	sp.AttrInt("iterations", stats.Iterations)
@@ -380,33 +374,40 @@ func linSolve(ctx context.Context, a *linalg.CSR, b, x0 []float64, o *SolveOptio
 }
 
 // precBuilder builds the preconditioner of every pass of one solve call.
-// The model picks its kind, not the caller: fdm, set on a separable
-// model, builds a pass's fast diagonalization, and every other model
-// gets MIC(0).
+// The model picks its kind, not the caller: a separable stencil's pass
+// gets fast diagonalization, built at the pass's linearization field,
+// and every other model gets MIC(0).
 type precBuilder struct {
-	fdm func() (*linalg.FDMPrec, error)
+	st *stencil
+	// last is the previous pass's fast diagonalization, which lends its
+	// eigendecompositions to the axes whose faces did not move.
+	last *linalg.FDMPrec
 }
 
-// build returns a new preconditioner for a and its kind, "fdm", "mic0"
-// or "jacobi".  It is the one place a build degrades, one step at a
-// time, to a weaker kind that never fails: a fast diagonalization with a
-// singular mode to MIC(0), counted on thermal_fdm_degraded_total, and a
-// MIC(0) factor that breaks down through the whole shift ladder to
-// Jacobi, counted on thermal_ic0_degraded_total.
-func (pb *precBuilder) build(sp *obs.Span, a *linalg.CSR) (linalg.Preconditioner, string) {
-	if pb.fdm != nil {
-		p, err := pb.fdm()
+// build returns a new preconditioner for the pass st last assembled, the
+// operator CG runs on, op unless the build degraded, and the kind,
+// "fdm", "mic0" or "jacobi".  It is the one place a build degrades, one
+// step at a time, to a weaker kind that never fails: a fast
+// diagonalization with a singular mode to MIC(0) on the pass's CSR,
+// counted on thermal_fdm_degraded_total, and a MIC(0) factor that
+// breaks down through the whole shift ladder to Jacobi, counted on
+// thermal_ic0_degraded_total.
+func (pb *precBuilder) build(sp *obs.Span, op linalg.Operator) (linalg.Preconditioner, linalg.Operator, string) {
+	if pb.st.kron != nil {
+		p, err := linalg.NewFDMPrec(pb.st.fdmAxes(), pb.last)
 		if err == nil {
-			return p, "fdm"
+			pb.last = p
+			return p, op, "fdm"
 		}
 		degrade(sp, "fdm", "mic0", "thermal_fdm_degraded_total", err)
 	}
+	a := pb.st.csr()
 	p, err := linalg.NewMICPrec(a)
 	if err == nil {
-		return p, "mic0"
+		return p, a, "mic0"
 	}
 	degrade(sp, "mic0", "jacobi", "thermal_ic0_degraded_total", err)
-	return linalg.NewJacobiPrec(a), "jacobi"
+	return linalg.NewJacobiPrec(a), a, "jacobi"
 }
 
 // degrade counts one preconditioner degrade on counter, records it as a
@@ -422,24 +423,34 @@ func degrade(sp *obs.Span, from, to, counter string, cause error) {
 	sp.Attr("prec_degraded", to)
 }
 
-// stencil assembles one model's FV operator in two phases.  The
-// symbolic phase (build) runs once per SolveSteady call: the 7-point CSR
+// stencil assembles one model's FV operator, once per Picard pass, in
+// one of two forms.
+//
+// A separable model's passes run on its Kronecker-sum form, a
+// linalg.KronSum: the interior face conductances per unit cross-section
+// as three axes, computed once per SolveSteady call (interiorAxes),
+// plus a per-cell diagonal, the boundary terms.  A pass writes only
+// those n values and the right-hand side.
+//
+// Every other model runs on the 7-point CSR, assembled in two phases.
+// The symbolic phase (build) runs once per SolveSteady call: the CSR
 // pattern, each row's diagonal slot, the interior face conductances,
 // written once as the off-diagonal values, and each row's sum of them,
 // its interior diagonal; all depend only on grid and materials.  The
-// numeric phase (assemble) runs once per Picard pass: it resets the n
-// diagonal values to the interior ones and adds the boundary terms, the
-// only part of the operator that moves with the surface temperature and
-// that touches nothing but the diagonal.  Every pass assembles into the
-// same value array and right-hand side: no preconditioner keeps a
-// reference to them (MIC(0), Jacobi and fast diagonalization copy what
-// they keep).
+// numeric phase runs once per pass: it resets the n diagonal values to
+// the interior ones and adds the boundary terms, the only part of the
+// operator that moves with the surface temperature and that touches
+// nothing but the diagonal.  A separable model builds the CSR only for
+// a pass whose fast diagonalization degrades to MIC(0) (csr).
 //
-// The arrays live in a workspace that outlives the solve: SolveSteady
-// lends the stencil the process's spare one, and build resizes every
-// array to the model and writes every entry that assemble, CG or a
-// preconditioner reads (assemble writes the diagonal values and the
-// right-hand side), so nothing of an earlier model survives.
+// Every pass assembles into the same arrays: no preconditioner keeps a
+// reference to them (MIC(0), Jacobi and fast diagonalization copy what
+// they keep).  The arrays live in a workspace that outlives the solve:
+// SolveSteady lends the stencil the process's spare one, and newStencil
+// and build resize every array they use to the model and write every
+// entry that assemble, CG or a preconditioner reads (assemble writes the
+// diagonal and the right-hand side), so nothing of an earlier model
+// survives.
 //
 // Every diagonal sums its terms in one fixed order: the −z, −y, −x,
 // +x, +y and +z faces, then the boundary faces XMin…ZMax.  That is the
@@ -448,7 +459,12 @@ func degrade(sp *obs.Span, from, to, counter string, cause error) {
 type stencil struct {
 	m  *Model
 	ws *workspace // the system's arrays; build makes a fresh one if nil
-	a  linalg.CSR // the assembled operator over ws's arrays, one Val for every pass
+	// kron is a separable model's operator, whose Diag is ws.bnd; nil
+	// on every other model.
+	kron *linalg.KronSum
+	a    linalg.CSR // the assembled CSR over ws's arrays, one Val for every pass
+	// field is the one the last assemble linearized about.
+	field []float64
 	// grounded records whether the last assemble added a nonzero
 	// boundary conductance; without one the steady operator is singular.
 	grounded bool
@@ -457,19 +473,21 @@ type stencil struct {
 	faceG [mesh.NumFaces]float64
 }
 
-// workspace holds one stencil's arrays: the operator's rowPtr, colIdx
-// and val, and per row its diagonal's position in colIdx, its
-// interior-face diagonal sum and its right-hand side.
+// workspace holds one stencil's arrays: the CSR's rowPtr, colIdx and
+// val, and per row its diagonal's position in colIdx and its
+// interior-face diagonal sum; a separable pass's boundary diagonal; and
+// the right-hand side.
 type workspace struct {
-	rowPtr, colIdx, diag []int
-	val, interior, b     []float64
+	rowPtr, colIdx, diag  []int
+	val, interior, bnd, b []float64
 }
 
 // spare is the one workspace kept between solves, nil while a solve
 // holds it.  SolveSteady swaps it out, or makes a fresh one when the
 // slot is empty, and stores its own back on return, so the memory kept
-// is one workspace sized for a recent model (about 1.6 MB for an
-// 80×80×2 level-2 board, the largest).
+// is one workspace sized for recent models: 205 KB for an 80×80×2
+// level-2 board, the largest, which builds no CSR, plus about 1.6 MB
+// for a non-separable model of that size.
 var spare atomic.Pointer[workspace]
 
 // fit returns s resized to n entries, reusing its array when it holds
@@ -481,6 +499,29 @@ func fit[T int | float64](s []T, n int) []T {
 	return s[:n]
 }
 
+// newStencil returns m's stencil over ws, or over a fresh workspace
+// when ws is nil.  A separable model's passes run on a KronSum of its
+// interior axes, computed here once.
+func newStencil(m *Model, ws *workspace) *stencil {
+	if ws == nil {
+		ws = new(workspace)
+	}
+	s := &stencil{m: m, ws: ws}
+	if m.separable() {
+		n := m.Grid.NumCells()
+		ws.bnd, ws.b = fit(ws.bnd, n), fit(ws.b, n)
+		s.kron = &linalg.KronSum{Axes: m.interiorAxes(), Diag: ws.bnd}
+	}
+	return s
+}
+
+// nnz is the entry count of the model's 7-point pattern.
+func (s *stencil) nnz() int {
+	g := s.m.Grid
+	nx, ny, nz := g.Nx, g.Ny, g.Nz
+	return nx*ny*nz + 2*((nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
+}
+
 // build runs the symbolic phase: row by row, entries in ascending
 // column order (−z, −y, −x, diagonal, +x, +y, +z).  Each face
 // conductance is faceConductance(area, Δ₁, k₁, Δ₂, k₂) of the two cells'
@@ -490,8 +531,7 @@ func fit[T int | float64](s []T, n int) []T {
 func (s *stencil) build() {
 	m, g := s.m, s.m.Grid
 	nx, ny, nz := g.Nx, g.Ny, g.Nz
-	nxy, n := nx*ny, g.NumCells()
-	nnz := n + 2*((nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
+	nxy, n, nnz := nx*ny, g.NumCells(), s.nnz()
 	if s.ws == nil {
 		s.ws = new(workspace)
 	}
@@ -559,9 +599,10 @@ func cellSizes(edges []float64) []float64 {
 	return d
 }
 
-// assemble runs the numeric phase, building the symbolic one on first
-// use: the steady FV system A·T = b linearized about the field T, written
-// over the previous pass's.
+// assemble runs one pass: the steady FV system A·T = b linearized about
+// the field T, written over the previous pass's.  It returns the
+// KronSum of a separable model and the CSR of any other, building the
+// CSR's symbolic phase on first use.
 //
 // A boundary cell at Ts loses G(Ts)·(Ts − Ta) through its face.  A
 // radiating film linearizes that by Newton's method: the cell adds
@@ -570,20 +611,49 @@ func cellSizes(edges []float64) []float64 {
 // nonlinear one, so the fixed point is the same as with D = 0; D only
 // shortens the way there.  The clamp keeps the operator an SPD
 // M-matrix, as FDM, MIC(0), Jacobi and CG require.
-func (s *stencil) assemble(T []float64) (*linalg.CSR, []float64) {
+func (s *stencil) assemble(T []float64) (linalg.Operator, []float64) {
+	s.field = T
+	if s.kron != nil {
+		clear(s.ws.bnd)
+		s.boundary(T, s.ws.bnd, nil)
+		return s.kron, s.ws.b
+	}
+	return s.assembleCSR(T), s.ws.b
+}
+
+// csr returns the last pass's system as a CSR.  A separable model's
+// pass ran on its KronSum, so csr builds the symbolic phase on first
+// use and assembles the pass into the CSR, the operator of the model's
+// non-separable twin bit for bit, rewriting the right-hand side with the
+// same values.
+func (s *stencil) csr() *linalg.CSR {
+	if s.kron != nil {
+		s.assembleCSR(s.field)
+	}
+	return &s.a
+}
+
+// assembleCSR runs one pass's numeric phase on the CSR.
+func (s *stencil) assembleCSR(T []float64) *linalg.CSR {
 	if s.a.RowPtr == nil {
 		s.build()
 	}
-	m, g := s.m, s.m.Grid
-	a, b := &s.a, s.ws.b
-	for i, p := range s.ws.diag {
-		a.Val[p] = s.ws.interior[i]
+	val, diag := s.a.Val, s.ws.diag
+	for i, p := range diag {
+		val[p] = s.ws.interior[i]
 	}
+	s.boundary(T, val, diag)
+	return &s.a
+}
+
+// boundary adds each boundary cell's G + D at the field T to its
+// diagonal, entry slot[i] of dst for cell i, or entry i when slot is
+// nil, and rebuilds the right-hand side: the boundary terms, then the
+// volumetric sources.
+func (s *stencil) boundary(T, dst []float64, slot []int) {
+	m, g, b := s.m, s.m.Grid, s.ws.b
 	clear(b)
 	s.grounded = false
-
-	// Boundary conditions.
-	val, diag := a.Val, s.ws.diag
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
 		face := f
 		total := 0.0
@@ -599,7 +669,11 @@ func (s *stencil) assemble(T []float64) (*linalg.CSR, []float64) {
 				return
 			}
 			gd := gTot + d
-			val[diag[idx]] += gd
+			p := idx
+			if slot != nil {
+				p = slot[idx]
+			}
+			dst[p] += gd
 			b[idx] += gTot*bc.T + d*ts
 			total += gd
 		})
@@ -630,8 +704,6 @@ func (s *stencil) assemble(T []float64) (*linalg.CSR, []float64) {
 			}
 		}
 	}
-
-	return a, b
 }
 
 // boundaryG is the conductance G (W/K) from the centre of boundary cell
@@ -663,16 +735,13 @@ func (m *Model) boundaryG(f mesh.Face, i, j, k int, bc BC, Ts float64) (G, D flo
 	return G, max(0, G*G*dh/(h*h*area)*(Ts-bc.T))
 }
 
-// fdmAxes factors the operator the last assemble built for a separable
-// model into its three axes: per unit cross-section, the interior face
-// conductances along each axis plus, at each end, the conductance of
-// that boundary face, its faceG over its area.  An adiabatic, FixedT or
-// Convection face has the same conductance per unit area at every cell,
-// so the sum is exactly the assembled operator; a ConvectionRadiation
-// face contributes the face mean of the film and its Newton term, which
-// the stencil applies cell by cell.
-func (s *stencil) fdmAxes() [3]linalg.Axis {
-	m, g := s.m, s.m.Grid
+// interiorAxes factors a separable model's interior conduction into its
+// three axes: per unit cross-section, the face conductances between
+// neighbouring cells along each axis, and the cell sizes as masses.
+// Its boundary faces are each pass's: the KronSum's per-cell diagonal
+// and fdmAxes' end terms.
+func (m *Model) interiorAxes() [3]linalg.Axis {
+	g := m.Grid
 	mat := &m.Mats[g.MatIdx[0]]
 	var axes [3]linalg.Axis
 	for d, edges := range [3][]float64{g.XEdges, g.YEdges, g.ZEdges} {
@@ -689,10 +758,28 @@ func (s *stencil) fdmAxes() [3]linalg.Axis {
 			ax.Diag[i] += gf
 			ax.Diag[i+1] += gf
 		}
-		lo, hi := mesh.Face(2*d), mesh.Face(2*d+1)
-		ax.Diag[0] += s.faceG[lo] / g.TotalFaceArea(lo)
-		ax.Diag[n-1] += s.faceG[hi] / g.TotalFaceArea(hi)
 		axes[d] = ax
+	}
+	return axes
+}
+
+// fdmAxes returns the axes of a separable model's last pass for fast
+// diagonalization: the interior ones plus, at each end, the conductance
+// per unit area of that boundary face, its faceG over its area.  An
+// adiabatic, FixedT or Convection face has the same conductance per
+// unit area at every cell, so their Kronecker sum is exactly the pass's
+// operator; a ConvectionRadiation face contributes the face mean of the
+// film and its Newton term, which the KronSum applies cell by cell.
+// Only Diag is new: Off and Mass are the interior axes', which nothing
+// modifies.
+func (s *stencil) fdmAxes() [3]linalg.Axis {
+	g, axes := s.m.Grid, s.kron.Axes
+	for d := range axes {
+		diag := slices.Clone(axes[d].Diag)
+		lo, hi := mesh.Face(2*d), mesh.Face(2*d+1)
+		diag[0] += s.faceG[lo] / g.TotalFaceArea(lo)
+		diag[len(diag)-1] += s.faceG[hi] / g.TotalFaceArea(hi)
+		axes[d].Diag = diag
 	}
 	return axes
 }

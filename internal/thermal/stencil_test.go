@@ -228,9 +228,9 @@ func matchTripletReference(t *testing.T, ws *workspace) {
 		n := m.Grid.NumCells()
 		st := &stencil{m: m, ws: ws}
 		for pass := 0; pass < 2; pass++ {
-			a, b := st.assemble(Tsurf)
+			_, b := st.assemble(Tsurf)
 			ts, refB := tripletReference(m, Tsurf)
-			sameSystem(t, "steady", a, csrFromTriplets(n, ts), b, refB)
+			sameSystem(t, "steady", st.csr(), csrFromTriplets(n, ts), b, refB)
 			for i := range Tsurf {
 				Tsurf[i] += 25 * rng.Float64()
 			}
@@ -292,10 +292,12 @@ func sameField(t *testing.T, what string, got, want []float64) {
 // TestStencilWorkspaceReuse checks that a solve in a workspace an
 // earlier model left behind, larger or smaller, gives the field a fresh
 // workspace gives, bit for bit: in sequence, where each solve must find
-// the workspace the last one put back, concurrently, where two models
-// trade the slot's workspace and a solve may find the slot empty (the
-// race detector watches the sharing), and at the assembly level, where
-// the triplet-reference cases run in a workspace an 80×80×2 model grew.
+// the workspace the last one put back (the separable board's holding
+// only its boundary diagonal and right-hand side), concurrently, where
+// two models trade the slot's workspace and a solve may find the slot
+// empty (the race detector watches the sharing), and at the assembly
+// level, where the triplet-reference cases run in a workspace an
+// 80×80×2 model's CSR grew.
 func TestStencilWorkspaceReuse(t *testing.T) {
 	large, small := reuseModels(t)
 	solve := func(m *Model) []float64 {
@@ -313,8 +315,11 @@ func TestStencilWorkspaceReuse(t *testing.T) {
 	spare.Store(nil)
 	sameField(t, "large, fresh workspace", solve(large), wantLarge)
 	ws := spare.Load()
-	if ws == nil || cap(ws.val) < len(wantLarge) {
+	if ws == nil || cap(ws.bnd) < len(wantLarge) || cap(ws.b) < len(wantLarge) {
 		t.Fatal("the large solve put no workspace back")
+	}
+	if ws.val != nil {
+		t.Fatal("the large board, which runs on its KronSum, laid out a CSR")
 	}
 	sameField(t, "small after large", solve(small), wantSmall)
 	if spare.Load() != ws {
