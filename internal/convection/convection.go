@@ -302,8 +302,10 @@ func NaturalHorizontalCylinder(d, Ts, Tamb float64) float64 {
 
 // EnclosureVertical returns the effective convection coefficient for a
 // sealed vertical air gap of thickness l and height h between plates at
-// Th and Tc — the card-to-wall gaps of sealed boxes.  Below the critical
-// Rayleigh number the gap behaves as pure conduction (Nu = 1).
+// Th and Tc — the card-to-wall gaps of sealed boxes.  Where the
+// correlation falls under pure conduction (Nu = 1), at low Rayleigh
+// numbers, the gap conducts; Nu is continuous in the temperatures, so a
+// network solve through the gap has a fixed point to converge to.
 //
 // Non-finite (NaN/Inf) inputs propagate to the result (nanguard: propagates).
 func EnclosureVertical(l, h, Th, Tc float64) float64 {
@@ -313,7 +315,7 @@ func EnclosureVertical(l, h, Th, Tc float64) float64 {
 	ra, air := rayleigh(l, Th, Tc)
 	aspect := h / l
 	nu := 1.0
-	if ra > 1000 && aspect >= 1 {
+	if aspect >= 1 {
 		// Catton / ElSherbiny-class correlation for tall gaps.
 		nu = math.Max(1, 0.42*math.Pow(ra, 0.25)*math.Pow(air.Pr, 0.012)*math.Pow(aspect, -0.3))
 	}

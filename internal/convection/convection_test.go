@@ -283,6 +283,31 @@ func TestEnclosureVertical(t *testing.T) {
 	}
 }
 
+// TestEnclosureVerticalContinuous walks the sealed box's 10 mm by 80 mm
+// gap from ΔT 0.01 to 20 K in 0.01 K steps, across Ra = 1000: no step
+// may move h by more than 1 %.  A jump (Nu 1 → 1.26 where the
+// correlation used to switch on at Ra 1000) leaves a network solve
+// through the gap with no fixed point, and its Picard loop cycles.
+func TestEnclosureVerticalContinuous(t *testing.T) {
+	const l, h, tc = 0.01, 0.08, 330.0
+	if lo, _ := rayleigh(l, tc+0.01, tc); lo >= 1000 {
+		t.Fatalf("walk starts at Ra %v, want below 1000", lo)
+	}
+	if hi, _ := rayleigh(l, tc+20, tc); hi <= 1000 {
+		t.Fatalf("walk ends at Ra %v, want above 1000", hi)
+	}
+	prev := EnclosureVertical(l, h, tc+0.01, tc)
+	for i := 2; i <= 2000; i++ {
+		dT := 0.01 * float64(i)
+		got := EnclosureVertical(l, h, tc+dT, tc)
+		if math.Abs(got-prev) > 0.01*prev {
+			ra, _ := rayleigh(l, tc+dT, tc)
+			t.Fatalf("h jumps from %v to %v W/m²K at ΔT %.2f K (Ra %.0f)", prev, got, dT, ra)
+		}
+		prev = got
+	}
+}
+
 func TestPinFinArray(t *testing.T) {
 	// 60 aluminium pins, 3 mm × 15 mm, 5 m/s: ≈1 W/K of fin conductance —
 	// the clip-on heatsink class used in the hot-spot screens.

@@ -9,6 +9,7 @@ import (
 
 	"aeropack/internal/compact"
 	"aeropack/internal/linalg"
+	"aeropack/internal/obs"
 	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
@@ -503,6 +504,59 @@ func TestSealedBoxCapacity(t *testing.T) {
 	}
 	if _, err := box.MaxPower(context.Background(), 30); err == nil {
 		t.Error("limit below ambient should error")
+	}
+}
+
+// TestSealedBoxPinnedCapacity: MaxPower pins the board at its limit and
+// reads the heat crossing the gap in one solve of at most 10
+// factorizations; a forward solve at that power puts the board back on
+// the limit within the network's 1e-3 K tolerance, at sea level and at
+// FL400, for three limits.
+func TestSealedBoxPinnedCapacity(t *testing.T) {
+	reg := obs.NewRegistry()
+	prev := obs.SetDefault(reg)
+	defer obs.SetDefault(prev)
+	factorizations := reg.Counter("thermal_network_factorizations_total")
+	for _, alt := range []float64{0, 12192} {
+		for _, limitC := range []float64{60, 95, 125} {
+			box := DefaultSealedBox()
+			box.AltitudeM = alt
+			f0 := factorizations.Value()
+			p, err := box.MaxPower(context.Background(), limitC)
+			if err != nil {
+				t.Fatalf("%g m, %g °C: %v", alt, limitC, err)
+			}
+			if f := factorizations.Value() - f0; f > 10 {
+				t.Errorf("%g m, %g °C: MaxPower took %d factorizations, want ≤ 10", alt, limitC, f)
+			}
+			if p <= 0.5 || p >= 500 {
+				t.Fatalf("%g m, %g °C: capacity %v W is clamped", alt, limitC, p)
+			}
+			r, err := box.Solve(context.Background(), p)
+			if err != nil {
+				t.Fatalf("%g m, %g °C: forward solve at %v W: %v", alt, limitC, p, err)
+			}
+			if d := math.Abs(r.BoardC - limitC); d > 1e-3 {
+				t.Errorf("%g m, %g °C: forward solve at %v W puts the board %.3g K off its limit", alt, limitC, p, d)
+			}
+		}
+	}
+}
+
+// TestSealedBoxSolveConverges solves the default box at every 0.25 W
+// from 0.5 to 60 W at five altitudes.  Each solve must converge: a gap
+// correlation with a jump leaves powers whose Picard loop cycles between
+// two board temperatures for all its passes.
+func TestSealedBoxSolveConverges(t *testing.T) {
+	for _, alt := range []float64{0, 2438, 6000, 9000, 12192} {
+		box := DefaultSealedBox()
+		box.AltitudeM = alt
+		for i := 2; i <= 240; i++ {
+			p := 0.25 * float64(i)
+			if _, err := box.Solve(context.Background(), p); err != nil {
+				t.Errorf("%g m, %g W: %v", alt, p, err)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"aeropack/internal/convection"
 	"aeropack/internal/radiation"
@@ -78,11 +79,56 @@ type SealedBoxResult struct {
 // convection ∥ radiation) → case → (external natural convection ∥
 // radiation) → ambient, under ctx's budget.
 func (s *SealedBox) Solve(ctx context.Context, power float64) (*SealedBoxResult, error) {
-	if err := s.Validate(); err != nil {
+	n, err := s.network()
+	if err != nil {
 		return nil, err
 	}
 	if power <= 0 {
 		return nil, fmt.Errorf("core: power must be positive")
+	}
+	n.AddSource("board", power)
+	res, err := n.SolveSteady(ctx)
+	if err != nil {
+		return nil, err
+	}
+	boardT, _ := res.At("board")
+	caseT, _ := res.At("case")
+	out := &SealedBoxResult{BoardC: units.KToC(boardT), CaseC: units.KToC(caseT)}
+	// Flow[0] is the convective gap element, Flow[1] the radiative one.
+	qc, qr := res.Flow[0], res.Flow[1]
+	if qc+qr > 0 {
+		out.GapRadiationShare = qr / (qc + qr)
+	}
+	return out, nil
+}
+
+// MaxPower returns the dissipation at which the board reaches limitC —
+// the sealed architecture's capacity line in the Fig. 5 survey.  It pins
+// the board of the source-free network at limitC, solves it once under
+// ctx and returns the heat crossing both gap elements, within
+// [0.5, 500] W.
+func (s *SealedBox) MaxPower(ctx context.Context, limitC float64) (float64, error) {
+	if limitC <= s.AmbientC {
+		return 0, fmt.Errorf("core: limit must exceed ambient")
+	}
+	n, err := s.network()
+	if err != nil {
+		return 0, err
+	}
+	n.FixT("board", units.CToK(limitC))
+	res, err := n.SolveSteady(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return math.Min(math.Max(res.Flow[0]+res.Flow[1], 0.5), 500), nil
+}
+
+// network validates the box and builds its source-free network, the
+// ambient pinned: nodes amb, board and case, and resistors board → case
+// by gap convection (0) and gap radiation (1), then case → amb (2).
+func (s *SealedBox) network() (*thermal.Network, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	derate := 1.0
 	if s.AltitudeM > 0 {
@@ -92,10 +138,8 @@ func (s *SealedBox) Solve(ctx context.Context, power float64) (*SealedBoxResult,
 		}
 		derate = d
 	}
-	Ta := units.CToK(s.AmbientC)
 	n := thermal.NewNetwork()
-	n.FixT("amb", Ta)
-	n.AddSource("board", power)
+	n.FixT("amb", units.CToK(s.AmbientC))
 	// Board → case: enclosure convection and radiation in parallel; both
 	// nonlinear in the temperatures.
 	gapConv := func(Tb, Tc, Q float64) float64 {
@@ -132,49 +176,7 @@ func (s *SealedBox) Solve(ctx context.Context, power float64) (*SealedBoxResult,
 	if err := n.AddVariableResistor("case", "amb", 1, caseOut); err != nil {
 		return nil, err
 	}
-	res, err := n.SolveSteadyTol(ctx, 1e-3, 200)
-	if err != nil {
-		return nil, err
-	}
-	boardT, _ := res.At("board")
-	caseT, _ := res.At("case")
-	out := &SealedBoxResult{BoardC: units.KToC(boardT), CaseC: units.KToC(caseT)}
-	// Flow[0] is the convective gap element, Flow[1] the radiative one.
-	qc, qr := res.Flow[0], res.Flow[1]
-	if qc+qr > 0 {
-		out.GapRadiationShare = qr / (qc + qr)
-	}
-	return out, nil
-}
-
-// MaxPower returns the dissipation at which the board reaches limitC —
-// the sealed architecture's capacity line in the Fig. 5 survey.  ctx
-// budgets every solve of the bisection.
-func (s *SealedBox) MaxPower(ctx context.Context, limitC float64) (float64, error) {
-	if limitC <= s.AmbientC {
-		return 0, fmt.Errorf("core: limit must exceed ambient")
-	}
-	lo, hi := 0.5, 500.0
-	rHi, err := s.Solve(ctx, hi)
-	if err != nil {
-		return 0, err
-	}
-	if rHi.BoardC < limitC {
-		return hi, nil
-	}
-	for i := 0; i < 50; i++ {
-		mid := 0.5 * (lo + hi)
-		r, err := s.Solve(ctx, mid)
-		if err != nil {
-			return 0, err
-		}
-		if r.BoardC < limitC {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
+	return n, nil
 }
 
 // materialsNaturalDerate is a tiny indirection kept here so sealedbox.go

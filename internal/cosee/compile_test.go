@@ -145,7 +145,7 @@ func TestCompiledNetworkConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range powers {
 				i := (k + 2*g) % len(powers) // each goroutine starts elsewhere
-				pt, err := r.solve(ctx, powers[i], nil)
+				pt, err := r.solve(ctx, powers[i])
 				if err != nil {
 					t.Error(err)
 					return
@@ -188,7 +188,7 @@ func TestIndexedReadsMatchNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := n.SolveSteadyTol(ctx, 1e-3, 200)
+		res, err := n.SolveSteady(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,9 +78,11 @@ type Config struct {
 	UseThermosyphon bool
 
 	// FaultFn is the fault-injection seam for robustness tests: when
-	// non-nil it is consulted before every steady solve with the point's
-	// dissipated power, and a non-nil return fails that point as if the
-	// solver had.  Production configurations leave it nil.
+	// non-nil it is consulted before every point's steady solve with the
+	// point's dissipated power, and after a capability's pinned solve
+	// with the power that solve found; a non-nil return fails that point
+	// or capability as if the solver had.  Production configurations
+	// leave it nil.
 	FaultFn func(powerW float64) error
 }
 
@@ -447,15 +449,12 @@ func (c *Config) Solve(power float64) (Point, error) {
 // and solves it once, by the path a sweep takes per point, and does not
 // write c, so concurrent calls on one Config are safe.
 func (c *Config) SolveContext(ctx context.Context, power float64) (Point, error) {
-	return c.compile().solve(ctx, power, nil)
+	return c.compile().solve(ctx, power)
 }
 
 // solve evaluates one point on the compiled network: the fault seam,
 // then the power check, then the build's error, then the steady solve.
-// Only a sequential caller (the capability bisection) may pass a non-nil
-// warm-start state — the parallel sweep paths keep nil so point results
-// never depend on worker scheduling.
-func (r *rig) solve(ctx context.Context, power float64, warm *thermal.NetworkState) (Point, error) {
+func (r *rig) solve(ctx context.Context, power float64) (Point, error) {
 	ctx, sp := obs.StartContext(ctx, "cosee.Solve")
 	defer sp.End()
 	sp.AttrF("power_w", power)
@@ -475,7 +474,7 @@ func (r *rig) solve(ctx context.Context, power float64, warm *thermal.NetworkSta
 	}
 	sources := make([]float64, r.nodes)
 	sources[r.pcb] = power
-	res, err := r.sys.SolveSteady(ctx, sources, 1e-3, 200, warm)
+	res, err := r.sys.SolveSteady(ctx, sources)
 	if err != nil {
 		return Point{}, err
 	}
@@ -508,7 +507,7 @@ func (c *Config) Sweep(ctx context.Context, powers []float64, o robust.Options) 
 	out, errs, err := robust.Map(powers, o,
 		func(_ int, p float64) string { return fmt.Sprintf("P=%g W", p) },
 		func(_ int, p float64) (Point, error) {
-			pt, err := r.solve(ctx, p, nil)
+			pt, err := r.solve(ctx, p)
 			prog.Step(1)
 			return pt, err
 		})
@@ -526,8 +525,10 @@ func (c *Config) SweepParallel(powers []float64, workers int) ([]Point, error) {
 
 // CapabilityAt returns the dissipated power at which the PCB sits
 // deltaT kelvin above ambient — the paper's "heat dissipation capability
-// at constant PCB temperature" metric (ΔT ≈ 60 °C in Fig. 10).  ctx
-// budgets every solve of the bisection.
+// at constant PCB temperature" metric (ΔT ≈ 60 °C in Fig. 10).  It pins
+// the PCB of the source-free network at that temperature, solves it once
+// under ctx and reads the heat leaving the PCB through its one resistor.
+// A capability under 1 W is an error; one over 400 W returns 400.
 func (c *Config) CapabilityAt(ctx context.Context, deltaT float64) (float64, error) {
 	if deltaT <= 0 {
 		return 0, fmt.Errorf("cosee: deltaT must be positive")
@@ -535,43 +536,28 @@ func (c *Config) CapabilityAt(ctx context.Context, deltaT float64) (float64, err
 	ctx, sp := obs.StartContext(ctx, "cosee.CapabilityAt")
 	defer sp.End()
 	sp.AttrF("deltaT_K", deltaT)
-	// The bisection is strictly sequential, so every solve continues
-	// from the previous one's Picard state — adjacent power levels are
-	// a couple of passes apart instead of a cold start each — on the
-	// one compiled network.
-	r, warm := c.compile(), &thermal.NetworkState{}
-	lo, hi := 1.0, 400.0
-	pLo, err := r.solve(ctx, lo, warm)
+	if reg := obs.Default(); reg != nil {
+		reg.Counter("cosee_solves_total").Inc()
+	}
+	r := newRig(c)
+	if err := r.build(); err != nil {
+		return 0, err
+	}
+	r.n.FixT("pcb", units.CToK(r.cfg.AmbientC)+deltaT)
+	res, err := r.n.SolveSteady(ctx)
 	if err != nil {
 		return 0, err
 	}
-	if pLo.DeltaTK > deltaT {
-		return 0, fmt.Errorf("cosee: ΔT target %g K unreachable even at %g W", deltaT, lo)
-	}
-	pHi, err := r.solve(ctx, hi, warm)
-	if err != nil {
-		return 0, err
-	}
-	if pHi.DeltaTK < deltaT {
-		return hi, nil
-	}
-	// Bisect to 0.01 W — an order of magnitude finer than the paper's
-	// whole-watt Fig. 10 figures.  The previous fixed 60-pass loop drove
-	// the bracket to machine epsilon, spending ~4× the steady solves for
-	// precision far below the model's fidelity.
-	for i := 0; hi-lo > 0.01 && i < 60; i++ {
-		mid := 0.5 * (lo + hi)
-		pm, err := r.solve(ctx, mid, warm)
-		if err != nil {
+	power := res.Flow[0] // pcb → wall
+	if r.cfg.FaultFn != nil {
+		if err := r.cfg.FaultFn(power); err != nil {
 			return 0, err
 		}
-		if pm.DeltaTK < deltaT {
-			lo = mid
-		} else {
-			hi = mid
-		}
 	}
-	return 0.5 * (lo + hi), nil
+	if power < 1 {
+		return 0, fmt.Errorf("cosee: ΔT target %g K unreachable even at 1 W", deltaT)
+	}
+	return math.Min(power, 400), nil
 }
 
 // Fig10Summary bundles the paper's headline comparisons.
@@ -586,12 +572,12 @@ type Fig10Summary struct {
 	LHPPowerAt100W  float64 // the "58 W through the loops" number
 }
 
-// RunFig10 executes the full Fig. 10 comparison: three capability
-// bisections and three point solves, each on base with UseLHP and
-// TiltDeg set for its sub-study.  base supplies everything else — the
-// structural material (aluminium for the headline, carbon composite for
-// §IV.A's second test) and, in robustness tests, the FaultFn seam.  The
-// six independent sub-studies run across at most o.Workers goroutines;
+// RunFig10 executes the full Fig. 10 comparison: three capabilities and
+// three point solves, each on base with UseLHP and TiltDeg set for its
+// sub-study.  base supplies everything else — the structural material
+// (aluminium for the headline, carbon composite for §IV.A's second test)
+// and, in robustness tests, the FaultFn seam.  The six independent
+// sub-studies run across at most o.Workers goroutines;
 // every task builds its configuration from scratch, so nothing is
 // shared and the summary is bitwise-identical at any worker count.
 // Without o.KeepGoing the first failure aborts with a nil summary; with

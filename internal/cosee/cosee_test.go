@@ -10,6 +10,7 @@ import (
 
 	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
+	"aeropack/internal/obs"
 	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
@@ -136,7 +137,7 @@ func TestEnergyConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.SolveSteadyTol(context.Background(), 1e-4, 300)
+	res, err := n.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +147,55 @@ func TestEnergyConservation(t *testing.T) {
 	}
 }
 
+// TestCapabilityPinned: a capability is one pinned network solve of at
+// most 10 factorizations, and a forward solve at the returned power puts
+// the PCB back on its 60 K target within the network's 1e-3 K tolerance,
+// on both structures, with and without the loops, tilted, on one loop,
+// on thermosyphons and on the two extreme joints.
+func TestCapabilityPinned(t *testing.T) {
+	reg := obs.NewRegistry()
+	prev := obs.SetDefault(reg)
+	defer obs.SetDefault(prev)
+	factorizations := reg.Counter("thermal_network_factorizations_total")
+	cc := materials.CarbonComposite
+	for _, cfg := range []Config{
+		{}, {UseLHP: true}, {UseLHP: true, TiltDeg: 22},
+		{Structure: cc}, {Structure: cc, UseLHP: true}, {Structure: cc, UseLHP: true, TiltDeg: 22},
+		{UseLHP: true, LHPCount: 1},
+		{UseLHP: true, UseThermosyphon: true}, {UseLHP: true, UseThermosyphon: true, TiltDeg: 40},
+		{UseLHP: true, TIMName: "bare-contact"}, {UseLHP: true, TIMName: "perfect"},
+	} {
+		f0 := factorizations.Value()
+		p, err := cfg.CapabilityAt(context.Background(), 60)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if f := factorizations.Value() - f0; f > 10 {
+			t.Errorf("%+v: capability took %d factorizations, want ≤ 10", cfg, f)
+		}
+		pt, err := cfg.SolveContext(context.Background(), p)
+		if err != nil {
+			t.Fatalf("%+v: forward solve at %v W: %v", cfg, p, err)
+		}
+		if d := math.Abs(pt.DeltaTK - 60); d > 1e-3 {
+			t.Errorf("%+v: forward solve at %v W puts the PCB %.3g K off its 60 K target", cfg, p, d)
+		}
+	}
+}
+
 func TestCapabilityErrors(t *testing.T) {
 	cfg := Config{}
 	if _, err := cfg.CapabilityAt(context.Background(), -5); err == nil {
 		t.Error("negative ΔT should error")
+	}
+	// A 100 K/W PCB standoff passes under 1 W at 60 K.
+	const want = "cosee: ΔT target 60 K unreachable even at 1 W"
+	if _, err := (&Config{InternalR: 100}).CapabilityAt(context.Background(), 60); err == nil || err.Error() != want {
+		t.Errorf("capability through 100 K/W: err %v, want %q", err, want)
+	}
+	// A 0.01 K/W standoff on a 20 m² case passes far over 400 W.
+	if p, err := (&Config{InternalR: 0.01, BoxArea: 20}).CapabilityAt(context.Background(), 60); err != nil || p != 400 {
+		t.Errorf("capability of a 20 m² case = %v, %v; want the 400 W clamp", p, err)
 	}
 	if _, err := cfg.Solve(-1); err == nil {
 		t.Error("negative power should error")

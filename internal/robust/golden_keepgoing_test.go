@@ -85,8 +85,9 @@ func TestGoldenRunFig10KeepGoing(t *testing.T) {
 	}
 
 	// Only the LHP-power sub-study solves at exactly 100 W (the
-	// capability bisections probe 1, 400 and fractional midpoints), so
-	// this fault fails exactly one of the six sub-studies.
+	// capabilities consult the fault with the fractional powers their
+	// pinned solves find), so this fault fails exactly one of the six
+	// sub-studies.
 	faulty := cosee.Config{Structure: materials.Al6061, FaultFn: func(p float64) error {
 		if p == 100 {
 			return errInjected

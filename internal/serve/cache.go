@@ -30,8 +30,8 @@ func requestKey(body []byte) string {
 // and bytes recorded with this version, and fails until both are
 // updated.
 const (
-	modelVersion = "v7"
-	goldenDigest = "875d58994c2d25fab4ede883bc8445135e25abf6260649159f8367dcff06082c"
+	modelVersion = "v8"
+	goldenDigest = "67b90a9e2015bde197cae528c97fcb97ad7b760b8adfb29fe4fb34ec40e7f0b6"
 )
 
 // entrySchema tags the header line of every disk entry.

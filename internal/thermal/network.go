@@ -149,56 +149,32 @@ func (r *SteadyResult) At(name string) (float64, bool) {
 	return r.T[id], true
 }
 
-// SolveSteady solves the network.  Purely linear networks converge in one
-// pass; networks with variable resistors iterate until the max node
-// temperature change falls below tolK (default 1e-3 K) or maxIter passes.
+// Picard controls of every steady network solve: a solve converges
+// when no node moves steadyTolK between passes and fails after
+// steadyMaxPasses passes.
+const (
+	steadyTolK      = 1e-3
+	steadyMaxPasses = 200
+)
+
+// SolveSteady solves the network at the sources it carries.  Purely
+// linear networks converge in one pass; networks with variable
+// resistors iterate until no node temperature moves 1e-3 K between
+// passes, and fail after 200 passes.
 func (n *Network) SolveSteady(ctx context.Context) (*SteadyResult, error) {
-	return n.SolveSteadyTol(ctx, 1e-3, 60)
-}
-
-// NetworkState carries the converged Picard state (node temperatures and
-// frozen resistances) of one steady solve, for warm-starting the next.
-// It is only meaningful between networks of identical topology — same
-// nodes in the same order, same resistor list — such as one compiled
-// network that a capability bisection solves at successive power
-// levels.
-type NetworkState struct {
-	T  []float64
-	Rs []float64
-}
-
-// SolveSteadyTol is SolveSteady with explicit Picard controls.
-func (n *Network) SolveSteadyTol(ctx context.Context, tolK float64, maxIter int) (*SteadyResult, error) {
-	return n.SolveSteadyWarm(ctx, tolK, maxIter, nil)
-}
-
-// SolveSteadyWarm is SolveSteadyTol continuing from (and updating) a
-// prior solve's Picard state: near-identical systems then converge in a
-// couple of passes instead of restarting from the cold seeds.  Callers
-// must use one NetworkState sequentially — sharing it across concurrent
-// solves would make results depend on scheduling order (the parallel
-// sweep paths deliberately pass nil for exactly that reason).
-func (n *Network) SolveSteadyWarm(ctx context.Context, tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
 	c, err := n.Compile()
 	if err != nil {
 		return nil, err
 	}
-	return c.SolveSteady(ctx, n.powers(), tolK, maxIter, warm)
+	return c.SolveSteady(ctx, n.powers())
 }
 
 // SolveSteady solves the compiled network with power[id] watts injected
 // at node id, in place of the sources the network carries, by
-// SolveSteadyWarm's Picard iteration; warm may be nil.  Its numeric
-// buffers are its own, allocated in one block beside a clone of the
-// factorization's values, so concurrent solves may share s.
-func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64, tolK float64, maxIter int, warm *NetworkState) (*SteadyResult, error) {
-	if tolK <= 0 {
-		tolK = 1e-3
-	}
-	if maxIter <= 0 {
-		maxIter = 60
-	}
-
+// Network.SolveSteady's Picard iteration.  Its numeric buffers are its
+// own, allocated in one block beside a clone of the factorization's
+// values, so concurrent solves may share s.
+func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64) (*SteadyResult, error) {
 	n := s.n
 	num, nr := len(n.nodes), len(n.resistors)
 	sp := obs.Start(obs.FromContext(ctx), "thermal.Network.SolveSteady")
@@ -236,23 +212,6 @@ func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64, tolK
 	}
 	hasVariable := slices.ContainsFunc(n.resistors, func(e resistor) bool { return e.fn != nil })
 
-	// Continue from a compatible prior state: temperatures and frozen
-	// resistances seed within a few Picard passes of the new fixed point
-	// when only sources or fixed temperatures moved.  Fixed nodes are
-	// re-pinned — this network's boundary values win over the old ones.
-	if warm != nil && len(warm.T) == num && len(warm.Rs) == len(rs) {
-		for _, id := range s.free {
-			T[id] = warm.T[id]
-		}
-		copy(rs, warm.Rs)
-	}
-	saveWarm := func() {
-		if warm != nil {
-			warm.T = append(warm.T[:0], T...)
-			warm.Rs = append(warm.Rs[:0], rs...)
-		}
-	}
-
 	result := func(passes int) *SteadyResult {
 		return &SteadyResult{T: T, Flow: flows, Iterations: passes, names: n.names}
 	}
@@ -267,7 +226,7 @@ func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64, tolK
 	theta := 0.5
 	prevDelta := math.Inf(1)
 	stop := robust.Stop(ctx)
-	for pass := 0; pass < maxIter; pass++ {
+	for pass := 0; pass < steadyMaxPasses; pass++ {
 		if stop != nil && stop() {
 			return nil, fmt.Errorf("thermal: network %w after %d Picard passes", linalg.ErrStopped, pass)
 		}
@@ -285,7 +244,6 @@ func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64, tolK
 			flows[i] = (T[e.a] - T[e.b]) / rs[i]
 		}
 		if !hasVariable {
-			saveWarm()
 			return result(pass + 1), nil
 		}
 		// Update variable resistances.
@@ -311,12 +269,11 @@ func (s *CompiledNetwork) SolveSteady(ctx context.Context, power []float64, tolK
 			theta = math.Max(0.25, 0.5*theta)
 		}
 		prevDelta = maxDelta
-		if maxDelta < tolK && (!changed || pass > 2) {
-			saveWarm()
+		if maxDelta < steadyTolK && (!changed || pass > 2) {
 			return result(pass + 1), nil
 		}
 	}
-	return result(maxIter), fmt.Errorf("thermal: network Picard iteration did not converge in %d passes", maxIter)
+	return result(steadyMaxPasses), fmt.Errorf("thermal: network Picard iteration did not converge in %d passes", steadyMaxPasses)
 }
 
 // CompiledNetwork is a Network checked, numbered and ordered once for

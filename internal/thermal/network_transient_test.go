@@ -284,11 +284,19 @@ func TestTransientPollsStop(t *testing.T) {
 
 // TestSteadyPollsStop is TestTransientPollsStop for SolveSteady: one
 // poll before each Picard pass's factorization, so a budget that fires
-// on its k-th poll ends the solve after exactly k−1 passes.
+// on its k-th poll ends the solve after exactly k−1 passes.  The network
+// takes at least 3 passes unbudgeted, so the budget is what stops it.
 func TestSteadyPollsStop(t *testing.T) {
+	free, err := finNetwork(12).SolveSteady(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.Iterations < 3 {
+		t.Fatalf("unbudgeted solve took %d passes, want ≥ 3", free.Iterations)
+	}
 	for _, k := range []int{1, 3} {
 		n := finNetwork(12)
-		res, err := n.SolveSteadyTol(stopOnPoll(k), 1e-9, 60)
+		res, err := n.SolveSteady(stopOnPoll(k))
 		if !errors.Is(err, linalg.ErrStopped) || res != nil {
 			t.Fatalf("k=%d: result %v, err %v; want no result and an error wrapping linalg.ErrStopped", k, res, err)
 		}
