@@ -40,6 +40,8 @@ type FDMPrec struct {
 	// coupling the cell to its predecessor along keep (0 for the first
 	// cell of each line) and the inverse pivot of its mode's factor.
 	l, dinv []float64
+	// zero is the kept axis's share of each mode's λ_a+λ_b: all zeros.
+	zero    []float64
 	scratch atomic.Pointer[[]float64]
 }
 
@@ -91,6 +93,12 @@ const mirrorTol = 1e-12
 // malformed, the eigensolver does not converge, or a mode's shifted
 // system is not positive definite; callers degrade to an incomplete
 // factorization.
+//
+// NewFDMPrec consumes prev, whatever its shape: the new instance takes
+// over prev's per-cell arrays (the factors, Apply's scratch vector and
+// the kept axis's zeros) wherever they are long enough and overwrites
+// them, so prev must not be applied again.  It can still lend its
+// eigendecompositions to a later build.
 func NewFDMPrec(axes [3]Axis, prev *FDMPrec) (*FDMPrec, error) {
 	t := startLayer()
 	defer t.observe("linalg_prec_setup_seconds")
@@ -109,6 +117,12 @@ func NewFDMPrec(axes [3]Axis, prev *FDMPrec) (*FDMPrec, error) {
 		if n >= p.dims[p.keep] {
 			p.keep = d
 		}
+	}
+	if prev != nil {
+		// factor and Apply resize what they take over.
+		p.l, p.dinv, p.zero = prev.l, prev.dinv, prev.zero
+		prev.l, prev.dinv, prev.zero = nil, nil, nil
+		p.scratch.Store(prev.scratch.Swap(nil))
 	}
 	for d := range axes {
 		if d == p.keep {
@@ -234,11 +248,16 @@ func newAxisEigen(ax Axis) (*axisEigen, error) {
 // factor LDLᵀ-factors T_c + (λ_a+λ_b)·M_c along the kept axis for every
 // mode pair, walking the cells in grid order so each line's previous
 // pivot is already in place.
+//
+// The arrays may be another instance's (NewFDMPrec), so every entry
+// either sweep of Apply reads is written here, each line's first l
+// included.
 func (p *FDMPrec) factor(ax Axis) error {
 	nx, ny, nz := p.dims[0], p.dims[1], p.dims[2]
 	n := nx * ny * nz
-	p.l = make([]float64, n)
-	p.dinv = make([]float64, n)
+	p.l, p.dinv = resize(p.l, n), resize(p.dinv, n)
+	p.zero = resize(p.zero, p.dims[p.keep])
+	clear(p.zero)
 	stride := p.stride(p.keep)
 	// The kept axis contributes zeros, so each cell's sum of the three
 	// entries is its mode's λ_a+λ_b.
@@ -247,7 +266,7 @@ func (p *FDMPrec) factor(ax Axis) error {
 		if e != nil {
 			lam[d] = e.lambda
 		} else {
-			lam[d] = make([]float64, p.dims[d])
+			lam[d] = p.zero
 		}
 	}
 	c := [3]int{}
@@ -263,6 +282,8 @@ func (p *FDMPrec) factor(ax Axis) error {
 					off := ax.Off[t-1]
 					p.l[q] = off * p.dinv[q-stride]
 					piv -= p.l[q] * off
+				} else {
+					p.l[q] = 0
 				}
 				if !(piv > fdmPivotTol*diag) || math.IsInf(piv, 0) {
 					return fmt.Errorf("linalg: FDM pivot %g of diagonal %g at cell %d is not positive: the operator is singular to working precision", piv, diag, q)
@@ -273,6 +294,15 @@ func (p *FDMPrec) factor(ax Axis) error {
 		}
 	}
 	return nil
+}
+
+// resize returns s resliced to n entries when it can hold them, and a
+// new array otherwise; the entries are stale.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // stride is the index distance between neighbouring cells along axis d.
@@ -292,8 +322,8 @@ func (p *FDMPrec) stride(d int) int {
 func (p *FDMPrec) Apply(r, z []float64) {
 	n := len(p.dinv)
 	var buf []float64
-	if t := p.scratch.Swap(nil); t != nil {
-		buf = *t
+	if t := p.scratch.Swap(nil); t != nil && cap(*t) >= n {
+		buf = (*t)[:n]
 	} else {
 		buf = make([]float64, n)
 	}

@@ -574,3 +574,72 @@ func TestFDMPrecErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestFDMPrecTakesOverPrevArrays builds over a consumed prev whose
+// per-cell arrays, the factors, Apply's scratch and the kept axis's
+// zeros, are NaN-filled: prevs with another kept axis, with longer
+// arrays and with shorter ones, under targets that keep x and y, whose
+// lines start inside the grid.  Apply must match a fresh build's bit
+// for bit, a line's first multiplier left unwritten reads a NaN, and
+// the build must take over every array that is long enough.
+func TestFDMPrecTakesOverPrevArrays(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	targets := [][3]Axis{
+		{randomAxis(rng, 9, true, false), randomAxis(rng, 5, false, true), randomAxis(rng, 3, true, true)},
+		{randomAxis(rng, 4, true, true), randomAxis(rng, 10, false, true), mirroredAxis(rng, 6, true)},
+	}
+	// The prevs keep z over 144 cells, x over 400 and y over 12.
+	prevs := [][3]Axis{
+		{randomAxis(rng, 3, true, true), randomAxis(rng, 4, true, false), randomAxis(rng, 12, false, true)},
+		{mirroredAxis(rng, 20, true), randomAxis(rng, 4, true, false), randomAxis(rng, 5, false, true)},
+		{randomAxis(rng, 2, true, true), randomAxis(rng, 3, true, false), randomAxis(rng, 2, false, true)},
+	}
+	nan := func(s []float64) {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] = math.NaN()
+		}
+	}
+	for ti, axes := range targets {
+		n := len(axes[0].Diag) * len(axes[1].Diag) * len(axes[2].Diag)
+		fresh, err := NewFDMPrec(axes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, want := make([]float64, n), make([]float64, n)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		fresh.Apply(r, want)
+		for pi, pa := range prevs {
+			prev, err := NewFDMPrec(pa, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pn := len(prev.dinv)
+			prev.Apply(make([]float64, pn), make([]float64, pn))
+			held := [][]float64{prev.l, prev.dinv, prev.zero, *prev.scratch.Load()}
+			for _, s := range held {
+				nan(s)
+			}
+			p, err := NewFDMPrec(axes, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			z := make([]float64, n)
+			nan(z)
+			p.Apply(r, z)
+			for i := range z {
+				if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("target %d over prev %d: z[%d] = %v, fresh build %v", ti, pi, i, z[i], want[i])
+				}
+			}
+			took := [][]float64{p.l, p.dinv, p.zero, *p.scratch.Load()}
+			for a, s := range held {
+				if long := cap(s) >= len(took[a]); long != (&s[:1][0] == &took[a][:1][0]) {
+					t.Errorf("target %d over prev %d: array %d of %d entries, %d needed: taken over %v", ti, pi, a, cap(s), len(took[a]), !long)
+				}
+			}
+		}
+	}
+}

@@ -168,6 +168,12 @@ type IterOptions struct {
 	// wrapping ErrStopped, keeping the best iterate so far.  It is the
 	// hook behind robust.Stop, which turns a run's context into it.
 	Stop func() bool
+	// Work, when it holds at least 3n floats for an operator of order
+	// n, lends CG its three work vectors, so a caller that solves again
+	// and again allocates only each solve's x.  CG ignores what Work
+	// holds, overwrites its first 3n entries and keeps no reference to
+	// it; a shorter Work is ignored.
+	Work []float64
 }
 
 // CG solves the SPD system A·x = b with the preconditioned conjugate
@@ -209,11 +215,20 @@ func cg(a Operator, b, x0 []float64, o *IterOptions) ([]float64, IterStats, erro
 	if prec == nil {
 		prec = IdentityPrec{}
 	}
+	work := o.Work
+	if len(work) < 3*n {
+		work = make([]float64, 3*n)
+	}
+	// r is the residual and p the search direction.  z = M⁻¹·r and A·p
+	// share one vector: each iteration spends z on p before the product
+	// overwrites it, and A·p on x and r before the next z does.  Every
+	// vector is written before it is read.
+	r, p, z := work[:n:n], work[n:2*n:2*n], work[2*n:3*n:3*n]
+	ap := z
 	x := make([]float64, n)
-	r := make([]float64, n)
 	if x0 != nil {
 		copy(x, x0)
-		ax := a.MulVec(x, nil)
+		ax := a.MulVec(x, ap)
 		for i := range r {
 			r[i] = b[i] - ax[i]
 		}
@@ -226,12 +241,9 @@ func cg(a Operator, b, x0 []float64, o *IterOptions) ([]float64, IterStats, erro
 	if normB == 0 {
 		return x, IterStats{Converged: true}, nil
 	}
-	z := make([]float64, n)
 	prec.Apply(r, z)
-	p := make([]float64, n)
 	copy(p, z)
 	rz := Dot(r, z)
-	ap := make([]float64, n)
 	var stats IterStats
 	for it := 0; it < maxIter; it++ {
 		stats.Iterations = it + 1

@@ -441,6 +441,77 @@ func TestCGNilStartMatchesZeroStart(t *testing.T) {
 	}
 }
 
+// TestCGLentWorkIgnoresContents lends CG NaN-filled work vectors: every
+// solve must return the x and IterStats of one that allocates its own,
+// bit for bit, on a KronSum and on its CSR, from a nil and a warm start,
+// under fast diagonalization, MIC(0), Jacobi and no preconditioner.  A
+// lent entry read before it is written turns the solve into NaN.
+func TestCGLentWorkIgnoresContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	axes := [3]Axis{randomAxis(rng, 7, true, false), randomAxis(rng, 5, false, true), randomAxis(rng, 3, true, true)}
+	k := &KronSum{Axes: axes, Diag: make([]float64, 7*5*3)}
+	n := k.Order()
+	for i := range k.Diag {
+		k.Diag[i] = 0.5 * rng.Float64()
+	}
+	dense, coo := kronSumDense(axes), NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		dense.Add(i, i, k.Diag[i])
+		for j := 0; j < n; j++ {
+			if v := dense.At(i, j); v != 0 {
+				coo.Add(i, j, v)
+			}
+		}
+	}
+	a := coo.ToCSR()
+	b, x0 := make([]float64, n), make([]float64, n)
+	for i := range b {
+		b[i], x0[i] = rng.NormFloat64(), rng.Float64()
+	}
+	fdm, err := NewFDMPrec(axes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mic, err := NewMICPrec(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name string
+		a    Operator
+	}{{"KronSum", k}, {"CSR", a}} {
+		for _, pc := range []struct {
+			name string
+			p    Preconditioner
+		}{{"fdm", fdm}, {"mic0", mic}, {"jacobi", NewJacobiPrec(a)}, {"none", nil}} {
+			for _, start := range [][]float64{nil, x0} {
+				run := func(work []float64) ([]float64, IterStats) {
+					x, stats, err := CGOpt(op.a, b, start, &IterOptions{Tol: 1e-12, MaxIter: 500, Prec: pc.p, Work: work})
+					if err != nil {
+						t.Fatalf("%s, %s, warm %v: %v", op.name, pc.name, start != nil, err)
+					}
+					return x, stats
+				}
+				want, wantStats := run(nil)
+				work := make([]float64, 3*n+5)
+				for i := range work {
+					work[i] = math.NaN()
+				}
+				x, stats := run(work)
+				if stats != wantStats {
+					t.Errorf("%s, %s, warm %v: lent work %+v, own %+v", op.name, pc.name, start != nil, stats, wantStats)
+				}
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+						t.Errorf("%s, %s, warm %v: x[%d] = %v with lent work, %v with its own", op.name, pc.name, start != nil, i, x[i], want[i])
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCGRejectsNonFinite: a NaN or Inf in b or x0 is an "input entry"
 // error before the first iteration, not a spin to MaxIter.
 func TestCGRejectsNonFinite(t *testing.T) {

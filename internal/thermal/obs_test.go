@@ -108,8 +108,8 @@ func TestMIC0DegradesToJacobi(t *testing.T) {
 	a := &linalg.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 1, 2, 3}, ColIdx: []int{0, 1, 2}, Val: []float64{-2, 1, 1}}
 	var o SolveOptions
 	o.defaults(3)
-	pb := &precBuilder{st: &stencil{a: *a}}
-	if _, _, err := linSolve(context.Background(), a, make([]float64, 3), nil, &o, pb); err != nil {
+	st := &stencil{a: *a, ws: new(workspace)}
+	if _, _, err := linSolve(context.Background(), a, make([]float64, 3), nil, &o, st); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("thermal_ic0_degraded_total").Value(); got != 1 {

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"aeropack/internal/linalg"
@@ -157,9 +157,9 @@ func (o *SolveOptions) defaults(n int) {
 // the solve's error.  A model with no face exchanging heat has no
 // steady state, and SolveSteady says so rather than solving it.
 //
-// The system is assembled in the process's spare stencil workspace, or
-// in a fresh one while another solve holds it, and the workspace goes
-// back to the slot on return: nothing SolveSteady returns refers to it.
+// The solve runs in a stencil workspace from the process's free list,
+// or in a fresh one when the list is empty, and the workspace goes back
+// on return: nothing SolveSteady returns refers to it.
 func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, error) {
 	n := m.Grid.NumCells()
 	var o SolveOptions
@@ -174,24 +174,22 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 	stop := robust.Stop(ctx)
 
 	// The field the film is linearized about: the uniform energy-balance
-	// temperature, then each pass's solution.
-	T := make([]float64, n)
+	// temperature, then each pass's solution.  Only a radiating face
+	// reads it, so a model without one has none.
+	var T []float64
 	if m.hasRadiation() {
+		T = make([]float64, n)
 		t0 := m.balanceT()
 		for i := range T {
 			T[i] = t0
 		}
 	}
 
-	ws := spare.Swap(nil)
-	if ws == nil {
-		ws = new(workspace)
-	}
-	defer spare.Store(ws)
+	ws := takeWorkspace()
+	defer giveWorkspace(ws)
 
 	res := &Result{g: m.Grid}
 	st := newStencil(m, ws)
-	pb := &precBuilder{st: st}
 	if st.kron != nil {
 		sp.Attr("prec", "fdm")
 	} else {
@@ -210,7 +208,7 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 		if !st.grounded {
 			return nil, errors.New("thermal: no face of the FV model exchanges heat; steady problem is singular")
 		}
-		t, stats, err := linSolve(ctx, op, b, prev, &o, pb)
+		t, stats, err := linSolve(ctx, op, b, prev, &o, st)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, err
@@ -350,17 +348,19 @@ func (s *stencil) assembleSpan(parent *obs.Span, T []float64) (linalg.Operator, 
 // assemblyBuckets span 1 µs to 1000 s, one decade per bucket.
 var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
-// linSolve solves one pass's system by CG on op, or on what pb puts in
-// its place, preconditioned by what pb builds and polling ctx's budget
+// linSolve solves the pass st last assembled by CG on op, or on what
+// st.prec puts in its place, preconditioned by what st.prec builds,
+// with CG's work vectors lent from st's workspace, polling ctx's budget
 // once per iteration.  Nothing retries a failed solve: its error is the
 // caller's.
-func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, o *SolveOptions, pb *precBuilder) ([]float64, linalg.IterStats, error) {
+func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, o *SolveOptions, st *stencil) ([]float64, linalg.IterStats, error) {
 	sp := obs.Start(obs.FromContext(ctx), "thermal.linSolve")
 	defer sp.End()
-	prec, op, kind := pb.build(sp, op)
+	prec, op, kind := st.prec(sp, op)
 	sp.Attr("prec", kind)
 	x, stats, err := linalg.CGOpt(op, b, x0, &linalg.IterOptions{
 		Tol: o.Tol, MaxIter: o.MaxIter, Prec: prec, OnIteration: o.OnIteration, Stop: robust.Stop(ctx),
+		Work: st.ws.cg,
 	})
 	sp.AttrInt("iterations", stats.Iterations)
 	sp.AttrF("residual", stats.Residual)
@@ -373,35 +373,29 @@ func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, o *Solve
 	return x, stats, err
 }
 
-// precBuilder builds the preconditioner of every pass of one solve call.
-// The model picks its kind, not the caller: a separable stencil's pass
-// gets fast diagonalization, built at the pass's linearization field,
-// and every other model gets MIC(0).
-type precBuilder struct {
-	st *stencil
-	// last is the previous pass's fast diagonalization, which lends its
-	// eigendecompositions to the axes whose faces did not move.
-	last *linalg.FDMPrec
-}
-
-// build returns a new preconditioner for the pass st last assembled, the
+// prec returns a new preconditioner for the pass s last assembled, the
 // operator CG runs on, op unless the build degraded, and the kind,
-// "fdm", "mic0" or "jacobi".  It is the one place a build degrades, one
-// step at a time, to a weaker kind that never fails: a fast
-// diagonalization with a singular mode to MIC(0) on the pass's CSR,
-// counted on thermal_fdm_degraded_total, and a MIC(0) factor that
-// breaks down through the whole shift ladder to Jacobi, counted on
+// "fdm", "mic0" or "jacobi".  The model picks the kind, not the caller:
+// a separable stencil's pass gets fast diagonalization, built at the
+// pass's linearization field over the workspace's last one (which lends
+// its eigendecompositions to the axes that did not move and its
+// per-cell arrays to the build), and every other model gets MIC(0).
+// It is the one place a build degrades, one step at a time, to a
+// weaker kind that never fails: a fast diagonalization with a singular
+// mode to MIC(0) on the pass's CSR, counted on
+// thermal_fdm_degraded_total, and a MIC(0) factor that breaks down
+// through the whole shift ladder to Jacobi, counted on
 // thermal_ic0_degraded_total.
-func (pb *precBuilder) build(sp *obs.Span, op linalg.Operator) (linalg.Preconditioner, linalg.Operator, string) {
-	if pb.st.kron != nil {
-		p, err := linalg.NewFDMPrec(pb.st.fdmAxes(), pb.last)
+func (s *stencil) prec(sp *obs.Span, op linalg.Operator) (linalg.Preconditioner, linalg.Operator, string) {
+	if s.kron != nil {
+		p, err := linalg.NewFDMPrec(s.fdmAxes(), s.ws.fdm)
 		if err == nil {
-			pb.last = p
+			s.ws.fdm = p
 			return p, op, "fdm"
 		}
 		degrade(sp, "fdm", "mic0", "thermal_fdm_degraded_total", err)
 	}
-	a := pb.st.csr()
+	a := s.csr()
 	p, err := linalg.NewMICPrec(a)
 	if err == nil {
 		return p, a, "mic0"
@@ -446,11 +440,12 @@ func degrade(sp *obs.Span, from, to, counter string, cause error) {
 // Every pass assembles into the same arrays: no preconditioner keeps a
 // reference to them (MIC(0), Jacobi and fast diagonalization copy what
 // they keep).  The arrays live in a workspace that outlives the solve:
-// SolveSteady lends the stencil the process's spare one, and newStencil
-// and build resize every array they use to the model and write every
-// entry that assemble, CG or a preconditioner reads (assemble writes the
-// diagonal and the right-hand side), so nothing of an earlier model
-// survives.
+// SolveSteady lends the stencil one from the process's free list, and
+// newStencil and build resize every array they use to the model and
+// write every entry that assemble, CG or a preconditioner reads
+// (assemble writes the diagonal and the right-hand side, CG and
+// NewFDMPrec overwrite what they are lent), so nothing of an earlier
+// model survives.
 //
 // Every diagonal sums its terms in one fixed order: the −z, −y, −x,
 // +x, +y and +z faces, then the boundary faces XMin…ZMax.  That is the
@@ -463,7 +458,8 @@ type stencil struct {
 	// on every other model.
 	kron *linalg.KronSum
 	a    linalg.CSR // the assembled CSR over ws's arrays, one Val for every pass
-	// field is the one the last assemble linearized about.
+	// field is the one the last assemble linearized about, nil on a
+	// model without a radiating face.
 	field []float64
 	// grounded records whether the last assemble added a nonzero
 	// boundary conductance; without one the steady operator is singular.
@@ -473,22 +469,49 @@ type stencil struct {
 	faceG [mesh.NumFaces]float64
 }
 
-// workspace holds one stencil's arrays: the CSR's rowPtr, colIdx and
+// workspace holds one solve's arrays: the CSR's rowPtr, colIdx and
 // val, and per row its diagonal's position in colIdx and its
-// interior-face diagonal sum; a separable pass's boundary diagonal; and
-// the right-hand side.
+// interior-face diagonal sum; a separable pass's boundary diagonal; the
+// right-hand side; CG's three work vectors, 3n floats; and the last
+// fast diagonalization built in it, whose per-cell arrays the next
+// build takes over.
 type workspace struct {
-	rowPtr, colIdx, diag  []int
-	val, interior, bnd, b []float64
+	rowPtr, colIdx, diag      []int
+	val, interior, bnd, b, cg []float64
+	fdm                       *linalg.FDMPrec
 }
 
-// spare is the one workspace kept between solves, nil while a solve
-// holds it.  SolveSteady swaps it out, or makes a fresh one when the
-// slot is empty, and stores its own back on return, so the memory kept
-// is one workspace sized for recent models: 205 KB for an 80×80×2
-// level-2 board, the largest, which builds no CSR, plus about 1.6 MB
-// for a non-separable model of that size.
-var spare atomic.Pointer[workspace]
+// free is the list of workspaces kept between solves, a leaky buffer:
+// SolveSteady takes one, or makes a fresh one when the list is empty,
+// and gives it back on return, and a workspace given to a full list is
+// left to the collector.  Its capacity is one per P as the process
+// starts, the most solves that compute at once, so a pool of GOMAXPROCS
+// workers (aeropackd's, or a parallel.Map fan-out) finds a workspace
+// for every solve, and a burst of more concurrent solves allocates the
+// extra ones and drops them.  An 80×80×2 level-2 board, the largest,
+// which builds no CSR, keeps 0.8 MB in its workspace (eight arrays of n
+// floats); a non-separable model of that size adds about 1.6 MB.
+var free = make(chan *workspace, runtime.GOMAXPROCS(0))
+
+// takeWorkspace returns a workspace from the free list, or a new one
+// when the list is empty.
+func takeWorkspace() *workspace {
+	select {
+	case ws := <-free:
+		return ws
+	default:
+		return new(workspace)
+	}
+}
+
+// giveWorkspace puts ws back on the free list, or drops it when the
+// list is full.
+func giveWorkspace(ws *workspace) {
+	select {
+	case free <- ws:
+	default:
+	}
+}
 
 // fit returns s resized to n entries, reusing its array when it holds
 // enough.  The entries are stale: the caller writes every one it reads.
@@ -507,8 +530,9 @@ func newStencil(m *Model, ws *workspace) *stencil {
 		ws = new(workspace)
 	}
 	s := &stencil{m: m, ws: ws}
+	n := m.Grid.NumCells()
+	ws.cg = fit(ws.cg, 3*n)
 	if m.separable() {
-		n := m.Grid.NumCells()
 		ws.bnd, ws.b = fit(ws.bnd, n), fit(ws.b, n)
 		s.kron = &linalg.KronSum{Axes: m.interiorAxes(), Diag: ws.bnd}
 	}
@@ -649,7 +673,10 @@ func (s *stencil) assembleCSR(T []float64) *linalg.CSR {
 // boundary adds each boundary cell's G + D at the field T to its
 // diagonal, entry slot[i] of dst for cell i, or entry i when slot is
 // nil, and rebuilds the right-hand side: the boundary terms, then the
-// volumetric sources.
+// volumetric sources.  Only a radiating cell reads T: elsewhere G does
+// not depend on the surface temperature and D = 0, so the cell's terms
+// are the same, bit for bit, at Ts = 0, and a model without a
+// radiating face may pass a nil T.
 func (s *stencil) boundary(T, dst []float64, slot []int) {
 	m, g, b := s.m, s.m.Grid, s.ws.b
 	clear(b)
@@ -663,7 +690,10 @@ func (s *stencil) boundary(T, dst []float64, slot []int) {
 				return
 			}
 			idx := g.Index(i, j, k)
-			ts := T[idx]
+			ts := 0.0
+			if bc.Kind == ConvectionRadiation {
+				ts = T[idx]
+			}
 			gTot, d := m.boundaryG(face, i, j, k, bc, ts)
 			if gTot == 0 {
 				return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -289,17 +290,47 @@ func sameField(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// drainFree empties the workspace free list, so the next solve runs in
+// a fresh workspace, and returns what it held.
+func drainFree() []*workspace {
+	var held []*workspace
+	for {
+		select {
+		case ws := <-free:
+			held = append(held, ws)
+		default:
+			return held
+		}
+	}
+}
+
 // TestStencilWorkspaceReuse checks that a solve in a workspace an
-// earlier model left behind, larger or smaller, gives the field a fresh
-// workspace gives, bit for bit: in sequence, where each solve must find
-// the workspace the last one put back (the separable board's holding
-// only its boundary diagonal and right-hand side), concurrently, where
-// two models trade the slot's workspace and a solve may find the slot
-// empty (the race detector watches the sharing), and at the assembly
-// level, where the triplet-reference cases run in a workspace an
-// 80×80×2 model's CSR grew.
+// earlier model left behind, larger or smaller, separable or not, gives
+// the field a fresh workspace gives, bit for bit.  In sequence, each
+// solve must find the workspace the last one gave back: the 80×80×2
+// board's holds its boundary diagonal, right-hand side, CG's vectors
+// and its fast diagonalization, whose arrays a smaller radiating board
+// takes over, and no CSR.  Concurrently, 2×GOMAXPROCS goroutines take
+// and give back workspaces (the race detector watches the sharing), and
+// the list keeps at most its capacity.  A warm solve of the
+// non-radiating board allocates its answer and no linearization field.
+// At the assembly level, the triplet-reference cases run in a workspace
+// an 80×80×2 model's CSR grew.
 func TestStencilWorkspaceReuse(t *testing.T) {
 	large, small := reuseModels(t)
+	g, err := mesh.Uniform(30, 24, 2, 0.12, 0.09, 0.0016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	board, err := NewModel(g, []materials.Material{materials.PCB(4, 1, 0.5, 0.0016)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	film := BC{Kind: ConvectionRadiation, T: 295, H: 4}
+	board.SetFaceBC(mesh.ZMin, film)
+	board.SetFaceBC(mesh.ZMax, film)
+	board.AddVolumeSource(0.03, 0.06, 0.02, 0.05, 0, 0.0016, 6)
+
 	solve := func(m *Model) []float64 {
 		res, err := m.SolveSteady(context.Background(), nil)
 		if err != nil {
@@ -307,40 +338,63 @@ func TestStencilWorkspaceReuse(t *testing.T) {
 		}
 		return res.T
 	}
-	spare.Store(nil)
-	wantLarge := solve(large)
-	spare.Store(nil)
-	wantSmall := solve(small)
+	cases := []struct {
+		name string
+		m    *Model
+		want []float64
+	}{{"large", large, nil}, {"board", board, nil}, {"small", small, nil}}
+	for i := range cases {
+		drainFree()
+		cases[i].want = solve(cases[i].m)
+	}
 
-	spare.Store(nil)
-	sameField(t, "large, fresh workspace", solve(large), wantLarge)
-	ws := spare.Load()
-	if ws == nil || cap(ws.bnd) < len(wantLarge) || cap(ws.b) < len(wantLarge) {
-		t.Fatal("the large solve put no workspace back")
+	drainFree()
+	sameField(t, "large, fresh workspace", solve(large), cases[0].want)
+	held := drainFree()
+	if len(held) != 1 {
+		t.Fatalf("the large solve gave back %d workspaces, want 1", len(held))
+	}
+	ws, n := held[0], large.Grid.NumCells()
+	if cap(ws.bnd) < n || cap(ws.b) < n || cap(ws.cg) < 3*n || ws.fdm == nil {
+		t.Fatal("the large solve gave back a workspace without its arrays or its fast diagonalization")
 	}
 	if ws.val != nil {
 		t.Fatal("the large board, which runs on its KronSum, laid out a CSR")
 	}
-	sameField(t, "small after large", solve(small), wantSmall)
-	if spare.Load() != ws {
-		t.Fatal("the small solve did not reuse the large one's workspace")
+	free <- ws
+	for _, c := range []int{1, 2, 0, 0} {
+		sameField(t, cases[c].name+" after the last solve", solve(cases[c].m), cases[c].want)
+		if held := drainFree(); len(held) != 1 || held[0] != ws {
+			t.Fatalf("the %s solve did not reuse the workspace", cases[c].name)
+		}
+		free <- ws
 	}
-	sameField(t, "large after small", solve(large), wantLarge)
-	if spare.Load() != ws {
-		t.Fatal("the second large solve did not reuse the workspace")
-	}
+
+	t.Run("no linearization field", func(t *testing.T) {
+		solve(large)
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			solve(large)
+		}
+		runtime.ReadMemStats(&after)
+		perSolve := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("warm solve of the non-radiating board: %d B, its answer %d B", perSolve, 8*n)
+		// The answer is 8n bytes; a linearization field would be 8n more.
+		if limit := uint64(12 * n); perSolve > limit {
+			t.Errorf("a warm solve of the non-radiating board allocated %d B, limit %d (its answer is %d B)", perSolve, limit, 8*n)
+		}
+	})
 
 	t.Run("concurrent", func(t *testing.T) {
 		var wg sync.WaitGroup
-		for _, c := range []struct {
-			name string
-			m    *Model
-			want []float64
-		}{{"large", large, wantLarge}, {"small", small, wantSmall}} {
+		for w := 0; w < 2*runtime.GOMAXPROCS(0); w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < 4; i++ {
+				for i := 0; i < 3; i++ {
+					c := cases[(w+i)%len(cases)]
 					res, err := c.m.SolveSteady(context.Background(), nil)
 					if err != nil {
 						t.Error(err)
@@ -351,6 +405,9 @@ func TestStencilWorkspaceReuse(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		if held := drainFree(); len(held) == 0 || len(held) > cap(free) {
+			t.Errorf("the free list kept %d workspaces, want 1 to %d", len(held), cap(free))
+		}
 	})
 
 	t.Run("assembly", func(t *testing.T) {

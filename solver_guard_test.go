@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"aeropack/internal/core"
@@ -26,10 +27,12 @@ import (
 // capability that solves more than once, and factorization counts are
 // deterministic, so the check is exact.  A level-2 solve of the E2
 // board builds no CSR at all: CG runs on the board's Kronecker-sum
-// form, and a warm solve writes its boundary diagonal and right-hand
-// side into the stencil workspace an earlier solve left; the byte
-// budget fails one that lays out the CSR again or allocates those
-// arrays per solve.
+// form, and a warm solve allocates only its answer and the model:
+// the boundary diagonal, the right-hand side, CG's work vectors and the
+// fast diagonalization's per-cell arrays live in a stencil workspace an
+// earlier solve gave back to the free list.  The byte budget fails a
+// solve that lays out the CSR again or allocates any of those arrays,
+// serially or with one warm solve per P running at once.
 //
 // It only runs when AEROPACK_SOLVER_GUARD=1 (verify.sh sets it in the
 // solver-budget step).
@@ -60,33 +63,57 @@ func TestSolverPerfGuard(t *testing.T) {
 
 	t.Run("E2Level2Bytes", func(t *testing.T) {
 		screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
-		level2 := func() {
-			if _, err := e2Board().Level2(screen); err != nil {
-				t.Fatal(err)
+		// perSolve has procs goroutines run 20 warm solves each at once,
+		// after a concurrent warm-up of 3 each that leaves a workspace per
+		// goroutine on the free list, and returns the bytes allocated per
+		// solve.
+		perSolve := func(procs int) uint64 {
+			const warm, runs = 3, 20
+			var before, after runtime.MemStats
+			round := func(n int) {
+				var wg sync.WaitGroup
+				for g := 0; g < procs; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < n; i++ {
+							if _, err := e2Board().Level2(screen); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
 			}
+			round(warm)
+			runtime.ReadMemStats(&before)
+			round(runs)
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / uint64(procs*runs)
 		}
-		level2() // leaves its stencil workspace for the solves below
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			level2()
-		}
-		runtime.ReadMemStats(&after)
-		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-		t.Logf("warm E2 level 2: %d B per solve", perRun)
-		if perRun > e2Level2Bytes {
-			t.Errorf("warm E2 level 2 allocated %d B per solve, budget %d: is the stencil assembling into fresh storage again?", perRun, e2Level2Bytes)
+		for _, procs := range []int{1, startProcs} {
+			b := perSolve(procs)
+			t.Logf("warm E2 level 2 on %d goroutines: %d B per solve", procs, b)
+			if b > e2Level2Bytes {
+				t.Errorf("warm E2 level 2 on %d goroutines allocated %d B per solve, budget %d: is a solve allocating its stencil arrays again?", procs, b, e2Level2Bytes)
+			}
 		}
 	})
 }
 
+// startProcs is GOMAXPROCS as the process started, the capacity of
+// internal/thermal's workspace free list, which -cpu does not change.
+var startProcs = runtime.GOMAXPROCS(0)
+
 // e2Level2Bytes is the allocation budget of one warm level-2 solve of
-// the E2 board: the 864,000 B it measures on linux/amd64 (go1.24) plus
-// about 6.5 %.  A stencil that allocates the 7-point CSR again adds about
-// 1.8 MB, and one that allocates its boundary diagonal per solve
-// instead of in the workspace 82 KB (946,000 B).
-const e2Level2Bytes = 920_000
+// the E2 board, which measures about 173,000 B on linux/amd64 (go1.24):
+// its 10,240-cell answer and the model's MatIdx, 82 KB each, and the
+// interior axes.  Any n-float array allocated per solve adds 82 KB and
+// fails it, as does a goroutine that finds no workspace on the free
+// list, and a stencil that lays out the 7-point CSR again adds about
+// 1.8 MB.
+const e2Level2Bytes = 225_000
 
 // e2Level2Model rebuilds board's level-2 FV model the way
 // core.BoardDesign.Level2 builds it, for the free-convection board the
