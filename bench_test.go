@@ -803,7 +803,7 @@ func BenchmarkAblation_MeshConvergence(b *testing.B) {
 			m.SetFaceBC(mesh.YMin, thermal.BC{Kind: thermal.FixedT, T: 303.15})
 			m.SetFaceBC(mesh.YMax, thermal.BC{Kind: thermal.FixedT, T: 303.15})
 			m.AddVolumeSource(0.06, 0.10, 0.06, 0.10, 0, 0.004, 10)
-			res, err := m.SolveSteady(context.Background(), nil)
+			res, err := m.SolveSteady(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1309,7 +1309,7 @@ func BenchmarkPar_SolveSteadySerial(b *testing.B) {
 	reg := benchRegistry(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.SolveSteady(context.Background(), nil); err != nil {
+		if _, err := m.SolveSteady(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,7 +99,7 @@ func ConjugateStudy(ctx context.Context, b *BoardDesign, mdot float64, nSeg int)
 		if err != nil {
 			return nil, err
 		}
-		f, err := m.SolveSteady(ctx, nil)
+		f, err := m.SolveSteady(ctx)
 		if err != nil {
 			return nil, err
 		}

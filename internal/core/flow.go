@@ -363,7 +363,7 @@ func (b *BoardDesign) level2(ctx context.Context, screen Screen) (*Level2Result,
 			}
 		}
 	}
-	res, err := m.SolveSteady(ctx, nil)
+	res, err := m.SolveSteady(ctx)
 	if err != nil {
 		return nil, err
 	}

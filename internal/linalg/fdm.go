@@ -91,8 +91,7 @@ const mirrorTol = 1e-12
 // that face's axis.  The instance keeps the axes for that comparison,
 // so callers must not modify them afterwards.  It fails if an axis is
 // malformed, the eigensolver does not converge, or a mode's shifted
-// system is not positive definite; callers degrade to an incomplete
-// factorization.
+// system is not positive definite.
 //
 // NewFDMPrec consumes prev, whatever its shape: the new instance takes
 // over prev's per-cell arrays (the factors, Apply's scratch vector and

@@ -68,8 +68,7 @@ var icShifts = []float64{0, 1e-3, 1e-2, 1e-1, 1, 10}
 // NewICPrec builds an IC(0) preconditioner for the symmetric positive
 // definite matrix a.  When the factorization breaks down it retries with
 // progressively larger diagonal shifts; the error reports the final
-// breakdown when even the largest shift fails (thermal.Model then
-// degrades to Jacobi).
+// breakdown when even the largest shift fails.
 func NewICPrec(a *CSR) (*ICPrec, error) { return newIC(a, 0) }
 
 // NewMICPrec builds a modified IC(0) preconditioner for the symmetric

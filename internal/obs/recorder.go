@@ -11,10 +11,9 @@ import (
 
 // Event is one flight-recorder entry: a structured, timestamped record
 // of something the solver stack decided or observed — a span opening or
-// closing, a solver convergence summary, a preconditioner degrade, a
-// saturated pool run.  Attrs follow the span
-// convention: pre-formatted key/value strings, so export never has to
-// re-interpret values.
+// closing, a solver convergence summary, a saturated pool run.  Attrs
+// follow the span convention: pre-formatted key/value strings, so
+// export never has to re-interpret values.
 type Event struct {
 	// Seq is the event's position in the recorder's total history,
 	// starting at 0.  Gaps never occur; a tail whose first Seq is
@@ -22,7 +21,7 @@ type Event struct {
 	Seq  int64     `json:"seq"`
 	Time time.Time `json:"time"`
 	// Kind classifies the event: "span_begin", "span_end", "solver",
-	// "degrade", "pool", "study_begin", "study_end".
+	// "pool", "study_begin", "study_end".
 	Kind string `json:"kind"`
 	// Name identifies the subject within the kind (span name, solver
 	// method, study label, ...).

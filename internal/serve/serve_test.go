@@ -254,6 +254,34 @@ func TestStudyBudgetStopsLevel2(t *testing.T) {
 	}
 }
 
+// TestStudyVanishingFilmFails pins how a study ends when its level-2
+// board has all but no heat path: a forced-air board under a 1e-11
+// W/m²K channel film, whose fast-diagonalization build finds the
+// operator singular to working precision.  The study fails with 422
+// study_failed naming that build rather than answering 200 with a board
+// of about 1.5e13 °C, and the same board under a 55 W/m²K film still
+// solves.
+func TestStudyVanishingFilmFails(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	body := func(h string) []byte {
+		return []byte(`{"kind": "study", "study": {"name": "film", "length_mm": 160, "width_mm": 230, "thickness_mm": 2.4, ` +
+			`"copper": {"layers": 12, "oz": 2, "coverage": 0.7}, "cooling": "forced-air", "channel_h_w_m2k": ` + h +
+			`, "channel_air_c": 46, "components": [{"refdes": "U1", "package": "FCBGA-CPU", "power_w": 8, "x_mm": 80, "y_mm": 115}]}}`)
+	}
+	w := postStudy(s, body("1e-11"))
+	var serr StudyError
+	if err := json.Unmarshal(w.Body.Bytes(), &serr); err != nil {
+		t.Fatalf("status %d, body %s: %v", w.Code, w.Body.Bytes(), err)
+	}
+	if w.Code != 422 || serr.Code != CodeStudyFailed ||
+		!strings.Contains(serr.Error, "fdm preconditioner") || !strings.Contains(serr.Error, "singular to working precision") {
+		t.Errorf("1e-11 W/m²K film: status %d, body %s; want 422 study_failed from the fdm preconditioner build", w.Code, w.Body.Bytes())
+	}
+	if w := postStudy(s, body("55")); w.Code != http.StatusOK {
+		t.Errorf("55 W/m²K film: status %d, want 200\nbody: %s", w.Code, w.Body.Bytes())
+	}
+}
+
 // TestWallClockBudget checks the other budget axis: a wall-clock
 // deadline trips a poll and surfaces as 422.  The deadline is taken at
 // decode, so the study must outlast it: a sweep of 2,000 points runs

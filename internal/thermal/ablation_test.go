@@ -54,7 +54,7 @@ func e2Model(t *testing.T) *thermal.Model {
 		x0, x1, y0, y1 := c.Footprint()
 		m.AddVolumeSource(x0, x1, y0, y1, 0, board.ThicknessM, c.Power)
 	}
-	res, err := m.SolveSteady(context.Background(), nil)
+	res, err := m.SolveSteady(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +105,49 @@ func BenchmarkAblation_SolverIC0(b *testing.B)    { benchSolver(b, "ic0") }
 func BenchmarkAblation_SolverMIC0(b *testing.B)   { benchSolver(b, "mic0") }
 func BenchmarkAblation_SolverFDM(b *testing.B)    { benchSolver(b, "fdm") }
 
+// ablationPrec builds the solver ablation's preconditioner of the named
+// kind on the system a, whose fast-diagonalization axes are axes: none
+// for "cg".
+func ablationPrec(kind string, a *linalg.CSR, axes [3]linalg.Axis) (linalg.Preconditioner, error) {
+	switch kind {
+	case "jacobi":
+		return linalg.NewJacobiPrec(a), nil
+	case "ssor":
+		return linalg.NewSSORPrec(a, 1.2), nil
+	case "ic0":
+		return linalg.NewICPrec(a)
+	case "mic0":
+		return linalg.NewMICPrec(a)
+	case "fdm":
+		return linalg.NewFDMPrec(axes, nil)
+	}
+	return nil, nil
+}
+
+// TestSolverAblationIterations pins EXPERIMENTS.md's "linear solvers"
+// row: the CG iterations to 1e-9 on solverModel's system, as a CSR,
+// under each kind the ablation compares.  Iteration counts are
+// deterministic, so the pin is exact.
+func TestSolverAblationIterations(t *testing.T) {
+	a, rhs, axes := solverModel().System()
+	for _, c := range []struct {
+		kind string
+		want int
+	}{{"cg", 141}, {"jacobi", 154}, {"ssor", 101}, {"ic0", 70}, {"mic0", 38}, {"fdm", 1}} {
+		p, err := ablationPrec(c.kind, a, axes)
+		if err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		_, stats, err := linalg.CG(a, rhs, nil, p, 1e-9, 5000)
+		if err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		if stats.Iterations != c.want {
+			t.Errorf("%s: %d CG iterations, want %d", c.kind, stats.Iterations, c.want)
+		}
+	}
+}
+
 // benchSolver assembles solverModel once, then times one preconditioner
 // build plus one CG solve to 1e-9 per op, on no preconditioner or on
 // the named one.  It reports the iterations as solver_iters/op.
@@ -113,20 +156,7 @@ func benchSolver(b *testing.B, prec string) {
 	var iters int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var p linalg.Preconditioner
-		var err error
-		switch prec {
-		case "jacobi":
-			p = linalg.NewJacobiPrec(a)
-		case "ssor":
-			p = linalg.NewSSORPrec(a, 1.2)
-		case "ic0":
-			p, err = linalg.NewICPrec(a)
-		case "mic0":
-			p, err = linalg.NewMICPrec(a)
-		case "fdm":
-			p, err = linalg.NewFDMPrec(axes, nil)
-		}
+		p, err := ablationPrec(prec, a, axes)
 		if err != nil {
 			b.Fatal(err)
 		}

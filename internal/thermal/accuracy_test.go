@@ -105,7 +105,7 @@ func referenceField(t *testing.T, m *Model, T []float64) []float64 {
 	st := &stencil{m: m}
 	for pass := 0; pass < 20; pass++ {
 		_, b := st.assemble(T)
-		a := st.csr()
+		a := st.csr(T)
 		p, err := linalg.NewMICPrec(a)
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +147,7 @@ func TestRadiatingBoardAccuracy(t *testing.T) {
 	}
 	worstPasses, worstBalance, worstErr := 0, 0.0, 0.0
 	for i, m := range models {
-		res, err := m.SolveSteady(context.Background(), nil)
+		res, err := m.SolveSteady(context.Background())
 		if err != nil {
 			t.Fatalf("model %d: %v", i, err)
 		}
@@ -227,7 +227,7 @@ func TestLinearBoardAccuracy(t *testing.T) {
 	}
 	worst := 0.0
 	for i, m := range models {
-		res, err := m.SolveSteady(context.Background(), nil)
+		res, err := m.SolveSteady(context.Background())
 		if err != nil {
 			t.Fatalf("model %d: %v", i, err)
 		}

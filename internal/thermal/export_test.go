@@ -2,10 +2,11 @@ package thermal
 
 import "aeropack/internal/linalg"
 
-// System returns m's first-pass steady system A·T = b, assembled at the
-// surface-temperature estimate SolveSteady starts from, and, for a
-// separable model, the fast-diagonalization axes at that estimate.
-// Tests compare preconditioners on it directly through linalg.
+// System returns m's first-pass steady system A·T = b as a CSR,
+// assembled at the surface-temperature estimate SolveSteady starts from,
+// and, for a separable model, the fast-diagonalization axes at that
+// estimate.  Tests compare preconditioners on it directly through
+// linalg.
 func (m *Model) System() (*linalg.CSR, []float64, [3]linalg.Axis) {
 	Tsurf := make([]float64, m.Grid.NumCells())
 	if m.hasRadiation() {
@@ -20,5 +21,17 @@ func (m *Model) System() (*linalg.CSR, []float64, [3]linalg.Axis) {
 	if st.kron != nil {
 		axes = st.fdmAxes()
 	}
-	return st.csr(), b, axes
+	return st.csr(Tsurf), b, axes
+}
+
+// csr returns the pass s last assembled, at the field T, as a CSR.  A
+// separable model's pass ran on its KronSum, so csr builds the symbolic
+// phase on first use and assembles the pass into the CSR, the operator
+// of the model's non-separable twin bit for bit, rewriting the
+// right-hand side with the same values.
+func (s *stencil) csr(T []float64) *linalg.CSR {
+	if s.kron != nil {
+		s.assembleCSR(T)
+	}
+	return &s.a
 }

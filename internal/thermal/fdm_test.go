@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"regexp"
 	"testing"
 
 	"aeropack/internal/linalg"
@@ -128,7 +129,7 @@ func TestFDMAxesMatchStencil(t *testing.T) {
 			for i := range x {
 				x[i] = 2*rng.Float64() - 1
 			}
-			want := st.csr().MulVec(x, nil)
+			want := st.csr(T).MulVec(x, nil)
 			near("the KronSum", op.MulVec(x, nil), want)
 			if &T[0] == &Tsurf[0] {
 				near("the FDM axes' Kronecker sum", kronSumMulVec(st.fdmAxes(), x), want)
@@ -163,7 +164,7 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 	for name, m := range map[string]*Model{"two-material": twoMat, "patched": patched} {
 		tr := obs.NewTrace()
 		prev := obs.SetTracer(tr)
-		res, err := m.SolveSteady(context.Background(), nil)
+		res, err := m.SolveSteady(context.Background())
 		obs.SetTracer(prev)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -178,9 +179,7 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var o SolveOptions
-		o.defaults(m.Grid.NumCells())
-		want, stats, err := linalg.CG(a, b, nil, p, o.Tol, o.MaxIter)
+		want, stats, err := linalg.CG(a, b, nil, p, cgTol, cgMaxIter(m.Grid.NumCells()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,20 +194,17 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 	}
 }
 
-// TestFDMDegradesToMIC0 checks the degrade: with the only heat path a
-// 1e-30 W/m²K film, the fast-diagonalization build fails its pivot
-// check (the constant mode is all but singular), and the pass runs on
-// MIC(0) over the CSR instead — bit for bit its non-separable twin, the
-// same model with one face's BC repeated as a whole-face patch, both
-// the CSR and the field — with the degrade counted, recorded and marked
-// on the span.
-func TestFDMDegradesToMIC0(t *testing.T) {
+// TestFDMBuildFailureIsError checks that a failed build is the solve's
+// error: with the only heat path a 1e-30 W/m²K film, the
+// fast-diagonalization build fails its pivot check (the constant mode
+// is all but singular), and the solve returns that error, naming the
+// preconditioner, without running CG.  The pass read as a CSR (csr) is
+// still bit for bit the system of the model's non-separable twin, the
+// same model with one face's BC repeated as a whole-face patch.
+func TestFDMBuildFailureIsError(t *testing.T) {
 	reg := obs.NewRegistry()
 	prevReg := obs.SetDefault(reg)
 	defer obs.SetDefault(prevReg)
-	rec := obs.NewRecorder(64)
-	prevRec := obs.SetRecorder(rec)
-	defer obs.SetRecorder(prevRec)
 	tr := obs.NewTrace()
 	prevTr := obs.SetTracer(tr)
 	defer obs.SetTracer(prevTr)
@@ -225,25 +221,23 @@ func TestFDMDegradesToMIC0(t *testing.T) {
 		m.SetFaceBC(mesh.ZMin, BC{Kind: Convection, T: 0, H: 1e-30})
 		return m
 	}
-	def, err := build().SolveSteady(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
+	res, err := build().SolveSteady(context.Background())
+	want := regexp.MustCompile(`^thermal: fdm preconditioner: linalg: FDM pivot .* is not positive: the operator is singular to working precision$`)
+	if err == nil {
+		t.Fatalf("solved to a %.3g K maximum, want the fdm build error", res.Max())
 	}
-	if got := spanAttrs(t, tr, "thermal.linSolve"); len(got) != 1 || got[0]["prec"] != "mic0" || got[0]["prec_degraded"] != "mic0" {
-		t.Errorf("thermal.linSolve attributes %v, want prec and prec_degraded mic0", got)
+	if !want.MatchString(err.Error()) {
+		t.Errorf("err %q does not match %v", err, want)
 	}
-	wantDegrade(t, rec, "fdm", "mic0")
+	if n := reg.Counter("linalg_cg_solves_total").Value(); n != 0 {
+		t.Errorf("linalg_cg_solves_total = %d, want 0: a failed build runs no CG", n)
+	}
+	if got := spanAttrs(t, tr, "thermal.linSolve"); len(got) != 1 || got[0]["prec"] != "fdm" || got[0]["iterations"] != "" {
+		t.Errorf("thermal.linSolve attributes %v, want prec fdm and no iterations", got)
+	}
+
 	twin := build()
 	twin.AddPatchBC(mesh.ZMin, 0, 0.06, 0, 0.05, 0, 0.004, twin.FaceBC[mesh.ZMin])
-	mic, err := twin.SolveSteady(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range def.T {
-		if def.T[i] != mic.T[i] {
-			t.Fatalf("cell %d: degraded %v, MIC(0) twin %v", i, def.T[i], mic.T[i])
-		}
-	}
 	sep, tw := newStencil(build(), nil), newStencil(twin, nil)
 	if sep.kron == nil || tw.kron != nil {
 		t.Fatal("the board must run on a KronSum and its twin on the CSR")
@@ -251,23 +245,5 @@ func TestFDMDegradesToMIC0(t *testing.T) {
 	T := make([]float64, twin.Grid.NumCells())
 	_, b := sep.assemble(T)
 	_, twB := tw.assemble(T)
-	sameSystem(t, "degraded pass", sep.csr(), tw.csr(), b, twB)
-	if got := reg.Counter("thermal_fdm_degraded_total").Value(); got != 1 {
-		t.Errorf("thermal_fdm_degraded_total = %d, want 1 (one solve, one pass)", got)
-	}
-}
-
-// wantDegrade fails unless rec's only degrade event goes from one
-// preconditioner kind to the other.
-func wantDegrade(t *testing.T, rec *obs.Recorder, from, to string) {
-	t.Helper()
-	var got []obs.Event
-	for _, ev := range rec.Tail(0) {
-		if ev.Kind == "degrade" {
-			got = append(got, ev)
-		}
-	}
-	if len(got) != 1 || len(got[0].Attrs) != 3 || got[0].Attrs[0].Value != from || got[0].Attrs[1].Value != to {
-		t.Errorf("degrade events %+v, want one from %s to %s", got, from, to)
-	}
+	sameSystem(t, "separable pass", sep.csr(T), tw.csr(T), b, twB)
 }

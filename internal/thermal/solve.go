@@ -106,32 +106,20 @@ func (r *Result) MeanInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
 	return sumVT / sumV
 }
 
-// SolveOptions tunes the steady FV solve.  The model picks the
-// preconditioner itself (see SolveSteady).
-type SolveOptions struct {
-	Tol     float64 // linear relative residual target (default 1e-9)
-	MaxIter int     // linear iteration cap (default 20·n^(2/3)+2000)
-
-	// OnIteration is forwarded to the linear solver (see
-	// linalg.IterOptions.OnIteration).  It fires for every inner
-	// iteration of every outer pass.
-	OnIteration func(it int, residual float64)
-}
-
-// The radiation linearisation runs at most maxPicardPasses passes and
-// stops once no cell moves more than picardTolK between passes.
+// CG runs each pass to a relative residual of cgTol, within cgMaxIter
+// iterations.  The radiation linearisation runs at most maxPicardPasses
+// passes and stops once no cell moves more than picardTolK between
+// passes.
 const (
+	cgTol           = 1e-9
 	maxPicardPasses = 40
 	picardTolK      = 0.01
 )
 
-func (o *SolveOptions) defaults(n int) {
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 20*int(math.Cbrt(float64(n))*math.Cbrt(float64(n))) + 2000
-	}
+// cgMaxIter is CG's iteration cap on an operator of order n,
+// 20·n^(2/3) + 2000.
+func cgMaxIter(n int) int {
+	return 20*int(math.Cbrt(float64(n))*math.Cbrt(float64(n))) + 2000
 }
 
 // SolveSteady solves the steady conduction problem.  Radiative boundaries
@@ -153,21 +141,16 @@ func (o *SolveOptions) defaults(n int) {
 // level-2 board, CG runs on the operator's Kronecker-sum form
 // (linalg.KronSum) preconditioned by fast diagonalization
 // (linalg.FDMPrec), and otherwise on the assembled CSR preconditioned
-// by MIC(0).  Each pass is one preconditioned CG solve; a failed one is
-// the solve's error.  A model with no face exchanging heat has no
-// steady state, and SolveSteady says so rather than solving it.
+// by MIC(0).  Each pass builds that preconditioner and runs one CG
+// solve; a failed build or solve is the solve's error.  A model with no
+// face exchanging heat has no steady state, and SolveSteady says so
+// rather than solving it.
 //
 // The solve runs in a stencil workspace from the process's free list,
 // or in a fresh one when the list is empty, and the workspace goes back
 // on return: nothing SolveSteady returns refers to it.
-func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, error) {
+func (m *Model) SolveSteady(ctx context.Context) (*Result, error) {
 	n := m.Grid.NumCells()
-	var o SolveOptions
-	if opts != nil {
-		o = *opts
-	}
-	o.defaults(n)
-
 	ctx, sp := obs.StartContext(ctx, "thermal.SolveSteady")
 	defer sp.End()
 	sp.AttrInt("cells", n)
@@ -190,11 +173,7 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 
 	res := &Result{g: m.Grid}
 	st := newStencil(m, ws)
-	if st.kron != nil {
-		sp.Attr("prec", "fdm")
-	} else {
-		sp.Attr("prec", "mic0")
-	}
+	sp.Attr("prec", st.kind())
 	var prev []float64
 	for outer := 0; outer < maxPicardPasses; outer++ {
 		// The budget is polled between passes as well as inside the
@@ -208,7 +187,7 @@ func (m *Model) SolveSteady(ctx context.Context, opts *SolveOptions) (*Result, e
 		if !st.grounded {
 			return nil, errors.New("thermal: no face of the FV model exchanges heat; steady problem is singular")
 		}
-		t, stats, err := linSolve(ctx, op, b, prev, &o, st)
+		t, stats, err := linSolve(ctx, op, b, prev, st)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, err
@@ -348,19 +327,21 @@ func (s *stencil) assembleSpan(parent *obs.Span, T []float64) (linalg.Operator, 
 // assemblyBuckets span 1 µs to 1000 s, one decade per bucket.
 var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
-// linSolve solves the pass st last assembled by CG on op, or on what
-// st.prec puts in its place, preconditioned by what st.prec builds,
-// with CG's work vectors lent from st's workspace, polling ctx's budget
-// once per iteration.  Nothing retries a failed solve: its error is the
-// caller's.
-func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, o *SolveOptions, st *stencil) ([]float64, linalg.IterStats, error) {
+// linSolve solves the pass st last assembled, op·x = b from x0, by CG
+// preconditioned by what st.prec builds, with CG's work vectors lent
+// from st's workspace, polling ctx's budget once per iteration.  Nothing
+// retries a failed build or solve: its error is the caller's.
+func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, st *stencil) ([]float64, linalg.IterStats, error) {
 	sp := obs.Start(obs.FromContext(ctx), "thermal.linSolve")
 	defer sp.End()
-	prec, op, kind := st.prec(sp, op)
+	kind := st.kind()
 	sp.Attr("prec", kind)
+	prec, err := st.prec()
+	if err != nil {
+		return nil, linalg.IterStats{}, fmt.Errorf("thermal: %s preconditioner: %w", kind, err)
+	}
 	x, stats, err := linalg.CGOpt(op, b, x0, &linalg.IterOptions{
-		Tol: o.Tol, MaxIter: o.MaxIter, Prec: prec, OnIteration: o.OnIteration, Stop: robust.Stop(ctx),
-		Work: st.ws.cg,
+		Tol: cgTol, MaxIter: cgMaxIter(op.Order()), Prec: prec, Stop: robust.Stop(ctx), Work: st.ws.cg,
 	})
 	sp.AttrInt("iterations", stats.Iterations)
 	sp.AttrF("residual", stats.Residual)
@@ -373,48 +354,33 @@ func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, o *Solve
 	return x, stats, err
 }
 
-// prec returns a new preconditioner for the pass s last assembled, the
-// operator CG runs on, op unless the build degraded, and the kind,
-// "fdm", "mic0" or "jacobi".  The model picks the kind, not the caller:
-// a separable stencil's pass gets fast diagonalization, built at the
-// pass's linearization field over the workspace's last one (which lends
-// its eigendecompositions to the axes that did not move and its
-// per-cell arrays to the build), and every other model gets MIC(0).
-// It is the one place a build degrades, one step at a time, to a
-// weaker kind that never fails: a fast diagonalization with a singular
-// mode to MIC(0) on the pass's CSR, counted on
-// thermal_fdm_degraded_total, and a MIC(0) factor that breaks down
-// through the whole shift ladder to Jacobi, counted on
-// thermal_ic0_degraded_total.
-func (s *stencil) prec(sp *obs.Span, op linalg.Operator) (linalg.Preconditioner, linalg.Operator, string) {
+// kind names the preconditioner every pass of the model runs under:
+// "fdm" on a separable model, "mic0" on any other.
+func (s *stencil) kind() string {
 	if s.kron != nil {
-		p, err := linalg.NewFDMPrec(s.fdmAxes(), s.ws.fdm)
-		if err == nil {
-			s.ws.fdm = p
-			return p, op, "fdm"
-		}
-		degrade(sp, "fdm", "mic0", "thermal_fdm_degraded_total", err)
+		return "fdm"
 	}
-	a := s.csr()
-	p, err := linalg.NewMICPrec(a)
-	if err == nil {
-		return p, a, "mic0"
-	}
-	degrade(sp, "mic0", "jacobi", "thermal_ic0_degraded_total", err)
-	return linalg.NewJacobiPrec(a), a, "jacobi"
+	return "mic0"
 }
 
-// degrade counts one preconditioner degrade on counter, records it as a
-// degrade event with its cause and marks sp with the kind it fell to.
-func degrade(sp *obs.Span, from, to, counter string, cause error) {
-	obs.Default().Counter(counter).Add(1)
-	if rec := obs.CurrentRecorder(); rec != nil {
-		rec.Record("degrade", "thermal.linSolve",
-			obs.Attr{Key: "from", Value: from},
-			obs.Attr{Key: "to", Value: to},
-			obs.Attr{Key: "cause", Value: cause.Error()})
+// prec builds a new preconditioner of s.kind for the pass s last
+// assembled.  The model picks the kind, not the caller: a separable
+// stencil's pass gets fast diagonalization, built at the pass's
+// linearization field over the workspace's last one (which lends its
+// eigendecompositions to the axes that did not move and its per-cell
+// arrays to the build), and every other model's pass gets MIC(0) of its
+// CSR.  A build that fails is the pass's error; no weaker kind stands
+// in for it.
+func (s *stencil) prec() (linalg.Preconditioner, error) {
+	if s.kron == nil {
+		return linalg.NewMICPrec(&s.a)
 	}
-	sp.Attr("prec_degraded", to)
+	p, err := linalg.NewFDMPrec(s.fdmAxes(), s.ws.fdm)
+	if err != nil {
+		return nil, err
+	}
+	s.ws.fdm = p
+	return p, nil
 }
 
 // stencil assembles one model's FV operator, once per Picard pass, in
@@ -434,12 +400,11 @@ func degrade(sp *obs.Span, from, to, counter string, cause error) {
 // numeric phase runs once per pass: it resets the n diagonal values to
 // the interior ones and adds the boundary terms, the only part of the
 // operator that moves with the surface temperature and that touches
-// nothing but the diagonal.  A separable model builds the CSR only for
-// a pass whose fast diagonalization degrades to MIC(0) (csr).
+// nothing but the diagonal.
 //
 // Every pass assembles into the same arrays: no preconditioner keeps a
-// reference to them (MIC(0), Jacobi and fast diagonalization copy what
-// they keep).  The arrays live in a workspace that outlives the solve:
+// reference to them (MIC(0) and fast diagonalization copy what they
+// keep).  The arrays live in a workspace that outlives the solve:
 // SolveSteady lends the stencil one from the process's free list, and
 // newStencil and build resize every array they use to the model and
 // write every entry that assemble, CG or a preconditioner reads
@@ -458,9 +423,6 @@ type stencil struct {
 	// on every other model.
 	kron *linalg.KronSum
 	a    linalg.CSR // the assembled CSR over ws's arrays, one Val for every pass
-	// field is the one the last assemble linearized about, nil on a
-	// model without a radiating face.
-	field []float64
 	// grounded records whether the last assemble added a nonzero
 	// boundary conductance; without one the steady operator is singular.
 	grounded bool
@@ -634,27 +596,14 @@ func cellSizes(edges []float64) []float64 {
 // D = max(0, dG/dTs·(Ts − Ta)).  At Ts = T the system's residual is the
 // nonlinear one, so the fixed point is the same as with D = 0; D only
 // shortens the way there.  The clamp keeps the operator an SPD
-// M-matrix, as FDM, MIC(0), Jacobi and CG require.
+// M-matrix, as FDM, MIC(0) and CG require.
 func (s *stencil) assemble(T []float64) (linalg.Operator, []float64) {
-	s.field = T
 	if s.kron != nil {
 		clear(s.ws.bnd)
 		s.boundary(T, s.ws.bnd, nil)
 		return s.kron, s.ws.b
 	}
 	return s.assembleCSR(T), s.ws.b
-}
-
-// csr returns the last pass's system as a CSR.  A separable model's
-// pass ran on its KronSum, so csr builds the symbolic phase on first
-// use and assembles the pass into the CSR, the operator of the model's
-// non-separable twin bit for bit, rewriting the right-hand side with the
-// same values.
-func (s *stencil) csr() *linalg.CSR {
-	if s.kron != nil {
-		s.assembleCSR(s.field)
-	}
-	return &s.a
 }
 
 // assembleCSR runs one pass's numeric phase on the CSR.

@@ -1,11 +1,14 @@
 package aeropack_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"os"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -190,16 +193,39 @@ func TestE2FreeConvectionFDMIterations(t *testing.T) {
 	twin := e2Level2Model(t, board, screen)
 	twin.AddPatchBC(mesh.ZMin, 0, board.LengthM, 0, board.WidthM, 0, board.ThicknessM, twin.FaceBC[mesh.ZMin])
 
+	// solve returns m's field and the CG iterations of each pass, read
+	// from the iterations attribute of its thermal.linSolve spans.
 	solve := func(m *thermal.Model) (*thermal.Result, []int) {
-		var perPass []int
-		res, err := m.SolveSteady(context.Background(), &thermal.SolveOptions{OnIteration: func(it int, _ float64) {
-			if it == 0 {
-				perPass = append(perPass, 0)
-			}
-			perPass[len(perPass)-1]++
-		}})
+		tr := obs.NewTrace()
+		prev := obs.SetTracer(tr)
+		res, err := m.SolveSteady(context.Background())
+		obs.SetTracer(prev)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var file struct {
+			TraceEvents []struct {
+				Name string            `json:"name"`
+				Args map[string]string `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+			t.Fatal(err)
+		}
+		var perPass []int
+		for _, ev := range file.TraceEvents {
+			if ev.Name != "thermal.linSolve" {
+				continue
+			}
+			n, err := strconv.Atoi(ev.Args["iterations"])
+			if err != nil {
+				t.Fatalf("thermal.linSolve iterations %q: %v", ev.Args["iterations"], err)
+			}
+			perPass = append(perPass, n)
 		}
 		return res, perPass
 	}
