@@ -100,9 +100,13 @@ func TestCompactVsDetailedJunction(t *testing.T) {
 	balls := materials.Material{Name: "ballfield", K: 2.2, Rho: 3000, Cp: 600}
 	m, _ := thermal.NewModel(g, []materials.Material{mold, si, balls})
 	// Ball field: bottom 0.4 mm.
-	g.PaintRegion(0, 17e-3, 0, 17e-3, 0, 0.4e-3, 2)
+	if _, err := m.PaintRegion(0, 17e-3, 0, 17e-3, 0, 0.4e-3, 2); err != nil {
+		t.Fatal(err)
+	}
 	// Die: central 9×9 mm at mid-height.
-	g.PaintRegion(4e-3, 13e-3, 4e-3, 13e-3, 0.7e-3, 1.1e-3, 1)
+	if _, err := m.PaintRegion(4e-3, 13e-3, 4e-3, 13e-3, 0.7e-3, 1.1e-3, 1); err != nil {
+		t.Fatal(err)
+	}
 	m.SetFaceBC(mesh.ZMin, thermal.BC{Kind: thermal.FixedT, T: boardT})
 	if n := m.AddVolumeSource(4e-3, 13e-3, 4e-3, 13e-3, 0.7e-3, 1.1e-3, power); n == 0 {
 		t.Fatal("die source missed")

@@ -46,9 +46,6 @@ func ConjugateStudy(ctx context.Context, b *BoardDesign, mdot float64, nSeg int)
 		return nil, fmt.Errorf("core: conjugate study needs positive flow and ≥2 segments")
 	}
 	h := b.ChannelH
-	if h <= 0 {
-		h = 40
-	}
 	inlet := b.ChannelAirC
 	cp := materials.Air(units.CToK(inlet), units.AtmPressure).Cp
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -257,6 +260,52 @@ func TestStudyForcedAirBoard(t *testing.T) {
 	}
 }
 
+// TestForcedAirFilm pins the forced-air channel film: a board without
+// one (ChannelH ≤ 0) gets 40 W/m²K, the same study bit for bit as one
+// that sets it, and a film that is not finite or lies under 1 W/m²K is
+// an error naming the film in every entry that builds the board model,
+// where 1e-9 W/m²K answered with a board at about 1.6e11 °C.  1 and
+// 55 W/m²K still solve.
+func TestForcedAirFilm(t *testing.T) {
+	board := func(h float64) *BoardDesign {
+		b := goodBoard()
+		b.EdgeCooling = ForcedAir
+		b.ChannelH = h
+		b.ChannelAirC = 46
+		return b
+	}
+	unset := board(0)
+	l2, err := unset.Level2(testScreen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unset.ChannelH != 40 {
+		t.Errorf("unset film defaulted to %v W/m²K, want 40", unset.ChannelH)
+	}
+	want, err := board(40).Level2(testScreen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l2.MaxBoardC != want.MaxBoardC || l2.MeanBoardC != want.MeanBoardC {
+		t.Errorf("unset film: board %v / %v °C, at 40 W/m²K %v / %v °C", l2.MaxBoardC, l2.MeanBoardC, want.MaxBoardC, want.MeanBoardC)
+	}
+	for _, h := range []float64{1e-11, 0.5, math.NaN(), math.Inf(1)} {
+		_, studyErr := Study(board(h), testScreen())
+		_, l2Err := board(h).Level2(testScreen())
+		_, conjErr := ConjugateStudy(context.Background(), board(h), 2e-3, 4)
+		for name, err := range map[string]error{"Study": studyErr, "Level2": l2Err, "ConjugateStudy": conjErr} {
+			if err == nil || !strings.Contains(err.Error(), "forced-air film") {
+				t.Errorf("%s at %v W/m²K: err = %v, want the film rejected", name, h, err)
+			}
+		}
+	}
+	for _, h := range []float64{1, 55} {
+		if _, err := Study(board(h), testScreen()); err != nil {
+			t.Errorf("%v W/m²K: %v", h, err)
+		}
+	}
+}
+
 func TestStudyValidation(t *testing.T) {
 	b := goodBoard()
 	b.Components = nil
@@ -401,11 +450,10 @@ func TestConjugateStudy(t *testing.T) {
 	}
 }
 
-func TestConjugateStreamwiseBias(t *testing.T) {
-	// Two identical components, one upstream and one downstream: the
-	// downstream one must run hotter because its air has already been
-	// heated.
-	b := &BoardDesign{
+// biasBoard carries two identical components, one upstream and one
+// downstream, the board of BenchmarkExt_ConjugateChannel.
+func biasBoard() *BoardDesign {
+	return &BoardDesign{
 		Name: "bias", LengthM: 0.2, WidthM: 0.1, ThicknessM: 2e-3,
 		CopperLayers: 8, CopperOz: 1, CopperCover: 0.5,
 		EdgeCooling: ForcedAir, ChannelH: 50, ChannelAirC: 40,
@@ -414,13 +462,74 @@ func TestConjugateStreamwiseBias(t *testing.T) {
 			{RefDes: "DOWN", Pkg: compact.BGA256, Power: 5, X: 0.16, Y: 0.05},
 		},
 	}
-	res, err := ConjugateStudy(context.Background(), b, 1.5e-3, 8)
+}
+
+func TestConjugateStreamwiseBias(t *testing.T) {
+	// The downstream component must run hotter because its air has
+	// already been heated.
+	res, err := ConjugateStudy(context.Background(), biasBoard(), 1.5e-3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LocalC["DOWN"] <= res.LocalC["UP"] {
 		t.Errorf("downstream part %v °C should run hotter than upstream %v °C",
 			res.LocalC["DOWN"], res.LocalC["UP"])
+	}
+}
+
+// TestConjugateBoardRunsFDM pins the conjugate study's board solves to
+// fast diagonalization.  The board is unpainted, and its per-segment
+// channel patches carry one film coefficient, so every boundary cell
+// has the same conductance and the preconditioner is the exact inverse:
+// each of the bias board's 3 FV solves, one per coupling iteration,
+// runs one CG iteration under fdm (51 in all under MIC(0), when a patch
+// selected the assembled CSR).  The study's table, as
+// BenchmarkExt_ConjugateChannel prints it, is pinned too.
+func TestConjugateBoardRunsFDM(t *testing.T) {
+	reg := obs.NewRegistry()
+	prevReg := obs.SetDefault(reg)
+	defer obs.SetDefault(prevReg)
+	tr := obs.NewTrace()
+	prevTr := obs.SetTracer(tr)
+	defer obs.SetTracer(prevTr)
+
+	res, err := ConjugateStudy(context.Background(), biasBoard(), 1.5e-3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves, iters := reg.Counter("linalg_cg_solves_total").Value(), reg.Counter("linalg_solver_iterations_total").Value()
+	if res.Iterations != 3 || solves != 3 || iters != 3 {
+		t.Errorf("%d coupling iterations, %d CG solves, %d CG iterations; want 3, 3 and 3", res.Iterations, solves, iters)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ev := range file.TraceEvents {
+		if ev.Name != "thermal.linSolve" {
+			continue
+		}
+		n++
+		if ev.Args["prec"] != "fdm" || ev.Args["iterations"] != "1" {
+			t.Errorf("FV solve %d: prec %q, %q CG iterations; want fdm and 1", n, ev.Args["prec"], ev.Args["iterations"])
+		}
+	}
+	if n != 3 {
+		t.Errorf("%d thermal.linSolve spans, want 3", n)
+	}
+	got := fmt.Sprintf("%.1f → %.1f °C, UP %.1f °C, DOWN %.1f °C", res.AirC[0], res.AirC[len(res.AirC)-1], res.LocalC["UP"], res.LocalC["DOWN"])
+	if want := "40.0 → 46.6 °C, UP 71.6 °C, DOWN 74.8 °C"; got != want {
+		t.Errorf("conjugate table reads %s, want %s", got, want)
 	}
 }
 

@@ -30,7 +30,7 @@ type BoardDesign struct {
 	MassLoadKgM2  float64 // smeared non-modelled mass
 	EdgeCooling   CoolingTech
 	RailTempC     float64 // conduction-cooled rail temperature
-	ChannelH      float64 // forced-air film coefficient on faces, W/m²K
+	ChannelH      float64 // forced-air film coefficient on faces, W/m²K; default 40
 	ChannelAirC   float64 // forced-air local air temperature
 	Edges         mech.PlateEdge
 	DampingZeta   float64
@@ -62,7 +62,14 @@ func (b *BoardDesign) defaults() {
 	if b.Edges == 0 && b.EdgeCooling == ConductionCooled {
 		b.Edges = mech.WedgeLocked
 	}
+	if b.EdgeCooling == ForcedAir && b.ChannelH <= 0 {
+		b.ChannelH = 40
+	}
 }
+
+// minChannelH is the smallest forced-air film Validate accepts, W/m²K:
+// a quarter of the still-air film level 2 gives a free-convection face.
+const minChannelH = 1.0
 
 // Validate checks the board definition.
 func (b *BoardDesign) Validate() error {
@@ -84,6 +91,9 @@ func (b *BoardDesign) Validate() error {
 	case ConductionCooled, ForcedAir, FreeConvection:
 	default:
 		return fmt.Errorf("core: board %q edge cooling %v not supported at level 2", b.Name, b.EdgeCooling)
+	}
+	if b.EdgeCooling == ForcedAir && !(b.ChannelH >= minChannelH && !math.IsInf(b.ChannelH, 1)) {
+		return fmt.Errorf("core: board %q forced-air film %g W/m²K must be finite and at least %g W/m²K", b.Name, b.ChannelH, minChannelH)
 	}
 	return nil
 }
@@ -340,13 +350,9 @@ func (b *BoardDesign) level2(ctx context.Context, screen Screen) (*Level2Result,
 		m.SetFaceBC(mesh.YMin, thermal.BC{Kind: thermal.Convection, T: rail, H: 2500})
 		m.SetFaceBC(mesh.YMax, thermal.BC{Kind: thermal.Convection, T: rail, H: 2500})
 	case ForcedAir:
-		air := units.CToK(b.ChannelAirC)
-		h := b.ChannelH
-		if h <= 0 {
-			h = 40
-		}
-		m.SetFaceBC(mesh.ZMin, thermal.BC{Kind: thermal.Convection, T: air, H: h})
-		m.SetFaceBC(mesh.ZMax, thermal.BC{Kind: thermal.Convection, T: air, H: h})
+		film := thermal.BC{Kind: thermal.Convection, T: units.CToK(b.ChannelAirC), H: b.ChannelH}
+		m.SetFaceBC(mesh.ZMin, film)
+		m.SetFaceBC(mesh.ZMax, film)
 	case FreeConvection:
 		amb := units.CToK(screen.AmbientC)
 		m.SetFaceBC(mesh.ZMin, thermal.BC{Kind: thermal.ConvectionRadiation, T: amb, H: 4})
@@ -397,9 +403,6 @@ func (b *BoardDesign) level3(ctx context.Context, l2 *Level2Result) (*Level3Resu
 	hTop := 0.0
 	if b.EdgeCooling == ForcedAir {
 		hTop = b.ChannelH
-		if hTop <= 0 {
-			hTop = 40
-		}
 	}
 	for _, c := range b.Components {
 		boardNode := "board." + c.RefDes

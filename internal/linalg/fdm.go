@@ -285,7 +285,11 @@ func (p *FDMPrec) factor(ax Axis) error {
 					p.l[q] = 0
 				}
 				if !(piv > fdmPivotTol*diag) || math.IsInf(piv, 0) {
-					return fmt.Errorf("linalg: FDM pivot %g of diagonal %g at cell %d is not positive: the operator is singular to working precision", piv, diag, q)
+					what := "is not positive"
+					if piv > 0 {
+						what = fmt.Sprintf("is under %g of its diagonal", fdmPivotTol)
+					}
+					return fmt.Errorf("linalg: FDM pivot %g of diagonal %g at cell %d %s: the operator is singular to working precision", piv, diag, q, what)
 				}
 				p.dinv[q] = 1 / piv
 				q++

@@ -562,6 +562,19 @@ func TestFDMPrecErrors(t *testing.T) {
 	if _, err := NewFDMPrec(singular, nil); err == nil || !strings.Contains(err.Error(), "pivot") {
 		t.Errorf("all-Neumann sum: err = %v, want a pivot error", err)
 	}
+	// A two-cell Neumann axis times two single-cell axes with λ = 0: its
+	// last pivot is 1 − 1/(1 + ε), exactly 0 at ε = 0 and about ε at
+	// ε = 1e-14, and the message names which check it failed.
+	point := Axis{Diag: []float64{0}, Mass: []float64{1}}
+	for _, c := range []struct {
+		eps  float64
+		want string
+	}{{0, "is not positive: "}, {1e-14, "is under 1e-12 of its diagonal: "}} {
+		pair := Axis{Diag: []float64{1 + c.eps, 1}, Off: []float64{-1}, Mass: []float64{1, 1}}
+		if _, err := NewFDMPrec([3]Axis{pair, point, point}, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("end term %g: err = %v, want a pivot that %s", c.eps, err, strings.TrimSuffix(c.want, ": "))
+		}
+	}
 	good := randomAxis(rng, 3, true, true)
 	for name, bad := range map[string]Axis{
 		"empty":         {},

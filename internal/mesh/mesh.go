@@ -1,9 +1,9 @@
 // Package mesh provides the structured Cartesian grids used by aeropack's
 // finite-volume thermal solver.  A Grid is a tensor-product mesh with
-// (possibly non-uniform) spacing in each direction; every cell carries a
-// material index so heterogeneous packaging stacks (die / TIM / lid /
-// heatsink, or PCB / wedge-lock / chassis) are described by painting boxes
-// of cells.
+// (possibly non-uniform) spacing in each direction; it is geometry only.
+// Which material a cell holds belongs to the model over the grid:
+// thermal.Model paints boxes of cells to describe heterogeneous packaging
+// stacks (die / TIM / lid / heatsink, or PCB / wedge-lock / chassis).
 package mesh
 
 import (
@@ -18,14 +18,10 @@ type Grid struct {
 	XEdges     []float64 // len Nx+1, strictly increasing, metres
 	YEdges     []float64 // len Ny+1
 	ZEdges     []float64 // len Nz+1
-	// MatIdx assigns a material index to every cell (len Nx*Ny*Nz); the
-	// meaning of indices is owned by the caller (thermal.Model keeps the
-	// material table).
-	MatIdx []int
 }
 
 // Uniform builds a uniform grid over the box [0,lx]×[0,ly]×[0,lz] with
-// nx×ny×nz cells, all tagged with material 0.
+// nx×ny×nz cells.
 func Uniform(nx, ny, nz int, lx, ly, lz float64) (*Grid, error) {
 	if nx < 1 || ny < 1 || nz < 1 {
 		return nil, fmt.Errorf("mesh: cell counts must be ≥1, got %d×%d×%d", nx, ny, nz)
@@ -33,14 +29,12 @@ func Uniform(nx, ny, nz int, lx, ly, lz float64) (*Grid, error) {
 	if lx <= 0 || ly <= 0 || lz <= 0 {
 		return nil, fmt.Errorf("mesh: box dimensions must be positive, got %g×%g×%g", lx, ly, lz)
 	}
-	g := &Grid{
+	return &Grid{
 		Nx: nx, Ny: ny, Nz: nz,
 		XEdges: linspace(0, lx, nx+1),
 		YEdges: linspace(0, ly, ny+1),
 		ZEdges: linspace(0, lz, nz+1),
-		MatIdx: make([]int, nx*ny*nz),
-	}
-	return g, nil
+	}, nil
 }
 
 // FromEdges builds a grid from explicit edge coordinate arrays.
@@ -55,14 +49,12 @@ func FromEdges(x, y, z []float64) (*Grid, error) {
 			}
 		}
 	}
-	g := &Grid{
+	return &Grid{
 		Nx: len(x) - 1, Ny: len(y) - 1, Nz: len(z) - 1,
 		XEdges: append([]float64(nil), x...),
 		YEdges: append([]float64(nil), y...),
 		ZEdges: append([]float64(nil), z...),
-	}
-	g.MatIdx = make([]int, g.Nx*g.Ny*g.Nz)
-	return g, nil
+	}, nil
 }
 
 func linspace(a, b float64, n int) []float64 {
@@ -169,25 +161,6 @@ func (b Box) NumCells() int {
 		return 0
 	}
 	return (b.I1 - b.I0) * (b.J1 - b.J0) * (b.K1 - b.K0)
-}
-
-// Paint assigns material index mat to every cell inside the box.
-func (g *Grid) Paint(b Box, mat int) {
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			for i := b.I0; i < b.I1; i++ {
-				g.MatIdx[g.Index(i, j, k)] = mat
-			}
-		}
-	}
-}
-
-// PaintRegion is LocateBox followed by Paint; it returns the number of
-// cells painted so callers can detect a selection that missed the mesh.
-func (g *Grid) PaintRegion(x0, x1, y0, y1, z0, z1 float64, mat int) int {
-	b := g.LocateBox(x0, x1, y0, y1, z0, z1)
-	g.Paint(b, mat)
-	return b.NumCells()
 }
 
 // Face identifies one of the six outer boundary faces of the grid.

@@ -102,30 +102,20 @@ func TestVolumeSum(t *testing.T) {
 	}
 }
 
-func TestLocateBoxAndPaint(t *testing.T) {
+func TestLocateBox(t *testing.T) {
 	g, _ := Uniform(10, 10, 1, 1, 1, 0.01)
-	// Paint a central region: centroids 0.25,0.35,…,0.75 qualify in each
+	// A central region: centroids 0.25,0.35,…,0.75 qualify in each
 	// direction (closed-interval centroid test) → 6×6 cells.
-	n := g.PaintRegion(0.25, 0.75, 0.25, 0.75, 0, 0.01, 3)
-	if n != 36 {
-		t.Errorf("painted %d cells, want 36", n)
-	}
-	count := 0
-	for _, m := range g.MatIdx {
-		if m == 3 {
-			count++
-		}
-	}
-	if count != 36 {
-		t.Errorf("MatIdx has %d painted cells", count)
+	if b := g.LocateBox(0.25, 0.75, 0.25, 0.75, 0, 0.01); b != (Box{2, 8, 2, 8, 0, 1}) || b.NumCells() != 36 {
+		t.Errorf("central box %+v, %d cells, want I,J 2–8 and 36 cells", b, b.NumCells())
 	}
 	// Half-open style selection avoiding centroid ties.
-	if n := g.PaintRegion(0.2, 0.7, 0.2, 0.7, 0, 0.01, 4); n != 25 {
-		t.Errorf("tie-free selection painted %d cells, want 25", n)
+	if b := g.LocateBox(0.2, 0.7, 0.2, 0.7, 0, 0.01); b.NumCells() != 25 {
+		t.Errorf("tie-free selection located %d cells, want 25", b.NumCells())
 	}
 	// Miss the grid entirely.
-	if n := g.PaintRegion(5, 6, 5, 6, 0, 1, 9); n != 0 {
-		t.Errorf("painting outside grid painted %d cells", n)
+	if b := g.LocateBox(5, 6, 5, 6, 0, 1); !b.Empty() || b.NumCells() != 0 {
+		t.Errorf("box outside the grid located %+v", b)
 	}
 }
 

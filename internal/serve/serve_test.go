@@ -254,13 +254,12 @@ func TestStudyBudgetStopsLevel2(t *testing.T) {
 	}
 }
 
-// TestStudyVanishingFilmFails pins how a study ends when its level-2
-// board has all but no heat path: a forced-air board under a 1e-11
-// W/m²K channel film, whose fast-diagonalization build finds the
-// operator singular to working precision.  The study fails with 422
-// study_failed naming that build rather than answering 200 with a board
-// of about 1.5e13 °C, and the same board under a 55 W/m²K film still
-// solves.
+// TestStudyVanishingFilmFails pins how a study ends when its forced-air
+// board has all but no heat path: under a channel film of 1e-11 or
+// 0.5 W/m²K, below the 1 W/m²K floor, the board fails validation, and
+// the study answers 422 study_failed naming the film rather than 200
+// with a board near 1e11 °C, or the fdm build's pivot error.  The same
+// board under a 55 W/m²K film still solves.
 func TestStudyVanishingFilmFails(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	body := func(h string) []byte {
@@ -268,14 +267,15 @@ func TestStudyVanishingFilmFails(t *testing.T) {
 			`"copper": {"layers": 12, "oz": 2, "coverage": 0.7}, "cooling": "forced-air", "channel_h_w_m2k": ` + h +
 			`, "channel_air_c": 46, "components": [{"refdes": "U1", "package": "FCBGA-CPU", "power_w": 8, "x_mm": 80, "y_mm": 115}]}}`)
 	}
-	w := postStudy(s, body("1e-11"))
-	var serr StudyError
-	if err := json.Unmarshal(w.Body.Bytes(), &serr); err != nil {
-		t.Fatalf("status %d, body %s: %v", w.Code, w.Body.Bytes(), err)
-	}
-	if w.Code != 422 || serr.Code != CodeStudyFailed ||
-		!strings.Contains(serr.Error, "fdm preconditioner") || !strings.Contains(serr.Error, "singular to working precision") {
-		t.Errorf("1e-11 W/m²K film: status %d, body %s; want 422 study_failed from the fdm preconditioner build", w.Code, w.Body.Bytes())
+	for _, h := range []string{"1e-11", "0.5"} {
+		w := postStudy(s, body(h))
+		var serr StudyError
+		if err := json.Unmarshal(w.Body.Bytes(), &serr); err != nil {
+			t.Fatalf("%s W/m²K film: status %d, body %s: %v", h, w.Code, w.Body.Bytes(), err)
+		}
+		if w.Code != 422 || serr.Code != CodeStudyFailed || !strings.Contains(serr.Error, "forced-air film") {
+			t.Errorf("%s W/m²K film: status %d, body %s; want 422 study_failed naming the film", h, w.Code, w.Body.Bytes())
+		}
 	}
 	if w := postStudy(s, body("55")); w.Code != http.StatusOK {
 		t.Errorf("55 W/m²K film: status %d, want 200\nbody: %s", w.Code, w.Body.Bytes())

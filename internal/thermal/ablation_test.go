@@ -65,7 +65,7 @@ func e2Model(t *testing.T) *thermal.Model {
 }
 
 // TestE2MIC0Iterations keeps MIC(0)'s guard on the E2 board operator,
-// the preconditioner every non-separable model solves on: at most 0.6×
+// the preconditioner every painted model solves on: at most 0.6×
 // the CG iterations of IC(0) on the assembled system.  Iteration counts
 // are deterministic, so the guard is exact.
 func TestE2MIC0Iterations(t *testing.T) {

@@ -102,7 +102,7 @@ func e2Board(t *testing.T, film BC) *Model {
 // than 1e-9 K.
 func referenceField(t *testing.T, m *Model, T []float64) []float64 {
 	t.Helper()
-	st := &stencil{m: m}
+	st := newStencil(m, nil)
 	for pass := 0; pass < 20; pass++ {
 		_, b := st.assemble(T)
 		a := st.csr(T)

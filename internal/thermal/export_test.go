@@ -24,14 +24,18 @@ func (m *Model) System() (*linalg.CSR, []float64, [3]linalg.Axis) {
 	return st.csr(Tsurf), b, axes
 }
 
-// csr returns the pass s last assembled, at the field T, as a CSR.  A
-// separable model's pass ran on its KronSum, so csr builds the symbolic
-// phase on first use and assembles the pass into the CSR, the operator
-// of the model's non-separable twin bit for bit, rewriting the
-// right-hand side with the same values.
+// csr returns the pass s last assembled, at the field T, as a CSR.  An
+// unpainted model's pass ran on its KronSum, so csr lends the model an
+// all-zero material map, the one a whole-box paint with material 0
+// gives, builds the symbolic phase on first use and assembles the pass
+// into the CSR: the operator of the model's painted twin bit for bit,
+// rewriting the right-hand side with the same values.
 func (s *stencil) csr(T []float64) *linalg.CSR {
 	if s.kron != nil {
+		m := s.m
+		m.mat = make([]int, m.Grid.NumCells())
 		s.assembleCSR(T)
+		m.mat = nil
 	}
 	return &s.a
 }

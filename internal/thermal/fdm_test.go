@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"aeropack/internal/linalg"
@@ -101,7 +103,7 @@ func TestFDMAxesMatchStencil(t *testing.T) {
 		}
 		st := newStencil(m, nil)
 		if st.kron == nil {
-			t.Fatal("single-material model without patches is not separable")
+			t.Fatal("unpainted model is not separable")
 		}
 		Tsurf, Trand := make([]float64, g.NumCells()), make([]float64, g.NumCells())
 		for i := range Tsurf {
@@ -138,12 +140,19 @@ func TestFDMAxesMatchStencil(t *testing.T) {
 	}
 }
 
-// TestNonSeparableModelsStayOnMIC0 checks the preconditioner rule: a
-// two-material model and a patched model are not Kronecker sums, so
-// every pass is preconditioned by MIC(0), bit for bit the direct
-// MIC(0)-preconditioned CG on the assembled system, and both spans
-// name it.
-func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
+// TestPaintSelectsPreconditioner checks the preconditioner rule, whose
+// one input is whether the model is painted, on a 10×8×3 plate.  A
+// painted model runs every pass under MIC(0), bit for bit the direct
+// MIC(0)-preconditioned CG on the assembled system, and both spans name
+// it: a two-material plate, and the patched plate's painted twin
+// (material 0 over the whole box).  The patched plate, one material
+// with a half-face FixedT patch, is unpainted: it runs on its KronSum
+// under fast diagonalization, which takes the patched face as its face
+// mean, so it converges in more iterations than on an unpatched plate,
+// exactly 26.  Both fields lie within 1e-6 K of the twin's 1e-13
+// reference field (9.0e-7 and 6.3e-7 K), so within 2e-6 K of each
+// other.
+func TestPaintSelectsPreconditioner(t *testing.T) {
 	build := func() *Model {
 		g, err := mesh.Uniform(10, 8, 3, 0.1, 0.08, 0.006)
 		if err != nil {
@@ -157,11 +166,21 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 		m.AddVolumeSource(0.03, 0.07, 0.02, 0.06, 0, 0.006, 6)
 		return m
 	}
-	twoMat := build()
-	twoMat.Grid.PaintRegion(0, 0.05, 0, 0.08, 0, 0.006, 1)
-	patched := build()
-	patched.AddPatchBC(mesh.ZMax, 0, 0.04, 0, 0.08, 0, 0.006, BC{Kind: FixedT, T: 305})
-	for name, m := range map[string]*Model{"two-material": twoMat, "patched": patched} {
+	paint := func(m *Model, x1 float64, mat int) {
+		if n, err := m.PaintRegion(0, x1, 0, 0.08, 0, 0.006, mat); n == 0 || err != nil {
+			t.Fatalf("paint up to x = %v painted %d cells: %v", x1, n, err)
+		}
+	}
+	patch := func(m *Model) *Model {
+		m.AddPatchBC(mesh.ZMax, 0, 0.04, 0, 0.08, 0, 0.006, BC{Kind: FixedT, T: 305})
+		return m
+	}
+	twoMat, patched, twin := build(), patch(build()), patch(build())
+	paint(twoMat, 0.05, 1)
+	paint(twin, 0.1, 0)
+
+	solve := func(name string, m *Model, prec string) *Result {
+		t.Helper()
 		tr := obs.NewTrace()
 		prev := obs.SetTracer(tr)
 		res, err := m.SolveSteady(context.Background())
@@ -170,25 +189,48 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, span := range []string{"thermal.SolveSteady", "thermal.linSolve"} {
-			if got := spanAttrs(t, tr, span); len(got) != 1 || got[0]["prec"] != "mic0" {
-				t.Errorf("%s: %s attributes %v, want prec mic0", name, span, got)
+			if got := spanAttrs(t, tr, span); len(got) != 1 || got[0]["prec"] != prec {
+				t.Errorf("%s: %s attributes %v, want prec %s", name, span, got, prec)
 			}
 		}
-		a, b, _ := m.System()
+		return res
+	}
+	var twinRes *Result
+	for _, c := range []struct {
+		name string
+		m    *Model
+	}{{"two-material", twoMat}, {"painted twin", twin}} {
+		res := solve(c.name, c.m, "mic0")
+		a, b, _ := c.m.System()
 		p, err := linalg.NewMICPrec(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, stats, err := linalg.CG(a, b, nil, p, cgTol, cgMaxIter(m.Grid.NumCells()))
+		want, stats, err := linalg.CG(a, b, nil, p, cgTol, cgMaxIter(c.m.Grid.NumCells()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Iterations != stats.Iterations {
-			t.Errorf("%s: solve took %d iterations, direct MIC(0) CG %d", name, res.Iterations, stats.Iterations)
+			t.Errorf("%s: solve took %d iterations, direct MIC(0) CG %d", c.name, res.Iterations, stats.Iterations)
 		}
 		for i := range want {
 			if res.T[i] != want[i] {
-				t.Fatalf("%s: cell %d: solve %v, direct MIC(0) CG %v (must be bitwise identical)", name, i, res.T[i], want[i])
+				t.Fatalf("%s: cell %d: solve %v, direct MIC(0) CG %v (must be bitwise identical)", c.name, i, res.T[i], want[i])
+			}
+		}
+		twinRes = res
+	}
+
+	res := solve("patched", patched, "fdm")
+	t.Logf("half-face FixedT patch: FDM %d CG iterations, MIC(0) on the painted twin %d", res.Iterations, twinRes.Iterations)
+	if res.Iterations != 26 {
+		t.Errorf("patched plate took %d CG iterations under FDM, want exactly 26", res.Iterations)
+	}
+	ref := referenceField(t, twin, slices.Clone(twinRes.T))
+	for name, field := range map[string][]float64{"patched": res.T, "painted twin": twinRes.T} {
+		for i := range ref {
+			if d := math.Abs(field[i] - ref[i]); d > 1e-6 {
+				t.Fatalf("%s: cell %d at %v K, reference %v K (%.3g K apart)", name, i, field[i], ref[i], d)
 			}
 		}
 	}
@@ -197,10 +239,11 @@ func TestNonSeparableModelsStayOnMIC0(t *testing.T) {
 // TestFDMBuildFailureIsError checks that a failed build is the solve's
 // error: with the only heat path a 1e-30 W/m²K film, the
 // fast-diagonalization build fails its pivot check (the constant mode
-// is all but singular), and the solve returns that error, naming the
-// preconditioner, without running CG.  The pass read as a CSR (csr) is
-// still bit for bit the system of the model's non-separable twin, the
-// same model with one face's BC repeated as a whole-face patch.
+// is all but singular: the pivot comes out negative), and the solve
+// returns that error, naming the preconditioner, without running CG.
+// The pass read as a CSR (csr) is still bit for bit the system of the
+// model's painted twin, the same model with material 0 painted over the
+// whole box.
 func TestFDMBuildFailureIsError(t *testing.T) {
 	reg := obs.NewRegistry()
 	prevReg := obs.SetDefault(reg)
@@ -222,7 +265,7 @@ func TestFDMBuildFailureIsError(t *testing.T) {
 		return m
 	}
 	res, err := build().SolveSteady(context.Background())
-	want := regexp.MustCompile(`^thermal: fdm preconditioner: linalg: FDM pivot .* is not positive: the operator is singular to working precision$`)
+	want := regexp.MustCompile(`^thermal: fdm preconditioner: linalg: FDM pivot -[0-9.e+-]+ of diagonal [0-9.e+]+ at cell [0-9]+ is not positive: the operator is singular to working precision$`)
 	if err == nil {
 		t.Fatalf("solved to a %.3g K maximum, want the fdm build error", res.Max())
 	}
@@ -237,7 +280,9 @@ func TestFDMBuildFailureIsError(t *testing.T) {
 	}
 
 	twin := build()
-	twin.AddPatchBC(mesh.ZMin, 0, 0.06, 0, 0.05, 0, 0.004, twin.FaceBC[mesh.ZMin])
+	if n, err := twin.PaintRegion(0, 0.06, 0, 0.05, 0, 0.004, 0); n != twin.Grid.NumCells() || err != nil {
+		t.Fatalf("whole-box paint covered %d cells: %v", n, err)
+	}
 	sep, tw := newStencil(build(), nil), newStencil(twin, nil)
 	if sep.kron == nil || tw.kron != nil {
 		t.Fatal("the board must run on a KronSum and its twin on the CSR")
@@ -246,4 +291,83 @@ func TestFDMBuildFailureIsError(t *testing.T) {
 	_, b := sep.assemble(T)
 	_, twB := tw.assemble(T)
 	sameSystem(t, "separable pass", sep.csr(T), tw.csr(T), b, twB)
+}
+
+// TestPatchedBoardsRunFDM checks that patches keep a one-material model
+// on fast diagonalization, which takes each patched face as its face
+// mean.  On 300 random grounded unpainted boards of 4–24 × 4–24 × 1–3
+// cells, each with 1–8 FixedT, Convection or Adiabatic patches over
+// faces whose defaults are mostly adiabatic (many boards are grounded
+// only through a patch), the build never fails, CG converges within
+// cgMaxIter, and the faces shed the source power to 1e-6 relative.  A
+// board with no heat path is the singular-problem error.
+func TestPatchedBoardsRunFDM(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	bc := func() BC {
+		switch rng.Intn(3) {
+		case 0:
+			return BC{Kind: FixedT, T: 280 + 40*rng.Float64()}
+		case 1:
+			return BC{Kind: Convection, T: 280 + 40*rng.Float64(), H: 1 + 99*rng.Float64()}
+		}
+		return BC{}
+	}
+	span := func(l float64) (float64, float64) {
+		a, b := l*rng.Float64(), l*rng.Float64()
+		return min(a, b), max(a, b) + 0.1*l
+	}
+	var iters []int
+	for solved := 0; solved < 300; {
+		g, err := mesh.Uniform(4+rng.Intn(21), 4+rng.Intn(21), 1+rng.Intn(3), 0.05+0.15*rng.Float64(), 0.05+0.15*rng.Float64(), 0.0016)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewModel(g, []materials.Material{materials.PCB(4+rng.Intn(9), 1, 0.6, 0.0016)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := mesh.XMin; f < mesh.NumFaces; f++ {
+			if rng.Intn(4) == 0 {
+				m.SetFaceBC(f, bc())
+			}
+		}
+		lx, ly, lz := g.XEdges[g.Nx], g.YEdges[g.Ny], g.ZEdges[g.Nz]
+		for p := 1 + rng.Intn(8); p > 0; p-- {
+			x0, x1 := span(lx)
+			y0, y1 := span(ly)
+			z0, z1 := span(lz)
+			m.AddPatchBC(mesh.Face(rng.Intn(int(mesh.NumFaces))), x0, x1, y0, y1, z0, z1, bc())
+		}
+		x0, x1 := span(lx)
+		y0, y1 := span(ly)
+		if power := 1 + 10*rng.Float64(); m.AddVolumeSource(x0, x1, y0, y1, 0, lz, power) == 0 {
+			m.AddVolumeSource(0, lx, 0, ly, 0, lz, power)
+		}
+		if !m.separable() {
+			t.Fatal("a patched one-material model is not separable")
+		}
+		st := newStencil(m, nil)
+		st.assemble(nil)
+		res, err := m.SolveSteady(context.Background())
+		if !st.grounded {
+			if err == nil || !strings.Contains(err.Error(), "steady problem is singular") {
+				t.Fatalf("board %d with no heat path: err %v, want the singular-problem error", solved, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("board %d, %d×%d×%d cells: %v", solved, g.Nx, g.Ny, g.Nz, err)
+		}
+		shed := 0.0
+		for f := mesh.XMin; f < mesh.NumFaces; f++ {
+			shed += m.BoundaryHeatFlow(res, f)
+		}
+		if p := m.TotalSourcePower(); math.Abs(shed-p) > 1e-6*p {
+			t.Fatalf("board %d, %d×%d×%d cells: faces shed %v W of %v W", solved, g.Nx, g.Ny, g.Nz, shed, p)
+		}
+		iters = append(iters, res.Iterations)
+		solved++
+	}
+	slices.Sort(iters)
+	t.Logf("CG iterations under FDM over %d patched boards: p50 %d, p90 %d, max %d", len(iters), iters[len(iters)/2], iters[len(iters)*9/10], iters[len(iters)-1])
 }

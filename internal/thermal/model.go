@@ -70,19 +70,22 @@ type volSource struct {
 // Model is a finite-volume conduction problem definition.
 type Model struct {
 	Grid *mesh.Grid
-	// Mats maps the grid's material indices to materials.
+	// Mats is the material table PaintRegion indexes.
 	Mats []materials.Material
 	// FaceBC holds the default BC per outer face (Adiabatic if unset).
 	FaceBC [mesh.NumFaces]BC
 
+	// mat is each cell's index into Mats, allocated by the first paint
+	// that covers a cell; nil while every cell holds Mats[0].
+	mat     []int
 	patches []patch
 	sources []volSource
 }
 
-// NewModel creates a model over grid with the given material table.  Every
-// material index used in the grid must be < len(mats), and every
-// material's conductivities must be positive and finite, so every face
-// of the FV stencil carries a non-zero conductance.
+// NewModel creates an unpainted model over grid, every cell holding
+// mats[0].  Every material's conductivities must be positive and
+// finite, so every face of the FV stencil carries a non-zero
+// conductance.
 func NewModel(grid *mesh.Grid, mats []materials.Material) (*Model, error) {
 	if grid == nil {
 		return nil, fmt.Errorf("thermal: nil grid")
@@ -95,12 +98,33 @@ func NewModel(grid *mesh.Grid, mats []materials.Material) (*Model, error) {
 			return nil, fmt.Errorf("thermal: material %d (%s) conductivities kx=%g kz=%g must be positive and finite", i, mat.Name, kx, kz)
 		}
 	}
-	for idx, m := range grid.MatIdx {
-		if m < 0 || m >= len(mats) {
-			return nil, fmt.Errorf("thermal: cell %d references material %d outside table of %d", idx, m, len(mats))
+	return &Model{Grid: grid, Mats: mats}, nil
+}
+
+// PaintRegion assigns Mats[mat] to every cell whose centroid lies in the
+// physical box and returns the number of cells painted (0: the box
+// missed the mesh).  An index outside Mats is an error and paints
+// nothing.  A painted model solves on the assembled CSR (SolveSteady).
+func (m *Model) PaintRegion(x0, x1, y0, y1, z0, z1 float64, mat int) (int, error) {
+	if mat < 0 || mat >= len(m.Mats) {
+		return 0, fmt.Errorf("thermal: material %d outside table of %d", mat, len(m.Mats))
+	}
+	g := m.Grid
+	b := g.LocateBox(x0, x1, y0, y1, z0, z1)
+	if b.Empty() {
+		return 0, nil
+	}
+	if m.mat == nil {
+		m.mat = make([]int, g.NumCells())
+	}
+	for k := b.K0; k < b.K1; k++ {
+		for j := b.J0; j < b.J1; j++ {
+			for i := b.I0; i < b.I1; i++ {
+				m.mat[g.Index(i, j, k)] = mat
+			}
 		}
 	}
-	return &Model{Grid: grid, Mats: mats}, nil
+	return b.NumCells(), nil
 }
 
 // SetFaceBC sets the default boundary condition for an entire outer face.
@@ -175,7 +199,10 @@ func (m *Model) bcAt(f mesh.Face, i, j, k int) BC {
 
 // matAt returns the material of cell (i,j,k).
 func (m *Model) matAt(i, j, k int) *materials.Material {
-	return &m.Mats[m.Grid.MatIdx[m.Grid.Index(i, j, k)]]
+	if m.mat == nil {
+		return &m.Mats[0]
+	}
+	return &m.Mats[m.mat[m.Grid.Index(i, j, k)]]
 }
 
 // kDir returns the directional conductivity of a material for axis 0(x),

@@ -39,14 +39,24 @@ func plateModel(t *testing.T, nx, ny, nz int) *Model {
 	return m
 }
 
-// mic0Twin returns the non-separable twin of a plateModel: the same
-// operator with the ZMin film repeated as a whole-face patch, so every
-// pass is preconditioned by MIC(0) instead of fast diagonalization.
+// mic0Twin returns the painted twin of a plateModel: the same operator
+// with material 0 painted over the whole box, so every pass is
+// preconditioned by MIC(0) instead of fast diagonalization.
 func mic0Twin(t *testing.T, nx, ny, nz int) *Model {
 	t.Helper()
 	m := plateModel(t, nx, ny, nz)
-	m.AddPatchBC(mesh.ZMin, 0, 0.08, 0, 0.08, 0, 0.004, m.FaceBC[mesh.ZMin])
+	paintAll(t, m)
 	return m
+}
+
+// paintAll paints material 0 over every cell of m, so m runs on the
+// assembled CSR under MIC(0) with the operator it had unpainted.
+func paintAll(t *testing.T, m *Model) {
+	t.Helper()
+	g := m.Grid
+	if n, err := m.PaintRegion(g.XEdges[0], g.XEdges[g.Nx], g.YEdges[0], g.YEdges[g.Ny], g.ZEdges[0], g.ZEdges[g.Nz], 0); n != g.NumCells() || err != nil {
+		t.Fatalf("whole-box paint covered %d of %d cells: %v", n, g.NumCells(), err)
+	}
 }
 
 // TestSolveErrorSurfacesIterStats pins the error contract added for the

@@ -51,19 +51,11 @@ func (r *Result) Min() float64 {
 	return m
 }
 
-// Mean returns the volume-weighted mean temperature.
+// Mean returns the volume-weighted mean temperature: MeanInBox over the
+// whole grid.
 func (r *Result) Mean() float64 {
-	sumVT, sumV := 0.0, 0.0
-	for k := 0; k < r.g.Nz; k++ {
-		for j := 0; j < r.g.Ny; j++ {
-			for i := 0; i < r.g.Nx; i++ {
-				v := r.g.CellVolume(i, j, k)
-				sumVT += v * r.T[r.g.Index(i, j, k)]
-				sumV += v
-			}
-		}
-	}
-	return sumVT / sumV
+	g := r.g
+	return r.MeanInBox(g.XEdges[0], g.XEdges[g.Nx], g.YEdges[0], g.YEdges[g.Ny], g.ZEdges[0], g.ZEdges[g.Nz])
 }
 
 // MaxInBox returns the hottest temperature among cells with centroids in
@@ -89,21 +81,39 @@ func (r *Result) MaxInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
 //
 // Non-finite (NaN/Inf) inputs propagate to the result (nanguard: propagates).
 func (r *Result) MeanInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
-	b := r.g.LocateBox(x0, x1, y0, y1, z0, z1)
 	sumVT, sumV := 0.0, 0.0
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			for i := b.I0; i < b.I1; i++ {
-				v := r.g.CellVolume(i, j, k)
-				sumVT += v * r.T[r.g.Index(i, j, k)]
-				sumV += v
-			}
+	boxRows(r.g, r.g.LocateBox(x0, x1, y0, y1, z0, z1), func(idx int, v []float64) {
+		// Local sums keep the row's additions, still in cell order, out
+		// of memory.
+		vt, vs, t := sumVT, sumV, r.T[idx:idx+len(v)]
+		for i, vi := range v {
+			vt += vi * t[i]
+			vs += vi
 		}
-	}
+		sumVT, sumV = vt, vs
+	})
 	if sumV == 0 {
 		return math.NaN()
 	}
 	return sumVT / sumV
+}
+
+// boxRows calls fn for every row of box b along x, k slowest, with the
+// index of the row's first cell and its cells' volumes, lent for the
+// call.  A cell's volume is DX(i)·dy·dz, with dy and dz taken once per
+// row and layer: the product Grid.CellVolume forms, in its order.
+func boxRows(g *mesh.Grid, b mesh.Box, fn func(idx int, v []float64)) {
+	v := make([]float64, b.I1-b.I0)
+	for k := b.K0; k < b.K1; k++ {
+		dz := g.DZ(k)
+		for j := b.J0; j < b.J1; j++ {
+			dy := g.DY(j)
+			for i := range v {
+				v[i] = g.DX(b.I0+i) * dy * dz
+			}
+			fn(g.Index(b.I0, j, k), v)
+		}
+	}
 }
 
 // CG runs each pass to a relative residual of cgTol, within cgMaxIter
@@ -136,13 +146,13 @@ func cgMaxIter(n int) int {
 // The solver's spans (thermal.SolveSteady → thermal.assemble /
 // thermal.linSolve) nest under the span ctx carries.
 //
-// The model picks each pass's operator and preconditioner: when every
-// cell holds one material and no patch overrides a face, as on every
-// level-2 board, CG runs on the operator's Kronecker-sum form
+// The model picks each pass's operator and preconditioner: on an
+// unpainted model, every cell holding Mats[0] (every level-2 board,
+// patched or not), CG runs on the operator's Kronecker-sum form
 // (linalg.KronSum) preconditioned by fast diagonalization
-// (linalg.FDMPrec), and otherwise on the assembled CSR preconditioned
-// by MIC(0).  Each pass builds that preconditioner and runs one CG
-// solve; a failed build or solve is the solve's error.  A model with no
+// (linalg.FDMPrec), and on a painted one on the assembled CSR
+// preconditioned by MIC(0).  Each pass builds that preconditioner and
+// runs one CG solve; a failed build or solve is the solve's error.  A model with no
 // face exchanging heat has no steady state, and SolveSteady says so
 // rather than solving it.
 //
@@ -266,20 +276,10 @@ func (m *Model) balanceT() float64 {
 	return t
 }
 
-// separable reports whether the model's operator is a Kronecker sum of
-// three 1-D factors, so fast diagonalization inverts it: every cell
-// holds one material and no patch overrides a face.
-func (m *Model) separable() bool {
-	if len(m.patches) > 0 {
-		return false
-	}
-	for _, idx := range m.Grid.MatIdx {
-		if idx != m.Grid.MatIdx[0] {
-			return false
-		}
-	}
-	return true
-}
+// separable reports whether the model's interior operator is a
+// Kronecker sum of three 1-D factors: the model is unpainted.  Its
+// boundary terms, patched or not, touch only the KronSum's diagonal.
+func (m *Model) separable() bool { return m.mat == nil }
 
 func (m *Model) hasRadiation() bool {
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
@@ -355,7 +355,7 @@ func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, st *sten
 }
 
 // kind names the preconditioner every pass of the model runs under:
-// "fdm" on a separable model, "mic0" on any other.
+// "fdm" on an unpainted model, "mic0" on a painted one.
 func (s *stencil) kind() string {
 	if s.kron != nil {
 		return "fdm"
@@ -386,21 +386,21 @@ func (s *stencil) prec() (linalg.Preconditioner, error) {
 // stencil assembles one model's FV operator, once per Picard pass, in
 // one of two forms.
 //
-// A separable model's passes run on its Kronecker-sum form, a
-// linalg.KronSum: the interior face conductances per unit cross-section
-// as three axes, computed once per SolveSteady call (interiorAxes),
-// plus a per-cell diagonal, the boundary terms.  A pass writes only
-// those n values and the right-hand side.
+// An unpainted (separable) model's passes run on its Kronecker-sum
+// form, a linalg.KronSum: the interior face conductances per unit
+// cross-section as three axes, computed once per SolveSteady call
+// (interiorAxes), plus a per-cell diagonal, the boundary terms, patches
+// included.  A pass writes only those n values and the right-hand side.
 //
-// Every other model runs on the 7-point CSR, assembled in two phases.
+// A painted model runs on the 7-point CSR, assembled in two phases.
 // The symbolic phase (build) runs once per SolveSteady call: the CSR
 // pattern, each row's diagonal slot, the interior face conductances,
 // written once as the off-diagonal values, and each row's sum of them,
-// its interior diagonal; all depend only on grid and materials.  The
-// numeric phase runs once per pass: it resets the n diagonal values to
-// the interior ones and adds the boundary terms, the only part of the
-// operator that moves with the surface temperature and that touches
-// nothing but the diagonal.
+// its interior diagonal; all depend only on grid and the model's
+// material map.  The numeric phase runs once per pass: it resets the n
+// diagonal values to the interior ones and adds the boundary terms, the
+// only part of the operator that moves with the surface temperature and
+// that touches nothing but the diagonal.
 //
 // Every pass assembles into the same arrays: no preconditioner keeps a
 // reference to them (MIC(0) and fast diagonalization copy what they
@@ -418,9 +418,9 @@ func (s *stencil) prec() (linalg.Preconditioner, error) {
 // depend on how the pattern is traversed.
 type stencil struct {
 	m  *Model
-	ws *workspace // the system's arrays; build makes a fresh one if nil
-	// kron is a separable model's operator, whose Diag is ws.bnd; nil
-	// on every other model.
+	ws *workspace // the system's arrays
+	// kron is an unpainted model's operator, whose Diag is ws.bnd; nil
+	// on a painted one.
 	kron *linalg.KronSum
 	a    linalg.CSR // the assembled CSR over ws's arrays, one Val for every pass
 	// grounded records whether the last assemble added a nonzero
@@ -452,7 +452,7 @@ type workspace struct {
 // for every solve, and a burst of more concurrent solves allocates the
 // extra ones and drops them.  An 80×80×2 level-2 board, the largest,
 // which builds no CSR, keeps 0.8 MB in its workspace (eight arrays of n
-// floats); a non-separable model of that size adds about 1.6 MB.
+// floats); a painted model of that size adds about 1.6 MB.
 var free = make(chan *workspace, runtime.GOMAXPROCS(0))
 
 // takeWorkspace returns a workspace from the free list, or a new one
@@ -485,7 +485,7 @@ func fit[T int | float64](s []T, n int) []T {
 }
 
 // newStencil returns m's stencil over ws, or over a fresh workspace
-// when ws is nil.  A separable model's passes run on a KronSum of its
+// when ws is nil.  An unpainted model's passes run on a KronSum of its
 // interior axes, computed here once.
 func newStencil(m *Model, ws *workspace) *stencil {
 	if ws == nil {
@@ -508,19 +508,16 @@ func (s *stencil) nnz() int {
 	return nx*ny*nz + 2*((nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
 }
 
-// build runs the symbolic phase: row by row, entries in ascending
-// column order (−z, −y, −x, diagonal, +x, +y, +z).  Each face
-// conductance is faceConductance(area, Δ₁, k₁, Δ₂, k₂) of the two cells'
-// sizes along the axis and conductivities across it, the sizes taken
-// once per axis and the conductivities once per material before the
-// cell loop.
+// build runs the symbolic phase of a painted model: row by row,
+// entries in ascending column order (−z, −y, −x, diagonal, +x, +y, +z).
+// Each face conductance is faceConductance(area, Δ₁, k₁, Δ₂, k₂) of the
+// two cells' sizes along the axis and conductivities across it, the
+// sizes taken once per axis and the conductivities once per material
+// before the cell loop, the materials read from the model's map.
 func (s *stencil) build() {
 	m, g := s.m, s.m.Grid
 	nx, ny, nz := g.Nx, g.Ny, g.Nz
 	nxy, n, nnz := nx*ny, g.NumCells(), s.nnz()
-	if s.ws == nil {
-		s.ws = new(workspace)
-	}
 	ws := s.ws
 	ws.rowPtr, ws.colIdx, ws.diag = fit(ws.rowPtr, n+1), fit(ws.colIdx, nnz), fit(ws.diag, n)
 	ws.val, ws.interior, ws.b = fit(ws.val, nnz), fit(ws.interior, n), fit(ws.b, n)
@@ -531,7 +528,7 @@ func (s *stencil) build() {
 	for q := range m.Mats {
 		kxy[q], kz[q] = kDir(&m.Mats[q], 0), kDir(&m.Mats[q], 2)
 	}
-	mat, col, val := g.MatIdx, s.a.ColIdx, s.a.Val
+	mat, col, val := m.mat, s.a.ColIdx, s.a.Val
 	p := 0
 	// off appends the coupling −gf to column c of the current row and
 	// returns gf for the row's diagonal sum.
@@ -587,8 +584,8 @@ func cellSizes(edges []float64) []float64 {
 
 // assemble runs one pass: the steady FV system A·T = b linearized about
 // the field T, written over the previous pass's.  It returns the
-// KronSum of a separable model and the CSR of any other, building the
-// CSR's symbolic phase on first use.
+// KronSum of an unpainted model and the CSR of a painted one, building
+// the CSR's symbolic phase on first use.
 //
 // A boundary cell at Ts loses G(Ts)·(Ts − Ta) through its face.  A
 // radiating film linearizes that by Newton's method: the cell adds
@@ -661,27 +658,22 @@ func (s *stencil) boundary(T, dst []float64, slot []int) {
 		s.grounded = s.grounded || total != 0
 	}
 
-	// Volumetric sources.
+	// Volumetric sources, each spread by cell volume fraction.
 	for _, src := range m.sources {
-		// Spread power by cell volume fraction.
 		vol := 0.0
-		for k := src.box.K0; k < src.box.K1; k++ {
-			for j := src.box.J0; j < src.box.J1; j++ {
-				for i := src.box.I0; i < src.box.I1; i++ {
-					vol += g.CellVolume(i, j, k)
-				}
+		boxRows(g, src.box, func(_ int, v []float64) {
+			for _, vi := range v {
+				vol += vi
 			}
-		}
+		})
 		if vol == 0 {
 			continue
 		}
-		for k := src.box.K0; k < src.box.K1; k++ {
-			for j := src.box.J0; j < src.box.J1; j++ {
-				for i := src.box.I0; i < src.box.I1; i++ {
-					b[g.Index(i, j, k)] += src.power * g.CellVolume(i, j, k) / vol
-				}
+		boxRows(g, src.box, func(idx int, v []float64) {
+			for i, vi := range v {
+				b[idx+i] += src.power * vi / vol
 			}
-		}
+		})
 	}
 }
 
@@ -714,14 +706,14 @@ func (m *Model) boundaryG(f mesh.Face, i, j, k int, bc BC, Ts float64) (G, D flo
 	return G, max(0, G*G*dh/(h*h*area)*(Ts-bc.T))
 }
 
-// interiorAxes factors a separable model's interior conduction into its
-// three axes: per unit cross-section, the face conductances between
-// neighbouring cells along each axis, and the cell sizes as masses.
-// Its boundary faces are each pass's: the KronSum's per-cell diagonal
-// and fdmAxes' end terms.
+// interiorAxes factors an unpainted model's interior conduction, every
+// cell of Mats[0], into its three axes: per unit cross-section, the face
+// conductances between neighbouring cells along each axis, and the cell
+// sizes as masses.  Its boundary faces are each pass's: the KronSum's
+// per-cell diagonal and fdmAxes' end terms.
 func (m *Model) interiorAxes() [3]linalg.Axis {
 	g := m.Grid
-	mat := &m.Mats[g.MatIdx[0]]
+	mat := &m.Mats[0]
 	var axes [3]linalg.Axis
 	for d, edges := range [3][]float64{g.XEdges, g.YEdges, g.ZEdges} {
 		n := len(edges) - 1
@@ -742,13 +734,13 @@ func (m *Model) interiorAxes() [3]linalg.Axis {
 	return axes
 }
 
-// fdmAxes returns the axes of a separable model's last pass for fast
+// fdmAxes returns the axes of an unpainted model's last pass for fast
 // diagonalization: the interior ones plus, at each end, the conductance
-// per unit area of that boundary face, its faceG over its area.  An
-// adiabatic, FixedT or Convection face has the same conductance per
-// unit area at every cell, so their Kronecker sum is exactly the pass's
-// operator; a ConvectionRadiation face contributes the face mean of the
-// film and its Newton term, which the KronSum applies cell by cell.
+// per unit area of that boundary face, its faceG over its area.  On an
+// unpatched adiabatic, FixedT or Convection face that is the same at
+// every cell, so their Kronecker sum is exactly the pass's operator; a
+// radiating or patched face contributes its face mean of the terms the
+// KronSum applies cell by cell.
 // Only Diag is new: Off and Mass are the interior axes', which nothing
 // modifies.
 func (s *stencil) fdmAxes() [3]linalg.Axis {

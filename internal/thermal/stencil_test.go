@@ -127,8 +127,9 @@ func csrFromTriplets(n int, ts []triplet) *linalg.CSR {
 
 // randomStencilModel draws a model over a random graded grid with 1–6
 // cells per axis (often one axis a single cell thick), two materials
-// (isotropic aluminium, orthotropic PCB laminate) painted per cell, one
-// of the four BC kinds on every face, patch overrides and volume
+// (isotropic aluminium, orthotropic PCB laminate) drawn per cell, each
+// laminate cell painted (a model that draws no laminate is unpainted),
+// one of the four BC kinds on every face, patch overrides and volume
 // sources.  It also returns a random surface-temperature field.
 func randomStencilModel(t *testing.T, rng *rand.Rand) (*Model, []float64) {
 	t.Helper()
@@ -147,12 +148,14 @@ func randomStencilModel(t *testing.T, rng *rand.Rand) (*Model, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range g.MatIdx {
-		g.MatIdx[i] = rng.Intn(2)
-	}
 	m, err := NewModel(g, []materials.Material{materials.Al6061, materials.PCB(8, 1, 0.6, 0.004)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < g.NumCells(); i++ {
+		if q := rng.Intn(2); q != 0 {
+			paintCell(t, m, i, q)
+		}
 	}
 	kinds := []BCKind{Adiabatic, FixedT, Convection, ConvectionRadiation}
 	randBC := func() BC {
@@ -194,6 +197,15 @@ func randomStencilModel(t *testing.T, rng *rand.Rand) (*Model, []float64) {
 	return m, Tsurf
 }
 
+// paintCell paints cell idx of m with material mat.
+func paintCell(t *testing.T, m *Model, idx, mat int) {
+	t.Helper()
+	x, y, z := m.Grid.CellCenter(m.Grid.Coords(idx))
+	if n, err := m.PaintRegion(x, x, y, y, z, z, mat); n != 1 || err != nil {
+		t.Fatalf("painting cell %d painted %d cells: %v", idx, n, err)
+	}
+}
+
 // sameSystem fails unless (a, b) equals the reference bit for bit.
 func sameSystem(t *testing.T, what string, a, ref *linalg.CSR, b, refB []float64) {
 	t.Helper()
@@ -228,7 +240,7 @@ func matchTripletReference(t *testing.T, ws *workspace) {
 	for trial := 0; trial < 300; trial++ {
 		m, Tsurf := randomStencilModel(t, rng)
 		n := m.Grid.NumCells()
-		st := &stencil{m: m, ws: ws}
+		st := newStencil(m, ws)
 		for pass := 0; pass < 2; pass++ {
 			_, b := st.assemble(Tsurf)
 			ts, refB := tripletReference(m, Tsurf)
@@ -240,11 +252,11 @@ func matchTripletReference(t *testing.T, ws *workspace) {
 	}
 }
 
-// TestMIC0BuildsUnshiftedOnRandomModels pins why a non-separable pass
-// needs no fallback preconditioner: on 2,000 random grounded
-// non-separable models, half of them on a silicon/mold-compound table
-// (k 148 against 0.9 W/m·K), each assembled at its random field,
-// stencil.prec builds MIC(0) without a single diagonal shift.
+// TestMIC0BuildsUnshiftedOnRandomModels pins why a painted model's
+// pass needs no fallback preconditioner: on 2,000 random grounded
+// painted models, half of them on a silicon/mold-compound table (k 148
+// against 0.9 W/m·K), each assembled at its random field, stencil.prec
+// builds MIC(0) without a single diagonal shift.
 func TestMIC0BuildsUnshiftedOnRandomModels(t *testing.T) {
 	reg := obs.NewRegistry()
 	prev := obs.SetDefault(reg)
@@ -298,12 +310,12 @@ func reuseModels(t *testing.T) (large, small *Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range g.MatIdx {
-		g.MatIdx[i] = i % 2
-	}
 	small, err = NewModel(g, []materials.Material{materials.Al6061, materials.PCB(8, 1, 0.6, 0.004)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 1; i < g.NumCells(); i += 2 {
+		paintCell(t, small, i, 1)
 	}
 	small.SetFaceBC(mesh.ZMax, BC{Kind: ConvectionRadiation, T: 290, H: 4, Emiss: 0.8})
 	small.SetFaceBC(mesh.XMin, BC{Kind: FixedT, T: 310})
@@ -448,8 +460,8 @@ func TestStencilWorkspaceReuse(t *testing.T) {
 
 	t.Run("assembly", func(t *testing.T) {
 		grown := new(workspace)
-		st := &stencil{m: large, ws: grown}
-		st.assemble(make([]float64, large.Grid.NumCells()))
+		st := newStencil(large, grown)
+		st.csr(make([]float64, large.Grid.NumCells()))
 		matchTripletReference(t, grown)
 		if &grown.val[0] != &st.a.Val[0] {
 			t.Error("the reference cases grew the workspace past the 80×80×2 model's")

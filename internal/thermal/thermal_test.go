@@ -173,7 +173,9 @@ func TestTwoMaterialSeriesSlab(t *testing.T) {
 	al := materials.Al6061
 	fr4 := materials.Material{Name: "fr4iso", K: 0.3, Rho: 1850, Cp: 1100}
 	m, _ := NewModel(g, []materials.Material{al, fr4})
-	g.PaintRegion(0.01, 0.02, 0, 0.1, 0, 0.1, 1)
+	if _, err := m.PaintRegion(0.01, 0.02, 0, 0.1, 0, 0.1, 1); err != nil {
+		t.Fatal(err)
+	}
 	m.SetFaceBC(mesh.XMin, BC{Kind: FixedT, T: 400})
 	m.SetFaceBC(mesh.XMax, BC{Kind: FixedT, T: 300})
 	res, err := m.SolveSteady(context.Background())
@@ -272,11 +274,6 @@ func TestNewModelValidation(t *testing.T) {
 	if _, err := NewModel(g, nil); err == nil {
 		t.Error("empty material table should error")
 	}
-	g.MatIdx[0] = 5
-	if _, err := NewModel(g, []materials.Material{materials.Al6061}); err == nil {
-		t.Error("out-of-range material index should error")
-	}
-	g.MatIdx[0] = 0
 	for _, bad := range []materials.Material{
 		{Name: "zero", K: 0},
 		{Name: "negative", K: -1},
@@ -288,6 +285,62 @@ func TestNewModelValidation(t *testing.T) {
 		if _, err := NewModel(g, []materials.Material{materials.Al6061, bad}); err == nil {
 			t.Errorf("material %q: non-positive or non-finite conductivity should error", bad.Name)
 		}
+	}
+}
+
+// TestPaintRegion checks the model's material map: PaintRegion paints
+// the cells whose centroids lie in the box and returns their count, an
+// index outside the material table is an error that paints nothing, and
+// a box that misses the grid leaves the model unpainted.
+func TestPaintRegion(t *testing.T) {
+	g, _ := mesh.Uniform(10, 10, 1, 1, 1, 0.01)
+	mats := []materials.Material{materials.Al6061, materials.FR4, materials.Copper, materials.Silicon, materials.MoldCompound}
+	m, err := NewModel(g, mats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A box that misses the grid paints nothing and allocates no map.
+	if n, err := m.PaintRegion(5, 6, 5, 6, 0, 1, 4); n != 0 || err != nil || m.mat != nil {
+		t.Errorf("painting outside the grid: %d cells, %v, map allocated %t", n, err, m.mat != nil)
+	}
+	for _, bad := range []int{5, -1} {
+		if n, err := m.PaintRegion(0, 1, 0, 1, 0, 0.01, bad); err == nil || n != 0 || m.mat != nil {
+			t.Errorf("material %d outside a table of 5: %d cells, %v, map allocated %t; want an error", bad, n, err, m.mat != nil)
+		}
+	}
+	if !m.separable() {
+		t.Fatal("a model no paint covered is not separable")
+	}
+	// A central region: centroids 0.25,0.35,…,0.75 qualify in each
+	// direction (closed-interval centroid test) → 6×6 cells.
+	if n, err := m.PaintRegion(0.25, 0.75, 0.25, 0.75, 0, 0.01, 3); n != 36 || err != nil {
+		t.Errorf("painted %d cells (%v), want 36", n, err)
+	}
+	count := func(mat int) int {
+		c := 0
+		for _, q := range m.mat {
+			if q == mat {
+				c++
+			}
+		}
+		return c
+	}
+	if c := count(3); c != 36 || m.separable() {
+		t.Errorf("the map holds %d cells of material 3 (want 36), separable %t", c, m.separable())
+	}
+	if m.matAt(2, 2, 0) != &m.Mats[3] || m.matAt(1, 2, 0) != &m.Mats[0] {
+		t.Error("matAt does not read the painted map")
+	}
+	// Half-open style selection avoiding centroid ties.
+	if n, err := m.PaintRegion(0.2, 0.7, 0.2, 0.7, 0, 0.01, 4); n != 25 || err != nil {
+		t.Errorf("tie-free selection painted %d cells (%v), want 25", n, err)
+	}
+	if c3, c4 := count(3), count(4); c3 != 11 || c4 != 25 {
+		t.Errorf("after the second paint the map holds %d cells of material 3 and %d of 4, want 11 and 25", c3, c4)
+	}
+	// An out-of-table index on a painted model leaves its map as it was.
+	if _, err := m.PaintRegion(0, 1, 0, 1, 0, 0.01, 7); err == nil || count(0) != 64 {
+		t.Errorf("material 7 outside a table of 5: %v, %d cells of material 0 left (want an error and 64)", err, count(0))
 	}
 }
 
@@ -315,11 +368,11 @@ func picardTestModel(t *testing.T) *Model {
 // TestSolveSteadyPollsStopBetweenPasses checks the budget reaches the
 // Picard loop: a poll budget the first pass spends exactly, one poll per
 // CG iteration but the converging one, stops the solve at the pass
-// boundary.  The plate's MIC(0) twin, whose first pass takes several CG
-// iterations, leaves the budget at least 1.
+// boundary.  The plate's painted twin, whose first pass takes several
+// CG iterations under MIC(0), leaves the budget at least 1.
 func TestSolveSteadyPollsStopBetweenPasses(t *testing.T) {
 	m := picardTestModel(t)
-	m.AddPatchBC(mesh.ZMin, 0, 0.12, 0, 0.1, 0, 0.012, m.FaceBC[mesh.ZMin])
+	paintAll(t, m)
 	tr := obs.NewTrace()
 	prev := obs.SetTracer(tr)
 	_, err := m.SolveSteady(context.Background())
@@ -361,6 +414,59 @@ func TestResultProbes(t *testing.T) {
 	}
 	if !math.IsNaN(res.MeanInBox(5, 6, 5, 6, 5, 6)) {
 		t.Error("empty box mean should be NaN")
+	}
+}
+
+// TestMeansMatchCellVolume pins Mean and MeanInBox bit for bit to the
+// per-cell formula Σ CellVolume·T / Σ CellVolume, summed with k slowest
+// and i fastest, over the whole grid and random boxes (empty ones NaN)
+// of random graded grids and fields.  The assembled right-hand side's
+// source spread is pinned to the same formula by the triplet reference.
+func TestMeansMatchCellVolume(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	ratio := func() float64 { return 0.6 + 0.8*rng.Float64() }
+	for trial := 0; trial < 50; trial++ {
+		g, err := mesh.FromEdges(mesh.GradedEdges(0.1, 1+rng.Intn(9), ratio()), mesh.GradedEdges(0.08, 1+rng.Intn(9), ratio()), mesh.GradedEdges(0.004, 1+rng.Intn(4), ratio()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &Result{T: make([]float64, g.NumCells()), g: g}
+		for i := range res.T {
+			res.T[i] = 280 + 100*rng.Float64()
+		}
+		ref := func(b mesh.Box) float64 {
+			sumVT, sumV := 0.0, 0.0
+			for k := b.K0; k < b.K1; k++ {
+				for j := b.J0; j < b.J1; j++ {
+					for i := b.I0; i < b.I1; i++ {
+						v := g.CellVolume(i, j, k)
+						sumVT += v * res.T[g.Index(i, j, k)]
+						sumV += v
+					}
+				}
+			}
+			if sumV == 0 {
+				return math.NaN()
+			}
+			return sumVT / sumV
+		}
+		same := func(what string, got, want float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("trial %d, %d×%d×%d cells: %s %v, per-cell formula %v", trial, g.Nx, g.Ny, g.Nz, what, got, want)
+			}
+		}
+		same("Mean", res.Mean(), ref(mesh.Box{I1: g.Nx, J1: g.Ny, K1: g.Nz}))
+		for box := 0; box < 4; box++ {
+			span := func(l float64) (float64, float64) {
+				a, b := l*rng.Float64(), l*rng.Float64()
+				return min(a, b), max(a, b)
+			}
+			x0, x1 := span(0.1)
+			y0, y1 := span(0.08)
+			z0, z1 := span(0.004)
+			same("MeanInBox", res.MeanInBox(x0, x1, y0, y1, z0, z1), ref(g.LocateBox(x0, x1, y0, y1, z0, z1)))
+		}
 	}
 }
 

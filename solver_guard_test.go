@@ -110,17 +110,16 @@ func TestSolverPerfGuard(t *testing.T) {
 var startProcs = runtime.GOMAXPROCS(0)
 
 // e2Level2Bytes is the allocation budget of one warm level-2 solve of
-// the E2 board, which measures about 173,000 B on linux/amd64 (go1.24):
-// its 10,240-cell answer and the model's MatIdx, 82 KB each, and the
-// interior axes.  Any n-float array allocated per solve adds 82 KB and
-// fails it, as does a goroutine that finds no workspace on the free
-// list, and a stencil that lays out the 7-point CSR again adds about
-// 1.8 MB.
-const e2Level2Bytes = 225_000
+// the E2 board, which measures about 91,000 B on linux/amd64 (go1.24):
+// its 10,240-cell answer, 82 KB, and the interior axes.  Any n-float
+// array allocated per solve adds 82 KB and fails it, as does a
+// goroutine that finds no workspace on the free list, and a stencil
+// that lays out the 7-point CSR again adds about 1.8 MB.
+const e2Level2Bytes = 130_000
 
 // e2Level2Model rebuilds board's level-2 FV model the way
 // core.BoardDesign.Level2 builds it, for the free-convection board the
-// guard below compares against its non-separable twin.
+// guard below compares against its painted twin.
 func e2Level2Model(t *testing.T, board *core.BoardDesign, screen core.Screen) *thermal.Model {
 	t.Helper()
 	nx := int(math.Min(80, math.Max(16, board.LengthM/2.5e-3)))
@@ -180,9 +179,8 @@ func TestE2Level2MICIterations(t *testing.T) {
 // E2 board, whose faces carry a per-cell Newton-linearized radiative
 // film that the preconditioner replaces by its face mean.  The solve
 // takes exactly 3 passes of 1, 2 and 1 CG iterations, as many passes as
-// MIC(0) takes on the board's non-separable twin (the ZMin film repeated
-// as a whole-face patch), and lands on the same field within the solve
-// tolerance.  Pass and iteration counts are deterministic, so the pin is
+// MIC(0) takes on the board's painted twin (material 0 painted over the
+// whole board), and lands on the same field within the solve tolerance.  Pass and iteration counts are deterministic, so the pin is
 // exact.
 func TestE2FreeConvectionFDMIterations(t *testing.T) {
 	board := e2Board()
@@ -191,7 +189,9 @@ func TestE2FreeConvectionFDMIterations(t *testing.T) {
 	maxC, _ := level2Iterations(t, board, screen)
 	m := e2Level2Model(t, board, screen)
 	twin := e2Level2Model(t, board, screen)
-	twin.AddPatchBC(mesh.ZMin, 0, board.LengthM, 0, board.WidthM, 0, board.ThicknessM, twin.FaceBC[mesh.ZMin])
+	if n, err := twin.PaintRegion(0, board.LengthM, 0, board.WidthM, 0, board.ThicknessM, 0); n != twin.Grid.NumCells() || err != nil {
+		t.Fatalf("whole-board paint covered %d of %d cells: %v", n, twin.Grid.NumCells(), err)
+	}
 
 	// solve returns m's field and the CG iterations of each pass, read
 	// from the iterations attribute of its thermal.linSolve spans.
