@@ -416,7 +416,11 @@ func (p *FDMPrec) mirror(d int, dst, src []float64) {
 }
 
 // axpyRows sets dst = Σ_t c[t]·rows[t·L : (t+1)·L] with L = len(dst),
-// four rows per pass over dst.
+// four rows per pass over dst.  Each row is resliced to len(dst), so
+// the element loops index every slice within a length the compiler
+// knows and carry no bounds check.
+//
+//lint:hot
 func axpyRows(dst, rows, c []float64) {
 	n := len(dst)
 	clear(dst)
@@ -425,12 +429,14 @@ func axpyRows(dst, rows, c []float64) {
 		c0, c1, c2, c3 := c[t], c[t+1], c[t+2], c[t+3]
 		r := rows[t*n : t*n+4*n]
 		r0, r1, r2, r3 := r[:n], r[n:2*n], r[2*n:3*n], r[3*n:4*n]
+		r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
 		for j := range dst {
 			dst[j] += c0*r0[j] + c1*r1[j] + c2*r2[j] + c3*r3[j]
 		}
 	}
 	for ; t < len(c); t++ {
 		ct, rt := c[t], rows[t*n:t*n+n]
+		rt = rt[:len(dst)]
 		for j := range dst {
 			dst[j] += ct * rt[j]
 		}

@@ -74,19 +74,6 @@ func (g *Grid) Index(i, j, k int) int {
 	return i + g.Nx*(j+g.Ny*k)
 }
 
-// Coords inverts Index.
-func (g *Grid) Coords(idx int) (i, j, k int) {
-	i = idx % g.Nx
-	j = (idx / g.Nx) % g.Ny
-	k = idx / (g.Nx * g.Ny)
-	return
-}
-
-// InBounds reports whether (i,j,k) addresses a valid cell.
-func (g *Grid) InBounds(i, j, k int) bool {
-	return i >= 0 && i < g.Nx && j >= 0 && j < g.Ny && k >= 0 && k < g.Nz
-}
-
 // DX returns the x-extent of column i.
 func (g *Grid) DX(i int) float64 { return g.XEdges[i+1] - g.XEdges[i] }
 
@@ -96,24 +83,11 @@ func (g *Grid) DY(j int) float64 { return g.YEdges[j+1] - g.YEdges[j] }
 // DZ returns the z-extent of layer k.
 func (g *Grid) DZ(k int) float64 { return g.ZEdges[k+1] - g.ZEdges[k] }
 
-// CellVolume returns the volume of cell (i,j,k) in m³.
-func (g *Grid) CellVolume(i, j, k int) float64 {
-	return g.DX(i) * g.DY(j) * g.DZ(k)
-}
-
 // CellCenter returns the centroid of cell (i,j,k).
 func (g *Grid) CellCenter(i, j, k int) (x, y, z float64) {
 	return 0.5 * (g.XEdges[i] + g.XEdges[i+1]),
 		0.5 * (g.YEdges[j] + g.YEdges[j+1]),
 		0.5 * (g.ZEdges[k] + g.ZEdges[k+1])
-}
-
-// TotalVolume returns the mesh volume.
-func (g *Grid) TotalVolume() float64 {
-	lx := g.XEdges[g.Nx] - g.XEdges[0]
-	ly := g.YEdges[g.Ny] - g.YEdges[0]
-	lz := g.ZEdges[g.Nz] - g.ZEdges[0]
-	return lx * ly * lz
 }
 
 // Box selects the half-open index ranges covering the physical box
@@ -196,19 +170,6 @@ func (f Face) String() string {
 	return fmt.Sprintf("Face(%d)", int(f))
 }
 
-// FaceArea returns the area of the boundary face of cell (i,j,k) lying on
-// grid face f.
-func (g *Grid) FaceArea(f Face, i, j, k int) float64 {
-	switch f {
-	case XMin, XMax:
-		return g.DY(j) * g.DZ(k)
-	case YMin, YMax:
-		return g.DX(i) * g.DZ(k)
-	default:
-		return g.DX(i) * g.DY(j)
-	}
-}
-
 // TotalFaceArea returns the full area of boundary face f.
 func (g *Grid) TotalFaceArea(f Face) float64 {
 	lx := g.XEdges[g.Nx] - g.XEdges[0]
@@ -221,42 +182,6 @@ func (g *Grid) TotalFaceArea(f Face) float64 {
 		return lx * lz
 	default:
 		return lx * ly
-	}
-}
-
-// BoundaryCells invokes fn for every cell adjacent to face f.
-func (g *Grid) BoundaryCells(f Face, fn func(i, j, k int)) {
-	switch f {
-	case XMin, XMax:
-		i := 0
-		if f == XMax {
-			i = g.Nx - 1
-		}
-		for k := 0; k < g.Nz; k++ {
-			for j := 0; j < g.Ny; j++ {
-				fn(i, j, k)
-			}
-		}
-	case YMin, YMax:
-		j := 0
-		if f == YMax {
-			j = g.Ny - 1
-		}
-		for k := 0; k < g.Nz; k++ {
-			for i := 0; i < g.Nx; i++ {
-				fn(i, j, k)
-			}
-		}
-	default:
-		k := 0
-		if f == ZMax {
-			k = g.Nz - 1
-		}
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
-				fn(i, j, k)
-			}
-		}
 	}
 }
 

@@ -17,8 +17,8 @@ func TestUniform(t *testing.T) {
 	if !approx(g.DX(0), 0.1) || !approx(g.DY(0), 0.1) || !approx(g.DZ(0), 0.1) {
 		t.Errorf("cell sizes: %v %v %v", g.DX(0), g.DY(0), g.DZ(0))
 	}
-	if !approx(g.TotalVolume(), 0.4*0.3*0.2) {
-		t.Errorf("TotalVolume = %v", g.TotalVolume())
+	if g.XEdges[g.Nx] != 0.4 || g.YEdges[g.Ny] != 0.3 || g.ZEdges[g.Nz] != 0.2 {
+		t.Errorf("edges end at %v, %v, %v", g.XEdges[g.Nx], g.YEdges[g.Ny], g.ZEdges[g.Nz])
 	}
 }
 
@@ -52,22 +52,17 @@ func TestFromEdges(t *testing.T) {
 	}
 }
 
+// TestIndexRoundTrip decodes random indices by the layout Index
+// documents, i fastest, and checks Index maps the cell back.
 func TestIndexRoundTrip(t *testing.T) {
 	g, _ := Uniform(5, 4, 3, 1, 1, 1)
 	f := func(raw uint32) bool {
 		idx := int(raw) % g.NumCells()
-		i, j, k := g.Coords(idx)
-		return g.InBounds(i, j, k) && g.Index(i, j, k) == idx
+		i, j, k := idx%g.Nx, idx/g.Nx%g.Ny, idx/(g.Nx*g.Ny)
+		return k < g.Nz && g.Index(i, j, k) == idx
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestInBounds(t *testing.T) {
-	g, _ := Uniform(2, 2, 2, 1, 1, 1)
-	if g.InBounds(-1, 0, 0) || g.InBounds(2, 0, 0) || g.InBounds(0, 0, 2) {
-		t.Error("out-of-range indices reported in bounds")
 	}
 }
 
@@ -77,13 +72,13 @@ func TestCellCenterAndVolume(t *testing.T) {
 	if !approx(x, 0.5) || !approx(y, 0.5) || !approx(z, 0.5) {
 		t.Errorf("center %v %v %v", x, y, z)
 	}
-	if !approx(g.CellVolume(1, 1, 1), 1) {
-		t.Errorf("volume %v", g.CellVolume(1, 1, 1))
+	if v := g.DX(1) * g.DY(1) * g.DZ(1); !approx(v, 1) {
+		t.Errorf("volume %v", v)
 	}
 }
 
 func TestVolumeSum(t *testing.T) {
-	// Sum of cell volumes equals total volume on non-uniform grids.
+	// Sum of cell volumes equals the box's volume on non-uniform grids.
 	g, _ := FromEdges(
 		GradedEdges(0.3, 7, 1.4),
 		GradedEdges(0.2, 5, 0.7),
@@ -93,12 +88,12 @@ func TestVolumeSum(t *testing.T) {
 	for k := 0; k < g.Nz; k++ {
 		for j := 0; j < g.Ny; j++ {
 			for i := 0; i < g.Nx; i++ {
-				sum += g.CellVolume(i, j, k)
+				sum += g.DX(i) * g.DY(j) * g.DZ(k)
 			}
 		}
 	}
-	if !approx(sum, g.TotalVolume()) {
-		t.Errorf("cell volume sum %v vs total %v", sum, g.TotalVolume())
+	if total := g.XEdges[g.Nx] * g.YEdges[g.Ny] * g.ZEdges[g.Nz]; !approx(sum, total) {
+		t.Errorf("cell volume sum %v vs total %v", sum, total)
 	}
 }
 
@@ -141,30 +136,20 @@ func TestFaceAreas(t *testing.T) {
 	if !approx(g.TotalFaceArea(ZMin), 0.2*0.3) {
 		t.Errorf("z face area %v", g.TotalFaceArea(ZMin))
 	}
-	// Per-cell face areas on each face must sum to the total.
+	// The cells' face areas on each face, the products of their two
+	// extents across its normal, sum to the total.
 	for f := XMin; f < NumFaces; f++ {
+		d := [3]func(int) float64{g.DX, g.DY, g.DZ}
+		n := [3]int{g.Nx, g.Ny, g.Nz}
+		a, b := (int(f)/2+1)%3, (int(f)/2+2)%3
 		sum := 0.0
-		g.BoundaryCells(f, func(i, j, k int) {
-			sum += g.FaceArea(f, i, j, k)
-		})
+		for p := 0; p < n[b]; p++ {
+			for q := 0; q < n[a]; q++ {
+				sum += d[a](q) * d[b](p)
+			}
+		}
 		if !approx(sum, g.TotalFaceArea(f)) {
 			t.Errorf("face %v: cell areas sum %v vs total %v", f, sum, g.TotalFaceArea(f))
-		}
-	}
-}
-
-func TestBoundaryCellCounts(t *testing.T) {
-	g, _ := Uniform(3, 4, 5, 1, 1, 1)
-	counts := map[Face]int{
-		XMin: 4 * 5, XMax: 4 * 5,
-		YMin: 3 * 5, YMax: 3 * 5,
-		ZMin: 3 * 4, ZMax: 3 * 4,
-	}
-	for f, want := range counts {
-		got := 0
-		g.BoundaryCells(f, func(i, j, k int) { got++ })
-		if got != want {
-			t.Errorf("face %v: %d cells, want %d", f, got, want)
 		}
 	}
 }

@@ -30,8 +30,8 @@ func requestKey(body []byte) string {
 // and bytes recorded with this version, and fails until both are
 // updated.
 const (
-	modelVersion = "v8"
-	goldenDigest = "67b90a9e2015bde197cae528c97fcb97ad7b760b8adfb29fe4fb34ec40e7f0b6"
+	modelVersion = "v9"
+	goldenDigest = "df174a1c6ad97656fab4898bcdef424e4ca5cba521d1bc8db75a212f3b0028e7"
 )
 
 // entrySchema tags the header line of every disk entry.

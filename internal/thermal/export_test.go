@@ -8,14 +8,14 @@ import "aeropack/internal/linalg"
 // estimate.  Tests compare preconditioners on it directly through
 // linalg.
 func (m *Model) System() (*linalg.CSR, []float64, [3]linalg.Axis) {
+	st := newStencil(m, nil)
 	Tsurf := make([]float64, m.Grid.NumCells())
-	if m.hasRadiation() {
-		t0 := m.balanceT()
+	if st.ws.films.radiating() {
+		t0 := st.ws.films.balanceT(m.TotalSourcePower())
 		for i := range Tsurf {
 			Tsurf[i] = t0
 		}
 	}
-	st := newStencil(m, nil)
 	_, b := st.assemble(Tsurf)
 	var axes [3]linalg.Axis
 	if st.kron != nil {

@@ -46,8 +46,9 @@ func kronSumMulVec(axes [3]linalg.Axis, x []float64) []float64 {
 }
 
 // faceTotalWalk is the total G + D over boundary face f's cells at the
-// field T, summed by its own walk of the face in BoundaryCells order:
-// the reference for the totals assemble records as it adds them.
+// field T, each cell's by the film formula (cellFilm), summed by a walk
+// of the face cell by cell in index order: the reference for the totals
+// assemble records as it adds them.
 func faceTotalWalk(m *Model, f mesh.Face, T []float64) float64 {
 	bc := m.FaceBC[f]
 	if bc.Kind == Adiabatic {
@@ -55,8 +56,8 @@ func faceTotalWalk(m *Model, f mesh.Face, T []float64) float64 {
 	}
 	g := m.Grid
 	total := 0.0
-	g.BoundaryCells(f, func(i, j, k int) {
-		gc, d := m.boundaryG(f, i, j, k, bc, T[g.Index(i, j, k)])
+	boundaryCells(g, f, func(i, j, k int) {
+		gc, d := m.cellFilm(f, i, j, k, bc, T[g.Index(i, j, k)])
 		total += gc + d
 	})
 	return total

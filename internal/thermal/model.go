@@ -180,31 +180,6 @@ func (m *Model) TotalSourcePower() float64 {
 	return sum
 }
 
-// bcAt resolves the effective BC for boundary cell (i,j,k) on face f,
-// honouring patch overrides (later patches win).
-func (m *Model) bcAt(f mesh.Face, i, j, k int) BC {
-	bc := m.FaceBC[f]
-	for _, p := range m.patches {
-		if p.face != f {
-			continue
-		}
-		if i >= p.box.I0 && i < p.box.I1 &&
-			j >= p.box.J0 && j < p.box.J1 &&
-			k >= p.box.K0 && k < p.box.K1 {
-			bc = p.bc
-		}
-	}
-	return bc
-}
-
-// matAt returns the material of cell (i,j,k).
-func (m *Model) matAt(i, j, k int) *materials.Material {
-	if m.mat == nil {
-		return &m.Mats[0]
-	}
-	return &m.Mats[m.mat[m.Grid.Index(i, j, k)]]
-}
-
 // kDir returns the directional conductivity of a material for axis 0(x),
 // 1(y), 2(z).  In-plane is x/y; through-plane is z, matching how PCBs and
 // laminates are laid into the mesh.

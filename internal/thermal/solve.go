@@ -13,7 +13,6 @@ import (
 	"aeropack/internal/mesh"
 	"aeropack/internal/obs"
 	"aeropack/internal/robust"
-	"aeropack/internal/units"
 )
 
 // Result is a solved temperature field.
@@ -82,7 +81,8 @@ func (r *Result) MaxInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
 // Non-finite (NaN/Inf) inputs propagate to the result (nanguard: propagates).
 func (r *Result) MeanInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
 	sumVT, sumV := 0.0, 0.0
-	boxRows(r.g, r.g.LocateBox(x0, x1, y0, y1, z0, z1), func(idx int, v []float64) {
+	b := r.g.LocateBox(x0, x1, y0, y1, z0, z1)
+	boxRows(r.g, b, make([]float64, b.I1-b.I0), func(idx int, v []float64) {
 		// Local sums keep the row's additions, still in cell order, out
 		// of memory.
 		vt, vs, t := sumVT, sumV, r.T[idx:idx+len(v)]
@@ -99,11 +99,10 @@ func (r *Result) MeanInBox(x0, x1, y0, y1, z0, z1 float64) float64 {
 }
 
 // boxRows calls fn for every row of box b along x, k slowest, with the
-// index of the row's first cell and its cells' volumes, lent for the
-// call.  A cell's volume is DX(i)·dy·dz, with dy and dz taken once per
-// row and layer: the product Grid.CellVolume forms, in its order.
-func boxRows(g *mesh.Grid, b mesh.Box, fn func(idx int, v []float64)) {
-	v := make([]float64, b.I1-b.I0)
+// index of the row's first cell and its cells' volumes, written into v
+// (b.I1 − b.I0 long) and lent for the call.  A cell's volume is
+// DX(i)·dy·dz, with dy and dz taken once per row and layer.
+func boxRows(g *mesh.Grid, b mesh.Box, v []float64, fn func(idx int, v []float64)) {
 	for k := b.K0; k < b.K1; k++ {
 		dz := g.DZ(k)
 		for j := b.J0; j < b.J1; j++ {
@@ -166,24 +165,25 @@ func (m *Model) SolveSteady(ctx context.Context) (*Result, error) {
 	sp.AttrInt("cells", n)
 	stop := robust.Stop(ctx)
 
+	ws := takeWorkspace()
+	defer giveWorkspace(ws)
+	st := newStencil(m, ws)
+	sp.Attr("prec", st.kind())
+
 	// The field the film is linearized about: the uniform energy-balance
-	// temperature, then each pass's solution.  Only a radiating face
+	// temperature, then each pass's solution.  Only a radiating cell
 	// reads it, so a model without one has none.
+	radiating := ws.films.radiating()
 	var T []float64
-	if m.hasRadiation() {
+	if radiating {
 		T = make([]float64, n)
-		t0 := m.balanceT()
+		t0 := ws.films.balanceT(m.TotalSourcePower())
 		for i := range T {
 			T[i] = t0
 		}
 	}
 
-	ws := takeWorkspace()
-	defer giveWorkspace(ws)
-
 	res := &Result{g: m.Grid}
-	st := newStencil(m, ws)
-	sp.Attr("prec", st.kind())
 	var prev []float64
 	for outer := 0; outer < maxPicardPasses; outer++ {
 		// The budget is polled between passes as well as inside the
@@ -202,7 +202,7 @@ func (m *Model) SolveSteady(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !m.hasRadiation() {
+		if !radiating {
 			sp.AttrInt("passes", 1)
 			res.T = t
 			return res, nil
@@ -224,76 +224,10 @@ func (m *Model) SolveSteady(ctx context.Context) (*Result, error) {
 	return nil, fmt.Errorf("thermal: radiation linearisation did not converge in %d passes", maxPicardPasses)
 }
 
-// balanceT is the uniform temperature T at which the model's faces shed
-// its source power P, the field the first Newton pass linearizes about:
-//
-//	Σ g_c·(T − Ta_c) + σ·Σ ε_c·A_c·(T⁴ − Ta_c⁴) = P
-//
-// over the non-adiabatic boundary cells c, where g_c is the cell's
-// conductance without radiation and ε_c·A_c its radiating area (the
-// radiation is taken at the surface, without the half-cell conduction in
-// series).  Linearized at the ambient instead, a hot face of low ε
-// overshoots by tens of times on the first pass, and Newton then closes
-// only about a quarter of the gap per pass.  The left side is increasing
-// and convex for T > 0, so Newton's method from the highest ambient
-// steps to the right of the root and then falls to it, closing at least
-// a quarter of the gap per step: 100 steps cover any overshoot.
-func (m *Model) balanceT() float64 {
-	g := m.Grid
-	var gSum, gTa, eSum, eTa4 float64
-	t := math.Inf(-1)
-	for f := mesh.XMin; f < mesh.NumFaces; f++ {
-		face := f
-		g.BoundaryCells(face, func(i, j, k int) {
-			bc := m.bcAt(face, i, j, k)
-			if bc.Kind == Adiabatic {
-				return
-			}
-			t = max(t, bc.T)
-			if bc.Kind == ConvectionRadiation {
-				e := bc.emissivity(m.matAt(i, j, k)) * units.StefanBoltzmann * g.FaceArea(face, i, j, k)
-				eSum += e
-				eTa4 += e * bc.T * bc.T * bc.T * bc.T
-				bc.Kind = Convection // g_c: the film's convective part
-			}
-			gc, _ := m.boundaryG(face, i, j, k, bc, bc.T)
-			gSum += gc
-			gTa += gc * bc.T
-		})
-	}
-	p := m.TotalSourcePower()
-	for it := 0; it < 100; it++ {
-		slope := gSum + 4*eSum*t*t*t
-		if !(slope > 0) {
-			break
-		}
-		step := (gSum*t - gTa + eSum*t*t*t*t - eTa4 - p) / slope
-		t -= step
-		if math.Abs(step) < 1e-9*t {
-			break
-		}
-	}
-	return t
-}
-
 // separable reports whether the model's interior operator is a
 // Kronecker sum of three 1-D factors: the model is unpainted.  Its
 // boundary terms, patched or not, touch only the KronSum's diagonal.
 func (m *Model) separable() bool { return m.mat == nil }
-
-func (m *Model) hasRadiation() bool {
-	for f := mesh.XMin; f < mesh.NumFaces; f++ {
-		if m.FaceBC[f].Kind == ConvectionRadiation {
-			return true
-		}
-	}
-	for _, p := range m.patches {
-		if p.bc.Kind == ConvectionRadiation {
-			return true
-		}
-	}
-	return false
-}
 
 // assembleObs wraps assemble with a child span and the assembly metrics
 // (thermal_matrix_nnz gauge, thermal_assembly_seconds histogram); the
@@ -431,16 +365,18 @@ type stencil struct {
 	faceG [mesh.NumFaces]float64
 }
 
-// workspace holds one solve's arrays: the CSR's rowPtr, colIdx and
-// val, and per row its diagonal's position in colIdx and its
-// interior-face diagonal sum; a separable pass's boundary diagonal; the
-// right-hand side; CG's three work vectors, 3n floats; and the last
+// workspace holds one solve's arrays: the model's boundary films; the
+// CSR's rowPtr, colIdx and val, and per row its diagonal's position in
+// colIdx and its interior-face diagonal sum; a separable pass's
+// boundary diagonal; the right-hand side; one row of cell volumes for
+// the source spread; CG's three work vectors, 3n floats; and the last
 // fast diagonalization built in it, whose per-cell arrays the next
 // build takes over.
 type workspace struct {
-	rowPtr, colIdx, diag      []int
-	val, interior, bnd, b, cg []float64
-	fdm                       *linalg.FDMPrec
+	films                          films
+	rowPtr, colIdx, diag           []int
+	val, interior, bnd, b, vol, cg []float64
+	fdm                            *linalg.FDMPrec
 }
 
 // free is the list of workspaces kept between solves, a leaky buffer:
@@ -485,14 +421,17 @@ func fit[T int | float64](s []T, n int) []T {
 }
 
 // newStencil returns m's stencil over ws, or over a fresh workspace
-// when ws is nil.  An unpainted model's passes run on a KronSum of its
-// interior axes, computed here once.
+// when ws is nil.  Its boundary films, and an unpainted model's
+// interior axes, on whose KronSum its passes run, are computed here
+// once.
 func newStencil(m *Model, ws *workspace) *stencil {
 	if ws == nil {
 		ws = new(workspace)
 	}
 	s := &stencil{m: m, ws: ws}
 	n := m.Grid.NumCells()
+	ws.films.build(m)
+	ws.vol = fit(ws.vol, m.Grid.Nx)
 	ws.cg = fit(ws.cg, 3*n)
 	if m.separable() {
 		ws.bnd, ws.b = fit(ws.bnd, n), fit(ws.b, n)
@@ -512,8 +451,9 @@ func (s *stencil) nnz() int {
 // entries in ascending column order (−z, −y, −x, diagonal, +x, +y, +z).
 // Each face conductance is faceConductance(area, Δ₁, k₁, Δ₂, k₂) of the
 // two cells' sizes along the axis and conductivities across it, the
-// sizes taken once per axis and the conductivities once per material
-// before the cell loop, the materials read from the model's map.
+// sizes those the films took once per axis and the conductivities taken
+// once per material before the cell loop, the materials read from the
+// model's map.
 func (s *stencil) build() {
 	m, g := s.m, s.m.Grid
 	nx, ny, nz := g.Nx, g.Ny, g.Nz
@@ -523,7 +463,7 @@ func (s *stencil) build() {
 	ws.val, ws.interior, ws.b = fit(ws.val, nnz), fit(ws.interior, n), fit(ws.b, n)
 	s.a = linalg.CSR{Rows: n, Cols: n, RowPtr: ws.rowPtr, ColIdx: ws.colIdx, Val: ws.val}
 
-	dx, dy, dz := cellSizes(g.XEdges), cellSizes(g.YEdges), cellSizes(g.ZEdges)
+	dx, dy, dz := ws.films.size[0], ws.films.size[1], ws.films.size[2]
 	kxy, kz := make([]float64, len(m.Mats)), make([]float64, len(m.Mats))
 	for q := range m.Mats {
 		kxy[q], kz[q] = kDir(&m.Mats[q], 0), kDir(&m.Mats[q], 2)
@@ -572,16 +512,6 @@ func (s *stencil) build() {
 	}
 }
 
-// cellSizes returns the cell sizes along one axis, edges[i+1] − edges[i]
-// as Grid.DX, DY and DZ compute them.
-func cellSizes(edges []float64) []float64 {
-	d := make([]float64, len(edges)-1)
-	for i := range d {
-		d[i] = edges[i+1] - edges[i]
-	}
-	return d
-}
-
 // assemble runs one pass: the steady FV system A·T = b linearized about
 // the field T, written over the previous pass's.  It returns the
 // KronSum of an unpainted model and the CSR of a painted one, building
@@ -618,50 +548,24 @@ func (s *stencil) assembleCSR(T []float64) *linalg.CSR {
 
 // boundary adds each boundary cell's G + D at the field T to its
 // diagonal, entry slot[i] of dst for cell i, or entry i when slot is
-// nil, and rebuilds the right-hand side: the boundary terms, then the
-// volumetric sources.  Only a radiating cell reads T: elsewhere G does
-// not depend on the surface temperature and D = 0, so the cell's terms
-// are the same, bit for bit, at Ts = 0, and a model without a
-// radiating face may pass a nil T.
+// nil, and rebuilds the right-hand side: the boundary terms, face by
+// face (films.add), then the volumetric sources.  Only a radiating cell
+// reads T, so a model without a radiating face may pass a nil T.
 func (s *stencil) boundary(T, dst []float64, slot []int) {
 	m, g, b := s.m, s.m.Grid, s.ws.b
 	clear(b)
 	s.grounded = false
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
-		face := f
-		total := 0.0
-		g.BoundaryCells(face, func(i, j, k int) {
-			bc := m.bcAt(face, i, j, k)
-			if bc.Kind == Adiabatic {
-				return
-			}
-			idx := g.Index(i, j, k)
-			ts := 0.0
-			if bc.Kind == ConvectionRadiation {
-				ts = T[idx]
-			}
-			gTot, d := m.boundaryG(face, i, j, k, bc, ts)
-			if gTot == 0 {
-				return
-			}
-			gd := gTot + d
-			p := idx
-			if slot != nil {
-				p = slot[idx]
-			}
-			dst[p] += gd
-			b[idx] += gTot*bc.T + d*ts
-			total += gd
-		})
 		// A face that added a conductance has a nonzero total.
-		s.faceG[face] = total
+		total := s.ws.films.add(f, T, dst, slot, b)
+		s.faceG[f] = total
 		s.grounded = s.grounded || total != 0
 	}
 
 	// Volumetric sources, each spread by cell volume fraction.
 	for _, src := range m.sources {
-		vol := 0.0
-		boxRows(g, src.box, func(_ int, v []float64) {
+		vol, row := 0.0, s.ws.vol[:src.box.I1-src.box.I0]
+		boxRows(g, src.box, row, func(_ int, v []float64) {
 			for _, vi := range v {
 				vol += vi
 			}
@@ -669,41 +573,12 @@ func (s *stencil) boundary(T, dst []float64, slot []int) {
 		if vol == 0 {
 			continue
 		}
-		boxRows(g, src.box, func(idx int, v []float64) {
+		boxRows(g, src.box, row, func(idx int, v []float64) {
 			for i, vi := range v {
 				b[idx+i] += src.power * vi / vol
 			}
 		})
 	}
-}
-
-// boundaryG is the conductance G (W/K) from the centre of boundary cell
-// (i,j,k) through face f to the ambient of a non-adiabatic bc, with the
-// radiative film taken at surface temperature Ts, and the Newton term
-// D (W/K) assemble adds to it.  G = 1/(rCond + 1/(h·A)) with the film
-// h = H + εσ(Ts² + Ta²)(Ts + Ta), so dG/dTs = G²·h′/(h²·A) with
-// h′ = εσ(3Ts² + 2Ts·Ta + Ta²), and D = max(0, dG/dTs·(Ts − Ta)); D is 0
-// unless the face radiates.  Both are 0 when the film coefficient is not
-// positive: the face then exchanges no heat.
-func (m *Model) boundaryG(f mesh.Face, i, j, k int, bc BC, Ts float64) (G, D float64) {
-	g := m.Grid
-	area := g.FaceArea(f, i, j, k)
-	mat := m.matAt(i, j, k)
-	rCond := 0.5 * cellExtent(g, f, i, j, k) / (kDir(mat, faceAxis(f)) * area)
-	if bc.Kind == FixedT {
-		return 1 / rCond, 0
-	}
-	h, dh := bc.H, 0.0
-	if bc.Kind == ConvectionRadiation {
-		es := bc.emissivity(mat) * units.StefanBoltzmann
-		h += es * (Ts*Ts + bc.T*bc.T) * (Ts + bc.T)
-		dh = es * (3*Ts*Ts + 2*Ts*bc.T + bc.T*bc.T)
-	}
-	if h <= 0 {
-		return 0, 0
-	}
-	G = 1 / (rCond + 1/(h*area))
-	return G, max(0, G*G*dh/(h*h*area)*(Ts-bc.T))
 }
 
 // interiorAxes factors an unpainted model's interior conduction, every
@@ -774,33 +649,12 @@ func faceAxis(f mesh.Face) int {
 	}
 }
 
-// cellExtent returns the cell size normal to face f.
-func cellExtent(g *mesh.Grid, f mesh.Face, i, j, k int) float64 {
-	switch f {
-	case mesh.XMin, mesh.XMax:
-		return g.DX(i)
-	case mesh.YMin, mesh.YMax:
-		return g.DY(j)
-	default:
-		return g.DZ(k)
-	}
-}
-
 // BoundaryHeatFlow returns the net heat flow (W, positive out of the
 // domain) through face f for a solved field — used by energy-conservation
-// checks and by exchanger sizing.
+// checks and by exchanger sizing: Σ G·(Ts − Ta) over the face's cells,
+// read from its films.
 func (m *Model) BoundaryHeatFlow(res *Result, f mesh.Face) float64 {
-	g := m.Grid
-	total := 0.0
-	g.BoundaryCells(f, func(i, j, k int) {
-		bc := m.bcAt(f, i, j, k)
-		if bc.Kind == Adiabatic {
-			return
-		}
-		idx := g.Index(i, j, k)
-		if gTot, _ := m.boundaryG(f, i, j, k, bc, res.T[idx]); gTot != 0 {
-			total += gTot * (res.T[idx] - bc.T)
-		}
-	})
-	return total
+	var fs films
+	fs.build(m)
+	return fs.heatFlow(f, res.T)
 }

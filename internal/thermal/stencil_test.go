@@ -25,8 +25,9 @@ type triplet struct {
 // tripletReference builds the steady FV system the way triplet (COO)
 // assembly did: a cell-by-cell loop appends each cell's +x, +y and +z
 // faces as four entries, then the boundary faces XMin…ZMax add their
-// diagonal terms, G plus a radiating cell's Newton term D.  It is the
-// reference for the stencil's two-phase assembly and lives only in
+// diagonal terms cell by cell, G plus a radiating cell's Newton term D
+// by the film formula (cellFilm).  It is the reference for the
+// stencil's two-phase assembly and its film runs, and lives only in
 // this test.
 func tripletReference(m *Model, Tsurf []float64) ([]triplet, []float64) {
 	g := m.Grid
@@ -63,14 +64,14 @@ func tripletReference(m *Model, Tsurf []float64) ([]triplet, []float64) {
 	}
 	b := make([]float64, g.NumCells())
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
-		g.BoundaryCells(f, func(i, j, k int) {
+		boundaryCells(g, f, func(i, j, k int) {
 			bc := m.bcAt(f, i, j, k)
 			if bc.Kind == Adiabatic {
 				return
 			}
 			idx := g.Index(i, j, k)
 			ts := Tsurf[idx]
-			gTot, d := m.boundaryG(f, i, j, k, bc, ts)
+			gTot, d := m.cellFilm(f, i, j, k, bc, ts)
 			add(idx, idx, gTot+d)
 			b[idx] += gTot*bc.T + d*ts
 		})
@@ -80,14 +81,14 @@ func tripletReference(m *Model, Tsurf []float64) ([]triplet, []float64) {
 		for k := src.box.K0; k < src.box.K1; k++ {
 			for j := src.box.J0; j < src.box.J1; j++ {
 				for i := src.box.I0; i < src.box.I1; i++ {
-					vol += g.CellVolume(i, j, k)
+					vol += cellVolume(g, i, j, k)
 				}
 			}
 		}
 		for k := src.box.K0; k < src.box.K1; k++ {
 			for j := src.box.J0; j < src.box.J1; j++ {
 				for i := src.box.I0; i < src.box.I1; i++ {
-					b[g.Index(i, j, k)] += src.power * g.CellVolume(i, j, k) / vol
+					b[g.Index(i, j, k)] += src.power * cellVolume(g, i, j, k) / vol
 				}
 			}
 		}
@@ -200,7 +201,7 @@ func randomStencilModel(t *testing.T, rng *rand.Rand) (*Model, []float64) {
 // paintCell paints cell idx of m with material mat.
 func paintCell(t *testing.T, m *Model, idx, mat int) {
 	t.Helper()
-	x, y, z := m.Grid.CellCenter(m.Grid.Coords(idx))
+	x, y, z := m.Grid.CellCenter(coords(m.Grid, idx))
 	if n, err := m.PaintRegion(x, x, y, y, z, z, mat); n != 1 || err != nil {
 		t.Fatalf("painting cell %d painted %d cells: %v", idx, n, err)
 	}
@@ -469,12 +470,13 @@ func TestStencilWorkspaceReuse(t *testing.T) {
 	})
 }
 
-// TestBoundaryGDerivative checks boundaryG's Newton term D against
-// max(0, dG/dTs·(Ts − Ta)), with dG/dTs a central difference of its G, to
-// 1e-6 relative, on every boundary cell of a graded plate: radiating
-// films with and without convection, the emissivity from the BC and from
-// the cell material, and the surface below, at and above ambient (where
-// D is 0 at and below it).  A face that does not radiate has D = 0.
+// TestBoundaryGDerivative checks the film formula's Newton term D
+// (cellFilm, through radFilm) against max(0, dG/dTs·(Ts − Ta)), with
+// dG/dTs a central difference of its G, to 1e-6 relative, on every
+// boundary cell of a graded plate: radiating films with and without
+// convection, the emissivity from the BC and from the cell material,
+// and the surface below, at and above ambient (where D is 0 at and
+// below it).  A face that does not radiate has D = 0.
 func TestBoundaryGDerivative(t *testing.T) {
 	g, err := mesh.FromEdges(mesh.GradedEdges(0.12, 5, 1.3), mesh.GradedEdges(0.09, 4, 0.8), mesh.GradedEdges(0.0024, 2, 1.5))
 	if err != nil {
@@ -492,11 +494,11 @@ func TestBoundaryGDerivative(t *testing.T) {
 		{Kind: ConvectionRadiation, T: ta, H: 4, Emiss: 0.9},
 	} {
 		for f := mesh.XMin; f < mesh.NumFaces; f++ {
-			g.BoundaryCells(f, func(i, j, k int) {
+			boundaryCells(g, f, func(i, j, k int) {
 				for _, ts := range []float64{220, ta, 291, 420} {
-					_, d := m.boundaryG(f, i, j, k, bc, ts)
-					hi, _ := m.boundaryG(f, i, j, k, bc, ts+step)
-					lo, _ := m.boundaryG(f, i, j, k, bc, ts-step)
+					_, d := m.cellFilm(f, i, j, k, bc, ts)
+					hi, _ := m.cellFilm(f, i, j, k, bc, ts+step)
+					lo, _ := m.cellFilm(f, i, j, k, bc, ts-step)
 					dG := (hi - lo) / (2 * step)
 					want := max(0, dG*(ts-bc.T))
 					if !(dG > 0) || math.Abs(d-want) > 1e-6*want {
@@ -507,7 +509,7 @@ func TestBoundaryGDerivative(t *testing.T) {
 		}
 	}
 	for _, bc := range []BC{{Kind: FixedT, T: ta}, {Kind: Convection, T: ta, H: 25}} {
-		if G, d := m.boundaryG(mesh.ZMax, 0, 0, 1, bc, 350); !(G > 0) || d != 0 {
+		if G, d := m.cellFilm(mesh.ZMax, 0, 0, 1, bc, 350); !(G > 0) || d != 0 {
 			t.Errorf("%+v: G %v, D %v, want G > 0 and D = 0", bc, G, d)
 		}
 	}

@@ -418,7 +418,7 @@ func TestResultProbes(t *testing.T) {
 }
 
 // TestMeansMatchCellVolume pins Mean and MeanInBox bit for bit to the
-// per-cell formula Σ CellVolume·T / Σ CellVolume, summed with k slowest
+// per-cell formula Σ cellVolume·T / Σ cellVolume, summed with k slowest
 // and i fastest, over the whole grid and random boxes (empty ones NaN)
 // of random graded grids and fields.  The assembled right-hand side's
 // source spread is pinned to the same formula by the triplet reference.
@@ -439,7 +439,7 @@ func TestMeansMatchCellVolume(t *testing.T) {
 			for k := b.K0; k < b.K1; k++ {
 				for j := b.J0; j < b.J1; j++ {
 					for i := b.I0; i < b.I1; i++ {
-						v := g.CellVolume(i, j, k)
+						v := cellVolume(g, i, j, k)
 						sumVT += v * res.T[g.Index(i, j, k)]
 						sumV += v
 					}
