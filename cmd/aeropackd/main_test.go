@@ -92,9 +92,11 @@ func TestAeropackdSmoke(t *testing.T) {
 		t.Errorf("async result differs from sync body:\nsync:  %s\nasync: %s", body, res)
 	}
 
-	// Ops routes share the listener; the counters must show our traffic.
+	// Ops routes share the listener; the counters must show our traffic,
+	// and the memory cache's bound is exported from start-up: two small
+	// bodies held, none evicted.
 	metrics := getJSON(t, base+"/metrics")
-	for _, want := range []string{"serve_requests_total 2", "serve_jobs_total 1"} {
+	for _, want := range []string{"serve_requests_total 2", "serve_jobs_total 1", "\nserve_cache_bytes ", "serve_cache_evictions_total 0"} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}

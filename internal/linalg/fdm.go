@@ -40,8 +40,6 @@ type FDMPrec struct {
 	// coupling the cell to its predecessor along keep (0 for the first
 	// cell of each line) and the inverse pivot of its mode's factor.
 	l, dinv []float64
-	// zero is the kept axis's share of each mode's λ_a+λ_b: all zeros.
-	zero    []float64
 	scratch atomic.Pointer[[]float64]
 }
 
@@ -94,10 +92,10 @@ const mirrorTol = 1e-12
 // system is not positive definite.
 //
 // NewFDMPrec consumes prev, whatever its shape: the new instance takes
-// over prev's per-cell arrays (the factors, Apply's scratch vector and
-// the kept axis's zeros) wherever they are long enough and overwrites
-// them, so prev must not be applied again.  It can still lend its
-// eigendecompositions to a later build.
+// over prev's per-cell arrays (the factors and Apply's scratch vector)
+// wherever they are long enough and overwrites them, so prev must not
+// be applied again.  It can still lend its eigendecompositions to a
+// later build.
 func NewFDMPrec(axes [3]Axis, prev *FDMPrec) (*FDMPrec, error) {
 	t := startLayer()
 	defer t.observe("linalg_prec_setup_seconds")
@@ -119,8 +117,8 @@ func NewFDMPrec(axes [3]Axis, prev *FDMPrec) (*FDMPrec, error) {
 	}
 	if prev != nil {
 		// factor and Apply resize what they take over.
-		p.l, p.dinv, p.zero = prev.l, prev.dinv, prev.zero
-		prev.l, prev.dinv, prev.zero = nil, nil, nil
+		p.l, p.dinv = prev.l, prev.dinv
+		prev.l, prev.dinv = nil, nil
 		p.scratch.Store(prev.scratch.Swap(nil))
 	}
 	for d := range axes {
@@ -245,41 +243,37 @@ func newAxisEigen(ax Axis) (*axisEigen, error) {
 }
 
 // factor LDLᵀ-factors T_c + (λ_a+λ_b)·M_c along the kept axis for every
-// mode pair, walking the cells in grid order so each line's previous
-// pivot is already in place.
+// mode pair.  It walks the kept axis's positions outermost and, at each,
+// every line's cell in grid order, so a cell's previous pivot along its
+// line was computed a whole sweep of lines before: no cell waits on the
+// division of the cell just before it, as each line's next one would.
+// Each cell's terms are the ones a walk in grid order computes, so the
+// factors are the same, bit for bit.
 //
 // The arrays may be another instance's (NewFDMPrec), so every entry
 // either sweep of Apply reads is written here, each line's first l
 // included.
 func (p *FDMPrec) factor(ax Axis) error {
-	nx, ny, nz := p.dims[0], p.dims[1], p.dims[2]
-	n := nx * ny * nz
+	n := p.dims[0] * p.dims[1] * p.dims[2]
 	p.l, p.dinv = resize(p.l, n), resize(p.dinv, n)
-	p.zero = resize(p.zero, p.dims[p.keep])
-	clear(p.zero)
-	stride := p.stride(p.keep)
-	// The kept axis contributes zeros, so each cell's sum of the three
-	// entries is its mode's λ_a+λ_b.
-	var lam [3][]float64
-	for d, e := range p.eig {
-		if e != nil {
-			lam[d] = e.lambda
-		} else {
-			lam[d] = p.zero
-		}
+	// The lines run along keep; a and b, the diagonalized axes, a the
+	// faster, number them, and a line's mode sum is λ_a + λ_b.
+	a, b := (p.keep+1)%3, (p.keep+2)%3
+	if a > b {
+		a, b = b, a
 	}
-	c := [3]int{}
-	q := 0
-	for c[2] = 0; c[2] < nz; c[2]++ {
-		for c[1] = 0; c[1] < ny; c[1]++ {
-			for c[0] = 0; c[0] < nx; c[0]++ {
-				s := lam[0][c[0]] + lam[1][c[1]] + lam[2][c[2]]
-				t := c[p.keep]
-				diag := ax.Diag[t] + s*ax.Mass[t]
+	la, lb := p.eig[a].lambda, p.eig[b].lambda
+	sk, sa, sb := p.stride(p.keep), p.stride(a), p.stride(b)
+	for t := range p.dims[p.keep] {
+		dt, mt := ax.Diag[t], ax.Mass[t]
+		for jb, lamB := range lb {
+			for ja, lamA := range la {
+				q := t*sk + ja*sa + jb*sb
+				diag := dt + (lamA+lamB)*mt
 				piv := diag
 				if t > 0 {
 					off := ax.Off[t-1]
-					p.l[q] = off * p.dinv[q-stride]
+					p.l[q] = off * p.dinv[q-sk]
 					piv -= p.l[q] * off
 				} else {
 					p.l[q] = 0
@@ -292,7 +286,6 @@ func (p *FDMPrec) factor(ax Axis) error {
 					return fmt.Errorf("linalg: FDM pivot %g of diagonal %g at cell %d %s: the operator is singular to working precision", piv, diag, q, what)
 				}
 				p.dinv[q] = 1 / piv
-				q++
 			}
 		}
 	}
@@ -340,21 +333,71 @@ func (p *FDMPrec) Apply(r, z []float64) {
 	p.modeMul(a, ea.fwd, ea.bwd, x, buf)
 	p.mirror(b, buf, buf)
 	p.modeMul(b, eb.fwd, eb.bwd, buf, z)
-	sc := p.stride(p.keep)
-	for q := sc; q < n; q++ {
-		z[q] -= p.l[q] * z[q-sc]
-	}
-	for q := n - 1; q >= n-sc; q-- {
-		z[q] *= p.dinv[q]
-	}
-	for q := n - sc - 1; q >= 0; q-- {
-		z[q] = z[q]*p.dinv[q] - p.l[q+sc]*z[q+sc]
+	if sc := p.stride(p.keep); sc == 1 {
+		p.sweepRows(z)
+	} else {
+		for q := sc; q < n; q++ {
+			z[q] -= p.l[q] * z[q-sc]
+		}
+		for q := n - 1; q >= n-sc; q-- {
+			z[q] *= p.dinv[q]
+		}
+		for q := n - sc - 1; q >= 0; q-- {
+			z[q] = z[q]*p.dinv[q] - p.l[q+sc]*z[q+sc]
+		}
 	}
 	p.modeMul(b, eb.bwd, eb.fwd, z, buf)
 	p.mirror(b, buf, buf)
 	p.modeMul(a, ea.bwd, ea.fwd, buf, z)
 	p.mirror(a, z, z)
 	p.scratch.Store(&buf)
+}
+
+// sweepRows runs Apply's two tridiagonal sweeps when the kept axis's
+// stride is 1 (it is x, or every axis before it is one cell long), so
+// its lines are rows of m contiguous cells: four rows at a time, so
+// the four recurrences overlap instead of each cell waiting on the one
+// before it.  Each cell's terms are the ones a single sweep over all n
+// cells computes, bit for bit, but for the 0·z that sweep subtracts
+// across each line boundary (a line's first l is 0): the rows modeMul
+// writes start from +0, so no entry here is −0 and that term changes
+// nothing.
+//
+//lint:hot
+func (p *FDMPrec) sweepRows(z []float64) {
+	m, l, d := p.dims[p.keep], p.l, p.dinv
+	q := 0
+	for ; q+4*m <= len(z); q += 4 * m {
+		z0, z1, z2, z3 := z[q:q+m], z[q+m:q+2*m], z[q+2*m:q+3*m], z[q+3*m:q+4*m]
+		l0, l1, l2, l3 := l[q:q+m], l[q+m:q+2*m], l[q+2*m:q+3*m], l[q+3*m:q+4*m]
+		d0, d1, d2, d3 := d[q:q+m], d[q+m:q+2*m], d[q+2*m:q+3*m], d[q+3*m:q+4*m]
+		for t := 1; t < m; t++ {
+			z0[t] -= l0[t] * z0[t-1]
+			z1[t] -= l1[t] * z1[t-1]
+			z2[t] -= l2[t] * z2[t-1]
+			z3[t] -= l3[t] * z3[t-1]
+		}
+		z0[m-1] *= d0[m-1]
+		z1[m-1] *= d1[m-1]
+		z2[m-1] *= d2[m-1]
+		z3[m-1] *= d3[m-1]
+		for t := m - 2; t >= 0; t-- {
+			z0[t] = z0[t]*d0[t] - l0[t+1]*z0[t+1]
+			z1[t] = z1[t]*d1[t] - l1[t+1]*z1[t+1]
+			z2[t] = z2[t]*d2[t] - l2[t+1]*z2[t+1]
+			z3[t] = z3[t]*d3[t] - l3[t+1]*z3[t+1]
+		}
+	}
+	for ; q < len(z); q += m {
+		zr, lr, dr := z[q:q+m], l[q:q+m], d[q:q+m]
+		for t := 1; t < m; t++ {
+			zr[t] -= lr[t] * zr[t-1]
+		}
+		zr[m-1] *= dr[m-1]
+		for t := m - 2; t >= 0; t-- {
+			zr[t] = zr[t]*dr[t] - lr[t+1]*zr[t+1]
+		}
+	}
 }
 
 // modeMul sets out = W applied along axis d of x, W block diagonal over

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -589,10 +590,10 @@ func TestFDMPrecErrors(t *testing.T) {
 }
 
 // TestFDMPrecTakesOverPrevArrays builds over a consumed prev whose
-// per-cell arrays, the factors, Apply's scratch and the kept axis's
-// zeros, are NaN-filled: prevs with another kept axis, with longer
-// arrays and with shorter ones, under targets that keep x and y, whose
-// lines start inside the grid.  Apply must match a fresh build's bit
+// per-cell arrays, the factors and Apply's scratch, are NaN-filled:
+// prevs with another kept axis, with longer arrays and with shorter
+// ones, under targets that keep x and y, whose lines start inside the
+// grid.  Apply must match a fresh build's bit
 // for bit, a line's first multiplier left unwritten reads a NaN, and
 // the build must take over every array that is long enough.
 func TestFDMPrecTakesOverPrevArrays(t *testing.T) {
@@ -631,7 +632,7 @@ func TestFDMPrecTakesOverPrevArrays(t *testing.T) {
 			}
 			pn := len(prev.dinv)
 			prev.Apply(make([]float64, pn), make([]float64, pn))
-			held := [][]float64{prev.l, prev.dinv, prev.zero, *prev.scratch.Load()}
+			held := [][]float64{prev.l, prev.dinv, *prev.scratch.Load()}
 			for _, s := range held {
 				nan(s)
 			}
@@ -647,12 +648,184 @@ func TestFDMPrecTakesOverPrevArrays(t *testing.T) {
 					t.Fatalf("target %d over prev %d: z[%d] = %v, fresh build %v", ti, pi, i, z[i], want[i])
 				}
 			}
-			took := [][]float64{p.l, p.dinv, p.zero, *p.scratch.Load()}
+			took := [][]float64{p.l, p.dinv, *p.scratch.Load()}
 			for a, s := range held {
 				if long := cap(s) >= len(took[a]); long != (&s[:1][0] == &took[a][:1][0]) {
 					t.Errorf("target %d over prev %d: array %d of %d entries, %d needed: taken over %v", ti, pi, a, cap(s), len(took[a]), !long)
 				}
 			}
 		}
+	}
+}
+
+// serialFactor is factor's first form, kept as the reference: the cells
+// in grid order, each line's pivots one after another.
+func serialFactor(p *FDMPrec, ax Axis) (l, dinv []float64) {
+	nx, ny, nz := p.dims[0], p.dims[1], p.dims[2]
+	l, dinv = make([]float64, nx*ny*nz), make([]float64, nx*ny*nz)
+	stride := p.stride(p.keep)
+	var lam [3][]float64
+	for d, e := range p.eig {
+		if e != nil {
+			lam[d] = e.lambda
+		} else {
+			lam[d] = make([]float64, p.dims[d])
+		}
+	}
+	c, q := [3]int{}, 0
+	for c[2] = 0; c[2] < nz; c[2]++ {
+		for c[1] = 0; c[1] < ny; c[1]++ {
+			for c[0] = 0; c[0] < nx; c[0]++ {
+				s := lam[0][c[0]] + lam[1][c[1]] + lam[2][c[2]]
+				t := c[p.keep]
+				diag := ax.Diag[t] + s*ax.Mass[t]
+				piv := diag
+				if t > 0 {
+					off := ax.Off[t-1]
+					l[q] = off * dinv[q-stride]
+					piv -= l[q] * off
+				}
+				dinv[q] = 1 / piv
+				q++
+			}
+		}
+	}
+	return l, dinv
+}
+
+// serialApply is Apply's first form, kept as the reference: each
+// tridiagonal sweep one pass over all n cells, across line boundaries.
+func serialApply(p *FDMPrec, r []float64) []float64 {
+	n := len(p.dinv)
+	z, buf := make([]float64, n), make([]float64, n)
+	a, b := (p.keep+1)%3, (p.keep+2)%3
+	ea, eb := p.eig[a], p.eig[b]
+	x := r
+	if ea.split() {
+		p.mirror(a, z, r)
+		x = z
+	}
+	p.modeMul(a, ea.fwd, ea.bwd, x, buf)
+	p.mirror(b, buf, buf)
+	p.modeMul(b, eb.fwd, eb.bwd, buf, z)
+	sc := p.stride(p.keep)
+	for q := sc; q < n; q++ {
+		z[q] -= p.l[q] * z[q-sc]
+	}
+	for q := n - 1; q >= n-sc; q-- {
+		z[q] *= p.dinv[q]
+	}
+	for q := n - sc - 1; q >= 0; q-- {
+		z[q] = z[q]*p.dinv[q] - p.l[q+sc]*z[q+sc]
+	}
+	p.modeMul(b, eb.bwd, eb.fwd, z, buf)
+	p.mirror(b, buf, buf)
+	p.modeMul(a, ea.bwd, ea.fwd, buf, z)
+	p.mirror(a, z, z)
+	return z
+}
+
+// TestFDMMatchesSerialForm pins factor's kept-axis-outermost walk and
+// Apply's four-row sweeps to their first forms bit for bit: the
+// factors, and Apply on residuals with exact zeros, over each kept axis,
+// split and unsplit axes, and row counts that are and are not
+// multiples of four.
+func TestFDMMatchesSerialForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, axes := range [][3]Axis{
+		{randomAxis(rng, 13, true, false), randomAxis(rng, 5, false, true), randomAxis(rng, 3, true, true)},
+		{mirroredAxis(rng, 16, true), mirroredAxis(rng, 9, true), randomAxis(rng, 2, true, true)},
+		{mirroredAxis(rng, 12, true), mirroredAxis(rng, 12, false), mirroredAxis(rng, 2, true)},
+		{randomAxis(rng, 1, true, true), randomAxis(rng, 11, true, false), randomAxis(rng, 3, true, true)},
+		{randomAxis(rng, 6, true, false), randomAxis(rng, 10, false, true), mirroredAxis(rng, 4, true)},
+		{randomAxis(rng, 4, true, true), randomAxis(rng, 5, true, false), randomAxis(rng, 9, false, true)},
+	} {
+		p, err := NewFDMPrec(axes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("dims %v, keep %d", p.dims, p.keep)
+		l, dinv := serialFactor(p, axes[p.keep])
+		for q := range l {
+			if math.Float64bits(l[q]) != math.Float64bits(p.l[q]) || math.Float64bits(dinv[q]) != math.Float64bits(p.dinv[q]) {
+				t.Fatalf("%s, cell %d: factors (%v, %v), serial form (%v, %v)", name, q, p.l[q], p.dinv[q], l[q], dinv[q])
+			}
+		}
+		n := len(p.dinv)
+		r := make([]float64, n)
+		for i := range r {
+			if i%5 != 0 {
+				r[i] = rng.NormFloat64()
+			}
+		}
+		z := make([]float64, n)
+		p.Apply(r, z)
+		for i, want := range serialApply(p, r) {
+			if math.Float64bits(z[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: z[%d] = %v, serial form %v", name, i, z[i], want)
+			}
+		}
+	}
+}
+
+// fdmBenchAxes are a level-2 board's axes, 80×60×2 or 60×80×2 uniform
+// cells with Robin ends, so x or y is kept.
+func fdmBenchAxes(b *testing.B, nx, ny int) [3]Axis {
+	b.Helper()
+	axis := func(n int, h float64) Axis {
+		ax := Axis{Diag: make([]float64, n), Off: make([]float64, n-1), Mass: make([]float64, n)}
+		for i := range ax.Mass {
+			ax.Mass[i] = h
+		}
+		for i := range ax.Off {
+			ax.Off[i] = -1 / h
+			ax.Diag[i] += 1 / h
+			ax.Diag[i+1] += 1 / h
+		}
+		ax.Diag[0] += 10
+		ax.Diag[n-1] += 10
+		return ax
+	}
+	return [3]Axis{axis(nx, 2.5e-3), axis(ny, 2.5e-3), axis(2, 8e-4)}
+}
+
+// BenchmarkFDMFactor times the kept axis's factors alone, over the
+// eigendecompositions of one build.
+func BenchmarkFDMFactor(b *testing.B) {
+	for _, d := range [][2]int{{80, 60}, {60, 80}} {
+		b.Run(fmt.Sprintf("%dx%dx2", d[0], d[1]), func(b *testing.B) {
+			axes := fdmBenchAxes(b, d[0], d[1])
+			p, err := NewFDMPrec(axes, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.factor(axes[p.keep]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFDMApply times one application of the inverse.
+func BenchmarkFDMApply(b *testing.B) {
+	for _, d := range [][2]int{{80, 60}, {60, 80}, {80, 80}} {
+		b.Run(fmt.Sprintf("%dx%dx2", d[0], d[1]), func(b *testing.B) {
+			p, err := NewFDMPrec(fdmBenchAxes(b, d[0], d[1]), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := len(p.dinv)
+			r, z := make([]float64, n), make([]float64, n)
+			for i := range r {
+				r[i] = float64(i%17) - 8
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Apply(r, z)
+			}
+		})
 	}
 }

@@ -170,15 +170,17 @@ type IterOptions struct {
 	Stop func() bool
 	// Work, when it holds at least 3n floats for an operator of order
 	// n, lends CG its three work vectors, so a caller that solves again
-	// and again allocates only each solve's x.  CG ignores what Work
-	// holds, overwrites its first 3n entries and keeps no reference to
-	// it; a shorter Work is ignored.
+	// and again allocates at most each nil start's x.  CG ignores what
+	// Work holds, overwrites its first 3n entries and keeps no
+	// reference to it; a shorter Work is ignored.
 	Work []float64
 }
 
 // CG solves the SPD system A·x = b with the preconditioned conjugate
-// gradient method.  x0 may be nil for a zero initial guess.  It iterates
-// until the relative residual falls below tol or maxIter is reached.
+// gradient method.  x0 may be nil for a zero initial guess, and CG
+// allocates x; otherwise CG starts from x0, writes its iterates over
+// it and returns it as x.  It iterates until the relative residual
+// falls below tol or maxIter is reached.
 //
 //lint:allow nanguard input validation (checkFinite) lives in CGOpt
 func CG(a Operator, b, x0 []float64, prec Preconditioner, tol float64, maxIter int) ([]float64, IterStats, error) {
@@ -212,6 +214,9 @@ func cg(a Operator, b, x0 []float64, o *IterOptions) ([]float64, IterStats, erro
 	if len(b) != n {
 		return nil, IterStats{}, fmt.Errorf("linalg: CG rhs length %d, want %d", len(b), n)
 	}
+	if x0 != nil && len(x0) != n {
+		return nil, IterStats{}, fmt.Errorf("linalg: CG start length %d, want %d", len(x0), n)
+	}
 	if prec == nil {
 		prec = IdentityPrec{}
 	}
@@ -225,9 +230,8 @@ func cg(a Operator, b, x0 []float64, o *IterOptions) ([]float64, IterStats, erro
 	// vector is written before it is read.
 	r, p, z := work[:n:n], work[n:2*n:2*n], work[2*n:3*n:3*n]
 	ap := z
-	x := make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
+	x := x0
+	if x != nil {
 		ax := a.MulVec(x, ap)
 		for i := range r {
 			r[i] = b[i] - ax[i]
@@ -235,6 +239,7 @@ func cg(a Operator, b, x0 []float64, o *IterOptions) ([]float64, IterStats, erro
 	} else {
 		// Every row of A·0 sums to +0, and b[i] − (+0) is b[i], so the
 		// zero start's residual is b itself, bit for bit.
+		x = make([]float64, n)
 		copy(r, b)
 	}
 	normB := Norm2(b)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -486,7 +488,7 @@ func TestCGLentWorkIgnoresContents(t *testing.T) {
 		}{{"fdm", fdm}, {"mic0", mic}, {"jacobi", NewJacobiPrec(a)}, {"none", nil}} {
 			for _, start := range [][]float64{nil, x0} {
 				run := func(work []float64) ([]float64, IterStats) {
-					x, stats, err := CGOpt(op.a, b, start, &IterOptions{Tol: 1e-12, MaxIter: 500, Prec: pc.p, Work: work})
+					x, stats, err := CGOpt(op.a, b, slices.Clone(start), &IterOptions{Tol: 1e-12, MaxIter: 500, Prec: pc.p, Work: work})
 					if err != nil {
 						t.Fatalf("%s, %s, warm %v: %v", op.name, pc.name, start != nil, err)
 					}
@@ -509,6 +511,38 @@ func TestCGLentWorkIgnoresContents(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCGWritesOverStart: given a start, CG returns that very array
+// holding the answer it would have returned from a copy of the start,
+// bit for bit, and a start of the wrong length is an error before any
+// iteration.
+func TestCGWritesOverStart(t *testing.T) {
+	a, b := randomSPD(5, 60, 0.1)
+	start := make([]float64, len(b))
+	for i := range start {
+		start[i] = float64(i%7) - 3
+	}
+	want, wantStats, err := CG(a, b, slices.Clone(start), NewJacobiPrec(a), 1e-12, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := slices.Clone(start)
+	x, stats, err := CG(a, b, x0, NewJacobiPrec(a), 1e-12, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &x[0] != &x0[0] || stats != wantStats {
+		t.Fatalf("CG returned a fresh array (%v) or other stats (%+v, want %+v)", &x[0] != &x0[0], stats, wantStats)
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("x[%d] = %v written over the start, %v from a copy", i, x[i], want[i])
+		}
+	}
+	if _, _, err := CG(a, b, make([]float64, len(b)-1), nil, 1e-12, 500); err == nil || !strings.Contains(err.Error(), "start length") {
+		t.Errorf("a short start: err %v, want a start length error", err)
 	}
 }
 

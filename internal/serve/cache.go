@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"aeropack/internal/obs"
 )
 
 // requestKey derives the cache/dedup key from the raw request bytes:
@@ -37,9 +40,19 @@ const (
 // entrySchema tags the header line of every disk entry.
 const entrySchema = "aeropack-result/v1"
 
-// resultCache stores finished response bodies by request hash: an
-// in-memory map always, plus best-effort persistence under
-// dir/modelVersion when a dir is configured (survives server restarts).
+// memCacheBytes bounds the memory tier: the bodies it holds, each
+// charged its capacity plus its key's length, total at most this.  It
+// holds about 12,000 technology-map bodies (2.6 KB each) or 20,000
+// COSEE or board bodies (1.4–1.7 KB each).
+const memCacheBytes = 32 << 20
+
+// resultCache stores finished response bodies by request hash: a
+// byte-bounded least-recently-used memory tier always, plus best-effort
+// persistence under dir/modelVersion when a dir is configured (survives
+// server restarts).  A memory hit moves its entry to the front, and a
+// put or a disk promotion inserts at the front and then drops entries
+// from the back until the held bytes are within max; an entry larger
+// than max alone is answered (and written to disk) but not kept.
 // Each disk entry is a header line "<entrySchema> <sha256 of body>"
 // followed by the body; a file that is short, garbled or fails the hash
 // is a miss and recomputes.  compute stores
@@ -50,13 +63,33 @@ const entrySchema = "aeropack-result/v1"
 // computations (they stopped wherever the cancellation caught them) are
 // never stored.
 type resultCache struct {
-	mu  sync.RWMutex
-	mem map[string][]byte
-	dir string // "" = memory only; else the versioned entry directory
+	mu      sync.Mutex
+	entries map[string]*list.Element // of *cacheEntry, in lru
+	lru     list.List                // most recently used first
+	bytes   int                      // Σ cap(body)+len(key) over entries
+	max     int                      // memCacheBytes; tests lower it
+	dir     string                   // "" = memory only; else the versioned entry directory
+
+	// Updated after mu is released: serve_cache_evictions_total and the
+	// serve_cache_bytes gauge, which moves by deltas so that concurrent
+	// updates land in any order.
+	evictions *obs.Counter
+	held      *obs.Gauge
 }
 
-func newResultCache(dir string) (*resultCache, error) {
-	c := &resultCache{mem: make(map[string][]byte)}
+// cacheEntry is one memory-tier body under its key.
+type cacheEntry struct {
+	key  string
+	body []byte
+}
+
+func newResultCache(dir string, reg *obs.Registry) (*resultCache, error) {
+	c := &resultCache{
+		entries:   make(map[string]*list.Element),
+		max:       memCacheBytes,
+		evictions: reg.Counter("serve_cache_evictions_total"),
+		held:      reg.Gauge("serve_cache_bytes"),
+	}
 	if dir != "" {
 		c.dir = filepath.Join(dir, modelVersion)
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
@@ -73,8 +106,9 @@ func (c *resultCache) path(key string) string {
 }
 
 // get returns the stored body for key, or nil.  A disk hit is promoted
-// into memory so the next lookup skips the filesystem.  corrupt reports
-// a disk entry that exists but fails verification; the next put for the
+// into memory, copied out of the file's buffer to an array of its own
+// length, so the next lookup skips the filesystem.  corrupt reports a
+// disk entry that exists but fails verification; the next put for the
 // key overwrites it.
 func (c *resultCache) get(key string) (body []byte, corrupt bool) {
 	body = c.memGet(key)
@@ -89,18 +123,49 @@ func (c *resultCache) get(key string) (body []byte, corrupt bool) {
 	if !ok {
 		return nil, true
 	}
-	c.mu.Lock()
-	c.mem[key] = body
-	c.mu.Unlock()
+	body = append(make([]byte, 0, len(body)), body...)
+	c.keep(key, body)
 	return body, false
 }
 
 // memGet returns the in-memory body for key, or nil, without touching
-// the disk.
+// the disk.  A hit becomes the most recently used entry.
 func (c *resultCache) memGet(key string) []byte {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.mem[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el := c.entries[key]
+	if el == nil {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry).body
+}
+
+// keep inserts body under key as the most recently used entry, then
+// drops the least recently used ones until the held bytes are within
+// max.  A key already held keeps its body, which is the same bytes, and
+// only moves to the front; a body whose entry alone exceeds max is not
+// kept.
+func (c *resultCache) keep(key string, body []byte) {
+	size := cap(body) + len(key)
+	c.mu.Lock()
+	before, evicted := c.bytes, 0
+	if el := c.entries[key]; el != nil {
+		c.lru.MoveToFront(el)
+	} else if size <= c.max {
+		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, body: body})
+		c.bytes += size
+		for c.bytes > c.max {
+			old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+			delete(c.entries, old.key)
+			c.bytes -= cap(old.body) + len(old.key)
+			evicted++
+		}
+	}
+	delta := c.bytes - before
+	c.mu.Unlock()
+	c.evictions.Add(int64(evicted))
+	c.held.Add(float64(delta))
 }
 
 // encodeEntry frames body for disk behind its header line.
@@ -126,9 +191,7 @@ func decodeEntry(data []byte) (body []byte, ok bool) {
 // write only costs future recomputes, never correctness, so its error
 // is reported to the caller for logging but the memory entry stands.
 func (c *resultCache) put(key string, body []byte) error {
-	c.mu.Lock()
-	c.mem[key] = body
-	c.mu.Unlock()
+	c.keep(key, body)
 	if c.dir == "" {
 		return nil
 	}
@@ -146,7 +209,7 @@ func (c *resultCache) put(key string, body []byte) error {
 
 // len reports the number of in-memory entries (for tests and metrics).
 func (c *resultCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.mem)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -61,6 +62,13 @@ type job struct {
 	body   []byte
 }
 
+// jobBodyBytes bounds what finished jobs hold: their bodies, each
+// charged its capacity plus its id's length, total at most this, the
+// oldest finished job dropped first.  The newest is always kept, so the
+// client that submitted it can read it.  Running jobs are never dropped;
+// admission bounds them.
+const jobBodyBytes = 8 << 20
+
 // Server is the aeropackd HTTP handler: study routes plus the obshttp
 // ops routes on one mux.
 //
@@ -70,6 +78,10 @@ type job struct {
 //	GET  /v1/jobs/{id}    async job state
 //	GET  /v1/results/{id} async job result (the sync body, verbatim)
 //	GET  /metrics /healthz /events /progress   (obshttp)
+//
+// Both job routes answer 410 expired for a job the server issued and
+// has since dropped (jobBodyBytes), and 404 not_found for an id it
+// never issued.
 type Server struct {
 	opts  Options
 	mux   *http.ServeMux
@@ -84,9 +96,15 @@ type Server struct {
 	mu       sync.Mutex
 	inflight map[string]*call
 	jobs     map[string]*job
+	jobSeq   int64 // ids issued: j1 … j<jobSeq>
+	// finished lists the ids of the finished jobs still in jobs, oldest
+	// first; finishedBytes is their charge against jobBudget.
+	finished      []string
+	finishedBytes int
+	jobBudget     int // jobBodyBytes; tests lower it
 
-	jobSeq atomic.Int64
-	jobsWG sync.WaitGroup
+	expired *obs.Counter // serve_jobs_expired_total
+	jobsWG  sync.WaitGroup
 }
 
 // NewServer builds a study server.  The returned server is ready to
@@ -103,17 +121,19 @@ func NewServer(opts Options) (*Server, error) {
 			opts.Registry = obs.NewRegistry()
 		}
 	}
-	cache, err := newResultCache(opts.CacheDir)
+	cache, err := newResultCache(opts.CacheDir, opts.Registry)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		opts:     opts,
-		cache:    cache,
-		reg:      opts.Registry,
-		sem:      make(chan struct{}, opts.MaxInflight),
-		inflight: make(map[string]*call),
-		jobs:     make(map[string]*job),
+		opts:      opts,
+		cache:     cache,
+		reg:       opts.Registry,
+		sem:       make(chan struct{}, opts.MaxInflight),
+		inflight:  make(map[string]*call),
+		jobs:      make(map[string]*job),
+		jobBudget: jobBodyBytes,
+		expired:   opts.Registry.Counter("serve_jobs_expired_total"),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/studies", s.handleStudies)
@@ -401,9 +421,10 @@ type jobState struct {
 // eventual result body is bitwise-identical to the sync response for
 // the same request bytes.
 func (s *Server) startJob(w http.ResponseWriter, key string, req *StudyRequest) {
-	id := fmt.Sprintf("j%d", s.jobSeq.Add(1))
 	j := &job{done: make(chan struct{})}
 	s.mu.Lock()
+	s.jobSeq++
+	id := "j" + strconv.FormatInt(s.jobSeq, 10)
 	s.jobs[id] = j
 	s.mu.Unlock()
 	s.count("serve_jobs_total")
@@ -414,6 +435,9 @@ func (s *Server) startJob(w http.ResponseWriter, key string, req *StudyRequest) 
 		// No connection can cancel a job: it computes until done.
 		status, body, _ := s.compute(context.Background(), key, req)
 		j.status, j.body = status, body
+		// Retired before done closes, so a job that reads as done is
+		// already in retention order.
+		s.retire(id, j)
 		close(j.done) // publishes status/body to readers
 	}()
 	ticket, err := marshalResponse(jobTicket{
@@ -428,17 +452,44 @@ func (s *Server) startJob(w http.ResponseWriter, key string, req *StudyRequest) 
 	writeBody(w, http.StatusAccepted, ticket, "")
 }
 
-// lookupJob resolves {id} or writes the 404 document.
+// retire enters the finished job j into retention, then drops the
+// oldest finished jobs, all but j at most, until what they hold fits
+// jobBudget.
+func (s *Server) retire(id string, j *job) {
+	s.mu.Lock()
+	s.finished = append(s.finished, id)
+	s.finishedBytes += len(id) + cap(j.body)
+	dropped := 0
+	for s.finishedBytes > s.jobBudget && len(s.finished) > 1 {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		s.finishedBytes -= len(old) + cap(s.jobs[old].body)
+		delete(s.jobs, old)
+		dropped++
+	}
+	s.mu.Unlock()
+	s.expired.Add(int64(dropped))
+}
+
+// lookupJob resolves {id}, or writes the 410 document for a job the
+// server issued and has dropped and the 404 document for any other id.
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (string, *job) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	j := s.jobs[id]
+	j, issued := s.jobs[id], s.jobSeq
 	s.mu.Unlock()
-	if j == nil {
-		writeErr(w, studyErr(404, CodeNotFound, "serve: unknown job %q", id))
-		return id, nil
+	if j != nil {
+		return id, j
 	}
-	return id, j
+	// Only the canonical form of an issued number names a job: "j01"
+	// or "j+1" is as unknown as "nope".
+	n, err := strconv.ParseInt(strings.TrimPrefix(id, "j"), 10, 64)
+	if err == nil && n >= 1 && n <= issued && id == "j"+strconv.FormatInt(n, 10) {
+		writeErr(w, studyErr(410, CodeExpired, "serve: job %q has expired", id))
+	} else {
+		writeErr(w, studyErr(404, CodeNotFound, "serve: unknown job %q", id))
+	}
+	return id, nil
 }
 
 // handleJob is GET /v1/jobs/{id}.

@@ -466,3 +466,73 @@ func TestCloseJoinsAsyncJobs(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestJobRetention checks finished-job retention and its three answers:
+// under a budget that fits two finished bodies, the third job to finish
+// drops the first, whose routes then answer 410 expired (the document
+// pinned here byte for byte), while the two kept jobs answer 200 and an
+// id the server never issued, or a non-canonical spelling of an issued
+// one, stays 404 not_found.
+func TestJobRetention(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	body := readContract(t, "async-sweep.request.json")
+	submit := func(id string) []byte {
+		t.Helper()
+		if w := postStudy(s, body); w.Code != http.StatusAccepted {
+			t.Fatalf("%s: status %d, want 202", id, w.Code)
+		}
+		waitJobDone(t, s, id)
+		res := getPath(s, "/v1/results/"+id)
+		if res.Code != http.StatusOK {
+			t.Fatalf("%s: result status %d, want 200", id, res.Code)
+		}
+		return res.Body.Bytes()
+	}
+	result := submit("j1")
+	// Every job answers the same cached bytes, so two fit exactly.
+	s.mu.Lock()
+	s.jobBudget = 2 * (len("j1") + len(result))
+	s.mu.Unlock()
+	submit("j2")
+	if got := s.reg.Counter("serve_jobs_expired_total").Value(); got != 0 {
+		t.Fatalf("serve_jobs_expired_total = %d with two jobs within the budget, want 0", got)
+	}
+	submit("j3")
+	if got := s.reg.Counter("serve_jobs_expired_total").Value(); got != 1 {
+		t.Errorf("serve_jobs_expired_total = %d, want 1", got)
+	}
+
+	want := "{\n  \"schema\": \"aeropack-error/v1\",\n  \"error\": \"serve: job \\\"j1\\\" has expired\",\n  \"code\": \"expired\"\n}\n"
+	for _, route := range []string{"/v1/jobs/j1", "/v1/results/j1"} {
+		w := getPath(s, route)
+		if w.Code != http.StatusGone || w.Body.String() != want {
+			t.Errorf("GET %s = %d %q, want 410 %q", route, w.Code, w.Body.String(), want)
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s: Content-Type %q", route, ct)
+		}
+	}
+	for _, id := range []string{"j2", "j3"} {
+		if w := getPath(s, "/v1/results/"+id); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), result) {
+			t.Errorf("GET /v1/results/%s = %d, want 200 with the kept body", id, w.Code)
+		}
+	}
+	for _, id := range []string{"j4", "j0", "j01", "nope"} {
+		w := getPath(s, "/v1/jobs/"+id)
+		var serr StudyError
+		if err := json.Unmarshal(w.Body.Bytes(), &serr); err != nil || w.Code != http.StatusNotFound || serr.Code != CodeNotFound {
+			t.Errorf("GET /v1/jobs/%s = %d %s, want 404 not_found", id, w.Code, w.Body.Bytes())
+		}
+	}
+
+	// A budget smaller than any body keeps the newest job alone.
+	s.mu.Lock()
+	s.jobBudget = 1
+	s.mu.Unlock()
+	submit("j4")
+	for id, code := range map[string]int{"j2": http.StatusGone, "j3": http.StatusGone, "j4": http.StatusOK} {
+		if w := getPath(s, "/v1/jobs/"+id); w.Code != code {
+			t.Errorf("under a 1-byte budget, GET /v1/jobs/%s = %d, want %d", id, w.Code, code)
+		}
+	}
+}

@@ -428,6 +428,7 @@ const (
 	CodeQueueFull      = "queue_full"      // 429: admission control rejected
 	CodeNotFound       = "not_found"       // 404: unknown job/result id
 	CodeNotReady       = "not_ready"       // 409: job still running
+	CodeExpired        = "expired"         // 410: finished job dropped from retention
 )
 
 // studyErr builds a wire error.
@@ -753,10 +754,16 @@ func studyResultJSON(rep *core.Report) *StudyResultJSON {
 // deterministic for these fixed-field structs (maps never appear on the
 // response, NaN is mapped to nil pointers before encoding), so
 // identical requests produce bitwise-identical bodies.
+//
+// The body is copied to an array of exactly its length: the result cache
+// and job retention charge a body its capacity, and MarshalIndent's
+// buffer has room to spare.
 func marshalResponse(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("serve: marshaling response: %w", err)
 	}
-	return append(b, '\n'), nil
+	out := make([]byte, len(b)+1)
+	out[copy(out, b)] = '\n'
+	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aeropack/internal/linalg"
@@ -110,7 +111,7 @@ func referenceField(t *testing.T, m *Model, T []float64) []float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, _, err := linalg.CG(a, b, T, p, 1e-13, 100000)
+		x, _, err := linalg.CG(a, b, slices.Clone(T), p, 1e-13, 100000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,21 +170,25 @@ func (m *Model) SolveSteady(ctx context.Context) (*Result, error) {
 	st := newStencil(m, ws)
 	sp.Attr("prec", st.kind())
 
-	// The field the film is linearized about: the uniform energy-balance
-	// temperature, then each pass's solution.  Only a radiating cell
-	// reads it, so a model without one has none.
+	// The field the film is linearized about, kept in the workspace: the
+	// uniform energy-balance temperature, then a copy of each pass's
+	// answer.  Only a radiating cell reads it, so a model without one
+	// has none.
 	radiating := ws.films.radiating()
 	var T []float64
 	if radiating {
-		T = make([]float64, n)
+		ws.lin = fit(ws.lin, n)
+		T = ws.lin
 		t0 := ws.films.balanceT(m.TotalSourcePower())
 		for i := range T {
 			T[i] = t0
 		}
 	}
 
+	// x is the one field a solve allocates: the first pass's answer,
+	// which every later pass starts from and overwrites.
 	res := &Result{g: m.Grid}
-	var prev []float64
+	var x []float64
 	for outer := 0; outer < maxPicardPasses; outer++ {
 		// The budget is polled between passes as well as inside the
 		// linear solver, so a tripped request stops at the next pass
@@ -197,11 +201,12 @@ func (m *Model) SolveSteady(ctx context.Context) (*Result, error) {
 		if !st.grounded {
 			return nil, errors.New("thermal: no face of the FV model exchanges heat; steady problem is singular")
 		}
-		t, stats, err := linSolve(ctx, op, b, prev, st)
+		t, stats, err := linSolve(ctx, op, b, x, st)
 		res.Iterations = stats.Iterations
 		if err != nil {
 			return nil, err
 		}
+		x = t
 		if !radiating {
 			sp.AttrInt("passes", 1)
 			res.T = t
@@ -213,13 +218,13 @@ func (m *Model) SolveSteady(ctx context.Context) (*Result, error) {
 				delta = d
 			}
 		}
-		T, prev = t, t
 		if delta < picardTolK {
 			sp.AttrInt("passes", res.OuterIterations)
 			sp.AttrF("delta_k", delta)
 			res.T = t
 			return res, nil
 		}
+		copy(T, t)
 	}
 	return nil, fmt.Errorf("thermal: radiation linearisation did not converge in %d passes", maxPicardPasses)
 }
@@ -263,8 +268,10 @@ var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
 
 // linSolve solves the pass st last assembled, op·x = b from x0, by CG
 // preconditioned by what st.prec builds, with CG's work vectors lent
-// from st's workspace, polling ctx's budget once per iteration.  Nothing
-// retries a failed build or solve: its error is the caller's.
+// from st's workspace, polling ctx's budget once per iteration.  A
+// non-nil x0 receives the answer (linalg.CG); a nil one starts from
+// zero in a fresh array.  Nothing retries a failed build or solve: its
+// error is the caller's.
 func linSolve(ctx context.Context, op linalg.Operator, b, x0 []float64, st *stencil) ([]float64, linalg.IterStats, error) {
 	sp := obs.Start(obs.FromContext(ctx), "thermal.linSolve")
 	defer sp.End()
@@ -368,15 +375,16 @@ type stencil struct {
 // workspace holds one solve's arrays: the model's boundary films; the
 // CSR's rowPtr, colIdx and val, and per row its diagonal's position in
 // colIdx and its interior-face diagonal sum; a separable pass's
-// boundary diagonal; the right-hand side; one row of cell volumes for
-// the source spread; CG's three work vectors, 3n floats; and the last
-// fast diagonalization built in it, whose per-cell arrays the next
-// build takes over.
+// boundary diagonal; the right-hand side; one row of cell volumes and
+// each volumetric source's box volume, for the source spread; a
+// radiating model's linearization field; CG's three work vectors, 3n
+// floats; and the last fast diagonalization built in it, whose per-cell
+// arrays the next build takes over.
 type workspace struct {
-	films                          films
-	rowPtr, colIdx, diag           []int
-	val, interior, bnd, b, vol, cg []float64
-	fdm                            *linalg.FDMPrec
+	films                                       films
+	rowPtr, colIdx, diag                        []int
+	val, interior, bnd, b, vol, srcVol, lin, cg []float64
+	fdm                                         *linalg.FDMPrec
 }
 
 // free is the list of workspaces kept between solves, a leaky buffer:
@@ -388,7 +396,8 @@ type workspace struct {
 // for every solve, and a burst of more concurrent solves allocates the
 // extra ones and drops them.  An 80×80×2 level-2 board, the largest,
 // which builds no CSR, keeps 0.8 MB in its workspace (eight arrays of n
-// floats); a painted model of that size adds about 1.6 MB.
+// floats, nine when it radiates); a painted model of that size adds
+// about 1.6 MB.
 var free = make(chan *workspace, runtime.GOMAXPROCS(0))
 
 // takeWorkspace returns a workspace from the free list, or a new one
@@ -421,9 +430,9 @@ func fit[T int | float64](s []T, n int) []T {
 }
 
 // newStencil returns m's stencil over ws, or over a fresh workspace
-// when ws is nil.  Its boundary films, and an unpainted model's
-// interior axes, on whose KronSum its passes run, are computed here
-// once.
+// when ws is nil.  Its boundary films, each volumetric source's box
+// volume, and an unpainted model's interior axes, on whose KronSum its
+// passes run, are computed here once.
 func newStencil(m *Model, ws *workspace) *stencil {
 	if ws == nil {
 		ws = new(workspace)
@@ -432,6 +441,16 @@ func newStencil(m *Model, ws *workspace) *stencil {
 	n := m.Grid.NumCells()
 	ws.films.build(m)
 	ws.vol = fit(ws.vol, m.Grid.Nx)
+	ws.srcVol = fit(ws.srcVol, len(m.sources))
+	for q, src := range m.sources {
+		vol := 0.0
+		boxRows(m.Grid, src.box, ws.vol[:src.box.I1-src.box.I0], func(_ int, v []float64) {
+			for _, vi := range v {
+				vol += vi
+			}
+		})
+		ws.srcVol[q] = vol
+	}
 	ws.cg = fit(ws.cg, 3*n)
 	if m.separable() {
 		ws.bnd, ws.b = fit(ws.bnd, n), fit(ws.b, n)
@@ -562,18 +581,14 @@ func (s *stencil) boundary(T, dst []float64, slot []int) {
 		s.grounded = s.grounded || total != 0
 	}
 
-	// Volumetric sources, each spread by cell volume fraction.
-	for _, src := range m.sources {
-		vol, row := 0.0, s.ws.vol[:src.box.I1-src.box.I0]
-		boxRows(g, src.box, row, func(_ int, v []float64) {
-			for _, vi := range v {
-				vol += vi
-			}
-		})
+	// Volumetric sources, each spread by cell volume fraction of its
+	// box's volume (newStencil).
+	for q, src := range m.sources {
+		vol := s.ws.srcVol[q]
 		if vol == 0 {
 			continue
 		}
-		boxRows(g, src.box, row, func(idx int, v []float64) {
+		boxRows(g, src.box, s.ws.vol[:src.box.I1-src.box.I0], func(idx int, v []float64) {
 			for i, vi := range v {
 				b[idx+i] += src.power * vi / vol
 			}

@@ -436,6 +436,27 @@ func TestStencilWorkspaceReuse(t *testing.T) {
 		}
 	})
 
+	t.Run("one field per radiating solve", func(t *testing.T) {
+		solve(board)
+		nb := board.Grid.NumCells()
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			solve(board)
+		}
+		runtime.ReadMemStats(&after)
+		perSolve := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("warm solve of the radiating board: %d B, its answer %d B", perSolve, 8*nb)
+		// Its passes write the answer over one array and keep the
+		// linearization field in the workspace, so a solve allocates its
+		// answer, 8n bytes, and about 5 KB of axes and factors; one more
+		// n-float array, or one per pass, passes 16n.
+		if limit := uint64(16 * nb); perSolve > limit {
+			t.Errorf("a warm solve of the radiating board allocated %d B, limit %d (its answer is %d B)", perSolve, limit, 8*nb)
+		}
+	})
+
 	t.Run("concurrent", func(t *testing.T) {
 		var wg sync.WaitGroup
 		for w := 0; w < 2*runtime.GOMAXPROCS(0); w++ {

@@ -66,8 +66,8 @@ go -C bench test ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== dedup window stays shut (50 race-enabled runs of the concurrent-identical dedup test)"
-go test -race -count=50 -run 'TestDedupConcurrentIdentical$' ./internal/serve
+echo "== dedup window stays shut, LRU accounting balances (50 race-enabled runs of the concurrent-identical dedup and concurrent cache tests)"
+go test -race -count=50 -run 'TestDedupConcurrentIdentical$|TestCacheConcurrentBounded$' ./internal/serve
 
 echo "== go test -race -cpu=1,4 (parallel kernels, shared vibration grids, shared compiled COSEE networks)"
 go test -race -cpu=1,4 ./internal/parallel ./internal/linalg ./internal/thermal ./internal/vibration ./internal/cosee
