@@ -1278,17 +1278,12 @@ func BenchmarkPar_Fig10SummaryParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkPar_TechnologyMapSerial(b *testing.B) { benchTechMap(b, 1) }
-func BenchmarkPar_TechnologyMapParallel(b *testing.B) {
-	benchTechMap(b, 0)
-}
-
-func benchTechMap(b *testing.B, workers int) {
+func BenchmarkPar_TechnologyMapSerial(b *testing.B) {
 	screen := core.DefaultScreen(core.Envelope{L: 0.4, W: 0.3, H: 0.2})
 	powers := []float64{50, 150, 400, 900}
 	fluxes := []float64{1, 10, 50, 100}
 	for i := 0; i < b.N; i++ {
-		if _, err := screen.TechnologyMap(powers, fluxes, workers); err != nil {
+		if _, err := screen.TechnologyMap(powers, fluxes, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,6 @@ import (
 	"aeropack/internal/convection"
 	"aeropack/internal/fluids"
 	"aeropack/internal/materials"
-	"aeropack/internal/parallel"
 	"aeropack/internal/radiation"
 	"aeropack/internal/twophase"
 	"aeropack/internal/units"
@@ -244,41 +243,75 @@ type Assessment struct {
 	Complexity  int
 }
 
-// SelectCooling screens every technology against a required power (W) and
-// hot-spot flux (W/cm²), returning feasible options sorted by complexity
-// then margin — the level-1 deliverable.
-func (s Screen) SelectCooling(powerW, fluxWCm2 float64) ([]Assessment, error) {
-	if powerW <= 0 || fluxWCm2 < 0 {
-		return nil, fmt.Errorf("core: power must be positive and flux non-negative")
-	}
-	var out []Assessment
+// limits evaluates every technology's capacity for the screen, indexed
+// by CoolingTech.  They depend on the screen alone, so one evaluation
+// serves every need screened against it.
+func (s Screen) limits() ([numTechs]TechLimits, error) {
+	var out [numTechs]TechLimits
 	for tech := FreeConvection; tech < numTechs; tech++ {
 		lim, err := s.Limits(tech)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
-		a := Assessment{
-			TechLimits: lim,
-			Complexity: tech.Complexity(),
-		}
-		a.PowerMargin = lim.MaxPowerW/powerW - 1
-		if fluxWCm2 > 0 {
-			a.FluxMargin = lim.MaxFluxWCm2/fluxWCm2 - 1
-		} else {
-			a.FluxMargin = math.Inf(1)
-		}
-		a.Feasible = a.PowerMargin > 0 && a.FluxMargin > 0
-		out = append(out, a)
+		out[tech] = lim
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Feasible != out[j].Feasible {
-			return out[i].Feasible
-		}
-		if out[i].Complexity != out[j].Complexity {
-			return out[i].Complexity < out[j].Complexity
-		}
-		return out[i].PowerMargin > out[j].PowerMargin
-	})
+	return out, nil
+}
+
+// checkNeed rejects a required power (W) that is not positive or a
+// hot-spot flux (W/cm²) that is negative.
+func checkNeed(powerW, fluxWCm2 float64) error {
+	if powerW <= 0 || fluxWCm2 < 0 {
+		return fmt.Errorf("core: power must be positive and flux non-negative")
+	}
+	return nil
+}
+
+// assess scores one technology's limits against a required power and
+// hot-spot flux; a zero flux leaves an infinite flux margin.
+func assess(lim TechLimits, powerW, fluxWCm2 float64) Assessment {
+	a := Assessment{
+		TechLimits:  lim,
+		PowerMargin: lim.MaxPowerW/powerW - 1,
+		FluxMargin:  math.Inf(1),
+		Complexity:  lim.Tech.Complexity(),
+	}
+	if fluxWCm2 > 0 {
+		a.FluxMargin = lim.MaxFluxWCm2/fluxWCm2 - 1
+	}
+	a.Feasible = a.PowerMargin > 0 && a.FluxMargin > 0
+	return a
+}
+
+// ranksBefore is the one ordering rule of the level-1 screen: feasible
+// first, then lower complexity, then larger power margin.  Assessments
+// it leaves tied keep CoolingTech order.
+func ranksBefore(a, b Assessment) bool {
+	if a.Feasible != b.Feasible {
+		return a.Feasible
+	}
+	if a.Complexity != b.Complexity {
+		return a.Complexity < b.Complexity
+	}
+	return a.PowerMargin > b.PowerMargin
+}
+
+// SelectCooling screens every technology against a required power (W) and
+// hot-spot flux (W/cm²), returning them in ranksBefore order, ties in
+// CoolingTech order — the level-1 deliverable.
+func (s Screen) SelectCooling(powerW, fluxWCm2 float64) ([]Assessment, error) {
+	if err := checkNeed(powerW, fluxWCm2); err != nil {
+		return nil, err
+	}
+	lims, err := s.limits()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Assessment, numTechs)
+	for i, lim := range lims {
+		out[i] = assess(lim, powerW, fluxWCm2)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return ranksBefore(out[i], out[j]) })
 	return out, nil
 }
 
@@ -303,42 +336,51 @@ type TechCell struct {
 	Feasible    bool
 }
 
-// TechnologyMap screens the full powers × fluxes grid — the E12 sweep —
-// across at most workers goroutines (<= 0 means GOMAXPROCS).  Screen is
-// a value receiver over immutable registries, so concurrent evaluation
-// is safe; results land at grid positions deterministically, making the
-// map identical at any worker count.  Cells where no technology is
-// feasible carry Feasible=false instead of failing the whole map; a
-// genuine screening error (invalid inputs) aborts with the error of the
-// lowest flattened grid index.  The returned slice is indexed
-// [powerIdx][fluxIdx].
+// recommend scores every technology's limits against one need and
+// returns its cell: the first assessment no later one ranks before,
+// which is SelectCooling's first.
+func recommend(lims *[numTechs]TechLimits, powerW, fluxWCm2 float64) TechCell {
+	best := assess(lims[0], powerW, fluxWCm2)
+	for _, lim := range lims[1:] {
+		if a := assess(lim, powerW, fluxWCm2); ranksBefore(a, best) {
+			best = a
+		}
+	}
+	cell := TechCell{PowerW: powerW, FluxWCm2: fluxWCm2}
+	if best.Feasible {
+		cell.Recommended, cell.Feasible = best, true
+	}
+	return cell
+}
+
+// TechnologyMap screens the full powers × fluxes grid — the E12 sweep.
+// The technologies' limits are evaluated once for the whole map and each
+// cell is scored against them, so every cell equals the one built from
+// its own SelectCooling.  workers is ignored, and kept only because
+// bench/aeropackbench still passes one: a map costs a few microseconds,
+// less than a goroutine pool's start-up.  Cells where no
+// technology is feasible carry Feasible=false instead of failing the
+// whole map; a genuine screening error (invalid inputs) aborts with the
+// error of the lowest flattened grid index.  The returned slice is
+// indexed [powerIdx][fluxIdx].
 func (s Screen) TechnologyMap(powers, fluxes []float64, workers int) ([][]TechCell, error) {
-	type cellIn struct{ pi, fi int }
-	flat := make([]cellIn, 0, len(powers)*len(fluxes))
-	for pi := range powers {
-		for fi := range fluxes {
-			flat = append(flat, cellIn{pi, fi})
-		}
-	}
-	cells, err := parallel.Map(flat, workers, func(_ int, in cellIn) (TechCell, error) {
-		p, f := powers[in.pi], fluxes[in.fi]
-		cell := TechCell{PowerW: p, FluxWCm2: f}
-		as, err := s.SelectCooling(p, f)
-		if err != nil {
-			return cell, err
-		}
-		if len(as) > 0 && as[0].Feasible {
-			cell.Recommended = as[0]
-			cell.Feasible = true
-		}
-		return cell, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	lims, limErr := s.limits()
+	cells := make([]TechCell, len(powers)*len(fluxes))
 	out := make([][]TechCell, len(powers))
-	for pi := range powers {
-		out[pi] = cells[pi*len(fluxes) : (pi+1)*len(fluxes)]
+	for pi, p := range powers {
+		row := cells[pi*len(fluxes) : (pi+1)*len(fluxes)]
+		for fi, f := range fluxes {
+			// A cell's need is checked before the screen's limits, as
+			// SelectCooling checks them.
+			if err := checkNeed(p, f); err != nil {
+				return nil, err
+			}
+			if limErr != nil {
+				return nil, limErr
+			}
+			row[fi] = recommend(&lims, p, f)
+		}
+		out[pi] = row
 	}
 	return out, nil
 }

@@ -77,10 +77,15 @@ type resultCache struct {
 	held      *obs.Gauge
 }
 
-// cacheEntry is one memory-tier body under its key.
+// cacheEntry is one memory-tier body under its key.  async records
+// whether the request that stored it was async: the key is the hash of
+// the request bytes, so every request that finds the entry sent those
+// same bytes, and only a sync entry's bytes may be answered without
+// decoding them again.
 type cacheEntry struct {
-	key  string
-	body []byte
+	key   string
+	body  []byte
+	async bool
 }
 
 func newResultCache(dir string, reg *obs.Registry) (*resultCache, error) {
@@ -105,15 +110,18 @@ func (c *resultCache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// get returns the stored body for key, or nil.  A disk hit is promoted
-// into memory, copied out of the file's buffer to an array of its own
-// length, so the next lookup skips the filesystem.  corrupt reports a
-// disk entry that exists but fails verification; the next put for the
-// key overwrites it.
-func (c *resultCache) get(key string) (body []byte, corrupt bool) {
-	body = c.memGet(key)
-	if body != nil || c.dir == "" {
-		return body, false
+// get returns the stored body for key, or nil.  The caller has decoded
+// the request, and async is its flag.  A disk hit is promoted into
+// memory under that flag, copied out of the file's buffer to an array of
+// its own length, so the next lookup skips the filesystem.  corrupt
+// reports a disk entry that exists but fails verification; the next put
+// for the key overwrites it.
+func (c *resultCache) get(key string, async bool) (body []byte, corrupt bool) {
+	if e := c.memGet(key); e != nil {
+		return e.body, false
+	}
+	if c.dir == "" {
+		return nil, false
 	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
@@ -124,13 +132,15 @@ func (c *resultCache) get(key string) (body []byte, corrupt bool) {
 		return nil, true
 	}
 	body = append(make([]byte, 0, len(body)), body...)
-	c.keep(key, body)
+	c.keep(key, body, async)
 	return body, false
 }
 
-// memGet returns the in-memory body for key, or nil, without touching
-// the disk.  A hit becomes the most recently used entry.
-func (c *resultCache) memGet(key string) []byte {
+// memGet returns the in-memory entry for key, or nil, without touching
+// the disk.  A hit becomes the most recently used entry.  An entry is
+// never changed once stored, so its fields may be read after c.mu is
+// released.
+func (c *resultCache) memGet(key string) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el := c.entries[key]
@@ -138,22 +148,22 @@ func (c *resultCache) memGet(key string) []byte {
 		return nil
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).body
+	return el.Value.(*cacheEntry)
 }
 
 // keep inserts body under key as the most recently used entry, then
 // drops the least recently used ones until the held bytes are within
-// max.  A key already held keeps its body, which is the same bytes, and
-// only moves to the front; a body whose entry alone exceeds max is not
-// kept.
-func (c *resultCache) keep(key string, body []byte) {
+// max.  A key already held keeps its entry, which a request of the same
+// bytes stored, and only moves to the front; a body whose entry alone
+// exceeds max is not kept.
+func (c *resultCache) keep(key string, body []byte, async bool) {
 	size := cap(body) + len(key)
 	c.mu.Lock()
 	before, evicted := c.bytes, 0
 	if el := c.entries[key]; el != nil {
 		c.lru.MoveToFront(el)
 	} else if size <= c.max {
-		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, body: body})
+		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, body: body, async: async})
 		c.bytes += size
 		for c.bytes > c.max {
 			old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
@@ -187,11 +197,12 @@ func decodeEntry(data []byte) (body []byte, ok bool) {
 	return body, true
 }
 
-// put stores a finished body.  The disk write is best-effort: a failed
-// write only costs future recomputes, never correctness, so its error
-// is reported to the caller for logging but the memory entry stands.
-func (c *resultCache) put(key string, body []byte) error {
-	c.keep(key, body)
+// put stores a finished body of a request whose async flag is async.
+// The disk write is best-effort: a failed write only costs future
+// recomputes, never correctness, so its error is reported to the caller
+// for logging but the memory entry stands.
+func (c *resultCache) put(key string, body []byte, async bool) error {
+	c.keep(key, body, async)
 	if c.dir == "" {
 		return nil
 	}

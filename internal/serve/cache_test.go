@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -62,14 +64,14 @@ func TestCacheLRUOrder(t *testing.T) {
 	entry := bodyLen + len(keyOf(0))
 	c, reg := newBoundedCache(t, "", 3*entry)
 	for i := 0; i < 3; i++ {
-		if err := c.put(keyOf(i), make([]byte, bodyLen)); err != nil {
+		if err := c.put(keyOf(i), make([]byte, bodyLen), false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.memGet(keyOf(0)) == nil {
 		t.Fatal("entry 0 missing before the budget was reached")
 	}
-	if err := c.put(keyOf(3), make([]byte, bodyLen)); err != nil {
+	if err := c.put(keyOf(3), make([]byte, bodyLen), false); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []bool{true, false, true, true} {
@@ -86,7 +88,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	c.memGet(keyOf(2))
 	c.memGet(keyOf(0))
 	for i := 4; i < 6; i++ {
-		if err := c.put(keyOf(i), make([]byte, bodyLen)); err != nil {
+		if err := c.put(keyOf(i), make([]byte, bodyLen), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,13 +108,13 @@ func TestCacheChargesCapacity(t *testing.T) {
 	dir := t.TempDir()
 	c, reg := newBoundedCache(t, dir, 1000)
 	k := keyOf(0)
-	if err := c.put(k, make([]byte, 10, 300)); err != nil {
+	if err := c.put(k, make([]byte, 10, 300), false); err != nil {
 		t.Fatal(err)
 	}
 	if c.bytes != 300+len(k) {
 		t.Errorf("bytes = %d, want cap 300 + key %d", c.bytes, len(k))
 	}
-	if err := c.put(k, make([]byte, 10, 300)); err != nil {
+	if err := c.put(k, make([]byte, 10, 300), false); err != nil {
 		t.Fatal(err)
 	}
 	if c.len() != 1 || c.bytes != 300+len(k) {
@@ -122,7 +124,7 @@ func TestCacheChargesCapacity(t *testing.T) {
 
 	big := keyOf(1)
 	body := bytes.Repeat([]byte("x"), 1000)
-	if err := c.put(big, body); err != nil {
+	if err := c.put(big, body, false); err != nil {
 		t.Fatal(err)
 	}
 	if c.memGet(big) != nil || c.memGet(k) == nil {
@@ -131,7 +133,7 @@ func TestCacheChargesCapacity(t *testing.T) {
 	if got := reg.Counter("serve_cache_evictions_total").Value(); got != 0 {
 		t.Errorf("serve_cache_evictions_total = %d after an oversized put, want 0", got)
 	}
-	got, corrupt := c.get(big)
+	got, corrupt := c.get(big, false)
 	if corrupt || !bytes.Equal(got, body) {
 		t.Errorf("oversized body not served from disk (corrupt %v)", corrupt)
 	}
@@ -150,14 +152,14 @@ func TestCacheDiskPromotionBounded(t *testing.T) {
 	const n, bodyLen = 40, 200
 	writer, _ := newBoundedCache(t, dir, memCacheBytes)
 	for i := 0; i < n; i++ {
-		if err := writer.put(keyOf(i), bytes.Repeat([]byte{byte('a' + i%26)}, bodyLen)); err != nil {
+		if err := writer.put(keyOf(i), bytes.Repeat([]byte{byte('a' + i%26)}, bodyLen), false); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	c, reg := newBoundedCache(t, dir, 10*(bodyLen+len(keyOf(0))))
 	for i := 0; i < n; i++ {
-		body, corrupt := c.get(keyOf(i))
+		body, corrupt := c.get(keyOf(i), false)
 		if corrupt || len(body) != bodyLen || body[0] != byte('a'+i%26) {
 			t.Fatalf("entry %d: %d bytes from disk (corrupt %v)", i, len(body), corrupt)
 		}
@@ -187,11 +189,11 @@ func TestCacheConcurrentBounded(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := keyOf((g*131 + i*7) % 64)
-				if b := c.memGet(k); b != nil && len(b) != 64 {
-					t.Errorf("goroutine %d: body of %d bytes, want 64", g, len(b))
+				if e := c.memGet(k); e != nil && len(e.body) != 64 {
+					t.Errorf("goroutine %d: body of %d bytes, want 64", g, len(e.body))
 					return
 				}
-				if err := c.put(k, make([]byte, 64)); err != nil {
+				if err := c.put(k, make([]byte, 64), false); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
@@ -217,7 +219,7 @@ func TestCacheSoakBounded(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	base := ms.HeapAlloc
 	for i := 0; i < 100_000; i++ {
-		if err := c.put(keyOf(i), make([]byte, 2048+i%1024)); err != nil {
+		if err := c.put(keyOf(i), make([]byte, 2048+i%1024), false); err != nil {
 			t.Fatal(err)
 		}
 		if c.bytes > budget {
@@ -264,5 +266,198 @@ func TestHotBodyStaysCached(t *testing.T) {
 	}
 	if held := s.reg.Gauge("serve_cache_bytes").Value(); held > float64(s.cache.max) {
 		t.Errorf("serve_cache_bytes = %v over the %d budget", held, s.cache.max)
+	}
+}
+
+// hitAllocCeiling bounds the allocations of one memory hit through
+// Server.ServeHTTP, httptest's request and recorder included (11 of
+// them): about 25 today, where a hit that decodes its request first
+// makes 43–51.
+const hitAllocCeiling = 32
+
+// TestMemoryHitSkipsDecode pins the pre-decode hit: a memory hit on a
+// sync body allocates the same for a board study, a qualification and a
+// technology map, whose decodes differ, and stays under
+// hitAllocCeiling, so a decode that creeps back onto the hit path fails.
+func TestMemoryHitSkipsDecode(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	allocs := map[string]float64{}
+	for _, name := range []string{"study", "qualification", "techmap"} {
+		body := readContract(t, name+".request.json")
+		first := postStudy(s, body)
+		if first.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", name, first.Code)
+		}
+		if w := postStudy(s, body); w.Header().Get("X-Aeropack-Cache") != "hit" || !bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("%s: second request not a hit with the first body (cache %q)", name, w.Header().Get("X-Aeropack-Cache"))
+		}
+		allocs[name] = testing.AllocsPerRun(50, func() { postStudy(s, body) })
+	}
+	for name, n := range allocs {
+		if n != allocs["techmap"] || n > hitAllocCeiling {
+			t.Errorf("a %s hit allocates %v times (all: %v); want one count for every kind, at most %d", name, n, allocs, hitAllocCeiling)
+		}
+	}
+	t.Logf("allocations per memory hit: %v", allocs)
+}
+
+// plantEntry writes a framed disk entry holding payload under the key
+// of request.
+func plantEntry(t *testing.T, dir string, request, payload []byte) string {
+	t.Helper()
+	path := filepath.Join(dir, modelVersion, requestKey(request)+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, encodeEntry(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestDiskHitDecodesFirst checks that only bytes this process has
+// decoded skip the decode.  A well-framed disk entry planted under the
+// key of a request that fails validation is never served; a sync body
+// promoted from disk is answered from memory by the pre-decode path on
+// its next request, its file gone; and an async body promoted from disk
+// is still answered with a job.
+func TestDiskHitDecodesFirst(t *testing.T) {
+	dir := t.TempDir()
+	bad := readContract(t, "unknown-field.request.json")
+	plantEntry(t, dir, bad, []byte("{\"planted\": true}\n"))
+	s := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	for i := 0; i < 2; i++ {
+		w := postStudy(s, bad)
+		if w.Code != http.StatusBadRequest || !bytes.Equal(w.Body.Bytes(), readContract(t, "unknown-field.response.json")) {
+			t.Fatalf("request %d under a planted entry: status %d body %s, want the 400 bad_request golden", i+1, w.Code, w.Body.Bytes())
+		}
+	}
+	if hits := s.reg.Counter("serve_cache_hits_total").Value(); hits != 0 {
+		t.Errorf("serve_cache_hits_total = %d after two invalid requests, want 0", hits)
+	}
+
+	good := readContract(t, "techmap.request.json")
+	want := postStudy(newTestServer(t, Options{Workers: 1, CacheDir: dir}), good)
+	s2 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	if w := postStudy(s2, good); w.Header().Get("X-Aeropack-Cache") != "hit" || !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("restart: cache %q, same bytes %v; want a disk hit", w.Header().Get("X-Aeropack-Cache"), bytes.Equal(w.Body.Bytes(), want.Body.Bytes()))
+	}
+	if e := s2.cache.memGet(requestKey(good)); e == nil || e.async {
+		t.Fatalf("promoted entry of the sync body: %+v, want one not marked async", e)
+	}
+	if err := os.Remove(filepath.Join(dir, modelVersion, requestKey(good)+".json")); err != nil {
+		t.Fatal(err)
+	}
+	if w := postStudy(s2, good); w.Header().Get("X-Aeropack-Cache") != "hit" || !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("after promotion: cache %q, same bytes %v; want a memory hit", w.Header().Get("X-Aeropack-Cache"), bytes.Equal(w.Body.Bytes(), want.Body.Bytes()))
+	}
+	if n := testing.AllocsPerRun(20, func() { postStudy(s2, good) }); n > hitAllocCeiling {
+		t.Errorf("a hit on a promoted sync entry allocates %v times, want at most %d", n, hitAllocCeiling)
+	}
+
+	async := readContract(t, "async-sweep.request.json")
+	planted := []byte("{\"planted async\": true}\n")
+	plantEntry(t, dir, async, planted)
+	s3 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	for i := 1; i <= 2; i++ {
+		if w := postStudy(s3, async); w.Code != http.StatusAccepted {
+			t.Fatalf("async submission %d after a disk promotion: status %d, want 202", i, w.Code)
+		}
+		id := "j" + strconv.Itoa(i)
+		waitJobDone(t, s3, id)
+		if res := getPath(s3, "/v1/results/"+id); !bytes.Equal(res.Body.Bytes(), planted) {
+			t.Errorf("job %s: result %s, want the disk entry", id, res.Body.Bytes())
+		}
+	}
+}
+
+// TestServeCountersOnEveryPath checks serve_requests_total,
+// serve_cache_hits_total and serve_cache_misses_total, and the
+// X-Aeropack-Cache header, step by step over a sync miss and its
+// pre-decode hits, an invalid body, and an async miss and hit.
+func TestServeCountersOnEveryPath(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	syncBody := readContract(t, "techmap.request.json")
+	asyncBody := readContract(t, "async-sweep.request.json")
+	bad := readContract(t, "unknown-field.request.json")
+	jobs := 0
+	for i, st := range []struct {
+		name         string
+		body         []byte
+		status       int
+		cache        string
+		hits, misses int64
+	}{
+		{"sync miss", syncBody, 200, "miss", 0, 1},
+		{"sync hit", syncBody, 200, "hit", 1, 1},
+		{"invalid body", bad, 400, "", 1, 1},
+		{"invalid body again", bad, 400, "", 1, 1},
+		{"async miss", asyncBody, 202, "", 1, 2},
+		{"async hit", asyncBody, 202, "", 2, 2},
+		{"sync hit again", syncBody, 200, "hit", 3, 2},
+	} {
+		w := postStudy(s, st.body)
+		if w.Code != st.status || w.Header().Get("X-Aeropack-Cache") != st.cache {
+			t.Fatalf("%s: status %d cache %q, want %d %q", st.name, w.Code, w.Header().Get("X-Aeropack-Cache"), st.status, st.cache)
+		}
+		if w.Code == http.StatusAccepted {
+			jobs++
+			waitJobDone(t, s, "j"+strconv.Itoa(jobs))
+		}
+		reqs := s.reg.Counter("serve_requests_total").Value()
+		hits := s.reg.Counter("serve_cache_hits_total").Value()
+		misses := s.reg.Counter("serve_cache_misses_total").Value()
+		if reqs != int64(i+1) || hits != st.hits || misses != st.misses {
+			t.Errorf("%s: requests %d, hits %d, misses %d; want %d, %d, %d", st.name, reqs, hits, misses, i+1, st.hits, st.misses)
+		}
+	}
+}
+
+// TestPreDecodeHitConcurrent drives the pre-decode path from several
+// goroutines at once (run under -race in verify.sh): two re-send one
+// cached sync body, two submit its async twin, and two push distinct
+// bodies through a memory tier of a few entries, so the hot entry is
+// hit, evicted, recomputed and read by async jobs all at once.  Every
+// sync answer is 200 with the first answer's bytes, and every async
+// submission is 202.
+func TestPreDecodeHitConcurrent(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, MaxQueue: 256})
+	s.cache.max = 16 << 10
+	hot := readContract(t, "techmap.request.json")
+	twin := append([]byte(`{"async": true, `), hot[1:]...)
+	first := postStudy(s, hot)
+	if first.Code != http.StatusOK {
+		t.Fatalf("hot body: status %d", first.Code)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				switch g % 3 {
+				case 0:
+					if w := postStudy(s, hot); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+						t.Errorf("goroutine %d: hot body answered %d (cache %q), or other bytes", g, w.Code, w.Header().Get("X-Aeropack-Cache"))
+						return
+					}
+				case 1:
+					if w := postStudy(s, twin); w.Code != http.StatusAccepted {
+						t.Errorf("goroutine %d: async twin answered %d, want 202", g, w.Code)
+						return
+					}
+				default:
+					miss := []byte(fmt.Sprintf(`{"kind": "techmap", "techmap": {"powers_w": [%d, %d], "fluxes_w_cm2": [1, 5, 20]}}`, 1+g, 10+i))
+					if w := postStudy(s, miss); w.Code != http.StatusOK {
+						t.Errorf("goroutine %d: distinct body %d answered %d", g, i, w.Code)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s.reg.Counter("serve_cache_evictions_total").Value() == 0 {
+		t.Error("distinct bodies through a 16 KiB memory tier evicted nothing")
 	}
 }

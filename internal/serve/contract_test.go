@@ -221,6 +221,14 @@ func TestContractAsyncFlow(t *testing.T) {
 	if !bytes.Equal(res1.Body.Bytes(), res2.Body.Bytes()) {
 		t.Error("async results for identical request bytes differ")
 	}
+	// The first job's entry is marked async, so the second submission
+	// was decoded and answered with a job, whose compute hit the entry.
+	if e := s.cache.memGet(requestKey(body)); e == nil || !e.async {
+		t.Errorf("memory entry of the async body: %+v, want one marked async", e)
+	}
+	if hits := s.reg.Counter("serve_cache_hits_total").Value(); hits != 1 {
+		t.Errorf("serve_cache_hits_total = %d, want the second job's hit", hits)
+	}
 
 	w404 := getPath(s, "/v1/jobs/nope")
 	if w404.Code != http.StatusNotFound {

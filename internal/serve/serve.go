@@ -234,12 +234,21 @@ func (s *Server) handleStudies(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, studyErr(400, CodeBadRequest, "serve: reading request: %v", err))
 		return
 	}
+	key := requestKey(body)
+	// A memory entry a sync request stored was decoded and validated
+	// from these very bytes, so its body is the answer.  Async bytes
+	// still decode, to be answered with a job, and the disk tier's
+	// entries were not validated by this process.
+	if e := s.cache.memGet(key); e != nil && !e.async {
+		s.count("serve_cache_hits_total")
+		writeBody(w, http.StatusOK, e.body, "hit")
+		return
+	}
 	req, serr := decodeRequest(body)
 	if serr != nil {
 		writeErr(w, serr)
 		return
 	}
-	key := requestKey(body)
 	if req.Async {
 		s.startJob(w, key, req)
 		return
@@ -265,7 +274,7 @@ func (s *Server) handleStudies(w http.ResponseWriter, r *http.Request) {
 // admission or computing.  A canceled computation is never cached and
 // never handed to a later request.
 func (s *Server) compute(ctx context.Context, key string, req *StudyRequest) (status int, body []byte, cacheState string) {
-	b, corrupt := s.cache.get(key)
+	b, corrupt := s.cache.get(key, req.Async)
 	if corrupt {
 		s.count("serve_cache_corrupt_total")
 	}
@@ -281,10 +290,10 @@ func (s *Server) compute(ctx context.Context, key string, req *StudyRequest) (st
 		// A leader may have stored its body and left the in-flight map
 		// between the probe above and s.mu.  It stores before it leaves,
 		// so a second probe under s.mu sees the body.
-		if b := s.cache.memGet(key); b != nil {
+		if e := s.cache.memGet(key); e != nil {
 			s.mu.Unlock()
 			s.count("serve_cache_hits_total")
-			return http.StatusOK, b, "hit"
+			return http.StatusOK, e.body, "hit"
 		}
 		c = &call{done: make(chan struct{})}
 		run, c.cancel = context.WithCancel(context.WithoutCancel(ctx))
@@ -345,7 +354,7 @@ func (s *Server) compute(ctx context.Context, key string, req *StudyRequest) (st
 	// the request bytes — are cached.  A failed disk write costs future
 	// recomputes only.
 	if req.Budget == nil && run.Err() == nil {
-		if err := s.cache.put(key, b); err != nil {
+		if err := s.cache.put(key, b, req.Async); err != nil {
 			s.count("serve_cache_write_errors_total")
 		}
 	}

@@ -66,8 +66,8 @@ go -C bench test ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== dedup window stays shut, LRU accounting balances (50 race-enabled runs of the concurrent-identical dedup and concurrent cache tests)"
-go test -race -count=50 -run 'TestDedupConcurrentIdentical$|TestCacheConcurrentBounded$' ./internal/serve
+echo "== dedup window stays shut, LRU accounting balances, pre-decode hits hold (50 race-enabled runs of the concurrent-identical dedup, concurrent cache and concurrent pre-decode hit tests)"
+go test -race -count=50 -run 'TestDedupConcurrentIdentical$|TestCacheConcurrentBounded$|TestPreDecodeHitConcurrent$' ./internal/serve
 
 echo "== go test -race -cpu=1,4 (parallel kernels, shared vibration grids, shared compiled COSEE networks)"
 go test -race -cpu=1,4 ./internal/parallel ./internal/linalg ./internal/thermal ./internal/vibration ./internal/cosee
@@ -88,6 +88,9 @@ AEROPACK_SOLVER_GUARD=1 go test -count=1 -run 'TestSolverPerfGuard/(E5Factorizat
 
 echo "== solver benchmark smoke (BenchmarkE5_Fig10 + E2_Level2 + E2_Level2FreeConvection + Par_SolveSteadySerial, 1 iteration)"
 go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkE2_Level2$|BenchmarkE2_Level2FreeConvection$|BenchmarkPar_SolveSteady' -benchtime 1x .
+
+echo "== technology map benchmark smoke (BenchmarkPar_TechnologyMapSerial, 1 iteration)"
+go test -run - -bench 'BenchmarkPar_TechnologyMapSerial$' -benchtime 1x .
 
 echo "== lint benchmark smoke (BenchmarkLintModule + LintPhases, 1 iteration)"
 go test -run - -bench 'BenchmarkLintModule|BenchmarkLintPhases' -benchtime 1x ./internal/lint
